@@ -37,8 +37,8 @@ pub mod s3d;
 pub use cam::{cam_run, CamConfig, CamResult, Dycore};
 pub use gyro::{gyro_run, GyroConfig, GyroProblem, GyroResult};
 pub use md::{
-    md_eval_traces, md_run, md_run_machines, md_run_machines_traces, md_run_probe, md_traces,
-    MdCode, MdConfig, MdResult,
+    md_run, md_run_machines_traces, md_run_probe, md_sim_config, md_traces, MdCode, MdConfig,
+    MdResult,
 };
 pub use pop::{pop_run, PopConfig, PopResult};
 pub use s3d::{s3d_run, S3dConfig, S3dResult};

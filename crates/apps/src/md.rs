@@ -18,7 +18,7 @@
 //!   yields "relatively higher parallel efficiencies".
 
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SweepEngine, TraceDag, TraceSim};
+use hpcsim_mpi::{sweep_points, CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid3D;
 use serde::Serialize;
@@ -85,10 +85,25 @@ pub struct MdResult {
     pub ns_per_day: f64,
 }
 
+impl MdResult {
+    /// The per-step rates of a replayed or DAG-evaluated run of `cfg`.
+    pub fn of(res: &SimResult, cfg: &MdConfig) -> MdResult {
+        let seconds_per_step = res.makespan().as_secs() / cfg.steps as f64;
+        // 1 fs per step -> ns/day = 86400 / (s/step) * 1e-6
+        MdResult { seconds_per_step, ns_per_day: 86_400.0 / seconds_per_step * 1e-6 }
+    }
+}
+
+/// The simulator configuration the MD proxy runs on: `ranks` tasks in
+/// VN mode with the machine's default placement.
+pub fn md_sim_config(machine: &MachineSpec, ranks: usize) -> SimConfig {
+    SimConfig::new(machine.clone(), ranks, ExecMode::Vn)
+}
+
 /// Record the MD proxy's trace on `ranks` tasks. The trace depends only
 /// on the rank count and configuration — not the machine — so one
 /// recording serves every machine in a comparison scan.
-pub fn md_traces(ranks: usize, cfg: &MdConfig) -> Vec<Vec<hpcsim_mpi::Op>> {
+pub fn md_traces(ranks: usize, cfg: &MdConfig) -> Vec<Vec<Op>> {
     let prog = cfg.clone();
     TraceSim::trace_program(
         &FnProgram(move |mpi: &mut Mpi| {
@@ -104,92 +119,43 @@ pub fn md_traces(ranks: usize, cfg: &MdConfig) -> Vec<Vec<hpcsim_mpi::Op>> {
 
 /// Run the MD proxy on `ranks` tasks in VN mode.
 pub fn md_run(machine: &MachineSpec, ranks: usize, cfg: &MdConfig) -> MdResult {
-    md_run_machines(std::slice::from_ref(machine), ranks, cfg).remove(0)
+    md_run_machines_traces(std::slice::from_ref(machine), ranks, cfg, &md_traces(ranks, cfg))
+        .remove(0)
 }
 
 /// Run the MD proxy on every machine in `machines` (the Fig 8 scan
-/// shape) from one recorded trace. Under [`SweepEngine::Dag`] the trace
-/// is also compiled once and each contention-flat machine is evaluated
-/// in a single critical-path pass; contended machines (all the real
-/// Table 1 systems) fall back to event-queue replay, so results are
-/// identical under either engine selection.
-pub fn md_run_machines(machines: &[MachineSpec], ranks: usize, cfg: &MdConfig) -> Vec<MdResult> {
-    md_run_machines_traces(machines, ranks, cfg, &md_traces(ranks, cfg))
-}
-
-/// [`md_run_machines`] over traces the caller already holds (they must
-/// be `md_traces(ranks, cfg)`) — the scenario cache's tier-2 path: the
-/// Fig 8 battery fetches the shared trace from the store and every
-/// machine of the scan replays it without re-recording.
+/// shape) from one recorded trace (it must be `md_traces(ranks, cfg)`;
+/// the Fig 8 battery fetches it from the scenario cache's tier-2
+/// store). Priced by [`hpcsim_mpi::sweep_points`] on the process-global
+/// engine: under [`hpcsim_mpi::SweepEngine::Dag`] the trace is compiled
+/// once and each contention-flat machine is evaluated in a single
+/// critical-path pass; contended machines (all the real Table 1
+/// systems) replay, so results are identical under either engine.
 pub fn md_run_machines_traces(
     machines: &[MachineSpec],
     ranks: usize,
     cfg: &MdConfig,
-    traces: &[Vec<hpcsim_mpi::Op>],
+    traces: &[Vec<Op>],
 ) -> Vec<MdResult> {
-    let engine = hpcsim_mpi::sweep_engine();
-    let dag = if engine == SweepEngine::Dag && machines.iter().any(TraceDag::exact_for) {
-        Some(TraceDag::compile_world(traces))
-    } else {
-        if engine == SweepEngine::Dag {
-            hpcsim_mpi::note_fallback_contention(machines.len() as u64);
-        }
-        None
-    };
-    machines
+    let points: Vec<SimConfig> = machines.iter().map(|m| md_sim_config(m, ranks)).collect();
+    sweep_points(None, &points, traces, None, None)
+        .unwrap_or_else(|e| panic!("{e}"))
         .iter()
-        .map(|machine| md_eval_traces(machine, ranks, cfg, traces, dag.as_ref()))
+        .map(|res| MdResult::of(res, cfg))
         .collect()
 }
 
-/// Evaluate a single machine point from already-recorded traces,
-/// optionally through a pre-compiled DAG (used only where provably
-/// exact, [`TraceDag::exact_for`]). Bit-identical to [`md_run`] on the
-/// same point.
-pub fn md_eval_traces(
-    machine: &MachineSpec,
-    ranks: usize,
-    cfg: &MdConfig,
-    traces: &[Vec<hpcsim_mpi::Op>],
-    dag: Option<&TraceDag>,
-) -> MdResult {
-    let sim_cfg = SimConfig::new(machine.clone(), ranks, ExecMode::Vn);
-    let res = match dag {
-        Some(dag) if TraceDag::exact_for(machine) => dag.evaluate(&sim_cfg),
-        _ => {
-            if dag.is_some() {
-                // a DAG was offered but is inexact on this machine
-                hpcsim_mpi::note_fallback_contention(1);
-            }
-            TraceSim::new(sim_cfg).replay_traces(traces)
-        }
-    };
-    let seconds_per_step = res.makespan().as_secs() / cfg.steps as f64;
-    // 1 fs per step -> ns/day = 86400 / (s/step) * 1e-6
-    MdResult { seconds_per_step, ns_per_day: 86_400.0 / seconds_per_step * 1e-6 }
-}
-
-/// [`md_run`] with an observability sink; also returns the raw replay
-/// result for the probe layer.
+/// [`md_run`] by event-queue replay with an observability sink; also
+/// returns the raw replay result for the probe layer.
 pub fn md_run_probe<T: hpcsim_probe::Tracer>(
     machine: &MachineSpec,
     ranks: usize,
     cfg: &MdConfig,
     tracer: &mut T,
-) -> (MdResult, hpcsim_mpi::SimResult) {
-    let mut sim = TraceSim::new(SimConfig::new(machine.clone(), ranks, ExecMode::Vn));
-    let prog = cfg.clone();
-    let res = sim.run_probe(
-        &FnProgram(move |mpi: &mut Mpi| {
-            let grid = Grid3D::near_cube(mpi.size());
-            for step in 0..prog.steps {
-                record_step(mpi, &prog, grid, step);
-            }
-        }),
-        tracer,
-    );
-    let seconds_per_step = res.makespan().as_secs() / cfg.steps as f64;
-    (MdResult { seconds_per_step, ns_per_day: 86_400.0 / seconds_per_step * 1e-6 }, res)
+) -> (MdResult, SimResult) {
+    let mut sim = TraceSim::new(md_sim_config(machine, ranks));
+    let res = sim.try_replay(&md_traces(ranks, cfg), tracer).unwrap_or_else(|e| panic!("{e}"));
+    (MdResult::of(&res, cfg), res)
 }
 
 fn record_step(mpi: &mut Mpi, cfg: &MdConfig, grid: Grid3D, step: u32) {
@@ -304,25 +270,17 @@ mod tests {
     }
 
     /// The machine-scan entry point returns exactly the per-machine
-    /// results, and the compiled DAG reproduces replay exactly on a
-    /// contention-flat machine (the MD trace exercises subround tags,
-    /// alltoalls, reductions and rendezvous ghost exchanges).
+    /// results. (Replay-vs-DAG agreement on the MD trace is pinned by
+    /// the workspace-level `engine_equivalence` test.)
     #[test]
     fn machine_scan_matches_individual_runs() {
         let machines = [bluegene_p(), xt4_dc()];
         let cfg = MdConfig::pmemd_rub();
-        let scanned = md_run_machines(&machines, 64, &cfg);
+        let scanned = md_run_machines_traces(&machines, 64, &cfg, &md_traces(64, &cfg));
         for (m, s) in machines.iter().zip(&scanned) {
             let solo = md_run(m, 64, &cfg);
             assert_eq!(solo.seconds_per_step, s.seconds_per_step);
         }
-        let flat = bluegene_p().with_flat_contention();
-        let traces = md_traces(64, &cfg);
-        let sim_cfg = SimConfig::new(flat, 64, ExecMode::Vn);
-        let replay = TraceSim::new(sim_cfg.clone()).replay_traces(&traces);
-        let dag = TraceDag::compile_world(&traces).evaluate(&sim_cfg);
-        assert_eq!(replay.finish, dag.finish);
-        assert_eq!(replay.busy, dag.busy);
     }
 
     /// ns/day sanity: hundreds of atoms per rank at 1 fs steps lands in

@@ -3,7 +3,7 @@
 //! with the enabled `RingRecorder` (the real cost of recording).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hpcsim_hpcc::{halo_run, halo_run_probe, HaloConfig, HaloProtocol};
+use hpcsim_hpcc::{halo_run, halo_try_run, HaloConfig, HaloProtocol};
 use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::ExecMode;
 use hpcsim_probe::{NoopTracer, RingRecorder};
@@ -21,19 +21,17 @@ fn cfg() -> HaloConfig {
 fn bench_probe_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("probe_overhead");
     g.sample_size(20);
-    let m = bluegene_p();
+    let (m, txyz) = (bluegene_p(), Mapping::txyz());
     g.bench_function("replay_untraced", |b| {
-        b.iter(|| black_box(halo_run(&m, ExecMode::Vn, Mapping::txyz(), &cfg())))
+        b.iter(|| black_box(halo_run(&m, ExecMode::Vn, txyz, &cfg())))
     });
     g.bench_function("replay_noop_tracer", |b| {
-        b.iter(|| {
-            black_box(halo_run_probe(&m, ExecMode::Vn, Mapping::txyz(), &cfg(), &mut NoopTracer))
-        })
+        b.iter(|| black_box(halo_try_run(&m, ExecMode::Vn, txyz, &cfg(), None, &mut NoopTracer)))
     });
     g.bench_function("replay_ring_recorder", |b| {
         b.iter(|| {
             let mut rec = RingRecorder::new();
-            black_box(halo_run_probe(&m, ExecMode::Vn, Mapping::txyz(), &cfg(), &mut rec));
+            black_box(halo_try_run(&m, ExecMode::Vn, txyz, &cfg(), None, &mut rec)).unwrap();
         })
     });
     g.finish();

@@ -13,7 +13,7 @@
 
 #![cfg(not(debug_assertions))]
 
-use hpcsim_hpcc::{halo_run, halo_run_probe, HaloConfig, HaloProtocol};
+use hpcsim_hpcc::{halo_run, halo_try_run, HaloConfig, HaloProtocol};
 use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::{ExecMode, MachineSpec};
 use hpcsim_probe::{NoopTracer, RingRecorder};
@@ -38,7 +38,8 @@ fn time_untraced(m: &MachineSpec) -> f64 {
 
 fn time_noop(m: &MachineSpec) -> f64 {
     let t = Instant::now();
-    black_box(halo_run_probe(m, ExecMode::Vn, Mapping::txyz(), &cfg(), &mut NoopTracer));
+    black_box(halo_try_run(m, ExecMode::Vn, Mapping::txyz(), &cfg(), None, &mut NoopTracer))
+        .unwrap();
     t.elapsed().as_secs_f64()
 }
 
@@ -75,7 +76,8 @@ fn disabled_tracer_replay_is_within_two_percent() {
 fn enabled_recorder_observes_the_same_replay() {
     let m = bluegene_p();
     let mut rec = RingRecorder::new();
-    let (s_traced, _) = halo_run_probe(&m, ExecMode::Vn, Mapping::txyz(), &cfg(), &mut rec);
+    let (s_traced, _) =
+        halo_try_run(&m, ExecMode::Vn, Mapping::txyz(), &cfg(), None, &mut rec).unwrap();
     assert!(rec.total_spans() > 0, "enabled recorder must capture spans");
     assert_eq!(rec.dropped(), 0);
     let s_untraced = halo_run(&m, ExecMode::Vn, Mapping::txyz(), &cfg());

@@ -5,12 +5,13 @@
 //!
 //! 1. tier-1 lookup on the spec hash — a hit returns immediately;
 //! 2. for trace-replayable programs (HALO, MD), tier-2 lookup on the
-//!    program sub-hash — a hit replays the shared trace, a miss records
-//!    it once for everyone;
-//! 3. the point is priced with exactly the same code path the direct
-//!    entry points use (replay, or a DAG critical-path pass where the
-//!    process-global [`SweepEngine`] selects it *and* it is provably
-//!    exact), so cached and uncached runs are bit-identical.
+//!    program sub-hash — a hit shares the recorded trace (and its DAG,
+//!    compiled on first demand), a miss records it once for everyone;
+//! 3. the point is priced by [`hpcsim_mpi::sweep_points`] — the same
+//!    function the direct entry points (`hpcc::halo_run`,
+//!    `apps::md_run`) delegate to, on the same process-global engine —
+//!    so cached and uncached runs are bit-identical and count the same
+//!    DAG fallbacks.
 //!
 //! The result-vector layout per program is part of the store format:
 //!
@@ -23,11 +24,11 @@
 //! | pop            | `[syd, baroclinic_s, barrier_s, barotropic_s]`      |
 
 use crate::spec::{ProgramSpec, ScenarioSpec};
-use crate::store::ScenarioCache;
+use crate::store::{ScenarioCache, TraceEntry};
 use hpcsim_apps as apps;
 use hpcsim_faults::FaultPlan;
 use hpcsim_hpcc as hpcc;
-use hpcsim_mpi::{SweepEngine, TraceDag};
+use hpcsim_mpi::{sweep_points, SimConfig, SimResult};
 use std::sync::Arc;
 
 /// Why a scenario could not be evaluated (today: a fault-induced stall;
@@ -64,38 +65,14 @@ fn cold_evaluate(cache: &ScenarioCache, spec: &ScenarioSpec) -> Result<Vec<f64>,
     match &spec.program {
         ProgramSpec::Halo(cfg) => {
             let entry = cache.traces(spec.program_hash(), || hpcc::halo_traces(cfg));
-            if let Some(f) = spec.faults {
-                if hpcsim_mpi::sweep_engine() == SweepEngine::Dag {
-                    // DAG never prices faults: this point replays
-                    hpcsim_mpi::note_fallback_faults(1);
-                }
-                let plan = FaultPlan::new(f.seed, f.profile);
-                let secs = hpcc::halo_eval_traces_faulty(
-                    machine,
-                    spec.mode,
-                    spec.mapping,
-                    cfg,
-                    &entry.traces,
-                    &plan,
-                )
-                .map_err(|e| e.to_string())?;
-                Ok(vec![secs])
-            } else {
-                let dag = dag_if_selected(&entry, machine);
-                Ok(vec![hpcc::halo_eval_traces(
-                    machine,
-                    spec.mode,
-                    spec.mapping,
-                    cfg,
-                    &entry.traces,
-                    dag.as_deref(),
-                )])
-            }
+            let point = cfg.sim_config(machine, spec.mode, spec.mapping);
+            let plan = spec.faults.map(|f| FaultPlan::new(f.seed, f.profile));
+            Ok(vec![cfg.per_exchange(&price(&entry, point, plan.as_ref())?)])
         }
         ProgramSpec::Md { ranks, cfg } => {
             let entry = cache.traces(spec.program_hash(), || apps::md_traces(*ranks, cfg));
-            let dag = dag_if_selected(&entry, machine);
-            let r = apps::md_eval_traces(machine, *ranks, cfg, &entry.traces, dag.as_deref());
+            let res = price(&entry, apps::md_sim_config(machine, *ranks), None)?;
+            let r = apps::MdResult::of(&res, cfg);
             Ok(vec![r.seconds_per_step, r.ns_per_day])
         }
         ProgramSpec::Hpl(cfg) => {
@@ -113,21 +90,19 @@ fn cold_evaluate(cache: &ScenarioCache, spec: &ScenarioSpec) -> Result<Vec<f64>,
     }
 }
 
-/// The shared compiled DAG, but only when the process-global engine
-/// selector asks for it and it is provably exact on this machine — the
-/// same gate the direct sweep entry points apply, so engine selection
-/// never changes a cached value.
-fn dag_if_selected(
-    entry: &crate::store::TraceEntry,
-    machine: &hpcsim_machine::MachineSpec,
-) -> Option<Arc<TraceDag>> {
-    if hpcsim_mpi::sweep_engine() == SweepEngine::Dag {
-        if TraceDag::exact_for(machine) {
-            return Some(Arc::clone(entry.dag()));
-        }
-        hpcsim_mpi::note_fallback_contention(1);
-    }
-    None
+/// Price one point of a tier-2 trace entry on the process-global
+/// engine, handing [`sweep_points`] the entry's shared DAG (compiled on
+/// first demand). A fault-induced stall comes back as the replay
+/// engine's diagnostic, verbatim.
+fn price(
+    entry: &TraceEntry,
+    point: SimConfig,
+    plan: Option<&FaultPlan>,
+) -> Result<SimResult, String> {
+    let dag = || entry.dag();
+    sweep_points(None, std::slice::from_ref(&point), &entry.traces, Some(&dag), plan)
+        .map(|mut res| res.remove(0))
+        .map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -190,14 +165,11 @@ mod tests {
         let spec = ScenarioSpec::halo(&m, ExecMode::Vn, Mapping::txyz(), halo_cfg())
             .with_faults(5, FaultProfile::Mixed);
         let cached = evaluate_in(&c, &spec).unwrap();
-        let direct = hpcc::halo_run_faulty(
-            &m,
-            ExecMode::Vn,
-            Mapping::txyz(),
-            &halo_cfg(),
-            &FaultPlan::new(5, FaultProfile::Mixed),
-        )
-        .unwrap();
+        let plan = FaultPlan::new(5, FaultProfile::Mixed);
+        let point = halo_cfg().sim_config(&m, ExecMode::Vn, Mapping::txyz());
+        let traces = hpcc::halo_traces(&halo_cfg());
+        let res = sweep_points(None, &[point], &traces, None, Some(&plan)).unwrap();
+        let direct = halo_cfg().per_exchange(&res[0]);
         assert_eq!(cached[0].to_bits(), direct.to_bits());
         // faulty and pristine specs are distinct tier-1 entries sharing tier 2
         let pristine = ScenarioSpec::halo(&m, ExecMode::Vn, Mapping::txyz(), halo_cfg());
@@ -208,7 +180,7 @@ mod tests {
 
     #[test]
     fn dag_engine_selection_does_not_change_cached_values() {
-        use hpcsim_mpi::set_sweep_engine;
+        use hpcsim_mpi::{set_sweep_engine, SweepEngine};
         let flat = bluegene_p().with_flat_contention();
         let spec = ScenarioSpec::halo(&flat, ExecMode::Vn, Mapping::xyzt(), halo_cfg());
         let c_replay = cache();

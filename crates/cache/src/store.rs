@@ -235,7 +235,7 @@ impl StatCells {
 pub struct TraceEntry {
     /// Per-rank op traces, exactly as recorded.
     pub traces: Vec<Vec<Op>>,
-    dag: OnceLock<Arc<TraceDag>>,
+    dag: OnceLock<TraceDag>,
 }
 
 impl TraceEntry {
@@ -246,8 +246,8 @@ impl TraceEntry {
 
     /// The compiled DAG, built on first demand and reused by every
     /// subsequent DAG-engine evaluation of this program.
-    pub fn dag(&self) -> &Arc<TraceDag> {
-        self.dag.get_or_init(|| Arc::new(TraceDag::compile_world(&self.traces)))
+    pub fn dag(&self) -> &TraceDag {
+        self.dag.get_or_init(|| TraceDag::compile_world(&self.traces))
     }
 }
 
@@ -826,8 +826,6 @@ mod tests {
     fn trace_entry_compiles_dag_once() {
         let traces = vec![vec![Op::Mark { id: 1 }]];
         let entry = TraceEntry::new(traces);
-        let d1 = Arc::as_ptr(entry.dag());
-        let d2 = Arc::as_ptr(entry.dag());
-        assert_eq!(d1, d2);
+        assert!(std::ptr::eq(entry.dag(), entry.dag()));
     }
 }

@@ -75,14 +75,15 @@ impl Spec {
                     protocol: *protocol,
                     reps: 2,
                 };
-                let (_, res) = hpcc::halo_run_probe_with(
+                let (_, res) = hpcc::halo_try_run(
                     &machine,
                     ExecMode::Vn,
                     Mapping::txyz(),
                     &cfg,
                     faults,
                     &mut rec,
-                );
+                )
+                .unwrap_or_else(|e| panic!("{e}"));
                 let label = format!(
                     "halo {}x{} {} {}w",
                     grid.rows,

@@ -19,6 +19,7 @@ use hpcsim_faults::{FaultPlan, FaultProfile};
 use hpcsim_hpcc as hpcc;
 use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::ExecMode;
+use hpcsim_probe::NoopTracer;
 use hpcsim_topo::{Grid2D, Mapping};
 
 /// A scenario that failed with a panic (captured by the harness) rather
@@ -74,13 +75,14 @@ fn run_spec(spec: &Spec, seed: u64) -> Row {
         protocol: hpcc::HaloProtocol::IrecvIsend,
         reps: 2,
     };
-    let pristine = hpcc::halo_run(&machine, ExecMode::Vn, Mapping::txyz(), &cfg);
+    let txyz = Mapping::txyz();
+    let pristine = hpcc::halo_run(&machine, ExecMode::Vn, txyz, &cfg);
     let by_profile = FaultProfile::all()
         .into_iter()
         .map(|profile| {
             let plan = FaultPlan::new(seed, profile);
-            hpcc::halo_run_faulty(&machine, ExecMode::Vn, Mapping::txyz(), &cfg, &plan)
-                .map(|t| (t * 1e6, if pristine > 0.0 { t / pristine } else { 1.0 }))
+            hpcc::halo_try_run(&machine, ExecMode::Vn, txyz, &cfg, Some(&plan), &mut NoopTracer)
+                .map(|(t, _)| (t * 1e6, if pristine > 0.0 { t / pristine } else { 1.0 }))
                 .map_err(|e| e.to_string())
         })
         .collect();

@@ -94,7 +94,7 @@ pub fn run_scenario(sc: &FuzzScenario) -> RunReport {
         if let Some(plan) = sc.fault_plan() {
             sim.set_faults(&plan);
         }
-        sim.try_replay_traces_probe(&sc.traces, &mut tracer)
+        sim.try_replay(&sc.traces, &mut tracer)
     }));
 
     let mut signals = Signals {

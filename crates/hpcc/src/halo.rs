@@ -13,9 +13,14 @@
 //! * (e,f) **virtual grid shape** at fixed core count.
 
 use hpcsim_engine::SimTime;
+use hpcsim_faults::FaultPlan;
 use hpcsim_machine::{ExecMode, MachineSpec};
-use hpcsim_mpi::{FnProgram, Mpi, RankLayout, SimConfig, SweepEngine, TraceDag, TraceSim};
+use hpcsim_mpi::{
+    sweep_points, FnProgram, Mpi, Op, RankLayout, SimConfig, SimError, SimResult, SweepEngine,
+    TraceDag, TraceSim,
+};
 use hpcsim_net::{FlowHandle, FlowTracker};
+use hpcsim_probe::Tracer;
 use hpcsim_topo::{Grid2D, Mapping};
 use serde::{Deserialize, Serialize};
 
@@ -117,7 +122,7 @@ pub fn halo_record_exchange(
 /// grid cell, `reps` exchange rounds. The trace depends only on the
 /// virtual grid / words / protocol — not on machine, mapping or mode —
 /// which is what makes mapping sweeps cheap and DAG compilation sound.
-pub fn halo_traces(cfg: &HaloConfig) -> Vec<Vec<hpcsim_mpi::Op>> {
+pub fn halo_traces(cfg: &HaloConfig) -> Vec<Vec<Op>> {
     let grid = cfg.grid;
     let (words, protocol, reps) = (cfg.words, cfg.protocol, cfg.reps);
     TraceSim::trace_program(
@@ -139,193 +144,105 @@ fn halo_layout(machine: &MachineSpec, mode: ExecMode, mapping: Mapping, ranks: u
     }
 }
 
-/// Run a HALO experiment; returns seconds per exchange (makespan / reps).
-pub fn halo_run(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    mapping: Mapping,
-    cfg: &HaloConfig,
-) -> f64 {
-    halo_run_mapped(machine, mode, &[mapping], cfg)[0]
+impl HaloConfig {
+    /// The simulator configuration of one (machine, mode, mapping)
+    /// point: BlueGene machines place ranks by `mapping`, others by
+    /// their family default.
+    pub fn sim_config(&self, machine: &MachineSpec, mode: ExecMode, mapping: Mapping) -> SimConfig {
+        let layout = halo_layout(machine, mode, mapping, self.grid.size());
+        SimConfig { machine: machine.clone(), mode, threads: 1, layout }
+    }
+
+    /// Seconds per exchange of a replayed or DAG-evaluated run
+    /// (makespan / reps).
+    pub fn per_exchange(&self, res: &SimResult) -> f64 {
+        res.makespan().as_secs() / self.reps as f64
+    }
 }
 
-/// Run one HALO experiment under several rank→processor mappings with
-/// the process-global sweep engine ([`hpcsim_mpi::sweep_engine`]). The
-/// trace depends only on the virtual grid / words / protocol — not the
-/// mapping — so it is recorded once and re-evaluated per mapping, which
-/// is what makes Fig 2(c,d)'s mapping sweeps cheap.
-pub fn halo_run_mapped(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    mappings: &[Mapping],
-    cfg: &HaloConfig,
-) -> Vec<f64> {
-    halo_run_mapped_with(machine, mode, mappings, cfg, hpcsim_mpi::sweep_engine())
-}
-
-/// [`halo_run_mapped`] with an explicit engine. [`SweepEngine::Dag`]
-/// compiles the trace once and evaluates each mapping in a single
-/// critical-path pass — but only where that is provably exact
-/// ([`TraceDag::exact_for`], i.e. contention-flat machines); on a
-/// contended machine it falls back to per-mapping replay, so results
-/// are identical under either engine selection.
-pub fn halo_run_mapped_with(
+/// Seconds per exchange at every mapping, priced by
+/// [`hpcsim_mpi::sweep_points`] on `engine` (`None`: the process-global
+/// selection).
+fn halo_sweep<'d>(
+    engine: Option<SweepEngine>,
     machine: &MachineSpec,
     mode: ExecMode,
     mappings: &[Mapping],
     cfg: &HaloConfig,
-    engine: SweepEngine,
+    traces: &[Vec<Op>],
+    dag: Option<&dyn Fn() -> &'d TraceDag>,
 ) -> Vec<f64> {
-    halo_run_traces_with(machine, mode, mappings, cfg, &halo_traces(cfg), engine)
+    let points: Vec<SimConfig> =
+        mappings.iter().map(|&mapping| cfg.sim_config(machine, mode, mapping)).collect();
+    sweep_points(engine, &points, traces, dag, None)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .iter()
+        .map(|res| cfg.per_exchange(res))
+        .collect()
 }
 
-/// [`halo_run_mapped_with`] over traces the caller already recorded
-/// (they must be `halo_traces(cfg)`). Timed sweep harnesses use this to
-/// keep trace recording — identical work under either engine — out of
-/// both timed regions.
+/// Run a HALO experiment on the process-global sweep engine; returns
+/// seconds per exchange (makespan / reps).
+pub fn halo_run(machine: &MachineSpec, mode: ExecMode, mapping: Mapping, cfg: &HaloConfig) -> f64 {
+    halo_sweep(None, machine, mode, &[mapping], cfg, &halo_traces(cfg), None)[0]
+}
+
+/// Run one HALO experiment under several rank→processor mappings on an
+/// explicit engine, from traces recorded once (they must be
+/// `halo_traces(cfg)`; the trace does not depend on the mapping, which
+/// is what makes Fig 2(c,d)'s sweeps cheap). [`SweepEngine::Dag`]
+/// evaluates every mapping in one batched pass where that is exact
+/// ([`TraceDag::exact_for`]) and replays elsewhere, so results are
+/// identical under either engine.
 pub fn halo_run_traces_with(
     machine: &MachineSpec,
     mode: ExecMode,
     mappings: &[Mapping],
     cfg: &HaloConfig,
-    traces: &[Vec<hpcsim_mpi::Op>],
+    traces: &[Vec<Op>],
     engine: SweepEngine,
 ) -> Vec<f64> {
-    let ranks = cfg.grid.size();
-    if engine == SweepEngine::Dag {
-        if TraceDag::exact_for(machine) {
-            let dag = TraceDag::compile_world(traces);
-            let cfg_pts: Vec<SimConfig> = mappings
-                .iter()
-                .map(|&mapping| SimConfig {
-                    machine: machine.clone(),
-                    mode,
-                    threads: 1,
-                    layout: halo_layout(machine, mode, mapping, ranks),
-                })
-                .collect();
-            return dag
-                .evaluate_many(&cfg_pts)
-                .iter()
-                .map(|res| res.makespan().as_secs() / cfg.reps as f64)
-                .collect();
-        }
-        hpcsim_mpi::note_fallback_contention(mappings.len() as u64);
-    }
-    mappings
-        .iter()
-        .map(|&mapping| {
-            let layout = halo_layout(machine, mode, mapping, ranks);
-            let mut sim =
-                TraceSim::new(SimConfig { machine: machine.clone(), mode, threads: 1, layout });
-            sim.replay_traces(traces).makespan().as_secs() / cfg.reps as f64
-        })
-        .collect()
+    halo_sweep(Some(engine), machine, mode, mappings, cfg, traces, None)
 }
 
 /// Evaluate a single (machine, mode, mapping) point from traces the
-/// caller already holds (they must be `halo_traces(cfg)`), optionally
-/// through a pre-compiled DAG. This is the scenario cache's warm path:
-/// tier 2 hands back the shared trace (and its once-compiled DAG) and
-/// the point costs one replay — or one critical-path pass where the DAG
-/// is exact ([`TraceDag::exact_for`]). Bit-identical to
-/// [`halo_run_mapped_with`] on the same point.
+/// caller already holds (they must be `halo_traces(cfg)`): through the
+/// pre-compiled `dag` where it is exact ([`TraceDag::exact_for`]),
+/// otherwise by replay. Bit-identical to [`halo_run`] on the same point.
 pub fn halo_eval_traces(
     machine: &MachineSpec,
     mode: ExecMode,
     mapping: Mapping,
     cfg: &HaloConfig,
-    traces: &[Vec<hpcsim_mpi::Op>],
+    traces: &[Vec<Op>],
     dag: Option<&TraceDag>,
 ) -> f64 {
-    let ranks = cfg.grid.size();
-    let layout = halo_layout(machine, mode, mapping, ranks);
-    let sim_cfg = SimConfig { machine: machine.clone(), mode, threads: 1, layout };
-    let res = match dag {
-        Some(d) if TraceDag::exact_for(machine) => d.evaluate(&sim_cfg),
-        _ => {
-            if dag.is_some() {
-                // a DAG was offered but is inexact on this machine
-                hpcsim_mpi::note_fallback_contention(1);
-            }
-            TraceSim::new(sim_cfg).replay_traces(traces)
-        }
-    };
-    res.makespan().as_secs() / cfg.reps as f64
+    let engine = if dag.is_some() { SweepEngine::Dag } else { SweepEngine::Replay };
+    // hand the pre-compiled DAG over as sweep_points' lazy provider
+    let get = dag.map(|d| move || d);
+    let get = get.as_ref().map(|f| f as _);
+    halo_sweep(Some(engine), machine, mode, &[mapping], cfg, traces, get)[0]
 }
 
-/// [`halo_eval_traces`] under an armed fault plan (always event-queue
-/// replay: fault injection needs the full engine). Errors are the same
-/// diagnosed stalls [`halo_run_faulty`] reports.
-pub fn halo_eval_traces_faulty(
+/// One HALO point by event-queue replay, fallibly, with an optional
+/// armed fault plan and an observability sink: the seconds per exchange
+/// (detours and retransmits included) plus the full [`SimResult`] the
+/// tracer observed, or the diagnosed [`SimError`] when the plan cuts
+/// every route to some destination or exhausts a retransmit budget.
+pub fn halo_try_run<T: Tracer>(
     machine: &MachineSpec,
     mode: ExecMode,
     mapping: Mapping,
     cfg: &HaloConfig,
-    traces: &[Vec<hpcsim_mpi::Op>],
-    plan: &hpcsim_faults::FaultPlan,
-) -> Result<f64, hpcsim_mpi::SimError> {
-    let ranks = cfg.grid.size();
-    let layout = halo_layout(machine, mode, mapping, ranks);
-    let mut sim = TraceSim::new(SimConfig { machine: machine.clone(), mode, threads: 1, layout });
-    sim.set_faults(plan);
-    Ok(sim.try_replay_traces(traces)?.makespan().as_secs() / cfg.reps as f64)
-}
-
-/// Convenience: microseconds per exchange.
-pub fn halo_us(machine: &MachineSpec, mode: ExecMode, mapping: Mapping, cfg: &HaloConfig) -> f64 {
-    halo_run(machine, mode, mapping, cfg) * 1e6
-}
-
-/// [`halo_run`] under an armed fault plan: seconds per exchange when the
-/// job survives (detours and retransmits included in the time), or the
-/// diagnosed [`hpcsim_mpi::SimError`] when the plan cuts every route to
-/// some destination or exhausts a retransmit budget.
-pub fn halo_run_faulty(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    mapping: Mapping,
-    cfg: &HaloConfig,
-    plan: &hpcsim_faults::FaultPlan,
-) -> Result<f64, hpcsim_mpi::SimError> {
-    halo_eval_traces_faulty(machine, mode, mapping, cfg, &halo_traces(cfg), plan)
-}
-
-/// [`halo_run`] with an observability sink: returns the seconds per
-/// exchange plus the full [`hpcsim_mpi::SimResult`] the tracer observed
-/// (the probe layer needs the per-rank finish times to cross-check span
-/// tiling).
-pub fn halo_run_probe<T: hpcsim_probe::Tracer>(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    mapping: Mapping,
-    cfg: &HaloConfig,
+    plan: Option<&FaultPlan>,
     tracer: &mut T,
-) -> (f64, hpcsim_mpi::SimResult) {
-    halo_run_probe_with(machine, mode, mapping, cfg, None, tracer)
-}
-
-/// [`halo_run_probe`] with an optional armed fault plan. A fault-induced
-/// stall panics with the [`hpcsim_mpi::SimError`] diagnostic — traced
-/// batteries run under the panic-isolating harness, which turns that
-/// into a structured scenario failure.
-pub fn halo_run_probe_with<T: hpcsim_probe::Tracer>(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    mapping: Mapping,
-    cfg: &HaloConfig,
-    plan: Option<&hpcsim_faults::FaultPlan>,
-    tracer: &mut T,
-) -> (f64, hpcsim_mpi::SimResult) {
-    let ranks = cfg.grid.size();
-    let traces = halo_traces(cfg);
-    let layout = halo_layout(machine, mode, mapping, ranks);
-    let mut sim = TraceSim::new(SimConfig { machine: machine.clone(), mode, threads: 1, layout });
+) -> Result<(f64, SimResult), SimError> {
+    let mut sim = TraceSim::new(cfg.sim_config(machine, mode, mapping));
     if let Some(p) = plan {
         sim.set_faults(p);
     }
-    let res = sim.replay_traces_probe(&traces, tracer);
-    (res.makespan().as_secs() / cfg.reps as f64, res)
+    let res = sim.try_replay(&halo_traces(cfg), tracer)?;
+    Ok((cfg.per_exchange(&res), res))
 }
 
 /// Sanity floor used by tests: an exchange can't beat four message
@@ -470,13 +387,18 @@ mod tests {
     /// and a run with no armed plan is unaffected by the feature.
     #[test]
     fn faulty_halo_is_no_faster_than_pristine() {
-        use hpcsim_faults::{FaultPlan, FaultProfile};
+        use hpcsim_faults::FaultProfile;
+        use hpcsim_probe::NoopTracer;
         let m = bluegene_p();
         let grid = Grid2D::new(16, 8);
         let c = cfg(grid, 8192, HaloProtocol::IrecvIsend);
         let pristine = halo_run(&m, ExecMode::Vn, Mapping::txyz(), &c);
         let plan = FaultPlan::new(5, FaultProfile::Mixed);
-        match halo_run_faulty(&m, ExecMode::Vn, Mapping::txyz(), &c, &plan) {
+        let faulty = || {
+            halo_try_run(&m, ExecMode::Vn, Mapping::txyz(), &c, Some(&plan), &mut NoopTracer)
+                .map(|(secs, _)| secs)
+        };
+        match faulty() {
             Ok(faulty) => assert!(
                 faulty >= pristine * 0.999,
                 "faults sped up the halo: {faulty:.3e} < {pristine:.3e}"
@@ -484,10 +406,7 @@ mod tests {
             Err(e) => panic!("mixed plan at this scale should survive: {e}"),
         }
         // reproducible
-        assert_eq!(
-            halo_run_faulty(&m, ExecMode::Vn, Mapping::txyz(), &c, &plan).unwrap(),
-            halo_run_faulty(&m, ExecMode::Vn, Mapping::txyz(), &c, &plan).unwrap(),
-        );
+        assert_eq!(faulty().unwrap(), faulty().unwrap());
     }
 
     /// The DAG sweep engine agrees with replay bit-for-bit across the
@@ -500,10 +419,12 @@ mod tests {
         let mappings: Vec<Mapping> = Mapping::fig2_set().iter().map(|(_, m)| *m).collect();
         for words in [8u64, 2048, 32_768] {
             let c = cfg(grid, words, HaloProtocol::IrecvIsend);
+            let traces = halo_traces(&c);
             for m in [bluegene_p().with_flat_contention(), bluegene_p()] {
-                let replay =
-                    halo_run_mapped_with(&m, ExecMode::Vn, &mappings, &c, SweepEngine::Replay);
-                let dag = halo_run_mapped_with(&m, ExecMode::Vn, &mappings, &c, SweepEngine::Dag);
+                let sweep = |engine| {
+                    halo_run_traces_with(&m, ExecMode::Vn, &mappings, &c, &traces, engine)
+                };
+                let (replay, dag) = (sweep(SweepEngine::Replay), sweep(SweepEngine::Dag));
                 assert_eq!(replay, dag, "words={words} flat={}", m.contention_flat());
             }
         }

@@ -6,8 +6,9 @@
 //! the single- vs double-precision Allreduce distinction from §II.B.2.
 
 use hpcsim_machine::{ExecMode, MachineSpec};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim};
 use hpcsim_net::DType;
+use hpcsim_probe::{NoopTracer, Tracer};
 use serde::Serialize;
 
 /// One measured point of an IMB sweep.
@@ -21,22 +22,6 @@ pub struct ImbPoint {
     pub usec: f64,
 }
 
-fn run_coll(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    ranks: usize,
-    reps: u32,
-    record: impl Fn(&mut Mpi) + Sync,
-) -> f64 {
-    let mut sim = TraceSim::new(SimConfig::new(machine.clone(), ranks, mode));
-    let res = sim.run(&FnProgram(move |mpi: &mut Mpi| {
-        for _ in 0..reps {
-            record(mpi);
-        }
-    }));
-    res.makespan().as_secs() / reps as f64 * 1e6
-}
-
 /// IMB Allreduce latency at one (ranks, bytes) point.
 pub fn imb_allreduce(
     machine: &MachineSpec,
@@ -45,51 +30,46 @@ pub fn imb_allreduce(
     bytes: u64,
     dtype: DType,
 ) -> ImbPoint {
-    let usec = run_coll(machine, mode, ranks, 4, move |mpi| {
-        mpi.allreduce(CommId::WORLD, bytes, dtype);
-    });
-    ImbPoint { ranks, bytes, usec }
+    imb_allreduce_probe(machine, mode, ranks, bytes, dtype, &mut NoopTracer).0
 }
 
 /// IMB Bcast latency at one (ranks, bytes) point.
 pub fn imb_bcast(machine: &MachineSpec, mode: ExecMode, ranks: usize, bytes: u64) -> ImbPoint {
-    let usec = run_coll(machine, mode, ranks, 4, move |mpi| {
-        mpi.bcast(CommId::WORLD, bytes);
-    });
-    ImbPoint { ranks, bytes, usec }
+    imb_bcast_probe(machine, mode, ranks, bytes, &mut NoopTracer).0
 }
 
-fn run_coll_probe<T: hpcsim_probe::Tracer>(
+/// Replay `reps` back-to-back rounds of `record` on `ranks` tasks:
+/// mean microseconds per round plus the raw replay result.
+fn run_coll<T: Tracer>(
     machine: &MachineSpec,
     mode: ExecMode,
     ranks: usize,
     reps: u32,
     tracer: &mut T,
     record: impl Fn(&mut Mpi) + Sync,
-) -> (f64, hpcsim_mpi::SimResult) {
+) -> (f64, SimResult) {
+    let prog = FnProgram(move |mpi: &mut Mpi| {
+        for _ in 0..reps {
+            record(mpi);
+        }
+    });
     let mut sim = TraceSim::new(SimConfig::new(machine.clone(), ranks, mode));
-    let res = sim.run_probe(
-        &FnProgram(move |mpi: &mut Mpi| {
-            for _ in 0..reps {
-                record(mpi);
-            }
-        }),
-        tracer,
-    );
+    let traces = TraceSim::trace_program(&prog, ranks, 1);
+    let res = sim.try_replay(&traces, tracer).unwrap_or_else(|e| panic!("{e}"));
     (res.makespan().as_secs() / reps as f64 * 1e6, res)
 }
 
 /// [`imb_allreduce`] with an observability sink; also returns the raw
 /// replay result for the probe layer.
-pub fn imb_allreduce_probe<T: hpcsim_probe::Tracer>(
+pub fn imb_allreduce_probe<T: Tracer>(
     machine: &MachineSpec,
     mode: ExecMode,
     ranks: usize,
     bytes: u64,
     dtype: DType,
     tracer: &mut T,
-) -> (ImbPoint, hpcsim_mpi::SimResult) {
-    let (usec, res) = run_coll_probe(machine, mode, ranks, 4, tracer, move |mpi| {
+) -> (ImbPoint, SimResult) {
+    let (usec, res) = run_coll(machine, mode, ranks, 4, tracer, move |mpi| {
         mpi.allreduce(CommId::WORLD, bytes, dtype);
     });
     (ImbPoint { ranks, bytes, usec }, res)
@@ -97,14 +77,14 @@ pub fn imb_allreduce_probe<T: hpcsim_probe::Tracer>(
 
 /// [`imb_bcast`] with an observability sink; also returns the raw
 /// replay result for the probe layer.
-pub fn imb_bcast_probe<T: hpcsim_probe::Tracer>(
+pub fn imb_bcast_probe<T: Tracer>(
     machine: &MachineSpec,
     mode: ExecMode,
     ranks: usize,
     bytes: u64,
     tracer: &mut T,
-) -> (ImbPoint, hpcsim_mpi::SimResult) {
-    let (usec, res) = run_coll_probe(machine, mode, ranks, 4, tracer, move |mpi| {
+) -> (ImbPoint, SimResult) {
+    let (usec, res) = run_coll(machine, mode, ranks, 4, tracer, move |mpi| {
         mpi.bcast(CommId::WORLD, bytes);
     });
     (ImbPoint { ranks, bytes, usec }, res)

@@ -32,9 +32,8 @@ pub use comm::{pingpong, random_ring, RingResult};
 pub use epkernels::{dgemm_rate, stream_triad_rate, EpMode};
 pub use fft::{fft_run, FftResult};
 pub use halo::{
-    halo_eval_traces, halo_eval_traces_faulty, halo_phase_pressure, halo_record_exchange,
-    halo_run, halo_run_faulty, halo_run_mapped, halo_run_mapped_with, halo_run_probe,
-    halo_run_probe_with, halo_run_traces_with, halo_traces, HaloConfig, HaloProtocol,
+    halo_eval_traces, halo_phase_pressure, halo_record_exchange, halo_run, halo_run_traces_with,
+    halo_traces, halo_try_run, HaloConfig, HaloProtocol,
 };
 pub use hpl::{hpl_problem_size, hpl_run, top500_run, HplConfig, HplResult, Top500Result};
 pub use imb::{imb_allreduce, imb_allreduce_probe, imb_bcast, imb_bcast_probe, ImbPoint};

@@ -2,7 +2,7 @@
 //! run: the JSON is well-formed, timestamps are monotone per track,
 //! every `B` has its matching `E`, and the export is byte-stable.
 
-use hpcsim_hpcc::{halo_run_probe, HaloConfig, HaloProtocol};
+use hpcsim_hpcc::{halo_try_run, HaloConfig, HaloProtocol};
 use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::ExecMode;
 use hpcsim_probe::{chrome_trace, trace_csv, validate_trace, RingRecorder, SpanKind};
@@ -16,7 +16,7 @@ fn small_halo() -> RingRecorder {
         reps: 2,
     };
     let mut rec = RingRecorder::new();
-    halo_run_probe(&bluegene_p(), ExecMode::Vn, Mapping::txyz(), &cfg, &mut rec);
+    halo_try_run(&bluegene_p(), ExecMode::Vn, Mapping::txyz(), &cfg, None, &mut rec).unwrap();
     rec
 }
 

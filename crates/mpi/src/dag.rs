@@ -43,9 +43,9 @@
 //! reproduces `TraceSim::replay_traces` bit-for-bit — per-rank finish
 //! and busy clocks, marks, byte/message counts (the property tests in
 //! `tests/prop_dag.rs` pin this). On a contended machine the DAG result
-//! is a lower-bound approximation, so the sweep entry points
-//! (`hpcc::halo_run_mapped`, the Fig 8 battery) automatically fall back
-//! to replay there: [`SweepEngine::Dag`] means "DAG where provably
+//! is a lower-bound approximation, so [`sweep_points`] — the function
+//! every sweep entry point delegates to — automatically falls back to
+//! replay there: [`SweepEngine::Dag`] means "DAG where provably
 //! exact, replay otherwise", which keeps repro output byte-identical
 //! under either engine selection.
 //!
@@ -77,12 +77,14 @@
 //! sample reproduces the unperturbed engine exactly.
 
 use crate::ops::Op;
-use crate::result::SimResult;
-use crate::sim::SimConfig;
+use crate::result::{SimError, SimResult};
+use crate::sim::{SimConfig, TraceSim};
 use hpcsim_engine::SimTime;
+use hpcsim_faults::FaultPlan;
 use hpcsim_machine::{ExecMode, MachineSpec, NodeModel, ParamGroups, Perturbation, Workload};
 use hpcsim_net::{CollectiveModel, CollectiveOp, P2pModel};
 use hpcsim_obs as obs;
+use hpcsim_probe::NoopTracer;
 use hpcsim_topo::{Coord, Torus3D};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::LazyLock;
@@ -171,19 +173,6 @@ fn metrics() -> &'static ObsMetrics {
     &M
 }
 
-/// Record `points` sweep points falling back from the DAG engine to
-/// replay because [`TraceDag::exact_for`] rejected the machine. Called
-/// by the sweep entry points (hpcc, apps, cache) at their gate.
-pub fn note_fallback_contention(points: u64) {
-    metrics().fallback_contention.add(points);
-}
-
-/// Record `points` sweep points falling back to replay because the
-/// scenario carries a fault plan (the DAG engine never prices faults).
-pub fn note_fallback_faults(points: u64) {
-    metrics().fallback_faults.add(points);
-}
-
 /// Which engine a parameter sweep uses per point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepEngine {
@@ -215,8 +204,9 @@ impl SweepEngine {
 }
 
 /// Process-global engine selection, like the runner's jobs knob: the
-/// `repro` binary sets it from `--sweep-engine` once, and every sweep
-/// entry point reads it. Default is [`SweepEngine::Replay`].
+/// `repro` binary sets it from `--sweep-engine` once, and
+/// [`sweep_points`] reads it whenever a caller names no engine. Default
+/// is [`SweepEngine::Replay`].
 static SWEEP_ENGINE: AtomicU8 = AtomicU8::new(0);
 
 /// Select the engine used by sweep entry points that don't take one
@@ -230,6 +220,63 @@ pub fn sweep_engine() -> SweepEngine {
     match SWEEP_ENGINE.load(Ordering::Relaxed) {
         0 => SweepEngine::Replay,
         _ => SweepEngine::Dag,
+    }
+}
+
+/// Price `points` (configurations of one recorded trace set) on
+/// `engine`, or on the process-global selection when `None`. Every
+/// sweep entry point delegates here: this is the one place the engine
+/// is chosen and the one place a fallback is counted.
+///
+/// Under [`SweepEngine::Dag`] with no `faults`, points whose machine
+/// passes [`TraceDag::exact_for`] are evaluated on the DAG that `dag`
+/// yields (`traces` compiled; called only if needed) or on one compiled
+/// here. Every other point replays `traces` with `faults` armed, and
+/// under `Dag` counts as a contention or fault fallback. Results come
+/// back in point order, bit-identical under either engine; the first
+/// replay error is returned as is.
+pub fn sweep_points<'d>(
+    engine: Option<SweepEngine>,
+    points: &[SimConfig],
+    traces: &[Vec<Op>],
+    dag: Option<&dyn Fn() -> &'d TraceDag>,
+    faults: Option<&FaultPlan>,
+) -> Result<Vec<SimResult>, SimError> {
+    let exact = |cfg: &SimConfig| TraceDag::exact_for(&cfg.machine);
+    let mut on_dag = 0;
+    if engine.unwrap_or_else(sweep_engine) == SweepEngine::Dag {
+        let m = metrics();
+        if faults.is_some() {
+            m.fallback_faults.add(points.len() as u64);
+        } else {
+            on_dag = points.iter().filter(|cfg| exact(cfg)).count();
+            m.fallback_contention.add((points.len() - on_dag) as u64);
+        }
+    }
+    let compiled;
+    let dag = match dag {
+        _ if on_dag == 0 => None,
+        Some(get) => Some(get()),
+        None => {
+            compiled = TraceDag::compile_world(traces);
+            Some(&compiled)
+        }
+    };
+    match dag {
+        Some(d) if on_dag == points.len() && on_dag > 1 => Ok(d.evaluate_many(points)),
+        _ => points
+            .iter()
+            .map(|cfg| match dag {
+                Some(d) if exact(cfg) => Ok(d.evaluate(cfg)),
+                _ => {
+                    let mut sim = TraceSim::new(cfg.clone());
+                    if let Some(plan) = faults {
+                        sim.set_faults(plan);
+                    }
+                    sim.try_replay(traces, &mut NoopTracer)
+                }
+            })
+            .collect(),
     }
 }
 
@@ -1686,26 +1733,18 @@ impl TraceDag {
         // bit-identical across the dispatch.
         #[cfg(target_arch = "x86_64")]
         {
-            // `HPCSIM_ISA=avx2|scalar` caps the dispatch below what the
-            // CPU reports — an escape hatch for parts that downclock
-            // under 512-bit vectors (results are bit-identical either
-            // way, only throughput changes).
             static ISA: std::sync::OnceLock<u8> = std::sync::OnceLock::new();
-            let isa = *ISA.get_or_init(|| match std::env::var("HPCSIM_ISA").as_deref() {
-                Ok("scalar") => 0,
-                Ok("avx2") if std::is_x86_feature_detected!("avx2") => 1,
-                _ => {
-                    if std::is_x86_feature_detected!("avx512f")
-                        && std::is_x86_feature_detected!("avx512dq")
-                        && std::is_x86_feature_detected!("avx512bw")
-                        && std::is_x86_feature_detected!("avx512vl")
-                    {
-                        2
-                    } else if std::is_x86_feature_detected!("avx2") {
-                        1
-                    } else {
-                        0
-                    }
+            let isa = *ISA.get_or_init(|| {
+                if std::is_x86_feature_detected!("avx512f")
+                    && std::is_x86_feature_detected!("avx512dq")
+                    && std::is_x86_feature_detected!("avx512bw")
+                    && std::is_x86_feature_detected!("avx512vl")
+                {
+                    2
+                } else if std::is_x86_feature_detected!("avx2") {
+                    1
+                } else {
+                    0
                 }
             });
             if isa == 2 {

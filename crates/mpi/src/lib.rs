@@ -29,8 +29,9 @@
 //! For parameter sweeps that replay one trace under many (machine,
 //! mapping, mode) points, [`dag::TraceDag`] compiles the trace once into
 //! a task DAG and evaluates each point in a single pass — exact against
-//! replay on contention-flat machines, with automatic fallback elsewhere
-//! (see the [`dag`] module docs).
+//! replay on contention-flat machines. [`dag::sweep_points`] picks the
+//! engine per point, with automatic fallback to replay elsewhere (see
+//! the [`dag`] module docs).
 
 pub mod dag;
 pub mod layout;
@@ -40,10 +41,7 @@ pub mod result;
 pub mod sim;
 pub mod wire;
 
-pub use dag::{
-    note_fallback_contention, note_fallback_faults, set_sweep_engine, sweep_engine, DagStats,
-    SweepEngine, TraceDag,
-};
+pub use dag::{set_sweep_engine, sweep_engine, sweep_points, DagStats, SweepEngine, TraceDag};
 pub use layout::RankLayout;
 pub use ops::{CommId, Op, Req};
 pub use wire::{parse_traces, write_traces};

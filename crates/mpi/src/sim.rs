@@ -320,51 +320,27 @@ impl TraceSim {
         self.replay_traces(&traces)
     }
 
-    /// Generate all rank traces for `prog` and replay them with `tracer`
-    /// observing (see [`TraceSim::replay_traces_probe`]).
-    pub fn run_probe<P: Program + ?Sized, T: Tracer>(
-        &mut self,
-        prog: &P,
-        tracer: &mut T,
-    ) -> SimResult {
-        let traces = Self::trace_program(prog, self.cfg.ranks(), self.cfg.threads);
-        self.replay_traces_probe(&traces, tracer)
-    }
-
-    /// Replay pre-built traces (one per rank), consuming them.
-    pub fn replay(&mut self, traces: Vec<Vec<Op>>) -> SimResult {
-        self.replay_traces(&traces)
-    }
-
     /// Replay borrowed traces (one per rank). Borrowing lets a parameter
     /// sweep (e.g. Fig 2's mapping comparison) build the trace set once
-    /// and replay it under every configuration.
+    /// and replay it under every configuration. Panics with the
+    /// [`SimError`] diagnostic where [`TraceSim::try_replay`] would
+    /// return it.
     pub fn replay_traces(&mut self, traces: &[Vec<Op>]) -> SimResult {
-        self.replay_traces_probe(traces, &mut NoopTracer)
+        self.try_replay(traces, &mut NoopTracer).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible replay: a fault-injected stall, cut-off destination,
-    /// structural deadlock, collective mismatch, or watchdog-detected
-    /// livelock comes back as a diagnosed [`SimError`] instead of a
-    /// panic.
-    pub fn try_replay_traces(&mut self, traces: &[Vec<Op>]) -> Result<SimResult, SimError> {
-        self.try_replay_traces_probe(traces, &mut NoopTracer)
-    }
-
-    /// Generate all rank traces for `prog` and replay them fallibly.
-    pub fn try_run<P: Program + ?Sized>(&mut self, prog: &P) -> Result<SimResult, SimError> {
-        let traces = Self::trace_program(prog, self.cfg.ranks(), self.cfg.threads);
-        self.try_replay_traces(&traces)
-    }
-
-    /// Replay borrowed traces with an observability sink. Every hook is
-    /// guarded by `if T::ENABLED`, so the [`NoopTracer`] instantiation
-    /// (what [`TraceSim::replay_traces`] monomorphizes to) compiles to
-    /// the uninstrumented replay loop.
+    /// Replay borrowed traces (one per rank) with an observability sink
+    /// — the one replay core every other entry wraps. A fault-induced
+    /// stall, cut-off destination, structural deadlock, collective
+    /// mismatch, or watchdog-detected livelock comes back as a diagnosed
+    /// [`SimError`] naming the stuck rank and message, instead of a
+    /// panic or a wedged event queue.
     ///
-    /// Span semantics (the per-rank *cpu* spans — Compute, Delay,
-    /// Send/RecvOverhead, Wait, CollectiveWait — tile `[0, finish]`
-    /// exactly; net spans may overlap):
+    /// Every tracer hook is guarded by `if T::ENABLED`, so the
+    /// [`NoopTracer`] instantiation compiles to the uninstrumented
+    /// replay loop. Span semantics (the per-rank *cpu* spans — Compute,
+    /// Delay, Send/RecvOverhead, Wait, CollectiveWait — tile
+    /// `[0, finish]` exactly; net spans may overlap):
     ///
     /// * `MsgWire` is attributed to the *sender's* net track and carries
     ///   the contention-free wire time in `aux`, so `dur - aux` is pure
@@ -373,23 +349,7 @@ impl TraceSim {
     ///   drains;
     /// * `UnexpectedCopy` sits on the receiver's net track at the late
     ///   `Irecv` (the copy cost surfaces on the cpu track as `Wait`).
-    pub fn replay_traces_probe<T: Tracer>(
-        &mut self,
-        traces: &[Vec<Op>],
-        tracer: &mut T,
-    ) -> SimResult {
-        match self.try_replay_traces_probe(traces, tracer) {
-            Ok(res) => res,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`TraceSim::replay_traces_probe`]: under fault
-    /// injection a message that exhausts its retransmit budget (or whose
-    /// destination is cut off by link outages) stops the replay with a
-    /// [`SimError`] naming the stuck rank and message, instead of
-    /// spinning or wedging the event queue.
-    pub fn try_replay_traces_probe<T: Tracer>(
+    pub fn try_replay<T: Tracer>(
         &mut self,
         traces: &[Vec<Op>],
         tracer: &mut T,
@@ -934,6 +894,13 @@ mod tests {
         TraceSim::new(SimConfig::new(machine, ranks, mode))
     }
 
+    /// Record `prog`'s traces for `s` and replay them fallibly.
+    fn try_run(s: &mut TraceSim, prog: &impl Program) -> Result<SimResult, SimError> {
+        let cfg = s.config();
+        let traces = TraceSim::trace_program(prog, cfg.ranks(), cfg.threads);
+        s.try_replay(&traces, &mut NoopTracer)
+    }
+
     #[test]
     fn empty_program_finishes_at_zero() {
         let mut s = sim(bluegene_p(), 16, ExecMode::Vn);
@@ -1120,12 +1087,11 @@ mod tests {
     #[test]
     fn deadlock_is_a_diagnosed_error_on_the_fallible_path() {
         let mut s = sim(bluegene_p(), 2, ExecMode::Smp);
-        let err = s
-            .try_run(&FnProgram(|mpi: &mut Mpi| {
-                let peer = 1 - mpi.rank();
-                mpi.recv(peer, 0, 8);
-            }))
-            .expect_err("unmatched receives must deadlock");
+        let err = try_run(&mut s, &FnProgram(|mpi: &mut Mpi| {
+            let peer = 1 - mpi.rank();
+            mpi.recv(peer, 0, 8);
+        }))
+        .expect_err("unmatched receives must deadlock");
         match err {
             SimError::Deadlock { unfinished, rank, op } => {
                 assert_eq!(unfinished, 2);
@@ -1140,15 +1106,14 @@ mod tests {
     #[test]
     fn collective_mismatch_is_diagnosed() {
         let mut s = sim(bluegene_p(), 2, ExecMode::Smp);
-        let err = s
-            .try_run(&FnProgram(|mpi: &mut Mpi| {
-                if mpi.rank() == 0 {
-                    mpi.barrier(CommId::WORLD);
-                } else {
-                    mpi.allreduce(CommId::WORLD, 64, DType::F64);
-                }
-            }))
-            .expect_err("disagreeing collectives must be diagnosed");
+        let err = try_run(&mut s, &FnProgram(|mpi: &mut Mpi| {
+            if mpi.rank() == 0 {
+                mpi.barrier(CommId::WORLD);
+            } else {
+                mpi.allreduce(CommId::WORLD, 64, DType::F64);
+            }
+        }))
+        .expect_err("disagreeing collectives must be diagnosed");
         match err {
             SimError::CollectiveMismatch { rank, comm, op } => {
                 assert_eq!((rank, comm, op), (1, 0, 0));
@@ -1161,11 +1126,10 @@ mod tests {
     fn tight_step_budget_diagnoses_livelock() {
         let mut s = sim(bluegene_p(), 8, ExecMode::Vn);
         s.set_step_budget(Some(2));
-        let err = s
-            .try_run(&FnProgram(|mpi: &mut Mpi| {
-                mpi.barrier(CommId::WORLD);
-            }))
-            .expect_err("8 same-time resumes must exceed a 2-step budget");
+        let err = try_run(&mut s, &FnProgram(|mpi: &mut Mpi| {
+            mpi.barrier(CommId::WORLD);
+        }))
+        .expect_err("8 same-time resumes must exceed a 2-step budget");
         match err {
             SimError::Livelock { rank, steps } => {
                 assert_eq!(steps, 3);
@@ -1181,13 +1145,12 @@ mod tests {
         // every event of this run lands at t=0 (zero-cost barrier chain
         // would; marks certainly do) — the derived budget must absorb it
         let mut s = sim(bluegene_p(), 64, ExecMode::Vn);
-        let res = s
-            .try_run(&FnProgram(|mpi: &mut Mpi| {
-                for i in 0..16 {
-                    mpi.mark(i);
-                }
-            }))
-            .expect("pristine zero-time program must finish");
+        let res = try_run(&mut s, &FnProgram(|mpi: &mut Mpi| {
+            for i in 0..16 {
+                mpi.mark(i);
+            }
+        }))
+        .expect("pristine zero-time program must finish");
         assert_eq!(res.makespan(), SimTime::ZERO);
     }
 
@@ -1282,7 +1245,7 @@ mod tests {
             let pristine = a.run(&prog);
             let mut b = sim(bluegene_p(), 64, ExecMode::Vn);
             b.set_faults(&FaultPlan::new(11, FaultProfile::Link));
-            let faulty = b.try_run(&prog).expect("detours should keep the job alive");
+            let faulty = try_run(&mut b, &prog).expect("detours should keep the job alive");
             assert!(faulty.makespan() >= pristine.makespan());
             assert_eq!(faulty.bytes_sent, pristine.bytes_sent);
         }
@@ -1297,15 +1260,14 @@ mod tests {
                 loss: Some(LossModel::with_rates(1, 1.0, 8)),
                 retransmit: RetransmitPolicy::default(),
             });
-            let err = s
-                .try_run(&FnProgram(|mpi: &mut Mpi| {
-                    if mpi.rank() == 0 {
-                        mpi.send(1, 7, 4096);
-                    } else {
-                        mpi.recv(0, 7, 4096);
-                    }
-                }))
-                .expect_err("total loss must stall");
+            let err = try_run(&mut s, &FnProgram(|mpi: &mut Mpi| {
+                if mpi.rank() == 0 {
+                    mpi.send(1, 7, 4096);
+                } else {
+                    mpi.recv(0, 7, 4096);
+                }
+            }))
+            .expect_err("total loss must stall");
             match err {
                 SimError::Stalled { rank, peer, tag, bytes, lost, op } => {
                     assert_eq!((rank, peer, tag, bytes), (0, 1, 7, 4096));
@@ -1324,7 +1286,7 @@ mod tests {
             let run = || {
                 let mut s = sim(bluegene_p(), 32, ExecMode::Vn);
                 s.set_faults(&FaultPlan::new(42, FaultProfile::Mixed));
-                s.try_run(&FnProgram(|mpi: &mut Mpi| {
+                try_run(&mut s, &FnProgram(|mpi: &mut Mpi| {
                     let next = (mpi.rank() + 1) % mpi.size();
                     let prev = (mpi.rank() + mpi.size() - 1) % mpi.size();
                     mpi.sendrecv(next, 0, 4096, prev, 0, 4096);

@@ -72,8 +72,9 @@ fn busy_program(mpi: &mut Mpi) {
 }
 
 fn run_with<T: Tracer>(tracer: &mut T) -> SimResult {
+    let traces = TraceSim::trace_program(&FnProgram(busy_program), 16, 1);
     let mut sim = TraceSim::new(SimConfig::new(bluegene_p(), 16, ExecMode::Vn));
-    sim.run_probe(&FnProgram(busy_program), tracer)
+    sim.try_replay(&traces, tracer).unwrap()
 }
 
 #[test]
