@@ -36,8 +36,8 @@ pub mod store;
 
 pub use eval::{evaluate_in, EvalError};
 pub use spec::{
-    fnv1a_128, machine_from_canon, machine_to_canon, FaultSpec, ProgramSpec, ScenarioSpec,
-    SpecHash, SpecParseError,
+    fnv1a_128, parse_setup, write_setup, FaultSpec, ProgramSpec, ScenarioSpec, Setup, SpecHash,
+    SpecParseError, SETUP_LINES,
 };
 pub use store::{CacheConfig, CacheStats, ScenarioCache, TraceEntry};
 

@@ -34,6 +34,15 @@
 //! on nothing else — not machine, mapping, mode or faults — so the
 //! program hash is the tier-2 key under which traces are shared by
 //! every query that replays the same program.
+//!
+//! ## Setup lines
+//!
+//! The lines after the program — six machine lines, then mode, mapping
+//! and faults — have one writer ([`write_setup`]) and one parser
+//! ([`parse_setup`]). Fuzz scenarios (`hpcsim-fuzz`) use the same pair
+//! for their header, so a machine reads and hashes the same in both
+//! formats. The parser takes every integer at its field's own width: a
+//! value too wide for its field is an error, not a truncation.
 
 use hpcsim_apps::{MdCode, MdConfig};
 use hpcsim_faults::FaultProfile;
@@ -259,20 +268,7 @@ impl ScenarioSpec {
         out.push_str(SPEC_MAGIC);
         out.push('\n');
         write_program(&mut out, &c.program);
-        write_machine(&mut out, &c.machine);
-        let mode = match c.mode {
-            ExecMode::Smp => "smp",
-            ExecMode::Dual => "dual",
-            ExecMode::Vn => "vn",
-        };
-        let _ = writeln!(out, "mode {mode}");
-        let _ = writeln!(out, "mapping {}", c.mapping.name());
-        match c.faults {
-            None => out.push_str("faults none\n"),
-            Some(f) => {
-                let _ = writeln!(out, "faults {} {}", f.seed, f.profile.label());
-            }
-        }
+        write_setup(&mut out, &c.machine, c.mode, c.mapping, c.faults);
         out
     }
 
@@ -297,29 +293,59 @@ impl ScenarioSpec {
     }
 }
 
-/// Render a machine's canonical lines (machine/core/mem/nic/pack/power)
-/// standalone, exactly as they appear inside [`ScenarioSpec::to_canon`].
-/// The fuzz corpus embeds machines this way so corpus entries round-trip
-/// through the same exact bit-level form the scenario cache hashes.
-pub fn machine_to_canon(m: &MachineSpec) -> String {
-    let mut out = String::with_capacity(384);
-    let mut c = m.clone();
-    c.core.name = "";
-    write_machine(&mut out, &c);
-    out
+/// Where and how a program runs: the machine, mode, mapping and faults
+/// lines that follow the program line in [`ScenarioSpec::to_canon`] and
+/// the magic line of a fuzz scenario.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Setup {
+    /// The machine (`core.name` is not part of the text and parses empty).
+    pub machine: MachineSpec,
+    /// Execution mode.
+    pub mode: ExecMode,
+    /// Rank→processor mapping.
+    pub mapping: Mapping,
+    /// Armed fault plan, if any.
+    pub faults: Option<FaultSpec>,
 }
 
-/// Parse machine canonical lines produced by [`machine_to_canon`]
-/// (`core.name` comes back empty, as in [`ScenarioSpec::parse`]).
-pub fn machine_from_canon(text: &str) -> Result<MachineSpec, SpecParseError> {
-    let mut lines = Lines { iter: text.lines(), line: 0 };
-    let m = parse_machine(&mut lines)?;
-    for (line, extra) in (lines.line + 1..).zip(lines.iter) {
-        if !extra.trim().is_empty() {
-            return Err(SpecParseError { line, message: format!("trailing content {extra:?}") });
+/// Lines [`write_setup`] writes: six machine lines (machine, core, mem,
+/// nic, pack, power), then mode, mapping and faults.
+pub const SETUP_LINES: usize = 9;
+
+/// Write the setup lines. The only writer of this grammar: scenario
+/// specs and fuzz scenarios both call it, so their machine text and
+/// hashes agree bit for bit.
+pub fn write_setup(
+    out: &mut String,
+    machine: &MachineSpec,
+    mode: ExecMode,
+    mapping: Mapping,
+    faults: Option<FaultSpec>,
+) {
+    write_machine(out, machine);
+    let mode = match mode {
+        ExecMode::Smp => "smp",
+        ExecMode::Dual => "dual",
+        ExecMode::Vn => "vn",
+    };
+    let _ = writeln!(out, "mode {mode}");
+    let _ = writeln!(out, "mapping {}", mapping.name());
+    match faults {
+        None => out.push_str("faults none\n"),
+        Some(f) => {
+            let _ = writeln!(out, "faults {} {}", f.seed, f.profile.label());
         }
     }
-    Ok(m)
+}
+
+/// Parse the [`SETUP_LINES`] lines [`write_setup`] wrote at the start of
+/// `text`, whose first line is line `first_line` of the enclosing file
+/// (diagnostics carry that numbering). Returns the setup and the text
+/// after it.
+pub fn parse_setup(text: &str, first_line: usize) -> Result<(Setup, &str), SpecParseError> {
+    let mut lines = Lines { rest: text, line: first_line - 1 };
+    let setup = parse_setup_lines(&mut lines)?;
+    Ok((setup, lines.rest))
 }
 
 fn push_bits(out: &mut String, v: f64) {
@@ -497,33 +523,16 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn u64(&mut self, what: &str) -> Result<u64, SpecParseError> {
+    /// An integer parsed at its field's own width: a value that does not
+    /// fit is an error, never a silent truncation.
+    fn num<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, SpecParseError> {
         let t = self.tok(what)?;
-        t.parse().map_err(|_| SpecParseError {
-            line: self.line,
-            message: format!("bad {what} {t:?}"),
-        })
-    }
-
-    fn usize(&mut self, what: &str) -> Result<usize, SpecParseError> {
-        Ok(self.u64(what)? as usize)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, SpecParseError> {
-        Ok(self.u64(what)? as u32)
+        t.parse().or_else(|_| self.err(format!("bad {what} {t:?}")))
     }
 
     fn bits(&mut self, what: &str) -> Result<f64, SpecParseError> {
         let t = self.tok(what)?;
-        let hex = t.strip_prefix("0x").ok_or(SpecParseError {
-            line: self.line,
-            message: format!("{what} must be 0x-prefixed bits, got {t:?}"),
-        })?;
-        let bits = u64::from_str_radix(hex, 16).map_err(|_| SpecParseError {
-            line: self.line,
-            message: format!("bad {what} bits {t:?}"),
-        })?;
-        Ok(f64::from_bits(bits))
+        bits_of(self, what, t)
     }
 
     fn bool01(&mut self, what: &str) -> Result<bool, SpecParseError> {
@@ -545,28 +554,29 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Line cursor over the unread text; line numbers are 1-based.
 struct Lines<'a> {
-    iter: std::str::Lines<'a>,
+    rest: &'a str,
     line: usize,
 }
 
 impl<'a> Lines<'a> {
     fn next(&mut self, what: &str) -> Result<Cursor<'a>, SpecParseError> {
-        match self.iter.next() {
-            Some(l) => {
-                self.line += 1;
-                Ok(Cursor { line: self.line, toks: l.split_ascii_whitespace() })
-            }
-            None => Err(SpecParseError {
-                line: self.line,
+        if self.rest.is_empty() {
+            return Err(SpecParseError {
+                line: self.line + 1,
                 message: format!("missing {what} line"),
-            }),
+            });
         }
+        let (text, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
+        self.rest = rest;
+        self.line += 1;
+        Ok(Cursor { line: self.line, toks: text.split_ascii_whitespace() })
     }
 }
 
 fn parse_spec(text: &str) -> Result<ScenarioSpec, SpecParseError> {
-    let mut lines = Lines { iter: text.lines(), line: 0 };
+    let mut lines = Lines { rest: text, line: 0 };
     let next = &mut lines;
 
     let mut c = next.next("magic")?;
@@ -582,6 +592,18 @@ fn parse_spec(text: &str) -> Result<ScenarioSpec, SpecParseError> {
     let program = parse_program(&mut c)?;
     c.finish()?;
 
+    let Setup { machine, mode, mapping, faults } = parse_setup_lines(next)?;
+
+    for (line, extra) in (lines.line + 1..).zip(lines.rest.lines()) {
+        if !extra.trim().is_empty() {
+            return Err(SpecParseError { line, message: format!("trailing content {extra:?}") });
+        }
+    }
+
+    Ok(ScenarioSpec { program, machine, mode, mapping, faults }.canonicalized())
+}
+
+fn parse_setup_lines(next: &mut Lines<'_>) -> Result<Setup, SpecParseError> {
     let machine = parse_machine(next)?;
 
     let mut c = next.next("mode")?;
@@ -626,33 +648,26 @@ fn parse_spec(text: &str) -> Result<ScenarioSpec, SpecParseError> {
         }
     };
     c.finish()?;
-
-    for (line, extra) in (lines.line + 1..).zip(lines.iter) {
-        if !extra.trim().is_empty() {
-            return Err(SpecParseError { line, message: format!("trailing content {extra:?}") });
-        }
-    }
-
-    Ok(ScenarioSpec { program, machine, mode, mapping, faults }.canonicalized())
+    Ok(Setup { machine, mode, mapping, faults })
 }
 
 fn parse_program(c: &mut Cursor<'_>) -> Result<ProgramSpec, SpecParseError> {
     Ok(match c.tok("program kind")? {
         "halo" => {
-            let rows = c.usize("rows")?;
-            let cols = c.usize("cols")?;
-            let words = c.u64("words")?;
+            let rows = c.num("rows")?;
+            let cols = c.num("cols")?;
+            let words = c.num("words")?;
             let protocol = match c.tok("protocol")? {
                 "irecv-isend" => HaloProtocol::IrecvIsend,
                 "isend-irecv" => HaloProtocol::IsendIrecv,
                 "sendrecv" => HaloProtocol::Sendrecv,
                 t => return c.err(format!("bad protocol {t:?}")),
             };
-            let reps = c.u32("reps")?;
+            let reps = c.num("reps")?;
             ProgramSpec::Halo(HaloConfig { grid: Grid2D::new(rows, cols), words, protocol, reps })
         }
         "md" => {
-            let ranks = c.usize("ranks")?;
+            let ranks = c.num("ranks")?;
             let code = match c.tok("code")? {
                 "lammps" => MdCode::Lammps,
                 "pmemd" => MdCode::Pmemd,
@@ -662,26 +677,26 @@ fn parse_program(c: &mut Cursor<'_>) -> Result<ProgramSpec, SpecParseError> {
                 ranks,
                 cfg: MdConfig {
                     code,
-                    atoms: c.u64("atoms")?,
-                    neighbors: c.u64("neighbors")?,
-                    pme_mesh: c.u64("pme_mesh")?,
-                    output_every: c.u32("output_every")?,
-                    steps: c.u32("steps")?,
+                    atoms: c.num("atoms")?,
+                    neighbors: c.num("neighbors")?,
+                    pme_mesh: c.num("pme_mesh")?,
+                    output_every: c.num("output_every")?,
+                    steps: c.num("steps")?,
                 },
             }
         }
         "hpl" => ProgramSpec::Hpl(HplConfig {
-            n: c.u64("n")?,
-            nb: c.u64("nb")?,
+            n: c.num("n")?,
+            nb: c.num("nb")?,
             grid: {
-                let rows = c.usize("rows")?;
-                Grid2D::new(rows, c.usize("cols")?)
+                let rows = c.num("rows")?;
+                Grid2D::new(rows, c.num("cols")?)
             },
-            samples: c.usize("samples")?,
+            samples: c.num("samples")?,
         }),
         "imb-allreduce" => ProgramSpec::ImbAllreduce {
-            ranks: c.usize("ranks")?,
-            bytes: c.u64("bytes")?,
+            ranks: c.num("ranks")?,
+            bytes: c.num("bytes")?,
             dtype: match c.tok("dtype")? {
                 "f32" => DType::F32,
                 "f64" => DType::F64,
@@ -690,16 +705,16 @@ fn parse_program(c: &mut Cursor<'_>) -> Result<ProgramSpec, SpecParseError> {
             },
         },
         "pop" => ProgramSpec::Pop {
-            ranks: c.usize("ranks")?,
-            threads: c.u32("threads")?,
+            ranks: c.num("ranks")?,
+            threads: c.num("threads")?,
             cfg: hpcsim_apps::PopConfig {
-                nx: c.u64("nx")?,
-                ny: c.u64("ny")?,
-                nz: c.u64("nz")?,
+                nx: c.num("nx")?,
+                ny: c.num("ny")?,
+                nz: c.num("nz")?,
                 steps_per_day: c.bits("steps_per_day")?,
-                cg_iters: c.u64("cg_iters")?,
+                cg_iters: c.num("cg_iters")?,
                 chron_gear: c.bool01("chron_gear")?,
-                cg_sim: c.u64("cg_sim")?,
+                cg_sim: c.num("cg_sim")?,
                 flops_per_point: c.bits("flops_per_point")?,
                 imbalance: c.bits("imbalance")?,
             },
@@ -721,7 +736,7 @@ fn parse_machine(next: &mut Lines<'_>) -> Result<MachineSpec, SpecParseError> {
         "xt4qc" => MachineId::Xt4Qc,
         t => return c.err(format!("bad machine id {t:?}")),
     };
-    let cores_per_node = c.u32("cores_per_node")?;
+    let cores_per_node = c.num("cores_per_node")?;
     let coherence = match c.tok("coherence")? {
         "sw" => CacheCoherence::Software,
         "hw" => CacheCoherence::Hardware,
@@ -739,11 +754,11 @@ fn parse_machine(next: &mut Lines<'_>) -> Result<MachineSpec, SpecParseError> {
     }
     let clock_hz = c.bits("clock_hz")?;
     let flops_per_cycle = c.bits("flops_per_cycle")?;
-    let l1_data_kib = c.u64("l1_data_kib")?;
-    let line_bytes = c.u64("line_bytes")?;
+    let l1_data_kib = c.num("l1_data_kib")?;
+    let line_bytes = c.num("line_bytes")?;
     let l2 = match c.tok("l2 kind")? {
-        "pf" => L2Kind::PrefetchEngine { streams: c.u32("streams")? },
-        "cache" => L2Kind::Cache { kib: c.u64("kib")? },
+        "pf" => L2Kind::PrefetchEngine { streams: c.num("streams")? },
+        "cache" => L2Kind::Cache { kib: c.num("kib")? },
         t => return c.err(format!("bad l2 kind {t:?}")),
     };
     let core = CoreArch {
@@ -767,7 +782,7 @@ fn parse_machine(next: &mut Lines<'_>) -> Result<MachineSpec, SpecParseError> {
         bw_bytes: c.bits("bw_bytes")?,
         stream_eff_single: c.bits("stream_eff_single")?,
         stream_eff_loaded: c.bits("stream_eff_loaded")?,
-        latency: SimTime(c.u64("latency")?),
+        latency: SimTime(c.num("latency")?),
     };
     c.finish()?;
 
@@ -776,7 +791,7 @@ fn parse_machine(next: &mut Lines<'_>) -> Result<MachineSpec, SpecParseError> {
         return c.err("expected nic line");
     }
     let torus_link_bw = c.bits("torus_link_bw")?;
-    let torus_links = c.u32("torus_links")?;
+    let torus_links = c.num("torus_links")?;
     let injection_bw = c.bits("injection_bw")?;
     let tree_bw = match c.tok("tree_bw")? {
         "none" => None,
@@ -788,10 +803,10 @@ fn parse_machine(next: &mut Lines<'_>) -> Result<MachineSpec, SpecParseError> {
         injection_bw,
         tree_bw,
         has_barrier_network: c.bool01("has_barrier_network")?,
-        o_send: SimTime(c.u64("o_send")?),
-        o_recv: SimTime(c.u64("o_recv")?),
-        per_hop: SimTime(c.u64("per_hop")?),
-        eager_threshold: c.u64("eager_threshold")?,
+        o_send: SimTime(c.num("o_send")?),
+        o_recv: SimTime(c.num("o_recv")?),
+        per_hop: SimTime(c.num("per_hop")?),
+        eager_threshold: c.num("eager_threshold")?,
         route_diversity: c.bits("route_diversity")?,
     };
     c.finish()?;
@@ -801,8 +816,8 @@ fn parse_machine(next: &mut Lines<'_>) -> Result<MachineSpec, SpecParseError> {
         return c.err("expected pack line");
     }
     let packaging = Packaging {
-        nodes_per_rack: c.u32("nodes_per_rack")?,
-        compute_per_io_node: c.u32("compute_per_io_node")?,
+        nodes_per_rack: c.num("nodes_per_rack")?,
+        compute_per_io_node: c.num("compute_per_io_node")?,
     };
     c.finish()?;
 
@@ -954,15 +969,87 @@ mod tests {
     }
 
     #[test]
-    fn machine_canon_round_trips_standalone() {
-        for m in [bluegene_p(), xt4_dc(), bluegene_p().with_flat_contention()] {
-            let canon = machine_to_canon(&m);
-            let parsed = machine_from_canon(&canon).expect("machine parse");
-            assert_eq!(machine_to_canon(&parsed), canon);
+    fn setup_lines_round_trip_standalone() {
+        let faults = Some(FaultSpec { seed: 5, profile: FaultProfile::Loss });
+        for (m, mode, mapping, faults) in [
+            (bluegene_p(), ExecMode::Vn, Mapping::xyzt(), faults),
+            (xt4_dc(), ExecMode::Dual, Mapping::txyz(), None),
+            (bluegene_p().with_flat_contention(), ExecMode::Smp, Mapping::txyz(), None),
+        ] {
+            let mut text = String::new();
+            write_setup(&mut text, &m, mode, mapping, faults);
+            assert_eq!(text.lines().count(), SETUP_LINES);
+            let with_tail = format!("{text}tail\n");
+            let (setup, rest) = parse_setup(&with_tail, 1).expect("setup parse");
+            assert_eq!(rest, "tail\n");
+            assert_eq!((setup.mode, setup.mapping, setup.faults), (mode, mapping, faults));
+            let mut again = String::new();
+            write_setup(&mut again, &setup.machine, setup.mode, setup.mapping, setup.faults);
+            assert_eq!(again, text);
         }
-        assert!(machine_from_canon("garbage\n").is_err());
-        let canon = machine_to_canon(&bluegene_p());
-        assert!(machine_from_canon(&format!("{canon}extra\n")).is_err());
+        // diagnostics carry the enclosing file's line numbers
+        let e = parse_setup("garbage\n", 4).unwrap_err();
+        assert_eq!(e.line, 4);
+    }
+
+    #[test]
+    fn integers_wider_than_their_field_are_rejected() {
+        // 2^32 + 4 would truncate to 4 cores per node if parsed as u64
+        // and cast
+        let good = ScenarioSpec::md(&bluegene_p(), 8, MdConfig::lammps_rub()).to_canon();
+        let bad = good.replace("machine bgp 4 ", "machine bgp 4294967300 ");
+        assert_ne!(bad, good);
+        let e = ScenarioSpec::parse(&bad).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("cores_per_node"), "{e}");
+        let bad = good.replace("program md 8 ", "program md 18446744073709551616 ");
+        assert!(ScenarioSpec::parse(&bad).unwrap_err().message.contains("ranks"));
+    }
+
+    #[test]
+    fn golden_hashes_hold() {
+        // Captured before the setup lines got their shared writer: every
+        // tier-1 and tier-2 cache key must survive refactors of the text
+        // form unchanged, one spec per program family.
+        let halo = ScenarioSpec::halo(&bluegene_p(), ExecMode::Vn, Mapping::xyzt(), halo_cfg())
+            .with_faults(42, FaultProfile::Mixed);
+        let specs = [
+            (halo, "c89ad08225e2b1c3c3febc86a64dae5a", "d5322b5aee58af6e23a028e2dcb5ea9d"),
+            (
+                ScenarioSpec::md(&xt4_dc(), 64, MdConfig::pmemd_rub()),
+                "ea2da147c44323bc65ed0805dd9db9c7",
+                "4d6335cda1f446b552a42dc47752b013",
+            ),
+            (
+                ScenarioSpec::hpl(
+                    &bluegene_p(),
+                    ExecMode::Smp,
+                    HplConfig { n: 10_000, nb: 144, grid: Grid2D::new(8, 8), samples: 4 },
+                ),
+                "a52b80412484a7b6bc4ed2d48151a9ef",
+                "566bbc7c1eb2751b8aeeffd589e2029b",
+            ),
+            (
+                ScenarioSpec::imb_allreduce(&xt4_dc(), ExecMode::Dual, 128, 32_768, DType::F32),
+                "ab953407fc760d1f13944b24fefafbd5",
+                "59ed86d46e5cba96b48c0e7590b97c41",
+            ),
+            (
+                ScenarioSpec::pop(
+                    &bluegene_p(),
+                    ExecMode::Vn,
+                    256,
+                    1,
+                    hpcsim_apps::PopConfig::default(),
+                ),
+                "4df86e133d90b8626910af2cf0fc6a28",
+                "1ed4beaa6d464ba91fa6a779123da68e",
+            ),
+        ];
+        for (spec, hash, program_hash) in specs {
+            assert_eq!(spec.hash().to_string(), hash, "{}", spec.to_canon());
+            assert_eq!(spec.program_hash().to_string(), program_hash, "{}", spec.to_canon());
+        }
     }
 
     #[test]

@@ -823,6 +823,40 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_trace_file_is_counted_and_re_recorded() {
+        let dir = std::env::temp_dir().join(format!("hpcsim-cache-corrupt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = CacheConfig { dir: Some(dir.clone()), ..CacheConfig::default() };
+        let traces = vec![vec![Op::Mark { id: 1 }], vec![Op::Mark { id: 2 }]];
+        ScenarioCache::new(cfg.clone()).traces(hash(79), || traces.clone());
+        let path = dir.join("traces").join(hash(79).to_string());
+        assert!(path.exists());
+
+        obs::set_enabled(true);
+        // an out-of-world peer (replay would index past the world) and
+        // an op count no text backs (would reserve terabytes)
+        for corrupt in [
+            "hpcsim-trace/1 2\nrank 0 1\ns 7 0 8 0\nrank 1 0\n",
+            "hpcsim-trace/1 1\nrank 0 100000000000\n",
+        ] {
+            std::fs::write(&path, corrupt).unwrap();
+            let errors = metrics().disk_errors.total();
+            let recorded = AtomicUsize::new(0);
+            let t = ScenarioCache::new(cfg.clone()).traces(hash(79), || {
+                recorded.fetch_add(1, Ordering::SeqCst);
+                traces.clone()
+            });
+            assert_eq!(t.traces, traces);
+            assert_eq!(recorded.load(Ordering::SeqCst), 1, "re-recorded after {corrupt:?}");
+            assert!(metrics().disk_errors.total() > errors, "counted: {corrupt:?}");
+        }
+        // the re-recorded trace was written back whole
+        let healed = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(hpcsim_mpi::parse_traces(&healed).unwrap(), traces);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn trace_entry_compiles_dag_once() {
         let traces = vec![vec![Op::Mark { id: 1 }]];
         let entry = TraceEntry::new(traces);

@@ -4,40 +4,48 @@
 //! A [`FuzzScenario`] is everything one fuzz candidate needs to replay:
 //! explicit per-rank op traces (not a program closure — mutants have no
 //! source), a machine, an execution mode, a torus mapping, and an
-//! optional fault plan. The canonical serialization reuses the
-//! machine-canon block from `hpcsim-cache` and extends it with an op
-//! grammar, so corpus entries and minimized regressions are plain text
-//! files that round-trip bit-exactly:
+//! optional fault plan. The canonical serialization is a magic line,
+//! the machine/mode/mapping/faults lines of `hpcsim-cache`'s
+//! [`write_setup`], and the `hpcsim-trace/1` block of
+//! [`hpcsim_mpi::write_traces`] verbatim, so corpus entries and
+//! minimized regressions are plain text files in grammars the rest of
+//! the workspace already reads, and they round-trip bit-exactly:
 //!
 //! ```text
-//! hpcsim-fuzz-scenario/1
-//! ranks 4 mode vn mapping TXYZ
+//! hpcsim-fuzz-scenario/2
 //! <6 machine canon lines>
+//! mode vn
+//! mapping TXYZ
 //! faults none                  | faults <seed> <profile>
-//! trace 0 3
-//! c 0x4059000000000000 0x0 0x3ff0000000000000 0x0 1
+//! hpcsim-trace/1 4
+//! rank 0 3
+//! c custom 0x4059000000000000 0x0000000000000000 0x3ff0000000000000 0x0000000000000000 1
 //! s 1 0 1024 0
 //! w 0
-//! trace 1 …
+//! rank 1 …
 //! ```
 //!
 //! Floats are serialized as IEEE-754 bit patterns (`0x{:016x}`) and
 //! times as raw picosecond counts, so `mutate → serialize → parse →
 //! rehash` is the identity — the determinism contract every corpus
-//! artifact and checked-in regression relies on.
+//! artifact and checked-in regression relies on. On top of the strict
+//! trace grammar, [`FuzzScenario::parse`] enforces the fuzzer's own
+//! bounds: 1..=[`MAX_RANKS`] ranks, at most [`MAX_OPS_PER_RANK`] ops per
+//! rank, and WORLD-only collectives.
 
-use hpcsim_cache::{fnv1a_128, machine_from_canon, machine_to_canon, FaultSpec, SpecHash,
-                   SpecParseError};
-use hpcsim_engine::SimTime;
-use hpcsim_faults::{FaultPlan, FaultProfile};
-use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, Op, RankLayout, Req, SimConfig};
-use hpcsim_net::{CollectiveOp, DType};
+use hpcsim_cache::{
+    fnv1a_128, parse_setup, write_setup, FaultSpec, Setup, SpecHash, SpecParseError, SETUP_LINES,
+};
+use hpcsim_faults::FaultPlan;
+use hpcsim_machine::{ExecMode, MachineSpec};
+use hpcsim_mpi::{parse_traces, write_traces, CommId, Op, RankLayout, SimConfig};
 use hpcsim_topo::{Mapping, Placement};
-use std::fmt::Write as _;
 
 /// Magic first line of the canonical serialization.
-pub const FUZZ_MAGIC: &str = "hpcsim-fuzz-scenario/1";
+pub const FUZZ_MAGIC: &str = "hpcsim-fuzz-scenario/2";
+
+/// Lines before the trace block: the magic line and the setup lines.
+const HEADER_LINES: usize = 1 + SETUP_LINES;
 
 /// One fuzz candidate: traces × machine × mode × mapping × faults.
 ///
@@ -95,121 +103,53 @@ impl FuzzScenario {
 
     /// Canonical text form (see module docs for the grammar).
     pub fn to_canon(&self) -> String {
-        let mut out = String::with_capacity(256 + 24 * self.total_ops());
+        let traces = write_traces(&self.traces);
+        let mut out = String::with_capacity(1024 + traces.len());
         out.push_str(FUZZ_MAGIC);
         out.push('\n');
-        let _ = writeln!(
-            out,
-            "ranks {} mode {} mapping {}",
-            self.ranks(),
-            mode_label(self.mode),
-            self.mapping.name()
-        );
-        out.push_str(&machine_to_canon(&self.machine));
-        match self.faults {
-            None => out.push_str("faults none\n"),
-            Some(f) => {
-                let _ = writeln!(out, "faults {} {}", f.seed, f.profile.label());
-            }
-        }
-        for (r, trace) in self.traces.iter().enumerate() {
-            let _ = writeln!(out, "trace {r} {}", trace.len());
-            for op in trace {
-                write_op(&mut out, op);
-            }
-        }
+        write_setup(&mut out, &self.machine, self.mode, self.mapping, self.faults);
+        out.push_str(&traces);
         out
     }
 
     /// Parse the canonical text form. Inverse of [`FuzzScenario::to_canon`]:
     /// `parse(s.to_canon()) == s` and re-serialization is byte-identical.
     pub fn parse(text: &str) -> Result<FuzzScenario, SpecParseError> {
-        let mut cur = Cursor { iter: text.lines(), line: 0 };
-        let magic = cur.next_line("magic")?;
+        let (magic, rest) = text.split_once('\n').unwrap_or((text, ""));
         if magic != FUZZ_MAGIC {
-            return Err(cur.err(format!("bad magic {magic:?}, want {FUZZ_MAGIC:?}")));
+            let message = format!("bad magic {magic:?}, want {FUZZ_MAGIC:?}");
+            return Err(SpecParseError { line: 1, message });
         }
-
-        let header = cur.next_line("ranks header")?;
-        let mut tok = header.split_whitespace();
-        expect(&mut tok, "ranks", &cur)?;
-        let ranks: usize = parse_num(tok.next(), "rank count", &cur)?;
-        if ranks == 0 || ranks > MAX_RANKS {
-            return Err(cur.err(format!("rank count {ranks} outside 1..={MAX_RANKS}")));
-        }
-        expect(&mut tok, "mode", &cur)?;
-        let mode = match tok.next() {
-            Some("smp") => ExecMode::Smp,
-            Some("dual") => ExecMode::Dual,
-            Some("vn") => ExecMode::Vn,
-            other => return Err(cur.err(format!("bad mode {other:?}"))),
-        };
-        expect(&mut tok, "mapping", &cur)?;
-        let mapping = tok
-            .next()
-            .and_then(Mapping::parse)
-            .ok_or_else(|| cur.err("bad mapping".into()))?;
-
-        // The machine canon block is exactly 6 lines (machine, core,
-        // mem, nic, pack, power — pinned by hpcsim-cache's grammar).
-        let mut machine_text = String::new();
-        for _ in 0..6 {
-            machine_text.push_str(cur.next_line("machine canon")?);
-            machine_text.push('\n');
-        }
-        let machine = machine_from_canon(&machine_text).map_err(|e| SpecParseError {
-            line: cur.line - 6 + e.line,
-            message: e.message,
-        })?;
-
-        let fline = cur.next_line("faults")?;
-        let mut tok = fline.split_whitespace();
-        expect(&mut tok, "faults", &cur)?;
-        let faults = match tok.next() {
-            Some("none") => None,
-            Some(seed) => {
-                let seed: u64 = seed
-                    .parse()
-                    .map_err(|_| cur.err(format!("bad fault seed {seed:?}")))?;
-                let profile = tok
-                    .next()
-                    .and_then(FaultProfile::parse)
-                    .ok_or_else(|| cur.err("bad fault profile".into()))?;
-                Some(FaultSpec { seed, profile })
-            }
-            None => return Err(cur.err("missing fault spec".into())),
-        };
-
-        let mut traces = Vec::with_capacity(ranks);
-        for r in 0..ranks {
-            let tline = cur.next_line("trace header")?;
-            let mut tok = tline.split_whitespace();
-            expect(&mut tok, "trace", &cur)?;
-            let rr: usize = parse_num(tok.next(), "trace rank", &cur)?;
-            if rr != r {
-                return Err(cur.err(format!("trace rank {rr}, expected {r}")));
-            }
-            let nops: usize = parse_num(tok.next(), "trace op count", &cur)?;
-            if nops > MAX_OPS_PER_RANK {
-                return Err(cur.err(format!("op count {nops} exceeds {MAX_OPS_PER_RANK}")));
-            }
-            let mut trace = Vec::with_capacity(nops);
-            for _ in 0..nops {
-                let oline = cur.next_line("op")?;
-                trace.push(parse_op(oline, ranks, &cur)?);
-            }
-            traces.push(trace);
-        }
-        if let Some(extra) = cur.iter.next() {
-            if !extra.trim().is_empty() {
-                return Err(SpecParseError {
-                    line: cur.line + 1,
-                    message: format!("trailing content {extra:?}"),
-                });
-            }
-        }
+        let (Setup { machine, mode, mapping, faults }, body) = parse_setup(rest, 2)?;
+        let traces = parse_traces(body)
+            .map_err(|e| SpecParseError { line: HEADER_LINES + e.line, message: e.message })?;
+        check_fuzz_bounds(&traces)?;
         Ok(FuzzScenario { machine, mode, mapping, faults, traces })
     }
+}
+
+/// The fuzzer's own rules on top of the trace grammar, reported at the
+/// line of the offending rank header or op.
+fn check_fuzz_bounds(traces: &[Vec<Op>]) -> Result<(), SpecParseError> {
+    let mut line = HEADER_LINES + 1;
+    let at = |line, message| Err(SpecParseError { line, message });
+    if traces.is_empty() || traces.len() > MAX_RANKS {
+        return at(line, format!("rank count {} outside 1..={MAX_RANKS}", traces.len()));
+    }
+    for (r, trace) in traces.iter().enumerate() {
+        line += 1;
+        if trace.len() > MAX_OPS_PER_RANK {
+            let message = format!("rank {r}: op count {} exceeds {MAX_OPS_PER_RANK}", trace.len());
+            return at(line, message);
+        }
+        for op in trace {
+            line += 1;
+            if matches!(op, Op::Collective { comm, .. } if *comm != CommId::WORLD) {
+                return at(line, "fuzz scenarios use WORLD collectives only".into());
+            }
+        }
+    }
+    Ok(())
 }
 
 impl PartialEq for FuzzScenario {
@@ -220,211 +160,21 @@ impl PartialEq for FuzzScenario {
 
 impl Eq for FuzzScenario {}
 
-/// Upper bound on world size (generator stays well below; the parser
-/// rejects hand-edited monsters before they allocate).
+/// Upper bound on world size (the generator stays well below; the
+/// parser rejects hand-edited monsters).
 pub const MAX_RANKS: usize = 512;
 /// Upper bound on per-rank trace length accepted by the parser.
 pub const MAX_OPS_PER_RANK: usize = 1 << 16;
 
-/// Stable lowercase mode label (matches `hpcsim-cache`'s spelling).
-pub fn mode_label(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Smp => "smp",
-        ExecMode::Dual => "dual",
-        ExecMode::Vn => "vn",
-    }
-}
-
-fn bits(v: f64) -> String {
-    format!("0x{:016x}", v.to_bits())
-}
-
-fn dtype_label(d: DType) -> &'static str {
-    match d {
-        DType::F32 => "f32",
-        DType::F64 => "f64",
-        DType::Int => "int",
-    }
-}
-
-fn write_op(out: &mut String, op: &Op) {
-    match *op {
-        Op::Compute { work, threads } => {
-            // The fuzz grammar carries exactly one workload shape —
-            // fully explicit costs — so the line format stays closed
-            // under mutation. Generator and mutator only emit Custom.
-            let Workload::Custom { flops, dram_bytes, simd_eff, serial_frac } = work else {
-                panic!("fuzz scenarios carry Workload::Custom only, got {work:?}");
-            };
-            let _ = writeln!(
-                out,
-                "c {} {} {} {} {threads}",
-                bits(flops),
-                bits(dram_bytes),
-                bits(simd_eff),
-                bits(serial_frac)
-            );
-        }
-        Op::Delay { time } => {
-            let _ = writeln!(out, "d {}", time.0);
-        }
-        Op::Isend { dst, tag, bytes, req } => {
-            let _ = writeln!(out, "s {dst} {tag} {bytes} {}", req.0);
-        }
-        Op::Irecv { src, tag, bytes, req } => {
-            let _ = writeln!(out, "r {src} {tag} {bytes} {}", req.0);
-        }
-        Op::Wait { req } => {
-            let _ = writeln!(out, "w {}", req.0);
-        }
-        Op::Mark { id } => {
-            let _ = writeln!(out, "m {id}");
-        }
-        Op::Collective { comm, op } => {
-            assert_eq!(comm, CommId::WORLD, "fuzz scenarios use WORLD collectives only");
-            match op {
-                CollectiveOp::Barrier => out.push_str("k bar\n"),
-                CollectiveOp::Bcast { bytes } => {
-                    let _ = writeln!(out, "k bc {bytes}");
-                }
-                CollectiveOp::Reduce { bytes, dtype } => {
-                    let _ = writeln!(out, "k rd {bytes} {}", dtype_label(dtype));
-                }
-                CollectiveOp::Allreduce { bytes, dtype } => {
-                    let _ = writeln!(out, "k ar {bytes} {}", dtype_label(dtype));
-                }
-                CollectiveOp::Allgather { bytes_per_rank } => {
-                    let _ = writeln!(out, "k ag {bytes_per_rank}");
-                }
-                CollectiveOp::Alltoall { bytes_per_pair } => {
-                    let _ = writeln!(out, "k aa {bytes_per_pair}");
-                }
-            }
-        }
-    }
-}
-
-struct Cursor<'a> {
-    iter: std::str::Lines<'a>,
-    line: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn next_line(&mut self, what: &str) -> Result<&'a str, SpecParseError> {
-        self.line += 1;
-        self.iter
-            .next()
-            .ok_or_else(|| SpecParseError { line: self.line, message: format!("missing {what}") })
-    }
-
-    fn err(&self, message: String) -> SpecParseError {
-        SpecParseError { line: self.line, message }
-    }
-}
-
-fn expect(
-    tok: &mut std::str::SplitWhitespace<'_>,
-    want: &str,
-    cur: &Cursor<'_>,
-) -> Result<(), SpecParseError> {
-    match tok.next() {
-        Some(t) if t == want => Ok(()),
-        other => Err(cur.err(format!("expected {want:?}, got {other:?}"))),
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(
-    tok: Option<&str>,
-    what: &str,
-    cur: &Cursor<'_>,
-) -> Result<T, SpecParseError> {
-    tok.and_then(|t| t.parse().ok()).ok_or_else(|| cur.err(format!("bad {what}")))
-}
-
-fn parse_bits(tok: Option<&str>, what: &str, cur: &Cursor<'_>) -> Result<f64, SpecParseError> {
-    let t = tok.ok_or_else(|| cur.err(format!("missing {what}")))?;
-    let hex = t
-        .strip_prefix("0x")
-        .ok_or_else(|| cur.err(format!("bad {what} {t:?}")))?;
-    let raw = u64::from_str_radix(hex, 16).map_err(|_| cur.err(format!("bad {what} {t:?}")))?;
-    Ok(f64::from_bits(raw))
-}
-
-fn parse_dtype(tok: Option<&str>, cur: &Cursor<'_>) -> Result<DType, SpecParseError> {
-    match tok {
-        Some("f32") => Ok(DType::F32),
-        Some("f64") => Ok(DType::F64),
-        Some("int") => Ok(DType::Int),
-        other => Err(cur.err(format!("bad dtype {other:?}"))),
-    }
-}
-
-fn parse_op(line: &str, ranks: usize, cur: &Cursor<'_>) -> Result<Op, SpecParseError> {
-    let mut tok = line.split_whitespace();
-    let kind = tok.next().ok_or_else(|| cur.err("empty op line".into()))?;
-    let op = match kind {
-        "c" => {
-            let flops = parse_bits(tok.next(), "flops", cur)?;
-            let dram_bytes = parse_bits(tok.next(), "dram_bytes", cur)?;
-            let simd_eff = parse_bits(tok.next(), "simd_eff", cur)?;
-            let serial_frac = parse_bits(tok.next(), "serial_frac", cur)?;
-            let threads: u32 = parse_num(tok.next(), "threads", cur)?;
-            Op::Compute {
-                work: Workload::Custom { flops, dram_bytes, simd_eff, serial_frac },
-                threads,
-            }
-        }
-        "d" => Op::Delay { time: SimTime(parse_num(tok.next(), "delay", cur)?) },
-        "s" | "r" => {
-            let peer: usize = parse_num(tok.next(), "peer", cur)?;
-            if peer >= ranks {
-                return Err(cur.err(format!("peer {peer} outside world of {ranks}")));
-            }
-            let tag: u32 = parse_num(tok.next(), "tag", cur)?;
-            let bytes: u64 = parse_num(tok.next(), "bytes", cur)?;
-            let req = Req(parse_num(tok.next(), "req", cur)?);
-            if kind == "s" {
-                Op::Isend { dst: peer, tag, bytes, req }
-            } else {
-                Op::Irecv { src: peer, tag, bytes, req }
-            }
-        }
-        "w" => Op::Wait { req: Req(parse_num(tok.next(), "req", cur)?) },
-        "m" => Op::Mark { id: parse_num(tok.next(), "mark id", cur)? },
-        "k" => {
-            let op = match tok.next() {
-                Some("bar") => CollectiveOp::Barrier,
-                Some("bc") => CollectiveOp::Bcast { bytes: parse_num(tok.next(), "bytes", cur)? },
-                Some("rd") => CollectiveOp::Reduce {
-                    bytes: parse_num(tok.next(), "bytes", cur)?,
-                    dtype: parse_dtype(tok.next(), cur)?,
-                },
-                Some("ar") => CollectiveOp::Allreduce {
-                    bytes: parse_num(tok.next(), "bytes", cur)?,
-                    dtype: parse_dtype(tok.next(), cur)?,
-                },
-                Some("ag") => CollectiveOp::Allgather {
-                    bytes_per_rank: parse_num(tok.next(), "bytes", cur)?,
-                },
-                Some("aa") => CollectiveOp::Alltoall {
-                    bytes_per_pair: parse_num(tok.next(), "bytes", cur)?,
-                },
-                other => return Err(cur.err(format!("bad collective {other:?}"))),
-            };
-            Op::Collective { comm: CommId::WORLD, op }
-        }
-        other => return Err(cur.err(format!("bad op kind {other:?}"))),
-    };
-    if tok.next().is_some() {
-        return Err(cur.err(format!("trailing tokens on op line {line:?}")));
-    }
-    Ok(op)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcsim_engine::SimTime;
+    use hpcsim_faults::FaultProfile;
     use hpcsim_machine::registry::bluegene_p;
+    use hpcsim_machine::Workload;
+    use hpcsim_mpi::Req;
+    use hpcsim_net::{CollectiveOp, DType};
 
     fn sample() -> FuzzScenario {
         FuzzScenario {
@@ -481,9 +231,23 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_bad_magic_and_ranks() {
+    fn parse_rejects_bad_magic_and_rank_counts() {
         assert!(FuzzScenario::parse("nope\n").is_err());
-        let text = sample().to_canon().replace("ranks 2", "ranks 9999");
+        let canon = sample().to_canon();
+        let header: String = canon.lines().take(HEADER_LINES).map(|l| format!("{l}\n")).collect();
+        // the trace grammar accepts any world size; the fuzzer's own
+        // bound applies on top of it, at the trace block's header line
+        for ranks in [0, MAX_RANKS + 1] {
+            let mut text = format!("{header}hpcsim-trace/1 {ranks}\n");
+            for r in 0..ranks {
+                text.push_str(&format!("rank {r} 0\n"));
+            }
+            let err = FuzzScenario::parse(&text).unwrap_err();
+            assert!(err.message.contains("outside 1..=512"), "{err}");
+            assert_eq!(err.line, HEADER_LINES + 1);
+        }
+        // a rank count the text does not back up is a trace parse error
+        let text = canon.replace("hpcsim-trace/1 2\n", "hpcsim-trace/1 9999\n");
         assert!(FuzzScenario::parse(&text).is_err());
     }
 
@@ -495,13 +259,24 @@ mod tests {
     }
 
     #[test]
-    fn parse_line_numbers_point_at_the_culprit() {
-        let text = sample().to_canon().replace("w 0\nk bar", "w 0\nk nonsense");
+    fn parse_rejects_non_world_collectives() {
+        let text = sample().to_canon().replace("w 0\nk 0 barrier", "w 0\nk 1 barrier");
         let err = FuzzScenario::parse(&text).unwrap_err();
-        assert!(err.message.contains("bad collective"), "{err}");
-        // magic + header + 6 machine + faults + trace-hdr put the
-        // first op at line 11; the bad collective is op 4 → line 14
-        assert_eq!(err.line, 14);
+        assert!(err.message.contains("WORLD collectives only"), "{err}");
+        assert_eq!(err.line, 16);
+    }
+
+    #[test]
+    fn parse_line_numbers_point_at_the_culprit() {
+        let text = sample().to_canon().replace("w 0\nk 0 barrier", "w 0\nk 0 nonsense");
+        let err = FuzzScenario::parse(&text).unwrap_err();
+        assert!(err.message.contains("unknown collective"), "{err}");
+        // magic + 9 setup lines + trace header + rank-0 header put the
+        // first op at line 13; the bad collective is op 4 → line 16
+        assert_eq!(err.line, 16);
+        // setup errors carry the file's numbering too: mode is line 8
+        let text = sample().to_canon().replace("mode vn\n", "mode nonsense\n");
+        assert_eq!(FuzzScenario::parse(&text).unwrap_err().line, 8);
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! Stable text serialization of recorded traces.
+//! Stable text serialization of recorded traces: the one writer and the
+//! one parser of op lines in the workspace.
 //!
-//! The scenario cache's tier-2 store keeps recorded traces on disk so a
-//! later process can replay (or DAG-compile) them without re-recording.
-//! The format is line-oriented and exact: every float is written as its
-//! IEEE-754 bit pattern in hex, so serialize → parse is the identity on
-//! the trace and replaying a loaded trace is bit-identical to replaying
-//! the original.
+//! Two stores keep traces in this form. The scenario cache's tier-2
+//! store writes recorded traces to disk so a later process can replay
+//! (or DAG-compile) them without re-recording, and every fuzz scenario
+//! (`hpcsim-fuzz-scenario/2`) embeds this block verbatim after its
+//! machine/mode/mapping/faults header. The format is line-oriented and
+//! exact: every float is written as its IEEE-754 bit pattern in hex, so
+//! serialize → parse is the identity on the trace and replaying a loaded
+//! trace is bit-identical to replaying the original.
 //!
 //! ```text
 //! hpcsim-trace/1 <ranks>
@@ -15,6 +18,13 @@
 //! k 0 allreduce 512 f64     (collective: comm op args)
 //! ...
 //! ```
+//!
+//! The parser is strict, because its input may be a corrupted cache
+//! file: every integer is parsed at its field's own width, every peer
+//! must be a rank of the world, and a count is trusted for allocation
+//! only as far as the remaining text could back it. Malformed input is
+//! a [`ParseError`] naming its line, never a truncated value, a replay
+//! panic or an aborted allocation.
 
 use crate::ops::{CommId, Op, Req};
 use hpcsim_engine::SimTime;
@@ -173,19 +183,42 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError { line, message: message.into() })
 }
 
-fn parse_u64(line: usize, tok: Option<&str>, what: &str) -> Result<u64, ParseError> {
-    let t = tok.ok_or(ParseError { line, message: format!("missing {what}") })?;
-    t.parse::<u64>().map_err(|_| ParseError { line, message: format!("bad {what} {t:?}") })
+/// Parse an integer at its field's own width: a value that does not fit
+/// is an error, never a silent truncation.
+fn parse_num<T: std::str::FromStr>(
+    line: usize,
+    tok: Option<&str>,
+    what: &str,
+) -> Result<T, ParseError> {
+    match tok {
+        None => err(line, format!("missing {what}")),
+        Some(t) => t.parse().or_else(|_| err(line, format!("bad {what} {t:?}"))),
+    }
+}
+
+/// A send/receive peer, which must name a rank inside the world.
+fn parse_peer(
+    line: usize,
+    tok: Option<&str>,
+    what: &str,
+    ranks: usize,
+) -> Result<usize, ParseError> {
+    let peer: usize = parse_num(line, tok, what)?;
+    if peer >= ranks {
+        return err(line, format!("{what} {peer} outside world of {ranks}"));
+    }
+    Ok(peer)
 }
 
 fn parse_f64(line: usize, tok: Option<&str>, what: &str) -> Result<f64, ParseError> {
-    let t = tok.ok_or(ParseError { line, message: format!("missing {what}") })?;
-    let hex = t
-        .strip_prefix("0x")
-        .ok_or(ParseError { line, message: format!("{what} must be 0x-prefixed bits, got {t:?}") })?;
-    let bits = u64::from_str_radix(hex, 16)
-        .map_err(|_| ParseError { line, message: format!("bad {what} bits {t:?}") })?;
-    Ok(f64::from_bits(bits))
+    let Some(t) = tok else { return err(line, format!("missing {what}")) };
+    let Some(hex) = t.strip_prefix("0x") else {
+        return err(line, format!("{what} must be 0x-prefixed bits, got {t:?}"));
+    };
+    match u64::from_str_radix(hex, 16) {
+        Ok(bits) => Ok(f64::from_bits(bits)),
+        Err(_) => err(line, format!("bad {what} bits {t:?}")),
+    }
 }
 
 fn parse_dtype(line: usize, tok: Option<&str>) -> Result<DType, ParseError> {
@@ -197,38 +230,45 @@ fn parse_dtype(line: usize, tok: Option<&str>) -> Result<DType, ParseError> {
     }
 }
 
+fn finish<'a>(line: usize, mut toks: impl Iterator<Item = &'a str>) -> Result<(), ParseError> {
+    match toks.next() {
+        None => Ok(()),
+        Some(extra) => err(line, format!("trailing token {extra:?}")),
+    }
+}
+
 fn parse_workload<'a>(
     line: usize,
     toks: &mut impl Iterator<Item = &'a str>,
 ) -> Result<Workload, ParseError> {
-    let kind = toks.next().ok_or(ParseError { line, message: "missing workload".into() })?;
+    let Some(kind) = toks.next() else { return err(line, "missing workload") };
     Ok(match kind {
-        "dgemm" => Workload::Dgemm { n: parse_u64(line, toks.next(), "n")? },
+        "dgemm" => Workload::Dgemm { n: parse_num(line, toks.next(), "n")? },
         "lu" => Workload::LuUpdate {
-            m: parse_u64(line, toks.next(), "m")?,
-            n: parse_u64(line, toks.next(), "n")?,
-            k: parse_u64(line, toks.next(), "k")?,
+            m: parse_num(line, toks.next(), "m")?,
+            n: parse_num(line, toks.next(), "n")?,
+            k: parse_num(line, toks.next(), "k")?,
         },
-        "scopy" => Workload::StreamCopy { n: parse_u64(line, toks.next(), "n")? },
-        "sscale" => Workload::StreamScale { n: parse_u64(line, toks.next(), "n")? },
-        "sadd" => Workload::StreamAdd { n: parse_u64(line, toks.next(), "n")? },
-        "striad" => Workload::StreamTriad { n: parse_u64(line, toks.next(), "n")? },
-        "fft" => Workload::Fft1d { n: parse_u64(line, toks.next(), "n")? },
+        "scopy" => Workload::StreamCopy { n: parse_num(line, toks.next(), "n")? },
+        "sscale" => Workload::StreamScale { n: parse_num(line, toks.next(), "n")? },
+        "sadd" => Workload::StreamAdd { n: parse_num(line, toks.next(), "n")? },
+        "striad" => Workload::StreamTriad { n: parse_num(line, toks.next(), "n")? },
+        "fft" => Workload::Fft1d { n: parse_num(line, toks.next(), "n")? },
         "ra" => Workload::RandomAccess {
-            updates: parse_u64(line, toks.next(), "updates")?,
-            table_bytes: parse_u64(line, toks.next(), "table_bytes")?,
+            updates: parse_num(line, toks.next(), "updates")?,
+            table_bytes: parse_num(line, toks.next(), "table_bytes")?,
         },
         "stencil" => Workload::Stencil {
-            points: parse_u64(line, toks.next(), "points")?,
+            points: parse_num(line, toks.next(), "points")?,
             flops_per_point: parse_f64(line, toks.next(), "flops_per_point")?,
             bytes_per_point: parse_f64(line, toks.next(), "bytes_per_point")?,
         },
         "chem" => Workload::Chemistry {
-            points: parse_u64(line, toks.next(), "points")?,
+            points: parse_num(line, toks.next(), "points")?,
             flops_per_point: parse_f64(line, toks.next(), "flops_per_point")?,
         },
         "mdforce" => Workload::MdForce {
-            pairs: parse_u64(line, toks.next(), "pairs")?,
+            pairs: parse_num(line, toks.next(), "pairs")?,
             flops_per_pair: parse_f64(line, toks.next(), "flops_per_pair")?,
         },
         "custom" => Workload::Custom {
@@ -245,101 +285,135 @@ fn parse_collective<'a>(
     line: usize,
     toks: &mut impl Iterator<Item = &'a str>,
 ) -> Result<CollectiveOp, ParseError> {
-    let kind = toks.next().ok_or(ParseError { line, message: "missing collective".into() })?;
+    let Some(kind) = toks.next() else { return err(line, "missing collective") };
     Ok(match kind {
         "barrier" => CollectiveOp::Barrier,
-        "bcast" => CollectiveOp::Bcast { bytes: parse_u64(line, toks.next(), "bytes")? },
+        "bcast" => CollectiveOp::Bcast { bytes: parse_num(line, toks.next(), "bytes")? },
         "reduce" => CollectiveOp::Reduce {
-            bytes: parse_u64(line, toks.next(), "bytes")?,
+            bytes: parse_num(line, toks.next(), "bytes")?,
             dtype: parse_dtype(line, toks.next())?,
         },
         "allreduce" => CollectiveOp::Allreduce {
-            bytes: parse_u64(line, toks.next(), "bytes")?,
+            bytes: parse_num(line, toks.next(), "bytes")?,
             dtype: parse_dtype(line, toks.next())?,
         },
         "allgather" => {
-            CollectiveOp::Allgather { bytes_per_rank: parse_u64(line, toks.next(), "bytes")? }
+            CollectiveOp::Allgather { bytes_per_rank: parse_num(line, toks.next(), "bytes")? }
         }
         "alltoall" => {
-            CollectiveOp::Alltoall { bytes_per_pair: parse_u64(line, toks.next(), "bytes")? }
+            CollectiveOp::Alltoall { bytes_per_pair: parse_num(line, toks.next(), "bytes")? }
         }
         other => return err(line, format!("unknown collective {other:?}")),
     })
 }
 
-fn parse_op(line: usize, text: &str) -> Result<Op, ParseError> {
+/// Parse one op line of a world of `ranks` ranks.
+fn parse_op(line: usize, text: &str, ranks: usize) -> Result<Op, ParseError> {
     let mut toks = text.split_ascii_whitespace();
-    let tag = toks.next().ok_or(ParseError { line, message: "empty op line".into() })?;
+    let Some(tag) = toks.next() else { return err(line, "empty op line") };
     let op = match tag {
         "c" => {
             let work = parse_workload(line, &mut toks)?;
-            let threads = parse_u64(line, toks.next(), "threads")? as u32;
-            Op::Compute { work, threads }
+            Op::Compute { work, threads: parse_num(line, toks.next(), "threads")? }
         }
-        "d" => Op::Delay { time: SimTime(parse_u64(line, toks.next(), "picos")?) },
+        "d" => Op::Delay { time: SimTime(parse_num(line, toks.next(), "picos")?) },
         "s" => Op::Isend {
-            dst: parse_u64(line, toks.next(), "dst")? as usize,
-            tag: parse_u64(line, toks.next(), "tag")? as u32,
-            bytes: parse_u64(line, toks.next(), "bytes")?,
-            req: Req(parse_u64(line, toks.next(), "req")? as u32),
+            dst: parse_peer(line, toks.next(), "dst", ranks)?,
+            tag: parse_num(line, toks.next(), "tag")?,
+            bytes: parse_num(line, toks.next(), "bytes")?,
+            req: Req(parse_num(line, toks.next(), "req")?),
         },
         "r" => Op::Irecv {
-            src: parse_u64(line, toks.next(), "src")? as usize,
-            tag: parse_u64(line, toks.next(), "tag")? as u32,
-            bytes: parse_u64(line, toks.next(), "bytes")?,
-            req: Req(parse_u64(line, toks.next(), "req")? as u32),
+            src: parse_peer(line, toks.next(), "src", ranks)?,
+            tag: parse_num(line, toks.next(), "tag")?,
+            bytes: parse_num(line, toks.next(), "bytes")?,
+            req: Req(parse_num(line, toks.next(), "req")?),
         },
-        "w" => Op::Wait { req: Req(parse_u64(line, toks.next(), "req")? as u32) },
+        "w" => Op::Wait { req: Req(parse_num(line, toks.next(), "req")?) },
         "k" => {
-            let comm = CommId(parse_u64(line, toks.next(), "comm")? as u32);
+            let comm = CommId(parse_num(line, toks.next(), "comm")?);
             Op::Collective { comm, op: parse_collective(line, &mut toks)? }
         }
-        "m" => Op::Mark { id: parse_u64(line, toks.next(), "id")? as u32 },
+        "m" => Op::Mark { id: parse_num(line, toks.next(), "id")? },
         other => return err(line, format!("unknown op tag {other:?}")),
     };
-    if let Some(extra) = toks.next() {
-        return err(line, format!("trailing token {extra:?}"));
-    }
+    finish(line, toks)?;
     Ok(op)
+}
+
+/// Shortest line the format holds, newline included (`w 0\n`). A rank
+/// or op count read from the text reserves at most as many slots as the
+/// unread text could hold lines, so a corrupt count cannot allocate
+/// more than its input spells out.
+const MIN_LINE_BYTES: usize = 4;
+
+/// Line cursor over the unread text; line numbers are 1-based.
+struct Lines<'a> {
+    rest: &'a str,
+    line: usize,
+}
+
+impl<'a> Lines<'a> {
+    fn next(&mut self) -> Option<(usize, &'a str)> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let (text, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
+        self.rest = rest;
+        self.line += 1;
+        Some((self.line, text))
+    }
+
+    /// The next line, or a diagnostic at the line where it is missing.
+    fn expect(&mut self, what: impl FnOnce() -> String) -> Result<(usize, &'a str), ParseError> {
+        match self.next() {
+            Some(next) => Ok(next),
+            None => err(self.line + 1, format!("missing {}", what())),
+        }
+    }
+
+    /// `count`, capped by how many lines the unread text could hold.
+    fn capacity(&self, count: usize) -> usize {
+        count.min(self.rest.len() / MIN_LINE_BYTES + 1)
+    }
 }
 
 /// Parse a serialized world of traces back into per-rank op vectors.
 /// Replaying the parsed traces is bit-identical to replaying the
-/// originals ([`write_traces`] round-trips exactly).
+/// originals ([`write_traces`] round-trips exactly). Malformed input —
+/// an integer too wide for its field, a peer outside the world, a count
+/// the text does not back up — is a [`ParseError`] naming its line.
 pub fn parse_traces(text: &str) -> Result<Vec<Vec<Op>>, ParseError> {
-    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
-    let (line, header) =
-        lines.next().ok_or(ParseError { line: 1, message: "empty trace".into() })?;
+    let mut lines = Lines { rest: text, line: 0 };
+    let (line, header) = lines.expect(|| "trace header".into())?;
     let mut toks = header.split_ascii_whitespace();
     match toks.next() {
         Some(TRACE_MAGIC) => {}
         other => return err(line, format!("bad magic {other:?}")),
     }
-    let ranks = parse_u64(line, toks.next(), "rank count")? as usize;
-    let mut traces = Vec::with_capacity(ranks);
+    let ranks: usize = parse_num(line, toks.next(), "rank count")?;
+    finish(line, toks)?;
+    let mut traces = Vec::with_capacity(lines.capacity(ranks));
     for want in 0..ranks {
-        let (line, header) = lines
-            .next()
-            .ok_or(ParseError { line: 0, message: format!("missing rank {want} header") })?;
+        let (line, header) = lines.expect(|| format!("rank {want} header"))?;
         let mut toks = header.split_ascii_whitespace();
         if toks.next() != Some("rank") {
             return err(line, format!("expected rank header, got {header:?}"));
         }
-        let idx = parse_u64(line, toks.next(), "rank index")? as usize;
+        let idx: usize = parse_num(line, toks.next(), "rank index")?;
         if idx != want {
             return err(line, format!("rank {idx} out of order (expected {want})"));
         }
-        let nops = parse_u64(line, toks.next(), "op count")? as usize;
-        let mut ops = Vec::with_capacity(nops);
-        for _ in 0..nops {
-            let (line, text) = lines
-                .next()
-                .ok_or(ParseError { line: 0, message: format!("rank {idx}: truncated ops") })?;
-            ops.push(parse_op(line, text)?);
+        let nops: usize = parse_num(line, toks.next(), "op count")?;
+        finish(line, toks)?;
+        let mut ops = Vec::with_capacity(lines.capacity(nops));
+        for i in 0..nops {
+            let (line, text) = lines.expect(|| format!("rank {idx} op {i} of {nops}"))?;
+            ops.push(parse_op(line, text, ranks)?);
         }
         traces.push(ops);
     }
-    if let Some((line, extra)) = lines.next() {
+    while let Some((line, extra)) = lines.next() {
         if !extra.trim().is_empty() {
             return err(line, format!("trailing content {extra:?}"));
         }
@@ -466,5 +540,39 @@ mod tests {
             traces.push(ops);
         }
         assert_eq!(parse_traces(&write_traces(&traces)).unwrap(), traces);
+    }
+
+    #[test]
+    fn tag_wider_than_its_field_is_rejected() {
+        // 2^32 + 1 would truncate to tag 1 if parsed as u64 and cast
+        let e =
+            parse_traces("hpcsim-trace/1 2\nrank 0 1\ns 1 4294967297 8 0\nrank 1 0\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("bad tag"), "{e}");
+        let e = parse_traces("hpcsim-trace/1 1\nrank 0 1\nw 4294967296\n").unwrap_err();
+        assert!(e.message.contains("bad req"), "{e}");
+    }
+
+    #[test]
+    fn out_of_world_peer_is_rejected_at_its_line() {
+        let text = "hpcsim-trace/1 2\nrank 0 2\nm 0\ns 7 0 8 0\nrank 1 0\n";
+        let e = parse_traces(text).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("dst 7 outside world of 2"), "{e}");
+        let e = parse_traces("hpcsim-trace/1 2\nrank 0 0\nrank 1 1\nr 2 0 8 0\n").unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("src 2 outside world"), "{e}");
+    }
+
+    #[test]
+    fn huge_counts_err_without_allocating() {
+        // 10^11 ops or ranks would reserve terabytes if the counts were
+        // trusted; the text backs none of them, so each is a clean Err
+        let e = parse_traces("hpcsim-trace/1 1\nrank 0 100000000000\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("missing rank 0 op 0"), "{e}");
+        let e = parse_traces("hpcsim-trace/1 100000000000\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("missing rank 0 header"), "{e}");
     }
 }

@@ -4,7 +4,20 @@
 //!
 //! These files are auto-minimized findings from real fuzz campaigns
 //! (`repro --fuzz --fuzz-promote`), serialized in the canonical
-//! `hpcsim-fuzz-scenario/1` text form. If an engine change flips one
+//! `hpcsim-fuzz-scenario/2` text form:
+//!
+//! ```text
+//! hpcsim-fuzz-scenario/2
+//! <6 machine lines>          (machine, core, mem, nic, pack, power)
+//! mode vn
+//! mapping TXYZ
+//! faults none
+//! hpcsim-trace/1 <ranks>     (the scenario cache's trace wire form)
+//! rank 0 <op-count>
+//! <op lines>
+//! ```
+//!
+//! If an engine change flips one
 //! of these outcomes, that is a *behavioral* change to diagnosed
 //! semantics — update the manifest only if the new behavior is the
 //! intended one (e.g. a divergence regression turning `ok` because the
