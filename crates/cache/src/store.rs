@@ -539,7 +539,7 @@ impl ScenarioCache {
     fn load_result(&self, hash: SpecHash) -> Option<Arc<Vec<f64>>> {
         let path = self.result_path(hash)?;
         let text = read_entry(&path)?;
-        let parsed = parse_result_file(&text);
+        let parsed = parse_result_file(&text, hash);
         if parsed.is_none() {
             metrics().disk_errors.inc();
             log_warn_once!(
@@ -552,7 +552,7 @@ impl ScenarioCache {
 
     fn store_result(&self, hash: SpecHash, v: &Arc<Vec<f64>>) {
         if let Some(path) = self.result_path(hash) {
-            let mut text = format!("hpcsim-result/1 {}\n", v.len());
+            let mut text = format!("{RESULT_MAGIC} {hash} {}\n", v.len());
             for x in v.iter() {
                 text.push_str(&format!("0x{:016x}\n", x.to_bits()));
             }
@@ -617,19 +617,27 @@ fn write_entry(path: &Path, text: &str) {
     }
 }
 
-fn parse_result_file(text: &str) -> Option<Vec<f64>> {
+/// First token of a result entry: `hpcsim-result/2 <spec-hash> <len>`,
+/// then `len` lines of `0x`-prefixed f64 bit patterns.
+const RESULT_MAGIC: &str = "hpcsim-result/2";
+
+/// Parse a result entry stored under `hash`. The entry must name that
+/// hash and hold exactly `len` values and nothing after them, so a
+/// misnamed entry (another spec's result, possibly of another length),
+/// a truncated one, or one from an older format is rejected — the
+/// caller recomputes — instead of trusted by its filename.
+fn parse_result_file(text: &str, hash: SpecHash) -> Option<Vec<f64>> {
     let mut lines = text.lines();
-    let mut header = lines.next()?.split_ascii_whitespace();
-    if header.next()? != "hpcsim-result/1" {
+    let header: Vec<&str> = lines.next()?.split_ascii_whitespace().collect();
+    let [magic, named, len] = header[..] else { return None };
+    if magic != RESULT_MAGIC || named != hash.to_string() {
         return None;
     }
-    let len: usize = header.next()?.parse().ok()?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        let bits = u64::from_str_radix(lines.next()?.strip_prefix("0x")?, 16).ok()?;
-        out.push(f64::from_bits(bits));
-    }
-    Some(out)
+    let len: usize = len.parse().ok()?;
+    let out = lines
+        .map(|l| Some(f64::from_bits(u64::from_str_radix(l.strip_prefix("0x")?, 16).ok()?)))
+        .collect::<Option<Vec<f64>>>()?;
+    (out.len() == len).then_some(out)
 }
 
 /// Write `text` to `path` via a same-directory temp file + rename, so a
@@ -853,6 +861,51 @@ mod tests {
         // the re-recorded trace was written back whole
         let healed = std::fs::read_to_string(&path).unwrap();
         assert_eq!(hpcsim_mpi::parse_traces(&healed).unwrap(), traces);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn misnamed_or_truncated_result_file_is_rejected_and_recomputed() {
+        let dir =
+            std::env::temp_dir().join(format!("hpcsim-cache-misnamed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = CacheConfig { dir: Some(dir.clone()), ..CacheConfig::default() };
+        // a one-value (HALO-shaped) entry and a four-value (POP-shaped) one
+        let halo = ScenarioCache::new(cfg.clone());
+        halo.result(hash(80), || Ok(vec![1.5e-6])).unwrap();
+        let pop = vec![2.0, 30.0, 4.0, 5.0];
+        ScenarioCache::new(cfg.clone()).result(hash(81), || Ok(pop.clone())).unwrap();
+        let results = dir.join("results");
+        let halo_text = std::fs::read_to_string(results.join(hash(80).to_string())).unwrap();
+        let pop_path = results.join(hash(81).to_string());
+        let pop_text = std::fs::read_to_string(&pop_path).unwrap();
+        assert!(pop_text.starts_with(&format!("hpcsim-result/2 {} 4\n", hash(81))), "{pop_text}");
+
+        obs::set_enabled(true);
+        let truncated: String = pop_text.lines().take(3).map(|l| format!("{l}\n")).collect();
+        for planted in [
+            halo_text.clone(),                         // another spec's entry, misnamed
+            truncated,                                 // header promises 4, body has 2
+            format!("{pop_text}0x0000000000000000\n"), // a trailing line
+            pop_text.replacen("hpcsim-result/2", "hpcsim-result/1", 1), // old format
+        ] {
+            std::fs::write(&pop_path, &planted).unwrap();
+            let errors = metrics().disk_errors.total();
+            let computed = AtomicUsize::new(0);
+            let v = ScenarioCache::new(cfg.clone())
+                .result(hash(81), || {
+                    computed.fetch_add(1, Ordering::SeqCst);
+                    Ok(pop.clone())
+                })
+                .unwrap();
+            assert_eq!(*v, pop, "planted {planted:?}");
+            assert_eq!(computed.load(Ordering::SeqCst), 1, "recomputed after {planted:?}");
+            assert!(metrics().disk_errors.total() > errors, "counted: {planted:?}");
+        }
+        // the recomputed entry was written back whole and now loads
+        assert_eq!(std::fs::read_to_string(&pop_path).unwrap(), pop_text);
+        let warm = ScenarioCache::new(cfg).result(hash(81), || panic!("must come from disk"));
+        assert_eq!(*warm.unwrap(), pop);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,6 +15,7 @@
 //!   STREAM-bound work;
 //! * **double hummer** — halve flops/cycle and rerun DGEMM.
 
+use crate::paper::{halo_point, pop_point};
 use crate::report::Table;
 use crate::runner::parmap;
 use hpcsim_apps::{pop_run, PopConfig};
@@ -71,7 +72,9 @@ fn without_double_hummer(m: &MachineSpec) -> MachineSpec {
 ///
 /// Each measurement is a self-contained with/without pair, so the
 /// battery is expressed as a scenario set and fanned out over the
-/// worker pool; results come back in the declared order.
+/// worker pool; results come back in the declared order. The baseline
+/// POP and HALO runs are paper points too (Fig 2, Fig 4), so they go
+/// through the scenario cache; the ablated machines run directly.
 pub fn run_ablations(ranks: usize) -> Vec<Ablation> {
     let base = bluegene_p();
     let pop_cfg = PopConfig::default();
@@ -109,7 +112,7 @@ pub fn run_ablations(ranks: usize) -> Vec<Ablation> {
         }),
         // ... and end-to-end POP (the barotropic solver leans on it)
         Box::new(|| {
-            let syd_with = pop_run(&base, ExecMode::Vn, ranks, 1, &pop_cfg).syd;
+            let syd_with = pop_point(&base, ExecMode::Vn, ranks, 1, &pop_cfg).syd;
             let syd_without = pop_run(&without_tree(&base), ExecMode::Vn, ranks, 1, &pop_cfg).syd;
             Ablation {
                 feature: "collective tree",
@@ -119,7 +122,7 @@ pub fn run_ablations(ranks: usize) -> Vec<Ablation> {
         }),
         // 2. adaptive routing: bandwidth-bound HALO
         Box::new(|| {
-            let h_with = halo_run(&base, ExecMode::Vn, Mapping::txyz(), &halo_cfg);
+            let h_with = halo_point(&base, ExecMode::Vn, Mapping::txyz(), &halo_cfg);
             let h_without =
                 halo_run(&without_adaptive_routing(&base), ExecMode::Vn, Mapping::txyz(), &halo_cfg);
             Ablation {
@@ -130,7 +133,7 @@ pub fn run_ablations(ranks: usize) -> Vec<Ablation> {
         }),
         // 3. eager threshold: mid-size halos forced into rendezvous
         Box::new(|| {
-            let e_with = halo_run(&base, ExecMode::Vn, Mapping::txyz(), &mid_cfg);
+            let e_with = halo_point(&base, ExecMode::Vn, Mapping::txyz(), &mid_cfg);
             let e_without =
                 halo_run(&with_tiny_eager(&base), ExecMode::Vn, Mapping::txyz(), &mid_cfg);
             Ablation {

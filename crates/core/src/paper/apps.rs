@@ -1,5 +1,6 @@
 //! Figures 4–8: the application studies (§III).
 
+use super::pop_point;
 use crate::experiment::Scale;
 use crate::report::Figure;
 use crate::runner::parmap;
@@ -41,11 +42,13 @@ pub fn fig4(scale: Scale) -> Vec<Figure> {
             points.push((mi, ExecMode::Vn, None, p));
         }
     }
+    // panels (b) and (c) repeat series (a)'s VN ChronGear runs: the
+    // scenario cache prices each distinct point once
     let results = parmap(&points, |&(mi, mode, chron, p)| match chron {
         Some(ch) => {
-            apps::pop_run(machines[mi], mode, p, 1, &apps::PopConfig { chron_gear: ch, ..cfg.clone() })
+            pop_point(machines[mi], mode, p, 1, &apps::PopConfig { chron_gear: ch, ..cfg.clone() })
         }
-        None => apps::pop_run(machines[mi], mode, p, 1, &cfg),
+        None => pop_point(machines[mi], mode, p, 1, &cfg),
     });
     let mut it = results.into_iter();
 

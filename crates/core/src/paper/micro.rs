@@ -1,5 +1,6 @@
 //! Tables 1–2, Figures 1–3, and the TOP500 run (§I–II).
 
+use super::halo_point;
 use crate::experiment::Scale;
 use crate::report::{Figure, Table};
 use crate::runner::parmap;
@@ -190,7 +191,7 @@ pub fn fig2(scale: Scale) -> Vec<Figure> {
             .collect();
         let times = parmap(&points, |&(proto, w)| {
             let cfg = hpcc::HaloConfig { grid, words: w, protocol: proto, reps: 2 };
-            hpcc::halo_run(&m, mode, Mapping::txyz(), &cfg) * 1e6
+            halo_point(&m, mode, Mapping::txyz(), &cfg) * 1e6
         });
         let mut fig = Figure::new(title, "halo words", "usec per exchange");
         for (proto, chunk) in hpcc::HaloProtocol::all().into_iter().zip(times.chunks(words.len()))
@@ -227,12 +228,10 @@ pub fn fig2(scale: Scale) -> Vec<Figure> {
         .iter()
         .flat_map(|&(grid, w)| mappings.iter().map(move |&mp| (grid, w, mp)))
         .collect();
-    let cache = hpcsim_cache::global();
     let swept = parmap(&points_cd, |&(grid, w, mapping)| {
         let cfg =
             hpcc::HaloConfig { grid, words: w, protocol: hpcc::HaloProtocol::IrecvIsend, reps: 2 };
-        let spec = hpcsim_cache::ScenarioSpec::halo(&m, ExecMode::Vn, mapping, cfg);
-        hpcsim_cache::evaluate_in(&cache, &spec).expect("pristine halo scenarios evaluate")[0]
+        halo_point(&m, ExecMode::Vn, mapping, &cfg)
     });
     for (&(title, _), &grid) in panel_specs.iter().zip(&panel_grids) {
         let mut fig = Figure::new(title, "halo words", "usec per exchange");
@@ -269,7 +268,7 @@ pub fn fig2(scale: Scale) -> Vec<Figure> {
         let times = parmap(&points, |&(g, w)| {
             let cfg =
                 hpcc::HaloConfig { grid: g, words: w, protocol: hpcc::HaloProtocol::IrecvIsend, reps: 2 };
-            hpcc::halo_run(&m, mode, mapping, &cfg) * 1e6
+            halo_point(&m, mode, mapping, &cfg) * 1e6
         });
         let mut fig = Figure::new(title, "halo words", "usec per exchange");
         for (grid, chunk) in grids2d.iter().zip(times.chunks(words.len())) {

@@ -6,6 +6,7 @@
 //! iso-throughput comparison — how many cores and watts each machine
 //! needs to reach 12 SYD.
 
+use super::pop_point;
 use crate::experiment::Scale;
 use crate::report::Table;
 use crate::runner::parmap;
@@ -16,9 +17,10 @@ use hpcsim_machine::{ExecMode, MachineSpec};
 use hpcsim_power::{PowerModel, UTIL_HPL, UTIL_SCIENCE};
 use hpcsim_topo::Grid2D;
 
-/// Find the POP SYD at a given core count (helper for the iso-SYD rows).
+/// Find the POP SYD at a given core count (helper for the iso-SYD rows;
+/// the bisection revisits rungs, and Fig 4 prices some of the same runs).
 fn pop_syd(machine: &MachineSpec, cores: usize) -> f64 {
-    apps::pop_run(machine, ExecMode::Vn, cores, 1, &apps::PopConfig::default()).syd
+    pop_point(machine, ExecMode::Vn, cores, 1, &apps::PopConfig::default()).syd
 }
 
 /// Search the core count needed to reach `target` SYD (coarse bisection

@@ -1,63 +1,49 @@
 //! Deterministic event queue.
 //!
-//! A thin wrapper over `BinaryHeap` that orders events by `(time, seq)`:
-//! earliest time first, and for equal times, insertion order (FIFO). The
-//! sequence-number tie-break is what makes whole-system simulations
-//! reproducible — without it, `BinaryHeap`'s arbitrary ordering of equal
-//! keys would leak into message-matching order and change results between
-//! runs.
+//! Events pop in `(time, seq)` order: earliest time first, and for equal
+//! times, insertion order (FIFO). The sequence-number tie-break is what
+//! makes whole-system simulations reproducible — without it, a heap's
+//! arbitrary ordering of equal keys would leak into message-matching
+//! order and change results between runs.
+//!
+//! The queue is built for a discrete-event loop, and its contract is
+//! **monotone pushes**: an event is never scheduled before the time of
+//! the last popped event (`debug_assert`ed). That lets it keep two
+//! stores:
+//!
+//! * a binary heap for events in the future, and
+//! * a FIFO **lane** for events pushed *at* the current time (the last
+//!   popped time) — wake-ups a handler schedules for "now". They skip
+//!   the heap's `O(log n)` sift entirely.
+//!
+//! The lane preserves the exact `(time, seq)` order. A heap entry at the
+//! current time was pushed while the clock was still earlier, so its seq
+//! is lower than every lane entry's; `pop` therefore drains heap entries
+//! at the current time before the lane.
+//!
+//! A **batch** ([`EventQueue::push_batch`]) is one entry standing for
+//! `n` consecutive same-time events — e.g. the wake-ups of every member
+//! of a completed collective. It takes `n` seqs and counts as `n`
+//! pending events until the consumer retires its members one by one, so
+//! [`EventQueue::len`] and [`EventQueue::high_water`] read exactly as if
+//! the `n` events had been pushed separately.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// An event of payload type `T` scheduled at a virtual time.
 #[derive(Debug, Clone)]
 pub struct ScheduledEvent<T> {
     /// Virtual time at which the event fires.
     pub time: SimTime,
-    /// Monotone insertion index; breaks ties deterministically.
+    /// Monotone insertion index; breaks ties deterministically (a batch
+    /// carries the seq of its first member).
     pub seq: u64,
     /// The event payload.
     pub payload: T,
 }
 
-impl<T> PartialEq for ScheduledEvent<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<T> Eq for ScheduledEvent<T> {}
-
-impl<T> PartialOrd for ScheduledEvent<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for ScheduledEvent<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we need earliest-first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A deterministic min-priority queue of timestamped events.
-///
-/// # Example
-/// ```
-/// use hpcsim_engine::{EventQueue, SimTime};
-/// let mut q = EventQueue::new();
-/// q.push(SimTime::from_ns(5), "b");
-/// q.push(SimTime::from_ns(1), "a");
-/// q.push(SimTime::from_ns(5), "c");
-/// assert_eq!(q.pop().unwrap().payload, "a");
-/// assert_eq!(q.pop().unwrap().payload, "b"); // FIFO among equal times
-/// assert_eq!(q.pop().unwrap().payload, "c");
-/// ```
 /// Internal heap entry: the packed `(time, seq)` key with payload along
 /// for the ride. Ordering ignores the payload and reverses the key so
 /// `BinaryHeap`'s max-heap pops earliest-first with one u128 compare.
@@ -65,6 +51,12 @@ impl<T> Ord for ScheduledEvent<T> {
 struct Keyed<T> {
     key: u128,
     payload: T,
+}
+
+impl<T> Keyed<T> {
+    fn time(&self) -> SimTime {
+        SimTime((self.key >> 64) as u64)
+    }
 }
 
 impl<T> PartialEq for Keyed<T> {
@@ -84,14 +76,33 @@ impl<T> Ord for Keyed<T> {
     }
 }
 
+/// A deterministic min-priority queue of timestamped events with
+/// monotone pushes (see the module docs).
+///
+/// # Example
+/// ```
+/// use hpcsim_engine::{EventQueue, SimTime};
+/// let mut q = EventQueue::new();
+/// q.push(SimTime::from_ns(5), "b");
+/// q.push(SimTime::from_ns(1), "a");
+/// q.push(SimTime::from_ns(5), "c");
+/// assert_eq!(q.pop().unwrap().payload, "a");
+/// assert_eq!(q.pop().unwrap().payload, "b"); // FIFO among equal times
+/// assert_eq!(q.pop().unwrap().payload, "c");
+/// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
     /// Max-heap of key-reversed entries: the packed key `time << 64 | seq`
     /// gives the exact earliest-`(time, seq)`-first order with a single
-    /// u128 compare in the sift loops (`pop` is the hottest operation of
-    /// the replay engine).
+    /// u128 compare in the sift loops.
     heap: BinaryHeap<Keyed<T>>,
+    /// Events pushed at `now`, in push order, as `(seq, payload)`.
+    lane: VecDeque<(u64, T)>,
+    /// Time of the last popped event; no push may precede it.
+    now: SimTime,
     next_seq: u64,
+    /// Batch members not yet retired beyond each batch's own entry.
+    held: usize,
     /// Largest pending-event count ever reached. A branch-predictable
     /// compare per push; exposed so observability can report how deep
     /// the replay queue ran without sampling.
@@ -107,58 +118,86 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// Create an empty queue.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0, high_water: 0 }
+        Self::with_capacity(0)
     }
 
-    /// Create an empty queue with pre-allocated capacity.
+    /// Create an empty queue with pre-allocated heap capacity.
     pub fn with_capacity(cap: usize) -> Self {
-        EventQueue { heap: BinaryHeap::with_capacity(cap), next_seq: 0, high_water: 0 }
+        EventQueue {
+            heap: BinaryHeap::with_capacity(cap),
+            lane: VecDeque::new(),
+            now: SimTime::ZERO,
+            next_seq: 0,
+            held: 0,
+            high_water: 0,
+        }
     }
 
-    /// Schedule `payload` at `time`. Events pushed with equal times pop in
-    /// push order.
+    /// Schedule `payload` at `time` (≥ the last popped time). Events
+    /// pushed with equal times pop in push order.
     pub fn push(&mut self, time: SimTime, payload: T) {
-        let key = ((time.0 as u128) << 64) | self.next_seq as u128;
-        self.next_seq += 1;
-        self.heap.push(Keyed { key, payload });
-        if self.heap.len() > self.high_water {
-            self.high_water = self.heap.len();
+        self.push_batch(time, payload, 1);
+    }
+
+    /// Schedule one entry standing for `n ≥ 1` consecutive events at
+    /// `time`. It takes `n` seqs and counts as `n` pending events; after
+    /// popping it, call [`EventQueue::retire_batched`] once per member
+    /// beyond the first as the consumer handles them.
+    pub fn push_batch(&mut self, time: SimTime, payload: T, n: usize) {
+        debug_assert!(n >= 1, "a batch stands for at least one event");
+        debug_assert!(time >= self.now, "push at {time:?} precedes the last pop at {:?}", self.now);
+        let seq = self.next_seq;
+        self.next_seq += n as u64;
+        if time == self.now {
+            self.lane.push_back((seq, payload));
+        } else {
+            self.heap.push(Keyed { key: ((time.0 as u128) << 64) | seq as u128, payload });
         }
+        self.held += n - 1;
+        self.high_water = self.high_water.max(self.len());
+    }
+
+    /// Mark one further member of a popped batch as handled.
+    pub fn retire_batched(&mut self) {
+        debug_assert!(self.held > 0, "no batch members outstanding");
+        self.held -= 1;
     }
 
     /// Remove and return the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<ScheduledEvent<T>> {
-        self.heap.pop().map(|Keyed { key, payload }| ScheduledEvent {
-            time: SimTime((key >> 64) as u64),
-            seq: key as u64,
-            payload,
-        })
+        // heap entries at `now` predate (lower seqs than) every lane entry
+        if self.heap.peek().is_some_and(|top| self.lane.is_empty() || top.time() == self.now) {
+            let Keyed { key, payload } = self.heap.pop()?;
+            self.now = SimTime((key >> 64) as u64);
+            return Some(ScheduledEvent { time: self.now, seq: key as u64, payload });
+        }
+        let (seq, payload) = self.lane.pop_front()?;
+        Some(ScheduledEvent { time: self.now, seq, payload })
     }
 
     /// Peek at the earliest event's timestamp without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| SimTime((e.key >> 64) as u64))
+        if self.lane.is_empty() {
+            self.heap.peek().map(Keyed::time)
+        } else {
+            Some(self.now)
+        }
     }
 
-    /// Number of pending events.
+    /// Number of pending events, counting unretired batch members.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len() + self.held
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Largest number of simultaneously pending events seen since
-    /// construction (`clear` does not reset it).
+    /// construction.
     pub fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// Drop all pending events, keeping allocated storage.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -166,14 +205,17 @@ impl<T> EventQueue<T> {
 mod tests {
     use super::*;
 
+    fn drain<T>(q: &mut EventQueue<T>) -> Vec<T> {
+        std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         for &(t, v) in &[(30u64, 3), (10, 1), (20, 2), (40, 4)] {
             q.push(SimTime::from_ns(t), v);
         }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec![1, 2, 3, 4]);
+        assert_eq!(drain(&mut q), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -182,8 +224,7 @@ mod tests {
         for v in 0..100 {
             q.push(SimTime::from_ns(7), v);
         }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
+        assert_eq!(drain(&mut q), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -194,16 +235,19 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(2)));
         assert_eq!(q.pop().unwrap().payload, 'y');
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(9)));
+        q.push(SimTime::from_ns(2), 'z'); // lane entry at the current time
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(2)));
     }
 
     #[test]
-    fn len_and_clear() {
+    fn len_counts_both_stores() {
         let mut q = EventQueue::with_capacity(8);
         assert!(q.is_empty());
-        q.push(SimTime::ZERO, ());
-        q.push(SimTime::SEC, ());
+        q.push(SimTime::ZERO, ()); // lane: the clock starts at zero
+        q.push(SimTime::SEC, ()); // heap
         assert_eq!(q.len(), 2);
-        q.clear();
+        q.pop();
+        q.pop();
         assert!(q.is_empty());
         assert_eq!(q.pop().map(|e| e.payload), None);
     }
@@ -220,8 +264,6 @@ mod tests {
         q.pop();
         q.push(SimTime::from_ns(4), 4);
         assert_eq!(q.high_water(), 3, "peak is sticky across pops");
-        q.clear();
-        assert_eq!(q.high_water(), 3, "clear keeps the mark");
     }
 
     #[test]
@@ -232,7 +274,37 @@ mod tests {
         assert_eq!(q.pop().unwrap().payload, 1);
         q.push(SimTime::from_ns(3), 3);
         q.push(SimTime::from_ns(2), 2);
-        let rest: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(rest, vec![2, 3, 5]);
+        assert_eq!(drain(&mut q), vec![2, 3, 5]);
+    }
+
+    #[test]
+    fn heap_entries_at_now_precede_the_lane() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ns(4), "heap-a");
+        q.push(SimTime::from_ns(4), "heap-b");
+        assert_eq!(q.pop().unwrap().payload, "heap-a");
+        // pushed at the current time: lane, after the older heap entry
+        q.push(SimTime::from_ns(4), "lane");
+        q.push(SimTime::from_ns(9), "later");
+        assert_eq!(drain(&mut q), vec!["heap-b", "lane", "later"]);
+    }
+
+    #[test]
+    fn batch_counts_as_its_members() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ns(1), 'a');
+        q.push_batch(SimTime::from_ns(3), 'b', 4);
+        q.push(SimTime::from_ns(3), 'c');
+        assert_eq!((q.len(), q.high_water()), (6, 6));
+        assert_eq!(q.pop().unwrap().payload, 'a');
+        let b = q.pop().unwrap();
+        assert_eq!((b.payload, b.seq), ('b', 1));
+        assert_eq!(q.len(), 4, "three members still held");
+        for _ in 0..3 {
+            q.retire_batched();
+        }
+        let c = q.pop().unwrap();
+        assert_eq!((c.payload, c.seq), ('c', 5), "the batch took four seqs");
+        assert!(q.is_empty());
     }
 }

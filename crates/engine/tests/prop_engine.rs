@@ -1,9 +1,31 @@
 //! Property tests for the simulation core: the event queue is a stable
-//! priority queue, statistics merge associatively, and time arithmetic
+//! priority queue (and pops exactly like a reference heap under monotone
+//! pushes), statistics merge associatively, and time arithmetic
 //! round-trips.
 
 use hpcsim_engine::{EventQueue, OnlineStats, SimTime, TimeWeighted};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// One step of a monotone queue workload: push `n` events at `dt` past
+/// the last popped time (`n > 1` is one batch entry in the queue under
+/// test, `n` plain entries in the reference), or pop.
+#[derive(Debug, Clone, Copy)]
+enum QueueOp {
+    Push { dt: u64, n: usize },
+    Pop,
+}
+
+fn queue_op() -> impl Strategy<Value = QueueOp> {
+    // repeated arms weight the draw: dt = 0 is common, so runs of equal
+    // times exercise the lane, and one push in four is a batch
+    let dt = prop_oneof![Just(0u64), Just(0u64), Just(0u64), 1u64..4, 1u64..4, 4u64..1000];
+    let n = prop_oneof![Just(1usize), Just(1usize), Just(1usize), 2usize..6];
+    // three pushes for every two pops
+    (0u8..5, dt, n)
+        .prop_map(|(k, dt, n)| if k < 3 { QueueOp::Push { dt, n } } else { QueueOp::Pop })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -114,5 +136,55 @@ proptest! {
         }
         let got = tw.integral_to(t);
         prop_assert!((got - expect).abs() <= 1e-9 * (1.0 + expect), "{got} vs {expect}");
+    }
+
+    /// The lane-and-heap queue pops in exactly the `(time, seq)` order of
+    /// a reference `BinaryHeap`, batches included, and its `len` and
+    /// `high_water` agree with the reference after every operation.
+    #[test]
+    fn queue_matches_reference_heap(ops in prop::collection::vec(queue_op(), 1..300)) {
+        let mut q: EventQueue<(u64, usize)> = EventQueue::new();
+        let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let (mut seq, mut now, mut ref_high) = (0u64, 0u64, 0usize);
+        let mut check = |q: &EventQueue<(u64, usize)>, reference: &BinaryHeap<_>| {
+            ref_high = ref_high.max(reference.len());
+            prop_assert_eq!(q.len(), reference.len());
+            prop_assert_eq!(q.high_water(), ref_high);
+            Ok(())
+        };
+        for op in ops {
+            match op {
+                QueueOp::Push { dt, n } => {
+                    let t = now + dt;
+                    q.push_batch(SimTime::from_ns(t), (seq, n), n);
+                    for _ in 0..n {
+                        reference.push(Reverse((t, seq)));
+                        seq += 1;
+                    }
+                    check(&q, &reference)?;
+                }
+                QueueOp::Pop => {
+                    let got = q.pop();
+                    let want = reference.pop();
+                    match (got, want) {
+                        (None, None) => {}
+                        (Some(e), Some(Reverse((t, s)))) => {
+                            let (first, n) = e.payload;
+                            prop_assert_eq!((e.time, e.seq, first), (SimTime::from_ns(t), s, s));
+                            now = t;
+                            check(&q, &reference)?;
+                            for k in 1..n as u64 {
+                                q.retire_batched();
+                                prop_assert_eq!(reference.pop(), Some(Reverse((t, first + k))));
+                                check(&q, &reference)?;
+                            }
+                        }
+                        (got, want) => {
+                            prop_assert!(false, "queue {:?} vs reference {:?}", got.map(|e| e.seq), want);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

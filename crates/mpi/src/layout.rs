@@ -51,8 +51,15 @@ impl RankLayout {
         let nodes = ranks.div_ceil(tpn);
         let (torus, node_list) = placement.place(nodes);
         let node_of_rank = (0..ranks).map(|r| node_list[r / tpn]).collect();
-        let compact_hops = Placement::Compact.mean_hops(nodes).max(1e-9);
-        let hop_scale = (placement.mean_hops(nodes) / compact_hops).max(1.0);
+        // relative to compact placement, which is exactly 1.0 for compact
+        // itself: skip the sampled mean-hop estimates there
+        let hop_scale = match placement {
+            Placement::Compact => 1.0,
+            Placement::Fragmented { .. } => {
+                let compact_hops = Placement::Compact.mean_hops(nodes).max(1e-9);
+                (placement.mean_hops(nodes) / compact_hops).max(1.0)
+            }
+        };
         // A fragmented job threads through links that other jobs are
         // actively using; the interference grows with how scattered the
         // allocation is.
@@ -124,7 +131,16 @@ mod tests {
         assert_eq!(l.tasks_per_node, 4);
         assert_eq!(l.node_of_rank[0], 0);
         assert_eq!(l.node_of_rank[4], 1);
-        assert!((l.hop_scale - 1.0).abs() < 1e-9);
+        assert_eq!(l.hop_scale, 1.0, "compact is its own hop baseline");
+        // the unsampled compact shortcut agrees with the sampled ratio
+        let same = RankLayout::xt(
+            &xt4_qc(),
+            1024,
+            ExecMode::Vn,
+            Placement::Fragmented { spread: 1.0, seed: 0 },
+        );
+        assert_eq!(same.node_of_rank, l.node_of_rank);
+        assert_eq!(same.hop_scale, 1.0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::program::{Mpi, Program};
 use crate::result::{SimError, SimResult};
 use hpcsim_engine::{EventQueue, SimTime};
 use hpcsim_faults::{FaultPlan, LinkFaults, LossModel, NoiseModel};
-use hpcsim_machine::{ExecMode, MachineSpec, NodeModel};
+use hpcsim_machine::{ExecMode, MachineSpec, NodeModel, Workload};
 use hpcsim_net::{
     CollectiveModel, CollectiveOp, FlowHandle, FlowTracker, P2pModel, RetransmitPolicy,
 };
@@ -139,7 +139,104 @@ struct FaultContext {
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     Resume(usize),
-    Arrive { msg: usize },
+    Arrive {
+        msg: usize,
+    },
+    /// A completed collective: one queue batch that resumes every member
+    /// of communicator `comm`, in member order — the exact `(time, seq)`
+    /// order of one `Resume` per member.
+    Complete {
+        comm: u32,
+    },
+}
+
+/// Livelock watchdog: counts the events processed without the clock
+/// advancing. A well-formed replay processes at most
+/// `n + 2*sends + colls` events in total, so that many at a single
+/// timestamp is already impossible — exceeding it means the queue is
+/// cycling without clock progress. The derived budget (that bound plus
+/// 1024 slack) is never below `n + 1024`, so the traces are scanned for
+/// it only once the count first passes that floor.
+struct Watchdog {
+    last_progress: SimTime,
+    stuck: u64,
+    budget: u64,
+    /// False while `budget` is the `n + 1024` floor of a derived budget.
+    exact: bool,
+}
+
+impl Watchdog {
+    fn new(budget: Option<u64>, ranks: usize) -> Self {
+        let (budget, exact) = match budget {
+            Some(b) => (b, true),
+            None => (ranks as u64 + 1024, false),
+        };
+        Watchdog { last_progress: SimTime::ZERO, stuck: 0, budget, exact }
+    }
+
+    /// Count one event at `now`; `Some(steps)` once the budget is
+    /// exceeded.
+    #[inline]
+    fn tick(&mut self, now: SimTime, traces: &[Vec<Op>]) -> Option<u64> {
+        if now > self.last_progress {
+            self.last_progress = now;
+            self.stuck = 0;
+            return None;
+        }
+        self.stuck += 1;
+        if self.stuck > self.budget && !self.exact {
+            self.budget = traces.len() as u64 + 1024;
+            for op in traces.iter().flatten() {
+                match op {
+                    Op::Isend { .. } => self.budget += 2,
+                    Op::Collective { .. } => self.budget += 1,
+                    _ => {}
+                }
+            }
+            self.exact = true;
+        }
+        (self.stuck > self.budget).then_some(self.stuck)
+    }
+}
+
+/// Per-replay memo of [`NodeModel::time`] keyed by `(workload,
+/// threads)`: a pure function of those (the model and mode are fixed
+/// for the replay), so a hit returns the bit-identical price. Ranks
+/// repeat the same few compute blocks (a solver loop, a per-step
+/// sweep), so a handful of slots with round-robin replacement catch
+/// them. Keys compare with `PartialEq`: a NaN field never hits (it is
+/// recomputed), and `-0.0 == 0.0` prices identically.
+struct ComputeMemo {
+    slots: Vec<(Workload, u32, SimTime)>,
+    next: usize,
+}
+
+impl ComputeMemo {
+    const SLOTS: usize = 8;
+
+    fn new() -> Self {
+        ComputeMemo { slots: Vec::with_capacity(Self::SLOTS), next: 0 }
+    }
+
+    fn time(
+        &mut self,
+        model: &NodeModel,
+        mode: ExecMode,
+        work: &Workload,
+        threads: u32,
+    ) -> SimTime {
+        if let Some(&(_, _, t)) = self.slots.iter().find(|(w, th, _)| *th == threads && w == work) {
+            return t;
+        }
+        let t = model.time(work, mode, threads);
+        if self.slots.len() < Self::SLOTS {
+            self.slots.push((*work, threads, t));
+        } else {
+            self.slots[self.next] = (*work, threads, t);
+            self.next = (self.next + 1) % Self::SLOTS;
+        }
+        t
+    }
 }
 
 #[derive(Debug, Default)]
@@ -397,31 +494,15 @@ impl TraceSim {
         let mut coll_current: Vec<Option<(u32, u64)>> = vec![None; n];
         let mut total_bytes = 0u64;
         let mut total_msgs = 0u64;
+        let mut compute_memo = ComputeMemo::new();
 
-        // One initial resume per rank, one arrival per isend, one
-        // completion resume per collective entry, plus match-time resumes
-        // bounded by the send count.
-        let sends: usize = traces
-            .iter()
-            .map(|t| t.iter().filter(|op| matches!(op, Op::Isend { .. })).count())
-            .sum();
-        let colls: usize = traces
-            .iter()
-            .map(|t| t.iter().filter(|op| matches!(op, Op::Collective { .. })).count())
-            .sum();
-        let mut events: EventQueue<Ev> = EventQueue::with_capacity(n + 2 * sends + colls);
+        // the initial resumes land in the queue's same-time lane; the
+        // heap holds arrivals and collective completions
+        let mut events: EventQueue<Ev> = EventQueue::with_capacity(2 * n);
         for r in 0..n {
             events.push(SimTime::ZERO, Ev::Resume(r));
         }
-
-        // Livelock watchdog: a well-formed replay processes at most
-        // n + 2*sends + colls events in total, so that many events at a
-        // single timestamp is already impossible — exceeding it means
-        // the queue is cycling without clock progress.
-        let step_budget =
-            self.step_budget.unwrap_or((n + 2 * sends + colls) as u64 + 1024);
-        let mut last_progress = SimTime::ZERO;
-        let mut stuck_steps = 0u64;
+        let mut watchdog = Watchdog::new(self.step_budget, n);
 
         fn ensure_req(v: &mut Vec<Option<SimTime>>, r: Req) {
             if v.len() <= r.0 as usize {
@@ -429,24 +510,17 @@ impl TraceSim {
             }
         }
 
-        while let Some(ev) = events.pop() {
+        'events: while let Some(ev) = events.pop() {
             let now = ev.time;
-            if now > last_progress {
-                last_progress = now;
-                stuck_steps = 0;
-            } else {
-                stuck_steps += 1;
-                if stuck_steps > step_budget {
-                    let rank = match ev.payload {
-                        Ev::Resume(r) => r,
-                        Ev::Arrive { msg } => msgs[msg].dst,
-                    };
-                    stalled = Some(SimError::Livelock { rank, steps: stuck_steps });
-                    break;
-                }
-            }
-            match ev.payload {
+            // the ranks this event resumes: one, or a whole communicator
+            let (comm, wakes) = match ev.payload {
+                Ev::Resume(r) => (None, r..r + 1),
+                Ev::Complete { comm } => (Some(comm as usize), 0..self.comms[comm as usize].len()),
                 Ev::Arrive { msg } => {
+                    if let Some(steps) = watchdog.tick(now, traces) {
+                        stalled = Some(SimError::Livelock { rank: msgs[msg].dst, steps });
+                        break;
+                    }
                     let (dst, src, tag, flow, flow2) = {
                         let m = &mut msgs[msg];
                         (m.dst, m.src, m.tag, m.flow.take(), m.flow2.take())
@@ -473,306 +547,292 @@ impl TraceSim {
                         None => {
                             arrived[dst].push(src, tag, msg);
                             if T::ENABLED {
-                                tracer.gauge(
-                                    GaugeId::ArrivedMatchDepth,
-                                    arrived[dst].live() as u64,
-                                );
+                                tracer
+                                    .gauge(GaugeId::ArrivedMatchDepth, arrived[dst].live() as u64);
                             }
                         }
                     }
+                    continue;
                 }
-                Ev::Resume(r) => {
-                    if finished[r] {
-                        continue;
-                    }
-                    if clock[r] < now {
-                        if T::ENABLED {
-                            // the gap between blocking and this resume is
-                            // time the rank spent blocked
-                            let kind = if blocked[r] == Blocked::OnCollective {
-                                SpanKind::CollectiveWait
-                            } else {
-                                SpanKind::Wait
-                            };
-                            tracer.span(SpanEvent::new(r as u32, kind, clock[r], now));
+            };
+            for k in wakes {
+                let r = match comm {
+                    Some(c) => {
+                        if k > 0 {
+                            events.retire_batched();
                         }
-                        clock[r] = now;
+                        self.comms[c][k]
                     }
-                    'advance: loop {
-                        if pc[r] >= traces[r].len() {
-                            finished[r] = true;
-                            finish[r] = clock[r];
-                            break 'advance;
+                    None => k,
+                };
+                if let Some(steps) = watchdog.tick(now, traces) {
+                    stalled = Some(SimError::Livelock { rank: r, steps });
+                    break 'events;
+                }
+                if finished[r] {
+                    continue;
+                }
+                if clock[r] < now {
+                    if T::ENABLED {
+                        // the gap between blocking and this resume is
+                        // time the rank spent blocked
+                        let kind = if blocked[r] == Blocked::OnCollective {
+                            SpanKind::CollectiveWait
+                        } else {
+                            SpanKind::Wait
+                        };
+                        tracer.span(SpanEvent::new(r as u32, kind, clock[r], now));
+                    }
+                    clock[r] = now;
+                }
+                'advance: loop {
+                    if pc[r] >= traces[r].len() {
+                        finished[r] = true;
+                        finish[r] = clock[r];
+                        break 'advance;
+                    }
+                    let op = traces[r][pc[r]];
+                    match op {
+                        Op::Compute { work, threads } => {
+                            let mut t =
+                                compute_memo.time(&self.node_model, self.cfg.mode, &work, threads);
+                            if let Some(nm) = fault_noise {
+                                // OS-noise jitter: a stateless draw per
+                                // (rank, compute step), so the schedule
+                                // is identical at any worker count
+                                let step = compute_step[r];
+                                compute_step[r] = step + 1;
+                                t = t.scale(nm.factor(r, step));
+                            }
+                            if T::ENABLED && t > SimTime::ZERO {
+                                tracer.span(SpanEvent::new(
+                                    r as u32,
+                                    SpanKind::Compute,
+                                    clock[r],
+                                    clock[r] + t,
+                                ));
+                            }
+                            clock[r] += t;
+                            busy[r] += t;
+                            pc[r] += 1;
                         }
-                        let op = traces[r][pc[r]];
-                        match op {
-                            Op::Compute { work, threads } => {
-                                let mut t = self.node_model.time(&work, self.cfg.mode, threads);
-                                if let Some(nm) = fault_noise {
-                                    // OS-noise jitter: a stateless draw per
-                                    // (rank, compute step), so the schedule
-                                    // is identical at any worker count
-                                    let step = compute_step[r];
-                                    compute_step[r] = step + 1;
-                                    t = t.scale(nm.factor(r, step));
-                                }
-                                if T::ENABLED && t > SimTime::ZERO {
-                                    tracer.span(SpanEvent::new(
-                                        r as u32,
-                                        SpanKind::Compute,
-                                        clock[r],
-                                        clock[r] + t,
-                                    ));
-                                }
-                                clock[r] += t;
-                                busy[r] += t;
-                                pc[r] += 1;
+                        Op::Delay { time } => {
+                            if T::ENABLED && time > SimTime::ZERO {
+                                tracer.span(SpanEvent::new(
+                                    r as u32,
+                                    SpanKind::Delay,
+                                    clock[r],
+                                    clock[r] + time,
+                                ));
                             }
-                            Op::Delay { time } => {
-                                if T::ENABLED && time > SimTime::ZERO {
-                                    tracer.span(SpanEvent::new(
-                                        r as u32,
-                                        SpanKind::Delay,
-                                        clock[r],
-                                        clock[r] + time,
-                                    ));
-                                }
-                                clock[r] += time;
-                                busy[r] += time;
-                                pc[r] += 1;
+                            clock[r] += time;
+                            busy[r] += time;
+                            pc[r] += 1;
+                        }
+                        Op::Isend { dst, tag, bytes, req } => {
+                            if T::ENABLED && o_send > SimTime::ZERO {
+                                tracer.span(SpanEvent::new(
+                                    r as u32,
+                                    SpanKind::SendOverhead,
+                                    clock[r],
+                                    clock[r] + o_send,
+                                ));
                             }
-                            Op::Isend { dst, tag, bytes, req } => {
-                                if T::ENABLED && o_send > SimTime::ZERO {
-                                    tracer.span(SpanEvent::new(
-                                        r as u32,
-                                        SpanKind::SendOverhead,
-                                        clock[r],
-                                        clock[r] + o_send,
-                                    ));
-                                }
-                                clock[r] += o_send;
-                                let mut inject = clock[r];
-                                if let Some(lm) = fault_loss {
-                                    let seq = send_seq[r];
-                                    send_seq[r] = seq + 1;
-                                    let lost = lm.lost_attempts(r, seq);
-                                    if lost > 0 {
-                                        match retransmit.penalty(lost) {
-                                            Some(pen) => {
-                                                total_retransmits += lost as u64;
-                                                if T::ENABLED && pen > SimTime::ZERO {
-                                                    tracer.span(
-                                                        SpanEvent::new(
-                                                            r as u32,
-                                                            SpanKind::Retransmit,
-                                                            inject,
-                                                            inject + pen,
-                                                        )
-                                                        .with_msg(dst as u32, tag, bytes),
-                                                    );
-                                                }
-                                                // the NIC re-sends in the
-                                                // background: injection slips,
-                                                // the cpu track does not
-                                                inject += pen;
+                            clock[r] += o_send;
+                            let mut inject = clock[r];
+                            if let Some(lm) = fault_loss {
+                                let seq = send_seq[r];
+                                send_seq[r] = seq + 1;
+                                let lost = lm.lost_attempts(r, seq);
+                                if lost > 0 {
+                                    match retransmit.penalty(lost) {
+                                        Some(pen) => {
+                                            total_retransmits += lost as u64;
+                                            if T::ENABLED && pen > SimTime::ZERO {
+                                                tracer.span(
+                                                    SpanEvent::new(
+                                                        r as u32,
+                                                        SpanKind::Retransmit,
+                                                        inject,
+                                                        inject + pen,
+                                                    )
+                                                    .with_msg(dst as u32, tag, bytes),
+                                                );
                                             }
-                                            None => {
-                                                stalled = Some(SimError::Stalled {
-                                                    rank: r,
-                                                    peer: dst,
-                                                    tag,
-                                                    bytes,
-                                                    lost,
-                                                    op: pc[r],
-                                                });
-                                                break 'advance;
-                                            }
-                                        }
-                                    }
-                                }
-                                let src_node = self.cfg.layout.node_of_rank[r];
-                                let dst_node = self.cfg.layout.node_of_rank[dst];
-                                let (wire, handle, handle2) = match link_faults {
-                                    None => {
-                                        let (w, h) = self.p2p.wire_time_contended(
-                                            &mut self.tracker,
-                                            src_node,
-                                            dst_node,
-                                            bytes,
-                                        );
-                                        (w, h, None)
-                                    }
-                                    Some(lf) => match self.p2p.wire_time_contended_avoiding(
-                                        &mut self.tracker,
-                                        lf,
-                                        src_node,
-                                        dst_node,
-                                        bytes,
-                                    ) {
-                                        Some(v) => {
-                                            if v.2.is_some() {
-                                                total_detour_legs += 1;
-                                            }
-                                            v
+                                            // the NIC re-sends in the
+                                            // background: injection slips,
+                                            // the cpu track does not
+                                            inject += pen;
                                         }
                                         None => {
-                                            stalled = Some(SimError::Unreachable {
+                                            stalled = Some(SimError::Stalled {
                                                 rank: r,
                                                 peer: dst,
                                                 tag,
                                                 bytes,
+                                                lost,
+                                                op: pc[r],
                                             });
                                             break 'advance;
                                         }
-                                    },
-                                };
-                                let eager = bytes <= eager_threshold;
-                                let rdv_extra = if eager {
-                                    SimTime::ZERO
-                                } else {
-                                    let mut hs = self.p2p.handshake_time(handle.as_ref());
-                                    if let Some(h2) = handle2.as_ref() {
-                                        // dog-leg detours pay the handshake
-                                        // across both legs
-                                        hs += self.p2p.handshake_time(Some(h2));
                                     }
-                                    hs + o_send + o_recv
-                                };
-                                let arrive_t = inject + rdv_extra + wire;
-                                if T::ENABLED {
-                                    for h in handle.iter().chain(handle2.iter()) {
-                                        for l in h.segs().links(&torus) {
-                                            tracer.link_delta(l.0 as u32, inject, 1);
+                                }
+                            }
+                            let src_node = self.cfg.layout.node_of_rank[r];
+                            let dst_node = self.cfg.layout.node_of_rank[dst];
+                            let (wire, handle, handle2) = match link_faults {
+                                None => {
+                                    let (w, h) = self.p2p.wire_time_contended(
+                                        &mut self.tracker,
+                                        src_node,
+                                        dst_node,
+                                        bytes,
+                                    );
+                                    (w, h, None)
+                                }
+                                Some(lf) => match self.p2p.wire_time_contended_avoiding(
+                                    &mut self.tracker,
+                                    lf,
+                                    src_node,
+                                    dst_node,
+                                    bytes,
+                                ) {
+                                    Some(v) => {
+                                        if v.2.is_some() {
+                                            total_detour_legs += 1;
                                         }
+                                        v
                                     }
-                                    if !eager {
-                                        tracer.span(
-                                            SpanEvent::new(
-                                                r as u32,
-                                                SpanKind::Rendezvous,
-                                                inject,
-                                                inject + rdv_extra,
-                                            )
-                                            .with_msg(dst as u32, tag, bytes),
-                                        );
+                                    None => {
+                                        stalled = Some(SimError::Unreachable {
+                                            rank: r,
+                                            peer: dst,
+                                            tag,
+                                            bytes,
+                                        });
+                                        break 'advance;
                                     }
-                                    let base = self.p2p.wire_time(src_node, dst_node, bytes);
+                                },
+                            };
+                            let eager = bytes <= eager_threshold;
+                            let rdv_extra = if eager {
+                                SimTime::ZERO
+                            } else {
+                                let mut hs = self.p2p.handshake_time(handle.as_ref());
+                                if let Some(h2) = handle2.as_ref() {
+                                    // dog-leg detours pay the handshake
+                                    // across both legs
+                                    hs += self.p2p.handshake_time(Some(h2));
+                                }
+                                hs + o_send + o_recv
+                            };
+                            let arrive_t = inject + rdv_extra + wire;
+                            if T::ENABLED {
+                                for h in handle.iter().chain(handle2.iter()) {
+                                    for l in h.segs().links(&torus) {
+                                        tracer.link_delta(l.0 as u32, inject, 1);
+                                    }
+                                }
+                                if !eager {
                                     tracer.span(
                                         SpanEvent::new(
                                             r as u32,
-                                            SpanKind::MsgWire,
+                                            SpanKind::Rendezvous,
+                                            inject,
                                             inject + rdv_extra,
-                                            arrive_t,
                                         )
-                                        .with_msg(dst as u32, tag, bytes)
-                                        .with_aux(base),
+                                        .with_msg(dst as u32, tag, bytes),
                                     );
                                 }
-                                let m = Msg { src: r, dst, tag, bytes, flow: handle, flow2: handle2 };
-                                let midx = match msg_free.pop() {
-                                    Some(slot) => {
-                                        msgs[slot] = m;
-                                        slot
-                                    }
-                                    None => {
-                                        msgs.push(m);
-                                        msgs.len() - 1
-                                    }
-                                };
-                                events.push(arrive_t, Ev::Arrive { msg: midx });
-                                ensure_req(&mut req_done[r], req);
-                                req_done[r][req.0 as usize] =
-                                    Some(if eager { inject } else { arrive_t });
-                                total_bytes += bytes;
-                                total_msgs += 1;
-                                pc[r] += 1;
-                            }
-                            Op::Irecv { src, tag, bytes, req } => {
-                                if T::ENABLED && o_recv > SimTime::ZERO {
-                                    tracer.span(SpanEvent::new(
+                                let base = self.p2p.wire_time(src_node, dst_node, bytes);
+                                tracer.span(
+                                    SpanEvent::new(
                                         r as u32,
-                                        SpanKind::RecvOverhead,
-                                        clock[r],
-                                        clock[r] + o_recv,
-                                    ));
+                                        SpanKind::MsgWire,
+                                        inject + rdv_extra,
+                                        arrive_t,
+                                    )
+                                    .with_msg(dst as u32, tag, bytes)
+                                    .with_aux(base),
+                                );
+                            }
+                            let m = Msg { src: r, dst, tag, bytes, flow: handle, flow2: handle2 };
+                            let midx = match msg_free.pop() {
+                                Some(slot) => {
+                                    msgs[slot] = m;
+                                    slot
                                 }
-                                clock[r] += o_recv;
-                                ensure_req(&mut req_done[r], req);
-                                match arrived[r].pop(src, tag) {
-                                    Some(midx) => {
-                                        // unexpected message: pay the copy,
-                                        // priced by what actually arrived
-                                        // (a mismatched receive size does
-                                        // not change what was sent)
-                                        let _ = bytes;
-                                        let copy = SimTime::from_secs(
-                                            msgs[midx].bytes as f64 / copy_bw,
+                                None => {
+                                    msgs.push(m);
+                                    msgs.len() - 1
+                                }
+                            };
+                            events.push(arrive_t, Ev::Arrive { msg: midx });
+                            ensure_req(&mut req_done[r], req);
+                            req_done[r][req.0 as usize] =
+                                Some(if eager { inject } else { arrive_t });
+                            total_bytes += bytes;
+                            total_msgs += 1;
+                            pc[r] += 1;
+                        }
+                        Op::Irecv { src, tag, bytes, req } => {
+                            if T::ENABLED && o_recv > SimTime::ZERO {
+                                tracer.span(SpanEvent::new(
+                                    r as u32,
+                                    SpanKind::RecvOverhead,
+                                    clock[r],
+                                    clock[r] + o_recv,
+                                ));
+                            }
+                            clock[r] += o_recv;
+                            ensure_req(&mut req_done[r], req);
+                            match arrived[r].pop(src, tag) {
+                                Some(midx) => {
+                                    // unexpected message: pay the copy,
+                                    // priced by what actually arrived
+                                    // (a mismatched receive size does
+                                    // not change what was sent)
+                                    let _ = bytes;
+                                    let copy =
+                                        SimTime::from_secs(msgs[midx].bytes as f64 / copy_bw);
+                                    if T::ENABLED {
+                                        // always recorded, even zero-length:
+                                        // the recorder's unexpected-message
+                                        // counter rides on this span
+                                        tracer.span(
+                                            SpanEvent::new(
+                                                r as u32,
+                                                SpanKind::UnexpectedCopy,
+                                                clock[r],
+                                                clock[r] + copy,
+                                            )
+                                            .with_msg(src as u32, tag, bytes),
                                         );
-                                        if T::ENABLED {
-                                            // always recorded, even zero-length:
-                                            // the recorder's unexpected-message
-                                            // counter rides on this span
-                                            tracer.span(
-                                                SpanEvent::new(
-                                                    r as u32,
-                                                    SpanKind::UnexpectedCopy,
-                                                    clock[r],
-                                                    clock[r] + copy,
-                                                )
-                                                .with_msg(src as u32, tag, bytes),
-                                            );
-                                        }
-                                        msg_free.push(midx);
-                                        req_done[r][req.0 as usize] = Some(clock[r] + copy);
                                     }
-                                    None => {
-                                        posted[r].push(src, tag, (r, req));
-                                        if T::ENABLED {
-                                            tracer.gauge(
-                                                GaugeId::PostedMatchDepth,
-                                                posted[r].live() as u64,
-                                            );
-                                        }
-                                    }
+                                    msg_free.push(midx);
+                                    req_done[r][req.0 as usize] = Some(clock[r] + copy);
                                 }
-                                pc[r] += 1;
-                            }
-                            Op::Wait { req } => {
-                                ensure_req(&mut req_done[r], req);
-                                match req_done[r][req.0 as usize] {
-                                    Some(done) => {
-                                        if done > clock[r] {
-                                            if T::ENABLED {
-                                                tracer.span(SpanEvent::new(
-                                                    r as u32,
-                                                    SpanKind::Wait,
-                                                    clock[r],
-                                                    done,
-                                                ));
-                                            }
-                                            clock[r] = done;
-                                        }
-                                        pc[r] += 1;
-                                    }
-                                    None => {
-                                        blocked[r] = Blocked::OnReq(req);
-                                        break 'advance;
+                                None => {
+                                    posted[r].push(src, tag, (r, req));
+                                    if T::ENABLED {
+                                        tracer.gauge(
+                                            GaugeId::PostedMatchDepth,
+                                            posted[r].live() as u64,
+                                        );
                                     }
                                 }
                             }
-                            Op::Collective { comm, op } => {
-                                let cid = comm.0;
-                                if let Some((kc, ks)) = coll_current[r] {
-                                    // re-execution after completion
-                                    let inst = &coll_state[kc as usize][ks as usize];
-                                    let done = inst.done.expect("resumed before completion");
-                                    coll_current[r] = None;
-                                    blocked[r] = Blocked::None;
+                            pc[r] += 1;
+                        }
+                        Op::Wait { req } => {
+                            ensure_req(&mut req_done[r], req);
+                            match req_done[r][req.0 as usize] {
+                                Some(done) => {
                                     if done > clock[r] {
                                         if T::ENABLED {
                                             tracer.span(SpanEvent::new(
                                                 r as u32,
-                                                SpanKind::CollectiveWait,
+                                                SpanKind::Wait,
                                                 clock[r],
                                                 done,
                                             ));
@@ -780,64 +840,88 @@ impl TraceSim {
                                         clock[r] = done;
                                     }
                                     pc[r] += 1;
-                                } else {
-                                    let counters = &mut coll_seq[r];
-                                    let pos = match counters.iter().position(|(c, _)| *c == cid) {
-                                        Some(p) => p,
-                                        None => {
-                                            counters.push((cid, 0));
-                                            counters.len() - 1
-                                        }
-                                    };
-                                    let my_seq = counters[pos].1;
-                                    counters[pos].1 += 1;
-                                    let key = (cid, my_seq);
-                                    let members = self.comms[cid as usize].len();
-                                    let instances = &mut coll_state[cid as usize];
-                                    if instances.len() <= my_seq as usize {
-                                        instances
-                                            .resize_with(my_seq as usize + 1, CollInstance::default);
-                                    }
-                                    let inst = &mut instances[my_seq as usize];
-                                    if let Some(prev) = inst.op {
-                                        if prev != op {
-                                            stalled = Some(SimError::CollectiveMismatch {
-                                                rank: r,
-                                                comm: cid,
-                                                op: pc[r],
-                                            });
-                                            break 'advance;
-                                        }
-                                    } else {
-                                        inst.op = Some(op);
-                                    }
-                                    inst.arrived += 1;
-                                    if clock[r] > inst.latest {
-                                        inst.latest = clock[r];
-                                    }
-                                    coll_current[r] = Some(key);
-                                    if inst.arrived == members {
-                                        let dur = self.coll_models[cid as usize].time(op);
-                                        let done = inst.latest + dur;
-                                        inst.done = Some(done);
-                                        for &m in &self.comms[cid as usize] {
-                                            events.push(done, Ev::Resume(m));
-                                        }
-                                    }
-                                    blocked[r] = Blocked::OnCollective;
+                                }
+                                None => {
+                                    blocked[r] = Blocked::OnReq(req);
                                     break 'advance;
                                 }
                             }
-                            Op::Mark { id } => {
-                                marks[r].push((id, clock[r]));
+                        }
+                        Op::Collective { comm, op } => {
+                            let cid = comm.0;
+                            if let Some((kc, ks)) = coll_current[r] {
+                                // re-execution after completion
+                                let inst = &coll_state[kc as usize][ks as usize];
+                                let done = inst.done.expect("resumed before completion");
+                                coll_current[r] = None;
+                                blocked[r] = Blocked::None;
+                                if done > clock[r] {
+                                    if T::ENABLED {
+                                        tracer.span(SpanEvent::new(
+                                            r as u32,
+                                            SpanKind::CollectiveWait,
+                                            clock[r],
+                                            done,
+                                        ));
+                                    }
+                                    clock[r] = done;
+                                }
                                 pc[r] += 1;
+                            } else {
+                                let counters = &mut coll_seq[r];
+                                let pos = match counters.iter().position(|(c, _)| *c == cid) {
+                                    Some(p) => p,
+                                    None => {
+                                        counters.push((cid, 0));
+                                        counters.len() - 1
+                                    }
+                                };
+                                let my_seq = counters[pos].1;
+                                counters[pos].1 += 1;
+                                let key = (cid, my_seq);
+                                let members = self.comms[cid as usize].len();
+                                let instances = &mut coll_state[cid as usize];
+                                if instances.len() <= my_seq as usize {
+                                    instances
+                                        .resize_with(my_seq as usize + 1, CollInstance::default);
+                                }
+                                let inst = &mut instances[my_seq as usize];
+                                if let Some(prev) = inst.op {
+                                    if prev != op {
+                                        stalled = Some(SimError::CollectiveMismatch {
+                                            rank: r,
+                                            comm: cid,
+                                            op: pc[r],
+                                        });
+                                        break 'advance;
+                                    }
+                                } else {
+                                    inst.op = Some(op);
+                                }
+                                inst.arrived += 1;
+                                if clock[r] > inst.latest {
+                                    inst.latest = clock[r];
+                                }
+                                coll_current[r] = Some(key);
+                                if inst.arrived == members {
+                                    let dur = self.coll_models[cid as usize].time(op);
+                                    let done = inst.latest + dur;
+                                    inst.done = Some(done);
+                                    events.push_batch(done, Ev::Complete { comm: cid }, members);
+                                }
+                                blocked[r] = Blocked::OnCollective;
+                                break 'advance;
                             }
+                        }
+                        Op::Mark { id } => {
+                            marks[r].push((id, clock[r]));
+                            pc[r] += 1;
                         }
                     }
                 }
-            }
-            if stalled.is_some() {
-                break;
+                if stalled.is_some() {
+                    break 'events;
+                }
             }
         }
 
@@ -887,8 +971,8 @@ mod tests {
     use super::*;
     use crate::program::FnProgram;
     use hpcsim_machine::registry::{bluegene_p, xt4_qc};
-    use hpcsim_machine::Workload;
     use hpcsim_net::DType;
+    use hpcsim_probe::SpanEvent;
 
     fn sim(machine: MachineSpec, ranks: usize, mode: ExecMode) -> TraceSim {
         TraceSim::new(SimConfig::new(machine, ranks, mode))
@@ -1152,6 +1236,123 @@ mod tests {
         }))
         .expect("pristine zero-time program must finish");
         assert_eq!(res.makespan(), SimTime::ZERO);
+    }
+
+    /// Keeps only gauges: the event-queue high-water is what the fuzzer's
+    /// coverage map and the trace report read.
+    #[derive(Default)]
+    struct Gauges([u64; 8]);
+
+    impl Tracer for Gauges {
+        const ENABLED: bool = true;
+        fn span(&mut self, _ev: SpanEvent) {}
+        fn link_delta(&mut self, _link: u32, _t: SimTime, _delta: i8) {}
+        fn gauge(&mut self, id: GaugeId, value: u64) {
+            let g = &mut self.0[id as usize];
+            *g = (*g).max(value);
+        }
+    }
+
+    /// An HPL-shaped program on a 4×4 grid: a row broadcast and a column
+    /// allreduce per step over registered row/column communicators (so
+    /// several collectives complete at one instant), then a neighbour
+    /// exchange. Steps after the first keep eager halo sends in flight
+    /// across both collectives, so completions pile onto a deep queue.
+    fn hpl_like() -> (TraceSim, Vec<Vec<Op>>) {
+        let (p, q) = (4usize, 4usize);
+        let mut s = sim(bluegene_p(), p * q, ExecMode::Vn);
+        let rows: Vec<CommId> =
+            (0..p).map(|i| s.register_comm((0..q).map(|j| i * q + j).collect())).collect();
+        let cols: Vec<CommId> =
+            (0..q).map(|j| s.register_comm((0..p).map(|i| i * q + j).collect())).collect();
+        let prog = FnProgram(move |mpi: &mut Mpi| {
+            let r = mpi.rank();
+            let (i, j) = (r / q, r % q);
+            for k in 0..3 {
+                if j == k % q {
+                    mpi.compute(Workload::LuUpdate { m: 64, n: 64, k: 16 });
+                }
+                let right = i * q + (j + 1) % q;
+                let left = i * q + (j + q - 1) % q;
+                let down = ((i + 1) % p) * q + j;
+                let up = ((i + p - 1) % p) * q + j;
+                let tag = k as u32;
+                if k == 0 {
+                    mpi.bcast(rows[i], 64 * 64 * 8);
+                    mpi.allreduce(cols[j], 64, DType::F64);
+                    mpi.sendrecv(right, tag, 4096, left, tag, 4096);
+                } else {
+                    let mut reqs: Vec<Req> =
+                        [right, left, down, up].iter().map(|&d| mpi.isend(d, tag, 512)).collect();
+                    mpi.bcast(rows[i], 64 * 64 * 8);
+                    mpi.allreduce(cols[j], 64, DType::F64);
+                    for src in [left, right, up, down] {
+                        reqs.push(mpi.irecv(src, tag, 512));
+                    }
+                    mpi.waitall(&reqs);
+                }
+                mpi.compute(Workload::LuUpdate { m: 64, n: 64, k: 64 });
+            }
+            mpi.barrier(CommId::WORLD);
+        });
+        let traces = TraceSim::trace_program(&prog, p * q, 1);
+        (s, traces)
+    }
+
+    #[test]
+    fn hpl_like_queue_depth_is_pinned() {
+        // values captured from the one-heap-entry-per-member engine: a
+        // completion batch must count as its members in the high-water
+        let (mut s, traces) = hpl_like();
+        let mut g = Gauges::default();
+        let res = s.try_replay(&traces, &mut g).expect("well-formed program");
+        assert_eq!(g.0[GaugeId::EventQueueDepth as usize], 80);
+        assert_eq!(res.makespan(), SimTime(774_347_608));
+    }
+
+    #[test]
+    fn hpl_like_tight_budget_livelock_is_pinned() {
+        // 16 initial resumes at t = 0, then row and column completions
+        // landing at one instant: budgets 16..=30 trip inside the column
+        // batches, naming the member in member order
+        for (budget, want) in [
+            (15, Some((15, 16))),
+            (16, Some((5, 17))),
+            (20, Some((6, 21))),
+            (27, Some((0, 28))),
+            (30, Some((12, 31))),
+            (31, None),
+        ] {
+            let (mut s, traces) = hpl_like();
+            s.set_step_budget(Some(budget));
+            let got = match s.try_replay(&traces, &mut NoopTracer) {
+                Ok(_) => None,
+                Err(SimError::Livelock { rank, steps }) => Some((rank, steps)),
+                Err(e) => panic!("budget {budget}: unexpected {e}"),
+            };
+            assert_eq!(got, want, "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn derived_step_budget_covers_runs_past_its_floor() {
+        // every rank messages itself: all 1100 arrivals, then the 1100
+        // match-time resumes, land at one instant — a 2200-event run
+        // past the n + 1024 floor, where the watchdog must count the
+        // traces' sends (budget n + 2·sends + 1024) instead of firing
+        let n = 1100;
+        let prog = FnProgram(|mpi: &mut Mpi| {
+            let me = mpi.rank();
+            let r = mpi.irecv(me, 0, 8);
+            let s = mpi.isend(me, 0, 8);
+            mpi.waitall(&[r, s]);
+        });
+        let mut s = sim(bluegene_p(), n, ExecMode::Vn);
+        try_run(&mut s, &prog).expect("the derived budget absorbs the same-time run");
+        let mut floor_only = sim(bluegene_p(), n, ExecMode::Vn);
+        floor_only.set_step_budget(Some(n as u64 + 1024));
+        let err = try_run(&mut floor_only, &prog).expect_err("the floor alone is too tight");
+        assert!(matches!(err, SimError::Livelock { .. }), "{err}");
     }
 
     #[test]

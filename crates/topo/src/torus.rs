@@ -138,7 +138,9 @@ impl Torus3D {
         (0..3)
             .map(|d| {
                 let n = self.dims[d];
-                let fwd = (b[d] + n - a[d]) % n;
+                // forward ring distance without a division (both
+                // coordinates are below n)
+                let fwd = if b[d] >= a[d] { b[d] - a[d] } else { b[d] + n - a[d] };
                 fwd.min(n - fwd)
             })
             .sum()
