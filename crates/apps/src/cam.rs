@@ -11,8 +11,9 @@
 //! cores, staying inside the dycore's rank limit while threads mop up
 //! the physics.
 
+use crate::price_one;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid2D;
 use serde::Serialize;
@@ -100,6 +101,13 @@ impl CamConfig {
             Dycore::FiniteVolume => (self.nlat as usize / 3) * (self.nlon as usize / 4),
         }
     }
+
+    /// The MPI ranks a request for `ranks` actually runs: ranks above
+    /// the dycore cap would do dynamics-idle physics only (CAM would
+    /// refuse; we clamp instead and the caller sees flat scaling).
+    pub(crate) fn mpi_ranks(&self, ranks: usize) -> usize {
+        ranks.min(self.max_ranks()).max(1)
+    }
 }
 
 /// Result of a CAM proxy run.
@@ -111,9 +119,38 @@ pub struct CamResult {
     pub cores: usize,
 }
 
-/// Run CAM on `ranks` MPI tasks × `threads` OpenMP threads. Ranks above
-/// the dycore cap do dynamics-idle physics only (CAM would refuse; we
-/// clamp instead and the caller sees flat scaling).
+impl CamResult {
+    /// The throughput of a priced run of `cfg` with `threads` per rank.
+    pub fn of(res: &SimResult, threads: u32, cfg: &CamConfig) -> CamResult {
+        let t_day = cfg.steps_per_day * res.makespan().as_secs();
+        let cores = res.finish.len() * threads as usize;
+        CamResult { years_per_day: 86_400.0 / (t_day * 365.0), cores }
+    }
+}
+
+/// The simulator configuration of CAM on `ranks` (clamped to the dycore
+/// cap) MPI tasks × `threads` OpenMP threads.
+pub fn cam_sim_config(
+    machine: &MachineSpec,
+    mode: ExecMode,
+    ranks: usize,
+    threads: u32,
+    cfg: &CamConfig,
+) -> SimConfig {
+    let mut point = SimConfig::new(machine.clone(), cfg.mpi_ranks(ranks), mode);
+    point.threads = threads;
+    point
+}
+
+/// Record one CAM step on `ranks` (clamped) tasks × `threads` threads
+/// (machine-free).
+pub fn cam_traces(ranks: usize, threads: u32, cfg: &CamConfig) -> Vec<Vec<Op>> {
+    let prog = cfg.clone();
+    let record = FnProgram(move |mpi: &mut Mpi| record_step(mpi, &prog, threads));
+    TraceSim::trace_program(&record, cfg.mpi_ranks(ranks), threads)
+}
+
+/// Run CAM on `ranks` MPI tasks × `threads` OpenMP threads.
 pub fn cam_run(
     machine: &MachineSpec,
     mode: ExecMode,
@@ -121,16 +158,8 @@ pub fn cam_run(
     threads: u32,
     cfg: &CamConfig,
 ) -> CamResult {
-    let ranks = ranks.min(cfg.max_ranks()).max(1);
-    let mut sim_cfg = SimConfig::new(machine.clone(), ranks, mode);
-    sim_cfg.threads = threads;
-    let mut sim = TraceSim::new(sim_cfg);
-    let prog = cfg.clone();
-    let res = sim.run(&FnProgram(move |mpi: &mut Mpi| {
-        record_step(mpi, &prog, threads);
-    }));
-    let t_day = cfg.steps_per_day * res.makespan().as_secs();
-    CamResult { years_per_day: 86_400.0 / (t_day * 365.0), cores: ranks * threads as usize }
+    let point = cam_sim_config(machine, mode, ranks, threads, cfg);
+    CamResult::of(&price_one(point, &cam_traces(ranks, threads, cfg)), threads, cfg)
 }
 
 fn record_step(mpi: &mut Mpi, cfg: &CamConfig, threads: u32) {

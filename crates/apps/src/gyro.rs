@@ -13,8 +13,9 @@
 //! * **B3-gtc** — 64 modes, 64×400×8×8×20 grid, 100 steps, FFT-based
 //!   field solve. Its memory footprint forces DUAL mode on BG/P.
 
+use crate::price_one;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
 use hpcsim_net::DType;
 use serde::Serialize;
 
@@ -114,12 +115,23 @@ pub fn mode_for_memory(machine: &MachineSpec, cfg: &GyroConfig, ranks: usize) ->
     ExecMode::Smp
 }
 
-/// Run the GYRO proxy on `ranks` tasks (mode chosen by memory fit).
-pub fn gyro_run(machine: &MachineSpec, ranks: usize, cfg: &GyroConfig) -> GyroResult {
-    let mode = mode_for_memory(machine, cfg, ranks);
-    let mut sim = TraceSim::new(SimConfig::new(machine.clone(), ranks, mode));
+impl GyroResult {
+    /// The per-step time of a priced run of `cfg` in `mode`.
+    pub fn of(res: &SimResult, cfg: &GyroConfig, mode: ExecMode) -> GyroResult {
+        GyroResult { seconds_per_step: res.makespan().as_secs() / cfg.steps as f64, mode }
+    }
+}
+
+/// The simulator configuration GYRO runs on: `ranks` tasks in the
+/// densest mode whose memory fits ([`mode_for_memory`]).
+pub fn gyro_sim_config(machine: &MachineSpec, ranks: usize, cfg: &GyroConfig) -> SimConfig {
+    SimConfig::new(machine.clone(), ranks, mode_for_memory(machine, cfg, ranks))
+}
+
+/// Record the GYRO trace on `ranks` tasks (machine-free).
+pub fn gyro_traces(ranks: usize, cfg: &GyroConfig) -> Vec<Vec<Op>> {
     let prog = cfg.clone();
-    let res = sim.run(&FnProgram(move |mpi: &mut Mpi| {
+    let record = FnProgram(move |mpi: &mut Mpi| {
         let p = mpi.size() as u64;
         // B1/B3 are strong-scaled (fixed grid over p ranks); the modified
         // B3-gtc is the paper's WEAK-scaled case — constant work per rank
@@ -146,8 +158,15 @@ pub fn gyro_run(machine: &MachineSpec, ranks: usize, cfg: &GyroConfig) -> GyroRe
             // time-advance bookkeeping
             mpi.allreduce(CommId::WORLD, 16, DType::F64);
         }
-    }));
-    GyroResult { seconds_per_step: res.makespan().as_secs() / cfg.steps as f64, mode }
+    });
+    TraceSim::trace_program(&record, ranks, 1)
+}
+
+/// Run the GYRO proxy on `ranks` tasks (mode chosen by memory fit).
+pub fn gyro_run(machine: &MachineSpec, ranks: usize, cfg: &GyroConfig) -> GyroResult {
+    let point = gyro_sim_config(machine, ranks, cfg);
+    let mode = point.mode;
+    GyroResult::of(&price_one(point, &gyro_traces(ranks, cfg)), cfg, mode)
 }
 
 #[cfg(test)]

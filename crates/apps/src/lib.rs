@@ -24,9 +24,10 @@
 //!   PMEMD-like PME code whose scaling dies in Allreduce latency and
 //!   FFT exchanges.
 //!
-//! Every proxy takes a machine, mode and rank count, runs on the
-//! simulated MPI, and returns the paper's own metric (simulated years
-//! per day, cost per grid point, …).
+//! Every proxy has one shape: a machine-free `*_traces` recorder, a
+//! `*Result::of` reducer to the paper's own metric (simulated years per
+//! day, cost per grid point, …), and a `*_run` entry that records,
+//! prices one point through [`hpcsim_mpi::sweep_points`] and reduces.
 
 pub mod cam;
 pub mod gyro;
@@ -34,11 +35,19 @@ pub mod md;
 pub mod pop;
 pub mod s3d;
 
-pub use cam::{cam_run, CamConfig, CamResult, Dycore};
-pub use gyro::{gyro_run, GyroConfig, GyroProblem, GyroResult};
-pub use md::{
-    md_run, md_run_machines_traces, md_run_probe, md_sim_config, md_traces, MdCode, MdConfig,
-    MdResult,
-};
-pub use pop::{pop_run, PopConfig, PopResult};
-pub use s3d::{s3d_run, S3dConfig, S3dResult};
+pub use cam::{cam_run, cam_sim_config, cam_traces, CamConfig, CamResult, Dycore};
+pub use gyro::{gyro_run, gyro_sim_config, gyro_traces, GyroConfig, GyroProblem, GyroResult};
+pub use md::{md_run, md_sim_config, md_traces, MdCode, MdConfig, MdResult};
+pub use pop::{pop_run, pop_sim_config, pop_traces, PopConfig, PopResult};
+pub use s3d::{s3d_run, s3d_traces, S3dConfig, S3dResult};
+
+use hpcsim_mpi::{sweep_points, Op, SimConfig, SimResult};
+
+/// Price one point of a recorded proxy on the process-global sweep
+/// engine. Proxy traces are well-formed and fault-free, so a replay
+/// error is a bug: panic with the engine's diagnosis.
+fn price_one(point: SimConfig, traces: &[Vec<Op>]) -> SimResult {
+    sweep_points(None, &[point], traces, &[], None, None)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .remove(0)
+}

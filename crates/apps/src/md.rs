@@ -17,8 +17,9 @@
 //!   exchange operations in FFT computation"; BG/P's collective network
 //!   yields "relatively higher parallel efficiencies".
 
+use crate::price_one;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{sweep_points, CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid3D;
 use serde::Serialize;
@@ -119,43 +120,7 @@ pub fn md_traces(ranks: usize, cfg: &MdConfig) -> Vec<Vec<Op>> {
 
 /// Run the MD proxy on `ranks` tasks in VN mode.
 pub fn md_run(machine: &MachineSpec, ranks: usize, cfg: &MdConfig) -> MdResult {
-    md_run_machines_traces(std::slice::from_ref(machine), ranks, cfg, &md_traces(ranks, cfg))
-        .remove(0)
-}
-
-/// Run the MD proxy on every machine in `machines` (the Fig 8 scan
-/// shape) from one recorded trace (it must be `md_traces(ranks, cfg)`;
-/// the Fig 8 battery fetches it from the scenario cache's tier-2
-/// store). Priced by [`hpcsim_mpi::sweep_points`] on the process-global
-/// engine: under [`hpcsim_mpi::SweepEngine::Dag`] the trace is compiled
-/// once and each contention-flat machine is evaluated in a single
-/// critical-path pass; contended machines (all the real Table 1
-/// systems) replay, so results are identical under either engine.
-pub fn md_run_machines_traces(
-    machines: &[MachineSpec],
-    ranks: usize,
-    cfg: &MdConfig,
-    traces: &[Vec<Op>],
-) -> Vec<MdResult> {
-    let points: Vec<SimConfig> = machines.iter().map(|m| md_sim_config(m, ranks)).collect();
-    sweep_points(None, &points, traces, None, None)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .iter()
-        .map(|res| MdResult::of(res, cfg))
-        .collect()
-}
-
-/// [`md_run`] by event-queue replay with an observability sink; also
-/// returns the raw replay result for the probe layer.
-pub fn md_run_probe<T: hpcsim_probe::Tracer>(
-    machine: &MachineSpec,
-    ranks: usize,
-    cfg: &MdConfig,
-    tracer: &mut T,
-) -> (MdResult, SimResult) {
-    let mut sim = TraceSim::new(md_sim_config(machine, ranks));
-    let res = sim.try_replay(&md_traces(ranks, cfg), tracer).unwrap_or_else(|e| panic!("{e}"));
-    (MdResult::of(&res, cfg), res)
+    MdResult::of(&price_one(md_sim_config(machine, ranks), &md_traces(ranks, cfg)), cfg)
 }
 
 fn record_step(mpi: &mut Mpi, cfg: &MdConfig, grid: Grid3D, step: u32) {
@@ -267,20 +232,6 @@ mod tests {
         let t_f = md_run(&bluegene_p(), 512, &frequent).seconds_per_step;
         let t_r = md_run(&bluegene_p(), 512, &rare).seconds_per_step;
         assert!(t_f > t_r, "frequent {t_f:.2e} vs rare {t_r:.2e}");
-    }
-
-    /// The machine-scan entry point returns exactly the per-machine
-    /// results. (Replay-vs-DAG agreement on the MD trace is pinned by
-    /// the workspace-level `engine_equivalence` test.)
-    #[test]
-    fn machine_scan_matches_individual_runs() {
-        let machines = [bluegene_p(), xt4_dc()];
-        let cfg = MdConfig::pmemd_rub();
-        let scanned = md_run_machines_traces(&machines, 64, &cfg, &md_traces(64, &cfg));
-        for (m, s) in machines.iter().zip(&scanned) {
-            let solo = md_run(m, 64, &cfg);
-            assert_eq!(solo.seconds_per_step, s.seconds_per_step);
-        }
     }
 
     /// ns/day sanity: hundreds of atoms per rank at 1 fs steps lands in

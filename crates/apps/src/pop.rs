@@ -12,9 +12,10 @@
 //! timing barrier between the phases so that baroclinic load imbalance is
 //! not misattributed to the barotropic solver (Fig 4b).
 
+use crate::price_one;
 use hpcsim_engine::SimTime;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid2D;
 use serde::Serialize;
@@ -78,6 +79,47 @@ pub struct PopResult {
     pub barotropic_s: f64,
 }
 
+impl PopResult {
+    /// The paper's metrics of a priced run of `cfg`: process 0's phase
+    /// times per simulated day, the barotropic scaled to `cg_iters`.
+    pub fn of(res: &SimResult, cfg: &PopConfig) -> PopResult {
+        let steps = cfg.steps_per_day;
+        let bc = res.mark_span(0, MARK_STEP_START, MARK_BAROCLINIC_END).unwrap().as_secs();
+        let bar = res.mark_span(0, MARK_BAROCLINIC_END, MARK_BARRIER_END).unwrap().as_secs();
+        let bt_sim = res.mark_span(0, MARK_BARRIER_END, MARK_BAROTROPIC_END).unwrap().as_secs();
+        let bt = bt_sim * cfg.cg_iters as f64 / cfg.cg_sim as f64;
+        // whole-step wall time: the slowest rank, with the barotropic scaled
+        let step_wall = res.makespan().as_secs() + bt - bt_sim;
+        let t_day = steps * step_wall;
+        PopResult {
+            syd: 86_400.0 / (t_day * 365.0),
+            baroclinic_s: bc * steps,
+            barrier_s: bar * steps,
+            barotropic_s: bt * steps,
+        }
+    }
+}
+
+/// The simulator configuration of POP on `ranks` tasks × `threads`.
+pub fn pop_sim_config(
+    machine: &MachineSpec,
+    mode: ExecMode,
+    ranks: usize,
+    threads: u32,
+) -> SimConfig {
+    let mut point = SimConfig::new(machine.clone(), ranks, mode);
+    point.threads = threads;
+    point
+}
+
+/// Record one POP step on `ranks` tasks × `threads` (machine-free).
+pub fn pop_traces(ranks: usize, threads: u32, cfg: &PopConfig) -> Vec<Vec<Op>> {
+    let grid = Grid2D::near_square(ranks);
+    let prog = cfg.clone();
+    let record = FnProgram(move |mpi: &mut Mpi| record_step(mpi, &prog, grid));
+    TraceSim::trace_program(&record, ranks, threads)
+}
+
 /// Run the POP proxy on `ranks` tasks.
 pub fn pop_run(
     machine: &MachineSpec,
@@ -86,32 +128,8 @@ pub fn pop_run(
     threads: u32,
     cfg: &PopConfig,
 ) -> PopResult {
-    let mut sim_cfg = SimConfig::new(machine.clone(), ranks, mode);
-    sim_cfg.threads = threads;
-    let mut sim = TraceSim::new(sim_cfg);
-
-    let grid = Grid2D::near_square(ranks);
-    let prog_cfg = cfg.clone();
-    let res = sim.run(&FnProgram(move |mpi: &mut Mpi| {
-        record_step(mpi, &prog_cfg, grid);
-    }));
-
-    // phase times for process 0, per simulated day
-    let cfgd = cfg;
-    let steps = cfgd.steps_per_day;
-    let bc = res.mark_span(0, MARK_STEP_START, MARK_BAROCLINIC_END).unwrap().as_secs();
-    let bar = res.mark_span(0, MARK_BAROCLINIC_END, MARK_BARRIER_END).unwrap().as_secs();
-    let bt_sim = res.mark_span(0, MARK_BARRIER_END, MARK_BAROTROPIC_END).unwrap().as_secs();
-    let bt = bt_sim * cfgd.cg_iters as f64 / cfgd.cg_sim as f64;
-    // whole-step wall time: the slowest rank, with the barotropic scaled
-    let step_wall = res.makespan().as_secs() + bt - bt_sim;
-    let t_day = steps * step_wall;
-    PopResult {
-        syd: 86_400.0 / (t_day * 365.0),
-        baroclinic_s: bc * steps,
-        barrier_s: bar * steps,
-        barotropic_s: bt * steps,
-    }
+    let point = pop_sim_config(machine, mode, ranks, threads);
+    PopResult::of(&price_one(point, &pop_traces(ranks, threads, cfg)), cfg)
 }
 
 /// Record one baroclinic step + barotropic solve for this rank.

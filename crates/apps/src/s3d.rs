@@ -10,8 +10,9 @@
 //! paper's Figure 6 metric is **cost per grid point per time step** —
 //! flat curves mean perfect weak scaling.
 
+use crate::price_one;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid3D;
 use serde::Serialize;
@@ -44,25 +45,37 @@ pub struct S3dResult {
     pub seconds_per_step: f64,
 }
 
-/// Run the S3D proxy weak-scaled over `ranks` tasks.
-pub fn s3d_run(machine: &MachineSpec, mode: ExecMode, ranks: usize, cfg: &S3dConfig) -> S3dResult {
-    let mut sim = TraceSim::new(SimConfig::new(machine.clone(), ranks, mode));
+impl S3dResult {
+    /// The cost metrics of a priced run of `cfg` on `ranks` tasks.
+    pub fn of(res: &SimResult, ranks: usize, cfg: &S3dConfig) -> S3dResult {
+        let seconds_per_step = res.makespan().as_secs() / cfg.steps as f64;
+        let pts = cfg.pts_per_rank_edge.pow(3) as f64; // per rank
+        // total core-seconds per step / total points
+        let core_s = seconds_per_step * ranks as f64;
+        let total_pts = pts * ranks as f64;
+        S3dResult {
+            core_hours_per_point_step: core_s / total_pts / 3600.0,
+            seconds_per_step,
+        }
+    }
+}
+
+/// Record the S3D trace on `ranks` tasks (machine-free).
+pub fn s3d_traces(ranks: usize, cfg: &S3dConfig) -> Vec<Vec<Op>> {
     let prog = cfg.clone();
-    let res = sim.run(&FnProgram(move |mpi: &mut Mpi| {
+    let record = FnProgram(move |mpi: &mut Mpi| {
         let grid = Grid3D::near_cube(mpi.size());
         for _ in 0..prog.steps {
             record_step(mpi, &prog, grid);
         }
-    }));
-    let seconds_per_step = res.makespan().as_secs() / cfg.steps as f64;
-    let pts = cfg.pts_per_rank_edge.pow(3) as f64; // per rank
-    // total core-seconds per step / total points
-    let core_s = seconds_per_step * ranks as f64;
-    let total_pts = pts * ranks as f64;
-    S3dResult {
-        core_hours_per_point_step: core_s / total_pts / 3600.0,
-        seconds_per_step,
-    }
+    });
+    TraceSim::trace_program(&record, ranks, 1)
+}
+
+/// Run the S3D proxy weak-scaled over `ranks` tasks.
+pub fn s3d_run(machine: &MachineSpec, mode: ExecMode, ranks: usize, cfg: &S3dConfig) -> S3dResult {
+    let res = price_one(SimConfig::new(machine.clone(), ranks, mode), &s3d_traces(ranks, cfg));
+    S3dResult::of(&res, ranks, cfg)
 }
 
 fn record_step(mpi: &mut Mpi, cfg: &S3dConfig, grid: Grid3D) {

@@ -6,12 +6,15 @@
 //! 1. tier-1 lookup on the spec hash — a hit returns immediately;
 //! 2. for trace-replayable programs (HALO, MD), tier-2 lookup on the
 //!    program sub-hash — a hit shares the recorded trace (and its DAG,
-//!    compiled on first demand), a miss records it once for everyone;
+//!    compiled on first demand), a miss records it once for everyone.
+//!    HPL, IMB and POP record afresh on every miss: keeping their
+//!    recordings for a whole pass costs more memory than it saves
+//!    (DESIGN §14);
 //! 3. the point is priced by [`hpcsim_mpi::sweep_points`] — the same
-//!    function the direct entry points (`hpcc::halo_run`,
-//!    `apps::md_run`) delegate to, on the same process-global engine —
-//!    so cached and uncached runs are bit-identical and count the same
-//!    DAG fallbacks.
+//!    function every proxy's direct entry point (`hpcc::halo_run`,
+//!    `apps::pop_run`, …) prices through, on the same process-global
+//!    engine — so cached and uncached runs are bit-identical and count
+//!    the same DAG fallbacks.
 //!
 //! The result-vector layout per program is part of the store format:
 //!
@@ -24,11 +27,11 @@
 //! | pop            | `[syd, baroclinic_s, barrier_s, barotropic_s]`      |
 
 use crate::spec::{ProgramSpec, ScenarioSpec};
-use crate::store::{ScenarioCache, TraceEntry};
+use crate::store::ScenarioCache;
 use hpcsim_apps as apps;
 use hpcsim_faults::FaultPlan;
 use hpcsim_hpcc as hpcc;
-use hpcsim_mpi::{sweep_points, SimConfig, SimResult};
+use hpcsim_mpi::{sweep_points, Op, SimConfig, SimResult};
 use std::sync::Arc;
 
 /// Why a scenario could not be evaluated (today: a fault-induced stall;
@@ -59,50 +62,70 @@ pub fn evaluate_in(
         .map_err(|message| EvalError { message })
 }
 
-/// The tier-1 miss path. Still consults tier 2 for trace sharing.
+/// The tier-1 miss path, one shape for every program: record (through
+/// tier 2 for HALO and MD), price with [`sweep_points`], reduce. A
+/// fault-induced stall comes back as the replay diagnostic, verbatim.
 fn cold_evaluate(cache: &ScenarioCache, spec: &ScenarioSpec) -> Result<Vec<f64>, String> {
-    let machine = &spec.machine;
-    match &spec.program {
-        ProgramSpec::Halo(cfg) => {
-            let entry = cache.traces(spec.program_hash(), || hpcc::halo_traces(cfg));
-            let point = cfg.sim_config(machine, spec.mode, spec.mapping);
-            let plan = spec.faults.map(|f| FaultPlan::new(f.seed, f.profile));
-            Ok(vec![cfg.per_exchange(&price(&entry, point, plan.as_ref())?)])
-        }
-        ProgramSpec::Md { ranks, cfg } => {
-            let entry = cache.traces(spec.program_hash(), || apps::md_traces(*ranks, cfg));
-            let res = price(&entry, apps::md_sim_config(machine, *ranks), None)?;
-            let r = apps::MdResult::of(&res, cfg);
-            Ok(vec![r.seconds_per_step, r.ns_per_day])
-        }
-        ProgramSpec::Hpl(cfg) => {
-            let r = hpcc::hpl_run(machine, spec.mode, cfg);
-            Ok(vec![r.seconds, r.gflops, r.efficiency])
-        }
+    let program = &spec.program;
+    let point = [sim_config(spec)];
+    let plan = spec.faults.map(|f| FaultPlan::new(f.seed, f.profile));
+    let res = if program.trace_replayable() {
+        let entry = cache.traces(spec.program_hash(), || record(program).0);
+        let dag = || entry.dag();
+        sweep_points(None, &point, &entry.traces, &[], Some(&dag), plan.as_ref())
+    } else {
+        let (traces, comms) = record(program);
+        sweep_points(None, &point, &traces, &comms, None, plan.as_ref())
+    };
+    Ok(reduce(spec, &res.map_err(|e| e.to_string())?[0]))
+}
+
+/// The program's machine-free recording: traces plus sub-communicators.
+fn record(program: &ProgramSpec) -> (Vec<Vec<Op>>, Vec<Vec<usize>>) {
+    let traces = match program {
+        ProgramSpec::Hpl(cfg) => return hpcc::hpl_traces(cfg),
+        ProgramSpec::Halo(cfg) => hpcc::halo_traces(cfg),
+        ProgramSpec::Md { ranks, cfg } => apps::md_traces(*ranks, cfg),
         ProgramSpec::ImbAllreduce { ranks, bytes, dtype } => {
-            let p = hpcc::imb_allreduce(machine, spec.mode, *ranks, *bytes, *dtype);
-            Ok(vec![p.usec])
+            hpcc::imb_allreduce_traces(*ranks, *bytes, *dtype)
         }
-        ProgramSpec::Pop { ranks, threads, cfg } => {
-            let r = apps::pop_run(machine, spec.mode, *ranks, *threads, cfg);
-            Ok(vec![r.syd, r.baroclinic_s, r.barrier_s, r.barotropic_s])
+        ProgramSpec::Pop { ranks, threads, cfg } => apps::pop_traces(*ranks, *threads, cfg),
+    };
+    (traces, Vec::new())
+}
+
+/// The simulator configuration of the spec's point.
+fn sim_config(spec: &ScenarioSpec) -> SimConfig {
+    let (machine, mode) = (&spec.machine, spec.mode);
+    match &spec.program {
+        ProgramSpec::Halo(cfg) => cfg.sim_config(machine, mode, spec.mapping),
+        ProgramSpec::Pop { ranks, threads, .. } => {
+            apps::pop_sim_config(machine, mode, *ranks, *threads)
         }
+        program => SimConfig::new(machine.clone(), program.ranks(), mode),
     }
 }
 
-/// Price one point of a tier-2 trace entry on the process-global
-/// engine, handing [`sweep_points`] the entry's shared DAG (compiled on
-/// first demand). A fault-induced stall comes back as the replay
-/// engine's diagnostic, verbatim.
-fn price(
-    entry: &TraceEntry,
-    point: SimConfig,
-    plan: Option<&FaultPlan>,
-) -> Result<SimResult, String> {
-    let dag = || entry.dag();
-    sweep_points(None, std::slice::from_ref(&point), &entry.traces, Some(&dag), plan)
-        .map(|mut res| res.remove(0))
-        .map_err(|e| e.to_string())
+/// The program's result vector (layout in the module docs).
+fn reduce(spec: &ScenarioSpec, res: &SimResult) -> Vec<f64> {
+    match &spec.program {
+        ProgramSpec::Halo(cfg) => vec![cfg.per_exchange(res)],
+        ProgramSpec::Md { cfg, .. } => {
+            let r = apps::MdResult::of(res, cfg);
+            vec![r.seconds_per_step, r.ns_per_day]
+        }
+        ProgramSpec::Hpl(cfg) => {
+            let r = hpcc::HplResult::of(res, &spec.machine, cfg);
+            vec![r.seconds, r.gflops, r.efficiency]
+        }
+        ProgramSpec::ImbAllreduce { ranks, bytes, .. } => {
+            vec![hpcc::ImbPoint::of(res, *ranks, *bytes).usec]
+        }
+        ProgramSpec::Pop { cfg, .. } => {
+            let r = apps::PopResult::of(res, cfg);
+            vec![r.syd, r.baroclinic_s, r.barrier_s, r.barotropic_s]
+        }
+    }
 }
 
 #[cfg(test)]
@@ -168,7 +191,7 @@ mod tests {
         let plan = FaultPlan::new(5, FaultProfile::Mixed);
         let point = halo_cfg().sim_config(&m, ExecMode::Vn, Mapping::txyz());
         let traces = hpcc::halo_traces(&halo_cfg());
-        let res = sweep_points(None, &[point], &traces, None, Some(&plan)).unwrap();
+        let res = sweep_points(None, &[point], &traces, &[], None, Some(&plan)).unwrap();
         let direct = halo_cfg().per_exchange(&res[0]);
         assert_eq!(cached[0].to_bits(), direct.to_bits());
         // faulty and pristine specs are distinct tier-1 entries sharing tier 2

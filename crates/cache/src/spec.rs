@@ -118,9 +118,9 @@ pub enum ProgramSpec {
 }
 
 impl ProgramSpec {
-    /// Whether this program's recorded trace can be replayed standalone
-    /// (no extra simulator state such as registered communicators), i.e.
-    /// whether tier 2 of the cache can serve it.
+    /// Whether tier 2 of the cache keeps this program's recording for
+    /// the pass: HALO and MD, whose traces are world-only and small.
+    /// The others record afresh on every tier-1 miss (DESIGN §14).
     pub fn trace_replayable(&self) -> bool {
         matches!(self, ProgramSpec::Halo(_) | ProgramSpec::Md { .. })
     }

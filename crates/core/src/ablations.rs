@@ -19,9 +19,12 @@ use crate::paper::{halo_point, pop_point};
 use crate::report::Table;
 use crate::runner::parmap;
 use hpcsim_apps::{pop_run, PopConfig};
-use hpcsim_hpcc::{halo_run, imb_allreduce, imb_bcast, HaloConfig, HaloProtocol};
+use hpcsim_hpcc::{
+    halo_run, imb_allreduce_traces, imb_bcast_traces, price, HaloConfig, HaloProtocol, ImbPoint,
+};
 use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::{ExecMode, MachineSpec, NodeModel, Workload};
+use hpcsim_mpi::{Op, SimConfig};
 use hpcsim_net::DType;
 use hpcsim_topo::{Grid2D, Mapping};
 
@@ -86,14 +89,22 @@ pub fn run_ablations(ranks: usize) -> Vec<Ablation> {
     };
     let mid_cfg = HaloConfig { words: 128, ..halo_cfg.clone() };
 
+    // an IMB recording of 32 KiB rounds priced with and without the
+    // tree, in one call: (with, without) microseconds
+    let tree_pair = |traces: &[Vec<Op>]| {
+        let points =
+            [base.clone(), without_tree(&base)].map(|m| SimConfig::new(m, ranks, ExecMode::Vn));
+        let res = price(&points, traces, &[]);
+        let usec = |r| ImbPoint::of(r, ranks, 32 * 1024).usec;
+        (usec(&res[0]), usec(&res[1]))
+    };
+
     type Unit<'a> = Box<dyn Fn() -> Ablation + Sync + 'a>;
     let units: Vec<Unit<'_>> = vec![
         // 1. collective tree: Allreduce latency at 32 KiB
         Box::new(|| {
-            let t_with = imb_allreduce(&base, ExecMode::Vn, ranks, 32 * 1024, DType::F64).usec;
-            let t_without =
-                imb_allreduce(&without_tree(&base), ExecMode::Vn, ranks, 32 * 1024, DType::F64)
-                    .usec;
+            let (t_with, t_without) =
+                tree_pair(&imb_allreduce_traces(ranks, 32 * 1024, DType::F64));
             Ablation {
                 feature: "collective tree",
                 workload: "Allreduce 32KiB",
@@ -102,8 +113,7 @@ pub fn run_ablations(ranks: usize) -> Vec<Ablation> {
         }),
         // ... and Bcast
         Box::new(|| {
-            let b_with = imb_bcast(&base, ExecMode::Vn, ranks, 32 * 1024).usec;
-            let b_without = imb_bcast(&without_tree(&base), ExecMode::Vn, ranks, 32 * 1024).usec;
+            let (b_with, b_without) = tree_pair(&imb_bcast_traces(ranks, 32 * 1024));
             Ablation {
                 feature: "collective tree",
                 workload: "Bcast 32KiB",

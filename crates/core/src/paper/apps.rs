@@ -5,8 +5,10 @@ use crate::experiment::Scale;
 use crate::report::Figure;
 use crate::runner::parmap;
 use hpcsim_apps as apps;
+use hpcsim_hpcc as hpcc;
 use hpcsim_machine::registry::{bluegene_l, bluegene_p, xt3, xt4_dc, xt4_qc};
 use hpcsim_machine::ExecMode;
+use hpcsim_mpi::SimConfig;
 
 /// Figure 4: POP tenth-degree — (a) total SYD by mode/solver, (b) phase
 /// breakdown on BG/P, (c) BG/P vs XT4 total, (d) phase comparison.
@@ -109,8 +111,9 @@ pub fn fig5(scale: Scale) -> Vec<Figure> {
     let mut core_counts = core_counts;
     core_counts.dedup();
 
-    // scenario set: one sweep per (machine, dycore config, MPI-vs-hybrid)
-    // triple, listed in the exact order the four panels consume them
+    // scenario set: one sweep per (dycore config, MPI-vs-hybrid) and the
+    // machines sharing its recording, in panel order. XT3 (2 cores per
+    // node) runs 2 hybrid threads, not 4, so it records apart.
     let machines = [bgp, xt3(), xt4_qc()];
     let cfgs = [
         apps::CamConfig::t42(),
@@ -118,58 +121,54 @@ pub fn fig5(scale: Scale) -> Vec<Figure> {
         apps::CamConfig::fv_2deg(),
         apps::CamConfig::fv_half_deg(),
     ];
-    let sweeps: [(usize, usize, bool); 13] = [
-        (0, 0, false), (0, 0, true), (0, 1, false), (0, 1, true), // (a)
-        (0, 2, true), (0, 3, true), (0, 2, false),                // (b)
-        (0, 1, true), (0, 2, true),                               // (c,d) BG/P
-        (1, 1, true), (1, 2, true),                               // (c,d) XT3
-        (2, 1, true), (2, 2, true),                               // (c,d) XT4
+    let sweeps: [(&[usize], usize, bool); 11] = [
+        (&[0], 0, false), (&[0], 0, true), (&[0], 1, false), (&[0], 1, true), // (a)
+        (&[0], 2, true), (&[0], 3, true), (&[0], 2, false),                   // (b)
+        (&[0, 2], 1, true), (&[0, 2], 2, true),                 // (c,d) BG/P, XT4
+        (&[1], 1, true), (&[1], 2, true),                       // (c,d) XT3
     ];
-    let mut points: Vec<(usize, usize, bool, usize)> = Vec::new();
-    for &(mi, ci, hybrid) in &sweeps {
-        for &cores in &core_counts {
-            points.push((mi, ci, hybrid, cores));
-        }
-    }
-    let values = parmap(&points, |&(mi, ci, hybrid, cores)| {
-        let machine = &machines[mi];
-        let r = if hybrid {
-            let threads = machine.cores_per_node.min(4);
-            apps::cam_run(
-                machine,
-                ExecMode::Smp,
-                (cores / threads as usize).max(1),
-                threads,
-                &cfgs[ci],
-            )
-        } else {
-            apps::cam_run(machine, ExecMode::Vn, cores, 1, &cfgs[ci])
-        };
-        r.years_per_day
+    let points: Vec<(&[usize], usize, bool, usize)> = sweeps
+        .iter()
+        .flat_map(|&(ms, ci, hybrid)| core_counts.iter().map(move |&c| (ms, ci, hybrid, c)))
+        .collect();
+    let values = parmap(&points, |&(ms, ci, hybrid, cores)| {
+        let threads_of = |mi: usize| if hybrid { machines[mi].cores_per_node.min(4) } else { 1 };
+        let threads = threads_of(ms[0]);
+        debug_assert!(ms.iter().all(|&mi| threads_of(mi) == threads), "one recording per threads");
+        let mode = if hybrid { ExecMode::Smp } else { ExecMode::Vn };
+        let ranks = (cores / threads as usize).max(1);
+        let cfg = &cfgs[ci];
+        let points: Vec<SimConfig> = ms
+            .iter()
+            .map(|&mi| apps::cam_sim_config(&machines[mi], mode, ranks, threads, cfg))
+            .collect();
+        let res = hpcc::price(&points, &apps::cam_traces(ranks, threads, cfg), &[]);
+        res.iter().map(|r| apps::CamResult::of(r, threads, cfg).years_per_day).collect::<Vec<_>>()
     });
-    let mut chunks = values.chunks(core_counts.len());
-    let mut next = move || -> Vec<(f64, f64)> {
-        core_counts.iter().zip(chunks.next().unwrap()).map(|(&c, &y)| (c as f64, y)).collect()
+    // the series of sweep `s` on its `k`-th machine
+    let series = |s: usize, k: usize| -> Vec<(f64, f64)> {
+        let chunk = &values[s * core_counts.len()..(s + 1) * core_counts.len()];
+        core_counts.iter().zip(chunk).map(|(&c, v)| (c as f64, v[k])).collect()
     };
 
     let mut a = Figure::new("Fig 5(a): CAM spectral on BG/P", "cores", "simulated years/day");
     for ci in [0usize, 1] {
-        a.push_series(format!("{} MPI", cfgs[ci].name), next());
-        a.push_series(format!("{} hybrid", cfgs[ci].name), next());
+        a.push_series(format!("{} MPI", cfgs[ci].name), series(2 * ci, 0));
+        a.push_series(format!("{} hybrid", cfgs[ci].name), series(2 * ci + 1, 0));
     }
 
     let mut b = Figure::new("Fig 5(b): CAM finite-volume on BG/P", "cores", "simulated years/day");
-    for ci in [2usize, 3] {
-        b.push_series(format!("{} hybrid", cfgs[ci].name), next());
+    for (s, ci) in [(4, 2usize), (5, 3)] {
+        b.push_series(format!("{} hybrid", cfgs[ci].name), series(s, 0));
     }
-    b.push_series("FV 1.9x2.5 L26 MPI", next());
+    b.push_series("FV 1.9x2.5 L26 MPI", series(6, 0));
 
     let mut c = Figure::new("Fig 5(c): CAM T85 across machines", "cores", "simulated years/day");
     let mut d =
         Figure::new("Fig 5(d): CAM FV 1.9x2.5 across machines", "cores", "simulated years/day");
-    for label in ["BG/P", "XT3", "XT4"] {
-        c.push_series(label, next());
-        d.push_series(label, next());
+    for (label, s, k) in [("BG/P", 7, 0), ("XT3", 9, 0), ("XT4", 7, 1)] {
+        c.push_series(label, series(s, k));
+        d.push_series(label, series(s + 1, k));
     }
     vec![a, b, c, d]
 }
@@ -183,26 +182,22 @@ pub fn fig6(scale: Scale) -> Vec<Figure> {
     procs.dedup();
     let cfg = apps::S3dConfig::default();
     let machines = [bluegene_p(), xt3(), xt4_dc(), xt4_qc()];
-    let mut points: Vec<(usize, usize)> = Vec::new();
-    for mi in 0..machines.len() {
-        for &p in &procs {
-            points.push((mi, p));
-        }
-    }
-    let values = parmap(&points, |&(mi, p)| {
-        apps::s3d_run(&machines[mi], ExecMode::Vn, p, &cfg).core_hours_per_point_step
+    // one recording per rank count, priced on all four machines
+    let values = parmap(&procs, |&p| {
+        let points: Vec<SimConfig> =
+            machines.iter().map(|m| SimConfig::new(m.clone(), p, ExecMode::Vn)).collect();
+        let res = hpcc::price(&points, &apps::s3d_traces(p, &cfg), &[]);
+        let cost = |r| apps::S3dResult::of(r, p, &cfg).core_hours_per_point_step;
+        res.iter().map(cost).collect::<Vec<_>>()
     });
     let mut f = Figure::new(
         "Fig 6: S3D weak scaling (50^3 points/rank)",
         "processes",
         "core-hours per grid point per step",
     );
-    for (label, chunk) in
-        ["BG/P", "XT3", "XT4/DC", "XT4/QC"].iter().zip(values.chunks(procs.len()))
-    {
-        let pts: Vec<(f64, f64)> =
-            procs.iter().zip(chunk).map(|(&p, &v)| (p as f64, v)).collect();
-        f.push_series(*label, pts);
+    for (mi, label) in ["BG/P", "XT3", "XT4/DC", "XT4/QC"].into_iter().enumerate() {
+        let pts = procs.iter().zip(&values).map(|(&p, v)| (p as f64, v[mi])).collect();
+        f.push_series(label, pts);
     }
     vec![f]
 }
@@ -227,42 +222,37 @@ pub fn fig7(scale: Scale) -> Vec<Figure> {
     let mut weak = weak_procs;
     weak.dedup();
 
-    // scenario set across all three panels; the worker returns raw
-    // seconds/step and the panels invert where they plot steps/second
+    // scenario set: one recording per (problem, rank count), priced on
+    // every machine of its panel, as raw seconds/step
     let machines = [bluegene_p(), xt4_qc(), bluegene_l(), xt4_dc()];
     let cfgs = [
         apps::GyroConfig::b1_std(),
         apps::GyroConfig::b3_gtc(),
         apps::GyroConfig { problem: apps::GyroProblem::B3GtcModified, steps: 4 },
     ];
-    let mut points: Vec<(usize, usize, usize)> = Vec::new();
-    for mi in [0usize, 1] {
-        for &p in &b1_procs {
-            points.push((mi, 0, p));
-        }
-        for &p in &b3 {
-            points.push((mi, 1, p));
-        }
-    }
-    for mi in [0usize, 2, 3] {
-        for &p in &weak {
-            points.push((mi, 2, p));
-        }
-    }
-    let secs = parmap(&points, |&(mi, ci, p)| {
-        apps::gyro_run(&machines[mi], p, &cfgs[ci]).seconds_per_step
+    let strong: &[usize] = &[0, 1];
+    let mut points: Vec<(&[usize], usize, usize)> = Vec::new();
+    points.extend(b1_procs.iter().map(|&p| (strong, 0, p)));
+    points.extend(b3.iter().map(|&p| (strong, 1, p)));
+    points.extend(weak.iter().map(|&p| (&[0usize, 2, 3][..], 2, p)));
+    let secs = parmap(&points, |&(ms, ci, p)| {
+        let points: Vec<SimConfig> =
+            ms.iter().map(|&mi| apps::gyro_sim_config(&machines[mi], p, &cfgs[ci])).collect();
+        let res = hpcc::price(&points, &apps::gyro_traces(p, &cfgs[ci]), &[]);
+        let secs = |(pt, r): (&SimConfig, _)| apps::GyroResult::of(r, &cfgs[ci], pt.mode);
+        points.iter().zip(&res).map(|pr| secs(pr).seconds_per_step).collect::<Vec<_>>()
     });
-    let mut it = secs.into_iter();
+    let (b1_secs, rest) = secs.split_at(b1_procs.len());
+    let (b3_secs, weak_secs) = rest.split_at(b3.len());
+    let series = |procs: &[usize], secs: &[Vec<f64>], k: usize, f: fn(f64) -> f64| {
+        procs.iter().zip(secs).map(|(&p, v)| (p as f64, f(v[k]))).collect::<Vec<_>>()
+    };
 
     let mut a = Figure::new("Fig 7(a): GYRO B1-std strong scaling", "processes", "steps/second");
     let mut b = Figure::new("Fig 7(b): GYRO B3-gtc strong scaling", "processes", "steps/second");
-    for label in ["BG/P", "XT4"] {
-        let pts: Vec<(f64, f64)> =
-            b1_procs.iter().map(|&p| (p as f64, 1.0 / it.next().unwrap())).collect();
-        a.push_series(label, pts);
-        let pts: Vec<(f64, f64)> =
-            b3.iter().map(|&p| (p as f64, 1.0 / it.next().unwrap())).collect();
-        b.push_series(label, pts);
+    for (k, label) in ["BG/P", "XT4"].into_iter().enumerate() {
+        a.push_series(label, series(&b1_procs, b1_secs, k, |s| 1.0 / s));
+        b.push_series(label, series(&b3, b3_secs, k, |s| 1.0 / s));
     }
 
     let mut c = Figure::new(
@@ -270,10 +260,8 @@ pub fn fig7(scale: Scale) -> Vec<Figure> {
         "processes",
         "seconds per step",
     );
-    for label in ["BG/P", "BG/L", "XT"] {
-        let pts: Vec<(f64, f64)> =
-            weak.iter().map(|&p| (p as f64, it.next().unwrap())).collect();
-        c.push_series(label, pts);
+    for (k, label) in ["BG/P", "BG/L", "XT"].into_iter().enumerate() {
+        c.push_series(label, series(&weak, weak_secs, k, |s| s));
     }
     vec![a, b, c]
 }
@@ -303,7 +291,9 @@ pub fn fig8(scale: Scale) -> Vec<Figure> {
     let scans = parmap(&points, |&(ci, p)| {
         let spec = hpcsim_cache::ScenarioSpec::md(&machines[0], p, cfgs[ci].clone());
         let entry = cache.traces(spec.program_hash(), || apps::md_traces(p, &cfgs[ci]));
-        apps::md_run_machines_traces(&machines, p, &cfgs[ci], &entry.traces)
+        let points: Vec<SimConfig> = machines.iter().map(|m| apps::md_sim_config(m, p)).collect();
+        let res = hpcc::price(&points, &entry.traces, &[]);
+        res.iter().map(|r| apps::MdResult::of(r, &cfgs[ci])).collect::<Vec<_>>()
     });
 
     let mut panels = Vec::new();

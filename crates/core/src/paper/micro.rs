@@ -8,6 +8,7 @@ use hpcsim_engine::units::{fmt_bytes_bin, fmt_flops};
 use hpcsim_hpcc as hpcc;
 use hpcsim_machine::registry::{all_machines, bluegene_p, xt4_qc};
 use hpcsim_machine::{ExecMode, L2Kind, MachineSpec};
+use hpcsim_mpi::SimConfig;
 use hpcsim_net::DType;
 use hpcsim_topo::{Grid2D, Mapping, Placement};
 
@@ -54,28 +55,35 @@ pub fn table2(scale: Scale) -> Table {
     let bgp = bluegene_p();
     let xt = xt4_qc();
     use hpcc::epkernels::{dgemm_rate, fft_rate, ra_rate, stream_triad_rate, EpMode};
-    // Each row is one probe; every (probe, machine) cell is an
-    // independent simulation point fanned out over the worker pool.
-    type Probe = Box<dyn Fn(&MachineSpec) -> f64 + Sync>;
-    let probes: Vec<(&str, Probe)> = vec![
-        ("SP DGEMM (GF/s)", Box::new(|m| dgemm_rate(m, EpMode::Single, 2000))),
-        ("EP DGEMM (GF/s)", Box::new(|m| dgemm_rate(m, EpMode::Parallel, 2000))),
-        ("SP STREAM triad (GB/s)", Box::new(|m| stream_triad_rate(m, EpMode::Single, 4_000_000))),
-        ("EP STREAM triad (GB/s)", Box::new(|m| stream_triad_rate(m, EpMode::Parallel, 4_000_000))),
-        ("EP FFT (GF/s)", Box::new(|m| fft_rate(m, EpMode::Parallel, 1 << 20))),
-        ("EP RandomAccess (GUP/s)", Box::new(|m| ra_rate(m, EpMode::Parallel, 1 << 28))),
-        ("Ping-pong latency (us)", Box::new(|m| hpcc::pingpong(m, 8, 1 << 21).0 * 1e6)),
-        ("Ping-pong bandwidth (GB/s)", Box::new(|m| hpcc::pingpong(m, 8, 1 << 21).1 / 1e9)),
+    // Each probe fills one row, or two for the communication probes
+    // (latency and bandwidth read from the same runs); every (probe,
+    // machine) cell is an independent point fanned out over the pool.
+    type Probe = Box<dyn Fn(&MachineSpec) -> Vec<f64> + Sync>;
+    let probes: Vec<(&[&str], Probe)> = vec![
+        (&["SP DGEMM (GF/s)"], Box::new(|m| vec![dgemm_rate(m, EpMode::Single, 2000)])),
+        (&["EP DGEMM (GF/s)"], Box::new(|m| vec![dgemm_rate(m, EpMode::Parallel, 2000)])),
         (
-            "Random-ring latency (us)",
-            Box::new(move |m| {
-                hpcc::random_ring(m, ExecMode::Vn, ranks, 8, 1 << 21, 1).latency_s * 1e6
+            &["SP STREAM triad (GB/s)"],
+            Box::new(|m| vec![stream_triad_rate(m, EpMode::Single, 4_000_000)]),
+        ),
+        (
+            &["EP STREAM triad (GB/s)"],
+            Box::new(|m| vec![stream_triad_rate(m, EpMode::Parallel, 4_000_000)]),
+        ),
+        (&["EP FFT (GF/s)"], Box::new(|m| vec![fft_rate(m, EpMode::Parallel, 1 << 20)])),
+        (&["EP RandomAccess (GUP/s)"], Box::new(|m| vec![ra_rate(m, EpMode::Parallel, 1 << 28)])),
+        (
+            &["Ping-pong latency (us)", "Ping-pong bandwidth (GB/s)"],
+            Box::new(|m| {
+                let (latency, bandwidth) = hpcc::pingpong(m, 8, 1 << 21);
+                vec![latency * 1e6, bandwidth / 1e9]
             }),
         ),
         (
-            "Random-ring BW (MB/s)",
+            &["Random-ring latency (us)", "Random-ring BW (MB/s)"],
             Box::new(move |m| {
-                hpcc::random_ring(m, ExecMode::Vn, ranks, 8, 1 << 21, 1).bandwidth / 1e6
+                let r = hpcc::random_ring(m, ExecMode::Vn, ranks, 8, 1 << 21, 1);
+                vec![r.latency_s * 1e6, r.bandwidth / 1e6]
             }),
         ),
     ];
@@ -89,12 +97,14 @@ pub fn table2(scale: Scale) -> Table {
         format!("Table 2: HPCC SP/EP and communication tests ({ranks} processes, VN mode)"),
         &["Test", "BG/P", "XT4/QC"],
     );
-    for (p, (name, _)) in probes.iter().enumerate() {
-        t.push_row(vec![
-            name.to_string(),
-            format!("{:.2} ", values[p * 2]),
-            format!("{:.2} ", values[p * 2 + 1]),
-        ]);
+    for (p, (names, _)) in probes.iter().enumerate() {
+        for (i, name) in names.iter().enumerate() {
+            t.push_row(vec![
+                name.to_string(),
+                format!("{:.2} ", values[p * 2][i]),
+                format!("{:.2} ", values[p * 2 + 1][i]),
+            ]);
+        }
     }
     t
 }
@@ -119,12 +129,13 @@ pub fn fig1(scale: Scale) -> Vec<Figure> {
     let mut ptr_fig = Figure::new("Fig 1(c): PTRANS performance", "processes", "GB/s");
     let mut ra_fig = Figure::new("Fig 1(d): RandomAccess performance", "processes", "GUP/s");
 
-    // scenario set: (machine, procs, kernel) — every point independent
+    // scenario set: (machine, procs, kernel) for the kernels sized from
+    // each machine's memory; RandomAccess records once per process count
     let machines = [(&bgp, "BG/P"), (&xt, "XT4/QC")];
     let points: Vec<(usize, usize, usize)> = (0..machines.len())
-        .flat_map(|mi| procs.iter().flat_map(move |&p| (0..4).map(move |k| (mi, p, k))))
+        .flat_map(|mi| procs.iter().flat_map(move |&p| (0..3).map(move |k| (mi, p, k))))
         .collect();
-    let values = parmap(&points, |&(mi, p, k)| {
+    let sized = parmap(&points, |&(mi, p, k)| {
         let machine = machines[mi].0;
         match k {
             0 => {
@@ -136,7 +147,7 @@ pub fn fig1(scale: Scale) -> Vec<Figure> {
                 let nf = hpcc::fft::fft_problem_size(machine, p, ExecMode::Vn, 0.3);
                 hpcc::fft_run(machine, ExecMode::Vn, p, nf).gflops
             }
-            2 => {
+            _ => {
                 // PTRANS matrix ~ sqrt of HPL's footprint share
                 let n = hpcc::hpl_problem_size(machine, p, ExecMode::Vn, 0.8);
                 let placement = if machine.id.is_bluegene() {
@@ -146,26 +157,30 @@ pub fn fig1(scale: Scale) -> Vec<Figure> {
                 };
                 hpcc::ptrans_run(machine, ExecMode::Vn, p, n / 2, placement).gbps
             }
-            _ => hpcc::ra_run(machine, ExecMode::Vn, p, 1 << 26, 1 << 16).gups,
         }
     });
+    let (table, updates) = (1 << 26, 1 << 16);
+    let ra = parmap(&procs, |&p| {
+        let points = machines.map(|(m, _)| SimConfig::new(m.clone(), p, ExecMode::Vn));
+        let res = hpcc::price(&points, &hpcc::ra_traces(p, table, updates), &[]);
+        res.iter().map(|r| hpcc::RaResult::of(r, p, updates).gups).collect::<Vec<_>>()
+    });
 
-    let mut it = values.into_iter();
-    for (_, label) in machines {
+    let mut it = sized.into_iter();
+    for (mi, (_, label)) in machines.into_iter().enumerate() {
         let mut hpl_pts = Vec::new();
         let mut fft_pts = Vec::new();
         let mut ptr_pts = Vec::new();
-        let mut ra_pts = Vec::new();
         for &p in &procs {
             let x = p as f64;
             hpl_pts.push((x, it.next().unwrap()));
             fft_pts.push((x, it.next().unwrap()));
             ptr_pts.push((x, it.next().unwrap()));
-            ra_pts.push((x, it.next().unwrap()));
         }
         hpl_fig.push_series(label, hpl_pts);
         fft_fig.push_series(label, fft_pts);
         ptr_fig.push_series(label, ptr_pts);
+        let ra_pts = procs.iter().zip(&ra).map(|(&p, v)| (p as f64, v[mi])).collect();
         ra_fig.push_series(label, ra_pts);
     }
     vec![hpl_fig, fft_fig, ptr_fig, ra_fig]
@@ -310,57 +325,47 @@ pub fn fig3(scale: Scale) -> Vec<Figure> {
     );
     let mut d = Figure::new("Fig 3(d): Bcast latency vs process count (32KiB)", "processes", "usec");
 
-    // scenario set: every (collective, machine, ranks, bytes, dtype)
-    // point, built in the exact order the panels consume them
-    #[derive(Clone, Copy)]
-    enum ImbPoint {
-        Allreduce { mi: usize, ranks: usize, bytes: u64, dtype: DType },
-        Bcast { mi: usize, ranks: usize, bytes: u64 },
-    }
+    // scenario set: one recording per (collective, ranks, bytes), priced
+    // on every machine that runs it (single precision: BG/P only)
     let machines = [&bgp, &xt];
-    let mut points: Vec<ImbPoint> = Vec::new();
-    for (mi, dtype) in [(0, DType::F64), (0, DType::F32), (1, DType::F64)] {
-        for &s in &sizes {
-            points.push(ImbPoint::Allreduce { mi, ranks: fixed_ranks, bytes: s, dtype });
-        }
-    }
-    for (mi, dtype) in [(0, DType::F64), (0, DType::F32), (1, DType::F64)] {
-        for &p in &proc_counts {
-            points.push(ImbPoint::Allreduce { mi, ranks: p, bytes: fixed_bytes, dtype });
-        }
-    }
-    for mi in 0..machines.len() {
-        for &s in &sizes {
-            points.push(ImbPoint::Bcast { mi, ranks: fixed_ranks, bytes: s });
-        }
-        for &p in &proc_counts {
-            points.push(ImbPoint::Bcast { mi, ranks: p, bytes: fixed_bytes });
-        }
-    }
-    let values = parmap(&points, |&pt| match pt {
-        ImbPoint::Allreduce { mi, ranks, bytes, dtype } => {
-            hpcc::imb_allreduce(machines[mi], ExecMode::Vn, ranks, bytes, dtype).usec
-        }
-        ImbPoint::Bcast { mi, ranks, bytes } => {
-            hpcc::imb_bcast(machines[mi], ExecMode::Vn, ranks, bytes).usec
-        }
+    let colls: [(Option<DType>, &[usize]); 3] =
+        [(Some(DType::F64), &[0, 1]), (Some(DType::F32), &[0]), (None, &[0, 1])];
+    let by_size: Vec<(usize, u64)> = sizes.iter().map(|&s| (fixed_ranks, s)).collect();
+    let by_procs: Vec<(usize, u64)> = proc_counts.iter().map(|&p| (p, fixed_bytes)).collect();
+    let points: Vec<(usize, usize, u64)> = (0..colls.len())
+        .flat_map(|c| by_size.iter().chain(&by_procs).map(move |&(r, b)| (c, r, b)))
+        .collect();
+    let values = parmap(&points, |&(c, ranks, bytes)| {
+        let (dtype, ms) = colls[c];
+        let traces = match dtype {
+            Some(dtype) => hpcc::imb_allreduce_traces(ranks, bytes, dtype),
+            None => hpcc::imb_bcast_traces(ranks, bytes),
+        };
+        let vn = |mi: usize| SimConfig::new(machines[mi].clone(), ranks, ExecMode::Vn);
+        let points: Vec<SimConfig> = ms.iter().map(|&mi| vn(mi)).collect();
+        let res = hpcc::price(&points, &traces, &[]);
+        res.iter().map(|r| hpcc::ImbPoint::of(r, ranks, bytes).usec).collect::<Vec<_>>()
     });
-
-    let mut it = values.into_iter();
-    let mut next_pts = |xs: &[f64]| -> Vec<(f64, f64)> {
-        xs.iter().map(|&x| (x, it.next().expect("imb point"))).collect()
+    // collective `c` on its `k`-th machine, over the size (`procs`
+    // false) or the process-count axis
+    let axis = by_size.len() + by_procs.len();
+    let series = |c: usize, procs: bool, k: usize| -> Vec<(f64, f64)> {
+        let (xs, ofs) = if procs {
+            (proc_counts.iter().map(|&p| p as f64).collect::<Vec<_>>(), by_size.len())
+        } else {
+            (sizes.iter().map(|&s| s as f64).collect(), 0)
+        };
+        let vals = &values[c * axis + ofs..];
+        xs.into_iter().zip(vals).map(|(x, v)| (x, v[k])).collect()
     };
-    let size_xs: Vec<f64> = sizes.iter().map(|&s| s as f64).collect();
-    let proc_xs: Vec<f64> = proc_counts.iter().map(|&p| p as f64).collect();
-    a.push_series("BG/P (double)", next_pts(&size_xs));
-    a.push_series("BG/P (single)", next_pts(&size_xs));
-    a.push_series("XT4/QC (double)", next_pts(&size_xs));
-    b.push_series("BG/P (double)", next_pts(&proc_xs));
-    b.push_series("BG/P (single)", next_pts(&proc_xs));
-    b.push_series("XT4/QC (double)", next_pts(&proc_xs));
-    for label in ["BG/P", "XT4/QC"] {
-        c.push_series(label, next_pts(&size_xs));
-        d.push_series(label, next_pts(&proc_xs));
+    for (procs, fig) in [(false, &mut a), (true, &mut b)] {
+        fig.push_series("BG/P (double)", series(0, procs, 0));
+        fig.push_series("BG/P (single)", series(1, procs, 0));
+        fig.push_series("XT4/QC (double)", series(0, procs, 1));
+    }
+    for (k, label) in ["BG/P", "XT4/QC"].into_iter().enumerate() {
+        c.push_series(label, series(2, false, k));
+        d.push_series(label, series(2, true, k));
     }
     vec![a, b, c, d]
 }

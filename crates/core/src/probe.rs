@@ -12,12 +12,13 @@
 use crate::experiment::{ExperimentId, Scale};
 use crate::report::Table;
 use crate::runner::parmap;
-use hpcsim_apps::{md_run_probe, MdConfig};
+use hpcsim_apps::{md_traces, MdConfig};
 use hpcsim_engine::stats::{Histogram, OnlineStats};
 use hpcsim_engine::SimTime;
-use hpcsim_hpcc as hpcc;
+use hpcsim_hpcc::{self as hpcc, HaloProtocol::*};
 use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::ExecMode;
+use hpcsim_mpi::{Op, SimConfig, TraceSim};
 use hpcsim_net::DType;
 use hpcsim_probe::{
     chrome_trace, metrics_report_json, trace_csv, GaugeId, MetricsRegistry, RingRecorder,
@@ -54,75 +55,30 @@ pub struct TraceReport {
     pub scenarios: Vec<TracedScenario>,
 }
 
-/// Specification of one traced scenario — `Send + Sync` so the battery
-/// can fan out through [`parmap`].
-enum Spec {
-    Halo { protocol: hpcc::HaloProtocol, words: u64, grid: Grid2D },
-    Allreduce { ranks: usize, bytes: u64, dtype: DType },
-    Bcast { ranks: usize, bytes: u64 },
-    Md { name: &'static str, ranks: usize, cfg: MdConfig },
-}
+/// One traced scenario before it runs: its label, the point it replays
+/// on, and the program's machine-free recording.
+type Scenario = (String, SimConfig, Vec<Vec<Op>>);
 
-impl Spec {
-    fn run(&self, faults: Option<&hpcsim_faults::FaultPlan>) -> TracedScenario {
-        let machine = bluegene_p();
-        let mut rec = RingRecorder::new();
-        let (label, res) = match self {
-            Spec::Halo { protocol, words, grid } => {
-                let cfg = hpcc::HaloConfig {
-                    grid: *grid,
-                    words: *words,
-                    protocol: *protocol,
-                    reps: 2,
-                };
-                let (_, res) = hpcc::halo_try_run(
-                    &machine,
-                    ExecMode::Vn,
-                    Mapping::txyz(),
-                    &cfg,
-                    faults,
-                    &mut rec,
-                )
-                .unwrap_or_else(|e| panic!("{e}"));
-                let label = format!(
-                    "halo {}x{} {} {}w",
-                    grid.rows,
-                    grid.cols,
-                    protocol.label(),
-                    words
-                );
-                (label, res)
-            }
-            Spec::Allreduce { ranks, bytes, dtype } => {
-                let (_, res) = hpcc::imb_allreduce_probe(
-                    &machine,
-                    ExecMode::Vn,
-                    *ranks,
-                    *bytes,
-                    *dtype,
-                    &mut rec,
-                );
-                (format!("allreduce {bytes}B {dtype:?} {ranks}r"), res)
-            }
-            Spec::Bcast { ranks, bytes } => {
-                let (_, res) =
-                    hpcc::imb_bcast_probe(&machine, ExecMode::Vn, *ranks, *bytes, &mut rec);
-                (format!("bcast {bytes}B {ranks}r"), res)
-            }
-            Spec::Md { name, ranks, cfg } => {
-                let (_, res) = md_run_probe(&machine, *ranks, cfg, &mut rec);
-                (format!("{name} {ranks}r"), res)
-            }
-        };
-        TracedScenario {
-            label,
-            ranks: res.finish.len(),
-            makespan: res.makespan(),
-            finish: res.finish.clone(),
-            messages: res.messages,
-            bytes: res.bytes_sent,
-            recorder: rec,
-        }
+/// Replay one scenario with a fresh recorder attached (and `faults`
+/// armed, if any).
+fn replay(
+    (label, point, traces): &Scenario,
+    faults: Option<&hpcsim_faults::FaultPlan>,
+) -> TracedScenario {
+    let mut sim = TraceSim::new(point.clone());
+    if let Some(plan) = faults {
+        sim.set_faults(plan);
+    }
+    let mut rec = RingRecorder::new();
+    let res = sim.try_replay(traces, &mut rec).unwrap_or_else(|e| panic!("{e}"));
+    TracedScenario {
+        label: label.clone(),
+        ranks: res.finish.len(),
+        makespan: res.makespan(),
+        finish: res.finish.clone(),
+        messages: res.messages,
+        bytes: res.bytes_sent,
+        recorder: rec,
     }
 }
 
@@ -139,25 +95,31 @@ pub fn trace_experiment(id: ExperimentId, scale: Scale) -> Option<TraceReport> {
 }
 
 /// [`trace_experiment`] with an optional armed fault plan. The plan
-/// reaches the point-to-point replay path (the HALO scenarios, where
-/// detours, retransmit spans and outage gauges show up in the trace);
-/// collective- and app-level scenarios are replayed pristine for now.
-/// With `faults` of `None` this is byte-for-byte [`trace_experiment`].
+/// arms the Fig 2 HALO scenarios, where detours, retransmit spans and
+/// outage gauges show up in the trace; the collective and app batteries
+/// are replayed pristine for now. With `faults` of `None` this is
+/// byte-for-byte [`trace_experiment`].
 pub fn trace_experiment_with(
     id: ExperimentId,
     scale: Scale,
     faults: Option<&hpcsim_faults::FaultPlan>,
 ) -> Option<TraceReport> {
-    let specs: Vec<Spec> = match id {
+    let machine = bluegene_p();
+    let vn = |ranks| SimConfig::new(machine.clone(), ranks, ExecMode::Vn);
+    let scenarios: Vec<Scenario> = match id {
         ExperimentId::Fig2 => {
             // nearest-neighbour halo: both extremes of the word sweep
             // plus the protocol that serializes the four directions
             let grid = Grid2D::near_square(scale.ranks(8192));
-            vec![
-                Spec::Halo { protocol: hpcc::HaloProtocol::IrecvIsend, words: 2048, grid },
-                Spec::Halo { protocol: hpcc::HaloProtocol::Sendrecv, words: 2048, grid },
-                Spec::Halo { protocol: hpcc::HaloProtocol::IrecvIsend, words: 32768, grid },
-            ]
+            let (rows, cols) = (grid.rows, grid.cols);
+            [(IrecvIsend, 2048), (Sendrecv, 2048), (IrecvIsend, 32768)]
+                .map(|(protocol, words)| {
+                    let cfg = hpcc::HaloConfig { grid, words, protocol, reps: 2 };
+                    let label = format!("halo {rows}x{cols} {} {words}w", protocol.label());
+                    let point = cfg.sim_config(&machine, ExecMode::Vn, Mapping::txyz());
+                    (label, point, hpcc::halo_traces(&cfg))
+                })
+                .into()
         }
         ExperimentId::Fig3 => {
             // collectives at the fixed 32 KiB point: the tree-eligible
@@ -165,22 +127,24 @@ pub fn trace_experiment_with(
             // (no tree), and Bcast
             let ranks = scale.ranks(8192);
             let bytes = 32 * 1024;
-            vec![
-                Spec::Allreduce { ranks, bytes, dtype: DType::F64 },
-                Spec::Allreduce { ranks, bytes, dtype: DType::F32 },
-                Spec::Bcast { ranks, bytes },
-            ]
+            let allreduce = |dtype| {
+                let label = format!("allreduce {bytes}B {dtype:?} {ranks}r");
+                (label, vn(ranks), hpcc::imb_allreduce_traces(ranks, bytes, dtype))
+            };
+            let label = format!("bcast {bytes}B {ranks}r");
+            let bcast = (label, vn(ranks), hpcc::imb_bcast_traces(ranks, bytes));
+            vec![allreduce(DType::F64), allreduce(DType::F32), bcast]
         }
         ExperimentId::Fig8 => {
             let ranks = scale.ranks(2048);
-            vec![
-                Spec::Md { name: "lammps", ranks, cfg: MdConfig::lammps_rub() },
-                Spec::Md { name: "pmemd", ranks, cfg: MdConfig::pmemd_rub() },
-            ]
+            [("lammps", MdConfig::lammps_rub()), ("pmemd", MdConfig::pmemd_rub())]
+                .map(|(name, cfg)| (format!("{name} {ranks}r"), vn(ranks), md_traces(ranks, &cfg)))
+                .into()
         }
         _ => return None,
     };
-    let scenarios = parmap(&specs, |s| s.run(faults));
+    let faults = faults.filter(|_| id == ExperimentId::Fig2);
+    let scenarios = parmap(&scenarios, |s| replay(s, faults));
     Some(TraceReport { id, scenarios })
 }
 

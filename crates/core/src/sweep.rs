@@ -11,7 +11,7 @@
 use hpcsim_hpcc as hpcc;
 use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::{ExecMode, MachineSpec};
-use hpcsim_mpi::{SweepEngine, TraceDag};
+use hpcsim_mpi::{sweep_points, SimConfig, SweepEngine, TraceDag};
 use hpcsim_topo::{Grid2D, Mapping};
 
 use crate::experiment::Scale;
@@ -85,7 +85,11 @@ pub fn fig2_mapping_sweep(scale: Scale) -> MappingSweepStats {
         let results = traced
             .iter()
             .map(|(cfg, traces)| {
-                hpcc::halo_run_traces_with(&machine, ExecMode::Vn, &mappings, cfg, traces, engine)
+                let points: Vec<SimConfig> =
+                    mappings.iter().map(|&m| cfg.sim_config(&machine, ExecMode::Vn, m)).collect();
+                let res = sweep_points(Some(engine), &points, traces, &[], None, None)
+                    .expect("pristine HALO points replay");
+                res.iter().map(|r| cfg.per_exchange(r)).collect()
             })
             .collect();
         (t0.elapsed().as_secs_f64(), results)

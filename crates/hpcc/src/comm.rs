@@ -7,33 +7,46 @@
 //! low-latency communication whereas the XT's strength is high-bandwidth
 //! communication".
 
+use crate::price;
 use hpcsim_engine::DetRng;
 use hpcsim_machine::{ExecMode, MachineSpec};
-use hpcsim_mpi::{FnProgram, Mpi, SimConfig, TraceSim};
+use hpcsim_mpi::{FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
 use serde::Serialize;
-use std::sync::Arc;
+
+/// Record `reps` ping-pong round trips of `bytes` between ranks 0 and 1.
+pub fn pingpong_traces(bytes: u64, reps: u32) -> Vec<Vec<Op>> {
+    let record = FnProgram(move |mpi: &mut Mpi| {
+        for i in 0..reps {
+            if mpi.rank() == 0 {
+                mpi.send(1, i, bytes);
+                mpi.recv(1, 1000 + i, bytes);
+            } else {
+                mpi.recv(0, i, bytes);
+                mpi.send(0, 1000 + i, bytes);
+            }
+        }
+    });
+    TraceSim::trace_program(&record, 2, 1)
+}
+
+/// Round trips of the small- and the large-payload ping-pong run.
+pub const PINGPONG_REPS: [u32; 2] = [8, 4];
+
+/// (one-way latency seconds, bandwidth bytes/s) of priced small- and
+/// `large_bytes`-payload ping-pong runs ([`PINGPONG_REPS`] round trips).
+pub fn pingpong_of(small: &SimResult, large: &SimResult, large_bytes: u64) -> (f64, f64) {
+    let one_way = |res: &SimResult, reps: u32| res.makespan().as_secs() / reps as f64 / 2.0;
+    let t_large = one_way(large, PINGPONG_REPS[1]);
+    (one_way(small, PINGPONG_REPS[0]), large_bytes as f64 / t_large)
+}
 
 /// Ping-pong between ranks 0 and 1: returns (one-way latency seconds,
 /// bandwidth bytes/s) measured with `small` and `large` payloads.
 pub fn pingpong(machine: &MachineSpec, small: u64, large: u64) -> (f64, f64) {
-    let run = |bytes: u64, reps: u32| {
-        let mut sim = TraceSim::new(SimConfig::new(machine.clone(), 2, ExecMode::Smp));
-        let res = sim.run(&FnProgram(move |mpi: &mut Mpi| {
-            for i in 0..reps {
-                if mpi.rank() == 0 {
-                    mpi.send(1, i, bytes);
-                    mpi.recv(1, 1000 + i, bytes);
-                } else {
-                    mpi.recv(0, i, bytes);
-                    mpi.send(0, 1000 + i, bytes);
-                }
-            }
-        }));
-        res.makespan().as_secs() / reps as f64 / 2.0 // one-way
-    };
-    let latency = run(small, 8);
-    let t_large = run(large, 4);
-    (latency, large as f64 / t_large)
+    let point = [SimConfig::new(machine.clone(), 2, ExecMode::Smp)];
+    let [s, l] = [(small, PINGPONG_REPS[0]), (large, PINGPONG_REPS[1])]
+        .map(|(bytes, reps)| price(&point, &pingpong_traces(bytes, reps), &[]).remove(0));
+    pingpong_of(&s, &l, large)
 }
 
 /// Result of a ring test.
@@ -43,6 +56,40 @@ pub struct RingResult {
     pub latency_s: f64,
     /// Per-rank large-message bandwidth, bytes/s.
     pub bandwidth: f64,
+}
+
+impl RingResult {
+    /// The ring metrics of priced `small`- and `large`-byte ring runs.
+    pub fn of(small: &SimResult, large: &SimResult, large_bytes: u64) -> RingResult {
+        // each run makes two exchanges
+        let latency_s = small.makespan().as_secs() / 2.0;
+        RingResult { latency_s, bandwidth: large_bytes as f64 / (large.makespan().as_secs() / 2.0) }
+    }
+}
+
+/// Record one HPCC random-ring run of `bytes`-byte messages: ranks
+/// permuted by `seed`, each exchanges with its ring neighbours.
+pub fn random_ring_traces(ranks: usize, bytes: u64, seed: u64) -> Vec<Vec<Op>> {
+    // one shared random permutation
+    let mut perm: Vec<usize> = (0..ranks).collect();
+    let mut rng = DetRng::new(seed, 0x52494E47); // "RING"
+    for i in (1..ranks).rev() {
+        let j = rng.next_below((i + 1) as u64) as usize;
+        perm.swap(i, j);
+    }
+    let mut pos_of = vec![0usize; ranks];
+    for (pos, &r) in perm.iter().enumerate() {
+        pos_of[r] = pos;
+    }
+    let record = FnProgram(move |mpi: &mut Mpi| {
+        let n = mpi.size();
+        let pos = pos_of[mpi.rank()];
+        let next = perm[(pos + 1) % n];
+        let prev = perm[(pos + n - 1) % n];
+        mpi.sendrecv(next, 7, bytes, prev, 7, bytes);
+        mpi.sendrecv(prev, 8, bytes, next, 8, bytes);
+    });
+    TraceSim::trace_program(&record, ranks, 1)
 }
 
 /// HPCC random-ring: ranks permuted randomly, each exchanges with its
@@ -56,37 +103,10 @@ pub fn random_ring(
     large: u64,
     seed: u64,
 ) -> RingResult {
-    // one shared random permutation
-    let mut perm: Vec<usize> = (0..ranks).collect();
-    let mut rng = DetRng::new(seed, 0x52494E47); // "RING"
-    for i in (1..ranks).rev() {
-        let j = rng.next_below((i + 1) as u64) as usize;
-        perm.swap(i, j);
-    }
-    let mut pos_of = vec![0usize; ranks];
-    for (pos, &r) in perm.iter().enumerate() {
-        pos_of[r] = pos;
-    }
-    let perm = Arc::new(perm);
-    let pos_of = Arc::new(pos_of);
-
-    let run = |bytes: u64| {
-        let perm = Arc::clone(&perm);
-        let pos_of = Arc::clone(&pos_of);
-        let mut sim = TraceSim::new(SimConfig::new(machine.clone(), ranks, mode));
-        let res = sim.run(&FnProgram(move |mpi: &mut Mpi| {
-            let n = mpi.size();
-            let pos = pos_of[mpi.rank()];
-            let next = perm[(pos + 1) % n];
-            let prev = perm[(pos + n - 1) % n];
-            mpi.sendrecv(next, 7, bytes, prev, 7, bytes);
-            mpi.sendrecv(prev, 8, bytes, next, 8, bytes);
-        }));
-        res.makespan().as_secs() / 2.0 // two exchanges
-    };
-    let latency_s = run(small);
-    let t_large = run(large);
-    RingResult { latency_s, bandwidth: large as f64 / t_large }
+    let point = [SimConfig::new(machine.clone(), ranks, mode)];
+    let [s, l] = [small, large]
+        .map(|bytes| price(&point, &random_ring_traces(ranks, bytes, seed), &[]).remove(0));
+    RingResult::of(&s, &l, large)
 }
 
 #[cfg(test)]

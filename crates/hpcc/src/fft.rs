@@ -7,8 +7,9 @@
 //! benchmark "stresses a system's memory hierarchy and network more than
 //! HPL" (§II.A.3).
 
+use crate::price;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
 use serde::Serialize;
 
 /// Result of an MPI FFT run.
@@ -34,11 +35,19 @@ pub fn fft_problem_size(machine: &MachineSpec, ranks: usize, mode: ExecMode, mem
     1u64 << (63 - elems.leading_zeros() as u64)
 }
 
-/// Run the distributed FFT of `n` points over `ranks` tasks.
-pub fn fft_run(machine: &MachineSpec, mode: ExecMode, ranks: usize, n: u64) -> FftResult {
-    let mut sim = TraceSim::new(SimConfig::new(machine.clone(), ranks, mode));
+impl FftResult {
+    /// The rate of a priced run of an `n`-point FFT.
+    pub fn of(res: &SimResult, n: u64) -> FftResult {
+        let seconds = res.makespan().as_secs();
+        let flops = 5.0 * n as f64 * (n as f64).log2();
+        FftResult { n, seconds, gflops: flops / seconds / 1e9 }
+    }
+}
+
+/// Record the distributed FFT of `n` points over `ranks` tasks.
+pub fn fft_traces(ranks: usize, n: u64) -> Vec<Vec<Op>> {
     let local = (n / ranks as u64).max(1);
-    let res = sim.run(&FnProgram(move |mpi: &mut Mpi| {
+    let record = FnProgram(move |mpi: &mut Mpi| {
         let p = mpi.size() as u64;
         // bytes each rank exchanges with each other rank per transpose
         let bytes_per_pair = (16 * local / p).max(16);
@@ -54,10 +63,14 @@ pub fn fft_run(machine: &MachineSpec, mode: ExecMode, ranks: usize, n: u64) -> F
         });
         mpi.compute(Workload::Fft1d { n: local });
         mpi.alltoall(CommId::WORLD, bytes_per_pair);
-    }));
-    let seconds = res.makespan().as_secs();
-    let flops = 5.0 * n as f64 * (n as f64).log2();
-    FftResult { n, seconds, gflops: flops / seconds / 1e9 }
+    });
+    TraceSim::trace_program(&record, ranks, 1)
+}
+
+/// Run the distributed FFT of `n` points over `ranks` tasks.
+pub fn fft_run(machine: &MachineSpec, mode: ExecMode, ranks: usize, n: u64) -> FftResult {
+    let point = SimConfig::new(machine.clone(), ranks, mode);
+    FftResult::of(&price(&[point], &fft_traces(ranks, n), &[])[0], n)
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 //! * (c,d) **process→processor mapping**: the predefined BG/P orderings;
 //! * (e,f) **virtual grid shape** at fixed core count.
 
+use crate::price;
 use hpcsim_engine::SimTime;
 use hpcsim_faults::FaultPlan;
 use hpcsim_machine::{ExecMode, MachineSpec};
@@ -160,49 +161,11 @@ impl HaloConfig {
     }
 }
 
-/// Seconds per exchange at every mapping, priced by
-/// [`hpcsim_mpi::sweep_points`] on `engine` (`None`: the process-global
-/// selection).
-fn halo_sweep<'d>(
-    engine: Option<SweepEngine>,
-    machine: &MachineSpec,
-    mode: ExecMode,
-    mappings: &[Mapping],
-    cfg: &HaloConfig,
-    traces: &[Vec<Op>],
-    dag: Option<&dyn Fn() -> &'d TraceDag>,
-) -> Vec<f64> {
-    let points: Vec<SimConfig> =
-        mappings.iter().map(|&mapping| cfg.sim_config(machine, mode, mapping)).collect();
-    sweep_points(engine, &points, traces, dag, None)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .iter()
-        .map(|res| cfg.per_exchange(res))
-        .collect()
-}
-
 /// Run a HALO experiment on the process-global sweep engine; returns
 /// seconds per exchange (makespan / reps).
 pub fn halo_run(machine: &MachineSpec, mode: ExecMode, mapping: Mapping, cfg: &HaloConfig) -> f64 {
-    halo_sweep(None, machine, mode, &[mapping], cfg, &halo_traces(cfg), None)[0]
-}
-
-/// Run one HALO experiment under several rank→processor mappings on an
-/// explicit engine, from traces recorded once (they must be
-/// `halo_traces(cfg)`; the trace does not depend on the mapping, which
-/// is what makes Fig 2(c,d)'s sweeps cheap). [`SweepEngine::Dag`]
-/// evaluates every mapping in one batched pass where that is exact
-/// ([`TraceDag::exact_for`]) and replays elsewhere, so results are
-/// identical under either engine.
-pub fn halo_run_traces_with(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    mappings: &[Mapping],
-    cfg: &HaloConfig,
-    traces: &[Vec<Op>],
-    engine: SweepEngine,
-) -> Vec<f64> {
-    halo_sweep(Some(engine), machine, mode, mappings, cfg, traces, None)
+    let point = cfg.sim_config(machine, mode, mapping);
+    cfg.per_exchange(&price(&[point], &halo_traces(cfg), &[])[0])
 }
 
 /// Evaluate a single (machine, mode, mapping) point from traces the
@@ -221,7 +184,9 @@ pub fn halo_eval_traces(
     // hand the pre-compiled DAG over as sweep_points' lazy provider
     let get = dag.map(|d| move || d);
     let get = get.as_ref().map(|f| f as _);
-    halo_sweep(Some(engine), machine, mode, &[mapping], cfg, traces, get)[0]
+    let point = [cfg.sim_config(machine, mode, mapping)];
+    let res = sweep_points(Some(engine), &point, traces, &[], get, None);
+    cfg.per_exchange(&res.unwrap_or_else(|e| panic!("{e}"))[0])
 }
 
 /// One HALO point by event-queue replay, fallibly, with an optional
@@ -421,8 +386,11 @@ mod tests {
             let c = cfg(grid, words, HaloProtocol::IrecvIsend);
             let traces = halo_traces(&c);
             for m in [bluegene_p().with_flat_contention(), bluegene_p()] {
+                let points: Vec<SimConfig> =
+                    mappings.iter().map(|&mp| c.sim_config(&m, ExecMode::Vn, mp)).collect();
                 let sweep = |engine| {
-                    halo_run_traces_with(&m, ExecMode::Vn, &mappings, &c, &traces, engine)
+                    let res = sweep_points(Some(engine), &points, &traces, &[], None, None);
+                    res.unwrap().iter().map(|r| c.per_exchange(r)).collect::<Vec<_>>()
                 };
                 let (replay, dag) = (sweep(SweepEngine::Replay), sweep(SweepEngine::Dag));
                 assert_eq!(replay, dag, "words={words} flat={}", m.contention_flat());

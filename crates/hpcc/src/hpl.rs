@@ -10,8 +10,9 @@
 //! accounting HPL's own projections use (total flops = 2N³/3 + lower
 //! order).
 
+use crate::price;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{Mpi, RankLayout, SimConfig, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid2D;
 use serde::Serialize;
@@ -53,8 +54,8 @@ pub fn hpl_problem_size(machine: &MachineSpec, ranks: usize, mode: ExecMode, mem
 fn record_step(
     mpi: &mut Mpi,
     cfg: &HplConfig,
-    row_comm: hpcsim_mpi::CommId,
-    col_comm: hpcsim_mpi::CommId,
+    row_comm: CommId,
+    col_comm: CommId,
     f: f64,
 ) {
     let p = cfg.grid.rows as f64;
@@ -99,51 +100,50 @@ fn record_step(
     mpi.compute(Workload::LuUpdate { m: rows_local, n: cols_local, k: nb });
 }
 
-/// Run HPL with `cfg` on `machine` in `mode`.
-pub fn hpl_run(machine: &MachineSpec, mode: ExecMode, cfg: &HplConfig) -> HplResult {
-    let ranks = cfg.grid.size();
-    let layout = RankLayout::default_for(machine, ranks, mode);
-    let mut sim = TraceSim::new(SimConfig {
-        machine: machine.clone(),
-        mode,
-        threads: 1,
-        layout,
-    });
-
-    // row and column communicators
-    let mut row_ids = Vec::with_capacity(cfg.grid.rows);
-    for r in 0..cfg.grid.rows {
-        row_ids.push(sim.register_comm((0..cfg.grid.cols).map(|c| cfg.grid.rank(r, c)).collect()));
-    }
-    let mut col_ids = Vec::with_capacity(cfg.grid.cols);
-    for c in 0..cfg.grid.cols {
-        col_ids.push(sim.register_comm((0..cfg.grid.rows).map(|r| cfg.grid.rank(r, c)).collect()));
-    }
-
+/// Record HPL with `cfg`: the traces plus the sub-communicators they
+/// use — one per process row, then one per process column, numbered
+/// from `CommId(1)` in that order.
+pub fn hpl_traces(cfg: &HplConfig) -> (Vec<Vec<Op>>, Vec<Vec<usize>>) {
     let grid = cfg.grid;
-    let cfg2 = cfg.clone();
+    let rows = (0..grid.rows).map(|r| (0..grid.cols).map(|c| grid.rank(r, c)).collect());
+    let cols = (0..grid.cols).map(|c| (0..grid.rows).map(|r| grid.rank(r, c)).collect());
+    let comms: Vec<Vec<usize>> = rows.chain(cols).collect();
+    let prog = cfg.clone();
     let samples = cfg.samples.max(2);
-    let res = sim.run(&hpcsim_mpi::FnProgram(move |mpi: &mut Mpi| {
+    let record = FnProgram(move |mpi: &mut Mpi| {
         let (my_row, my_col) = grid.pos(mpi.rank());
-        let row_comm = row_ids[my_row];
-        let col_comm = col_ids[my_col];
+        let row_comm = CommId(1 + my_row as u32);
+        let col_comm = CommId(1 + (grid.rows + my_col) as u32);
         for s in 0..samples {
             let f = s as f64 / samples as f64;
-            record_step(mpi, &cfg2, row_comm, col_comm, f);
+            record_step(mpi, &prog, row_comm, col_comm, f);
         }
         // final allreduce: residual check
-        mpi.allreduce(hpcsim_mpi::CommId::WORLD, 8, DType::F64);
-    }));
+        mpi.allreduce(CommId::WORLD, 8, DType::F64);
+    });
+    (TraceSim::trace_program(&record, grid.size(), 1), comms)
+}
 
-    // The simulated makespan covers `samples` steps spread evenly across
-    // the progress axis; the real run has N/NB steps with the same mean
-    // per-step cost (by the sampling construction), so scale.
-    let steps_total = (cfg.n / cfg.nb).max(1) as f64;
-    let seconds = res.makespan().as_secs() * steps_total / samples as f64;
-    let flops = 2.0 / 3.0 * (cfg.n as f64).powi(3) + 1.5 * (cfg.n as f64).powi(2);
-    let gflops = flops / seconds / 1e9;
-    let peak = machine.core_peak_flops() * ranks as f64 / 1e9;
-    HplResult { seconds, gflops, efficiency: gflops / peak }
+impl HplResult {
+    /// The rates of a priced run of `cfg` on `machine`.
+    pub fn of(res: &SimResult, machine: &MachineSpec, cfg: &HplConfig) -> HplResult {
+        // The simulated makespan covers `samples` steps spread evenly
+        // across the progress axis; the real run has N/NB steps with the
+        // same mean per-step cost (by the sampling construction), so scale.
+        let steps_total = (cfg.n / cfg.nb).max(1) as f64;
+        let seconds = res.makespan().as_secs() * steps_total / cfg.samples.max(2) as f64;
+        let flops = 2.0 / 3.0 * (cfg.n as f64).powi(3) + 1.5 * (cfg.n as f64).powi(2);
+        let gflops = flops / seconds / 1e9;
+        let peak = machine.core_peak_flops() * cfg.grid.size() as f64 / 1e9;
+        HplResult { seconds, gflops, efficiency: gflops / peak }
+    }
+}
+
+/// Run HPL with `cfg` on `machine` in `mode`.
+pub fn hpl_run(machine: &MachineSpec, mode: ExecMode, cfg: &HplConfig) -> HplResult {
+    let (traces, comms) = hpl_traces(cfg);
+    let point = SimConfig::new(machine.clone(), cfg.grid.size(), mode);
+    HplResult::of(&price(&[point], &traces, &comms)[0], machine, cfg)
 }
 
 /// Result of the §II.C TOP500 run including power.

@@ -5,10 +5,10 @@
 //! (Fig 3a/c) and process count at fixed 32 KiB payload (Fig 3b/d), with
 //! the single- vs double-precision Allreduce distinction from §II.B.2.
 
+use crate::price;
 use hpcsim_machine::{ExecMode, MachineSpec};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
 use hpcsim_net::DType;
-use hpcsim_probe::{NoopTracer, Tracer};
 use serde::Serialize;
 
 /// One measured point of an IMB sweep.
@@ -22,6 +22,36 @@ pub struct ImbPoint {
     pub usec: f64,
 }
 
+/// Back-to-back rounds one IMB point averages over.
+const IMB_REPS: u32 = 4;
+
+impl ImbPoint {
+    /// The mean latency of a priced `imb_*_traces(ranks, bytes, ..)` run.
+    pub fn of(res: &SimResult, ranks: usize, bytes: u64) -> ImbPoint {
+        ImbPoint { ranks, bytes, usec: res.makespan().as_secs() / IMB_REPS as f64 * 1e6 }
+    }
+}
+
+/// Record [`IMB_REPS`] back-to-back rounds of `round` on `ranks` tasks.
+fn imb_traces(ranks: usize, round: impl Fn(&mut Mpi) + Sync) -> Vec<Vec<Op>> {
+    let record = FnProgram(move |mpi: &mut Mpi| {
+        for _ in 0..IMB_REPS {
+            round(mpi);
+        }
+    });
+    TraceSim::trace_program(&record, ranks, 1)
+}
+
+/// Record the IMB Allreduce of `bytes` of `dtype` on `ranks` tasks.
+pub fn imb_allreduce_traces(ranks: usize, bytes: u64, dtype: DType) -> Vec<Vec<Op>> {
+    imb_traces(ranks, move |mpi| mpi.allreduce(CommId::WORLD, bytes, dtype))
+}
+
+/// Record the IMB Bcast of `bytes` on `ranks` tasks.
+pub fn imb_bcast_traces(ranks: usize, bytes: u64) -> Vec<Vec<Op>> {
+    imb_traces(ranks, move |mpi| mpi.bcast(CommId::WORLD, bytes))
+}
+
 /// IMB Allreduce latency at one (ranks, bytes) point.
 pub fn imb_allreduce(
     machine: &MachineSpec,
@@ -30,64 +60,15 @@ pub fn imb_allreduce(
     bytes: u64,
     dtype: DType,
 ) -> ImbPoint {
-    imb_allreduce_probe(machine, mode, ranks, bytes, dtype, &mut NoopTracer).0
+    let point = SimConfig::new(machine.clone(), ranks, mode);
+    let traces = imb_allreduce_traces(ranks, bytes, dtype);
+    ImbPoint::of(&price(&[point], &traces, &[])[0], ranks, bytes)
 }
 
 /// IMB Bcast latency at one (ranks, bytes) point.
 pub fn imb_bcast(machine: &MachineSpec, mode: ExecMode, ranks: usize, bytes: u64) -> ImbPoint {
-    imb_bcast_probe(machine, mode, ranks, bytes, &mut NoopTracer).0
-}
-
-/// Replay `reps` back-to-back rounds of `record` on `ranks` tasks:
-/// mean microseconds per round plus the raw replay result.
-fn run_coll<T: Tracer>(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    ranks: usize,
-    reps: u32,
-    tracer: &mut T,
-    record: impl Fn(&mut Mpi) + Sync,
-) -> (f64, SimResult) {
-    let prog = FnProgram(move |mpi: &mut Mpi| {
-        for _ in 0..reps {
-            record(mpi);
-        }
-    });
-    let mut sim = TraceSim::new(SimConfig::new(machine.clone(), ranks, mode));
-    let traces = TraceSim::trace_program(&prog, ranks, 1);
-    let res = sim.try_replay(&traces, tracer).unwrap_or_else(|e| panic!("{e}"));
-    (res.makespan().as_secs() / reps as f64 * 1e6, res)
-}
-
-/// [`imb_allreduce`] with an observability sink; also returns the raw
-/// replay result for the probe layer.
-pub fn imb_allreduce_probe<T: Tracer>(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    ranks: usize,
-    bytes: u64,
-    dtype: DType,
-    tracer: &mut T,
-) -> (ImbPoint, SimResult) {
-    let (usec, res) = run_coll(machine, mode, ranks, 4, tracer, move |mpi| {
-        mpi.allreduce(CommId::WORLD, bytes, dtype);
-    });
-    (ImbPoint { ranks, bytes, usec }, res)
-}
-
-/// [`imb_bcast`] with an observability sink; also returns the raw
-/// replay result for the probe layer.
-pub fn imb_bcast_probe<T: Tracer>(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    ranks: usize,
-    bytes: u64,
-    tracer: &mut T,
-) -> (ImbPoint, SimResult) {
-    let (usec, res) = run_coll(machine, mode, ranks, 4, tracer, move |mpi| {
-        mpi.bcast(CommId::WORLD, bytes);
-    });
-    (ImbPoint { ranks, bytes, usec }, res)
+    let point = SimConfig::new(machine.clone(), ranks, mode);
+    ImbPoint::of(&price(&[point], &imb_bcast_traces(ranks, bytes), &[])[0], ranks, bytes)
 }
 
 #[cfg(test)]

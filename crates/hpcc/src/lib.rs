@@ -18,6 +18,11 @@
 //!   selectable protocol, process mapping and grid shape (Fig 2).
 //! * [`imb`] — the Intel MPI Benchmark Allreduce and Bcast sweeps
 //!   (Fig 3), including the single- vs double-precision Allreduce split.
+//!
+//! Every MPI-parallel test has one shape: a machine-free `*_traces`
+//! recorder, a `*Result::of` reducer, and a `*_run` entry that records,
+//! prices through [`price`] and reduces. Only the fault-armed
+//! [`halo_try_run`] builds its own replay engine.
 
 pub mod comm;
 pub mod epkernels;
@@ -28,14 +33,28 @@ pub mod imb;
 pub mod ptrans;
 pub mod ra;
 
-pub use comm::{pingpong, random_ring, RingResult};
-pub use epkernels::{dgemm_rate, stream_triad_rate, EpMode};
-pub use fft::{fft_run, FftResult};
-pub use halo::{
-    halo_eval_traces, halo_phase_pressure, halo_record_exchange, halo_run, halo_run_traces_with,
-    halo_traces, halo_try_run, HaloConfig, HaloProtocol,
+pub use comm::{
+    pingpong, pingpong_of, pingpong_traces, random_ring, random_ring_traces, RingResult,
+    PINGPONG_REPS,
 };
-pub use hpl::{hpl_problem_size, hpl_run, top500_run, HplConfig, HplResult, Top500Result};
-pub use imb::{imb_allreduce, imb_allreduce_probe, imb_bcast, imb_bcast_probe, ImbPoint};
-pub use ptrans::{ptrans_run, PtransResult};
-pub use ra::{ra_run, ra_run_stock, RaResult};
+pub use epkernels::{dgemm_rate, stream_triad_rate, EpMode};
+pub use fft::{fft_run, fft_traces, FftResult};
+pub use halo::{
+    halo_eval_traces, halo_phase_pressure, halo_record_exchange, halo_run, halo_traces,
+    halo_try_run, HaloConfig, HaloProtocol,
+};
+pub use hpl::{
+    hpl_problem_size, hpl_run, hpl_traces, top500_run, HplConfig, HplResult, Top500Result,
+};
+pub use imb::{imb_allreduce, imb_allreduce_traces, imb_bcast, imb_bcast_traces, ImbPoint};
+pub use ptrans::{ptrans_run, ptrans_sim_config, ptrans_traces, PtransResult};
+pub use ra::{ra_run, ra_traces, RaResult};
+
+use hpcsim_mpi::{sweep_points, Op, SimConfig, SimResult};
+
+/// Price one recorded program (`traces` plus sub-communicators `comms`)
+/// at every point on the process-global sweep engine. Proxy traces are
+/// well-formed and fault-free, so a replay error is a bug: panic.
+pub fn price(points: &[SimConfig], traces: &[Vec<Op>], comms: &[Vec<usize>]) -> Vec<SimResult> {
+    sweep_points(None, points, traces, comms, None, None).unwrap_or_else(|e| panic!("{e}"))
+}

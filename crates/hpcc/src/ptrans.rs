@@ -8,8 +8,9 @@
 //! variability, which the paper attributes to allocator fragmentation —
 //! reproduced here via the `Placement` of the run.
 
+use crate::price;
 use hpcsim_machine::{ExecMode, MachineSpec};
-use hpcsim_mpi::{FnProgram, Mpi, RankLayout, SimConfig, TraceSim};
+use hpcsim_mpi::{FnProgram, Mpi, Op, RankLayout, SimConfig, SimResult, TraceSim};
 use hpcsim_topo::{Grid2D, Placement};
 use serde::Serialize;
 
@@ -24,23 +25,35 @@ pub struct PtransResult {
     pub gbps: f64,
 }
 
-/// Run PTRANS of order `n` over `ranks` tasks with the given placement
-/// (use `Placement::Fragmented` to reproduce the XT's variability).
-pub fn ptrans_run(
+impl PtransResult {
+    /// The transpose bandwidth of a priced run of order `n`.
+    pub fn of(res: &SimResult, n: u64) -> PtransResult {
+        let seconds = res.makespan().as_secs();
+        PtransResult { n, seconds, gbps: 8.0 * (n as f64).powi(2) / seconds / 1e9 }
+    }
+}
+
+/// The simulator configuration of PTRANS on `ranks` tasks: BlueGene
+/// machines place by their default; XT machines by `placement` (use
+/// `Placement::Fragmented` to reproduce the XT's variability).
+pub fn ptrans_sim_config(
     machine: &MachineSpec,
     mode: ExecMode,
     ranks: usize,
-    n: u64,
     placement: Placement,
-) -> PtransResult {
-    let grid = Grid2D::near_square(ranks);
+) -> SimConfig {
     let layout = if machine.id.is_bluegene() {
         RankLayout::default_for(machine, ranks, mode)
     } else {
         RankLayout::xt(machine, ranks, mode, placement)
     };
-    let mut sim = TraceSim::new(SimConfig { machine: machine.clone(), mode, threads: 1, layout });
-    let res = sim.run(&FnProgram(move |mpi: &mut Mpi| {
+    SimConfig { machine: machine.clone(), mode, threads: 1, layout }
+}
+
+/// Record PTRANS of order `n` over `ranks` tasks.
+pub fn ptrans_traces(ranks: usize, n: u64) -> Vec<Vec<Op>> {
+    let grid = Grid2D::near_square(ranks);
+    let record = FnProgram(move |mpi: &mut Mpi| {
         let (r, c) = grid.pos(mpi.rank());
         // block owned by this rank
         let block_rows = n / grid.rows as u64;
@@ -64,9 +77,20 @@ pub fn ptrans_run(
             flops_per_point: 1.0,
             bytes_per_point: 24.0,
         });
-    }));
-    let seconds = res.makespan().as_secs();
-    PtransResult { n, seconds, gbps: 8.0 * (n as f64).powi(2) / seconds / 1e9 }
+    });
+    TraceSim::trace_program(&record, ranks, 1)
+}
+
+/// Run PTRANS of order `n` over `ranks` tasks with the given placement.
+pub fn ptrans_run(
+    machine: &MachineSpec,
+    mode: ExecMode,
+    ranks: usize,
+    n: u64,
+    placement: Placement,
+) -> PtransResult {
+    let point = ptrans_sim_config(machine, mode, ranks, placement);
+    PtransResult::of(&price(&[point], &ptrans_traces(ranks, n), &[])[0], n)
 }
 
 #[cfg(test)]

@@ -5,10 +5,12 @@
 //! — the `RA_SANDIA_OPT2` algorithm the paper also measured does this
 //! with a hypercube-style exchange in log₂(p) stages, halving traffic per
 //! stage. Local table updates are memory-latency bound. "The RA test is
-//! very sensitive to network latency" (§II.A.3).
+//! very sensitive to network latency" (§II.A.3). Only the optimized
+//! router is modelled: Fig 1(d) plots it.
 
+use crate::price;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{FnProgram, Mpi, SimConfig, TraceSim};
+use hpcsim_mpi::{FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
 use serde::Serialize;
 
 /// Result of an MPI RandomAccess run.
@@ -22,77 +24,22 @@ pub struct RaResult {
     pub gups: f64,
 }
 
-/// The stock HPCC RandomAccess routing: updates are sent directly to
-/// their destination ranks in small batches — O(p) distinct message
-/// streams per rank instead of the hypercube's log₂(p) stages. The paper
-/// measured both this and the optimized version (§II.A.3).
-pub fn ra_run_stock(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    ranks: usize,
-    table_bytes_per_rank: u64,
-    updates_per_rank: u64,
-) -> RaResult {
-    let mut sim = TraceSim::new(SimConfig::new(machine.clone(), ranks, mode));
-    let res = sim.run(&FnProgram(move |mpi: &mut Mpi| {
-        let p = mpi.size();
-        // each rank exchanges its per-destination bucket with a sample of
-        // destinations (deterministic stride sample keeps trace sizes
-        // bounded; the timing per destination is what matters)
-        let sample = 16.min(p - 1).max(1);
-        let stride = ((p - 1) / sample).max(1);
-        let bytes_per_dest = (updates_per_rank / (p as u64 - 1).max(1)).max(1) * 16;
-        let rounds = 4.min((p - 1).div_ceil(sample));
-        let simulated = sample * rounds;
-        // each simulated exchange stands in for this many real ones:
-        // carry their payload so the full volume crosses the wire
-        let fold = (p - 1).div_ceil(simulated) as u64;
-        let me = mpi.rank();
-        for r in 0..rounds {
-            for k in 0..sample {
-                let off = 1 + ((k * stride + r) % (p - 1));
-                let dst = (me + off) % p;
-                let src = (me + p - off) % p;
-                let tag = (r * sample + k) as u32;
-                let bytes = bytes_per_dest * fold;
-                mpi.sendrecv(dst, tag, bytes, src, tag, bytes);
-            }
-        }
-        // the folded messages hide (fold-1) per-message software
-        // overheads per simulated exchange: charge them as a delay
-        let hidden = (p - 1).saturating_sub(simulated);
-        if hidden > 0 {
-            let o2 = machine_o2(mpi);
-            mpi.delay(o2.scale(hidden as f64));
-        }
-        mpi.compute(Workload::RandomAccess {
-            updates: updates_per_rank,
-            table_bytes: table_bytes_per_rank,
-        });
-    }));
-    let updates = updates_per_rank * ranks as u64;
-    let seconds = res.makespan().as_secs();
-    RaResult { updates, seconds, gups: updates as f64 / seconds / 1e9 }
+impl RaResult {
+    /// The update rate of a priced run of `updates_per_rank` updates on
+    /// each of `ranks` tasks.
+    pub fn of(res: &SimResult, ranks: usize, updates_per_rank: u64) -> RaResult {
+        let updates = updates_per_rank * ranks as u64;
+        let seconds = res.makespan().as_secs();
+        RaResult { updates, seconds, gups: updates as f64 / seconds / 1e9 }
+    }
 }
 
-// per-message software overhead placeholder — captured by closure,
-// resolved at trace time (the machine is fixed per run)
-fn machine_o2(_mpi: &Mpi) -> hpcsim_engine::SimTime {
-    hpcsim_engine::SimTime::from_us_f64(2.4)
-}
-
-/// Run distributed RandomAccess: table of `table_bytes_per_rank` per rank,
-/// `updates_per_rank` updates per rank, hypercube routing
-/// (the `RA_SANDIA_OPT2` algorithm for power-of-two process counts).
-pub fn ra_run(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    ranks: usize,
-    table_bytes_per_rank: u64,
-    updates_per_rank: u64,
-) -> RaResult {
-    let mut sim = TraceSim::new(SimConfig::new(machine.clone(), ranks, mode));
-    let res = sim.run(&FnProgram(move |mpi: &mut Mpi| {
+/// Record distributed RandomAccess on `ranks` tasks: table of
+/// `table_bytes_per_rank` per rank, `updates_per_rank` updates per rank,
+/// hypercube routing (the `RA_SANDIA_OPT2` algorithm for power-of-two
+/// process counts).
+pub fn ra_traces(ranks: usize, table_bytes_per_rank: u64, updates_per_rank: u64) -> Vec<Vec<Op>> {
+    let record = FnProgram(move |mpi: &mut Mpi| {
         let p = mpi.size();
         let stages = (p as f64).log2().ceil() as u32;
         // Updates move through log2(p) hypercube stages; each stage
@@ -112,10 +59,21 @@ pub fn ra_run(
             updates: updates_per_rank,
             table_bytes: table_bytes_per_rank,
         });
-    }));
-    let updates = updates_per_rank * ranks as u64;
-    let seconds = res.makespan().as_secs();
-    RaResult { updates, seconds, gups: updates as f64 / seconds / 1e9 }
+    });
+    TraceSim::trace_program(&record, ranks, 1)
+}
+
+/// Run distributed RandomAccess (see [`ra_traces`]).
+pub fn ra_run(
+    machine: &MachineSpec,
+    mode: ExecMode,
+    ranks: usize,
+    table_bytes_per_rank: u64,
+    updates_per_rank: u64,
+) -> RaResult {
+    let point = SimConfig::new(machine.clone(), ranks, mode);
+    let traces = ra_traces(ranks, table_bytes_per_rank, updates_per_rank);
+    RaResult::of(&price(&[point], &traces, &[])[0], ranks, updates_per_rank)
 }
 
 #[cfg(test)]
@@ -149,29 +107,5 @@ mod tests {
     fn non_power_of_two_ranks() {
         let r = ra_run(&bluegene_p(), ExecMode::Vn, 96, 1 << 24, 1 << 16);
         assert!(r.gups > 0.0);
-    }
-
-    /// §II.A.3: the paper measured both the stock router and
-    /// RA_SANDIA_OPT2. The optimized hypercube must win at scale (its
-    /// per-rank message count is log2(p), not p-1).
-    #[test]
-    fn sandia_opt2_beats_stock_at_scale() {
-        let (tb, upr) = (1u64 << 26, 1u64 << 18);
-        let opt = ra_run(&bluegene_p(), ExecMode::Vn, 1024, tb, upr);
-        let stock = ra_run_stock(&bluegene_p(), ExecMode::Vn, 1024, tb, upr);
-        assert!(
-            opt.gups > stock.gups,
-            "OPT2 {:.4} should beat stock {:.4} GUPS",
-            opt.gups,
-            stock.gups
-        );
-    }
-
-    /// Stock routing still works and scales somewhat.
-    #[test]
-    fn stock_scales_weakly() {
-        let a = ra_run_stock(&bluegene_p(), ExecMode::Vn, 64, 1 << 24, 1 << 16);
-        let b = ra_run_stock(&bluegene_p(), ExecMode::Vn, 512, 1 << 24, 1 << 16);
-        assert!(b.gups > a.gups, "{} -> {}", a.gups, b.gups);
     }
 }

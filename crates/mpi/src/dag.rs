@@ -225,20 +225,24 @@ pub fn sweep_engine() -> SweepEngine {
 
 /// Price `points` (configurations of one recorded trace set) on
 /// `engine`, or on the process-global selection when `None`. Every
-/// sweep entry point delegates here: this is the one place the engine
-/// is chosen and the one place a fallback is counted.
+/// proxy prices through here: this is the one place the engine is
+/// chosen and the one place a fallback is counted.
 ///
-/// Under [`SweepEngine::Dag`] with no `faults`, points whose machine
-/// passes [`TraceDag::exact_for`] are evaluated on the DAG that `dag`
-/// yields (`traces` compiled; called only if needed) or on one compiled
-/// here. Every other point replays `traces` with `faults` armed, and
-/// under `Dag` counts as a contention or fault fallback. Results come
-/// back in point order, bit-identical under either engine; the first
-/// replay error is returned as is.
+/// `comms` are the program's sub-communicators (empty for world-only
+/// programs), in the order its trace numbers them from `CommId(1)`;
+/// they are registered on every replay engine and compiled into the
+/// DAG. Under [`SweepEngine::Dag`] with no `faults`, points whose
+/// machine passes [`TraceDag::exact_for`] are evaluated on the DAG that
+/// `dag` yields (`traces` compiled; called only if needed) or on one
+/// compiled here. Every other point replays `traces` with `faults`
+/// armed, and under `Dag` counts as a contention or fault fallback.
+/// Results come back in point order, bit-identical under either engine;
+/// the first replay error is returned as is.
 pub fn sweep_points<'d>(
     engine: Option<SweepEngine>,
     points: &[SimConfig],
     traces: &[Vec<Op>],
+    comms: &[Vec<usize>],
     dag: Option<&dyn Fn() -> &'d TraceDag>,
     faults: Option<&FaultPlan>,
 ) -> Result<Vec<SimResult>, SimError> {
@@ -258,7 +262,9 @@ pub fn sweep_points<'d>(
         _ if on_dag == 0 => None,
         Some(get) => Some(get()),
         None => {
-            compiled = TraceDag::compile_world(traces);
+            let mut all: Vec<Vec<usize>> = vec![(0..traces.len()).collect()];
+            all.extend_from_slice(comms);
+            compiled = TraceDag::compile(traces, &all);
             Some(&compiled)
         }
     };
@@ -270,6 +276,9 @@ pub fn sweep_points<'d>(
                 Some(d) if exact(cfg) => Ok(d.evaluate(cfg)),
                 _ => {
                     let mut sim = TraceSim::new(cfg.clone());
+                    for members in comms {
+                        sim.register_comm(members.clone());
+                    }
                     if let Some(plan) = faults {
                         sim.set_faults(plan);
                     }

@@ -16,6 +16,7 @@
 //! golden tests pin: well-formedness, non-decreasing `ts` per track,
 //! and matched B/E pairs.
 
+use crate::metrics::escape;
 use crate::recorder::RingRecorder;
 use crate::{SpanEvent, SpanKind, NO_PEER};
 use hpcsim_engine::SimTime;
@@ -24,24 +25,6 @@ use std::fmt::Write as _;
 
 fn ts_us(t: SimTime) -> String {
     format!("{:.6}", t.as_ps() as f64 / 1e6)
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Deterministic per-track sort key: spans on one track never overlap

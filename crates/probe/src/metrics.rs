@@ -158,7 +158,9 @@ impl MetricsRegistry {
     }
 }
 
-fn escape(s: &str) -> String {
+/// A JSON string body: quotes and backslashes escaped, control
+/// characters as `\u00XX`. Shared by every JSON exporter in the crate.
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

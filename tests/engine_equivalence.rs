@@ -14,7 +14,7 @@ use bgp_eval::topo::{Grid2D, Mapping};
 
 /// Price `points` under both engines and demand identical results.
 fn assert_engines_agree(points: &[SimConfig], traces: &[Vec<Op>], what: &str) -> Vec<SimResult> {
-    let run = |engine| sweep_points(Some(engine), points, traces, None, None).unwrap();
+    let run = |engine| sweep_points(Some(engine), points, traces, &[], None, None).unwrap();
     let (replay, dag) = (run(SweepEngine::Replay), run(SweepEngine::Dag));
     assert_eq!(replay.len(), points.len());
     assert_eq!(dag.len(), points.len());

@@ -7,12 +7,10 @@
 //! one test, and nothing else moves them between readings.
 
 use bgp_eval::faults::{FaultPlan, FaultProfile};
-use bgp_eval::hpcc::{
-    halo_eval_traces, halo_run_traces_with, halo_traces, HaloConfig, HaloProtocol,
-};
+use bgp_eval::hpcc::{halo_eval_traces, halo_traces, HaloConfig, HaloProtocol};
 use bgp_eval::machine::registry::bluegene_p;
 use bgp_eval::machine::ExecMode::Vn;
-use bgp_eval::mpi::{sweep_points, SweepEngine, TraceDag};
+use bgp_eval::mpi::{sweep_points, SimConfig, SweepEngine, TraceDag};
 use bgp_eval::obs;
 use bgp_eval::topo::{Grid2D, Mapping};
 
@@ -46,12 +44,14 @@ fn every_replayed_point_under_dag_counts_once() {
     let n = mappings.len() as u64;
     let (contended, flat) = (bluegene_p(), bluegene_p().with_flat_contention());
     let sweep = |machine, engine| {
-        halo_run_traces_with(machine, Vn, &mappings, &cfg, &traces, engine);
+        let points: Vec<SimConfig> =
+            mappings.iter().map(|&m| cfg.sim_config(machine, Vn, m)).collect();
+        let _ = sweep_points(Some(engine), &points, &traces, &[], None, None);
     };
     let plan = FaultPlan::new(5, FaultProfile::Mixed);
     let faulty = |engine| {
         let point = cfg.sim_config(&flat, Vn, Mapping::txyz());
-        let _ = sweep_points(Some(engine), &[point], &traces, None, Some(&plan));
+        let _ = sweep_points(Some(engine), &[point], &traces, &[], None, Some(&plan));
     };
     let dag = TraceDag::compile_world(&traces);
     let txyz = Mapping::txyz();
