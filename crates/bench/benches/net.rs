@@ -1,11 +1,11 @@
 //! Criterion benchmarks of the network hot path: route production and
-//! iteration, flow acquire/release churn, and phase bulk-loading — the
-//! per-message costs that dominate the event-fidelity experiments
+//! iteration, flow acquire/release churn, and sequential phase loading —
+//! the per-message costs that dominate the event-fidelity experiments
 //! (HALO Fig 2, IMB Fig 3, MD Fig 8), plus a halo-replay breakdown that
 //! separates trace recording, layout construction, and replay.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use hpcsim_hpcc::{halo_phase_pressure, HaloConfig, HaloProtocol};
+use hpcsim_hpcc::{HaloConfig, HaloProtocol};
 use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::ExecMode;
 use hpcsim_mpi::{RankLayout, SimConfig, TraceSim};
@@ -90,20 +90,6 @@ fn bench_phase_load(c: &mut Criterion) {
                 tracker.release(FlowHandle::new(h.segs(), 0, 1));
             }
             black_box(worst)
-        })
-    });
-    g.bench_function("bulk_diff_array", |b| {
-        let mut tracker = FlowTracker::new(&t);
-        b.iter(|| {
-            let peak = tracker.acquire_phase(&handles);
-            tracker.release_phase(&handles);
-            black_box(peak)
-        })
-    });
-    g.bench_function("halo_pressure_1024", |b| {
-        let m = bluegene_p();
-        b.iter(|| {
-            black_box(halo_phase_pressure(&m, ExecMode::Vn, Mapping::txyz(), Grid2D::new(32, 32)))
         })
     });
     g.finish();

@@ -385,7 +385,7 @@ fn write_program(out: &mut String, p: &ProgramSpec) {
             );
         }
         ProgramSpec::ImbAllreduce { ranks, bytes, dtype } => {
-            let _ = writeln!(out, "program imb-allreduce {ranks} {bytes} {}", dtype_name(*dtype));
+            let _ = writeln!(out, "program imb-allreduce {ranks} {bytes} {}", dtype.name());
         }
         ProgramSpec::Pop { ranks, threads, cfg } => {
             let _ = write!(
@@ -399,14 +399,6 @@ fn write_program(out: &mut String, p: &ProgramSpec) {
             push_bits(out, cfg.imbalance);
             out.push('\n');
         }
-    }
-}
-
-fn dtype_name(d: DType) -> &'static str {
-    match d {
-        DType::F32 => "f32",
-        DType::F64 => "f64",
-        DType::Int => "int",
     }
 }
 
@@ -697,11 +689,12 @@ fn parse_program(c: &mut Cursor<'_>) -> Result<ProgramSpec, SpecParseError> {
         "imb-allreduce" => ProgramSpec::ImbAllreduce {
             ranks: c.num("ranks")?,
             bytes: c.num("bytes")?,
-            dtype: match c.tok("dtype")? {
-                "f32" => DType::F32,
-                "f64" => DType::F64,
-                "int" => DType::Int,
-                t => return c.err(format!("bad dtype {t:?}")),
+            dtype: {
+                let t = c.tok("dtype")?;
+                match DType::parse(t) {
+                    Some(d) => d,
+                    None => return c.err(format!("bad dtype {t:?}")),
+                }
             },
         },
         "pop" => ProgramSpec::Pop {

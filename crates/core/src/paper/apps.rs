@@ -112,8 +112,10 @@ pub fn fig5(scale: Scale) -> Vec<Figure> {
     core_counts.dedup();
 
     // scenario set: one sweep per (dycore config, MPI-vs-hybrid) and the
-    // machines sharing its recording, in panel order. XT3 (2 cores per
-    // node) runs 2 hybrid threads, not 4, so it records apart.
+    // machines sharing its recording. BG/P's T85 and FV 1.9x2.5 hybrid
+    // series in panels (a) and (b) are the BG/P column of the (c,d)
+    // sweeps. XT3 (2 cores per node) runs 2 hybrid threads, not 4, so
+    // it records apart.
     let machines = [bgp, xt3(), xt4_qc()];
     let cfgs = [
         apps::CamConfig::t42(),
@@ -121,10 +123,10 @@ pub fn fig5(scale: Scale) -> Vec<Figure> {
         apps::CamConfig::fv_2deg(),
         apps::CamConfig::fv_half_deg(),
     ];
-    let sweeps: [(&[usize], usize, bool); 11] = [
-        (&[0], 0, false), (&[0], 0, true), (&[0], 1, false), (&[0], 1, true), // (a)
-        (&[0], 2, true), (&[0], 3, true), (&[0], 2, false),                   // (b)
-        (&[0, 2], 1, true), (&[0, 2], 2, true),                 // (c,d) BG/P, XT4
+    let sweeps: [(&[usize], usize, bool); 9] = [
+        (&[0], 0, false), (&[0], 0, true), (&[0], 1, false),    // (a)
+        (&[0], 3, true), (&[0], 2, false),                      // (b)
+        (&[0, 2], 1, true), (&[0, 2], 2, true),                 // (a,b,c,d) BG/P, XT4
         (&[1], 1, true), (&[1], 2, true),                       // (c,d) XT3
     ];
     let points: Vec<(&[usize], usize, bool, usize)> = sweeps
@@ -152,21 +154,21 @@ pub fn fig5(scale: Scale) -> Vec<Figure> {
     };
 
     let mut a = Figure::new("Fig 5(a): CAM spectral on BG/P", "cores", "simulated years/day");
-    for ci in [0usize, 1] {
-        a.push_series(format!("{} MPI", cfgs[ci].name), series(2 * ci, 0));
-        a.push_series(format!("{} hybrid", cfgs[ci].name), series(2 * ci + 1, 0));
+    for (ci, mpi, hybrid) in [(0usize, 0, 1), (1, 2, 5)] {
+        a.push_series(format!("{} MPI", cfgs[ci].name), series(mpi, 0));
+        a.push_series(format!("{} hybrid", cfgs[ci].name), series(hybrid, 0));
     }
 
     let mut b = Figure::new("Fig 5(b): CAM finite-volume on BG/P", "cores", "simulated years/day");
-    for (s, ci) in [(4, 2usize), (5, 3)] {
+    for (s, ci) in [(6, 2usize), (3, 3)] {
         b.push_series(format!("{} hybrid", cfgs[ci].name), series(s, 0));
     }
-    b.push_series("FV 1.9x2.5 L26 MPI", series(6, 0));
+    b.push_series("FV 1.9x2.5 L26 MPI", series(4, 0));
 
     let mut c = Figure::new("Fig 5(c): CAM T85 across machines", "cores", "simulated years/day");
     let mut d =
         Figure::new("Fig 5(d): CAM FV 1.9x2.5 across machines", "cores", "simulated years/day");
-    for (label, s, k) in [("BG/P", 7, 0), ("XT3", 9, 0), ("XT4", 7, 1)] {
+    for (label, s, k) in [("BG/P", 5, 0), ("XT3", 7, 0), ("XT4", 5, 1)] {
         c.push_series(label, series(s, k));
         d.push_series(label, series(s + 1, k));
     }

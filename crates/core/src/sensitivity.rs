@@ -27,7 +27,9 @@ use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::{
     ExecMode, MachineSpec, ParamGroups, Perturbation, PerturbSpec, PerturbationSampler,
 };
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceDag, TraceSim};
+use hpcsim_mpi::{
+    perturbed_batches, CommId, FnProgram, Mpi, SimConfig, SimResult, TraceDag, TraceSim,
+};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid2D;
 
@@ -133,20 +135,10 @@ impl SensitivityStats {
     }
 }
 
-/// Lane slots the engine allocates for a batch of `n` samples: full
-/// 32-wide batches, then padded 8-wide batches, then a 1-wide tail.
-/// Mirrors the dispatch in [`TraceDag::evaluate_perturbed`].
-fn lane_slots(mut n: usize) -> u64 {
-    let mut slots = 0u64;
-    while n >= 32 {
-        n -= 32;
-        slots += 32;
-    }
-    while n > 1 {
-        n -= n.min(8);
-        slots += 8;
-    }
-    slots + n as u64
+/// Lane slots the engine allocates for a batch of `n` samples, as
+/// [`perturbed_batches`] splits it.
+fn lane_slots(n: usize) -> u64 {
+    perturbed_batches(n).map(|(lanes, _)| lanes as u64).sum()
 }
 
 /// Trace the stencil iteration the battery prices: each sweep is a

@@ -20,7 +20,6 @@ use hpcsim_mpi::{
     sweep_points, FnProgram, Mpi, Op, RankLayout, SimConfig, SimError, SimResult, SweepEngine,
     TraceDag, TraceSim,
 };
-use hpcsim_net::{FlowHandle, FlowTracker};
 use hpcsim_probe::Tracer;
 use hpcsim_topo::{Grid2D, Mapping};
 use serde::{Deserialize, Serialize};
@@ -216,53 +215,6 @@ pub fn latency_floor(machine: &MachineSpec) -> SimTime {
     (machine.nic.o_send + machine.nic.o_recv) * 2
 }
 
-/// Peak link/endpoint concurrency of each halo phase (north/south, then
-/// west/east) under `mapping` — the congestion diagnostic behind Fig
-/// 2(c,d)'s mapping spread: a mapping is bandwidth-hostile exactly when
-/// its halo flows pile onto the same torus links.
-///
-/// All of a phase's flows are registered at once through
-/// [`FlowTracker::acquire_phase`]'s difference-array bulk path, so the
-/// cost is O(ranks + links) per phase rather than O(ranks × hops).
-/// On-node flows (VN-mode neighbours sharing a node) bypass the torus
-/// and are excluded, mirroring the wire model's shared-memory fast path.
-pub fn halo_phase_pressure(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    mapping: Mapping,
-    grid: Grid2D,
-) -> [u32; 2] {
-    let ranks = grid.size();
-    let layout = halo_layout(machine, mode, mapping, ranks);
-    let torus = layout.torus;
-    let mut tracker = FlowTracker::new(&torus);
-    let mut peaks = [0u32; 2];
-    let mut flows: Vec<FlowHandle> = Vec::with_capacity(2 * ranks);
-    for (phase, peak) in peaks.iter_mut().enumerate() {
-        flows.clear();
-        for rank in 0..ranks {
-            let dsts = if phase == 0 {
-                [grid.north(rank), grid.south(rank)]
-            } else {
-                [grid.west(rank), grid.east(rank)]
-            };
-            for dst in dsts {
-                let src_node = layout.node_of_rank[rank];
-                let dst_node = layout.node_of_rank[dst];
-                if src_node == dst_node {
-                    continue;
-                }
-                let segs = torus.route_segs(torus.coord(src_node), torus.coord(dst_node));
-                flows.push(FlowHandle::new(segs, src_node, dst_node));
-            }
-        }
-        *peak = tracker.acquire_phase(&flows);
-        tracker.release_phase(&flows);
-    }
-    debug_assert!(tracker.is_quiescent());
-    peaks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,26 +278,6 @@ mod tests {
             t_big < t_small * 2.5,
             "64 -> 512 ranks grew cost {t_small:.2e} -> {t_big:.2e}"
         );
-    }
-
-    /// Phase pressure: registers and fully releases, reports sane peaks,
-    /// and a bandwidth-hostile mapping shows at least the pressure of a
-    /// torus-friendly one on a big grid.
-    #[test]
-    fn phase_pressure_tracks_mapping_quality() {
-        let m = bluegene_p();
-        let grid = Grid2D::new(32, 32);
-        let good = halo_phase_pressure(&m, ExecMode::Vn, Mapping::txyz(), grid);
-        assert!(good[0] >= 1 && good[1] >= 1, "{good:?}");
-        let spreads: Vec<[u32; 2]> = Mapping::fig2_set()
-            .iter()
-            .map(|(_, map)| halo_phase_pressure(&m, ExecMode::Vn, *map, grid))
-            .collect();
-        let worst = spreads.iter().map(|p| p[0].max(p[1])).max().unwrap();
-        let best = spreads.iter().map(|p| p[0].max(p[1])).min().unwrap();
-        assert!(worst >= best, "mapping set should span pressure levels: {spreads:?}");
-        // determinism
-        assert_eq!(good, halo_phase_pressure(&m, ExecMode::Vn, Mapping::txyz(), grid));
     }
 
     /// A survivable fault plan makes the exchange slower, never faster,

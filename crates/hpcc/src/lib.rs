@@ -40,7 +40,7 @@ pub use comm::{
 pub use epkernels::{dgemm_rate, stream_triad_rate, EpMode};
 pub use fft::{fft_run, fft_traces, FftResult};
 pub use halo::{
-    halo_eval_traces, halo_phase_pressure, halo_record_exchange, halo_run, halo_traces,
+    halo_eval_traces, halo_record_exchange, halo_run, halo_traces,
     halo_try_run, HaloConfig, HaloProtocol,
 };
 pub use hpl::{

@@ -81,7 +81,7 @@ use crate::result::{SimError, SimResult};
 use crate::sim::{SimConfig, TraceSim};
 use hpcsim_engine::SimTime;
 use hpcsim_faults::FaultPlan;
-use hpcsim_machine::{ExecMode, MachineSpec, NodeModel, ParamGroups, Perturbation, Workload};
+use hpcsim_machine::{MachineSpec, NodeModel, ParamGroups, Perturbation, Workload};
 use hpcsim_net::{CollectiveModel, CollectiveOp, P2pModel};
 use hpcsim_obs as obs;
 use hpcsim_probe::NoopTracer;
@@ -291,6 +291,32 @@ pub fn sweep_points<'d>(
 
 const NONE: u32 = u32::MAX;
 
+/// Widest lane batch: saturates the node decode amortization on big
+/// batteries while keeping the per-request lane stripe within a few
+/// cache lines.
+const WIDE: usize = 32;
+
+/// Narrow lane batch: the Fig 2 mapping-set size, and one cache line of
+/// `SimTime`s per request.
+const NARROW: usize = 8;
+
+/// How [`TraceDag::evaluate_perturbed`] packs `n` samples into lane
+/// batches: full 32-wide batches, then 8-wide batches (the last one
+/// padded by repeating its final sample), then a 1-wide tail. Yields
+/// `(lanes, samples)` per batch, in sample order.
+pub fn perturbed_batches(mut n: usize) -> impl Iterator<Item = (usize, usize)> {
+    std::iter::from_fn(move || {
+        let batch = match n {
+            0 => return None,
+            1 => (1, 1),
+            _ if n >= WIDE => (WIDE, WIDE),
+            _ => (NARROW, n.min(NARROW)),
+        };
+        n -= batch.1;
+        Some(batch)
+    })
+}
+
 /// One compiled task node; mirrors [`Op`] with matching resolved to
 /// integer message/channel/instance ids. Kept to 16 bytes — evaluation
 /// streams every node once per sweep point, so the fat payloads
@@ -339,14 +365,6 @@ struct ClassCost {
     eager: bool,
 }
 
-/// Per-point cost of one channel (route geometry + payload class).
-struct ChanCost {
-    wire: SimTime,
-    rdv_extra: SimTime,
-    copy: SimTime,
-    eager: bool,
-}
-
 /// Machine-level cost tables: everything a sweep point needs that does
 /// not depend on the rank layout. Mappings only move ranks, so a
 /// mapping sweep builds these once and re-prices routes per point.
@@ -365,45 +383,53 @@ struct MachCosts {
     hs_shm: SimTime,
 }
 
-/// Structure-of-arrays base cost tables for one fully-specified sweep
-/// point (machine + layout + mode), split by the machine parameter
-/// group that prices each array. This is what Monte-Carlo delta
-/// re-pricing works against: a perturbed sample rebuilds only the
-/// arrays its [`Perturbation::groups`] bitmask touches and reuses the
-/// rest bit-for-bit. Cached per thread while the point is unchanged —
-/// on a sensitivity battery that is every batch after the first.
-struct PointCosts {
-    // cache key: the DAG identity (channel/compute/collective ids are
-    // per-DAG) plus everything the tables were priced from
-    uid: u64,
-    machine: MachineSpec,
-    mode: ExecMode,
-    threads: u32,
-    ambient: f64,
-    hop_scale: f64,
-    tasks_per_node: usize,
-    torus: Torus3D,
-    node_of_rank: Vec<usize>,
-    /// [`ParamGroups::HOP_LAT`]: off-node route latency per channel.
-    chan_hop: Vec<SimTime>,
-    /// [`ParamGroups::LINK_BW`]: off-node per-byte serialization per
-    /// channel (expanded from the byte-class table).
-    chan_serial: Vec<SimTime>,
-    /// Fused base column `(wire, rdv_extra)` per channel — exactly what
-    /// the scalar pass prices, so untouched lanes copy these bits.
-    chan_wire: Vec<(SimTime, SimTime)>,
-    /// On-node channels ride the shared-memory path; link-bandwidth and
-    /// hop-latency perturbations never touch them.
-    chan_on: Vec<bool>,
-    chan_copy: Vec<SimTime>,
-    chan_eager: Vec<bool>,
-    /// [`ParamGroups::COMPUTE`]: resolved duration per compute entry.
+/// The priced cost tables of `L` sweep points sharing one machine,
+/// filled by [`TraceDag::price`] alone and read by every evaluation:
+/// the scalar pass and perturbed samples read its one-lane instance,
+/// mapping batches the `L`-lane one. Per-lane arrays interleave lanes
+/// innermost (`[entry * L + lane]`), so one entry's lanes share a cache
+/// line. The arrays are split by the machine parameter group that
+/// prices them, which is what Monte-Carlo delta re-pricing works
+/// against: a perturbed lane scales only the arrays its
+/// [`Perturbation::groups`] bitmask touches and reuses the rest
+/// bit-for-bit.
+#[derive(Default)]
+struct CostTables {
+    /// `(wire, rdv_extra)` per channel × lane: the contention-free wire
+    /// time and the rendezvous handshake ahead of it (zero when eager).
+    wire: Vec<(SimTime, SimTime)>,
+    /// [`ParamGroups::HOP_LAT`]: off-node route latency per channel ×
+    /// lane (zero on-node). An off-node wire is this plus the channel's
+    /// [`ParamGroups::LINK_BW`] serialization, so a perturbed lane
+    /// recovers that term as `wire - hop`.
+    hop: Vec<SimTime>,
+    /// Same-node channel, per channel × lane: the shared-memory path,
+    /// which link-bandwidth and hop-latency perturbations never touch.
+    on_node: Vec<bool>,
+    /// Unexpected-receive copy cost per channel.
+    copy: Vec<SimTime>,
+    /// Eager payload, per channel.
+    eager: Vec<bool>,
+    /// [`ParamGroups::COMPUTE`]: duration per compute entry. Compute
+    /// cost does not depend on the rank layout, so one column serves
+    /// every lane.
     compute: Vec<SimTime>,
-    /// [`ParamGroups::COLLECTIVE`]: duration per (comm, op) cost entry.
+    /// [`ParamGroups::COLLECTIVE`]: duration per (comm, op) entry × lane.
     coll: Vec<SimTime>,
     /// Route-independent rendezvous handshake part (overheads), shared
     /// by every off-node channel.
     hs_off: SimTime,
+}
+
+/// The one-lane tables of one fully specified sweep point, cached per
+/// thread while the point is unchanged — on a sensitivity battery that
+/// is every batch after the first.
+struct PointCosts {
+    /// The DAG identity (channel/compute/collective ids are per-DAG).
+    uid: u64,
+    /// The point the tables were priced for.
+    cfg: SimConfig,
+    costs: CostTables,
 }
 
 /// Lane-kernel cost scaling with exact pass-through at 1.0 (so
@@ -448,16 +474,20 @@ fn lanes_mut<const L: usize, T>(s: &mut [T], at: usize) -> &mut [T; L] {
     (&mut s[at..at + L]).try_into().unwrap()
 }
 
-/// Reusable evaluation state: cached machine tables plus the per-point
-/// scratch arrays. [`TraceDag::evaluate_many`] threads one of these
-/// through a whole sweep so points after the first allocate nothing.
+/// Reusable evaluation state: the cost-table builder's caches, the
+/// priced tables, and the per-point scratch arrays.
+/// [`TraceDag::evaluate_many`] threads one of these through a whole
+/// sweep so points after the first allocate nothing.
 #[derive(Default)]
 struct EvalCtx {
     mach: Option<MachCosts>,
-    point: Option<PointCosts>,
     torus: Option<Torus3D>,
     coords: Vec<Coord>,
-    chan_costs: Vec<ChanCost>,
+    /// What the last [`TraceDag::price`] call of a scalar point or a
+    /// mapping batch filled.
+    costs: CostTables,
+    /// The base point of the last perturbed batch.
+    point: Option<PointCosts>,
     run_start: Vec<SimTime>,
     req_val: Vec<SimTime>,
     req_msg: Vec<u32>,
@@ -468,20 +498,15 @@ struct EvalCtx {
     inst_latest: Vec<SimTime>,
     // lane-batched pass (`stream_lanes`): timing state widened to L
     // interleaved lanes; structural state stays in the scalar arrays
-    lane_chan: Vec<(SimTime, SimTime)>,
-    chan_copy: Vec<SimTime>,
-    chan_eager: Vec<bool>,
-    lane_compute: Vec<SimTime>,
-    lane_coll: Vec<SimTime>,
     /// Per-lane factor on inline `Delay` durations (delays model OS
-    /// noise/imbalance, so the COMPUTE perturbation group scales them);
-    /// all 1.0 — exact pass-through — for mapping batches. Perturbed
-    /// batches also scale `Compute` nodes by it (same parameter group).
+    /// noise/imbalance, so the COMPUTE perturbation group scales them)
+    /// and on `Compute` nodes (same parameter group); perturbed batches
+    /// only — mapping batches pass both through unscaled.
     lane_delay: Vec<f64>,
     // Perturbed batches don't materialize lane cost arrays at all: a
     // perturbed lane's cost is `base ⊗ factor`, so the stream computes
     // it in registers from the base SoA tables plus these per-lane
-    // factors (`scale_or` passes base bits through at exactly 1.0).
+    // factors (`scale_ps` passes base bits through at exactly 1.0).
     lane_inv_bw: Vec<f64>,
     lane_hop_scale: Vec<f64>,
     lane_coll_scale: Vec<f64>,
@@ -1058,17 +1083,13 @@ impl TraceDag {
 
     /// Evaluate a whole batch of points, identical to calling
     /// [`TraceDag::evaluate`] on each but reusing the scratch arrays
-    /// and the machine-level cost tables across points — on a mapping
-    /// sweep everything but the route pricing and the streaming pass
-    /// itself is shared, so points after the first allocate nothing.
+    /// and the machine-level cost tables across points. Runs of points
+    /// that share a machine are packed into [`WIDE`]- and then
+    /// [`NARROW`]-lane batches that price and stream together; the rest
+    /// go one at a time. On a mapping sweep everything but the route
+    /// pricing and the streaming pass itself is shared, so points after
+    /// the first allocate nothing.
     pub fn evaluate_many(&self, cfgs: &[SimConfig]) -> Vec<SimResult> {
-        /// Widest lane batch: saturates the node decode amortization on
-        /// big batteries while keeping the per-request lane stripe
-        /// within a few cache lines.
-        const WIDE: usize = 32;
-        /// Narrow batch: the Fig 2 mapping-set size, and one cache line
-        /// of `SimTime`s per request.
-        const L: usize = 8;
         // Lanes share every machine-derived table, so a batch must
         // agree on everything except the rank layout.
         fn same_machine(a: &SimConfig, b: &SimConfig) -> bool {
@@ -1085,25 +1106,27 @@ impl TraceDag {
             let mut out = Vec::with_capacity(cfgs.len());
             let mut i = 0;
             while i < cfgs.len() {
-                let rem = cfgs.len() - i;
-                if rem >= WIDE && cfgs[i + 1..i + WIDE].iter().all(|c| same_machine(&cfgs[i], c))
-                {
-                    m.lane_batches.inc();
-                    m.lane_points.add(WIDE as u64);
-                    self.evaluate_lanes::<WIDE>(&cfgs[i..i + WIDE], ctx, &mut out);
-                    i += WIDE;
-                } else if rem >= L
-                    && cfgs[i + 1..i + L].iter().all(|c| same_machine(&cfgs[i], c))
-                {
-                    m.lane_batches.inc();
-                    m.lane_points.add(L as u64);
-                    self.evaluate_lanes::<L>(&cfgs[i..i + L], ctx, &mut out);
-                    i += L;
-                } else {
+                let width = [WIDE, NARROW]
+                    .into_iter()
+                    .find(|&w| {
+                        cfgs.len() - i >= w
+                            && cfgs[i + 1..i + w].iter().all(|c| same_machine(&cfgs[i], c))
+                    })
+                    .unwrap_or(1);
+                let batch = &cfgs[i..i + width];
+                if width == 1 {
                     m.scalar_points.inc();
-                    out.push(self.evaluate_in(&cfgs[i], ctx));
-                    i += 1;
+                    out.push(self.evaluate_in(&batch[0], ctx));
+                } else {
+                    m.lane_batches.inc();
+                    m.lane_points.add(width as u64);
+                    if width == WIDE {
+                        self.evaluate_lanes::<WIDE>(batch, ctx, &mut out);
+                    } else {
+                        self.evaluate_lanes::<NARROW>(batch, ctx, &mut out);
+                    }
                 }
+                i += width;
             }
             out
         })
@@ -1116,56 +1139,50 @@ impl TraceDag {
     /// [`Perturbation::groups`] bitmask touches — untouched groups
     /// reuse the base arrays bit-for-bit, so an identity sample is
     /// bit-identical to [`TraceDag::evaluate`]. Samples are packed into
-    /// wide lane batches (the last partial batch padded by repeating
-    /// its final sample); results come back in sample order, one per
-    /// sample, independent of the batch decomposition.
+    /// lane batches as [`perturbed_batches`] splits them; results come
+    /// back in sample order, one per sample, independent of the batch
+    /// decomposition.
     pub fn evaluate_perturbed(&self, cfg: &SimConfig, samples: &[Perturbation]) -> Vec<SimResult> {
-        const WIDE: usize = 32;
-        const L: usize = 8;
-        let n = self.ranks;
-        assert_eq!(cfg.ranks(), n, "layout must place exactly the compiled ranks");
-        if let Some((count, rank, op)) = self.deadlock {
-            panic!("deadlock: {count} ranks did not finish, e.g. rank {rank} at op {op}");
-        }
-        if samples.is_empty() {
-            return Vec::new();
-        }
-        let m = metrics();
-        m.points.add(samples.len() as u64);
-        m.sens_samples.add(samples.len() as u64);
-        m.sens_group_arrays.add(samples.len() as u64 * ParamGroups::COUNT as u64);
-        m.sens_repriced
-            .add(samples.iter().map(|s| s.groups().count() as u64).sum());
-        let o_send = cfg.machine.nic.o_send;
-        let o_recv = cfg.machine.nic.o_recv;
         CTX.with(|ctx| {
             let ctx = &mut ctx.borrow_mut();
-            self.ensure_point_costs(cfg, ctx);
-            // Take the base tables out so pricing can read them while
-            // writing the lane scratch; restored before returning.
-            let pc = ctx.point.take().expect("point tables just ensured");
+            let point = match ctx.point.take() {
+                Some(p) if p.uid == self.uid && p.cfg == *cfg => p,
+                old => {
+                    self.price::<1>(std::slice::from_ref(cfg), ctx);
+                    let spare = old.map(|p| p.costs).unwrap_or_default();
+                    let costs = std::mem::replace(&mut ctx.costs, spare);
+                    PointCosts { uid: self.uid, cfg: cfg.clone(), costs }
+                }
+            };
+            ctx.point = Some(point);
+            let m = metrics();
+            m.points.add(samples.len() as u64);
+            m.sens_samples.add(samples.len() as u64);
+            m.sens_group_arrays.add(samples.len() as u64 * ParamGroups::COUNT as u64);
+            m.sens_repriced
+                .add(samples.iter().map(|s| s.groups().count() as u64).sum());
+            let (o_send, o_recv) = (cfg.machine.nic.o_send, cfg.machine.nic.o_recv);
             let mut out = Vec::with_capacity(samples.len());
-            let mut i = 0;
-            while samples.len() - i >= WIDE {
-                m.sens_lane_slots.add(WIDE as u64);
-                Self::price_perturbed::<WIDE>(&samples[i..i + WIDE], ctx);
-                self.stream_lanes::<WIDE, true>(o_send, o_recv, Some(&pc), ctx, &mut out);
-                i += WIDE;
+            for (width, take) in perturbed_batches(samples.len()) {
+                m.sens_lane_slots.add(width as u64);
+                let batch = &samples[out.len()..out.len() + take];
+                match width {
+                    WIDE => {
+                        Self::price_perturbed::<WIDE>(batch, ctx);
+                        self.stream_lanes::<WIDE, true>(o_send, o_recv, ctx, &mut out);
+                    }
+                    NARROW => {
+                        Self::price_perturbed::<NARROW>(batch, ctx);
+                        self.stream_lanes::<NARROW, true>(o_send, o_recv, ctx, &mut out);
+                    }
+                    _ => {
+                        Self::price_perturbed::<1>(batch, ctx);
+                        self.stream_lanes::<1, true>(o_send, o_recv, ctx, &mut out);
+                    }
+                }
+                // drop the padding lanes of a partial batch
+                out.truncate(out.len() - (width - take));
             }
-            while samples.len() - i > 1 {
-                let take = (samples.len() - i).min(L);
-                m.sens_lane_slots.add(L as u64);
-                Self::price_perturbed::<L>(&samples[i..i + take], ctx);
-                self.stream_lanes::<L, true>(o_send, o_recv, Some(&pc), ctx, &mut out);
-                out.truncate(out.len() - (L - take));
-                i += take;
-            }
-            if i < samples.len() {
-                m.sens_lane_slots.inc();
-                Self::price_perturbed::<1>(&samples[i..], ctx);
-                self.stream_lanes::<1, true>(o_send, o_recv, Some(&pc), ctx, &mut out);
-            }
-            ctx.point = Some(pc);
             out
         })
     }
@@ -1212,30 +1229,32 @@ impl TraceDag {
         mach.as_ref().expect("machine tables just ensured")
     }
 
-    /// Ensure `ctx.point` holds the structure-of-arrays base cost
-    /// tables for `cfg` — the split (hop / serial / compute /
-    /// collective) arrays delta re-pricing scales plus the fused
-    /// per-channel column untouched lanes copy. Rebuilt only when the
-    /// point actually changed, which on a sensitivity battery is never
-    /// after the first batch.
-    fn ensure_point_costs(&self, cfg: &SimConfig, ctx: &mut EvalCtx) {
-        let lay = &cfg.layout;
-        if ctx.point.as_ref().is_some_and(|pc| {
-            pc.uid == self.uid
-                && pc.mode == cfg.mode
-                && pc.threads == cfg.threads
-                && pc.ambient == lay.ambient_flows
-                && pc.hop_scale == lay.hop_scale
-                && pc.tasks_per_node == lay.tasks_per_node
-                && pc.torus == lay.torus
-                && pc.node_of_rank == lay.node_of_rank
-                && pc.machine == cfg.machine
-        }) {
-            return;
+    /// The one cost-table builder: price the `L` points `cfgs` (sharing
+    /// one machine, mode and torus; they may differ in rank layout)
+    /// into `ctx.costs`, lanes innermost. Byte-dependent terms come from
+    /// the machine tables (float work once per payload class), routes
+    /// from integer hop geometry computed once per (src, dst) rank pair
+    /// (compile emits a pair's classes consecutively), so the pricing
+    /// loop stays free of floating point and `SimTime`'s integer
+    /// addition keeps every sum bit-identical to `P2pModel::wire_time`.
+    ///
+    /// Panics, as replay would fail, when a layout does not place
+    /// exactly the compiled ranks or the DAG is structurally
+    /// deadlocked.
+    fn price<const L: usize>(&self, cfgs: &[SimConfig], ctx: &mut EvalCtx) {
+        // a fixed-length view lets the per-lane loops unroll
+        let cfgs: &[SimConfig; L] = cfgs.try_into().expect("one point per lane");
+        for cfg in cfgs {
+            assert_eq!(cfg.ranks(), self.ranks, "layout must place exactly the compiled ranks");
         }
-        let p2p = P2pModel::new(&cfg.machine, lay.torus).with_ambient(lay.ambient_flows);
-        let EvalCtx { mach, torus: cached_torus, coords, .. } = &mut *ctx;
-        let mc = self.mach_costs(cfg, &p2p, mach);
+        if let Some((count, rank, op)) = self.deadlock {
+            panic!("deadlock: {count} ranks did not finish, e.g. rank {rank} at op {op}");
+        }
+        let cfg0 = &cfgs[0];
+        let p2p =
+            P2pModel::new(&cfg0.machine, cfg0.layout.torus).with_ambient(cfg0.layout.ambient_flows);
+        let EvalCtx { mach, torus: cached_torus, coords, costs: t, .. } = ctx;
+        let mc = self.mach_costs(cfg0, &p2p, mach);
         let torus = p2p.torus();
         if *cached_torus != Some(*torus) {
             *cached_torus = Some(*torus);
@@ -1243,86 +1262,79 @@ impl TraceDag {
             coords.extend((0..torus.nodes()).map(|i| torus.coord(i)));
         }
         let nchan = self.channels.len();
-        let mut chan_hop = vec![SimTime::ZERO; nchan];
-        let mut chan_serial = vec![SimTime::ZERO; nchan];
-        let mut chan_wire = vec![(SimTime::ZERO, SimTime::ZERO); nchan];
-        let mut chan_on = vec![false; nchan];
-        let mut chan_copy = vec![SimTime::ZERO; nchan];
-        let mut chan_eager = vec![false; nchan];
-        // Hop geometry depends only on the (src, dst) pair, not the
-        // payload class; compile emits a pair's classes consecutively.
+        t.wire.clear();
+        t.wire.resize(nchan * L, (SimTime::ZERO, SimTime::ZERO));
+        t.hop.clear();
+        t.hop.resize(nchan * L, SimTime::ZERO);
+        t.on_node.clear();
+        t.on_node.resize(nchan * L, false);
+        t.copy.clear();
+        t.copy.resize(nchan, SimTime::ZERO);
+        t.eager.clear();
+        t.eager.resize(nchan, false);
+        let shm_base = p2p.shm_base();
         let mut prev_pair = (u32::MAX, u32::MAX);
-        let mut hop = SimTime::ZERO;
-        let mut on_node = false;
+        let mut hop = [SimTime::ZERO; L];
+        let mut on_node = [false; L];
         for (ci, c) in self.channels.iter().enumerate() {
             if (c.src, c.dst) != prev_pair {
                 prev_pair = (c.src, c.dst);
-                let src_node = lay.node_of_rank[c.src as usize];
-                let dst_node = lay.node_of_rank[c.dst as usize];
-                on_node = src_node == dst_node;
-                if !on_node {
-                    hop = p2p.hop_cost(torus.hops(coords[src_node], coords[dst_node]));
+                for (l, cfg) in cfgs.iter().enumerate() {
+                    let src_node = cfg.layout.node_of_rank[c.src as usize];
+                    let dst_node = cfg.layout.node_of_rank[c.dst as usize];
+                    on_node[l] = src_node == dst_node;
+                    hop[l] = if on_node[l] {
+                        SimTime::ZERO
+                    } else {
+                        p2p.hop_cost(torus.hops(coords[src_node], coords[dst_node]))
+                    };
                 }
             }
             let cl = &mc.class_costs[c.class as usize];
-            let (wire, hs) = if on_node {
-                (p2p.shm_base() + cl.shm_serial, mc.hs_shm)
-            } else {
-                chan_hop[ci] = hop;
-                chan_serial[ci] = cl.serial;
-                (hop + cl.serial, hop + mc.hs_off)
-            };
-            chan_wire[ci] = (wire, if cl.eager { SimTime::ZERO } else { hs });
-            chan_on[ci] = on_node;
-            chan_copy[ci] = cl.copy;
-            chan_eager[ci] = cl.eager;
+            t.copy[ci] = cl.copy;
+            t.eager[ci] = cl.eager;
+            let rdv = |hs: SimTime| if cl.eager { SimTime::ZERO } else { hs };
+            // one contiguous write per channel and table, lanes innermost
+            *lanes_mut::<L, _>(&mut t.wire, ci * L) = std::array::from_fn(|l| {
+                if on_node[l] {
+                    // on-node: shared-memory path, no hops
+                    (shm_base + cl.shm_serial, rdv(mc.hs_shm))
+                } else {
+                    (hop[l] + cl.serial, rdv(hop[l] + mc.hs_off))
+                }
+            });
+            *lanes_mut::<L, _>(&mut t.hop, ci * L) = hop;
+            *lanes_mut::<L, _>(&mut t.on_node, ci * L) = on_node;
         }
-        let hs_off = mc.hs_off;
-        let compute: Vec<SimTime> = self
-            .compute_costs
-            .iter()
-            .map(|&(work, threads)| mc.node_model.time(&work, cfg.mode, threads))
-            .collect();
-        let coll: Vec<SimTime> = if self.insts.is_empty() {
-            Vec::new()
-        } else {
-            let models: Vec<CollectiveModel> = self
-                .comms
+        t.compute.clear();
+        t.compute.extend(
+            self.compute_costs
                 .iter()
-                .map(|m| {
-                    CollectiveModel::with_hop_scale(
-                        &cfg.machine,
-                        m.len(),
-                        lay.tasks_per_node,
-                        lay.hop_scale,
-                    )
-                })
-                .collect();
-            self.coll_costs
-                .iter()
-                .map(|&(comm, op)| models[comm as usize].time(op))
-                .collect()
-        };
-        ctx.point = Some(PointCosts {
-            uid: self.uid,
-            machine: cfg.machine.clone(),
-            mode: cfg.mode,
-            threads: cfg.threads,
-            ambient: lay.ambient_flows,
-            hop_scale: lay.hop_scale,
-            tasks_per_node: lay.tasks_per_node,
-            torus: *torus,
-            node_of_rank: lay.node_of_rank.clone(),
-            chan_hop,
-            chan_serial,
-            chan_wire,
-            chan_on,
-            chan_copy,
-            chan_eager,
-            compute,
-            coll,
-            hs_off,
-        });
+                .map(|&(work, threads)| mc.node_model.time(&work, cfg0.mode, threads)),
+        );
+        t.coll.clear();
+        t.coll.resize(self.coll_costs.len() * L, SimTime::ZERO);
+        if !self.coll_costs.is_empty() {
+            for (l, cfg) in cfgs.iter().enumerate() {
+                let lay = &cfg.layout;
+                let models: Vec<CollectiveModel> = self
+                    .comms
+                    .iter()
+                    .map(|m| {
+                        CollectiveModel::with_hop_scale(
+                            &cfg.machine,
+                            m.len(),
+                            lay.tasks_per_node,
+                            lay.hop_scale,
+                        )
+                    })
+                    .collect();
+                for (k, &(comm, op)) in self.coll_costs.iter().enumerate() {
+                    t.coll[k * L + l] = models[comm as usize].time(op);
+                }
+            }
+        }
+        t.hs_off = mc.hs_off;
     }
 
     /// Price up to `L` perturbation samples (lane `l ≥ samples.len()`
@@ -1331,9 +1343,9 @@ impl TraceDag {
     /// (cost, lane) at all. A perturbed lane's cost is always
     /// `base ⊗ factor`, so pricing stores only the four per-lane scale
     /// factors and the streaming pass applies them in registers against
-    /// the base SoA tables — an untouched group's factor is exactly 1.0
-    /// and `scale_or` passes the base bits through unchanged, so
-    /// identity lanes stay bit-identical.
+    /// the base point's one-lane tables — an untouched group's factor is
+    /// exactly 1.0 and `scale_ps` passes the base bits through
+    /// unchanged, so identity lanes stay bit-identical.
     fn price_perturbed<const L: usize>(samples: &[Perturbation], ctx: &mut EvalCtx) {
         debug_assert!(!samples.is_empty() && samples.len() <= L);
         let EvalCtx { lane_delay, lane_inv_bw, lane_hop_scale, lane_coll_scale, .. } = &mut *ctx;
@@ -1354,22 +1366,16 @@ impl TraceDag {
         }
     }
 
+    /// The scalar streaming pass over the tables [`TraceDag::price`]
+    /// fills for one point.
     fn evaluate_in(&self, cfg: &SimConfig, ctx: &mut EvalCtx) -> SimResult {
         let n = self.ranks;
-        assert_eq!(cfg.ranks(), n, "layout must place exactly the compiled ranks");
-        if let Some((count, rank, op)) = self.deadlock {
-            panic!("deadlock: {count} ranks did not finish, e.g. rank {rank} at op {op}");
-        }
-        let p2p =
-            P2pModel::new(&cfg.machine, cfg.layout.torus).with_ambient(cfg.layout.ambient_flows);
+        self.price::<1>(std::slice::from_ref(cfg), ctx);
         let o_send = cfg.machine.nic.o_send;
         let o_recv = cfg.machine.nic.o_recv;
 
         let EvalCtx {
-            mach,
-            torus: cached_torus,
-            coords,
-            chan_costs,
+            costs: t,
             run_start,
             req_val,
             req_msg,
@@ -1379,63 +1385,7 @@ impl TraceDag {
             inst_arrived,
             inst_latest,
             ..
-        } = ctx;
-
-        // Re-cost the edge classes for this point. Byte-dependent terms
-        // are priced per payload class (a handful of float divides,
-        // cached while the machine is unchanged), routes per channel
-        // (integer hop geometry only), and coordinates once per torus —
-        // the split keeps the pricing loop free of floating point, and
-        // `SimTime`'s integer addition keeps it bit-identical to
-        // `P2pModel::wire_time`.
-        let mc = self.mach_costs(cfg, &p2p, mach);
-        let node_model = &mc.node_model;
-
-        let torus = p2p.torus();
-        if *cached_torus != Some(*torus) {
-            *cached_torus = Some(*torus);
-            coords.clear();
-            coords.extend((0..torus.nodes()).map(|i| torus.coord(i)));
-        }
-        chan_costs.clear();
-        chan_costs.extend(self.channels.iter().map(|c| {
-            let src_node = cfg.layout.node_of_rank[c.src as usize];
-            let dst_node = cfg.layout.node_of_rank[c.dst as usize];
-            let cl = &mc.class_costs[c.class as usize];
-            let (wire, hs) = if src_node == dst_node {
-                // on-node: shared-memory path, no hops
-                (p2p.shm_base() + cl.shm_serial, mc.hs_shm)
-            } else {
-                let hop = p2p.hop_cost(torus.hops(coords[src_node], coords[dst_node]));
-                (hop + cl.serial, hop + mc.hs_off)
-            };
-            ChanCost {
-                wire,
-                rdv_extra: if cl.eager { SimTime::ZERO } else { hs },
-                copy: cl.copy,
-                eager: cl.eager,
-            }
-        }));
-        let coll_dur: Vec<SimTime> = if self.insts.is_empty() {
-            Vec::new()
-        } else {
-            let coll_models: Vec<CollectiveModel> = self
-                .comms
-                .iter()
-                .map(|m| {
-                    CollectiveModel::with_hop_scale(
-                        &cfg.machine,
-                        m.len(),
-                        cfg.layout.tasks_per_node,
-                        cfg.layout.hop_scale,
-                    )
-                })
-                .collect();
-            self.coll_costs
-                .iter()
-                .map(|&(comm, op)| coll_models[comm as usize].time(op))
-                .collect()
-        };
+        } = &mut *ctx;
 
         // Per-point state. The per-rank clocks and marks move into the
         // returned `SimResult`, so they are fresh allocations; the big
@@ -1480,10 +1430,9 @@ impl TraceDag {
             for node in &self.stream[si..si + len as usize] {
                 match *node {
                     Node::Compute { cost } => {
-                        let (work, threads) = self.compute_costs[cost as usize];
-                        let t = node_model.time(&work, cfg.mode, threads);
-                        clk += t;
-                        bz += t;
+                        let c = t.compute[cost as usize];
+                        clk += c;
+                        bz += c;
                     }
                     Node::Delay { time } => {
                         clk += time;
@@ -1491,10 +1440,11 @@ impl TraceDag {
                     }
                     Node::Send { chan, msg, req } => {
                         clk += o_send;
-                        let c = &chan_costs[chan as usize];
+                        let (wire, rdv_extra) = t.wire[chan as usize];
                         let inject = clk;
-                        let arrive = inject + c.rdv_extra + c.wire;
-                        req_val[rb + req as usize] = if c.eager { inject } else { arrive };
+                        let arrive = inject + rdv_extra + wire;
+                        req_val[rb + req as usize] =
+                            if t.eager[chan as usize] { inject } else { arrive };
                         if msg != NONE {
                             msg_arrive[msg as usize] = arrive;
                         }
@@ -1529,7 +1479,7 @@ impl TraceDag {
                         // us).
                         let (post_rs, post_clock) = msg_post[m];
                         let done = if a < post_rs {
-                            post_clock + chan_costs[req_chan[ri] as usize].copy
+                            post_clock + t.copy[req_chan[ri] as usize]
                         } else {
                             if a > rs {
                                 rs = a;
@@ -1556,7 +1506,7 @@ impl TraceDag {
                         // last member in: complete the super-node and
                         // release everyone at `latest + duration`
                         // (their next ops are scheduled after this)
-                        let done = inst_latest[i] + coll_dur[spec.cost as usize];
+                        let done = inst_latest[i] + t.coll[spec.cost as usize];
                         clock[r] = clk;
                         for &m in members {
                             if done > clock[m] {
@@ -1587,139 +1537,27 @@ impl TraceDag {
         }
     }
 
-    /// The lane-batched streaming pass: evaluate `L` points sharing one
-    /// machine (differing only in rank layout) in ONE walk of the
-    /// schedule. The schedule fixes all control flow, so everything
-    /// structural — request→message pairing, resolved-vs-pending wait
-    /// state, collective membership counts — is identical across lanes
-    /// and stays in scalar arrays; only timing state (clocks, route
-    /// costs, arrival times) widens to `L` interleaved lanes, so one
-    /// request's lanes share a cache line and the node decode + dispatch
-    /// cost is paid once for all `L` points.
+    /// A mapping batch: `L` points sharing one machine (differing only
+    /// in rank layout), priced together and evaluated in one walk of
+    /// the schedule.
     fn evaluate_lanes<const L: usize>(
         &self,
         cfgs: &[SimConfig],
         ctx: &mut EvalCtx,
         out: &mut Vec<SimResult>,
     ) {
-        debug_assert_eq!(cfgs.len(), L);
-        let n = self.ranks;
-        for cfg in cfgs {
-            assert_eq!(cfg.ranks(), n, "layout must place exactly the compiled ranks");
-        }
-        if let Some((count, rank, op)) = self.deadlock {
-            panic!("deadlock: {count} ranks did not finish, e.g. rank {rank} at op {op}");
-        }
-        let cfg0 = &cfgs[0];
-        let o_send = cfg0.machine.nic.o_send;
-        let o_recv = cfg0.machine.nic.o_recv;
-
-        let EvalCtx {
-            mach,
-            torus: cached_torus,
-            coords,
-            lane_chan,
-            chan_copy,
-            chan_eager,
-            lane_compute,
-            lane_coll,
-            lane_delay,
-            ..
-        } = &mut *ctx;
-
-        // Machine-level tables are shared across lanes (the batch
-        // dispatcher guarantees one machine); routes are priced per
-        // lane into the interleaved channel table. The copy cost and
-        // eager flag depend only on the payload class, so they stay
-        // per-channel scalars.
-        let p2p =
-            P2pModel::new(&cfg0.machine, cfg0.layout.torus).with_ambient(cfg0.layout.ambient_flows);
-        let mc = self.mach_costs(cfg0, &p2p, mach);
-        let torus = p2p.torus();
-        if *cached_torus != Some(*torus) {
-            *cached_torus = Some(*torus);
-            coords.clear();
-            coords.extend((0..torus.nodes()).map(|i| torus.coord(i)));
-        }
-        chan_copy.clear();
-        chan_eager.clear();
-        for c in &self.channels {
-            let cl = &mc.class_costs[c.class as usize];
-            chan_copy.push(cl.copy);
-            chan_eager.push(cl.eager);
-        }
-        lane_chan.clear();
-        lane_chan.resize(self.channels.len() * L, (SimTime::ZERO, SimTime::ZERO));
-        // Channel-outer, lane-inner: one contiguous 16·L-byte write per
-        // channel, and the hop geometry — which depends only on the
-        // (src, dst) rank pair, not the payload class — is computed
-        // once per pair (compile emits a pair's classes consecutively).
-        let mut prev_pair = (u32::MAX, u32::MAX);
-        let mut hop = [SimTime::ZERO; L];
-        let mut on_node = [false; L];
-        for (ci, c) in self.channels.iter().enumerate() {
-            if (c.src, c.dst) != prev_pair {
-                prev_pair = (c.src, c.dst);
-                for (l, cfg) in cfgs.iter().enumerate() {
-                    let src_node = cfg.layout.node_of_rank[c.src as usize];
-                    let dst_node = cfg.layout.node_of_rank[c.dst as usize];
-                    on_node[l] = src_node == dst_node;
-                    if !on_node[l] {
-                        hop[l] = p2p.hop_cost(torus.hops(coords[src_node], coords[dst_node]));
-                    }
-                }
-            }
-            let cl = &mc.class_costs[c.class as usize];
-            for l in 0..L {
-                let (wire, hs) = if on_node[l] {
-                    // on-node: shared-memory path, no hops
-                    (p2p.shm_base() + cl.shm_serial, mc.hs_shm)
-                } else {
-                    (hop[l] + cl.serial, hop[l] + mc.hs_off)
-                };
-                lane_chan[ci * L + l] = (wire, if cl.eager { SimTime::ZERO } else { hs });
-            }
-        }
-        // Compute durations are layout-independent, so the batch shares
-        // one priced value per compute entry across all lanes.
-        lane_compute.clear();
-        lane_compute.resize(self.compute_costs.len() * L, SimTime::ZERO);
-        for (e, &(work, threads)) in self.compute_costs.iter().enumerate() {
-            let t = mc.node_model.time(&work, cfg0.mode, threads);
-            lane_compute[e * L..e * L + L].fill(t);
-        }
-        lane_delay.clear();
-        lane_delay.resize(L, 1.0);
-        lane_coll.clear();
-        lane_coll.resize(self.coll_costs.len() * L, SimTime::ZERO);
-        if !self.insts.is_empty() {
-            for (l, cfg) in cfgs.iter().enumerate() {
-                let models: Vec<CollectiveModel> = self
-                    .comms
-                    .iter()
-                    .map(|m| {
-                        CollectiveModel::with_hop_scale(
-                            &cfg.machine,
-                            m.len(),
-                            cfg.layout.tasks_per_node,
-                            cfg.layout.hop_scale,
-                        )
-                    })
-                    .collect();
-                for (k, &(comm, op)) in self.coll_costs.iter().enumerate() {
-                    lane_coll[k * L + l] = models[comm as usize].time(op);
-                }
-            }
-        }
-
-        self.stream_lanes::<L, false>(o_send, o_recv, None, ctx, out);
+        self.price::<L>(cfgs, ctx);
+        let nic = &cfgs[0].machine.nic;
+        self.stream_lanes::<L, false>(nic.o_send, nic.o_recv, ctx, out);
     }
 
     /// The wide streaming pass shared by mapping batches
     /// ([`TraceDag::evaluate_lanes`]) and perturbed batches
     /// ([`TraceDag::evaluate_perturbed`]): evaluate `L` lanes whose
-    /// cost tables are already priced into the ctx lane arrays in ONE
-    /// walk of the schedule. The schedule fixes all control flow, so
+    /// costs are already priced in ONE walk of the schedule. A mapping
+    /// batch reads the `L`-lane tables in `ctx.costs`; a perturbed
+    /// (`FACTORED`) batch reads the base point's one-lane tables and
+    /// scales them per lane. The schedule fixes all control flow, so
     /// everything structural — request→message pairing,
     /// resolved-vs-pending wait state, collective membership counts —
     /// is identical across lanes and stays in scalar arrays; only
@@ -1730,7 +1568,6 @@ impl TraceDag {
         &self,
         o_send: SimTime,
         o_recv: SimTime,
-        pc: Option<&PointCosts>,
         ctx: &mut EvalCtx,
         out: &mut Vec<SimResult>,
     ) {
@@ -1759,17 +1596,17 @@ impl TraceDag {
             if isa == 2 {
                 // SAFETY: the matching CPU features were detected above.
                 return unsafe {
-                    self.stream_lanes_avx512::<L, FACTORED>(o_send, o_recv, pc, ctx, out)
+                    self.stream_lanes_avx512::<L, FACTORED>(o_send, o_recv, ctx, out)
                 };
             }
             if isa == 1 {
                 // SAFETY: the matching CPU features were detected above.
                 return unsafe {
-                    self.stream_lanes_avx2::<L, FACTORED>(o_send, o_recv, pc, ctx, out)
+                    self.stream_lanes_avx2::<L, FACTORED>(o_send, o_recv, ctx, out)
                 };
             }
         }
-        self.stream_lanes_impl::<L, FACTORED>(o_send, o_recv, pc, ctx, out)
+        self.stream_lanes_impl::<L, FACTORED>(o_send, o_recv, ctx, out)
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -1778,11 +1615,10 @@ impl TraceDag {
         &self,
         o_send: SimTime,
         o_recv: SimTime,
-        pc: Option<&PointCosts>,
         ctx: &mut EvalCtx,
         out: &mut Vec<SimResult>,
     ) {
-        self.stream_lanes_impl::<L, FACTORED>(o_send, o_recv, pc, ctx, out)
+        self.stream_lanes_impl::<L, FACTORED>(o_send, o_recv, ctx, out)
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -1791,11 +1627,10 @@ impl TraceDag {
         &self,
         o_send: SimTime,
         o_recv: SimTime,
-        pc: Option<&PointCosts>,
         ctx: &mut EvalCtx,
         out: &mut Vec<SimResult>,
     ) {
-        self.stream_lanes_impl::<L, FACTORED>(o_send, o_recv, pc, ctx, out)
+        self.stream_lanes_impl::<L, FACTORED>(o_send, o_recv, ctx, out)
     }
 
     #[inline(always)]
@@ -1803,20 +1638,16 @@ impl TraceDag {
         &self,
         o_send: SimTime,
         o_recv: SimTime,
-        pc: Option<&PointCosts>,
         ctx: &mut EvalCtx,
         out: &mut Vec<SimResult>,
     ) {
         let n = self.ranks;
         let EvalCtx {
+            costs,
+            point,
             req_msg,
             req_chan,
             inst_arrived,
-            lane_chan,
-            chan_copy,
-            chan_eager,
-            lane_compute,
-            lane_coll,
             lane_delay,
             lane_inv_bw,
             lane_hop_scale,
@@ -1829,22 +1660,25 @@ impl TraceDag {
             lane_inst_latest,
             ..
         } = &mut *ctx;
-        // Factored (perturbed) batches read the structural per-channel
-        // tables straight off the base point; mapping batches priced
-        // them into the ctx copies.
-        let (chan_copy, chan_eager): (&[SimTime], &[bool]) = match pc {
-            Some(p) => (&p.chan_copy, &p.chan_eager),
-            None => (chan_copy, chan_eager),
+        let t: &CostTables = if FACTORED {
+            &point.as_ref().expect("perturbed batches price their base point").costs
+        } else {
+            costs
         };
         // Per-lane factors as fixed arrays: indexing the ctx `Vec`s
         // directly would re-prove bounds per lane inside the hot loops,
         // which blocks their vectorization.
-        let f_delay: [f64; L] = *lanes(lane_delay, 0);
-        let (f_inv_bw, f_hop, f_coll): ([f64; L], [f64; L], [f64; L]) = if FACTORED {
-            (*lanes(lane_inv_bw, 0), *lanes(lane_hop_scale, 0), *lanes(lane_coll_scale, 0))
-        } else {
-            ([1.0; L], [1.0; L], [1.0; L])
-        };
+        let (f_delay, f_inv_bw, f_hop, f_coll): ([f64; L], [f64; L], [f64; L], [f64; L]) =
+            if FACTORED {
+                (
+                    *lanes(lane_delay, 0),
+                    *lanes(lane_inv_bw, 0),
+                    *lanes(lane_hop_scale, 0),
+                    *lanes(lane_coll_scale, 0),
+                )
+            } else {
+                ([1.0; L], [1.0; L], [1.0; L], [1.0; L])
+            };
         // Batch-level delta re-pricing: a sensitivity battery feeds
         // whole chunks from one parameter group, so the other groups'
         // factors are 1.0 across every lane — those arms then skip the
@@ -1895,27 +1729,20 @@ impl TraceDag {
             for node in &self.stream[si..si + len as usize] {
                 match *node {
                     Node::Compute { cost } => {
-                        if FACTORED {
-                            // compute cost is layout-independent: one
-                            // base value, scaled per lane in registers
-                            let t = pc.unwrap().compute[cost as usize];
-                            if id_comp {
-                                for l in 0..L {
-                                    clk[l] = clk[l].saturating_add(t);
-                                    bz[l] = bz[l].saturating_add(t);
-                                }
-                            } else {
-                                for l in 0..L {
-                                    let c = scale_ps(t, f_delay[l]);
-                                    clk[l] = clk[l].saturating_add(c);
-                                    bz[l] = bz[l].saturating_add(c);
-                                }
+                        // compute cost is layout-independent: one priced
+                        // value for every lane, scaled per lane in
+                        // registers by a perturbed batch
+                        let c = t.compute[cost as usize];
+                        if id_comp {
+                            for l in 0..L {
+                                clk[l] = clk[l].saturating_add(c);
+                                bz[l] = bz[l].saturating_add(c);
                             }
                         } else {
-                            let c = lanes::<L, _>(lane_compute, cost as usize * L);
                             for l in 0..L {
-                                clk[l] = clk[l].saturating_add(c[l]);
-                                bz[l] = bz[l].saturating_add(c[l]);
+                                let c = scale_ps(c, f_delay[l]);
+                                clk[l] = clk[l].saturating_add(c);
+                                bz[l] = bz[l].saturating_add(c);
                             }
                         }
                     }
@@ -1935,25 +1762,24 @@ impl TraceDag {
                     }
                     Node::Send { chan, msg, req } => {
                         let ci = chan as usize;
-                        let eager = chan_eager[ci];
+                        let eager = t.eager[ci];
                         let rv = lanes_mut::<L, _>(lane_req_val, (rb + req as usize) * L);
                         let mut arrive = [SimTime::ZERO; L];
                         if FACTORED {
-                            let p = pc.unwrap();
-                            if p.chan_on[ci] || id_link {
+                            if t.on_node[ci] || id_link {
                                 // shared-memory path (link parameters
                                 // don't price it) or a batch that
                                 // leaves the link untouched: base bits
-                                let (wire, rdv) = p.chan_wire[ci];
+                                let (wire, rdv) = t.wire[ci];
                                 for l in 0..L {
                                     clk[l] = clk[l].saturating_add(o_send);
                                     arrive[l] = clk[l].saturating_add(rdv).saturating_add(wire);
                                     rv[l] = if eager { clk[l] } else { arrive[l] };
                                 }
                             } else {
-                                let hop = p.chan_hop[ci];
-                                let serial = p.chan_serial[ci];
-                                let hs_off = p.hs_off;
+                                let hop = t.hop[ci];
+                                let serial = t.wire[ci].0 - hop;
+                                let hs_off = t.hs_off;
                                 for l in 0..L {
                                     clk[l] = clk[l].saturating_add(o_send);
                                     let h = scale_ps(hop, f_hop[l]);
@@ -1969,7 +1795,7 @@ impl TraceDag {
                                 }
                             }
                         } else {
-                            let ch = lanes::<L, _>(lane_chan, ci * L);
+                            let ch = lanes::<L, _>(&t.wire, ci * L);
                             for l in 0..L {
                                 clk[l] = clk[l].saturating_add(o_send);
                                 let (wire, rdv) = ch[l];
@@ -2015,7 +1841,7 @@ impl TraceDag {
                             continue;
                         }
                         let m = req_msg[ri0] as usize * L;
-                        let copy = chan_copy[req_chan[ri0] as usize];
+                        let copy = t.copy[req_chan[ri0] as usize];
                         let ma = lanes::<L, _>(lane_msg_arrive, m);
                         let mp_rs = lanes::<L, _>(lane_msg_post_rs, m);
                         let mp_clk = lanes::<L, _>(lane_msg_post_clk, m);
@@ -2056,18 +1882,18 @@ impl TraceDag {
                         let latest = lanes::<L, _>(lane_inst_latest, il);
                         let mut done = [SimTime::ZERO; L];
                         if FACTORED {
-                            let t = pc.unwrap().coll[spec.cost as usize];
+                            let c = t.coll[spec.cost as usize];
                             if id_coll {
                                 for l in 0..L {
-                                    done[l] = latest[l].saturating_add(t);
+                                    done[l] = latest[l].saturating_add(c);
                                 }
                             } else {
                                 for l in 0..L {
-                                    done[l] = latest[l].saturating_add(scale_ps(t, f_coll[l]));
+                                    done[l] = latest[l].saturating_add(scale_ps(c, f_coll[l]));
                                 }
                             }
                         } else {
-                            let cost = lanes::<L, _>(lane_coll, cb);
+                            let cost = lanes::<L, _>(&t.coll, cb);
                             for l in 0..L {
                                 done[l] = latest[l].saturating_add(cost[l]);
                             }

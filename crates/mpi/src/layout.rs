@@ -10,7 +10,7 @@ use hpcsim_machine::{ExecMode, MachineSpec};
 use hpcsim_topo::{alloc_torus_dims, Mapping, Placement, Torus3D};
 
 /// Placement of `ranks` MPI ranks onto torus nodes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankLayout {
     /// The torus routes are computed on.
     pub torus: Torus3D,

@@ -41,7 +41,9 @@ pub mod result;
 pub mod sim;
 pub mod wire;
 
-pub use dag::{set_sweep_engine, sweep_engine, sweep_points, DagStats, SweepEngine, TraceDag};
+pub use dag::{
+    perturbed_batches, set_sweep_engine, sweep_engine, sweep_points, DagStats, SweepEngine, TraceDag,
+};
 pub use layout::RankLayout;
 pub use ops::{CommId, Op, Req};
 pub use wire::{parse_traces, write_traces};

@@ -75,7 +75,7 @@ fn metrics() -> &'static ObsMetrics {
 }
 
 /// Simulation configuration: machine + mode + layout.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// The machine to simulate.
     pub machine: MachineSpec,

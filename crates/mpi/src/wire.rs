@@ -39,14 +39,6 @@ fn push_f64(out: &mut String, v: f64) {
     let _ = write!(out, " 0x{:016x}", v.to_bits());
 }
 
-fn dtype_name(d: DType) -> &'static str {
-    match d {
-        DType::F32 => "f32",
-        DType::F64 => "f64",
-        DType::Int => "int",
-    }
-}
-
 fn write_workload(out: &mut String, w: &Workload) {
     match *w {
         Workload::Dgemm { n } => {
@@ -105,10 +97,10 @@ fn write_collective(out: &mut String, op: &CollectiveOp) {
             let _ = write!(out, "bcast {bytes}");
         }
         CollectiveOp::Reduce { bytes, dtype } => {
-            let _ = write!(out, "reduce {bytes} {}", dtype_name(dtype));
+            let _ = write!(out, "reduce {bytes} {}", dtype.name());
         }
         CollectiveOp::Allreduce { bytes, dtype } => {
-            let _ = write!(out, "allreduce {bytes} {}", dtype_name(dtype));
+            let _ = write!(out, "allreduce {bytes} {}", dtype.name());
         }
         CollectiveOp::Allgather { bytes_per_rank } => {
             let _ = write!(out, "allgather {bytes_per_rank}");
@@ -222,11 +214,9 @@ fn parse_f64(line: usize, tok: Option<&str>, what: &str) -> Result<f64, ParseErr
 }
 
 fn parse_dtype(line: usize, tok: Option<&str>) -> Result<DType, ParseError> {
-    match tok {
-        Some("f32") => Ok(DType::F32),
-        Some("f64") => Ok(DType::F64),
-        Some("int") => Ok(DType::Int),
-        other => err(line, format!("bad dtype {other:?}")),
+    match tok.and_then(DType::parse) {
+        Some(d) => Ok(d),
+        None => err(line, format!("bad dtype {tok:?}")),
     }
 }
 

@@ -34,6 +34,26 @@ pub enum DType {
     Int,
 }
 
+impl DType {
+    /// Every element type.
+    pub const ALL: [DType; 3] = [DType::F32, DType::F64, DType::Int];
+
+    /// The one text spelling of the element type, shared by every text
+    /// format that writes one (trace op lines, scenario specs).
+    pub fn name(self) -> &'static str {
+        match self {
+            DType::F32 => "f32",
+            DType::F64 => "f64",
+            DType::Int => "int",
+        }
+    }
+
+    /// Parse a [`DType::name`] spelling.
+    pub fn parse(s: &str) -> Option<DType> {
+        DType::ALL.into_iter().find(|d| d.name() == s)
+    }
+}
+
 /// A collective operation over a communicator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CollectiveOp {
@@ -269,6 +289,14 @@ mod tests {
     }
     fn qc(ranks: usize) -> CollectiveModel {
         CollectiveModel::new(&xt4_qc(), ranks, 4)
+    }
+
+    #[test]
+    fn dtype_names_round_trip() {
+        for d in DType::ALL {
+            assert_eq!(DType::parse(d.name()), Some(d));
+        }
+        assert_eq!(DType::parse("f16"), None);
     }
 
     /// Fig 3(c): BG/P Bcast beats the XT at ALL message sizes.

@@ -19,10 +19,7 @@
 //! The contention engine is zero-copy: routes travel as compact
 //! [`RouteSegs`] values (at most three ring segments, `Copy`), link
 //! counters are walked by segment arithmetic, and a message's whole
-//! acquire/wire/release lifecycle performs no heap allocation. Bulk
-//! phase registration ([`FlowTracker::acquire_phase`]) turns N flows
-//! into difference-array runs and lands them with one prefix-sum sweep
-//! per link direction.
+//! acquire/wire/release lifecycle performs no heap allocation.
 
 use hpcsim_engine::SimTime;
 use hpcsim_machine::MachineSpec;
@@ -40,8 +37,7 @@ pub struct FlowHandle {
 }
 
 impl FlowHandle {
-    /// Describe a flow without registering it (used with
-    /// [`FlowTracker::acquire_phase`]).
+    /// Describe a flow without registering it.
     pub fn new(segs: RouteSegs, src_node: usize, dst_node: usize) -> Self {
         FlowHandle { segs, src_node, dst_node }
     }
@@ -64,24 +60,17 @@ impl FlowHandle {
 
 /// Concurrent-flow accounting over torus links and node endpoints.
 ///
-/// Two registration paths share the same counters:
-///
-/// * [`FlowTracker::acquire`] — one flow at a time, walking its links
-///   via segment arithmetic, O(hops) with zero allocation (the replay
-///   engine's injection-snapshot path);
-/// * [`FlowTracker::acquire_phase`] — N flows of a phase at once via a
-///   per-direction difference array + prefix sum, O(N + links) instead
-///   of O(N × hops) (bulk analysis of halo phases / collective
-///   sub-steps).
+/// [`FlowTracker::acquire`] registers one flow at a time, walking its
+/// links via segment arithmetic, O(hops) with zero allocation; the
+/// replay engine reads the returned load as its injection-time
+/// contention snapshot and [`FlowTracker::release`]s the flow when it
+/// completes.
 #[derive(Debug, Clone)]
 pub struct FlowTracker {
     torus: Torus3D,
     link_flows: Vec<u32>,
     node_tx: Vec<u32>,
     node_rx: Vec<u32>,
-    /// Reusable difference-array scratch for [`FlowTracker::acquire_phase`]
-    /// (one slot per node plus a sentinel for runs ending at a ring seam).
-    phase_diff: Vec<i32>,
     /// Release-without-acquire events absorbed in release builds (debug
     /// builds assert instead). Saturating at zero keeps the counters
     /// meaningful after a bookkeeping bug; the count is surfaced as a
@@ -97,7 +86,6 @@ impl FlowTracker {
             link_flows: vec![0; torus.links()],
             node_tx: vec![0; torus.nodes()],
             node_rx: vec![0; torus.nodes()],
-            phase_diff: Vec::new(),
             underflows: 0,
         }
     }
@@ -228,180 +216,8 @@ impl FlowTracker {
         }
     }
 
-    /// Register every flow of a phase at once; returns the peak
-    /// concurrency over all links and endpoints the phase touches (0 for
-    /// an empty phase). The resulting counter state is exactly what
-    /// sequential [`FlowTracker::acquire`] calls would leave behind, but
-    /// the cost is O(flows + links): each flow's ring segments become
-    /// ±1 entries in a per-direction difference array, and one prefix-sum
-    /// sweep per direction lands the loads on the link counters.
-    ///
-    /// Release each flow individually via [`FlowTracker::release`], or
-    /// in bulk with [`FlowTracker::release_phase`].
-    pub fn acquire_phase(&mut self, flows: &[FlowHandle]) -> u32 {
-        let mut peak = 0u32;
-        for h in flows {
-            self.node_tx[h.src_node] += 1;
-            self.node_rx[h.dst_node] += 1;
-        }
-        for h in flows {
-            peak = peak.max(self.node_tx[h.src_node]).max(self.node_rx[h.dst_node]);
-        }
-        peak.max(self.phase_apply(flows, 1))
-    }
-
-    /// Deregister every flow of a phase (the inverse of
-    /// [`FlowTracker::acquire_phase`], same O(flows + links) shape).
-    pub fn release_phase(&mut self, flows: &[FlowHandle]) {
-        for h in flows {
-            debug_assert!(
-                self.node_tx[h.src_node] > 0,
-                "phase release without acquire: tx endpoint at node {} (flow {} -> {})",
-                h.src_node,
-                h.src_node,
-                h.dst_node,
-            );
-            debug_assert!(
-                self.node_rx[h.dst_node] > 0,
-                "phase release without acquire: rx endpoint at node {} (flow {} -> {})",
-                h.dst_node,
-                h.src_node,
-                h.dst_node,
-            );
-            for counter in [&mut self.node_tx[h.src_node], &mut self.node_rx[h.dst_node]] {
-                match counter.checked_sub(1) {
-                    Some(v) => *counter = v,
-                    None => self.underflows += 1,
-                }
-            }
-        }
-        self.phase_apply(flows, -1);
-    }
-
-    /// Shared bulk path: mark every flow's ring segments as ±`delta`
-    /// runs in six per-direction difference arrays (one pass over the
-    /// flows), then land each direction with one prefix-sum sweep over
-    /// its links. Returns the peak link load among updated links.
-    fn phase_apply(&mut self, flows: &[FlowHandle], delta: i32) -> u32 {
-        let lane = self.torus.nodes() + 1; // +1: runs ending at a ring seam
-        self.phase_diff.clear();
-        self.phase_diff.resize(6 * lane, 0);
-        let mut any = [false; 6];
-        for h in flows {
-            let segments = h.segs.segments(&self.torus);
-            for (dim, &(entry, len)) in segments.iter().enumerate() {
-                if len == 0 {
-                    continue;
-                }
-                let dir = 2 * dim + usize::from(len < 0);
-                any[dir] = true;
-                self.mark_run(dir * lane, entry, dim, len, delta);
-            }
-        }
-        let mut peak = 0u32;
-        for (dir, touched) in any.into_iter().enumerate() {
-            if touched {
-                peak = peak.max(self.scatter_direction(dir, dir * lane));
-            }
-        }
-        peak
-    }
-
-    /// Mark a ring run in the difference array at `base_off`. The run
-    /// covers the link *source* nodes of a segment entering at `entry`
-    /// with signed length `len` along `dim`; positions are dim-major
-    /// (the segment's dimension varies fastest), so any run is
-    /// contiguous modulo one wrap split.
-    fn mark_run(
-        &mut self,
-        base_off: usize,
-        entry: hpcsim_topo::Coord,
-        dim: usize,
-        len: i32,
-        delta: i32,
-    ) {
-        let n = self.torus.dims[dim];
-        let (u, w) = match dim {
-            0 => (1, 2),
-            1 => (0, 2),
-            _ => (0, 1),
-        };
-        let base = base_off + n * (entry[u] + self.torus.dims[u] * entry[w]);
-        // link-source ring positions: [entry, entry+len) going +, or
-        // [entry+len+1, entry] going −, both taken modulo the ring
-        let hops = len.unsigned_abs() as usize;
-        let v0 = if len > 0 {
-            entry[dim]
-        } else {
-            (entry[dim] as i32 + len + 1).rem_euclid(n as i32) as usize
-        };
-        if v0 + hops <= n {
-            self.phase_diff[base + v0] += delta;
-            self.phase_diff[base + v0 + hops] -= delta;
-        } else {
-            self.phase_diff[base + v0] += delta;
-            self.phase_diff[base + n] -= delta;
-            self.phase_diff[base] += delta;
-            self.phase_diff[base + v0 + hops - n] -= delta;
-        }
-    }
-
-    /// Prefix-sum the difference array slice at `base_off` (dim-major
-    /// positions for `dir`'s dimension) onto the link counters; returns
-    /// the peak updated link load.
-    fn scatter_direction(&mut self, dir: usize, base_off: usize) -> u32 {
-        let dim = dir / 2;
-        let dims = self.torus.dims;
-        let (u, w) = match dim {
-            0 => (1, 2),
-            1 => (0, 2),
-            _ => (0, 1),
-        };
-        let stride_of = |d: usize| match d {
-            0 => 1,
-            1 => dims[0],
-            _ => dims[0] * dims[1],
-        };
-        let (stride, su, sw) = (stride_of(dim), stride_of(u), stride_of(w));
-        let mut peak = 0u32;
-        let mut acc = 0i32;
-        let mut pos = base_off;
-        for cw in 0..dims[w] {
-            for cu in 0..dims[u] {
-                // node index of the lane's entry (segment coordinate 0)
-                let mut node = cu * su + cw * sw;
-                for _ in 0..dims[dim] {
-                    acc += self.phase_diff[pos];
-                    if acc != 0 {
-                        let c = &mut self.link_flows[node * 6 + dir];
-                        debug_assert!(
-                            *c as i64 + acc as i64 >= 0,
-                            "phase release underflow on link {} (node {node}, dir {dir}): \
-                             load {} + delta {acc}",
-                            node * 6 + dir,
-                            *c,
-                        );
-                        let v = *c as i64 + acc as i64;
-                        if v < 0 {
-                            self.underflows += v.unsigned_abs();
-                            *c = 0;
-                        } else {
-                            *c = v as u32;
-                        }
-                        peak = peak.max(*c);
-                    }
-                    pos += 1;
-                    node += stride;
-                }
-            }
-        }
-        debug_assert_eq!(acc + self.phase_diff[pos], 0, "unbalanced phase runs");
-        peak
-    }
-
     /// Bottleneck concurrency a registered flow currently sees (its own
-    /// registration included) — the per-flow query companion to
-    /// [`FlowTracker::acquire_phase`].
+    /// registration included).
     pub fn flow_load(&self, h: &FlowHandle) -> u32 {
         let mut worst = self.node_tx[h.src_node].max(self.node_rx[h.dst_node]);
         for l in h.segs.links(&self.torus) {
@@ -849,37 +665,6 @@ mod tests {
         assert_eq!(h.segs().hops(), 3);
         // the handle carries no heap state: its size is a few words
         assert!(std::mem::size_of::<FlowHandle>() <= 64);
-    }
-
-    #[test]
-    fn phase_bulk_load_matches_sequential() {
-        let t = Torus3D::new([4, 6, 2]);
-        let m = P2pModel::new(&bluegene_p(), t);
-        let pairs: Vec<(usize, usize)> =
-            (0..t.nodes()).map(|i| (i, (i * 7 + 3) % t.nodes())).filter(|(a, b)| a != b).collect();
-        let handles: Vec<FlowHandle> = pairs
-            .iter()
-            .map(|&(a, b)| FlowHandle::new(t.route_segs(t.coord(a), t.coord(b)), a, b))
-            .collect();
-        let mut seq = FlowTracker::new(m.torus());
-        let mut worst_seq = 0;
-        for (h, &(a, b)) in handles.iter().zip(&pairs) {
-            let (_, load) = seq.acquire(h.segs(), a, b);
-            worst_seq = worst_seq.max(load);
-        }
-        let mut bulk = FlowTracker::new(m.torus());
-        let peak = bulk.acquire_phase(&handles);
-        for l in 0..t.links() {
-            let l = hpcsim_topo::LinkId(l);
-            assert_eq!(bulk.link_load(l), seq.link_load(l));
-        }
-        for node in 0..t.nodes() {
-            assert_eq!(bulk.tx_load(node), seq.tx_load(node));
-            assert_eq!(bulk.rx_load(node), seq.rx_load(node));
-        }
-        assert_eq!(peak, worst_seq, "phase peak equals the sequential worst case");
-        bulk.release_phase(&handles);
-        assert!(bulk.is_quiescent());
     }
 
     #[test]

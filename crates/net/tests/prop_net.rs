@@ -5,7 +5,7 @@
 use hpcsim_engine::SimTime;
 use hpcsim_machine::registry::{all_machines, bluegene_p, xt4_qc};
 use hpcsim_machine::MachineSpec;
-use hpcsim_net::{CollectiveModel, CollectiveOp, DType, FlowHandle, FlowTracker, P2pModel};
+use hpcsim_net::{CollectiveModel, CollectiveOp, DType, FlowTracker, P2pModel};
 use hpcsim_topo::Torus3D;
 use proptest::prelude::*;
 
@@ -49,45 +49,6 @@ proptest! {
             tracker.release(h);
         }
         prop_assert!(tracker.is_quiescent());
-    }
-
-    /// The difference-array bulk load is observationally identical to a
-    /// loop of sequential acquires: same load on every link and
-    /// endpoint counter, same peak as the worst per-flow bottleneck,
-    /// and a bulk release restores quiescence. Random torus shapes
-    /// (including rings of length 1 and even rings with antipodes) and
-    /// random flow sets.
-    #[test]
-    fn phase_load_equals_sequential(
-        dx in 1usize..7, dy in 1usize..7, dz in 1usize..7,
-        flows in prop::collection::vec((0usize..4096, 0usize..4096), 1..60)
-    ) {
-        let t = Torus3D::new([dx, dy, dz]);
-        let handles: Vec<FlowHandle> = flows.iter()
-            .map(|&(a, b)| (a % t.nodes(), b % t.nodes()))
-            .map(|(a, b)| FlowHandle::new(t.route_segs(t.coord(a), t.coord(b)), a, b))
-            .collect();
-
-        let mut seq = FlowTracker::new(&t);
-        let mut worst = 0u32;
-        for h in &handles {
-            let (_, load) = seq.acquire(h.segs(), h.src_node(), h.dst_node());
-            worst = worst.max(load);
-        }
-
-        let mut bulk = FlowTracker::new(&t);
-        let peak = bulk.acquire_phase(&handles);
-        prop_assert_eq!(peak, worst);
-        for node in 0..t.nodes() {
-            prop_assert_eq!(bulk.tx_load(node), seq.tx_load(node), "tx at node {}", node);
-            prop_assert_eq!(bulk.rx_load(node), seq.rx_load(node), "rx at node {}", node);
-            for dir in 0..6 {
-                let l = hpcsim_topo::LinkId(node * 6 + dir);
-                prop_assert_eq!(bulk.link_load(l), seq.link_load(l), "link {}/{}", node, dir);
-            }
-        }
-        bulk.release_phase(&handles);
-        prop_assert!(bulk.is_quiescent());
     }
 
     /// More concurrent flows never make a new flow faster.

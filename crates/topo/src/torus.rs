@@ -414,21 +414,6 @@ impl RouteSegs {
         self.offs == [0, 0, 0]
     }
 
-    /// The per-dimension segments as `(entry coordinate, signed length)`.
-    /// Segment `d` begins where dimensions `< d` have already arrived at
-    /// their destination values; zero-length segments are included.
-    #[inline]
-    pub fn segments(&self, torus: &Torus3D) -> [(Coord, i32); 3] {
-        let mut cur = self.start;
-        let mut out = [(cur, 0); 3];
-        for d in 0..3 {
-            out[d] = (cur, self.offs[d]);
-            let n = torus.dims[d] as i32;
-            cur[d] = (cur[d] as i32 + self.offs[d]).rem_euclid(n) as usize;
-        }
-        out
-    }
-
     /// Iterate the traversed links without materializing them. Yields
     /// exactly the sequence `Torus3D::route` would return for the same
     /// endpoints, advancing node indices incrementally (one add and a
@@ -699,10 +684,10 @@ mod tests {
         assert!(d.hops() >= t.hops(a, b));
         // the route still chains from a to b: check endpoint of last leg
         let last = d.legs().last().unwrap();
-        let parts = last.segments(&t);
-        let mut end = parts[2].0;
-        let n = t.dims[2] as i32;
-        end[2] = (end[2] as i32 + parts[2].1).rem_euclid(n) as usize;
+        let mut end = last.start;
+        for (dim, off) in last.offs.iter().enumerate() {
+            end[dim] = (end[dim] as i32 + off).rem_euclid(t.dims[dim] as i32) as usize;
+        }
         assert_eq!(end, b);
     }
 
@@ -754,16 +739,5 @@ mod tests {
         let d = t.route_segs_avoiding(a, b, &slow).unwrap();
         assert!((d.min_bw_factor(&t, &slow) - 0.25).abs() < 1e-12);
         assert!((d.min_bw_factor(&t, &AllHealthy) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn segments_chain_through_dimensions() {
-        let t = Torus3D::new([6, 6, 6]);
-        let segs = t.route_segs([5, 0, 3], [1, 4, 3]);
-        let parts = segs.segments(&t);
-        // X enters at the origin, Y where X arrived, Z where Y arrived.
-        assert_eq!(parts[0], ([5, 0, 3], 2)); // 5 -> 1 wraps +2
-        assert_eq!(parts[1], ([1, 0, 3], -2)); // 0 -> 4 is -2 around
-        assert_eq!(parts[2], ([1, 4, 3], 0));
     }
 }

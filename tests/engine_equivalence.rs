@@ -3,32 +3,64 @@
 //! prices the same points through `mpi::sweep_points` twice, under an
 //! explicit `SweepEngine::Replay` and an explicit `SweepEngine::Dag` —
 //! never through the process-global selection, so tests running in
-//! parallel cannot race on it.
+//! parallel cannot race on it. The cases reach every consumer of the
+//! DAG's cost tables: single-point evaluation, the mixed-machine
+//! one-at-a-time batch, the 8- and 32-wide mapping lanes, and an
+//! identity perturbed sample.
 
 use bgp_eval::apps::{md_sim_config, md_traces, MdConfig, MdResult};
-use bgp_eval::hpcc::{halo_traces, HaloConfig, HaloProtocol};
+use bgp_eval::hpcc::{halo_traces, hpl_traces, HaloConfig, HaloProtocol, HplConfig};
 use bgp_eval::machine::registry::{bluegene_p, xt4_dc};
-use bgp_eval::machine::ExecMode;
-use bgp_eval::mpi::{sweep_points, Op, SimConfig, SimResult, SweepEngine};
+use bgp_eval::machine::{ExecMode, Perturbation};
+use bgp_eval::mpi::{sweep_points, Op, RankLayout, SimConfig, SimResult, SweepEngine, TraceDag};
 use bgp_eval::topo::{Grid2D, Mapping};
 
-/// Price `points` under both engines and demand identical results.
-fn assert_engines_agree(points: &[SimConfig], traces: &[Vec<Op>], what: &str) -> Vec<SimResult> {
-    let run = |engine| sweep_points(Some(engine), points, traces, &[], None, None).unwrap();
+/// Price `points` under both engines and demand identical results; the
+/// first point's identity perturbed sample must match them too.
+/// `comms` are the program's sub-communicators (empty for world-only
+/// programs).
+fn assert_engines_agree(
+    points: &[SimConfig],
+    traces: &[Vec<Op>],
+    comms: &[Vec<usize>],
+    what: &str,
+) -> Vec<SimResult> {
+    let run = |engine| sweep_points(Some(engine), points, traces, comms, None, None).unwrap();
     let (replay, dag) = (run(SweepEngine::Replay), run(SweepEngine::Dag));
     assert_eq!(replay.len(), points.len());
     assert_eq!(dag.len(), points.len());
-    for (i, (r, d)) in replay.iter().zip(&dag).enumerate() {
-        assert_eq!(r.finish, d.finish, "{what}, point {i}: per-rank finish");
-        assert_eq!(r.busy, d.busy, "{what}, point {i}: per-rank busy");
-        assert_eq!(r.marks, d.marks, "{what}, point {i}: marks");
+    let mut all: Vec<Vec<usize>> = vec![(0..traces.len()).collect()];
+    all.extend_from_slice(comms);
+    let perturbed =
+        TraceDag::compile(traces, &all).evaluate_perturbed(&points[0], &[Perturbation::IDENTITY]);
+    let pairs = replay.iter().zip(&dag).chain(std::iter::once((&replay[0], &perturbed[0])));
+    for (i, (r, d)) in pairs.enumerate() {
+        let point = if i < points.len() { format!("point {i}") } else { "identity sample".into() };
+        assert_eq!(r.finish, d.finish, "{what}, {point}: per-rank finish");
+        assert_eq!(r.busy, d.busy, "{what}, {point}: per-rank busy");
+        assert_eq!(r.marks, d.marks, "{what}, {point}: marks");
         assert_eq!(
             (r.bytes_sent, r.messages),
             (d.bytes_sent, d.messages),
-            "{what}, point {i}: traffic"
+            "{what}, {point}: traffic"
         );
     }
     replay
+}
+
+/// The eight Fig 2 mappings of `ranks` ranks on contention-flat BG/P in
+/// VN mode.
+fn fig2_points(ranks: usize) -> Vec<SimConfig> {
+    let flat = bluegene_p().with_flat_contention();
+    Mapping::fig2_set()
+        .iter()
+        .map(|(_, mapping)| SimConfig {
+            machine: flat.clone(),
+            mode: ExecMode::Vn,
+            threads: 1,
+            layout: RankLayout::bluegene(&flat, ranks, ExecMode::Vn, *mapping),
+        })
+        .collect()
 }
 
 /// Fig 2(c,d): the eight predefined mappings of one HALO trace on
@@ -45,15 +77,42 @@ fn fig2_mapping_sweep_is_engine_invariant() {
                 .map(|(_, mapping)| cfg.sim_config(&flat, ExecMode::Vn, *mapping))
                 .collect();
             let what = format!("halo {} {words}w", protocol.label());
-            let res = assert_engines_agree(&points, &halo_traces(&cfg), &what);
+            let res = assert_engines_agree(&points, &halo_traces(&cfg), &[], &what);
             assert!(res.iter().all(|r| cfg.per_exchange(r) > 0.0), "{what}");
         }
     }
 }
 
+/// The eight Fig 2 mappings repeated four times: 32 same-machine points
+/// fill one 32-wide lane batch.
+#[test]
+fn wide_mapping_batch_is_engine_invariant() {
+    let cfg = HaloConfig {
+        grid: Grid2D::new(16, 8),
+        words: 2048,
+        protocol: HaloProtocol::IrecvIsend,
+        reps: 2,
+    };
+    let points: Vec<SimConfig> = fig2_points(cfg.grid.size()).into_iter().cycle().take(32).collect();
+    assert_eq!(points.len(), 32);
+    assert_engines_agree(&points, &halo_traces(&cfg), &[], "halo 32-lane batch");
+}
+
+/// HPL's row and column communicators priced as an 8-mapping batch:
+/// per-lane collective pricing on sub-communicators, plus the priced
+/// compute column every lane shares.
+#[test]
+fn hpl_mapping_batch_is_engine_invariant() {
+    let cfg = HplConfig { n: 4096, nb: 64, grid: Grid2D::new(8, 8), samples: 3 };
+    let (traces, comms) = hpl_traces(&cfg);
+    let points = fig2_points(cfg.grid.size());
+    assert_engines_agree(&points, &traces, &comms, "hpl 8x8 mappings");
+}
+
 /// Fig 8: one MD point (PMEMD's alltoall transposes, reductions and
 /// rendezvous ghost exchanges) on two contention-flat machines priced
-/// together, so the DAG serves a mixed-machine batch.
+/// together, so the DAG serves a mixed-machine batch, and the BG/P
+/// point alone through single-point evaluation.
 #[test]
 fn md_point_is_engine_invariant() {
     let cfg = MdConfig::pmemd_rub();
@@ -61,6 +120,8 @@ fn md_point_is_engine_invariant() {
         .into_iter()
         .map(|m| md_sim_config(&m.with_flat_contention(), 64))
         .collect();
-    let res = assert_engines_agree(&points, &md_traces(64, &cfg), "md pmemd 64r");
+    let traces = md_traces(64, &cfg);
+    let res = assert_engines_agree(&points, &traces, &[], "md pmemd 64r");
     assert!(res.iter().all(|r| MdResult::of(r, &cfg).ns_per_day > 0.0));
+    assert_engines_agree(&points[..1], &traces, &[], "md pmemd 64r bgp alone");
 }
