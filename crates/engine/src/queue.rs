@@ -133,6 +133,18 @@ impl<T> EventQueue<T> {
         }
     }
 
+    /// Empty the queue and restart its clock, sequence numbers and
+    /// high-water mark at zero, keeping both stores' allocations: a
+    /// reset queue behaves exactly like a new one.
+    pub fn reset(&mut self) {
+        self.heap.clear();
+        self.lane.clear();
+        self.now = SimTime::ZERO;
+        self.next_seq = 0;
+        self.held = 0;
+        self.high_water = 0;
+    }
+
     /// Schedule `payload` at `time` (≥ the last popped time). Events
     /// pushed with equal times pop in push order.
     pub fn push(&mut self, time: SimTime, payload: T) {
@@ -195,7 +207,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Largest number of simultaneously pending events seen since
-    /// construction.
+    /// construction or the last [`EventQueue::reset`].
     pub fn high_water(&self) -> usize {
         self.high_water
     }
@@ -306,5 +318,23 @@ mod tests {
         let c = q.pop().unwrap();
         assert_eq!((c.payload, c.seq), ('c', 5), "the batch took four seqs");
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn reset_queue_restarts_like_a_new_one() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ns(2), 'a');
+        q.push_batch(SimTime::from_ns(5), 'b', 3);
+        assert_eq!(q.pop().unwrap().payload, 'a');
+        q.reset();
+        assert!(q.is_empty());
+        assert_eq!((q.high_water(), q.peek_time()), (0, None));
+        // the clock is back at zero: a t = 0 push is legal and lands first
+        q.push(SimTime::from_ns(1), 'c');
+        q.push(SimTime::ZERO, 'd');
+        let d = q.pop().unwrap();
+        assert_eq!((d.payload, d.seq), ('d', 1), "seqs restart at zero");
+        assert_eq!(q.pop().unwrap().payload, 'c');
+        assert_eq!(q.high_water(), 2);
     }
 }

@@ -10,11 +10,13 @@ use std::collections::BinaryHeap;
 
 /// One step of a monotone queue workload: push `n` events at `dt` past
 /// the last popped time (`n > 1` is one batch entry in the queue under
-/// test, `n` plain entries in the reference), or pop.
+/// test, `n` plain entries in the reference), pop, or reset the queue
+/// (a fresh reference heap, clock and seq counter).
 #[derive(Debug, Clone, Copy)]
 enum QueueOp {
     Push { dt: u64, n: usize },
     Pop,
+    Reset,
 }
 
 fn queue_op() -> impl Strategy<Value = QueueOp> {
@@ -22,9 +24,12 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
     // times exercise the lane, and one push in four is a batch
     let dt = prop_oneof![Just(0u64), Just(0u64), Just(0u64), 1u64..4, 1u64..4, 4u64..1000];
     let n = prop_oneof![Just(1usize), Just(1usize), Just(1usize), 2usize..6];
-    // three pushes for every two pops
-    (0u8..5, dt, n)
-        .prop_map(|(k, dt, n)| if k < 3 { QueueOp::Push { dt, n } } else { QueueOp::Pop })
+    // three pushes for every two pops; one step in 41 resets
+    (0u8..41, dt, n).prop_map(|(k, dt, n)| match k {
+        0..24 => QueueOp::Push { dt, n },
+        24..40 => QueueOp::Pop,
+        _ => QueueOp::Reset,
+    })
 }
 
 proptest! {
@@ -140,20 +145,27 @@ proptest! {
 
     /// The lane-and-heap queue pops in exactly the `(time, seq)` order of
     /// a reference `BinaryHeap`, batches included, and its `len` and
-    /// `high_water` agree with the reference after every operation.
+    /// `high_water` agree with the reference after every operation. A
+    /// reset queue matches a fresh reference from that point on.
     #[test]
     fn queue_matches_reference_heap(ops in prop::collection::vec(queue_op(), 1..300)) {
         let mut q: EventQueue<(u64, usize)> = EventQueue::new();
         let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let (mut seq, mut now, mut ref_high) = (0u64, 0u64, 0usize);
-        let mut check = |q: &EventQueue<(u64, usize)>, reference: &BinaryHeap<_>| {
-            ref_high = ref_high.max(reference.len());
+        let check = |q: &EventQueue<(u64, usize)>, reference: &BinaryHeap<_>, ref_high: &mut usize| {
+            *ref_high = (*ref_high).max(reference.len());
             prop_assert_eq!(q.len(), reference.len());
-            prop_assert_eq!(q.high_water(), ref_high);
+            prop_assert_eq!(q.high_water(), *ref_high);
             Ok(())
         };
         for op in ops {
             match op {
+                QueueOp::Reset => {
+                    q.reset();
+                    reference.clear();
+                    (seq, now, ref_high) = (0, 0, 0);
+                    check(&q, &reference, &mut ref_high)?;
+                }
                 QueueOp::Push { dt, n } => {
                     let t = now + dt;
                     q.push_batch(SimTime::from_ns(t), (seq, n), n);
@@ -161,7 +173,7 @@ proptest! {
                         reference.push(Reverse((t, seq)));
                         seq += 1;
                     }
-                    check(&q, &reference)?;
+                    check(&q, &reference, &mut ref_high)?;
                 }
                 QueueOp::Pop => {
                     let got = q.pop();
@@ -172,11 +184,11 @@ proptest! {
                             let (first, n) = e.payload;
                             prop_assert_eq!((e.time, e.seq, first), (SimTime::from_ns(t), s, s));
                             now = t;
-                            check(&q, &reference)?;
+                            check(&q, &reference, &mut ref_high)?;
                             for k in 1..n as u64 {
                                 q.retire_batched();
                                 prop_assert_eq!(reference.pop(), Some(Reverse((t, first + k))));
-                                check(&q, &reference)?;
+                                check(&q, &reference, &mut ref_high)?;
                             }
                         }
                         (got, want) => {

@@ -34,12 +34,7 @@ impl RankLayout {
         let tpn = mode.tasks_per_node(machine.cores_per_node) as usize;
         let nodes = ranks.div_ceil(tpn);
         let torus = Torus3D::new(alloc_torus_dims(nodes));
-        let node_of_rank = (0..ranks)
-            .map(|r| {
-                let (coord, _slot) = mapping.place(r, &torus, tpn);
-                torus.index(coord)
-            })
-            .collect();
+        let node_of_rank = mapping.node_indices(ranks, &torus, tpn);
         RankLayout { torus, node_of_rank, tasks_per_node: tpn, hop_scale: 1.0, ambient_flows: 0.0 }
     }
 

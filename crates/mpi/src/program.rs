@@ -50,6 +50,12 @@ impl Mpi {
         self.size
     }
 
+    /// Reserve room for `ops` more operations, so a recorder told its
+    /// trace length up front stores it without growth slack.
+    pub(crate) fn reserve(&mut self, ops: usize) {
+        self.ops.reserve_exact(ops);
+    }
+
     /// Consume the recorder, yielding the trace.
     pub fn into_ops(self) -> Vec<Op> {
         self.ops

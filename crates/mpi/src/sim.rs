@@ -154,47 +154,30 @@ enum Ev {
 /// advancing. A well-formed replay processes at most
 /// `n + 2*sends + colls` events in total, so that many at a single
 /// timestamp is already impossible — exceeding it means the queue is
-/// cycling without clock progress. The derived budget (that bound plus
-/// 1024 slack) is never below `n + 1024`, so the traces are scanned for
-/// it only once the count first passes that floor.
+/// cycling without clock progress. The derived budget is that bound
+/// plus 1024 slack, counted by the replay's one sizing pass over the
+/// traces ([`ReplayWorkspace::reset`]).
 struct Watchdog {
     last_progress: SimTime,
     stuck: u64,
     budget: u64,
-    /// False while `budget` is the `n + 1024` floor of a derived budget.
-    exact: bool,
 }
 
 impl Watchdog {
-    fn new(budget: Option<u64>, ranks: usize) -> Self {
-        let (budget, exact) = match budget {
-            Some(b) => (b, true),
-            None => (ranks as u64 + 1024, false),
-        };
-        Watchdog { last_progress: SimTime::ZERO, stuck: 0, budget, exact }
+    fn new(budget: u64) -> Self {
+        Watchdog { last_progress: SimTime::ZERO, stuck: 0, budget }
     }
 
     /// Count one event at `now`; `Some(steps)` once the budget is
     /// exceeded.
     #[inline]
-    fn tick(&mut self, now: SimTime, traces: &[Vec<Op>]) -> Option<u64> {
+    fn tick(&mut self, now: SimTime) -> Option<u64> {
         if now > self.last_progress {
             self.last_progress = now;
             self.stuck = 0;
             return None;
         }
         self.stuck += 1;
-        if self.stuck > self.budget && !self.exact {
-            self.budget = traces.len() as u64 + 1024;
-            for op in traces.iter().flatten() {
-                match op {
-                    Op::Isend { .. } => self.budget += 2,
-                    Op::Collective { .. } => self.budget += 1,
-                    _ => {}
-                }
-            }
-            self.exact = true;
-        }
         (self.stuck > self.budget).then_some(self.stuck)
     }
 }
@@ -206,6 +189,7 @@ impl Watchdog {
 /// sweep), so a handful of slots with round-robin replacement catch
 /// them. Keys compare with `PartialEq`: a NaN field never hits (it is
 /// recomputed), and `-0.0 == 0.0` prices identically.
+#[derive(Default)]
 struct ComputeMemo {
     slots: Vec<(Workload, u32, SimTime)>,
     next: usize,
@@ -214,8 +198,9 @@ struct ComputeMemo {
 impl ComputeMemo {
     const SLOTS: usize = 8;
 
-    fn new() -> Self {
-        ComputeMemo { slots: Vec::with_capacity(Self::SLOTS), next: 0 }
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.next = 0;
     }
 
     fn time(
@@ -253,8 +238,8 @@ struct CollInstance {
 /// order) and leaves a tombstone; the head skips leading tombstones so
 /// a fully-drained table stays O(1). In-flight counts per rank are
 /// small (a few neighbours × a few tags), so the scan is short — and
-/// unlike a per-key queue-map there is exactly one allocation per rank,
-/// not one per (src, tag) pair.
+/// unlike a per-key queue-map there is one buffer per rank, not one per
+/// (src, tag) pair, which the replay workspace keeps across replays.
 #[derive(Debug)]
 struct MatchQueues<T> {
     slots: Vec<(u64, Option<T>)>,
@@ -293,6 +278,13 @@ impl<T> MatchQueues<T> {
         None
     }
 
+    /// Drop every entry, keeping the buffer.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.head = 0;
+        self.live = 0;
+    }
+
     /// Append an entry for (src, tag).
     fn push(&mut self, src: usize, tag: u32, item: T) {
         self.live += 1;
@@ -302,6 +294,122 @@ impl<T> MatchQueues<T> {
     /// Number of live (non-tombstone) entries — the table's occupancy.
     fn live(&self) -> usize {
         self.live
+    }
+}
+
+/// Marks a request slot in [`ReplayWorkspace::req_done`] as not yet
+/// complete. `SimTime::MAX` is the engine's absorbing "never": a request
+/// could only complete there on a rank whose clock had already run to
+/// the end of time.
+const PENDING: SimTime = SimTime::MAX;
+
+/// Every table one replay needs, kept per thread ([`WORKSPACE`]) so
+/// back-to-back replays — a sweep's points, a pass's scenarios — reuse
+/// their allocations instead of rebuilding a dozen rank-sized tables
+/// and an event queue per call. [`ReplayWorkspace::reset`] readies it
+/// for a trace set and keeps every capacity. The results a caller keeps
+/// (`finish`, `busy`, `marks`) are allocated per replay instead.
+#[derive(Default)]
+struct ReplayWorkspace {
+    clock: Vec<SimTime>,
+    pc: Vec<usize>,
+    blocked: Vec<Blocked>,
+    finished: Vec<bool>,
+    /// The `(comm, seq)` collective instance each rank is inside, if any.
+    coll_current: Vec<Option<(u32, u64)>>,
+    /// Completion time of every request, flat: rank `r`'s request `q`
+    /// is slot `req_base[r] + q`, and reads [`PENDING`] until done.
+    req_done: Vec<SimTime>,
+    req_base: Vec<usize>,
+    /// Per-destination-rank matching tables (dst is the index, not a
+    /// key). These and `coll_seq` may run longer than the current rank
+    /// count: the surplus keeps its buffers for a larger replay.
+    arrived: Vec<MatchQueues<usize>>,
+    posted: Vec<MatchQueues<(usize, Req)>>,
+    /// Per-rank `(comm, next seq)` counters; a rank touches few comms.
+    coll_seq: Vec<Vec<(u32, u64)>>,
+    /// Collective instances indexed `[comm][seq]`; seqs are dense per
+    /// comm.
+    coll_state: Vec<Vec<CollInstance>>,
+    /// The in-flight message ledger and its free-list.
+    msgs: Vec<Msg>,
+    msg_free: Vec<usize>,
+    events: EventQueue<Ev>,
+    compute_memo: ComputeMemo,
+    /// Per-rank fault draw counters; empty unless noise / loss is armed.
+    compute_step: Vec<u64>,
+    send_seq: Vec<u64>,
+}
+
+// One workspace per thread, taken for the length of a replay and put
+// back after it: a replay nested inside a tracer hook gets a fresh one,
+// and a replay that panics just drops its workspace.
+thread_local! {
+    static WORKSPACE: std::cell::Cell<ReplayWorkspace> =
+        std::cell::Cell::new(ReplayWorkspace::default());
+}
+
+impl ReplayWorkspace {
+    /// Ready the workspace to replay `traces` over `comms` communicators:
+    /// O(ranks + ops), keeping every allocation. The one pass over the
+    /// traces sizes the request table and counts the replay's event
+    /// bound — one initial resume per rank, two events per send, one
+    /// per collective entry — which it returns as the watchdog's derived
+    /// budget (the bound plus 1024 slack).
+    fn reset(&mut self, traces: &[Vec<Op>], comms: usize, noise: bool, loss: bool) -> u64 {
+        fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+            v.clear();
+            v.resize(len, value);
+        }
+        /// Grow `v` to at least `len` entries and clear its first `len`.
+        fn reuse<T: Default>(v: &mut Vec<T>, len: usize, clear: impl Fn(&mut T)) {
+            if v.len() < len {
+                v.resize_with(len, T::default);
+            }
+            v[..len].iter_mut().for_each(clear);
+        }
+        let n = traces.len();
+        refill(&mut self.clock, n, SimTime::ZERO);
+        refill(&mut self.pc, n, 0);
+        refill(&mut self.blocked, n, Blocked::None);
+        refill(&mut self.finished, n, false);
+        refill(&mut self.coll_current, n, None);
+        refill(&mut self.compute_step, if noise { n } else { 0 }, 0);
+        refill(&mut self.send_seq, if loss { n } else { 0 }, 0);
+        reuse(&mut self.arrived, n, MatchQueues::clear);
+        reuse(&mut self.posted, n, MatchQueues::clear);
+        reuse(&mut self.coll_seq, n, Vec::clear);
+        reuse(&mut self.coll_state, comms, Vec::clear);
+        self.msgs.clear();
+        self.msg_free.clear();
+        self.events.reset();
+        self.compute_memo.clear();
+
+        self.req_base.clear();
+        let mut slots = 0;
+        let mut bound = n as u64;
+        for trace in traces {
+            self.req_base.push(slots);
+            let mut reqs = 0;
+            for op in trace {
+                let req = match *op {
+                    Op::Isend { req, .. } => {
+                        bound += 2;
+                        req
+                    }
+                    Op::Irecv { req, .. } | Op::Wait { req } => req,
+                    Op::Collective { .. } => {
+                        bound += 1;
+                        continue;
+                    }
+                    _ => continue,
+                };
+                reqs = reqs.max(req.0 as usize + 1);
+            }
+            slots += reqs;
+        }
+        refill(&mut self.req_done, slots, PENDING);
+        bound + 1024
     }
 }
 
@@ -401,12 +509,23 @@ impl TraceSim {
     /// depends only on (program, ranks, threads) — not on the machine,
     /// mode, or layout — so one trace set can be replayed across many
     /// configurations (see [`TraceSim::replay_traces`]).
+    ///
+    /// SPMD ranks record traces of nearly equal length, so each rank's
+    /// recorder is reserved at the previous rank's final length, and a
+    /// trace that outgrew it is shrunk back: the traces come out
+    /// right-sized instead of carrying up to 2× growth slack into every
+    /// cached recording.
     pub fn trace_program<P: Program + ?Sized>(prog: &P, ranks: usize, threads: u32) -> Vec<Vec<Op>> {
+        let mut hint = 0;
         (0..ranks)
             .map(|r| {
                 let mut mpi = Mpi::new(r, ranks, threads);
+                mpi.reserve(hint);
                 prog.run(&mut mpi);
-                mpi.into_ops()
+                let mut ops = mpi.into_ops();
+                ops.shrink_to_fit();
+                hint = ops.len();
+                ops
             })
             .collect()
     }
@@ -451,9 +570,22 @@ impl TraceSim {
         traces: &[Vec<Op>],
         tracer: &mut T,
     ) -> Result<SimResult, SimError> {
+        assert_eq!(traces.len(), self.cfg.ranks(), "one trace per rank required");
+        let mut ws = WORKSPACE.take();
+        let out = self.replay_in(&mut ws, traces, tracer);
+        WORKSPACE.set(ws);
+        out
+    }
+
+    /// The body of [`TraceSim::try_replay`], on a borrowed workspace.
+    fn replay_in<T: Tracer>(
+        &mut self,
+        ws: &mut ReplayWorkspace,
+        traces: &[Vec<Op>],
+        tracer: &mut T,
+    ) -> Result<SimResult, SimError> {
         let torus = *self.p2p.torus();
         let n = traces.len();
-        assert_eq!(n, self.cfg.ranks(), "one trace per rank required");
         let eager_threshold = self.cfg.machine.nic.eager_threshold;
         let o_send = self.cfg.machine.nic.o_send;
         let o_recv = self.cfg.machine.nic.o_recv;
@@ -466,48 +598,42 @@ impl TraceSim {
         let fault_noise = self.faults.as_ref().and_then(|f| f.noise);
         let fault_loss = self.faults.as_ref().and_then(|f| f.loss);
         let retransmit = self.faults.as_ref().map_or_else(RetransmitPolicy::default, |f| f.retransmit);
-        let mut compute_step = vec![0u64; if fault_noise.is_some() { n } else { 0 }];
-        let mut send_seq = vec![0u64; if fault_loss.is_some() { n } else { 0 }];
         let mut total_retransmits = 0u64;
         let mut total_detour_legs = 0u64;
         let mut stalled: Option<SimError> = None;
 
-        let mut clock = vec![SimTime::ZERO; n];
-        let mut pc = vec![0usize; n];
-        let mut blocked = vec![Blocked::None; n];
-        let mut finished = vec![false; n];
+        let derived_budget =
+            ws.reset(traces, self.comms.len(), fault_noise.is_some(), fault_loss.is_some());
+        let mut watchdog = Watchdog::new(self.step_budget.unwrap_or(derived_budget));
+        let ReplayWorkspace {
+            clock,
+            pc,
+            blocked,
+            finished,
+            coll_current,
+            req_done,
+            req_base,
+            arrived,
+            posted,
+            coll_seq,
+            coll_state,
+            msgs,
+            msg_free,
+            events,
+            compute_memo,
+            compute_step,
+            send_seq,
+        } = ws;
         let mut busy = vec![SimTime::ZERO; n];
         let mut finish = vec![SimTime::ZERO; n];
         let mut marks: Vec<Vec<(u32, SimTime)>> = vec![Vec::new(); n];
-        let mut req_done: Vec<Vec<Option<SimTime>>> = vec![Vec::new(); n];
-        // per-destination-rank matching tables (dst is the index, not a key)
-        let mut arrived: Vec<MatchQueues<usize>> = (0..n).map(|_| MatchQueues::default()).collect();
-        let mut posted: Vec<MatchQueues<(usize, Req)>> =
-            (0..n).map(|_| MatchQueues::default()).collect();
-        let mut msgs: Vec<Msg> = Vec::new();
-        let mut msg_free: Vec<usize> = Vec::new();
-        // per-rank (comm, next seq) counters; a rank touches few comms
-        let mut coll_seq: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
-        // collective instances indexed [comm][seq] — seqs are dense per comm
-        let mut coll_state: Vec<Vec<CollInstance>> =
-            (0..self.comms.len()).map(|_| Vec::new()).collect();
-        let mut coll_current: Vec<Option<(u32, u64)>> = vec![None; n];
         let mut total_bytes = 0u64;
         let mut total_msgs = 0u64;
-        let mut compute_memo = ComputeMemo::new();
 
         // the initial resumes land in the queue's same-time lane; the
         // heap holds arrivals and collective completions
-        let mut events: EventQueue<Ev> = EventQueue::with_capacity(2 * n);
         for r in 0..n {
             events.push(SimTime::ZERO, Ev::Resume(r));
-        }
-        let mut watchdog = Watchdog::new(self.step_budget, n);
-
-        fn ensure_req(v: &mut Vec<Option<SimTime>>, r: Req) {
-            if v.len() <= r.0 as usize {
-                v.resize(r.0 as usize + 1, None);
-            }
         }
 
         'events: while let Some(ev) = events.pop() {
@@ -517,7 +643,7 @@ impl TraceSim {
                 Ev::Resume(r) => (None, r..r + 1),
                 Ev::Complete { comm } => (Some(comm as usize), 0..self.comms[comm as usize].len()),
                 Ev::Arrive { msg } => {
-                    if let Some(steps) = watchdog.tick(now, traces) {
+                    if let Some(steps) = watchdog.tick(now) {
                         stalled = Some(SimError::Livelock { rank: msgs[msg].dst, steps });
                         break;
                     }
@@ -537,8 +663,7 @@ impl TraceSim {
                         Some((rank, req)) => {
                             // matched on arrival: the slot is dead
                             msg_free.push(msg);
-                            ensure_req(&mut req_done[rank], req);
-                            req_done[rank][req.0 as usize] = Some(now);
+                            req_done[req_base[rank] + req.0 as usize] = now;
                             if blocked[rank] == Blocked::OnReq(req) {
                                 blocked[rank] = Blocked::None;
                                 events.push(now, Ev::Resume(rank));
@@ -565,7 +690,7 @@ impl TraceSim {
                     }
                     None => k,
                 };
-                if let Some(steps) = watchdog.tick(now, traces) {
+                if let Some(steps) = watchdog.tick(now) {
                     stalled = Some(SimError::Livelock { rank: r, steps });
                     break 'events;
                 }
@@ -768,9 +893,8 @@ impl TraceSim {
                                 }
                             };
                             events.push(arrive_t, Ev::Arrive { msg: midx });
-                            ensure_req(&mut req_done[r], req);
-                            req_done[r][req.0 as usize] =
-                                Some(if eager { inject } else { arrive_t });
+                            req_done[req_base[r] + req.0 as usize] =
+                                if eager { inject } else { arrive_t };
                             total_bytes += bytes;
                             total_msgs += 1;
                             pc[r] += 1;
@@ -785,7 +909,6 @@ impl TraceSim {
                                 ));
                             }
                             clock[r] += o_recv;
-                            ensure_req(&mut req_done[r], req);
                             match arrived[r].pop(src, tag) {
                                 Some(midx) => {
                                     // unexpected message: pay the copy,
@@ -810,7 +933,7 @@ impl TraceSim {
                                         );
                                     }
                                     msg_free.push(midx);
-                                    req_done[r][req.0 as usize] = Some(clock[r] + copy);
+                                    req_done[req_base[r] + req.0 as usize] = clock[r] + copy;
                                 }
                                 None => {
                                     posted[r].push(src, tag, (r, req));
@@ -825,9 +948,12 @@ impl TraceSim {
                             pc[r] += 1;
                         }
                         Op::Wait { req } => {
-                            ensure_req(&mut req_done[r], req);
-                            match req_done[r][req.0 as usize] {
-                                Some(done) => {
+                            match req_done[req_base[r] + req.0 as usize] {
+                                PENDING => {
+                                    blocked[r] = Blocked::OnReq(req);
+                                    break 'advance;
+                                }
+                                done => {
                                     if done > clock[r] {
                                         if T::ENABLED {
                                             tracer.span(SpanEvent::new(
@@ -840,10 +966,6 @@ impl TraceSim {
                                         clock[r] = done;
                                     }
                                     pc[r] += 1;
-                                }
-                                None => {
-                                    blocked[r] = Blocked::OnReq(req);
-                                    break 'advance;
                                 }
                             }
                         }
@@ -953,12 +1075,11 @@ impl TraceSim {
             return Err(e);
         }
 
-        let unfinished: Vec<usize> = (0..n).filter(|&r| !finished[r]).collect();
-        if !unfinished.is_empty() {
+        if let Some(rank) = finished.iter().position(|&f| !f) {
             return Err(SimError::Deadlock {
-                unfinished: unfinished.len(),
-                rank: unfinished[0],
-                op: pc[unfinished[0]],
+                unfinished: finished.iter().filter(|&&f| !f).count(),
+                rank,
+                op: pc[rank],
             });
         }
 
@@ -1338,8 +1459,8 @@ mod tests {
     fn derived_step_budget_covers_runs_past_its_floor() {
         // every rank messages itself: all 1100 arrivals, then the 1100
         // match-time resumes, land at one instant — a 2200-event run
-        // past the n + 1024 floor, where the watchdog must count the
-        // traces' sends (budget n + 2·sends + 1024) instead of firing
+        // that only a budget counting the traces' sends (n + 2·sends +
+        // 1024) absorbs; the n + 1024 rank term alone fires
         let n = 1100;
         let prog = FnProgram(|mpi: &mut Mpi| {
             let me = mpi.rank();

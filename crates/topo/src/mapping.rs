@@ -117,6 +117,39 @@ impl Mapping {
         ([digits[0], digits[1], digits[2]], digits[3])
     }
 
+    /// Node index of each rank `0..ranks`, in rank order: the node
+    /// [`Mapping::place`] gives each rank (ranks past the partition's
+    /// capacity wrap alike), walked as an odometer over the mapping's
+    /// mixed-radix digits — one add per rank and a carry on wrap, where
+    /// `place` pays four divisions.
+    pub fn node_indices(&self, ranks: usize, torus: &Torus3D, tasks_per_node: usize) -> Vec<usize> {
+        debug_assert!(tasks_per_node >= 1);
+        let [dx, dy, dz] = torus.dims;
+        // (radix, node-index stride) per digit, fastest first
+        let digits = self.order.map(|sym| match sym {
+            Sym::X => (dx, 1),
+            Sym::Y => (dy, dx),
+            Sym::Z => (dz, dx * dy),
+            Sym::T => (tasks_per_node, 0),
+        });
+        let mut count = [0usize; 4];
+        let mut node = 0;
+        let mut out = Vec::with_capacity(ranks);
+        for _ in 0..ranks {
+            out.push(node);
+            for (c, &(radix, stride)) in count.iter_mut().zip(&digits) {
+                *c += 1;
+                if *c < radix {
+                    node += stride;
+                    break;
+                }
+                *c = 0;
+                node -= (radix - 1) * stride;
+            }
+        }
+        out
+    }
+
     /// The inverse of [`Mapping::place`]: rank of `(coord, slot)`.
     pub fn rank_of(&self, coord: Coord, slot: usize, torus: &Torus3D, tasks_per_node: usize) -> usize {
         let mut rank = 0usize;
@@ -214,6 +247,32 @@ mod tests {
                 let key = t.index(c) * tpn + slot;
                 assert!(!seen[key], "mapping {m} collides at rank {r}");
                 seen[key] = true;
+            }
+        }
+    }
+
+    #[test]
+    fn node_indices_match_place_for_every_ordering() {
+        let mut orders = Vec::new();
+        for a in "XYZT".chars() {
+            for b in "XYZT".chars().filter(|&b| b != a) {
+                for c in "XYZT".chars().filter(|&c| c != a && c != b) {
+                    let d = "XYZT".chars().find(|&d| d != a && d != b && d != c).unwrap();
+                    orders.push(Mapping::parse(&format!("{a}{b}{c}{d}")).unwrap());
+                }
+            }
+        }
+        assert_eq!(orders.len(), 24);
+        for dims in [[1, 1, 1], [4, 4, 4], [4, 2, 3], [8, 4, 2], [3, 5, 1], [2, 1, 7]] {
+            let t = Torus3D::new(dims);
+            for tpn in [1, 2, 4] {
+                // two full wraps and a partial third: ranks past capacity
+                let ranks = 2 * t.nodes() * tpn + 3;
+                for m in &orders {
+                    let want: Vec<usize> =
+                        (0..ranks).map(|r| t.index(m.place(r, &t, tpn).0)).collect();
+                    assert_eq!(m.node_indices(ranks, &t, tpn), want, "{m} on {dims:?} × {tpn}");
+                }
             }
         }
     }
