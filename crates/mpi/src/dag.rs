@@ -385,7 +385,7 @@ struct MachCosts {
 
 /// The priced cost tables of `L` sweep points sharing one machine,
 /// filled by [`TraceDag::price`] alone and read by every evaluation:
-/// the scalar pass and perturbed samples read its one-lane instance,
+/// single points and perturbed samples read its one-lane instance,
 /// mapping batches the `L`-lane one. Per-lane arrays interleave lanes
 /// innermost (`[entry * L + lane]`), so one entry's lanes share a cache
 /// line. The arrays are split by the machine parameter group that
@@ -475,29 +475,25 @@ fn lanes_mut<const L: usize, T>(s: &mut [T], at: usize) -> &mut [T; L] {
 }
 
 /// Reusable evaluation state: the cost-table builder's caches, the
-/// priced tables, and the per-point scratch arrays.
-/// [`TraceDag::evaluate_many`] threads one of these through a whole
-/// sweep so points after the first allocate nothing.
+/// priced tables, and the streaming pass's scratch arrays. Every
+/// evaluation runs on the one per-thread instance in [`CTX`], so points
+/// after the first allocate nothing but their results.
 #[derive(Default)]
 struct EvalCtx {
     mach: Option<MachCosts>,
     torus: Option<Torus3D>,
     coords: Vec<Coord>,
-    /// What the last [`TraceDag::price`] call of a scalar point or a
+    /// What the last [`TraceDag::price`] call of a single point or a
     /// mapping batch filled.
     costs: CostTables,
     /// The base point of the last perturbed batch.
     point: Option<PointCosts>,
-    run_start: Vec<SimTime>,
-    req_val: Vec<SimTime>,
+    // structural state, identical across lanes: one slot per request
+    // or collective instance
     req_msg: Vec<u32>,
     req_chan: Vec<u32>,
-    msg_arrive: Vec<SimTime>,
-    msg_post: Vec<(SimTime, SimTime)>,
     inst_arrived: Vec<u32>,
-    inst_latest: Vec<SimTime>,
-    // lane-batched pass (`stream_lanes`): timing state widened to L
-    // interleaved lanes; structural state stays in the scalar arrays
+    // per-lane factors and timing state, L lanes interleaved
     /// Per-lane factor on inline `Delay` durations (delays model OS
     /// noise/imbalance, so the COMPUTE perturbation group scales them)
     /// and on `Compute` nodes (same parameter group); perturbed batches
@@ -521,13 +517,16 @@ struct EvalCtx {
     lane_inst_latest: Vec<SimTime>,
 }
 
-// The scratch is thread-local so back-to-back sweeps (one call per
-// halo config, one per perturbed batch) reuse warmed allocations
+// The scratch is thread-local so back-to-back evaluations (one call per
+// point, per halo config, per perturbed batch) reuse warmed allocations
 // instead of page-faulting megabytes of fresh arrays per batch. Reuse
 // across different DAGs is safe: every slot a pass reads is written
 // earlier in the same pass, the machine-table cache keys on the
 // byte-class table as well as the machine, and the point-table cache
-// keys on the DAG's unique id.
+// keys on the DAG's unique id. An evaluation that panics (a deadlocked
+// DAG, a layout of the wrong size) does so in `price`'s checks, before
+// it writes any table or scratch array, and unwinding releases the
+// borrow.
 thread_local! {
     static CTX: std::cell::RefCell<EvalCtx> = std::cell::RefCell::new(EvalCtx::default());
 }
@@ -1065,11 +1064,16 @@ impl TraceDag {
         }
     }
 
-    /// Evaluate one (machine, mapping, mode) point: a single streaming
-    /// pass over the precompiled schedule, re-costing edges from `cfg`
-    /// — no event queue, no message matching, no worklist. Exact
-    /// against replay when [`TraceDag::exact_for`] holds for
-    /// `cfg.machine`; a contention-free lower bound otherwise.
+    /// Evaluate one (machine, mapping, mode) point: the one-lane
+    /// instance of the batch kernel, one streaming pass over the
+    /// precompiled schedule re-costing edges from `cfg` — no event
+    /// queue, no message matching, no worklist. Exact against replay
+    /// when [`TraceDag::exact_for`] holds for `cfg.machine`; a
+    /// contention-free lower bound otherwise.
+    ///
+    /// DAG arithmetic saturates: a clock that would pass
+    /// [`SimTime::MAX`] stays there, where replay's checked additions
+    /// panic with "SimTime overflow".
     ///
     /// Panics with the replay engine's deadlock diagnostic when the
     /// compiled traces cannot finish (the defect is structural, so it
@@ -1078,13 +1082,16 @@ impl TraceDag {
         let m = metrics();
         m.points.inc();
         m.scalar_points.inc();
-        self.evaluate_in(cfg, &mut EvalCtx::default())
+        let mut out = Vec::with_capacity(1);
+        CTX.with(|ctx| {
+            self.evaluate_lanes::<1>(std::slice::from_ref(cfg), &mut ctx.borrow_mut(), &mut out)
+        });
+        out.pop().expect("one point, one result")
     }
 
     /// Evaluate a whole batch of points, identical to calling
-    /// [`TraceDag::evaluate`] on each but reusing the scratch arrays
-    /// and the machine-level cost tables across points. Runs of points
-    /// that share a machine are packed into [`WIDE`]- and then
+    /// [`TraceDag::evaluate`] on each. Runs of points that share a
+    /// machine are packed into [`WIDE`]- and then
     /// [`NARROW`]-lane batches that price and stream together; the rest
     /// go one at a time. On a mapping sweep everything but the route
     /// pricing and the streaming pass itself is shared, so points after
@@ -1116,15 +1123,14 @@ impl TraceDag {
                 let batch = &cfgs[i..i + width];
                 if width == 1 {
                     m.scalar_points.inc();
-                    out.push(self.evaluate_in(&batch[0], ctx));
                 } else {
                     m.lane_batches.inc();
                     m.lane_points.add(width as u64);
-                    if width == WIDE {
-                        self.evaluate_lanes::<WIDE>(batch, ctx, &mut out);
-                    } else {
-                        self.evaluate_lanes::<NARROW>(batch, ctx, &mut out);
-                    }
+                }
+                match width {
+                    WIDE => self.evaluate_lanes::<WIDE>(batch, ctx, &mut out),
+                    NARROW => self.evaluate_lanes::<NARROW>(batch, ctx, &mut out),
+                    _ => self.evaluate_lanes::<1>(batch, ctx, &mut out),
                 }
                 i += width;
             }
@@ -1366,180 +1372,9 @@ impl TraceDag {
         }
     }
 
-    /// The scalar streaming pass over the tables [`TraceDag::price`]
-    /// fills for one point.
-    fn evaluate_in(&self, cfg: &SimConfig, ctx: &mut EvalCtx) -> SimResult {
-        let n = self.ranks;
-        self.price::<1>(std::slice::from_ref(cfg), ctx);
-        let o_send = cfg.machine.nic.o_send;
-        let o_recv = cfg.machine.nic.o_recv;
-
-        let EvalCtx {
-            costs: t,
-            run_start,
-            req_val,
-            req_msg,
-            req_chan,
-            msg_arrive,
-            msg_post,
-            inst_arrived,
-            inst_latest,
-            ..
-        } = &mut *ctx;
-
-        // Per-point state. The per-rank clocks and marks move into the
-        // returned `SimResult`, so they are fresh allocations; the big
-        // request/message scratch is reused across points WITHOUT a
-        // reset — safe because every slot the pass reads was written
-        // earlier in the same pass (program order puts each request's
-        // send/receive before its wait, and the schedule puts each
-        // message's send before the consuming wait), and stuck ranks
-        // never make it into the stream.
-        let mut clock = vec![SimTime::ZERO; n];
-        let mut busy = vec![SimTime::ZERO; n];
-        let mut marks: Vec<Vec<(u32, SimTime)>> = vec![Vec::new(); n];
-        run_start.clear();
-        run_start.resize(n, SimTime::ZERO);
-        let nreq = self.req_base[n] as usize;
-        if req_val.len() < nreq {
-            req_val.resize(nreq, SimTime::MAX);
-            req_msg.resize(nreq, NONE);
-            req_chan.resize(nreq, NONE);
-        }
-        if msg_arrive.len() < self.n_msgs as usize {
-            msg_arrive.resize(self.n_msgs as usize, SimTime::MAX);
-            // (receive's run start, receive's post clock) — the two
-            // replay quantities the unexpected decision needs
-            msg_post.resize(self.n_msgs as usize, (SimTime::MAX, SimTime::MAX));
-        }
-        inst_arrived.clear();
-        inst_arrived.resize(self.insts.len(), 0);
-        inst_latest.clear();
-        inst_latest.resize(self.insts.len(), SimTime::ZERO);
-
-        // The streaming pass. Within a run one rank executes alone, so
-        // its clocks live in locals; they spill only around collective
-        // merges (which touch other ranks' clocks) and at run ends.
-        let mut si = 0usize;
-        for &(rank, len) in &self.runs {
-            let r = rank as usize;
-            let rb = self.req_base[r] as usize;
-            let mut clk = clock[r];
-            let mut rs = run_start[r];
-            let mut bz = busy[r];
-            for node in &self.stream[si..si + len as usize] {
-                match *node {
-                    Node::Compute { cost } => {
-                        let c = t.compute[cost as usize];
-                        clk += c;
-                        bz += c;
-                    }
-                    Node::Delay { time } => {
-                        clk += time;
-                        bz += time;
-                    }
-                    Node::Send { chan, msg, req } => {
-                        clk += o_send;
-                        let (wire, rdv_extra) = t.wire[chan as usize];
-                        let inject = clk;
-                        let arrive = inject + rdv_extra + wire;
-                        req_val[rb + req as usize] =
-                            if t.eager[chan as usize] { inject } else { arrive };
-                        if msg != NONE {
-                            msg_arrive[msg as usize] = arrive;
-                        }
-                    }
-                    Node::Recv { chan, msg, req } => {
-                        clk += o_recv;
-                        let ri = rb + req as usize;
-                        req_val[ri] = SimTime::MAX;
-                        req_msg[ri] = msg;
-                        req_chan[ri] = chan;
-                        if msg != NONE {
-                            msg_post[msg as usize] = (rs, clk);
-                        }
-                    }
-                    Node::Wait { req } => {
-                        let ri = rb + req as usize;
-                        let val = req_val[ri];
-                        if val != SimTime::MAX {
-                            if val > clk {
-                                clk = val;
-                            }
-                            continue;
-                        }
-                        // the schedule guarantees the paired send
-                        // already ran, so the arrival time is known
-                        let m = req_msg[ri] as usize;
-                        let a = msg_arrive[m];
-                        // Unexpected iff the arrival popped before the
-                        // receive's run began; then completion is the
-                        // post-time copy, else the arrival itself
-                        // (which also starts a new run when it blocked
-                        // us).
-                        let (post_rs, post_clock) = msg_post[m];
-                        let done = if a < post_rs {
-                            post_clock + t.copy[req_chan[ri] as usize]
-                        } else {
-                            if a > rs {
-                                rs = a;
-                            }
-                            a
-                        };
-                        req_val[ri] = done;
-                        req_msg[ri] = NONE;
-                        if done > clk {
-                            clk = done;
-                        }
-                    }
-                    Node::Coll { inst } => {
-                        let i = inst as usize;
-                        inst_arrived[i] += 1;
-                        if clk > inst_latest[i] {
-                            inst_latest[i] = clk;
-                        }
-                        let spec = self.insts[i];
-                        let members = &self.comms[spec.comm as usize];
-                        if (inst_arrived[i] as usize) < members.len() {
-                            continue; // suspend: this ends the run
-                        }
-                        // last member in: complete the super-node and
-                        // release everyone at `latest + duration`
-                        // (their next ops are scheduled after this)
-                        let done = inst_latest[i] + t.coll[spec.cost as usize];
-                        clock[r] = clk;
-                        for &m in members {
-                            if done > clock[m] {
-                                clock[m] = done;
-                            }
-                            run_start[m] = done;
-                        }
-                        clk = clock[r];
-                        rs = run_start[r];
-                    }
-                    Node::Mark { id } => {
-                        marks[r].push((id, clk));
-                    }
-                }
-            }
-            si += len as usize;
-            clock[r] = clk;
-            run_start[r] = rs;
-            busy[r] = bz;
-        }
-
-        SimResult {
-            finish: clock,
-            busy,
-            bytes_sent: self.total_bytes,
-            messages: self.total_msgs,
-            marks,
-        }
-    }
-
-    /// A mapping batch: `L` points sharing one machine (differing only
-    /// in rank layout), priced together and evaluated in one walk of
-    /// the schedule.
+    /// `L` points sharing one machine (differing only in rank layout),
+    /// priced together and evaluated in one walk of the schedule: a
+    /// mapping batch, or a single point at `L = 1`.
     fn evaluate_lanes<const L: usize>(
         &self,
         cfgs: &[SimConfig],
@@ -1551,11 +1386,11 @@ impl TraceDag {
         self.stream_lanes::<L, false>(nic.o_send, nic.o_recv, ctx, out);
     }
 
-    /// The wide streaming pass shared by mapping batches
-    /// ([`TraceDag::evaluate_lanes`]) and perturbed batches
+    /// The one streaming pass, shared by single points and mapping
+    /// batches ([`TraceDag::evaluate_lanes`]) and by perturbed batches
     /// ([`TraceDag::evaluate_perturbed`]): evaluate `L` lanes whose
-    /// costs are already priced in ONE walk of the schedule. A mapping
-    /// batch reads the `L`-lane tables in `ctx.costs`; a perturbed
+    /// costs are already priced in ONE walk of the schedule. A point or
+    /// mapping batch reads the `L`-lane tables in `ctx.costs`; a perturbed
     /// (`FACTORED`) batch reads the base point's one-lane tables and
     /// scales them per lane. The schedule fixes all control flow, so
     /// everything structural — request→message pairing,
@@ -1687,9 +1522,14 @@ impl TraceDag {
         let id_comp = f_delay == [1.0; L];
         let id_coll = f_coll == [1.0; L];
 
-        // Per-batch state; same no-reset invariant as the scalar pass
-        // for the request/message scratch (every slot read was written
-        // earlier in the same pass).
+        // Per-batch state. The per-rank clocks and marks move into the
+        // returned results, so they are fresh allocations; the big
+        // request/message scratch is reused across batches WITHOUT a
+        // reset — safe because every slot the pass reads was written
+        // earlier in the same pass (program order puts each request's
+        // send/receive before its wait, and the schedule puts each
+        // message's send before the consuming wait), and stuck ranks
+        // never make it into the stream.
         let mut clock = vec![SimTime::ZERO; n * L];
         let mut busy = vec![SimTime::ZERO; n * L];
         // allocated lazily: most DAGs carry no marks, and the n·L
@@ -1925,15 +1765,25 @@ impl TraceDag {
             busy[r * L..r * L + L].copy_from_slice(&bz);
         }
 
-        // de-interleave one SimResult per lane
+        // de-interleave one SimResult per lane; one lane already is the
+        // per-rank layout, so its arrays move into the result whole
         for l in 0..L {
+            let lane = |v: &mut Vec<SimTime>| {
+                if L == 1 {
+                    std::mem::take(v)
+                } else {
+                    (0..n).map(|r| v[r * L + l]).collect()
+                }
+            };
             out.push(SimResult {
-                finish: (0..n).map(|r| clock[r * L + l]).collect(),
-                busy: (0..n).map(|r| busy[r * L + l]).collect(),
+                finish: lane(&mut clock),
+                busy: lane(&mut busy),
                 bytes_sent: self.total_bytes,
                 messages: self.total_msgs,
                 marks: if marks.is_empty() {
                     vec![Vec::new(); n]
+                } else if L == 1 {
+                    std::mem::take(&mut marks)
                 } else {
                     (0..n).map(|r| std::mem::take(&mut marks[r * L + l])).collect()
                 },
