@@ -229,7 +229,6 @@ mod tests {
     use super::*;
     use hpcsim_machine::registry::{bluegene_p, xt3, xt4_qc};
 
-
     /// Fig 5(a): hybrid ≈ pure MPI at small core counts, but extends
     /// scalability at large counts (the dycore caps MPI ranks).
     #[test]

@@ -106,8 +106,7 @@ pub struct GyroResult {
 /// Pick the densest execution mode whose per-task memory fits.
 pub fn mode_for_memory(machine: &MachineSpec, cfg: &GyroConfig, ranks: usize) -> ExecMode {
     for mode in [ExecMode::Vn, ExecMode::Dual, ExecMode::Smp] {
-        let per_task =
-            mode.mem_per_task(machine.mem.capacity_bytes(), machine.cores_per_node);
+        let per_task = mode.mem_per_task(machine.mem.capacity_bytes(), machine.cores_per_node);
         if cfg.mem_per_task(ranks) <= per_task * 0.8 {
             return mode;
         }

@@ -195,11 +195,7 @@ mod tests {
         for machine in [bluegene_p(), xt4_dc()] {
             let e_l = eff(&machine, &MdConfig::lammps_rub(), 128, 2048);
             let e_p = eff(&machine, &MdConfig::pmemd_rub(), 128, 2048);
-            assert!(
-                e_l > e_p + 0.05,
-                "{}: LAMMPS eff {e_l:.2} vs PMEMD {e_p:.2}",
-                machine.id
-            );
+            assert!(e_l > e_p + 0.05, "{}: LAMMPS eff {e_l:.2} vs PMEMD {e_p:.2}", machine.id);
         }
     }
 

@@ -50,13 +50,10 @@ impl S3dResult {
     pub fn of(res: &SimResult, ranks: usize, cfg: &S3dConfig) -> S3dResult {
         let seconds_per_step = res.makespan().as_secs() / cfg.steps as f64;
         let pts = cfg.pts_per_rank_edge.pow(3) as f64; // per rank
-        // total core-seconds per step / total points
+                                                       // total core-seconds per step / total points
         let core_s = seconds_per_step * ranks as f64;
         let total_pts = pts * ranks as f64;
-        S3dResult {
-            core_hours_per_point_step: core_s / total_pts / 3600.0,
-            seconds_per_step,
-        }
+        S3dResult { core_hours_per_point_step: core_s / total_pts / 3600.0, seconds_per_step }
     }
 }
 
@@ -82,7 +79,7 @@ fn record_step(mpi: &mut Mpi, cfg: &S3dConfig, grid: Grid3D) {
     let edge = cfg.pts_per_rank_edge;
     let pts = edge * edge * edge;
     let vars = cfg.species + 5; // species + density, momentum, energy
-    // ghost-zone: 4-deep faces of all transported variables
+                                // ghost-zone: 4-deep faces of all transported variables
     let face_bytes = 4 * edge * edge * 8 * vars;
     let me = mpi.rank();
 

@@ -111,13 +111,5 @@ fn bench_gups(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_dgemm,
-    bench_stream,
-    bench_fft,
-    bench_lu,
-    bench_ptrans,
-    bench_gups
-);
+criterion_group!(benches, bench_dgemm, bench_stream, bench_fft, bench_lu, bench_ptrans, bench_gups);
 criterion_main!(benches);

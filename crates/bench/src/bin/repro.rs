@@ -158,11 +158,7 @@ fn main() {
     };
 
     println!("# Early Evaluation of IBM BlueGene/P (SC08) — reproduction run");
-    println!(
-        "# scale: {scale:?}; jobs: {}; artifacts: {}",
-        hpcsim_core::jobs(),
-        out_dir.display()
-    );
+    println!("# scale: {scale:?}; jobs: {}; artifacts: {}", hpcsim_core::jobs(), out_dir.display());
     let battery_start = Instant::now();
     let mut timings: Vec<PhaseTiming> = Vec::new();
     for id in ids {
@@ -193,8 +189,10 @@ fn main() {
     if flags.trace {
         let start = Instant::now();
         run_traced_battery(&flags, scale);
-        timings
-            .push(PhaseTiming { name: "trace".to_string(), seconds: start.elapsed().as_secs_f64() });
+        timings.push(PhaseTiming {
+            name: "trace".to_string(),
+            seconds: start.elapsed().as_secs_f64(),
+        });
     }
 
     let mut battery_ok = true;
@@ -299,9 +297,7 @@ fn main() {
         // every recorded report. An explicit `--sensitivity` run is
         // reused; otherwise the battery runs here from the default
         // seed.
-        let x = sens_stats
-            .take()
-            .unwrap_or_else(|| hpcsim_core::sensitivity_battery(scale, 42));
+        let x = sens_stats.take().unwrap_or_else(|| hpcsim_core::sensitivity_battery(scale, 42));
         let sens = SensitivityReport {
             samples: x.samples,
             baseline_us: x.baseline_us,
@@ -440,11 +436,7 @@ fn run_fuzz_battery(flags: &RunFlags) -> bool {
     let _ = std::fs::create_dir_all(&findings_dir);
     let mut fmanifest = String::new();
     for f in &report.findings {
-        let name = format!(
-            "{}{}.fuzz",
-            f.kind.label(),
-            if f.canary { "-canary" } else { "" }
-        );
+        let name = format!("{}{}.fuzz", f.kind.label(), if f.canary { "-canary" } else { "" });
         if let Err(e) = std::fs::write(findings_dir.join(&name), f.scenario.to_canon()) {
             log_warn!("# fuzz: finding write failed: {e}");
         }
@@ -459,11 +451,7 @@ fn run_fuzz_battery(flags: &RunFlags) -> bool {
         let _ = std::fs::create_dir_all(dir);
         let mut pmanifest = String::new();
         for f in &report.findings {
-            let name = format!(
-                "{}{}.fuzz",
-                f.kind.label(),
-                if f.canary { "-canary" } else { "" }
-            );
+            let name = format!("{}{}.fuzz", f.kind.label(), if f.canary { "-canary" } else { "" });
             if let Err(e) = std::fs::write(dir.join(&name), f.scenario.to_canon()) {
                 log_warn!("# fuzz: promote write failed: {e}");
             }
@@ -513,9 +501,7 @@ fn run_sensitivity(flags: &RunFlags, scale: Scale, seed: u64) -> hpcsim_core::Se
 fn run_traced_battery(flags: &RunFlags, scale: Scale) {
     let selected: Vec<ExperimentId> = hpcsim_core::traceable()
         .into_iter()
-        .filter(|id| {
-            flags.positional.iter().any(|p| p == "all" || p == id.slug())
-        })
+        .filter(|id| flags.positional.iter().any(|p| p == "all" || p == id.slug()))
         .collect();
     if selected.is_empty() {
         println!("# trace: none of the selected experiments has a traced battery");

@@ -35,13 +35,48 @@ fn main() {
     let pop_x = pop_run(&xt4_dc(), ExecMode::Vn, 8192, 1, &pop_cfg);
 
     let checks = [
-        Check { name: "BG/P node peak (GF/s)", paper: 13.6, simulated: bgp.node_peak_flops() / 1e9, tol_pct: 0.1 },
-        Check { name: "BG/P core peak (GF/s)", paper: 3.4, simulated: bgp.core_peak_flops() / 1e9, tol_pct: 0.1 },
-        Check { name: "BG/P HPL power (W/core)", paper: 7.7, simulated: pm_b.per_core_w(UTIL_HPL), tol_pct: 5.0 },
-        Check { name: "BG/P normal power (W/core)", paper: 7.3, simulated: pm_b.per_core_w(UTIL_SCIENCE), tol_pct: 5.0 },
-        Check { name: "XT/QC HPL power (W/core)", paper: 51.0, simulated: pm_x.per_core_w(UTIL_HPL), tol_pct: 5.0 },
-        Check { name: "XT/QC normal power (W/core)", paper: 48.4, simulated: pm_x.per_core_w(UTIL_SCIENCE), tol_pct: 5.0 },
-        Check { name: "TOP500 HPL (TF/s)", paper: 21.4, simulated: top.hpl.gflops / 1e3, tol_pct: 15.0 },
+        Check {
+            name: "BG/P node peak (GF/s)",
+            paper: 13.6,
+            simulated: bgp.node_peak_flops() / 1e9,
+            tol_pct: 0.1,
+        },
+        Check {
+            name: "BG/P core peak (GF/s)",
+            paper: 3.4,
+            simulated: bgp.core_peak_flops() / 1e9,
+            tol_pct: 0.1,
+        },
+        Check {
+            name: "BG/P HPL power (W/core)",
+            paper: 7.7,
+            simulated: pm_b.per_core_w(UTIL_HPL),
+            tol_pct: 5.0,
+        },
+        Check {
+            name: "BG/P normal power (W/core)",
+            paper: 7.3,
+            simulated: pm_b.per_core_w(UTIL_SCIENCE),
+            tol_pct: 5.0,
+        },
+        Check {
+            name: "XT/QC HPL power (W/core)",
+            paper: 51.0,
+            simulated: pm_x.per_core_w(UTIL_HPL),
+            tol_pct: 5.0,
+        },
+        Check {
+            name: "XT/QC normal power (W/core)",
+            paper: 48.4,
+            simulated: pm_x.per_core_w(UTIL_SCIENCE),
+            tol_pct: 5.0,
+        },
+        Check {
+            name: "TOP500 HPL (TF/s)",
+            paper: 21.4,
+            simulated: top.hpl.gflops / 1e3,
+            tol_pct: 15.0,
+        },
         Check { name: "TOP500 power (kW)", paper: 63.0, simulated: top.power_kw, tol_pct: 8.0 },
         Check {
             name: "Green500 (MFlops/W, Table 3 says 347.6, text 310.9)",
@@ -65,10 +100,7 @@ fn main() {
         },
     ];
 
-    println!(
-        "{:<52} {:>10} {:>10} {:>7} {:>6}",
-        "anchor", "paper", "simulated", "err%", "status"
-    );
+    println!("{:<52} {:>10} {:>10} {:>7} {:>6}", "anchor", "paper", "simulated", "err%", "status");
     let mut failures = 0;
     for c in &checks {
         let err = (c.simulated - c.paper) / c.paper.abs() * 100.0;

@@ -443,9 +443,7 @@ pub struct ObsReport {
 impl ObsReport {
     /// Lift the counters from a registry snapshot.
     pub fn from_snapshot(snap: &hpcsim_obs::Snapshot) -> ObsReport {
-        let get = |name: &str| {
-            snap.counters.iter().find(|c| c.name == name).map_or(0, |c| c.value)
-        };
+        let get = |name: &str| snap.counters.iter().find(|c| c.name == name).map_or(0, |c| c.value);
         ObsReport {
             scenarios: get("hpcsim_scenarios_total"),
             scenario_panics: get("hpcsim_scenario_panics_total"),
@@ -581,8 +579,10 @@ mod tests {
 
     #[test]
     fn parses_flags_and_positionals() {
-        let args: Vec<String> =
-            ["fig3", "--paper", "--out", "/tmp/x", "table1"].iter().map(|s| s.to_string()).collect();
+        let args: Vec<String> = ["fig3", "--paper", "--out", "/tmp/x", "table1"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         let (paper, out, rest) = parse_flags(&args);
         assert!(paper);
         assert_eq!(out, PathBuf::from("/tmp/x"));
@@ -690,7 +690,17 @@ mod tests {
 
     #[test]
     fn bench_json_records_harness_timestamp() {
-        let s = bench_json_report("quick", 1, &[], 0.0, Some("2026-08-05T00:00:00Z"), None, None, None, None);
+        let s = bench_json_report(
+            "quick",
+            1,
+            &[],
+            0.0,
+            Some("2026-08-05T00:00:00Z"),
+            None,
+            None,
+            None,
+            None,
+        );
         assert!(s.contains("\"generated_at\": \"2026-08-05T00:00:00Z\""));
     }
 
@@ -804,8 +814,7 @@ mod tests {
         assert_eq!(f.sensitivity, Some(42));
         assert_eq!(f.positional, vec!["fig2".to_string()]);
         // malformed and dangling seeds are one-line diagnostics
-        let args: Vec<String> =
-            ["--sensitivity", "lots"].iter().map(|s| s.to_string()).collect();
+        let args: Vec<String> = ["--sensitivity", "lots"].iter().map(|s| s.to_string()).collect();
         let err = RunFlags::parse(&args).expect_err("bad seed must be rejected");
         assert!(err.contains("--sensitivity"), "{err}");
         assert!(!err.contains('\n'), "diagnostic must be one line: {err}");
@@ -869,13 +878,11 @@ mod tests {
     #[test]
     fn log_level_flag_parses_and_validates() {
         for level in LOG_LEVELS {
-            let args: Vec<String> =
-                ["--log-level", level].iter().map(|s| s.to_string()).collect();
+            let args: Vec<String> = ["--log-level", level].iter().map(|s| s.to_string()).collect();
             let f = RunFlags::parse(&args).expect("valid log level");
             assert_eq!(f.log_level.as_deref(), Some(level));
         }
-        let args: Vec<String> =
-            ["--log-level", "chatty"].iter().map(|s| s.to_string()).collect();
+        let args: Vec<String> = ["--log-level", "chatty"].iter().map(|s| s.to_string()).collect();
         let err = RunFlags::parse(&args).expect_err("unknown level");
         assert!(err.contains("chatty") && err.contains("quiet|info|debug"), "{err}");
         assert!(!err.contains('\n'), "diagnostic must be one line: {err}");
@@ -920,8 +927,7 @@ mod tests {
             ["--sweep-engine", "replay"].iter().map(|s| s.to_string()).collect();
         assert_eq!(RunFlags::parse(&args).unwrap().sweep_engine.as_deref(), Some("replay"));
         // unknown engine and dangling flag are one-line diagnostics
-        let args: Vec<String> =
-            ["--sweep-engine", "warp"].iter().map(|s| s.to_string()).collect();
+        let args: Vec<String> = ["--sweep-engine", "warp"].iter().map(|s| s.to_string()).collect();
         let err = RunFlags::parse(&args).expect_err("unknown engine");
         assert!(err.contains("warp") && err.contains("replay|dag"), "{err}");
         let args: Vec<String> = ["--sweep-engine"].iter().map(|s| s.to_string()).collect();
@@ -930,20 +936,24 @@ mod tests {
 
     #[test]
     fn trace_flags_parse_and_default_paths() {
-        let args: Vec<String> = ["--trace", "--out", "/tmp/r", "fig2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let args: Vec<String> =
+            ["--trace", "--out", "/tmp/r", "fig2"].iter().map(|s| s.to_string()).collect();
         let f = RunFlags::parse(&args).expect("valid trace flags");
         assert!(f.trace);
         assert_eq!(f.trace_path(), PathBuf::from("/tmp/r/trace.json"));
         assert_eq!(f.metrics_path(), PathBuf::from("/tmp/r/metrics.json"));
 
-        let args: Vec<String> =
-            ["--trace-out", "/tmp/t.json", "--metrics-out", "/tmp/m.json", "--bench-timestamp", "2026-01-01T00:00:00Z"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
+        let args: Vec<String> = [
+            "--trace-out",
+            "/tmp/t.json",
+            "--metrics-out",
+            "/tmp/m.json",
+            "--bench-timestamp",
+            "2026-01-01T00:00:00Z",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
         let f = RunFlags::parse(&args).expect("valid trace flags");
         // an explicit output path implies tracing
         assert!(f.trace);

@@ -56,13 +56,31 @@ fn warm_and_cold_runs_are_byte_identical_across_jobs() {
 
     // fig2 exercises both cache tiers (mappings share tier-2 traces)
     let cold = run_repro(&[
-        "fig2", "--jobs", "1", "--cache-dir", cache_str, "--out", cold_dir.to_str().unwrap(),
+        "fig2",
+        "--jobs",
+        "1",
+        "--cache-dir",
+        cache_str,
+        "--out",
+        cold_dir.to_str().unwrap(),
     ]);
     let warm = run_repro(&[
-        "fig2", "--jobs", "1", "--cache-dir", cache_str, "--out", warm_dir.to_str().unwrap(),
+        "fig2",
+        "--jobs",
+        "1",
+        "--cache-dir",
+        cache_str,
+        "--out",
+        warm_dir.to_str().unwrap(),
     ]);
     let warm4 = run_repro(&[
-        "fig2", "--jobs", "4", "--cache-dir", cache_str, "--out", warm4_dir.to_str().unwrap(),
+        "fig2",
+        "--jobs",
+        "4",
+        "--cache-dir",
+        cache_str,
+        "--out",
+        warm4_dir.to_str().unwrap(),
     ]);
     let plain = run_repro(&["fig2", "--no-cache", "--out", plain_dir.to_str().unwrap()]);
 

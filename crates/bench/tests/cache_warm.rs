@@ -25,8 +25,5 @@ fn warm_cache_is_at_least_20x_faster_than_cold() {
         }
     }
     assert!(identical, "warm lookups must return the cold pass's exact bits");
-    assert!(
-        best >= 20.0,
-        "warm cache must be >= 20x faster than cold, best observed {best:.1}x"
-    );
+    assert!(best >= 20.0, "warm cache must be >= 20x faster than cold, best observed {best:.1}x");
 }

@@ -81,9 +81,5 @@ fn enabled_recorder_observes_the_same_replay() {
     assert!(rec.total_spans() > 0, "enabled recorder must capture spans");
     assert_eq!(rec.dropped(), 0);
     let s_untraced = halo_run(&m, ExecMode::Vn, Mapping::txyz(), &cfg());
-    assert_eq!(
-        s_traced.to_bits(),
-        s_untraced.to_bits(),
-        "tracing must not perturb results"
-    );
+    assert_eq!(s_traced.to_bits(), s_untraced.to_bits(), "tracing must not perturb results");
 }

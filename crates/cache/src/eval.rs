@@ -52,10 +52,7 @@ impl std::error::Error for EvalError {}
 
 /// Evaluate `spec` through `cache` (both tiers + in-flight dedupe).
 /// Returns the program's result vector (layout in the module docs).
-pub fn evaluate_in(
-    cache: &ScenarioCache,
-    spec: &ScenarioSpec,
-) -> Result<Arc<Vec<f64>>, EvalError> {
+pub fn evaluate_in(cache: &ScenarioCache, spec: &ScenarioSpec) -> Result<Arc<Vec<f64>>, EvalError> {
     let spec = spec.clone().canonicalized();
     cache
         .result(spec.hash(), || cold_evaluate(cache, &spec))

@@ -45,13 +45,13 @@
 //! value too wide for its field is an error, not a truncation.
 
 use hpcsim_apps::{MdCode, MdConfig};
+use hpcsim_engine::SimTime;
 use hpcsim_faults::FaultProfile;
 use hpcsim_hpcc::{HaloConfig, HaloProtocol, HplConfig};
 use hpcsim_machine::{
     CacheCoherence, CoreArch, ExecMode, L2Kind, MachineId, MachineSpec, MemorySpec, NicSpec,
     Packaging, PowerSpec,
 };
-use hpcsim_engine::SimTime;
 use hpcsim_net::DType;
 use hpcsim_topo::{Grid2D, Mapping};
 use std::fmt::Write as _;
@@ -388,11 +388,7 @@ fn write_program(out: &mut String, p: &ProgramSpec) {
             let _ = writeln!(out, "program imb-allreduce {ranks} {bytes} {}", dtype.name());
         }
         ProgramSpec::Pop { ranks, threads, cfg } => {
-            let _ = write!(
-                out,
-                "program pop {ranks} {threads} {} {} {}",
-                cfg.nx, cfg.ny, cfg.nz
-            );
+            let _ = write!(out, "program pop {ranks} {threads} {} {} {}", cfg.nx, cfg.ny, cfg.nz);
             push_bits(out, cfg.steps_per_day);
             let _ = write!(out, " {} {} {}", cfg.cg_iters, cfg.chron_gear as u8, cfg.cg_sim);
             push_bits(out, cfg.flops_per_point);
@@ -456,17 +452,17 @@ fn write_machine(out: &mut String, m: &MachineSpec) {
     let _ = write!(
         out,
         " {} {} {} {} {}",
-        m.nic.has_barrier_network as u8, m.nic.o_send.0, m.nic.o_recv.0, m.nic.per_hop.0,
+        m.nic.has_barrier_network as u8,
+        m.nic.o_send.0,
+        m.nic.o_recv.0,
+        m.nic.per_hop.0,
         m.nic.eager_threshold
     );
     push_bits(out, m.nic.route_diversity);
     out.push('\n');
 
-    let _ = writeln!(
-        out,
-        "pack {} {}",
-        m.packaging.nodes_per_rack, m.packaging.compute_per_io_node
-    );
+    let _ =
+        writeln!(out, "pack {} {}", m.packaging.nodes_per_rack, m.packaging.compute_per_io_node);
 
     let _ = write!(out, "power");
     for v in [
@@ -538,10 +534,9 @@ impl<'a> Cursor<'a> {
     fn finish(mut self) -> Result<(), SpecParseError> {
         match self.toks.next() {
             None => Ok(()),
-            Some(t) => Err(SpecParseError {
-                line: self.line,
-                message: format!("trailing token {t:?}"),
-            }),
+            Some(t) => {
+                Err(SpecParseError { line: self.line, message: format!("trailing token {t:?}") })
+            }
         }
     }
 }
@@ -847,10 +842,8 @@ fn bits_of(c: &Cursor<'_>, what: &str, t: &str) -> Result<f64, SpecParseError> {
         line: c.line,
         message: format!("{what} must be 0x-prefixed bits, got {t:?}"),
     })?;
-    let bits = u64::from_str_radix(hex, 16).map_err(|_| SpecParseError {
-        line: c.line,
-        message: format!("bad {what} bits {t:?}"),
-    })?;
+    let bits = u64::from_str_radix(hex, 16)
+        .map_err(|_| SpecParseError { line: c.line, message: format!("bad {what} bits {t:?}") })?;
     Ok(f64::from_bits(bits))
 }
 
@@ -881,7 +874,13 @@ mod tests {
                 HplConfig { n: 10_000, nb: 144, grid: Grid2D::new(8, 8), samples: 4 },
             ),
             ScenarioSpec::imb_allreduce(&xt4_dc(), ExecMode::Vn, 128, 32_768, DType::F64),
-            ScenarioSpec::pop(&bluegene_p(), ExecMode::Vn, 256, 1, hpcsim_apps::PopConfig::default()),
+            ScenarioSpec::pop(
+                &bluegene_p(),
+                ExecMode::Vn,
+                256,
+                1,
+                hpcsim_apps::PopConfig::default(),
+            ),
         ];
         for spec in specs {
             let canon = spec.to_canon();
@@ -933,7 +932,12 @@ mod tests {
             ScenarioSpec::halo(&m, ExecMode::Vn, Mapping::txyz(), words),
             ScenarioSpec::halo(&m, ExecMode::Smp, Mapping::txyz(), halo_cfg()),
             ScenarioSpec::halo(&xt4_dc(), ExecMode::Vn, Mapping::txyz(), halo_cfg()),
-            ScenarioSpec::halo(&m.clone().with_flat_contention(), ExecMode::Vn, Mapping::txyz(), halo_cfg()),
+            ScenarioSpec::halo(
+                &m.clone().with_flat_contention(),
+                ExecMode::Vn,
+                Mapping::txyz(),
+                halo_cfg(),
+            ),
             base.clone().with_faults(1, FaultProfile::Link),
             base.clone().with_faults(2, FaultProfile::Link),
             base.clone().with_faults(1, FaultProfile::Noise),
@@ -953,8 +957,7 @@ mod tests {
         assert!(ScenarioSpec::parse("nonsense\n").is_err());
         let good = ScenarioSpec::md(&bluegene_p(), 8, MdConfig::lammps_rub()).to_canon();
         // drop the faults line
-        let truncated: String =
-            good.lines().take(8).map(|l| format!("{l}\n")).collect();
+        let truncated: String = good.lines().take(8).map(|l| format!("{l}\n")).collect();
         assert!(ScenarioSpec::parse(&truncated).is_err());
         // corrupt a float into a decimal
         let bad = good.replace("0x", "zz");
@@ -1051,9 +1054,6 @@ mod tests {
         assert_eq!(spec.hash(), spec.hash());
         assert_eq!(format!("{}", spec.hash()).len(), 32);
         // FNV-1a-128 sanity pin on a known vector ("a")
-        assert_eq!(
-            format!("{}", fnv1a_128(b"a")),
-            "d228cb696f1a8caf78912b704e4a8964"
-        );
+        assert_eq!(format!("{}", fnv1a_128(b"a")), "d228cb696f1a8caf78912b704e4a8964");
     }
 }

@@ -542,10 +542,7 @@ impl ScenarioCache {
         let parsed = parse_result_file(&text, hash);
         if parsed.is_none() {
             metrics().disk_errors.inc();
-            log_warn_once!(
-                "cache: corrupt result entry {} ignored; recomputing",
-                path.display()
-            );
+            log_warn_once!("cache: corrupt result entry {} ignored; recomputing", path.display());
         }
         parsed.map(Arc::new)
     }
@@ -817,11 +814,11 @@ mod tests {
 
         // a fresh cache over the same dir serves both without computing
         let b = ScenarioCache::new(cfg);
-        let v2 = b
-            .result(hash(77), || panic!("must come from disk"))
-            .unwrap();
-        assert_eq!(v2.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                   v.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        let v2 = b.result(hash(77), || panic!("must come from disk")).unwrap();
+        assert_eq!(
+            v2.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
         let t2 = b.traces(hash(78), || panic!("must come from disk"));
         assert_eq!(t2.traces, traces);
         let s = b.stats();

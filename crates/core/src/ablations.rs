@@ -133,8 +133,12 @@ pub fn run_ablations(ranks: usize) -> Vec<Ablation> {
         // 2. adaptive routing: bandwidth-bound HALO
         Box::new(|| {
             let h_with = halo_point(&base, ExecMode::Vn, Mapping::txyz(), &halo_cfg);
-            let h_without =
-                halo_run(&without_adaptive_routing(&base), ExecMode::Vn, Mapping::txyz(), &halo_cfg);
+            let h_without = halo_run(
+                &without_adaptive_routing(&base),
+                ExecMode::Vn,
+                Mapping::txyz(),
+                &halo_cfg,
+            );
             Ablation {
                 feature: "adaptive routing",
                 workload: "HALO 32768 words",

@@ -60,10 +60,7 @@ pub fn scenario_cache_battery(scale: Scale) -> ScenarioCacheStats {
     let machine = bluegene_p();
     let mappings: Vec<Mapping> = Mapping::fig2_set().iter().map(|&(_, m)| m).collect();
     let words = [2048u64, 32_768];
-    let grids = [
-        Grid2D::near_square(scale.ranks(4096)),
-        Grid2D::near_square(scale.ranks(8192)),
-    ];
+    let grids = [Grid2D::near_square(scale.ranks(4096)), Grid2D::near_square(scale.ranks(8192))];
     let specs: Vec<ScenarioSpec> = grids
         .iter()
         .flat_map(|&grid| {

@@ -32,7 +32,6 @@ pub use ablations::{ablation_table, run_ablations, Ablation};
 pub use cache_bench::{scenario_cache_battery, ScenarioCacheStats};
 pub use experiment::{run_experiment, Artifact, ExperimentId, Scale};
 pub use hpcsim_mpi::{set_sweep_engine, sweep_engine, SweepEngine};
-pub use sweep::{fig2_mapping_sweep, MappingSweepStats};
 pub use probe::{
     breakdown_table, chrome_json, metrics_json, scenario_metrics, spans_csv, trace_experiment,
     trace_experiment_with, traceable, TraceReport, TracedScenario,
@@ -43,10 +42,11 @@ pub use runner::{jobs, parmap, set_jobs, try_parmap, ScenarioPanic};
 pub use sensitivity::{
     sensitivity_battery, sensitivity_battery_with, SensitivityRow, SensitivityStats,
 };
+pub use sweep::{fig2_mapping_sweep, MappingSweepStats};
 // The leveled logger and the metrics registry live in the leaf
 // `hpcsim-obs` crate (so even crates *below* core can feed them);
 // re-export here so harness code reaches both through core.
-pub use hpcsim_obs::{
-    log_debug, log_error, log_info, log_warn, log_warn_once, log_level, set_log_level, LogLevel,
-};
 pub use hpcsim_obs as obs;
+pub use hpcsim_obs::{
+    log_debug, log_error, log_info, log_level, log_warn, log_warn_once, set_log_level, LogLevel,
+};

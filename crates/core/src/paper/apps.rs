@@ -80,11 +80,8 @@ pub fn fig4(scale: Scale) -> Vec<Figure> {
     b.push_series("Timing barrier (imbalance)", bar);
 
     let mut c = Figure::new("Fig 4(c): POP total, BG/P vs XT4", "processes", "SYD");
-    let mut d = Figure::new(
-        "Fig 4(d): POP phases, BG/P vs XT4",
-        "processes",
-        "seconds per simulated day",
-    );
+    let mut d =
+        Figure::new("Fig 4(d): POP phases, BG/P vs XT4", "processes", "seconds per simulated day");
     for label in ["BG/P", "XT4"] {
         let mut syd = Vec::new();
         let mut bc = Vec::new();
@@ -124,10 +121,15 @@ pub fn fig5(scale: Scale) -> Vec<Figure> {
         apps::CamConfig::fv_half_deg(),
     ];
     let sweeps: [(&[usize], usize, bool); 9] = [
-        (&[0], 0, false), (&[0], 0, true), (&[0], 1, false),    // (a)
-        (&[0], 3, true), (&[0], 2, false),                      // (b)
-        (&[0, 2], 1, true), (&[0, 2], 2, true),                 // (a,b,c,d) BG/P, XT4
-        (&[1], 1, true), (&[1], 2, true),                       // (c,d) XT3
+        (&[0], 0, false),
+        (&[0], 0, true),
+        (&[0], 1, false), // (a)
+        (&[0], 3, true),
+        (&[0], 2, false), // (b)
+        (&[0, 2], 1, true),
+        (&[0, 2], 2, true), // (a,b,c,d) BG/P, XT4
+        (&[1], 1, true),
+        (&[1], 2, true), // (c,d) XT3
     ];
     let points: Vec<(&[usize], usize, bool, usize)> = sweeps
         .iter()
@@ -207,20 +209,16 @@ pub fn fig6(scale: Scale) -> Vec<Figure> {
 /// Figure 7: GYRO — (a) B1-std strong scaling, (b) B3-gtc strong scaling,
 /// (c) weak-scaled modified B3-gtc across machines.
 pub fn fig7(scale: Scale) -> Vec<Figure> {
-    let b1_procs: Vec<usize> = [16usize, 64, 256, 1024, 2048]
-        .iter()
-        .map(|&p| scale.ranks(p).max(16) / 16 * 16)
-        .collect();
+    let b1_procs: Vec<usize> =
+        [16usize, 64, 256, 1024, 2048].iter().map(|&p| scale.ranks(p).max(16) / 16 * 16).collect();
     let mut b1_procs = b1_procs;
     b1_procs.dedup();
 
     let b3_procs: Vec<usize> = b1_procs.iter().map(|&p| (p / 64 * 64).max(64)).collect::<Vec<_>>();
     let mut b3 = b3_procs;
     b3.dedup();
-    let weak_procs: Vec<usize> = [64usize, 128, 256, 512, 1024]
-        .iter()
-        .map(|&p| scale.ranks(p).max(64) / 64 * 64)
-        .collect();
+    let weak_procs: Vec<usize> =
+        [64usize, 128, 256, 512, 1024].iter().map(|&p| scale.ranks(p).max(64) / 64 * 64).collect();
     let mut weak = weak_procs;
     weak.dedup();
 
@@ -257,11 +255,8 @@ pub fn fig7(scale: Scale) -> Vec<Figure> {
         b.push_series(label, series(&b3, b3_secs, k, |s| 1.0 / s));
     }
 
-    let mut c = Figure::new(
-        "Fig 7(c): GYRO modified B3-gtc weak scaling",
-        "processes",
-        "seconds per step",
-    );
+    let mut c =
+        Figure::new("Fig 7(c): GYRO modified B3-gtc weak scaling", "processes", "seconds per step");
     for (k, label) in ["BG/P", "BG/L", "XT"].into_iter().enumerate() {
         c.push_series(label, series(&weak, weak_secs, k, |s| s));
     }
@@ -299,12 +294,10 @@ pub fn fig8(scale: Scale) -> Vec<Figure> {
     });
 
     let mut panels = Vec::new();
-    for (ci, title) in [
-        "Fig 8(a): LAMMPS, RuBisCO 290,220 atoms",
-        "Fig 8(b): AMBER/PMEMD, RuBisCO 290,220 atoms",
-    ]
-    .into_iter()
-    .enumerate()
+    for (ci, title) in
+        ["Fig 8(a): LAMMPS, RuBisCO 290,220 atoms", "Fig 8(b): AMBER/PMEMD, RuBisCO 290,220 atoms"]
+            .into_iter()
+            .enumerate()
     {
         let mut f = Figure::new(title, "processes", "ns/day");
         for (mi, label) in ["BG/P", "XT3", "XT4/DC"].into_iter().enumerate() {

@@ -88,9 +88,8 @@ pub fn table2(scale: Scale) -> Table {
         ),
     ];
     let machines = [&bgp, &xt];
-    let points: Vec<(usize, usize)> = (0..probes.len())
-        .flat_map(|p| (0..machines.len()).map(move |m| (p, m)))
-        .collect();
+    let points: Vec<(usize, usize)> =
+        (0..probes.len()).flat_map(|p| (0..machines.len()).map(move |m| (p, m))).collect();
     let values = parmap(&points, |&(p, m)| (probes[p].1)(machines[m]));
 
     let mut t = Table::new(
@@ -209,8 +208,7 @@ pub fn fig2(scale: Scale) -> Vec<Figure> {
             halo_point(&m, mode, Mapping::txyz(), &cfg) * 1e6
         });
         let mut fig = Figure::new(title, "halo words", "usec per exchange");
-        for (proto, chunk) in hpcc::HaloProtocol::all().into_iter().zip(times.chunks(words.len()))
-        {
+        for (proto, chunk) in hpcc::HaloProtocol::all().into_iter().zip(times.chunks(words.len())) {
             let pts: Vec<(f64, f64)> =
                 words.iter().zip(chunk).map(|(&w, &t)| (w as f64, t)).collect();
             fig.push_series(proto.label(), pts);
@@ -239,10 +237,8 @@ pub fn fig2(scale: Scale) -> Vec<Figure> {
             }
         }
     }
-    let points_cd: Vec<(Grid2D, u64, Mapping)> = keys
-        .iter()
-        .flat_map(|&(grid, w)| mappings.iter().map(move |&mp| (grid, w, mp)))
-        .collect();
+    let points_cd: Vec<(Grid2D, u64, Mapping)> =
+        keys.iter().flat_map(|&(grid, w)| mappings.iter().map(move |&mp| (grid, w, mp))).collect();
     let swept = parmap(&points_cd, |&(grid, w, mapping)| {
         let cfg =
             hpcc::HaloConfig { grid, words: w, protocol: hpcc::HaloProtocol::IrecvIsend, reps: 2 };
@@ -268,21 +264,23 @@ pub fn fig2(scale: Scale) -> Vec<Figure> {
 
     // (e,f) grid-size scan with the default mapping
     for (title, mode, grids) in [
-        (
-            "Fig 2(e): grid sizes, VN mode",
-            ExecMode::Vn,
-            vec![256usize, 1024, 4096, 8192],
-        ),
+        ("Fig 2(e): grid sizes, VN mode", ExecMode::Vn, vec![256usize, 1024, 4096, 8192]),
         ("Fig 2(f): grid sizes, SMP mode", ExecMode::Smp, vec![256, 1024, 2048]),
     ] {
         let mapping = if mode == ExecMode::Smp { Mapping::xyzt() } else { Mapping::txyz() };
-        let grids2d: Vec<Grid2D> =
-            grids.iter().map(|&paper_ranks| Grid2D::near_square(scale.ranks(paper_ranks))).collect();
+        let grids2d: Vec<Grid2D> = grids
+            .iter()
+            .map(|&paper_ranks| Grid2D::near_square(scale.ranks(paper_ranks)))
+            .collect();
         let points: Vec<(Grid2D, u64)> =
             grids2d.iter().flat_map(|&g| words.iter().map(move |&w| (g, w))).collect();
         let times = parmap(&points, |&(g, w)| {
-            let cfg =
-                hpcc::HaloConfig { grid: g, words: w, protocol: hpcc::HaloProtocol::IrecvIsend, reps: 2 };
+            let cfg = hpcc::HaloConfig {
+                grid: g,
+                words: w,
+                protocol: hpcc::HaloProtocol::IrecvIsend,
+                reps: 2,
+            };
             halo_point(&m, mode, mapping, &cfg) * 1e6
         });
         let mut fig = Figure::new(title, "halo words", "usec per exchange");
@@ -313,17 +311,15 @@ pub fn fig3(scale: Scale) -> Vec<Figure> {
         "message bytes",
         "usec",
     );
-    let mut b = Figure::new(
-        "Fig 3(b): Allreduce latency vs process count (32KiB)",
-        "processes",
-        "usec",
-    );
+    let mut b =
+        Figure::new("Fig 3(b): Allreduce latency vs process count (32KiB)", "processes", "usec");
     let mut c = Figure::new(
         format!("Fig 3(c): Bcast latency vs message size ({fixed_ranks} procs)"),
         "message bytes",
         "usec",
     );
-    let mut d = Figure::new("Fig 3(d): Bcast latency vs process count (32KiB)", "processes", "usec");
+    let mut d =
+        Figure::new("Fig 3(d): Bcast latency vs process count (32KiB)", "processes", "usec");
 
     // scenario set: one recording per (collective, ranks, bytes), priced
     // on every machine that runs it (single precision: BG/P only)

@@ -33,7 +33,12 @@ pub fn pop_point(
 
 /// Seconds per exchange of one HALO run through the scenario cache;
 /// bit-identical to [`hpcsim_hpcc::halo_run`].
-pub fn halo_point(machine: &MachineSpec, mode: ExecMode, mapping: Mapping, cfg: &HaloConfig) -> f64 {
+pub fn halo_point(
+    machine: &MachineSpec,
+    mode: ExecMode,
+    mapping: Mapping,
+    cfg: &HaloConfig,
+) -> f64 {
     let spec = ScenarioSpec::halo(machine, mode, mapping, cfg.clone());
     evaluate(&spec).expect("pristine HALO scenarios evaluate")[0]
 }

@@ -21,8 +21,7 @@ use hpcsim_machine::ExecMode;
 use hpcsim_mpi::{Op, SimConfig, TraceSim};
 use hpcsim_net::DType;
 use hpcsim_probe::{
-    chrome_trace, metrics_report_json, trace_csv, GaugeId, MetricsRegistry, RingRecorder,
-    SpanKind,
+    chrome_trace, metrics_report_json, trace_csv, GaugeId, MetricsRegistry, RingRecorder, SpanKind,
 };
 use hpcsim_topo::{Grid2D, Mapping};
 
@@ -189,10 +188,8 @@ pub fn scenario_metrics(s: &TracedScenario) -> MetricsRegistry {
         let v = s.recorder.gauge_value(g);
         // fault-era gauges only appear once fault injection fired, so a
         // pristine run's metrics report keeps its pre-fault schema
-        let fault_gauge = matches!(
-            g,
-            GaugeId::LinkOutages | GaugeId::Retransmits | GaugeId::FlowUnderflows
-        );
+        let fault_gauge =
+            matches!(g, GaugeId::LinkOutages | GaugeId::Retransmits | GaugeId::FlowUnderflows);
         if !fault_gauge || v != 0 {
             reg.counter(g.label(), v);
         }
@@ -239,9 +236,7 @@ fn named_recorders(reports: &[TraceReport]) -> Vec<(String, &RingRecorder)> {
     reports
         .iter()
         .flat_map(|r| {
-            r.scenarios
-                .iter()
-                .map(move |s| (format!("{}/{}", r.id.slug(), s.label), &s.recorder))
+            r.scenarios.iter().map(move |s| (format!("{}/{}", r.id.slug(), s.label), &s.recorder))
         })
         .collect()
 }

@@ -44,12 +44,7 @@ impl Table {
         let mut out = String::new();
         out.push_str(&format!("== {} ==\n", self.title));
         let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .zip(widths)
-                .map(|(c, w)| format!("{c:>w$}"))
-                .collect::<Vec<_>>()
-                .join("  ")
+            cells.iter().zip(widths).map(|(c, w)| format!("{c:>w$}")).collect::<Vec<_>>().join("  ")
         };
         out.push_str(&fmt_row(&self.headers, &widths));
         out.push('\n');
@@ -126,7 +121,8 @@ impl Figure {
     /// Render as a cross-tabulated text table (x values down, one column
     /// per series).
     pub fn render(&self) -> String {
-        let mut xs: Vec<f64> = self.series.iter().flat_map(|s| s.points.iter().map(|p| p.0)).collect();
+        let mut xs: Vec<f64> =
+            self.series.iter().flat_map(|s| s.points.iter().map(|p| p.0)).collect();
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         xs.dedup();
         let mut out = format!("== {} ==\n", self.title);
@@ -156,7 +152,8 @@ impl Figure {
 
     /// CSV: `x,series1,series2,…`.
     pub fn to_csv(&self) -> String {
-        let mut xs: Vec<f64> = self.series.iter().flat_map(|s| s.points.iter().map(|p| p.0)).collect();
+        let mut xs: Vec<f64> =
+            self.series.iter().flat_map(|s| s.points.iter().map(|p| p.0)).collect();
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         xs.dedup();
         let mut out = String::from("x");
@@ -180,13 +177,7 @@ impl Figure {
 
     /// Y value of series `name` at `x`, if present (test helper).
     pub fn y_at(&self, name: &str, x: f64) -> Option<f64> {
-        self.series
-            .iter()
-            .find(|s| s.name == name)?
-            .points
-            .iter()
-            .find(|p| p.0 == x)
-            .map(|p| p.1)
+        self.series.iter().find(|s| s.name == name)?.points.iter().find(|p| p.0 == x).map(|p| p.1)
     }
 }
 

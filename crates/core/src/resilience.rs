@@ -106,12 +106,7 @@ pub fn resilience_battery(seed: u64, scale: Scale, inject_panic: bool) -> Resili
         })
         .collect();
     if inject_panic {
-        specs.push(Spec {
-            label: "selftest-panic".to_string(),
-            words: 8,
-            grid,
-            poison: true,
-        });
+        specs.push(Spec { label: "selftest-panic".to_string(), words: 8, grid, poison: true });
     }
 
     let mut headers = vec!["Scenario".to_string(), "Pristine (us)".to_string()];
@@ -164,7 +159,9 @@ mod tests {
         // every profile column filled, noise profile never speeds things up
         for row in &report.table.rows {
             assert_eq!(row.len(), 2 + 2 * FaultProfile::all().len());
-            let noise_col = 2 + 2 * FaultProfile::all().iter().position(|p| *p == FaultProfile::Noise).unwrap() + 1;
+            let noise_col = 2
+                + 2 * FaultProfile::all().iter().position(|p| *p == FaultProfile::Noise).unwrap()
+                + 1;
             let noise_x: f64 = row[noise_col].parse().expect("noise slowdown cell");
             assert!(noise_x >= 0.999, "noise slowdown {noise_x} in {row:?}");
         }

@@ -41,10 +41,7 @@ fn metrics() -> &'static ObsMetrics {
             "Scenario evaluations isolated after panicking",
             Deterministic,
         ),
-        wall: obs::histogram(
-            "hpcsim_scenario_wall_ns",
-            "Host wall-clock per scenario evaluation",
-        ),
+        wall: obs::histogram("hpcsim_scenario_wall_ns", "Host wall-clock per scenario evaluation"),
     });
     &M
 }
@@ -185,7 +182,10 @@ where
         .enumerate()
         .map(|(i, o)| {
             o.unwrap_or_else(|| {
-                Err(ScenarioPanic { index: i, message: "scenario result lost to a worker crash".to_string() })
+                Err(ScenarioPanic {
+                    index: i,
+                    message: "scenario result lost to a worker crash".to_string(),
+                })
             })
         })
         .collect()

@@ -25,7 +25,7 @@ use hpcsim_engine::{split_seed, splitmix64, OnlineStats, SimTime};
 use hpcsim_hpcc as hpcc;
 use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::{
-    ExecMode, MachineSpec, ParamGroups, Perturbation, PerturbSpec, PerturbationSampler,
+    ExecMode, MachineSpec, ParamGroups, PerturbSpec, Perturbation, PerturbationSampler,
 };
 use hpcsim_mpi::{
     perturbed_batches, CommId, FnProgram, Mpi, SimConfig, SimResult, TraceDag, TraceSim,
@@ -115,7 +115,13 @@ impl SensitivityStats {
         let mut t = Table::new(
             "Monte-Carlo sensitivity: stencil iteration makespan by perturbed parameter group",
             &[
-                "group", "samples", "mean_us", "ci95_us", "stddev_us", "min_us", "max_us",
+                "group",
+                "samples",
+                "mean_us",
+                "ci95_us",
+                "stddev_us",
+                "min_us",
+                "max_us",
                 "delta_pct",
             ],
         );
@@ -155,13 +161,7 @@ fn stencil_traces(grid: Grid2D, words: u64, reps: u32) -> Vec<Vec<hpcsim_mpi::Op
             for round in 0..reps {
                 let jitter = splitmix64(((me as u64) << 32) | round as u64) % 10;
                 mpi.delay(SimTime::from_us(20 + jitter));
-                hpcc::halo_record_exchange(
-                    mpi,
-                    grid,
-                    words,
-                    hpcc::HaloProtocol::IrecvIsend,
-                    round,
-                );
+                hpcc::halo_record_exchange(mpi, grid, words, hpcc::HaloProtocol::IrecvIsend, round);
                 mpi.allreduce(CommId::WORLD, 8, DType::F64);
             }
         }),
@@ -205,9 +205,8 @@ pub fn sensitivity_battery_with(
 
     let base = dag.evaluate_many(std::slice::from_ref(&cfg)).remove(0);
     let baseline_us = base.makespan().as_secs() * 1e6;
-    let zero = dag
-        .evaluate_perturbed(&cfg, std::slice::from_ref(&Perturbation::IDENTITY))
-        .remove(0);
+    let zero =
+        dag.evaluate_perturbed(&cfg, std::slice::from_ref(&Perturbation::IDENTITY)).remove(0);
     let zero_identical = exact_match(&base, &zero);
 
     // Sample i of group g depends only on (seed, g, i): the sampler is
@@ -226,13 +225,9 @@ pub fn sensitivity_battery_with(
     // Batched pass: fixed-width chunks across every group, fanned out
     // over the worker pool. parmap preserves input order, so results
     // regroup deterministically.
-    let chunks: Vec<&[Perturbation]> = group_samples
-        .iter()
-        .flat_map(|s| s.chunks(CHUNK))
-        .collect();
+    let chunks: Vec<&[Perturbation]> = group_samples.iter().flat_map(|s| s.chunks(CHUNK)).collect();
     let t0 = std::time::Instant::now();
-    let chunk_results: Vec<Vec<SimResult>> =
-        parmap(&chunks, |ch| dag.evaluate_perturbed(&cfg, ch));
+    let chunk_results: Vec<Vec<SimResult>> = parmap(&chunks, |ch| dag.evaluate_perturbed(&cfg, ch));
     let batched_seconds = t0.elapsed().as_secs_f64();
     let mut results = chunk_results.into_iter().flatten();
 
@@ -284,8 +279,7 @@ pub fn sensitivity_battery_with(
         batched_seconds,
         looped_seconds,
         zero_identical,
-        repriced_fraction: repriced as f64
-            / (samples as f64 * ParamGroups::COUNT as f64).max(1.0),
+        repriced_fraction: repriced as f64 / (samples as f64 * ParamGroups::COUNT as f64).max(1.0),
         batch_occupancy: samples as f64 / (slots as f64).max(1.0),
     }
 }

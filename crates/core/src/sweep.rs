@@ -49,10 +49,7 @@ pub fn fig2_mapping_sweep(scale: Scale) -> MappingSweepStats {
     let machine: MachineSpec = bluegene_p().with_flat_contention();
     let mappings: Vec<Mapping> = Mapping::fig2_set().iter().map(|&(_, m)| m).collect();
     let words = [2048u64, 32_768];
-    let grids = [
-        Grid2D::near_square(scale.ranks(4096)),
-        Grid2D::near_square(scale.ranks(8192)),
-    ];
+    let grids = [Grid2D::near_square(scale.ranks(4096)), Grid2D::near_square(scale.ranks(8192))];
     let cfgs: Vec<hpcc::HaloConfig> = grids
         .iter()
         .flat_map(|&grid| {
@@ -126,14 +123,7 @@ pub fn fig2_mapping_sweep(scale: Scale) -> MappingSweepStats {
         }
     }
 
-    MappingSweepStats {
-        points,
-        replay_seconds,
-        dag_seconds,
-        dag_nodes,
-        dag_edges,
-        engines_agree,
-    }
+    MappingSweepStats { points, replay_seconds, dag_seconds, dag_nodes, dag_edges, engines_agree }
 }
 
 #[cfg(test)]

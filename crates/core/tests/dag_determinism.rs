@@ -8,9 +8,7 @@
 //! `set_sweep_engine` are process-wide knobs, so this test cannot share
 //! a process with tests that assume the defaults.
 
-use hpcsim_core::{
-    run_experiment, set_jobs, set_sweep_engine, ExperimentId, Scale, SweepEngine,
-};
+use hpcsim_core::{run_experiment, set_jobs, set_sweep_engine, ExperimentId, Scale, SweepEngine};
 
 #[test]
 fn dag_engine_is_jobs_invariant_and_matches_replay() {
@@ -33,10 +31,6 @@ fn dag_engine_is_jobs_invariant_and_matches_replay() {
             "{}: DAG engine differs between --jobs 1 and --jobs 4",
             id.slug()
         );
-        assert!(
-            replay == dag_seq,
-            "{}: DAG engine output differs from replay engine",
-            id.slug()
-        );
+        assert!(replay == dag_seq, "{}: DAG engine output differs from replay engine", id.slug());
     }
 }

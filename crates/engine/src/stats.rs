@@ -194,7 +194,13 @@ impl Default for TimeWeighted {
 impl TimeWeighted {
     /// Empty integral starting at time zero with value zero.
     pub fn new() -> Self {
-        TimeWeighted { last_time: SimTime::ZERO, last_value: 0.0, integral: 0.0, peak: 0.0, started: false }
+        TimeWeighted {
+            last_time: SimTime::ZERO,
+            last_value: 0.0,
+            integral: 0.0,
+            peak: 0.0,
+            started: false,
+        }
     }
 
     /// Declare the signal value from `t` onward. `t` must be non-decreasing

@@ -19,7 +19,9 @@ const PS_PER_SEC: f64 = 1e12;
 /// `SimTime` is used both as an absolute timestamp and as a duration; the
 /// arithmetic provided covers both uses. Construction from floating-point
 /// seconds rounds to the nearest picosecond.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

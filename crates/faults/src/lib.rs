@@ -158,11 +158,9 @@ impl FaultPlan {
     /// Message-loss model, or `None` when the profile has no loss.
     pub fn loss(&self) -> Option<LossModel> {
         match self.profile {
-            FaultProfile::Loss | FaultProfile::Mixed => Some(LossModel {
-                seed: split_seed(self.seed, STREAM_LOSS),
-                p: 0.02,
-                max_burst: 4,
-            }),
+            FaultProfile::Loss | FaultProfile::Mixed => {
+                Some(LossModel { seed: split_seed(self.seed, STREAM_LOSS), p: 0.02, max_burst: 4 })
+            }
             _ => None,
         }
     }
@@ -222,11 +220,7 @@ impl LinkFaults {
 
     /// Ids of all dead links, for probe gauges and reports.
     pub fn dead_ids(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.factor
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f == 0.0)
-            .map(|(i, _)| LinkId(i))
+        self.factor.iter().enumerate().filter(|(_, &f)| f == 0.0).map(|(i, _)| LinkId(i))
     }
 }
 
@@ -299,7 +293,9 @@ impl LossModel {
         let base = self.seed ^ splitmix64(rank as u64) ^ seq.rotate_left(17);
         let mut lost = 0u32;
         while lost < self.max_burst {
-            let h = splitmix64(base.wrapping_add(0xD1B5_4A32_D192_ED03u64.wrapping_mul(lost as u64 + 1)));
+            let h = splitmix64(
+                base.wrapping_add(0xD1B5_4A32_D192_ED03u64.wrapping_mul(lost as u64 + 1)),
+            );
             let u = (h >> 11) as f64 / (1u64 << 53) as f64;
             if u >= self.p {
                 break;
@@ -410,10 +406,7 @@ mod tests {
         let f = FaultPlan::new(11, FaultProfile::Link).link_faults(4096).unwrap();
         for l in 0..f.links() {
             let bw = f.bw_factor(LinkId(l));
-            assert!(
-                (0.3..=1.0).contains(&bw),
-                "link {l} factor {bw} out of band"
-            );
+            assert!((0.3..=1.0).contains(&bw), "link {l} factor {bw} out of band");
         }
     }
 

@@ -136,9 +136,7 @@ pub fn run_scenario(sc: &FuzzScenario) -> RunReport {
                     })) {
                         return RunReport {
                             outcome: OutcomeKind::Divergence,
-                            detail: format!(
-                                "replay deadlocked but dag compiles clean: {err}"
-                            ),
+                            detail: format!("replay deadlocked but dag compiles clean: {err}"),
                             signals,
                         };
                     }
@@ -251,7 +249,10 @@ mod tests {
             mapping: Mapping::txyz(),
             faults: None,
             traces: vec![
-                vec![Op::Irecv { src: 1, tag: 0, bytes: 64, req: Req(0) }, Op::Wait { req: Req(0) }],
+                vec![
+                    Op::Irecv { src: 1, tag: 0, bytes: 64, req: Req(0) },
+                    Op::Wait { req: Req(0) },
+                ],
                 vec![],
             ],
         };

@@ -183,8 +183,8 @@ impl FuzzReport {
     /// caught and shrunk to ≤ 8 ops.
     pub fn ok(&self) -> bool {
         let minimized = self.findings.iter().all(|f| f.minimized);
-        let canary_ok = !self.config.plant_canary
-            || self.canary().is_some_and(|f| f.scenario.total_ops() <= 8);
+        let canary_ok =
+            !self.config.plant_canary || self.canary().is_some_and(|f| f.scenario.total_ops() <= 8);
         minimized && canary_ok
     }
 
@@ -265,11 +265,7 @@ pub fn canary_scenario(seed: u64) -> FuzzScenario {
 }
 
 fn pick_parent(corpus: &mut [CorpusEntry]) -> Option<(usize, u32)> {
-    let idx = corpus
-        .iter()
-        .enumerate()
-        .min_by_key(|(i, e)| (e.picked, *i))
-        .map(|(i, _)| i)?;
+    let idx = corpus.iter().enumerate().min_by_key(|(i, e)| (e.picked, *i)).map(|(i, _)| i)?;
     let energy = corpus[idx].energy();
     corpus[idx].picked += 1;
     Some((idx, energy))

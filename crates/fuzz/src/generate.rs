@@ -38,12 +38,7 @@ const MIN_RANKS: u64 = 2;
 const MAX_GEN_RANKS: u64 = 8;
 
 fn machine_pool() -> [MachineSpec; 4] {
-    [
-        bluegene_p(),
-        bluegene_p().with_flat_contention(),
-        xt4_qc(),
-        xt4_qc().with_flat_contention(),
-    ]
+    [bluegene_p(), bluegene_p().with_flat_contention(), xt4_qc(), xt4_qc().with_flat_contention()]
 }
 
 /// Message-size palette: small eager, the exact rendezvous threshold
@@ -195,8 +190,7 @@ pub fn mutate(base: &FuzzScenario, seed: u64, iteration: u64, count: u32) -> Fuz
 }
 
 fn nonempty_rank(rng: &mut DetRng, sc: &FuzzScenario) -> Option<usize> {
-    let candidates: Vec<usize> =
-        (0..sc.ranks()).filter(|&r| !sc.traces[r].is_empty()).collect();
+    let candidates: Vec<usize> = (0..sc.ranks()).filter(|&r| !sc.traces[r].is_empty()).collect();
     if candidates.is_empty() {
         return None;
     }
@@ -307,8 +301,7 @@ fn mutate_once(rng: &mut DetRng, sc: &mut FuzzScenario) {
                     if rng.next_below(4) == 0 {
                         None
                     } else {
-                        let plan =
-                            FaultPlan::new(f.seed, f.profile).mutated(rng.next_u64());
+                        let plan = FaultPlan::new(f.seed, f.profile).mutated(rng.next_u64());
                         Some(FaultSpec { seed: plan.seed(), profile: plan.profile() })
                     }
                 }

@@ -189,10 +189,7 @@ mod tests {
             mapping: hpcsim_topo::Mapping::txyz(),
             faults: None,
             traces: vec![
-                vec![
-                    Op::Irecv { src: 1, tag: 0, bytes: 8, req: Req(0) },
-                    Op::Wait { req: Req(0) },
-                ],
+                vec![Op::Irecv { src: 1, tag: 0, bytes: 8, req: Req(0) }, Op::Wait { req: Req(0) }],
                 vec![],
             ],
         };

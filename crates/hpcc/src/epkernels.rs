@@ -49,9 +49,7 @@ pub fn fft_rate(machine: &MachineSpec, mode: EpMode, n: u64) -> f64 {
 pub fn ra_rate(machine: &MachineSpec, mode: EpMode, table_bytes: u64) -> f64 {
     let model = NodeModel::new(machine.clone());
     let updates = 4 * table_bytes / 8; // HPCC default: 4 updates per word
-    let t = model
-        .time(&Workload::RandomAccess { updates, table_bytes }, mode.exec(), 1)
-        .as_secs();
+    let t = model.time(&Workload::RandomAccess { updates, table_bytes }, mode.exec(), 1).as_secs();
     updates as f64 / t / 1e9
 }
 

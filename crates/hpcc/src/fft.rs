@@ -26,7 +26,12 @@ pub struct FftResult {
 /// Problem size from memory: HPCC sizes the FFT vector at roughly an
 /// eighth of the HPL matrix footprint. We use `mem_fraction` of aggregate
 /// memory in 16-byte complex elements, rounded down to a power of two.
-pub fn fft_problem_size(machine: &MachineSpec, ranks: usize, mode: ExecMode, mem_fraction: f64) -> u64 {
+pub fn fft_problem_size(
+    machine: &MachineSpec,
+    ranks: usize,
+    mode: ExecMode,
+    mem_fraction: f64,
+) -> u64 {
     let per_task = mode.mem_per_task(machine.mem.capacity_bytes(), machine.cores_per_node);
     let elems = (per_task * ranks as f64 * mem_fraction / 16.0) as u64;
     if elems == 0 {

@@ -136,7 +136,12 @@ pub fn halo_traces(cfg: &HaloConfig) -> Vec<Vec<Op>> {
     )
 }
 
-fn halo_layout(machine: &MachineSpec, mode: ExecMode, mapping: Mapping, ranks: usize) -> RankLayout {
+fn halo_layout(
+    machine: &MachineSpec,
+    mode: ExecMode,
+    mapping: Mapping,
+    ranks: usize,
+) -> RankLayout {
     if machine.id.is_bluegene() {
         RankLayout::bluegene(machine, ranks, mode, mapping)
     } else {
@@ -233,8 +238,18 @@ mod tests {
         let m = bluegene_p();
         let mut sendrecv_penalty = 0usize;
         for words in [16u64, 512, 8192, 65536] {
-            let t_ii = halo_run(&m, ExecMode::Vn, Mapping::txyz(), &cfg(grid, words, HaloProtocol::IrecvIsend));
-            let t_sr = halo_run(&m, ExecMode::Vn, Mapping::txyz(), &cfg(grid, words, HaloProtocol::Sendrecv));
+            let t_ii = halo_run(
+                &m,
+                ExecMode::Vn,
+                Mapping::txyz(),
+                &cfg(grid, words, HaloProtocol::IrecvIsend),
+            );
+            let t_sr = halo_run(
+                &m,
+                ExecMode::Vn,
+                Mapping::txyz(),
+                &cfg(grid, words, HaloProtocol::Sendrecv),
+            );
             assert!(t_sr > t_ii * 0.95, "words={words}: sendrecv {t_sr} vs {t_ii}");
             if t_sr > t_ii * 1.07 {
                 sendrecv_penalty += 1;
@@ -272,12 +287,19 @@ mod tests {
     #[test]
     fn grid_size_does_not_blow_up_cost() {
         let m = bluegene_p();
-        let t_small = halo_run(&m, ExecMode::Vn, Mapping::txyz(), &cfg(Grid2D::new(8, 8), 2048, HaloProtocol::IrecvIsend));
-        let t_big = halo_run(&m, ExecMode::Vn, Mapping::txyz(), &cfg(Grid2D::new(32, 16), 2048, HaloProtocol::IrecvIsend));
-        assert!(
-            t_big < t_small * 2.5,
-            "64 -> 512 ranks grew cost {t_small:.2e} -> {t_big:.2e}"
+        let t_small = halo_run(
+            &m,
+            ExecMode::Vn,
+            Mapping::txyz(),
+            &cfg(Grid2D::new(8, 8), 2048, HaloProtocol::IrecvIsend),
         );
+        let t_big = halo_run(
+            &m,
+            ExecMode::Vn,
+            Mapping::txyz(),
+            &cfg(Grid2D::new(32, 16), 2048, HaloProtocol::IrecvIsend),
+        );
+        assert!(t_big < t_small * 2.5, "64 -> 512 ranks grew cost {t_small:.2e} -> {t_big:.2e}");
     }
 
     /// A survivable fault plan makes the exchange slower, never faster,
@@ -335,8 +357,14 @@ mod tests {
     fn cost_grows_with_words() {
         let m = bluegene_p();
         let grid = Grid2D::new(8, 8);
-        let t1 = halo_run(&m, ExecMode::Vn, Mapping::txyz(), &cfg(grid, 8, HaloProtocol::IrecvIsend));
-        let t2 = halo_run(&m, ExecMode::Vn, Mapping::txyz(), &cfg(grid, 32_768, HaloProtocol::IrecvIsend));
+        let t1 =
+            halo_run(&m, ExecMode::Vn, Mapping::txyz(), &cfg(grid, 8, HaloProtocol::IrecvIsend));
+        let t2 = halo_run(
+            &m,
+            ExecMode::Vn,
+            Mapping::txyz(),
+            &cfg(grid, 32_768, HaloProtocol::IrecvIsend),
+        );
         assert!(t2 > t1 * 3.0, "{t1:.2e} -> {t2:.2e}");
         assert!(t1 * 1e6 > 1.0, "even tiny halos cost > 1 us: {:.2}", t1 * 1e6);
     }

@@ -42,7 +42,12 @@ pub struct HplResult {
 }
 
 /// HPCC guidance: a problem filling `mem_fraction` of aggregate memory.
-pub fn hpl_problem_size(machine: &MachineSpec, ranks: usize, mode: ExecMode, mem_fraction: f64) -> u64 {
+pub fn hpl_problem_size(
+    machine: &MachineSpec,
+    ranks: usize,
+    mode: ExecMode,
+    mem_fraction: f64,
+) -> u64 {
     let per_task = mode.mem_per_task(machine.mem.capacity_bytes(), machine.cores_per_node);
     let total = per_task * ranks as f64 * mem_fraction;
     ((total / 8.0).sqrt() as u64 / 2) * 2
@@ -51,13 +56,7 @@ pub fn hpl_problem_size(machine: &MachineSpec, ranks: usize, mode: ExecMode, mem
 /// Simulate one sampled elimination step at progress `f ∈ [0,1)` and
 /// return nothing — ops are recorded into `mpi`.
 #[allow(clippy::too_many_arguments)]
-fn record_step(
-    mpi: &mut Mpi,
-    cfg: &HplConfig,
-    row_comm: CommId,
-    col_comm: CommId,
-    f: f64,
-) {
+fn record_step(mpi: &mut Mpi, cfg: &HplConfig, row_comm: CommId, col_comm: CommId, f: f64) {
     let p = cfg.grid.rows as f64;
     let q = cfg.grid.cols as f64;
     let rem = (cfg.n as f64 * (1.0 - f)).max(cfg.nb as f64); // remaining order
@@ -165,11 +164,7 @@ pub fn top500_run(machine: &MachineSpec) -> Top500Result {
     let pm = hpcsim_power::PowerModel::new(machine.clone());
     let cores = cfg.grid.size() as u64;
     let watts = pm.aggregate_w(cores, hpcsim_power::UTIL_HPL);
-    Top500Result {
-        hpl,
-        power_kw: watts / 1e3,
-        mflops_per_watt: hpl.gflops * 1e3 / watts,
-    }
+    Top500Result { hpl, power_kw: watts / 1e3, mflops_per_watt: hpl.gflops * 1e3 / watts }
 }
 
 #[cfg(test)]

@@ -83,12 +83,7 @@ mod tests {
         for bytes in [8u64, 1024, 32 * 1024, 1 << 20] {
             let b = imb_bcast(&bluegene_p(), ExecMode::Vn, 512, bytes);
             let x = imb_bcast(&xt4_qc(), ExecMode::Vn, 512, bytes);
-            assert!(
-                b.usec < x.usec,
-                "bytes={bytes}: BG/P {:.1}us vs XT {:.1}us",
-                b.usec,
-                x.usec
-            );
+            assert!(b.usec < x.usec, "bytes={bytes}: BG/P {:.1}us vs XT {:.1}us", b.usec, x.usec);
         }
     }
 

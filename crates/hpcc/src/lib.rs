@@ -40,8 +40,8 @@ pub use comm::{
 pub use epkernels::{dgemm_rate, stream_triad_rate, EpMode};
 pub use fft::{fft_run, fft_traces, FftResult};
 pub use halo::{
-    halo_eval_traces, halo_record_exchange, halo_run, halo_traces,
-    halo_try_run, HaloConfig, HaloProtocol,
+    halo_eval_traces, halo_record_exchange, halo_run, halo_traces, halo_try_run, HaloConfig,
+    HaloProtocol,
 };
 pub use hpl::{
     hpl_problem_size, hpl_run, hpl_traces, top500_run, HplConfig, HplResult, Top500Result,

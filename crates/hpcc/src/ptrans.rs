@@ -63,11 +63,8 @@ pub fn ptrans_traces(ranks: usize, n: u64) -> Vec<Vec<Op>> {
         // sendrecv deadlocks: on a square grid it is the true transpose
         // partner (r,c)<->(c,r); on rectangular grids we use the
         // antipodal pairing, which crosses the bisection just as hard.
-        let partner = if grid.rows == grid.cols {
-            grid.rank(c, r)
-        } else {
-            grid.size() - 1 - mpi.rank()
-        };
+        let partner =
+            if grid.rows == grid.cols { grid.rank(c, r) } else { grid.size() - 1 - mpi.rank() };
         if partner != mpi.rank() {
             mpi.sendrecv(partner, 3, bytes, partner, 3, bytes);
         }

@@ -55,10 +55,7 @@ fn span_csv_covers_every_retained_span() {
     let rec = small_halo();
     let csv = trace_csv(&[("halo 4x4".to_string(), &rec)]);
     let mut lines = csv.lines();
-    assert_eq!(
-        lines.next(),
-        Some("scenario,rank,track,kind,peer,tag,bytes,t0_us,t1_us,base_us")
-    );
+    assert_eq!(lines.next(), Some("scenario,rank,track,kind,peer,tag,bytes,t0_us,t1_us,base_us"));
     assert_eq!(lines.count() as u64, rec.total_spans());
     for kind in [SpanKind::MsgWire, SpanKind::SendOverhead, SpanKind::Wait] {
         assert!(csv.contains(kind.label()), "CSV must contain {:?} spans", kind);

@@ -150,11 +150,7 @@ impl IoModel {
         };
         let time = SimTime::from_secs(total / bw) + extra;
         let secs = time.as_secs();
-        IoResult {
-            time,
-            bandwidth: if secs > 0.0 { total / secs } else { 0.0 },
-            bottleneck,
-        }
+        IoResult { time, bandwidth: if secs > 0.0 { total / secs } else { 0.0 }, bottleneck }
     }
 }
 

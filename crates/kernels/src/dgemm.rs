@@ -13,7 +13,16 @@ const BLOCK: usize = 64;
 /// Naive triple loop — the oracle for tests. `a` is m×k, `b` is k×n,
 /// `c` is m×n, all row-major.
 #[allow(clippy::too_many_arguments)] // the BLAS dgemm signature
-pub fn dgemm_naive(alpha: f64, a: &[f64], b: &[f64], beta: f64, c: &mut [f64], m: usize, n: usize, k: usize) {
+pub fn dgemm_naive(
+    alpha: f64,
+    a: &[f64],
+    b: &[f64],
+    beta: f64,
+    c: &mut [f64],
+    m: usize,
+    n: usize,
+    k: usize,
+) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), k * n);
     assert_eq!(c.len(), m * n);
@@ -31,7 +40,16 @@ pub fn dgemm_naive(alpha: f64, a: &[f64], b: &[f64], beta: f64, c: &mut [f64], m
 /// Blocked, parallel `C ← α·A·B + β·C`. Dimensions as in
 /// [`dgemm_naive`].
 #[allow(clippy::too_many_arguments)] // the BLAS dgemm signature
-pub fn dgemm(alpha: f64, a: &[f64], b: &[f64], beta: f64, c: &mut [f64], m: usize, n: usize, k: usize) {
+pub fn dgemm(
+    alpha: f64,
+    a: &[f64],
+    b: &[f64],
+    beta: f64,
+    c: &mut [f64],
+    m: usize,
+    n: usize,
+    k: usize,
+) {
     assert_eq!(a.len(), m * k, "A must be m×k");
     assert_eq!(b.len(), k * n, "B must be k×n");
     assert_eq!(c.len(), m * n, "C must be m×n");

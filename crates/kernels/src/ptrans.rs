@@ -36,9 +36,7 @@ pub fn transpose_add(a: &mut [f64], c: &[f64], n: usize) {
     assert_eq!(c.len(), n * n);
     let mut t = vec![0.0; n * n];
     transpose(a, n, n, &mut t);
-    a.par_iter_mut()
-        .zip(t.par_iter().zip(c.par_iter()))
-        .for_each(|(ai, (&ti, &ci))| *ai = ti + ci);
+    a.par_iter_mut().zip(t.par_iter().zip(c.par_iter())).for_each(|(ai, (&ti, &ci))| *ai = ti + ci);
 }
 
 #[cfg(test)]

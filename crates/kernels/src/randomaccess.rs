@@ -80,11 +80,7 @@ pub fn gups_run(log2_size: u32, updates: u64) -> RandomAccessResult {
         ran = lfsr_step(ran);
         table[(ran & mask) as usize] ^= ran;
     }
-    let errors = table
-        .iter()
-        .enumerate()
-        .filter(|&(i, &v)| v != i as u64)
-        .count() as u64;
+    let errors = table.iter().enumerate().filter(|&(i, &v)| v != i as u64).count() as u64;
     RandomAccessResult { updates, errors }
 }
 

@@ -24,9 +24,7 @@ pub fn stream_scale(q: f64, c: &[f64], b: &mut [f64]) -> u64 {
 pub fn stream_add(a: &[f64], b: &[f64], c: &mut [f64]) -> u64 {
     assert_eq!(a.len(), b.len());
     assert_eq!(a.len(), c.len());
-    c.par_iter_mut()
-        .zip(a.par_iter().zip(b.par_iter()))
-        .for_each(|(ci, (&ai, &bi))| *ci = ai + bi);
+    c.par_iter_mut().zip(a.par_iter().zip(b.par_iter())).for_each(|(ci, (&ai, &bi))| *ci = ai + bi);
     24 * a.len() as u64
 }
 

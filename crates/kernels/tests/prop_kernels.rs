@@ -1,8 +1,8 @@
 //! Property tests of the real kernels' mathematical invariants.
 
 use hpcsim_kernels::{
-    dgemm, dgemm_naive, fft_forward, fft_inverse, lu_factor, lu_solve, residual_check,
-    transpose, transpose_add, Complex,
+    dgemm, dgemm_naive, fft_forward, fft_inverse, lu_factor, lu_solve, residual_check, transpose,
+    transpose_add, Complex,
 };
 use proptest::prelude::*;
 

@@ -114,7 +114,13 @@ impl Workload {
                 let b = (cache / 24.0).sqrt().max(8.0);
                 let passes = (n / b).max(1.0);
                 let dram = 8.0 * n * n * (2.0 * passes + 2.0);
-                CostDesc { flops, dram_bytes: dram, simd_eff: 0.90, serial_frac: 0.02, irregular: false }
+                CostDesc {
+                    flops,
+                    dram_bytes: dram,
+                    simd_eff: 0.90,
+                    serial_frac: 0.02,
+                    irregular: false,
+                }
             }
             Workload::LuUpdate { m, n, k } => {
                 let (m, n, k) = (m as f64, n as f64, k as f64);
@@ -123,19 +129,40 @@ impl Workload {
                 let passes = (k / b).max(1.0);
                 let dram = 8.0 * (m * n) * (passes + 2.0) + 8.0 * (m * k + k * n);
                 // Slightly below straight DGEMM: pivoting and triangular solves.
-                CostDesc { flops, dram_bytes: dram, simd_eff: 0.85, serial_frac: 0.04, irregular: false }
+                CostDesc {
+                    flops,
+                    dram_bytes: dram,
+                    simd_eff: 0.85,
+                    serial_frac: 0.04,
+                    irregular: false,
+                }
             }
             Workload::StreamCopy { n } | Workload::StreamScale { n } => {
                 // read 8 + write 8 + write-allocate 8 per element
-                let flops = if matches!(self, Workload::StreamScale { .. }) { n as f64 } else { 0.0 };
-                CostDesc { flops, dram_bytes: 24.0 * n as f64, simd_eff: 1.0, serial_frac: 0.0, irregular: false }
+                let flops =
+                    if matches!(self, Workload::StreamScale { .. }) { n as f64 } else { 0.0 };
+                CostDesc {
+                    flops,
+                    dram_bytes: 24.0 * n as f64,
+                    simd_eff: 1.0,
+                    serial_frac: 0.0,
+                    irregular: false,
+                }
             }
-            Workload::StreamAdd { n } => {
-                CostDesc { flops: n as f64, dram_bytes: 32.0 * n as f64, simd_eff: 1.0, serial_frac: 0.0, irregular: false }
-            }
-            Workload::StreamTriad { n } => {
-                CostDesc { flops: 2.0 * n as f64, dram_bytes: 32.0 * n as f64, simd_eff: 1.0, serial_frac: 0.0, irregular: false }
-            }
+            Workload::StreamAdd { n } => CostDesc {
+                flops: n as f64,
+                dram_bytes: 32.0 * n as f64,
+                simd_eff: 1.0,
+                serial_frac: 0.0,
+                irregular: false,
+            },
+            Workload::StreamTriad { n } => CostDesc {
+                flops: 2.0 * n as f64,
+                dram_bytes: 32.0 * n as f64,
+                simd_eff: 1.0,
+                serial_frac: 0.0,
+                irregular: false,
+            },
             Workload::Fft1d { n } => {
                 let nf = n as f64;
                 let flops = 5.0 * nf * nf.log2().max(1.0);
@@ -149,7 +176,13 @@ impl Workload {
                 };
                 let dram = 2.0 * footprint * passes;
                 // stock (non-vendor) FFT: modest vectorization
-                CostDesc { flops, dram_bytes: dram, simd_eff: 0.33, serial_frac: 0.05, irregular: false }
+                CostDesc {
+                    flops,
+                    dram_bytes: dram,
+                    simd_eff: 0.33,
+                    serial_frac: 0.05,
+                    irregular: false,
+                }
             }
             Workload::RandomAccess { updates, table_bytes } => {
                 // Each update touches a random cache line; when the table
@@ -157,7 +190,13 @@ impl Workload {
                 let line = 64.0;
                 let miss_frac = (1.0 - cache / table_bytes as f64).clamp(0.0, 1.0);
                 let dram = updates as f64 * miss_frac * 2.0 * line;
-                CostDesc { flops: 0.0, dram_bytes: dram, simd_eff: 1.0, serial_frac: 0.0, irregular: false }
+                CostDesc {
+                    flops: 0.0,
+                    dram_bytes: dram,
+                    simd_eff: 1.0,
+                    serial_frac: 0.0,
+                    irregular: false,
+                }
             }
             Workload::Stencil { points, flops_per_point, bytes_per_point } => CostDesc {
                 flops: points as f64 * flops_per_point,
@@ -236,8 +275,10 @@ mod tests {
 
     #[test]
     fn random_access_miss_fraction() {
-        let big_table = Workload::RandomAccess { updates: 1000, table_bytes: 1 << 30 }.cost(8.0 * MIB);
-        let tiny_table = Workload::RandomAccess { updates: 1000, table_bytes: 1 << 20 }.cost(8.0 * MIB);
+        let big_table =
+            Workload::RandomAccess { updates: 1000, table_bytes: 1 << 30 }.cost(8.0 * MIB);
+        let tiny_table =
+            Workload::RandomAccess { updates: 1000, table_bytes: 1 << 20 }.cost(8.0 * MIB);
         assert!(big_table.dram_bytes > 0.9 * 1000.0 * 128.0);
         assert_eq!(tiny_table.dram_bytes, 0.0); // fits in cache entirely
     }

@@ -40,5 +40,5 @@ pub use arch::{
 pub use cost::{CostDesc, Workload};
 pub use exec::ExecMode;
 pub use node_model::NodeModel;
-pub use perturb::{ParamGroups, Perturbation, PerturbSpec, PerturbationSampler};
+pub use perturb::{ParamGroups, PerturbSpec, Perturbation, PerturbationSampler};
 pub use registry::{all_machines, machine, Installation};

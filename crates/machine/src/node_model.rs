@@ -87,8 +87,7 @@ impl NodeModel {
         let threads = threads.clamp(1, mode.max_threads_per_task(self.spec.cores_per_node));
         let irr = if cost.irregular { self.spec.core.irregular_eff } else { 1.0 };
         let t_flops = if cost.flops > 0.0 {
-            cost.flops
-                / self.flop_rate(threads, (cost.simd_eff * irr).max(1e-3), cost.serial_frac)
+            cost.flops / self.flop_rate(threads, (cost.simd_eff * irr).max(1e-3), cost.serial_frac)
         } else {
             0.0
         };

@@ -247,8 +247,7 @@ impl PerturbationSampler {
     pub fn sample(&self, index: u64) -> Perturbation {
         let mut rng = DetRng::new(self.seed, index);
         let sym = |u: f64, frac: f64| 1.0 + frac * (2.0 * u - 1.0);
-        let (ub, uh, uc, ul) =
-            (rng.next_f64(), rng.next_f64(), rng.next_f64(), rng.next_f64());
+        let (ub, uh, uc, ul) = (rng.next_f64(), rng.next_f64(), rng.next_f64(), rng.next_f64());
         let pick = |on: bool, v: f64| if on { v } else { 1.0 };
         Perturbation {
             bw_scale: pick(
@@ -304,12 +303,8 @@ mod tests {
     #[test]
     fn apply_to_materialises_the_factors() {
         let base = crate::registry::bluegene_p();
-        let p = Perturbation {
-            bw_scale: 2.0,
-            hop_scale: 0.5,
-            compute_scale: 1.25,
-            coll_scale: 2.0,
-        };
+        let p =
+            Perturbation { bw_scale: 2.0, hop_scale: 0.5, compute_scale: 1.25, coll_scale: 2.0 };
         let m = p.apply_to(&base);
         assert_eq!(m.nic.torus_link_bw, base.nic.torus_link_bw * 2.0);
         assert_eq!(m.nic.injection_bw, base.nic.injection_bw * 2.0);

@@ -15,8 +15,9 @@ fn workload_strategy() -> impl Strategy<Value = Workload> {
         (8u64..3000).prop_map(|n| Workload::Dgemm { n }),
         (1u64..10_000_000).prop_map(|n| Workload::StreamTriad { n }),
         (4u32..24).prop_map(|l| Workload::Fft1d { n: 1 << l }),
-        (1u64..1_000_000, 1.0f64..10_000.0, 1.0f64..500.0)
-            .prop_map(|(p, f, b)| Workload::Stencil { points: p, flops_per_point: f, bytes_per_point: b }),
+        (1u64..1_000_000, 1.0f64..10_000.0, 1.0f64..500.0).prop_map(|(p, f, b)| {
+            Workload::Stencil { points: p, flops_per_point: f, bytes_per_point: b }
+        }),
         (1u64..1_000_000, 10.0f64..50_000.0)
             .prop_map(|(p, f)| Workload::Chemistry { points: p, flops_per_point: f }),
     ]

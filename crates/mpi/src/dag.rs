@@ -324,15 +324,33 @@ pub fn perturbed_batches(mut n: usize) -> impl Iterator<Item = (usize, usize)> {
 #[derive(Debug, Clone, Copy)]
 enum Node {
     /// `cost` indexes the compiled `(Workload, threads)` side table.
-    Compute { cost: u32 },
-    Delay { time: SimTime },
-    Send { chan: u32, msg: u32, req: u32 },
+    Compute {
+        cost: u32,
+    },
+    Delay {
+        time: SimTime,
+    },
+    Send {
+        chan: u32,
+        msg: u32,
+        req: u32,
+    },
     /// `chan`/`msg` are the *paired send's*; [`NONE`] when no send
     /// matches (a wait on such a receive never completes, as in replay).
-    Recv { chan: u32, msg: u32, req: u32 },
-    Wait { req: u32 },
-    Coll { inst: u32 },
-    Mark { id: u32 },
+    Recv {
+        chan: u32,
+        msg: u32,
+        req: u32,
+    },
+    Wait {
+        req: u32,
+    },
+    Coll {
+        inst: u32,
+    },
+    Mark {
+        id: u32,
+    },
 }
 
 /// A distinct (source rank, destination rank, payload) combination.
@@ -618,10 +636,7 @@ impl TraceDag {
     /// point.
     pub fn compile(traces: &[Vec<Op>], comms: &[Vec<usize>]) -> TraceDag {
         let n = traces.len();
-        assert!(
-            !comms.is_empty() && comms[0].len() == n,
-            "comm 0 must be the world communicator"
-        );
+        assert!(!comms.is_empty() && comms[0].len() == n, "comm 0 must be the world communicator");
         let total_ops: usize = traces.iter().map(|t| t.len()).sum();
         assert!(total_ops < NONE as usize, "trace too large for u32 node ids");
 
@@ -662,9 +677,7 @@ impl TraceDag {
                 match *op {
                     Op::Compute { work, threads } => {
                         let cost = match compute_costs.last() {
-                            Some(&(w, t)) if w == work && t == threads => {
-                                compute_costs.len() - 1
-                            }
+                            Some(&(w, t)) if w == work && t == threads => compute_costs.len() - 1,
                             _ => {
                                 compute_costs.push((work, threads));
                                 compute_costs.len() - 1
@@ -688,7 +701,10 @@ impl TraceDag {
                     Op::Irecv { src, tag, bytes: _, req } => {
                         assert!(src < n, "rank {r}: irecv from out-of-range rank {src}");
                         recv_keys.push(
-                            ((src as u128) << 96) | ((r as u128) << 64) | ((tag as u128) << 32) | idx as u128,
+                            ((src as u128) << 96)
+                                | ((r as u128) << 64)
+                                | ((tag as u128) << 32)
+                                | idx as u128,
                         );
                         let req = note_req(&mut req_counts, req);
                         nodes.push(Node::Recv { chan: NONE, msg: NONE, req });
@@ -699,7 +715,10 @@ impl TraceDag {
                     }
                     Op::Collective { comm, op } => {
                         let cid = comm.0 as usize;
-                        assert!(cid < comms.len(), "rank {r}: collective on unregistered comm {cid}");
+                        assert!(
+                            cid < comms.len(),
+                            "rank {r}: collective on unregistered comm {cid}"
+                        );
                         let counters = &mut coll_seq[r];
                         let pos = match counters.iter().position(|(c, _)| *c == comm.0) {
                             Some(p) => p,
@@ -1165,8 +1184,7 @@ impl TraceDag {
             m.points.add(samples.len() as u64);
             m.sens_samples.add(samples.len() as u64);
             m.sens_group_arrays.add(samples.len() as u64 * ParamGroups::COUNT as u64);
-            m.sens_repriced
-                .add(samples.iter().map(|s| s.groups().count() as u64).sum());
+            m.sens_repriced.add(samples.iter().map(|s| s.groups().count() as u64).sum());
             let (o_send, o_recv) = (cfg.machine.nic.o_send, cfg.machine.nic.o_recv);
             let mut out = Vec::with_capacity(samples.len());
             for (width, take) in perturbed_batches(samples.len()) {
@@ -1436,9 +1454,7 @@ impl TraceDag {
             }
             if isa == 1 {
                 // SAFETY: the matching CPU features were detected above.
-                return unsafe {
-                    self.stream_lanes_avx2::<L, FACTORED>(o_send, o_recv, ctx, out)
-                };
+                return unsafe { self.stream_lanes_avx2::<L, FACTORED>(o_send, o_recv, ctx, out) };
             }
         }
         self.stream_lanes_impl::<L, FACTORED>(o_send, o_recv, ctx, out)
@@ -1623,8 +1639,7 @@ impl TraceDag {
                                 for l in 0..L {
                                     clk[l] = clk[l].saturating_add(o_send);
                                     let h = scale_ps(hop, f_hop[l]);
-                                    let wire =
-                                        h.saturating_add(scale_ps(serial, f_inv_bw[l]));
+                                    let wire = h.saturating_add(scale_ps(serial, f_inv_bw[l]));
                                     let rdv = if eager {
                                         SimTime::ZERO
                                     } else {

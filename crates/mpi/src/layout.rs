@@ -115,8 +115,12 @@ mod tests {
     #[test]
     fn mappings_change_physical_neighbours() {
         let a = RankLayout::bluegene(&bluegene_p(), 4096, ExecMode::Vn, Mapping::txyz());
-        let b =
-            RankLayout::bluegene(&bluegene_p(), 4096, ExecMode::Vn, Mapping::parse("TZYX").unwrap());
+        let b = RankLayout::bluegene(
+            &bluegene_p(),
+            4096,
+            ExecMode::Vn,
+            Mapping::parse("TZYX").unwrap(),
+        );
         assert_ne!(a.node_of_rank, b.node_of_rank);
     }
 

@@ -42,11 +42,12 @@ pub mod sim;
 pub mod wire;
 
 pub use dag::{
-    perturbed_batches, set_sweep_engine, sweep_engine, sweep_points, DagStats, SweepEngine, TraceDag,
+    perturbed_batches, set_sweep_engine, sweep_engine, sweep_points, DagStats, SweepEngine,
+    TraceDag,
 };
 pub use layout::RankLayout;
 pub use ops::{CommId, Op, Req};
-pub use wire::{parse_traces, write_traces};
 pub use program::{FnProgram, Mpi, Program};
 pub use result::{SimError, SimResult};
 pub use sim::{SimConfig, TraceSim};
+pub use wire::{parse_traces, write_traces};

@@ -95,10 +95,6 @@ mod tests {
     #[test]
     fn ops_are_small() {
         // Traces can hold millions of ops at 40k ranks; keep them compact.
-        assert!(
-            std::mem::size_of::<Op>() <= 64,
-            "Op grew to {} bytes",
-            std::mem::size_of::<Op>()
-        );
+        assert!(std::mem::size_of::<Op>() <= 64, "Op grew to {} bytes", std::mem::size_of::<Op>());
     }
 }

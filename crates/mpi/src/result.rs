@@ -92,10 +92,9 @@ impl std::fmt::Display for SimError {
                 f,
                 "deadlock: {unfinished} ranks did not finish, e.g. rank {rank} at op {op}"
             ),
-            SimError::CollectiveMismatch { rank, comm, op } => write!(
-                f,
-                "rank {rank}: collective mismatch on comm {comm} at op {op}"
-            ),
+            SimError::CollectiveMismatch { rank, comm, op } => {
+                write!(f, "rank {rank}: collective mismatch on comm {comm} at op {op}")
+            }
         }
     }
 }
@@ -166,10 +165,7 @@ mod tests {
             busy: vec![SimTime::from_us(5), SimTime::from_us(10)],
             bytes_sent: 100,
             messages: 2,
-            marks: vec![
-                vec![(1, SimTime::from_us(2)), (2, SimTime::from_us(8))],
-                vec![],
-            ],
+            marks: vec![vec![(1, SimTime::from_us(2)), (2, SimTime::from_us(8))], vec![]],
         }
     }
 
@@ -186,7 +182,8 @@ mod tests {
 
     #[test]
     fn empty_result_is_safe() {
-        let r = SimResult { finish: vec![], busy: vec![], bytes_sent: 0, messages: 0, marks: vec![] };
+        let r =
+            SimResult { finish: vec![], busy: vec![], bytes_sent: 0, messages: 0, marks: vec![] };
         assert_eq!(r.makespan(), SimTime::ZERO);
         assert_eq!(r.mean_utilization(), 0.0);
         assert_eq!(r.finish_skew(), SimTime::ZERO);

@@ -430,7 +430,8 @@ impl TraceSim {
     /// Build an engine for `cfg`. `CommId::WORLD` is pre-registered.
     pub fn new(cfg: SimConfig) -> Self {
         let node_model = NodeModel::new(cfg.machine.clone());
-        let p2p = P2pModel::new(&cfg.machine, cfg.layout.torus).with_ambient(cfg.layout.ambient_flows);
+        let p2p =
+            P2pModel::new(&cfg.machine, cfg.layout.torus).with_ambient(cfg.layout.ambient_flows);
         let tracker = FlowTracker::new(&cfg.layout.torus);
         let world: Vec<usize> = (0..cfg.ranks()).collect();
         let world_model = CollectiveModel::with_hop_scale(
@@ -515,7 +516,11 @@ impl TraceSim {
     /// trace that outgrew it is shrunk back: the traces come out
     /// right-sized instead of carrying up to 2× growth slack into every
     /// cached recording.
-    pub fn trace_program<P: Program + ?Sized>(prog: &P, ranks: usize, threads: u32) -> Vec<Vec<Op>> {
+    pub fn trace_program<P: Program + ?Sized>(
+        prog: &P,
+        ranks: usize,
+        threads: u32,
+    ) -> Vec<Vec<Op>> {
         let mut hint = 0;
         (0..ranks)
             .map(|r| {
@@ -597,7 +602,8 @@ impl TraceSim {
         let link_faults = self.faults.as_ref().and_then(|f| f.link_faults.as_ref());
         let fault_noise = self.faults.as_ref().and_then(|f| f.noise);
         let fault_loss = self.faults.as_ref().and_then(|f| f.loss);
-        let retransmit = self.faults.as_ref().map_or_else(RetransmitPolicy::default, |f| f.retransmit);
+        let retransmit =
+            self.faults.as_ref().map_or_else(RetransmitPolicy::default, |f| f.retransmit);
         let mut total_retransmits = 0u64;
         let mut total_detour_legs = 0u64;
         let mut stalled: Option<SimError> = None;
@@ -947,28 +953,26 @@ impl TraceSim {
                             }
                             pc[r] += 1;
                         }
-                        Op::Wait { req } => {
-                            match req_done[req_base[r] + req.0 as usize] {
-                                PENDING => {
-                                    blocked[r] = Blocked::OnReq(req);
-                                    break 'advance;
-                                }
-                                done => {
-                                    if done > clock[r] {
-                                        if T::ENABLED {
-                                            tracer.span(SpanEvent::new(
-                                                r as u32,
-                                                SpanKind::Wait,
-                                                clock[r],
-                                                done,
-                                            ));
-                                        }
-                                        clock[r] = done;
-                                    }
-                                    pc[r] += 1;
-                                }
+                        Op::Wait { req } => match req_done[req_base[r] + req.0 as usize] {
+                            PENDING => {
+                                blocked[r] = Blocked::OnReq(req);
+                                break 'advance;
                             }
-                        }
+                            done => {
+                                if done > clock[r] {
+                                    if T::ENABLED {
+                                        tracer.span(SpanEvent::new(
+                                            r as u32,
+                                            SpanKind::Wait,
+                                            clock[r],
+                                            done,
+                                        ));
+                                    }
+                                    clock[r] = done;
+                                }
+                                pc[r] += 1;
+                            }
+                        },
                         Op::Collective { comm, op } => {
                             let cid = comm.0;
                             if let Some((kc, ks)) = coll_current[r] {
@@ -1132,16 +1136,14 @@ mod tests {
     #[test]
     fn ping_pong_round_trip() {
         let mut s = sim(bluegene_p(), 2, ExecMode::Smp);
-        let res = s.run(&FnProgram(|mpi: &mut Mpi| {
-            match mpi.rank() {
-                0 => {
-                    mpi.send(1, 0, 8);
-                    mpi.recv(1, 1, 8);
-                }
-                _ => {
-                    mpi.recv(0, 0, 8);
-                    mpi.send(0, 1, 8);
-                }
+        let res = s.run(&FnProgram(|mpi: &mut Mpi| match mpi.rank() {
+            0 => {
+                mpi.send(1, 0, 8);
+                mpi.recv(1, 1, 8);
+            }
+            _ => {
+                mpi.recv(0, 0, 8);
+                mpi.send(0, 1, 8);
             }
         }));
         let rtt = res.makespan().as_secs();
@@ -1292,10 +1294,13 @@ mod tests {
     #[test]
     fn deadlock_is_a_diagnosed_error_on_the_fallible_path() {
         let mut s = sim(bluegene_p(), 2, ExecMode::Smp);
-        let err = try_run(&mut s, &FnProgram(|mpi: &mut Mpi| {
-            let peer = 1 - mpi.rank();
-            mpi.recv(peer, 0, 8);
-        }))
+        let err = try_run(
+            &mut s,
+            &FnProgram(|mpi: &mut Mpi| {
+                let peer = 1 - mpi.rank();
+                mpi.recv(peer, 0, 8);
+            }),
+        )
         .expect_err("unmatched receives must deadlock");
         match err {
             SimError::Deadlock { unfinished, rank, op } => {
@@ -1311,13 +1316,16 @@ mod tests {
     #[test]
     fn collective_mismatch_is_diagnosed() {
         let mut s = sim(bluegene_p(), 2, ExecMode::Smp);
-        let err = try_run(&mut s, &FnProgram(|mpi: &mut Mpi| {
-            if mpi.rank() == 0 {
-                mpi.barrier(CommId::WORLD);
-            } else {
-                mpi.allreduce(CommId::WORLD, 64, DType::F64);
-            }
-        }))
+        let err = try_run(
+            &mut s,
+            &FnProgram(|mpi: &mut Mpi| {
+                if mpi.rank() == 0 {
+                    mpi.barrier(CommId::WORLD);
+                } else {
+                    mpi.allreduce(CommId::WORLD, 64, DType::F64);
+                }
+            }),
+        )
         .expect_err("disagreeing collectives must be diagnosed");
         match err {
             SimError::CollectiveMismatch { rank, comm, op } => {
@@ -1331,9 +1339,12 @@ mod tests {
     fn tight_step_budget_diagnoses_livelock() {
         let mut s = sim(bluegene_p(), 8, ExecMode::Vn);
         s.set_step_budget(Some(2));
-        let err = try_run(&mut s, &FnProgram(|mpi: &mut Mpi| {
-            mpi.barrier(CommId::WORLD);
-        }))
+        let err = try_run(
+            &mut s,
+            &FnProgram(|mpi: &mut Mpi| {
+                mpi.barrier(CommId::WORLD);
+            }),
+        )
         .expect_err("8 same-time resumes must exceed a 2-step budget");
         match err {
             SimError::Livelock { rank, steps } => {
@@ -1350,11 +1361,14 @@ mod tests {
         // every event of this run lands at t=0 (zero-cost barrier chain
         // would; marks certainly do) — the derived budget must absorb it
         let mut s = sim(bluegene_p(), 64, ExecMode::Vn);
-        let res = try_run(&mut s, &FnProgram(|mpi: &mut Mpi| {
-            for i in 0..16 {
-                mpi.mark(i);
-            }
-        }))
+        let res = try_run(
+            &mut s,
+            &FnProgram(|mpi: &mut Mpi| {
+                for i in 0..16 {
+                    mpi.mark(i);
+                }
+            }),
+        )
         .expect("pristine zero-time program must finish");
         assert_eq!(res.makespan(), SimTime::ZERO);
     }
@@ -1582,13 +1596,16 @@ mod tests {
                 loss: Some(LossModel::with_rates(1, 1.0, 8)),
                 retransmit: RetransmitPolicy::default(),
             });
-            let err = try_run(&mut s, &FnProgram(|mpi: &mut Mpi| {
-                if mpi.rank() == 0 {
-                    mpi.send(1, 7, 4096);
-                } else {
-                    mpi.recv(0, 7, 4096);
-                }
-            }))
+            let err = try_run(
+                &mut s,
+                &FnProgram(|mpi: &mut Mpi| {
+                    if mpi.rank() == 0 {
+                        mpi.send(1, 7, 4096);
+                    } else {
+                        mpi.recv(0, 7, 4096);
+                    }
+                }),
+            )
             .expect_err("total loss must stall");
             match err {
                 SimError::Stalled { rank, peer, tag, bytes, lost, op } => {
@@ -1608,12 +1625,15 @@ mod tests {
             let run = || {
                 let mut s = sim(bluegene_p(), 32, ExecMode::Vn);
                 s.set_faults(&FaultPlan::new(42, FaultProfile::Mixed));
-                try_run(&mut s, &FnProgram(|mpi: &mut Mpi| {
-                    let next = (mpi.rank() + 1) % mpi.size();
-                    let prev = (mpi.rank() + mpi.size() - 1) % mpi.size();
-                    mpi.sendrecv(next, 0, 4096, prev, 0, 4096);
-                    mpi.allreduce(CommId::WORLD, 8, DType::F64);
-                }))
+                try_run(
+                    &mut s,
+                    &FnProgram(|mpi: &mut Mpi| {
+                        let next = (mpi.rank() + 1) % mpi.size();
+                        let prev = (mpi.rank() + mpi.size() - 1) % mpi.size();
+                        mpi.sendrecv(next, 0, 4096, prev, 0, 4096);
+                        mpi.allreduce(CommId::WORLD, 8, DType::F64);
+                    }),
+                )
             };
             match (run(), run()) {
                 (Ok(x), Ok(y)) => {

@@ -523,7 +523,12 @@ mod tests {
             let mut ops = Vec::new();
             for round in 0..3u32 {
                 ops.push(Op::Irecv { src: (r + 1) % 16, tag: round, bytes: 64, req: Req(round) });
-                ops.push(Op::Isend { dst: (r + 15) % 16, tag: round, bytes: 64, req: Req(round + 8) });
+                ops.push(Op::Isend {
+                    dst: (r + 15) % 16,
+                    tag: round,
+                    bytes: 64,
+                    req: Req(round + 8),
+                });
                 ops.push(Op::Wait { req: Req(round) });
                 ops.push(Op::Wait { req: Req(round + 8) });
             }

@@ -113,9 +113,15 @@ fn recorder_observes_protocol_events() {
     let res = run_with(&mut rec);
     assert!(rec.unexpected() > 0, "odd ranks post late, copies must be seen");
     let kinds: Vec<&str> = rec.spans().iter().map(|s| s.kind.label()).collect();
-    for want in
-        ["compute", "delay", "send_overhead", "recv_overhead", "msg_wire", "rendezvous", "collective_wait"]
-    {
+    for want in [
+        "compute",
+        "delay",
+        "send_overhead",
+        "recv_overhead",
+        "msg_wire",
+        "rendezvous",
+        "collective_wait",
+    ] {
         assert!(kinds.contains(&want), "missing span kind {want}");
     }
     assert!(rec.gauge_value(GaugeId::EventQueueDepth) > 0);

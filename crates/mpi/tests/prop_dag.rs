@@ -8,9 +8,7 @@
 use hpcsim_engine::SimTime;
 use hpcsim_machine::registry::{bluegene_p, xt4_qc};
 use hpcsim_machine::ExecMode;
-use hpcsim_mpi::{
-    CommId, FnProgram, Mpi, RankLayout, SimConfig, TraceDag, TraceSim,
-};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, RankLayout, SimConfig, TraceDag, TraceSim};
 use hpcsim_net::DType;
 use hpcsim_topo::Mapping;
 use proptest::prelude::*;

@@ -213,9 +213,7 @@ impl CollectiveModel {
 
     fn bcast(&self, bytes: u64) -> SimTime {
         if let Some(t) = &self.tree {
-            t.overhead
-                + t.per_hop * t.depth as u64
-                + SimTime::from_secs(bytes as f64 / t.stream_bw)
+            t.overhead + t.per_hop * t.depth as u64 + SimTime::from_secs(bytes as f64 / t.stream_bw)
         } else {
             self.software_bcast(bytes)
         }
@@ -262,8 +260,7 @@ impl CollectiveModel {
         let stages = self.stages();
         let p = self.ranks as f64;
         let total = bytes_per_rank as f64 * p;
-        self.stage_latency() * stages
-            + SimTime::from_secs(total * (p - 1.0) / p / self.p2p_bw)
+        self.stage_latency() * stages + SimTime::from_secs(total * (p - 1.0) / p / self.p2p_bw)
     }
 
     fn alltoall(&self, bytes_per_pair: u64) -> SimTime {
@@ -332,10 +329,7 @@ mod tests {
         let bytes = 32 * 1024;
         let b_dp = bgp(8192).time(CollectiveOp::Allreduce { bytes, dtype: DType::F64 });
         let b_sp = bgp(8192).time(CollectiveOp::Allreduce { bytes, dtype: DType::F32 });
-        assert!(
-            b_sp.as_secs() > 2.0 * b_dp.as_secs(),
-            "BG/P SP {b_sp} must be >2x DP {b_dp}"
-        );
+        assert!(b_sp.as_secs() > 2.0 * b_dp.as_secs(), "BG/P SP {b_sp} must be >2x DP {b_dp}");
         let x_dp = qc(8192).time(CollectiveOp::Allreduce { bytes, dtype: DType::F64 });
         let x_sp = qc(8192).time(CollectiveOp::Allreduce { bytes, dtype: DType::F32 });
         let ratio = x_sp.as_secs() / x_dp.as_secs();

@@ -369,7 +369,12 @@ pub fn snapshot() -> Snapshot {
     let mut counters: Vec<CounterSnap> = inner
         .counters
         .iter()
-        .map(|e| CounterSnap { name: e.name, help: e.help, class: e.class, value: e.metric.total() })
+        .map(|e| CounterSnap {
+            name: e.name,
+            help: e.help,
+            class: e.class,
+            value: e.metric.total(),
+        })
         .collect();
     let mut gauges: Vec<GaugeSnap> = inner
         .gauges
@@ -525,7 +530,9 @@ mod tests {
         assert_eq!(snap.quantile_le(0.5), 1);
         assert_eq!(snap.quantile_le(0.9), 3);
         assert_eq!(snap.quantile_le(0.99), 7);
-        assert_eq!(HistSnap { name: "e", help: "t", count: 0, sum: 0, buckets: vec![] }
-            .quantile_le(0.5), 0);
+        assert_eq!(
+            HistSnap { name: "e", help: "t", count: 0, sum: 0, buckets: vec![] }.quantile_le(0.5),
+            0
+        );
     }
 }

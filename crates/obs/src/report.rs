@@ -89,8 +89,7 @@ fn hist_json(h: &HistSnap) -> String {
     let _ = writeln!(out, "      \"sum\": {},", h.sum);
     let _ = writeln!(out, "      \"p50_le\": {},", h.quantile_le(0.50));
     let _ = writeln!(out, "      \"p99_le\": {},", h.quantile_le(0.99));
-    let buckets: Vec<String> =
-        h.buckets.iter().map(|&(le, n)| format!("[{le}, {n}]")).collect();
+    let buckets: Vec<String> = h.buckets.iter().map(|&(le, n)| format!("[{le}, {n}]")).collect();
     let _ = writeln!(out, "      \"buckets\": [{}]", buckets.join(", "));
     out.push_str("    }");
     out

@@ -53,8 +53,7 @@ impl PowerModel {
             + cores * (p.core_idle_w + p.core_dyn_w * u)
             + p.mem_w * (0.6 + 0.4 * u)
             + p.nic_w;
-        inside / p.psu_efficiency
-            + p.rack_overhead_w / self.spec.packaging.nodes_per_rack as f64
+        inside / p.psu_efficiency + p.rack_overhead_w / self.spec.packaging.nodes_per_rack as f64
     }
 
     /// Draw per core at utilization `u` (Table 3's "per core (W)" rows).

@@ -435,7 +435,9 @@ pub fn validate_trace(json: &str) -> Result<TraceStats, String> {
             .and_then(JsonValue::as_str)
             .ok_or_else(|| format!("event {idx}: missing ph"))?;
         if ph == "M" {
-            ev.get("name").and_then(JsonValue::as_str).ok_or(format!("event {idx}: M without name"))?;
+            ev.get("name")
+                .and_then(JsonValue::as_str)
+                .ok_or(format!("event {idx}: M without name"))?;
             continue;
         }
         if !matches!(ph, "B" | "E" | "X") {
@@ -454,9 +456,8 @@ pub fn validate_trace(json: &str) -> Result<TraceStats, String> {
             .get("name")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| format!("event {idx}: missing name"))?;
-        let track = tracks
-            .entry((pid, tid))
-            .or_insert_with(|| Track { last_ts: 0.0, stack: Vec::new() });
+        let track =
+            tracks.entry((pid, tid)).or_insert_with(|| Track { last_ts: 0.0, stack: Vec::new() });
         if ts < track.last_ts {
             return Err(format!(
                 "event {idx}: ts {ts} goes backwards on track ({pid},{tid}) after {}",

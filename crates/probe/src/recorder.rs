@@ -249,11 +249,8 @@ impl RingRecorder {
             if load > 0 && horizon > last_t {
                 integral += load as u128 * (horizon.saturating_sub(last_t)).as_ps() as u128;
             }
-            let mean = if horizon.as_ps() == 0 {
-                0.0
-            } else {
-                integral as f64 / horizon.as_ps() as f64
-            };
+            let mean =
+                if horizon.as_ps() == 0 { 0.0 } else { integral as f64 / horizon.as_ps() as f64 };
             out.push(LinkUse { link, peak: peak.max(0) as u32, mean });
         }
         out
@@ -315,9 +312,7 @@ mod tests {
         r.span(span(0, SpanKind::SendOverhead, 10, 12));
         r.span(span(0, SpanKind::Wait, 12, 20));
         r.span(span(1, SpanKind::CollectiveWait, 0, 5));
-        r.span(
-            span(0, SpanKind::MsgWire, 12, 20).with_msg(1, 0, 64).with_aux(SimTime::from_us(6)),
-        );
+        r.span(span(0, SpanKind::MsgWire, 12, 20).with_msg(1, 0, 64).with_aux(SimTime::from_us(6)));
         r.span(span(0, SpanKind::Rendezvous, 10, 12));
         r.span(span(1, SpanKind::UnexpectedCopy, 5, 6));
         let b = r.breakdown();

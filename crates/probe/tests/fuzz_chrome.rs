@@ -6,8 +6,7 @@
 use hpcsim_engine::rng::DetRng;
 use hpcsim_engine::SimTime;
 use hpcsim_probe::{
-    chrome_trace, parse_json, JsonValue, RingRecorder, SpanEvent, SpanKind, Tracer,
-    MAX_JSON_DEPTH,
+    chrome_trace, parse_json, JsonValue, RingRecorder, SpanEvent, SpanKind, Tracer, MAX_JSON_DEPTH,
 };
 use proptest::prelude::*;
 
@@ -17,7 +16,9 @@ fn sample_trace_json() -> String {
     r.span(SpanEvent::new(0, SpanKind::Compute, us(0), us(10)));
     r.span(SpanEvent::new(0, SpanKind::SendOverhead, us(10), us(11)).with_msg(1, 5, 256));
     r.span(SpanEvent::new(0, SpanKind::Wait, us(11), us(20)));
-    r.span(SpanEvent::new(0, SpanKind::MsgWire, us(11), us(19)).with_msg(1, 5, 256).with_aux(us(6)));
+    r.span(
+        SpanEvent::new(0, SpanKind::MsgWire, us(11), us(19)).with_msg(1, 5, 256).with_aux(us(6)),
+    );
     chrome_trace(&[("fuzz".to_string(), &r)])
 }
 
@@ -49,21 +50,20 @@ fn deep_nesting_errs_instead_of_overflowing_the_stack() {
 fn nesting_limit_is_exact() {
     let ok = format!("{}1{}", "[".repeat(MAX_JSON_DEPTH), "]".repeat(MAX_JSON_DEPTH));
     assert!(parse_json(&ok).is_ok(), "depth {MAX_JSON_DEPTH} must parse");
-    let too_deep =
-        format!("{}1{}", "[".repeat(MAX_JSON_DEPTH + 1), "]".repeat(MAX_JSON_DEPTH + 1));
+    let too_deep = format!("{}1{}", "[".repeat(MAX_JSON_DEPTH + 1), "]".repeat(MAX_JSON_DEPTH + 1));
     assert!(parse_json(&too_deep).is_err(), "depth {} must be rejected", MAX_JSON_DEPTH + 1);
 }
 
 #[test]
 fn invalid_escapes_err() {
     for bad in [
-        r#""\u12""#,      // truncated \u
-        r#""\u""#,        // empty \u
-        r#""\uZZZZ""#,    // non-hex \u
-        r#""\q""#,        // unknown escape
-        r#""\"#,          // escape at EOF
-        r#""abc"#,        // unterminated string
-        "\"\\u00g0\"",    // non-hex digit mid-escape
+        r#""\u12""#,   // truncated \u
+        r#""\u""#,     // empty \u
+        r#""\uZZZZ""#, // non-hex \u
+        r#""\q""#,     // unknown escape
+        r#""\"#,       // escape at EOF
+        r#""abc"#,     // unterminated string
+        "\"\\u00g0\"", // non-hex digit mid-escape
     ] {
         assert!(parse_json(bad).is_err(), "input {bad:?} must be rejected");
     }

@@ -27,6 +27,6 @@ pub use grid::{Grid2D, Grid3D};
 pub use mapping::Mapping;
 pub use partition::{alloc_torus_dims, torus_dims, Placement};
 pub use torus::{
-    AllHealthy, Coord, Direction, DetourSegs, LinkHealth, LinkId, RouteSegs, SegLinks, Torus3D,
+    AllHealthy, Coord, DetourSegs, Direction, LinkHealth, LinkId, RouteSegs, SegLinks, Torus3D,
 };
 pub use tree::CollectiveTree;

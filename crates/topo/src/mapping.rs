@@ -76,8 +76,8 @@ impl Mapping {
     /// family).
     pub fn predefined() -> Vec<(String, Mapping)> {
         [
-            "XYZT", "XZYT", "YXZT", "YZXT", "ZXYT", "ZYXT", "TXYZ", "TXZY", "TYXZ", "TYZX",
-            "TZXY", "TZYX",
+            "XYZT", "XZYT", "YXZT", "YZXT", "ZXYT", "ZYXT", "TXYZ", "TXZY", "TYXZ", "TYZX", "TZXY",
+            "TZYX",
         ]
         .iter()
         .map(|s| (s.to_string(), Mapping::parse(s).unwrap()))
@@ -151,7 +151,13 @@ impl Mapping {
     }
 
     /// The inverse of [`Mapping::place`]: rank of `(coord, slot)`.
-    pub fn rank_of(&self, coord: Coord, slot: usize, torus: &Torus3D, tasks_per_node: usize) -> usize {
+    pub fn rank_of(
+        &self,
+        coord: Coord,
+        slot: usize,
+        torus: &Torus3D,
+        tasks_per_node: usize,
+    ) -> usize {
         let mut rank = 0usize;
         let mut weight = 1usize;
         for sym in self.order {

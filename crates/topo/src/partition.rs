@@ -248,10 +248,7 @@ mod tests {
     fn fragmentation_increases_mean_hops() {
         let compact = Placement::Compact.mean_hops(512);
         let frag = Placement::Fragmented { spread: 2.0, seed: 3 }.mean_hops(512);
-        assert!(
-            frag > compact,
-            "fragmented {frag:.2} should exceed compact {compact:.2}"
-        );
+        assert!(frag > compact, "fragmented {frag:.2} should exceed compact {compact:.2}");
     }
 
     #[test]

@@ -48,10 +48,7 @@ fn main() {
             procs *= 2;
         }
         let kw = pm.aggregate_w(procs as u64, UTIL_SCIENCE) / 1e3;
-        println!(
-            "  {:>7}: ~{procs} cores, {kw:.1} kW aggregate",
-            machine.id.label()
-        );
+        println!("  {:>7}: ~{procs} cores, {kw:.1} kW aggregate", machine.id.label());
     }
     println!(
         "\n-> per core BG/P draws ~1/6th the power, but it needs ~5x the cores \

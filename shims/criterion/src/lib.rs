@@ -77,13 +77,18 @@ impl BenchmarkGroup<'_> {
 
     /// Run one benchmark: warm up, pick a batch size targeting ~10ms per
     /// sample, time `sample_size` samples, report the median.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl Into<String>, mut f: F) -> &mut Self {
+    pub fn bench_function<F: FnMut(&mut Bencher)>(
+        &mut self,
+        id: impl Into<String>,
+        mut f: F,
+    ) -> &mut Self {
         let id = id.into();
         // warm-up + calibration: one iteration, timed
         let mut b = Bencher { iters: 1, elapsed: Duration::ZERO };
         f(&mut b);
         let per_iter = b.elapsed.max(Duration::from_nanos(1));
-        let iters = (Duration::from_millis(10).as_nanos() / per_iter.as_nanos()).clamp(1, 1_000_000) as u64;
+        let iters =
+            (Duration::from_millis(10).as_nanos() / per_iter.as_nanos()).clamp(1, 1_000_000) as u64;
 
         let mut samples: Vec<f64> = (0..self.sample_size)
             .map(|_| {
@@ -97,7 +102,9 @@ impl BenchmarkGroup<'_> {
 
         let rate = match self.throughput {
             Some(Throughput::Elements(n)) => format!("  {:.3} Melem/s", n as f64 / median / 1e6),
-            Some(Throughput::Bytes(n)) => format!("  {:.3} MiB/s", n as f64 / median / (1024.0 * 1024.0)),
+            Some(Throughput::Bytes(n)) => {
+                format!("  {:.3} MiB/s", n as f64 / median / (1024.0 * 1024.0))
+            }
             None => String::new(),
         };
         eprintln!("  {id:<24} {:>12}/iter{rate}", format_time(median));

@@ -457,7 +457,11 @@ macro_rules! prop_assert_ne {
         if *a == *b {
             return Err($crate::TestCaseError(format!(
                 "assertion failed: {} != {} (both {:?}) at {}:{}",
-                stringify!($a), stringify!($b), a, file!(), line!()
+                stringify!($a),
+                stringify!($b),
+                a,
+                file!(),
+                line!()
             )));
         }
     }};

@@ -123,10 +123,7 @@ impl<'a, T: Send> ParallelIterator for ParChunksMut<'a, T> {
     fn split_at(self, n: usize) -> (Self, Self) {
         let mid = (n * self.chunk).min(self.slice.len());
         let (a, b) = self.slice.split_at_mut(mid);
-        (
-            ParChunksMut { slice: a, chunk: self.chunk },
-            ParChunksMut { slice: b, chunk: self.chunk },
-        )
+        (ParChunksMut { slice: a, chunk: self.chunk }, ParChunksMut { slice: b, chunk: self.chunk })
     }
     fn into_seq(self) -> Self::Seq {
         self.slice.chunks_mut(self.chunk)

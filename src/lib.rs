@@ -38,11 +38,11 @@ pub use hpcsim_cache as cache;
 pub use hpcsim_core as core;
 /// Discrete-event simulation primitives.
 pub use hpcsim_engine as engine;
+/// Deterministic fault plans: link outages, OS noise, message loss.
+pub use hpcsim_faults as faults;
 /// Coverage-guided adversarial scenario fuzzing: generator, mutator,
 /// differential oracle, minimizer, deterministic corpus.
 pub use hpcsim_fuzz as fuzz;
-/// Deterministic fault plans: link outages, OS noise, message loss.
-pub use hpcsim_faults as faults;
 /// HPCC / HALO / IMB / TOP500 benchmark programs (Tables 2, Figures 1–3).
 pub use hpcsim_hpcc as hpcc;
 /// I/O-node forwarding and parallel-filesystem model.
@@ -53,11 +53,11 @@ pub use hpcsim_kernels as kernels;
 pub use hpcsim_machine as machine;
 /// Simulated MPI: rank programs and trace replay.
 pub use hpcsim_mpi as mpi;
+/// Network models: torus p2p with contention, collectives.
+pub use hpcsim_net as net;
 /// Harness observability: process-wide metrics registry, leveled
 /// logging, Prometheus / run-report exporters.
 pub use hpcsim_obs as obs;
-/// Network models: torus p2p with contention, collectives.
-pub use hpcsim_net as net;
 /// Power and energy model (Table 3).
 pub use hpcsim_power as power;
 /// Observability: simulated-time tracing, metrics, contention heatmaps.

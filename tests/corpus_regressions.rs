@@ -44,9 +44,15 @@ fn regression_wait_on_unposted_request_deadlocks() {
 #[test]
 fn regression_skewed_collective_slot_is_diagnosed() {
     let sc = flat_bgp(vec![
-        vec![Op::Collective { comm: CommId::WORLD, op: CollectiveOp::Alltoall { bytes_per_pair: 8 } }],
+        vec![Op::Collective {
+            comm: CommId::WORLD,
+            op: CollectiveOp::Alltoall { bytes_per_pair: 8 },
+        }],
         vec![],
-        vec![Op::Collective { comm: CommId::WORLD, op: CollectiveOp::Allgather { bytes_per_rank: 64 } }],
+        vec![Op::Collective {
+            comm: CommId::WORLD,
+            op: CollectiveOp::Allgather { bytes_per_rank: 64 },
+        }],
     ]);
     let rep = run_scenario(&sc);
     assert_eq!(rep.outcome, OutcomeKind::CollectiveMismatch, "{}", rep.detail);
@@ -61,17 +67,14 @@ fn regression_unexpected_flood_raises_arrived_high_water() {
     const N: u32 = 24;
     // Sender: flood first, then (after a long delay) the gate message
     // the receiver is blocked on.
-    let mut sender: Vec<Op> = (0..N)
-        .map(|i| Op::Isend { dst: 1, tag: 0, bytes: 64, req: Req(i) })
-        .collect();
+    let mut sender: Vec<Op> =
+        (0..N).map(|i| Op::Isend { dst: 1, tag: 0, bytes: 64, req: Req(i) }).collect();
     sender.push(Op::Delay { time: bgp_eval::engine::SimTime::from_ms(5) });
     sender.push(Op::Isend { dst: 1, tag: 9, bytes: 8, req: Req(N) });
     sender.extend((0..=N).map(|i| Op::Wait { req: Req(i) }));
     // Receiver: block on the gate, then post the flood's receives.
-    let mut receiver: Vec<Op> = vec![
-        Op::Irecv { src: 0, tag: 9, bytes: 8, req: Req(N) },
-        Op::Wait { req: Req(N) },
-    ];
+    let mut receiver: Vec<Op> =
+        vec![Op::Irecv { src: 0, tag: 9, bytes: 8, req: Req(N) }, Op::Wait { req: Req(N) }];
     receiver.extend((0..N).map(|i| Op::Irecv { src: 0, tag: 0, bytes: 64, req: Req(i) }));
     receiver.extend((0..N).map(|i| Op::Wait { req: Req(i) }));
     let sc = flat_bgp(vec![sender, receiver]);

@@ -47,15 +47,16 @@ fn every_corpus_entry_reproduces_its_recorded_outcome() {
             .next()
             .and_then(OutcomeKind::parse)
             .unwrap_or_else(|| panic!("bad outcome label in manifest line {line:?}"));
-        let text = std::fs::read_to_string(dir.join(file))
-            .unwrap_or_else(|e| panic!("{file}: {e}"));
+        let text =
+            std::fs::read_to_string(dir.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
         let sc = FuzzScenario::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
         // The canonical form is self-identical: parse → serialize is
         // byte-exact, so the checked-in file IS the scenario identity.
         assert_eq!(sc.to_canon(), text, "{file}: non-canonical corpus file");
         let rep = run_scenario(&sc);
         assert_eq!(
-            rep.outcome, expected,
+            rep.outcome,
+            expected,
             "{file}: expected {}, got {} ({})",
             expected.label(),
             rep.outcome.label(),

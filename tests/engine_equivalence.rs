@@ -99,7 +99,8 @@ fn wide_mapping_batch_is_engine_invariant() {
         protocol: HaloProtocol::IrecvIsend,
         reps: 2,
     };
-    let points: Vec<SimConfig> = fig2_points(cfg.grid.size()).into_iter().cycle().take(32).collect();
+    let points: Vec<SimConfig> =
+        fig2_points(cfg.grid.size()).into_iter().cycle().take(32).collect();
     assert_eq!(points.len(), 32);
     assert_engines_agree(&points, &halo_traces(&cfg), &[], "halo 32-lane batch");
 }

@@ -14,14 +14,9 @@ fn all_experiments_produce_artifacts() {
         }
         let a = run_experiment(id, Scale::Quick);
         let tables_ok = a.tables.iter().all(|t| !t.rows.is_empty());
-        let figures_ok =
-            a.figures.iter().all(|f| f.series.iter().all(|s| !s.points.is_empty()));
+        let figures_ok = a.figures.iter().all(|f| f.series.iter().all(|s| !s.points.is_empty()));
         assert!(tables_ok && figures_ok, "{:?} produced empty artifacts", id);
-        assert!(
-            !a.tables.is_empty() || !a.figures.is_empty(),
-            "{:?} produced nothing",
-            id
-        );
+        assert!(!a.tables.is_empty() || !a.figures.is_empty(), "{:?} produced nothing", id);
         let text = a.render();
         assert!(text.contains("=="), "{:?} render missing titles", id);
     }

@@ -135,9 +135,7 @@ fn science_metric_power_story() {
     // per-core gap at equal core count
     let per_core = pm_x.per_core_w(UTIL_HPL) / pm_b.per_core_w(UTIL_HPL);
     // iso-throughput: find cores for 3 SYD on each
-    let cores_for = |machine: &bgp_eval::machine::MachineSpec,
-                     pm: &PowerModel|
-     -> (usize, f64) {
+    let cores_for = |machine: &bgp_eval::machine::MachineSpec, pm: &PowerModel| -> (usize, f64) {
         let mut lo = 1024;
         let mut hi = lo;
         while hi < 65536 && pop_run(machine, ExecMode::Vn, hi, 1, &cfg).syd < 3.0 {
