@@ -13,7 +13,7 @@
 
 use crate::price_one;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid2D;
 use serde::Serialize;
@@ -144,7 +144,7 @@ pub fn cam_sim_config(
 
 /// Record one CAM step on `ranks` (clamped) tasks × `threads` threads
 /// (machine-free).
-pub fn cam_traces(ranks: usize, threads: u32, cfg: &CamConfig) -> Vec<Vec<Op>> {
+pub fn cam_traces(ranks: usize, threads: u32, cfg: &CamConfig) -> Traces {
     let prog = cfg.clone();
     let record = FnProgram(move |mpi: &mut Mpi| record_step(mpi, &prog, threads));
     TraceSim::trace_program(&record, cfg.mpi_ranks(ranks), threads)

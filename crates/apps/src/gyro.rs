@@ -15,7 +15,7 @@
 
 use crate::price_one;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
 use hpcsim_net::DType;
 use serde::Serialize;
 
@@ -128,7 +128,7 @@ pub fn gyro_sim_config(machine: &MachineSpec, ranks: usize, cfg: &GyroConfig) ->
 }
 
 /// Record the GYRO trace on `ranks` tasks (machine-free).
-pub fn gyro_traces(ranks: usize, cfg: &GyroConfig) -> Vec<Vec<Op>> {
+pub fn gyro_traces(ranks: usize, cfg: &GyroConfig) -> Traces {
     let prog = cfg.clone();
     let record = FnProgram(move |mpi: &mut Mpi| {
         let p = mpi.size() as u64;

@@ -41,13 +41,11 @@ pub use md::{md_run, md_sim_config, md_traces, MdCode, MdConfig, MdResult};
 pub use pop::{pop_run, pop_sim_config, pop_traces, PopConfig, PopResult};
 pub use s3d::{s3d_run, s3d_traces, S3dConfig, S3dResult};
 
-use hpcsim_mpi::{sweep_points, Op, SimConfig, SimResult};
+use hpcsim_mpi::{sweep_points, SimConfig, SimResult, Traces};
 
 /// Price one point of a recorded proxy on the process-global sweep
 /// engine. Proxy traces are well-formed and fault-free, so a replay
 /// error is a bug: panic with the engine's diagnosis.
-fn price_one(point: SimConfig, traces: &[Vec<Op>]) -> SimResult {
-    sweep_points(None, &[point], traces, &[], None, None)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .remove(0)
+fn price_one(point: SimConfig, traces: &Traces) -> SimResult {
+    sweep_points(None, &[point], traces, None, None).unwrap_or_else(|e| panic!("{e}")).remove(0)
 }

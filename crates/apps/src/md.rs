@@ -19,7 +19,7 @@
 
 use crate::price_one;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid3D;
 use serde::Serialize;
@@ -104,7 +104,7 @@ pub fn md_sim_config(machine: &MachineSpec, ranks: usize) -> SimConfig {
 /// Record the MD proxy's trace on `ranks` tasks. The trace depends only
 /// on the rank count and configuration — not the machine — so one
 /// recording serves every machine in a comparison scan.
-pub fn md_traces(ranks: usize, cfg: &MdConfig) -> Vec<Vec<Op>> {
+pub fn md_traces(ranks: usize, cfg: &MdConfig) -> Traces {
     let prog = cfg.clone();
     TraceSim::trace_program(
         &FnProgram(move |mpi: &mut Mpi| {

@@ -15,7 +15,7 @@
 use crate::price_one;
 use hpcsim_engine::SimTime;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid2D;
 use serde::Serialize;
@@ -113,7 +113,7 @@ pub fn pop_sim_config(
 }
 
 /// Record one POP step on `ranks` tasks × `threads` (machine-free).
-pub fn pop_traces(ranks: usize, threads: u32, cfg: &PopConfig) -> Vec<Vec<Op>> {
+pub fn pop_traces(ranks: usize, threads: u32, cfg: &PopConfig) -> Traces {
     let grid = Grid2D::near_square(ranks);
     let prog = cfg.clone();
     let record = FnProgram(move |mpi: &mut Mpi| record_step(mpi, &prog, grid));

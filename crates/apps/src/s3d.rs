@@ -12,7 +12,7 @@
 
 use crate::price_one;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid3D;
 use serde::Serialize;
@@ -58,7 +58,7 @@ impl S3dResult {
 }
 
 /// Record the S3D trace on `ranks` tasks (machine-free).
-pub fn s3d_traces(ranks: usize, cfg: &S3dConfig) -> Vec<Vec<Op>> {
+pub fn s3d_traces(ranks: usize, cfg: &S3dConfig) -> Traces {
     let prog = cfg.clone();
     let record = FnProgram(move |mpi: &mut Mpi| {
         let grid = Grid3D::near_cube(mpi.size());

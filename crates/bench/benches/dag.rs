@@ -5,14 +5,14 @@
 //! and then each point is one critical-path pass.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use hpcsim_hpcc::{halo_traces, HaloConfig, HaloProtocol};
+use hpcsim_hpcc::{halo_recording, HaloConfig, HaloProtocol};
 use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::{ExecMode, PerturbSpec, Perturbation, PerturbationSampler};
 use hpcsim_mpi::{RankLayout, SimConfig, TraceDag, TraceSim};
 use hpcsim_topo::{Grid2D, Mapping};
 
-fn fig2_trace(ranks: usize) -> Vec<Vec<hpcsim_mpi::Op>> {
-    halo_traces(&HaloConfig {
+fn fig2_trace(ranks: usize) -> hpcsim_mpi::Traces {
+    halo_recording(&HaloConfig {
         grid: Grid2D::near_square(ranks),
         words: 2048,
         protocol: HaloProtocol::IrecvIsend,
@@ -32,14 +32,14 @@ fn bench_compile(c: &mut Criterion) {
     let mut g = c.benchmark_group("dag_compile");
     for &ranks in &[256usize, 1024] {
         let traces = fig2_trace(ranks);
-        let stats = TraceDag::compile_world(&traces).stats();
+        let stats = TraceDag::compile(&traces).stats();
         println!(
             "# dag_compile/ranks{ranks}: {} nodes, {} edges, {} messages",
             stats.nodes, stats.edges, stats.messages
         );
         g.throughput(Throughput::Elements(stats.nodes));
         g.bench_function(format!("ranks{ranks}"), |b| {
-            b.iter(|| black_box(TraceDag::compile_world(black_box(&traces))))
+            b.iter(|| black_box(TraceDag::compile(black_box(&traces))))
         });
     }
     g.finish();
@@ -52,7 +52,7 @@ fn bench_evaluate_vs_replay(c: &mut Criterion) {
     g.sample_size(20);
     for &ranks in &[256usize, 1024] {
         let traces = fig2_trace(ranks);
-        let dag = TraceDag::compile_world(&traces);
+        let dag = TraceDag::compile(&traces);
         let cfg = point_cfg(ranks, Mapping::txyz());
         g.bench_function(format!("evaluate_ranks{ranks}"), |b| {
             b.iter(|| black_box(dag.evaluate(black_box(&cfg))))
@@ -74,7 +74,7 @@ fn bench_mapping_sweep(c: &mut Criterion) {
     let mappings: Vec<Mapping> = Mapping::fig2_set().iter().map(|&(_, m)| m).collect();
     g.bench_function("dag8", |b| {
         b.iter(|| {
-            let dag = TraceDag::compile_world(&traces);
+            let dag = TraceDag::compile(&traces);
             for &m in &mappings {
                 black_box(dag.evaluate(&point_cfg(ranks, m)));
             }
@@ -101,7 +101,7 @@ fn bench_perturbed(c: &mut Criterion) {
     g.sample_size(20);
     let ranks = 256;
     let traces = fig2_trace(ranks);
-    let dag = TraceDag::compile_world(&traces);
+    let dag = TraceDag::compile(&traces);
     let cfg = point_cfg(ranks, Mapping::txyz());
     let sampler = PerturbationSampler::new(42, PerturbSpec::default());
     let samples: Vec<Perturbation> = (0..128u64).map(|i| sampler.sample(i)).collect();

@@ -31,7 +31,7 @@ use crate::store::ScenarioCache;
 use hpcsim_apps as apps;
 use hpcsim_faults::FaultPlan;
 use hpcsim_hpcc as hpcc;
-use hpcsim_mpi::{sweep_points, Op, SimConfig, SimResult};
+use hpcsim_mpi::{sweep_points, SimConfig, SimResult, Traces};
 use std::sync::Arc;
 
 /// Why a scenario could not be evaluated (today: a fault-induced stall;
@@ -67,28 +67,26 @@ fn cold_evaluate(cache: &ScenarioCache, spec: &ScenarioSpec) -> Result<Vec<f64>,
     let point = [sim_config(spec)];
     let plan = spec.faults.map(|f| FaultPlan::new(f.seed, f.profile));
     let res = if program.trace_replayable() {
-        let entry = cache.traces(spec.program_hash(), || record(program).0);
+        let entry = cache.traces(spec.program_hash(), || record(program));
         let dag = || entry.dag();
-        sweep_points(None, &point, &entry.traces, &[], Some(&dag), plan.as_ref())
+        sweep_points(None, &point, &entry.traces, Some(&dag), plan.as_ref())
     } else {
-        let (traces, comms) = record(program);
-        sweep_points(None, &point, &traces, &comms, None, plan.as_ref())
+        sweep_points(None, &point, &record(program), None, plan.as_ref())
     };
     Ok(reduce(spec, &res.map_err(|e| e.to_string())?[0]))
 }
 
-/// The program's machine-free recording: traces plus sub-communicators.
-fn record(program: &ProgramSpec) -> (Vec<Vec<Op>>, Vec<Vec<usize>>) {
-    let traces = match program {
-        ProgramSpec::Hpl(cfg) => return hpcc::hpl_traces(cfg),
-        ProgramSpec::Halo(cfg) => hpcc::halo_traces(cfg),
+/// The program's machine-free recording.
+fn record(program: &ProgramSpec) -> Traces {
+    match program {
+        ProgramSpec::Hpl(cfg) => hpcc::hpl_traces(cfg),
+        ProgramSpec::Halo(cfg) => hpcc::halo_recording(cfg),
         ProgramSpec::Md { ranks, cfg } => apps::md_traces(*ranks, cfg),
         ProgramSpec::ImbAllreduce { ranks, bytes, dtype } => {
             hpcc::imb_allreduce_traces(*ranks, *bytes, *dtype)
         }
         ProgramSpec::Pop { ranks, threads, cfg } => apps::pop_traces(*ranks, *threads, cfg),
-    };
-    (traces, Vec::new())
+    }
 }
 
 /// The simulator configuration of the spec's point.
@@ -187,8 +185,8 @@ mod tests {
         let cached = evaluate_in(&c, &spec).unwrap();
         let plan = FaultPlan::new(5, FaultProfile::Mixed);
         let point = halo_cfg().sim_config(&m, ExecMode::Vn, Mapping::txyz());
-        let traces = hpcc::halo_traces(&halo_cfg());
-        let res = sweep_points(None, &[point], &traces, &[], None, Some(&plan)).unwrap();
+        let traces = hpcc::halo_recording(&halo_cfg());
+        let res = sweep_points(None, &[point], &traces, None, Some(&plan)).unwrap();
         let direct = halo_cfg().per_exchange(&res[0]);
         assert_eq!(cached[0].to_bits(), direct.to_bits());
         // faulty and pristine specs are distinct tier-1 entries sharing tier 2

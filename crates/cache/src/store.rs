@@ -30,7 +30,7 @@
 //! every stored value is a completed simulation.
 
 use crate::spec::SpecHash;
-use hpcsim_mpi::{Op, TraceDag};
+use hpcsim_mpi::{TraceDag, Traces};
 use hpcsim_obs::{self as obs, log_warn_once};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -233,21 +233,21 @@ impl StatCells {
 /// A recorded trace world plus its lazily compiled DAG. Shared by every
 /// query replaying the same program.
 pub struct TraceEntry {
-    /// Per-rank op traces, exactly as recorded.
-    pub traces: Vec<Vec<Op>>,
+    /// The recording, exactly as recorded.
+    pub traces: Traces,
     dag: OnceLock<TraceDag>,
 }
 
 impl TraceEntry {
     /// Wrap freshly recorded (or loaded) traces.
-    pub fn new(traces: Vec<Vec<Op>>) -> Self {
+    pub fn new(traces: Traces) -> Self {
         TraceEntry { traces, dag: OnceLock::new() }
     }
 
     /// The compiled DAG, built on first demand and reused by every
     /// subsequent DAG-engine evaluation of this program.
     pub fn dag(&self) -> &TraceDag {
-        self.dag.get_or_init(|| TraceDag::compile_world(&self.traces))
+        self.dag.get_or_init(|| TraceDag::compile(&self.traces))
     }
 }
 
@@ -504,7 +504,7 @@ impl ScenarioCache {
     pub fn traces(
         &self,
         program_hash: SpecHash,
-        record: impl FnOnce() -> Vec<Vec<Op>>,
+        record: impl FnOnce() -> Traces,
     ) -> Arc<TraceEntry> {
         metrics().trace_lookups.inc();
         if !self.cfg.enabled {
@@ -660,6 +660,7 @@ fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcsim_mpi::Op;
     use std::sync::atomic::AtomicUsize;
 
     fn hash(n: u128) -> SpecHash {
@@ -808,7 +809,7 @@ mod tests {
 
         let a = ScenarioCache::new(cfg.clone());
         let v = a.result(hash(77), || Ok(vec![0.1, f64::INFINITY, -0.0])).unwrap();
-        let traces = vec![vec![Op::Mark { id: 1 }], vec![Op::Mark { id: 2 }]];
+        let traces = Traces::from(&vec![vec![Op::Mark { id: 1 }], vec![Op::Mark { id: 2 }]]);
         let t = a.traces(hash(78), || traces.clone());
         assert_eq!(t.traces, traces);
 
@@ -832,7 +833,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hpcsim-cache-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = CacheConfig { dir: Some(dir.clone()), ..CacheConfig::default() };
-        let traces = vec![vec![Op::Mark { id: 1 }], vec![Op::Mark { id: 2 }]];
+        let traces = Traces::from(&vec![vec![Op::Mark { id: 1 }], vec![Op::Mark { id: 2 }]]);
         ScenarioCache::new(cfg.clone()).traces(hash(79), || traces.clone());
         let path = dir.join("traces").join(hash(79).to_string());
         assert!(path.exists());
@@ -908,7 +909,7 @@ mod tests {
 
     #[test]
     fn trace_entry_compiles_dag_once() {
-        let traces = vec![vec![Op::Mark { id: 1 }]];
+        let traces = Traces::from(&vec![vec![Op::Mark { id: 1 }]]);
         let entry = TraceEntry::new(traces);
         assert!(std::ptr::eq(entry.dag(), entry.dag()));
     }

@@ -24,7 +24,7 @@ use hpcsim_hpcc::{
 };
 use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::{ExecMode, MachineSpec, NodeModel, Workload};
-use hpcsim_mpi::{Op, SimConfig};
+use hpcsim_mpi::{SimConfig, Traces};
 use hpcsim_net::DType;
 use hpcsim_topo::{Grid2D, Mapping};
 
@@ -91,10 +91,10 @@ pub fn run_ablations(ranks: usize) -> Vec<Ablation> {
 
     // an IMB recording of 32 KiB rounds priced with and without the
     // tree, in one call: (with, without) microseconds
-    let tree_pair = |traces: &[Vec<Op>]| {
+    let tree_pair = |traces: &Traces| {
         let points =
             [base.clone(), without_tree(&base)].map(|m| SimConfig::new(m, ranks, ExecMode::Vn));
-        let res = price(&points, traces, &[]);
+        let res = price(&points, traces);
         let usec = |r| ImbPoint::of(r, ranks, 32 * 1024).usec;
         (usec(&res[0]), usec(&res[1]))
     };

@@ -146,7 +146,7 @@ pub fn fig5(scale: Scale) -> Vec<Figure> {
             .iter()
             .map(|&mi| apps::cam_sim_config(&machines[mi], mode, ranks, threads, cfg))
             .collect();
-        let res = hpcc::price(&points, &apps::cam_traces(ranks, threads, cfg), &[]);
+        let res = hpcc::price(&points, &apps::cam_traces(ranks, threads, cfg));
         res.iter().map(|r| apps::CamResult::of(r, threads, cfg).years_per_day).collect::<Vec<_>>()
     });
     // the series of sweep `s` on its `k`-th machine
@@ -190,7 +190,7 @@ pub fn fig6(scale: Scale) -> Vec<Figure> {
     let values = parmap(&procs, |&p| {
         let points: Vec<SimConfig> =
             machines.iter().map(|m| SimConfig::new(m.clone(), p, ExecMode::Vn)).collect();
-        let res = hpcc::price(&points, &apps::s3d_traces(p, &cfg), &[]);
+        let res = hpcc::price(&points, &apps::s3d_traces(p, &cfg));
         let cost = |r| apps::S3dResult::of(r, p, &cfg).core_hours_per_point_step;
         res.iter().map(cost).collect::<Vec<_>>()
     });
@@ -238,7 +238,7 @@ pub fn fig7(scale: Scale) -> Vec<Figure> {
     let secs = parmap(&points, |&(ms, ci, p)| {
         let points: Vec<SimConfig> =
             ms.iter().map(|&mi| apps::gyro_sim_config(&machines[mi], p, &cfgs[ci])).collect();
-        let res = hpcc::price(&points, &apps::gyro_traces(p, &cfgs[ci]), &[]);
+        let res = hpcc::price(&points, &apps::gyro_traces(p, &cfgs[ci]));
         let secs = |(pt, r): (&SimConfig, _)| apps::GyroResult::of(r, &cfgs[ci], pt.mode);
         points.iter().zip(&res).map(|pr| secs(pr).seconds_per_step).collect::<Vec<_>>()
     });
@@ -289,7 +289,7 @@ pub fn fig8(scale: Scale) -> Vec<Figure> {
         let spec = hpcsim_cache::ScenarioSpec::md(&machines[0], p, cfgs[ci].clone());
         let entry = cache.traces(spec.program_hash(), || apps::md_traces(p, &cfgs[ci]));
         let points: Vec<SimConfig> = machines.iter().map(|m| apps::md_sim_config(m, p)).collect();
-        let res = hpcc::price(&points, &entry.traces, &[]);
+        let res = hpcc::price(&points, &entry.traces);
         res.iter().map(|r| apps::MdResult::of(r, &cfgs[ci])).collect::<Vec<_>>()
     });
 

@@ -161,7 +161,7 @@ pub fn fig1(scale: Scale) -> Vec<Figure> {
     let (table, updates) = (1 << 26, 1 << 16);
     let ra = parmap(&procs, |&p| {
         let points = machines.map(|(m, _)| SimConfig::new(m.clone(), p, ExecMode::Vn));
-        let res = hpcc::price(&points, &hpcc::ra_traces(p, table, updates), &[]);
+        let res = hpcc::price(&points, &hpcc::ra_traces(p, table, updates));
         res.iter().map(|r| hpcc::RaResult::of(r, p, updates).gups).collect::<Vec<_>>()
     });
 
@@ -339,7 +339,7 @@ pub fn fig3(scale: Scale) -> Vec<Figure> {
         };
         let vn = |mi: usize| SimConfig::new(machines[mi].clone(), ranks, ExecMode::Vn);
         let points: Vec<SimConfig> = ms.iter().map(|&mi| vn(mi)).collect();
-        let res = hpcc::price(&points, &traces, &[]);
+        let res = hpcc::price(&points, &traces);
         res.iter().map(|r| hpcc::ImbPoint::of(r, ranks, bytes).usec).collect::<Vec<_>>()
     });
     // collective `c` on its `k`-th machine, over the size (`procs`

@@ -18,7 +18,7 @@ use hpcsim_engine::SimTime;
 use hpcsim_hpcc::{self as hpcc, HaloProtocol::*};
 use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::ExecMode;
-use hpcsim_mpi::{Op, SimConfig, TraceSim};
+use hpcsim_mpi::{SimConfig, TraceSim, Traces};
 use hpcsim_net::DType;
 use hpcsim_probe::{
     chrome_trace, metrics_report_json, trace_csv, GaugeId, MetricsRegistry, RingRecorder, SpanKind,
@@ -56,7 +56,7 @@ pub struct TraceReport {
 
 /// One traced scenario before it runs: its label, the point it replays
 /// on, and the program's machine-free recording.
-type Scenario = (String, SimConfig, Vec<Vec<Op>>);
+type Scenario = (String, SimConfig, Traces);
 
 /// Replay one scenario with a fresh recorder attached (and `faults`
 /// armed, if any).
@@ -116,7 +116,7 @@ pub fn trace_experiment_with(
                     let cfg = hpcc::HaloConfig { grid, words, protocol, reps: 2 };
                     let label = format!("halo {rows}x{cols} {} {words}w", protocol.label());
                     let point = cfg.sim_config(&machine, ExecMode::Vn, Mapping::txyz());
-                    (label, point, hpcc::halo_traces(&cfg))
+                    (label, point, hpcc::halo_recording(&cfg))
                 })
                 .into()
         }

@@ -154,7 +154,7 @@ fn lane_slots(n: usize) -> u64 {
 /// parameter group owns real work in the compiled DAG. The compute
 /// delay carries a deterministic per-rank jitter: stragglers are what
 /// make compute noise visible in the makespan at all.
-fn stencil_traces(grid: Grid2D, words: u64, reps: u32) -> Vec<Vec<hpcsim_mpi::Op>> {
+fn stencil_traces(grid: Grid2D, words: u64, reps: u32) -> hpcsim_mpi::Traces {
     TraceSim::trace_program(
         &FnProgram(move |mpi: &mut Mpi| {
             let me = mpi.rank();
@@ -199,8 +199,8 @@ pub fn sensitivity_battery_with(
     let machine: MachineSpec = bluegene_p().with_flat_contention();
     let grid = Grid2D::near_square(scale.ranks(4096));
     let traces = stencil_traces(grid, 2048, 2);
-    let ranks = traces.len();
-    let dag = TraceDag::compile_world(&traces);
+    let ranks = traces.ranks();
+    let dag = TraceDag::compile(&traces);
     let cfg = SimConfig::new(machine, ranks, ExecMode::Vn);
 
     let base = dag.evaluate_many(std::slice::from_ref(&cfg)).remove(0);

@@ -69,10 +69,10 @@ pub fn fig2_mapping_sweep(scale: Scale) -> MappingSweepStats {
     // The replay region is then 32 × (layout + event-queue replay); the
     // DAG region is 4 × compile + 32 critical-path evaluations —
     // compilation is the DAG engine's real cost and stays inside.
-    let traced: Vec<(hpcc::HaloConfig, Vec<Vec<hpcsim_mpi::Op>>)> = cfgs
+    let traced: Vec<(hpcc::HaloConfig, hpcsim_mpi::Traces)> = cfgs
         .into_iter()
         .map(|cfg| {
-            let traces = hpcc::halo_traces(&cfg);
+            let traces = hpcc::halo_recording(&cfg);
             (cfg, traces)
         })
         .collect();
@@ -84,7 +84,7 @@ pub fn fig2_mapping_sweep(scale: Scale) -> MappingSweepStats {
             .map(|(cfg, traces)| {
                 let points: Vec<SimConfig> =
                     mappings.iter().map(|&m| cfg.sim_config(&machine, ExecMode::Vn, m)).collect();
-                let res = sweep_points(Some(engine), &points, traces, &[], None, None)
+                let res = sweep_points(Some(engine), &points, traces, None, None)
                     .expect("pristine HALO points replay");
                 res.iter().map(|r| cfg.per_exchange(r)).collect()
             })
@@ -116,7 +116,7 @@ pub fn fig2_mapping_sweep(scale: Scale) -> MappingSweepStats {
 
     let (mut dag_nodes, mut dag_edges) = (0u64, 0u64);
     for (_, traces) in &traced {
-        let stats = TraceDag::compile_world(traces).stats();
+        let stats = TraceDag::compile(traces).stats();
         if stats.nodes > dag_nodes {
             dag_nodes = stats.nodes;
             dag_edges = stats.edges;

@@ -132,7 +132,7 @@ pub fn run_scenario(sc: &FuzzScenario) -> RunReport {
                     // Err: dag compile panicked on the same input —
                     // keep the replay diagnosis, it's the richer one.
                     if let Ok(false) = catch_unwind(AssertUnwindSafe(|| {
-                        TraceDag::compile_world(&sc.traces).deadlock().is_some()
+                        TraceDag::compile(&sc.traces).deadlock().is_some()
                     })) {
                         return RunReport {
                             outcome: OutcomeKind::Divergence,
@@ -158,7 +158,7 @@ pub fn run_scenario(sc: &FuzzScenario) -> RunReport {
     // engine is specified to be bit-exact against replay.
     if signals.dag_fallback == 0 {
         let oracle = catch_unwind(AssertUnwindSafe(|| {
-            let dag = TraceDag::compile_world(&sc.traces);
+            let dag = TraceDag::compile(&sc.traces);
             if let Some((unfinished, rank, op)) = dag.deadlock() {
                 return Err(format!(
                     "replay finished but dag sees deadlock: {unfinished} ranks, \
@@ -210,7 +210,7 @@ mod tests {
     use hpcsim_faults::FaultProfile;
     use hpcsim_machine::registry::bluegene_p;
     use hpcsim_machine::ExecMode;
-    use hpcsim_mpi::{CommId, Op, Req};
+    use hpcsim_mpi::{CommId, Op, Req, Traces};
     use hpcsim_net::CollectiveOp;
     use hpcsim_topo::Mapping;
 
@@ -235,7 +235,7 @@ mod tests {
             mode: ExecMode::Vn,
             mapping: Mapping::txyz(),
             faults: None,
-            traces: vec![vec![barrier()], vec![barrier()], vec![barrier()], vec![]],
+            traces: Traces::from(&vec![vec![barrier()], vec![barrier()], vec![barrier()], vec![]]),
         };
         let rep = run_scenario(&sc);
         assert_eq!(rep.outcome, OutcomeKind::Deadlock, "{}", rep.detail);
@@ -248,13 +248,13 @@ mod tests {
             mode: ExecMode::Vn,
             mapping: Mapping::txyz(),
             faults: None,
-            traces: vec![
+            traces: Traces::from(&vec![
                 vec![
                     Op::Irecv { src: 1, tag: 0, bytes: 64, req: Req(0) },
                     Op::Wait { req: Req(0) },
                 ],
                 vec![],
-            ],
+            ]),
         };
         let rep = run_scenario(&sc);
         assert_eq!(rep.outcome, OutcomeKind::Deadlock, "{}", rep.detail);

@@ -36,7 +36,7 @@ use hpcsim_core::try_parmap;
 use hpcsim_engine::{split_seed, DetRng, SimTime};
 use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::{ExecMode, Workload};
-use hpcsim_mpi::{CommId, Op};
+use hpcsim_mpi::{CommId, Op, TraceBuilder};
 use hpcsim_net::CollectiveOp;
 use hpcsim_obs as obs;
 use hpcsim_topo::Mapping;
@@ -234,7 +234,7 @@ impl FuzzReport {
 pub fn canary_scenario(seed: u64) -> FuzzScenario {
     let mut rng = DetRng::new(split_seed(seed, 0xCA), 0);
     let ranks = 4;
-    let mut traces: Vec<Vec<Op>> = Vec::with_capacity(ranks);
+    let mut traces = TraceBuilder::new();
     for r in 0..ranks {
         let mut t = vec![
             Op::Compute {
@@ -253,14 +253,15 @@ pub fn canary_scenario(seed: u64) -> FuzzScenario {
             t.push(Op::Collective { comm: CommId::WORLD, op: CollectiveOp::Barrier });
         }
         t.push(Op::Delay { time: SimTime::from_us(1) });
-        traces.push(t);
+        t.into_iter().for_each(|op| traces.push(op));
+        traces.end_rank();
     }
     FuzzScenario {
         machine: bluegene_p().with_flat_contention(),
         mode: ExecMode::Vn,
         mapping: Mapping::txyz(),
         faults: None,
-        traces,
+        traces: traces.finish(),
     }
 }
 

@@ -23,7 +23,7 @@ use hpcsim_engine::{split_seed, DetRng, SimTime};
 use hpcsim_faults::{FaultPlan, FaultProfile};
 use hpcsim_machine::registry::{bluegene_p, xt4_qc};
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, Op, Req};
+use hpcsim_mpi::{CommId, Op, Req, TraceBuilder, Traces};
 use hpcsim_net::{CollectiveOp, DType};
 use hpcsim_topo::Mapping;
 
@@ -75,7 +75,11 @@ pub fn generate(seed: u64, iteration: u64) -> FuzzScenario {
     let tag_bytes: Vec<u64> =
         (0..4).map(|_| palette[rng.next_below(palette.len() as u64) as usize]).collect();
 
-    let mut traces: Vec<Vec<Op>> = vec![Vec::new(); ranks];
+    let mut world = TraceBuilder::new();
+    for _ in 0..ranks {
+        world.end_rank();
+    }
+    let mut traces = world.finish();
     let mut next_req: Vec<u32> = vec![0; ranks];
     let phases = 1 + rng.next_below(5);
     for _ in 0..phases {
@@ -85,9 +89,7 @@ pub fn generate(seed: u64, iteration: u64) -> FuzzScenario {
             2 => {
                 let bytes = palette[rng.next_below(palette.len() as u64) as usize];
                 let op = pick_collective(&mut rng, bytes);
-                for trace in &mut traces {
-                    trace.push(Op::Collective { comm: CommId::WORLD, op });
-                }
+                traces.edit(|_, ops| ops.push(Op::Collective { comm: CommId::WORLD, op }));
             }
             _ => phase_ring(&mut rng, &mut traces, &mut next_req, &tag_bytes),
         }
@@ -106,33 +108,30 @@ pub fn generate(seed: u64, iteration: u64) -> FuzzScenario {
 }
 
 /// Compute / delay / mark phase: purely local work, no blocking.
-fn phase_local(rng: &mut DetRng, traces: &mut [Vec<Op>]) {
-    for trace in traces.iter_mut() {
-        match rng.next_below(3) {
-            0 => trace.push(Op::Compute {
-                work: Workload::Custom {
-                    flops: (1 + rng.next_below(1000)) as f64 * 1e4,
-                    dram_bytes: 0.0,
-                    simd_eff: 1.0,
-                    serial_frac: 0.0,
-                },
-                threads: 1,
-            }),
-            1 => trace.push(Op::Delay { time: SimTime::from_us(rng.next_below(50)) }),
-            _ => trace.push(Op::Mark { id: rng.next_below(16) as u32 }),
-        }
-    }
+fn phase_local(rng: &mut DetRng, traces: &mut Traces) {
+    traces.edit(|_, trace| match rng.next_below(3) {
+        0 => trace.push(Op::Compute {
+            work: Workload::Custom {
+                flops: (1 + rng.next_below(1000)) as f64 * 1e4,
+                dram_bytes: 0.0,
+                simd_eff: 1.0,
+                serial_frac: 0.0,
+            },
+            threads: 1,
+        }),
+        1 => trace.push(Op::Delay { time: SimTime::from_us(rng.next_below(50)) }),
+        _ => trace.push(Op::Mark { id: rng.next_below(16) as u32 }),
+    });
 }
 
 /// Random matched point-to-point pairs. Per phase, every rank posts all
 /// its receives, then all its sends, then waits on everything — so no
 /// wait can block before its counterpart is posted.
-fn phase_pairs(rng: &mut DetRng, traces: &mut [Vec<Op>], next_req: &mut [u32], tag_bytes: &[u64]) {
-    let ranks = traces.len();
+fn phase_pairs(rng: &mut DetRng, traces: &mut Traces, next_req: &mut [u32], tag_bytes: &[u64]) {
+    let ranks = traces.ranks();
     let pairs = 1 + rng.next_below(2 * ranks as u64);
-    let mut recvs: Vec<Vec<Op>> = vec![Vec::new(); ranks];
-    let mut sends: Vec<Vec<Op>> = vec![Vec::new(); ranks];
-    let mut reqs: Vec<Vec<Req>> = vec![Vec::new(); ranks];
+    // per pair: the receive posted at its dst, the send posted at its src
+    let mut drawn: Vec<(usize, Op, usize, Op)> = Vec::new();
     for _ in 0..pairs {
         let src = rng.next_below(ranks as u64) as usize;
         let mut dst = rng.next_below(ranks as u64) as usize;
@@ -143,38 +142,44 @@ fn phase_pairs(rng: &mut DetRng, traces: &mut [Vec<Op>], next_req: &mut [u32], t
         let bytes = tag_bytes[tag];
         let rreq = Req(next_req[dst]);
         next_req[dst] += 1;
-        recvs[dst].push(Op::Irecv { src, tag: tag as u32, bytes, req: rreq });
-        reqs[dst].push(rreq);
         let sreq = Req(next_req[src]);
         next_req[src] += 1;
-        sends[src].push(Op::Isend { dst, tag: tag as u32, bytes, req: sreq });
-        reqs[src].push(sreq);
+        let recv = Op::Irecv { src, tag: tag as u32, bytes, req: rreq };
+        drawn.push((dst, recv, src, Op::Isend { dst, tag: tag as u32, bytes, req: sreq }));
     }
-    for r in 0..ranks {
-        traces[r].append(&mut recvs[r]);
-        traces[r].append(&mut sends[r]);
-        for req in reqs[r].drain(..) {
-            traces[r].push(Op::Wait { req });
+    let req = |op: &Op| match *op {
+        Op::Irecv { req, .. } | Op::Isend { req, .. } => req,
+        _ => unreachable!("pairs are receives and sends"),
+    };
+    traces.edit(|r, trace| {
+        trace.extend(drawn.iter().filter(|p| p.0 == r).map(|p| p.1));
+        trace.extend(drawn.iter().filter(|p| p.2 == r).map(|p| p.3));
+        for (dst, recv, src, send) in &drawn {
+            if *dst == r {
+                trace.push(Op::Wait { req: req(recv) });
+            } else if *src == r {
+                trace.push(Op::Wait { req: req(send) });
+            }
         }
-    }
+    });
 }
 
 /// Nearest-neighbor ring exchange, receive-posted-first.
-fn phase_ring(rng: &mut DetRng, traces: &mut [Vec<Op>], next_req: &mut [u32], tag_bytes: &[u64]) {
-    let ranks = traces.len();
+fn phase_ring(rng: &mut DetRng, traces: &mut Traces, next_req: &mut [u32], tag_bytes: &[u64]) {
+    let ranks = traces.ranks();
     let tag = rng.next_below(tag_bytes.len() as u64) as usize;
     let bytes = tag_bytes[tag];
-    for r in 0..ranks {
+    traces.edit(|r, trace| {
         let prev = (r + ranks - 1) % ranks;
         let next = (r + 1) % ranks;
         let rreq = Req(next_req[r]);
         let sreq = Req(next_req[r] + 1);
         next_req[r] += 2;
-        traces[r].push(Op::Irecv { src: prev, tag: tag as u32, bytes, req: rreq });
-        traces[r].push(Op::Isend { dst: next, tag: tag as u32, bytes, req: sreq });
-        traces[r].push(Op::Wait { req: rreq });
-        traces[r].push(Op::Wait { req: sreq });
-    }
+        trace.push(Op::Irecv { src: prev, tag: tag as u32, bytes, req: rreq });
+        trace.push(Op::Isend { dst: next, tag: tag as u32, bytes, req: sreq });
+        trace.push(Op::Wait { req: rreq });
+        trace.push(Op::Wait { req: sreq });
+    });
 }
 
 /// Apply `count` structure-aware mutations to `base`. Draws come from
@@ -190,7 +195,7 @@ pub fn mutate(base: &FuzzScenario, seed: u64, iteration: u64, count: u32) -> Fuz
 }
 
 fn nonempty_rank(rng: &mut DetRng, sc: &FuzzScenario) -> Option<usize> {
-    let candidates: Vec<usize> = (0..sc.ranks()).filter(|&r| !sc.traces[r].is_empty()).collect();
+    let candidates: Vec<usize> = (0..sc.ranks()).filter(|&r| sc.traces.rank_len(r) > 0).collect();
     if candidates.is_empty() {
         return None;
     }
@@ -204,32 +209,32 @@ fn mutate_once(rng: &mut DetRng, sc: &mut FuzzScenario) {
         // receive-before-wait discipline → deadlock candidates).
         0 => {
             if let Some(r) = nonempty_rank(rng, sc) {
-                let len = sc.traces[r].len() as u64;
+                let len = sc.traces.rank_len(r) as u64;
                 let a = rng.next_below(len) as usize;
                 let b = rng.next_below(len) as usize;
-                sc.traces[r].swap(a, b);
+                sc.traces.edit_rank(r, |ops| ops.swap(a, b));
             }
         }
         // Tag perturbation on one message op.
         1 => {
             if let Some(r) = nonempty_rank(rng, sc) {
-                let i = rng.next_below(sc.traces[r].len() as u64) as usize;
-                match &mut sc.traces[r][i] {
+                let i = rng.next_below(sc.traces.rank_len(r) as u64) as usize;
+                sc.traces.edit_rank(r, |ops| match &mut ops[i] {
                     Op::Isend { tag, .. } | Op::Irecv { tag, .. } => *tag = (*tag + 1) % 5,
                     _ => {}
-                }
+                });
             }
         }
         // Peer perturbation (self-sends allowed: adversarial on purpose).
         2 => {
             if let Some(r) = nonempty_rank(rng, sc) {
-                let i = rng.next_below(sc.traces[r].len() as u64) as usize;
+                let i = rng.next_below(sc.traces.rank_len(r) as u64) as usize;
                 let peer = rng.next_below(ranks as u64) as usize;
-                match &mut sc.traces[r][i] {
+                sc.traces.edit_rank(r, |ops| match &mut ops[i] {
                     Op::Isend { dst, .. } => *dst = peer,
                     Op::Irecv { src, .. } => *src = peer,
                     _ => {}
-                }
+                });
             }
         }
         // Rendezvous straddle: retarget every message with one tag to
@@ -238,7 +243,7 @@ fn mutate_once(rng: &mut DetRng, sc: &mut FuzzScenario) {
             let thr = sc.machine.nic.eager_threshold;
             let new = [thr.saturating_sub(1), thr, thr + 1][rng.next_below(3) as usize];
             let tag = rng.next_below(5) as u32;
-            for trace in &mut sc.traces {
+            sc.traces.edit(|_, trace| {
                 for op in trace.iter_mut() {
                     match op {
                         Op::Isend { tag: t, bytes, .. } | Op::Irecv { tag: t, bytes, .. }
@@ -249,45 +254,49 @@ fn mutate_once(rng: &mut DetRng, sc: &mut FuzzScenario) {
                         _ => {}
                     }
                 }
-            }
+            });
         }
         // Collective insertion at an independent position per rank —
         // same op everywhere, but skewed placement relative to waits.
         4 => {
             let op = pick_collective(rng, 64);
-            for trace in &mut sc.traces {
+            sc.traces.edit(|_, trace| {
                 let at = rng.next_below(trace.len() as u64 + 1) as usize;
                 trace.insert(at, Op::Collective { comm: CommId::WORLD, op });
-            }
+            });
         }
         // Collective removal on ONE rank: the k-th collective vanishes
         // from a single member → mismatch or deadlock.
         5 => {
             let r = rng.next_below(ranks as u64) as usize;
-            let colls: Vec<usize> = sc.traces[r]
-                .iter()
+            let colls: Vec<usize> = sc
+                .traces
+                .rank_ops(r)
                 .enumerate()
                 .filter(|(_, op)| matches!(op, Op::Collective { .. }))
                 .map(|(i, _)| i)
                 .collect();
             if !colls.is_empty() {
                 let k = colls[rng.next_below(colls.len() as u64) as usize];
-                sc.traces[r].remove(k);
+                sc.traces.edit_rank(r, |ops| {
+                    ops.remove(k);
+                });
             }
         }
         // Delete one op.
         6 => {
             if let Some(r) = nonempty_rank(rng, sc) {
-                let i = rng.next_below(sc.traces[r].len() as u64) as usize;
-                sc.traces[r].remove(i);
+                let i = rng.next_below(sc.traces.rank_len(r) as u64) as usize;
+                sc.traces.edit_rank(r, |ops| {
+                    ops.remove(i);
+                });
             }
         }
         // Duplicate one op in place.
         7 => {
             if let Some(r) = nonempty_rank(rng, sc) {
-                let i = rng.next_below(sc.traces[r].len() as u64) as usize;
-                let op = sc.traces[r][i];
-                sc.traces[r].insert(i, op);
+                let i = rng.next_below(sc.traces.rank_len(r) as u64) as usize;
+                sc.traces.edit_rank(r, |ops| ops.insert(i, ops[i]));
             }
         }
         // Fault-plan mutation: arm, escalate, reseed or disarm.
@@ -357,7 +366,7 @@ mod tests {
             let m = mutate(&base, 9, it, 1);
             let mut by_tag: std::collections::BTreeMap<u32, u64> = Default::default();
             let mut consistent = true;
-            for trace in &m.traces {
+            for trace in &m.traces.to_rank_vecs() {
                 for op in trace {
                     if let Op::Isend { tag, bytes, .. } | Op::Irecv { tag, bytes, .. } = op {
                         consistent &= *by_tag.entry(*tag).or_insert(*bytes) == *bytes;

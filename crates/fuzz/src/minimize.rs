@@ -61,11 +61,11 @@ pub fn minimize(sc: &FuzzScenario, expected: OutcomeKind, max_trials: u64) -> Mi
 
         // Pass 1: wipe whole ranks.
         for r in 0..best.ranks() {
-            if best.traces[r].is_empty() {
+            if best.traces.rank_len(r) == 0 {
                 continue;
             }
             let mut cand = best.clone();
-            cand.traces[r].clear();
+            cand.traces.edit_rank(r, Vec::clear);
             match sh.check(&cand) {
                 Some(true) => best = cand,
                 Some(false) => {}
@@ -103,13 +103,15 @@ pub fn minimize(sc: &FuzzScenario, expected: OutcomeKind, max_trials: u64) -> Mi
             if out_of_budget {
                 break;
             }
-            let mut chunk = best.traces[r].len().div_ceil(2).max(1);
+            let mut chunk = best.traces.rank_len(r).div_ceil(2).max(1);
             loop {
                 let mut start = 0;
-                while start < best.traces[r].len() {
-                    let end = (start + chunk).min(best.traces[r].len());
+                while start < best.traces.rank_len(r) {
+                    let end = (start + chunk).min(best.traces.rank_len(r));
                     let mut cand = best.clone();
-                    cand.traces[r].drain(start..end);
+                    cand.traces.edit_rank(r, |ops| {
+                        ops.drain(start..end);
+                    });
                     match sh.check(&cand) {
                         Some(true) => best = cand, // retry same window
                         Some(false) => start = end,
@@ -143,7 +145,7 @@ mod tests {
     use crate::generate::{generate, mutate};
     use hpcsim_machine::registry::bluegene_p;
     use hpcsim_machine::ExecMode;
-    use hpcsim_mpi::{CommId, Op, Req};
+    use hpcsim_mpi::{CommId, Op, Req, Traces};
     use hpcsim_net::CollectiveOp;
 
     #[test]
@@ -153,13 +155,13 @@ mod tests {
         // only the skewed collective.
         let mut sc = generate(21, 0);
         sc.faults = None;
-        for trace in &mut sc.traces {
+        let last = sc.ranks() - 1;
+        sc.traces.edit(|r, trace| {
             trace.retain(|op| !matches!(op, Op::Collective { .. }));
-        }
-        let last = sc.traces.len() - 1;
-        for trace in &mut sc.traces[..last] {
-            trace.push(Op::Collective { comm: CommId::WORLD, op: CollectiveOp::Barrier });
-        }
+            if r < last {
+                trace.push(Op::Collective { comm: CommId::WORLD, op: CollectiveOp::Barrier });
+            }
+        });
         assert!(sc.total_ops() > 8, "padding too small to be interesting");
         assert_eq!(crate::exec::run_scenario(&sc).outcome, OutcomeKind::Deadlock);
         let min = minimize(&sc, OutcomeKind::Deadlock, 2_000);
@@ -188,10 +190,10 @@ mod tests {
             mode: ExecMode::Vn,
             mapping: hpcsim_topo::Mapping::txyz(),
             faults: None,
-            traces: vec![
+            traces: Traces::from(&vec![
                 vec![Op::Irecv { src: 1, tag: 0, bytes: 8, req: Req(0) }, Op::Wait { req: Req(0) }],
                 vec![],
-            ],
+            ]),
         };
         let min = minimize(&sc, OutcomeKind::Deadlock, 1);
         assert!(!min.converged);

@@ -38,7 +38,7 @@ use hpcsim_cache::{
 };
 use hpcsim_faults::FaultPlan;
 use hpcsim_machine::{ExecMode, MachineSpec};
-use hpcsim_mpi::{parse_traces, write_traces, CommId, Op, RankLayout, SimConfig};
+use hpcsim_mpi::{parse_traces, write_traces, CommId, Op, RankLayout, SimConfig, Traces};
 use hpcsim_topo::{Mapping, Placement};
 
 /// Magic first line of the canonical serialization.
@@ -63,19 +63,19 @@ pub struct FuzzScenario {
     pub mapping: Mapping,
     /// Optional fault plan identity.
     pub faults: Option<FaultSpec>,
-    /// Per-rank op traces; `traces.len()` is the world size.
-    pub traces: Vec<Vec<Op>>,
+    /// The recording; `traces.ranks()` is the world size.
+    pub traces: Traces,
 }
 
 impl FuzzScenario {
     /// World size.
     pub fn ranks(&self) -> usize {
-        self.traces.len()
+        self.traces.ranks()
     }
 
     /// Total op count across all ranks (the minimizer's metric).
     pub fn total_ops(&self) -> usize {
-        self.traces.iter().map(|t| t.len()).sum()
+        self.traces.op_count()
     }
 
     /// The fault plan this scenario arms, if any.
@@ -130,21 +130,23 @@ impl FuzzScenario {
 
 /// The fuzzer's own rules on top of the trace grammar, reported at the
 /// line of the offending rank header or op.
-fn check_fuzz_bounds(traces: &[Vec<Op>]) -> Result<(), SpecParseError> {
+fn check_fuzz_bounds(traces: &Traces) -> Result<(), SpecParseError> {
     let mut line = HEADER_LINES + 1;
     let at = |line, message| Err(SpecParseError { line, message });
-    if traces.is_empty() || traces.len() > MAX_RANKS {
-        return at(line, format!("rank count {} outside 1..={MAX_RANKS}", traces.len()));
+    let ranks = traces.ranks();
+    if ranks == 0 || ranks > MAX_RANKS {
+        return at(line, format!("rank count {ranks} outside 1..={MAX_RANKS}"));
     }
-    for (r, trace) in traces.iter().enumerate() {
+    for r in 0..ranks {
         line += 1;
-        if trace.len() > MAX_OPS_PER_RANK {
-            let message = format!("rank {r}: op count {} exceeds {MAX_OPS_PER_RANK}", trace.len());
+        let len = traces.rank_len(r);
+        if len > MAX_OPS_PER_RANK {
+            let message = format!("rank {r}: op count {len} exceeds {MAX_OPS_PER_RANK}");
             return at(line, message);
         }
-        for op in trace {
+        for op in traces.rank_ops(r) {
             line += 1;
-            if matches!(op, Op::Collective { comm, .. } if *comm != CommId::WORLD) {
+            if matches!(op, Op::Collective { comm, .. } if comm != CommId::WORLD) {
                 return at(line, "fuzz scenarios use WORLD collectives only".into());
             }
         }
@@ -182,7 +184,7 @@ mod tests {
             mode: ExecMode::Vn,
             mapping: Mapping::txyz(),
             faults: Some(FaultSpec { seed: 7, profile: FaultProfile::Mixed }),
-            traces: vec![
+            traces: Traces::from(&vec![
                 vec![
                     Op::Compute {
                         work: Workload::Custom {
@@ -207,7 +209,7 @@ mod tests {
                     },
                     Op::Mark { id: 9 },
                 ],
-            ],
+            ]),
         }
     }
 

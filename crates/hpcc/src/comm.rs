@@ -10,11 +10,11 @@
 use crate::price;
 use hpcsim_engine::DetRng;
 use hpcsim_machine::{ExecMode, MachineSpec};
-use hpcsim_mpi::{FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
+use hpcsim_mpi::{FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
 use serde::Serialize;
 
 /// Record `reps` ping-pong round trips of `bytes` between ranks 0 and 1.
-pub fn pingpong_traces(bytes: u64, reps: u32) -> Vec<Vec<Op>> {
+pub fn pingpong_traces(bytes: u64, reps: u32) -> Traces {
     let record = FnProgram(move |mpi: &mut Mpi| {
         for i in 0..reps {
             if mpi.rank() == 0 {
@@ -45,7 +45,7 @@ pub fn pingpong_of(small: &SimResult, large: &SimResult, large_bytes: u64) -> (f
 pub fn pingpong(machine: &MachineSpec, small: u64, large: u64) -> (f64, f64) {
     let point = [SimConfig::new(machine.clone(), 2, ExecMode::Smp)];
     let [s, l] = [(small, PINGPONG_REPS[0]), (large, PINGPONG_REPS[1])]
-        .map(|(bytes, reps)| price(&point, &pingpong_traces(bytes, reps), &[]).remove(0));
+        .map(|(bytes, reps)| price(&point, &pingpong_traces(bytes, reps)).remove(0));
     pingpong_of(&s, &l, large)
 }
 
@@ -69,7 +69,7 @@ impl RingResult {
 
 /// Record one HPCC random-ring run of `bytes`-byte messages: ranks
 /// permuted by `seed`, each exchanges with its ring neighbours.
-pub fn random_ring_traces(ranks: usize, bytes: u64, seed: u64) -> Vec<Vec<Op>> {
+pub fn random_ring_traces(ranks: usize, bytes: u64, seed: u64) -> Traces {
     // one shared random permutation
     let mut perm: Vec<usize> = (0..ranks).collect();
     let mut rng = DetRng::new(seed, 0x52494E47); // "RING"
@@ -105,7 +105,7 @@ pub fn random_ring(
 ) -> RingResult {
     let point = [SimConfig::new(machine.clone(), ranks, mode)];
     let [s, l] = [small, large]
-        .map(|bytes| price(&point, &random_ring_traces(ranks, bytes, seed), &[]).remove(0));
+        .map(|bytes| price(&point, &random_ring_traces(ranks, bytes, seed)).remove(0));
     RingResult::of(&s, &l, large)
 }
 

@@ -9,7 +9,7 @@
 
 use crate::price;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
 use serde::Serialize;
 
 /// Result of an MPI FFT run.
@@ -50,7 +50,7 @@ impl FftResult {
 }
 
 /// Record the distributed FFT of `n` points over `ranks` tasks.
-pub fn fft_traces(ranks: usize, n: u64) -> Vec<Vec<Op>> {
+pub fn fft_traces(ranks: usize, n: u64) -> Traces {
     let local = (n / ranks as u64).max(1);
     let record = FnProgram(move |mpi: &mut Mpi| {
         let p = mpi.size() as u64;
@@ -75,7 +75,7 @@ pub fn fft_traces(ranks: usize, n: u64) -> Vec<Vec<Op>> {
 /// Run the distributed FFT of `n` points over `ranks` tasks.
 pub fn fft_run(machine: &MachineSpec, mode: ExecMode, ranks: usize, n: u64) -> FftResult {
     let point = SimConfig::new(machine.clone(), ranks, mode);
-    FftResult::of(&price(&[point], &fft_traces(ranks, n), &[])[0], n)
+    FftResult::of(&price(&[point], &fft_traces(ranks, n))[0], n)
 }
 
 #[cfg(test)]

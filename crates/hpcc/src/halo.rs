@@ -17,8 +17,8 @@ use hpcsim_engine::SimTime;
 use hpcsim_faults::FaultPlan;
 use hpcsim_machine::{ExecMode, MachineSpec};
 use hpcsim_mpi::{
-    sweep_points, FnProgram, Mpi, Op, RankLayout, SimConfig, SimError, SimResult, SweepEngine,
-    TraceDag, TraceSim,
+    sweep_points, AsTraces, FnProgram, Mpi, Op, RankLayout, SimConfig, SimError, SimResult,
+    SweepEngine, TraceDag, TraceSim, Traces,
 };
 use hpcsim_probe::Tracer;
 use hpcsim_topo::{Grid2D, Mapping};
@@ -122,7 +122,7 @@ pub fn halo_record_exchange(
 /// grid cell, `reps` exchange rounds. The trace depends only on the
 /// virtual grid / words / protocol — not on machine, mapping or mode —
 /// which is what makes mapping sweeps cheap and DAG compilation sound.
-pub fn halo_traces(cfg: &HaloConfig) -> Vec<Vec<Op>> {
+pub fn halo_recording(cfg: &HaloConfig) -> Traces {
     let grid = cfg.grid;
     let (words, protocol, reps) = (cfg.words, cfg.protocol, cfg.reps);
     TraceSim::trace_program(
@@ -134,6 +134,12 @@ pub fn halo_traces(cfg: &HaloConfig) -> Vec<Vec<Op>> {
         cfg.grid.size(),
         1,
     )
+}
+
+/// [`halo_recording`] as one op vector per rank. Benchmark-facing;
+/// retire with the next benchmark PR (ROADMAP item 7).
+pub fn halo_traces(cfg: &HaloConfig) -> Vec<Vec<Op>> {
+    halo_recording(cfg).to_rank_vecs()
 }
 
 fn halo_layout(
@@ -169,27 +175,34 @@ impl HaloConfig {
 /// seconds per exchange (makespan / reps).
 pub fn halo_run(machine: &MachineSpec, mode: ExecMode, mapping: Mapping, cfg: &HaloConfig) -> f64 {
     let point = cfg.sim_config(machine, mode, mapping);
-    cfg.per_exchange(&price(&[point], &halo_traces(cfg), &[])[0])
+    cfg.per_exchange(&price(&[point], &halo_recording(cfg))[0])
 }
 
 /// Evaluate a single (machine, mode, mapping) point from traces the
-/// caller already holds (they must be `halo_traces(cfg)`): through the
-/// pre-compiled `dag` where it is exact ([`TraceDag::exact_for`]),
-/// otherwise by replay. Bit-identical to [`halo_run`] on the same point.
-pub fn halo_eval_traces(
+/// caller already holds (they must be `halo_recording(cfg)` or its
+/// per-rank view): through the pre-compiled `dag` where it is exact
+/// ([`TraceDag::exact_for`]), otherwise by replay. Bit-identical to
+/// [`halo_run`] on the same point. Benchmark-facing in its
+/// `&[Vec<Op>]` form; retire that form with the next benchmark PR
+/// (ROADMAP item 7). A per-rank view is converted only when the point
+/// replays.
+pub fn halo_eval_traces<T: AsTraces + ?Sized>(
     machine: &MachineSpec,
     mode: ExecMode,
     mapping: Mapping,
     cfg: &HaloConfig,
-    traces: &[Vec<Op>],
+    traces: &T,
     dag: Option<&TraceDag>,
 ) -> f64 {
-    let engine = if dag.is_some() { SweepEngine::Dag } else { SweepEngine::Replay };
-    // hand the pre-compiled DAG over as sweep_points' lazy provider
-    let get = dag.map(|d| move || d);
-    let get = get.as_ref().map(|f| f as _);
     let point = [cfg.sim_config(machine, mode, mapping)];
-    let res = sweep_points(Some(engine), &point, traces, &[], get, None);
+    let res = match dag {
+        // what sweep_points does with one exact point and a DAG in hand
+        Some(d) if TraceDag::exact_for(machine) => Ok(vec![d.evaluate(&point[0])]),
+        _ => {
+            let engine = if dag.is_some() { SweepEngine::Dag } else { SweepEngine::Replay };
+            sweep_points(Some(engine), &point, &traces.as_traces(), None, None)
+        }
+    };
     cfg.per_exchange(&res.unwrap_or_else(|e| panic!("{e}"))[0])
 }
 
@@ -210,7 +223,7 @@ pub fn halo_try_run<T: Tracer>(
     if let Some(p) = plan {
         sim.set_faults(p);
     }
-    let res = sim.try_replay(&halo_traces(cfg), tracer)?;
+    let res = sim.try_replay(&halo_recording(cfg), tracer)?;
     Ok((cfg.per_exchange(&res), res))
 }
 
@@ -338,12 +351,12 @@ mod tests {
         let mappings: Vec<Mapping> = Mapping::fig2_set().iter().map(|(_, m)| *m).collect();
         for words in [8u64, 2048, 32_768] {
             let c = cfg(grid, words, HaloProtocol::IrecvIsend);
-            let traces = halo_traces(&c);
+            let traces = halo_recording(&c);
             for m in [bluegene_p().with_flat_contention(), bluegene_p()] {
                 let points: Vec<SimConfig> =
                     mappings.iter().map(|&mp| c.sim_config(&m, ExecMode::Vn, mp)).collect();
                 let sweep = |engine| {
-                    let res = sweep_points(Some(engine), &points, &traces, &[], None, None);
+                    let res = sweep_points(Some(engine), &points, &traces, None, None);
                     res.unwrap().iter().map(|r| c.per_exchange(r)).collect::<Vec<_>>()
                 };
                 let (replay, dag) = (sweep(SweepEngine::Replay), sweep(SweepEngine::Dag));

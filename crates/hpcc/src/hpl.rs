@@ -12,7 +12,7 @@
 
 use crate::price;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid2D;
 use serde::Serialize;
@@ -99,10 +99,10 @@ fn record_step(mpi: &mut Mpi, cfg: &HplConfig, row_comm: CommId, col_comm: CommI
     mpi.compute(Workload::LuUpdate { m: rows_local, n: cols_local, k: nb });
 }
 
-/// Record HPL with `cfg`: the traces plus the sub-communicators they
-/// use — one per process row, then one per process column, numbered
-/// from `CommId(1)` in that order.
-pub fn hpl_traces(cfg: &HplConfig) -> (Vec<Vec<Op>>, Vec<Vec<usize>>) {
+/// Record HPL with `cfg`, with the sub-communicators it uses — one per
+/// process row, then one per process column, numbered from `CommId(1)`
+/// in that order.
+pub fn hpl_traces(cfg: &HplConfig) -> Traces {
     let grid = cfg.grid;
     let rows = (0..grid.rows).map(|r| (0..grid.cols).map(|c| grid.rank(r, c)).collect());
     let cols = (0..grid.cols).map(|c| (0..grid.rows).map(|r| grid.rank(r, c)).collect());
@@ -120,7 +120,7 @@ pub fn hpl_traces(cfg: &HplConfig) -> (Vec<Vec<Op>>, Vec<Vec<usize>>) {
         // final allreduce: residual check
         mpi.allreduce(CommId::WORLD, 8, DType::F64);
     });
-    (TraceSim::trace_program(&record, grid.size(), 1), comms)
+    TraceSim::trace_program(&record, grid.size(), 1).with_comms(comms)
 }
 
 impl HplResult {
@@ -140,9 +140,8 @@ impl HplResult {
 
 /// Run HPL with `cfg` on `machine` in `mode`.
 pub fn hpl_run(machine: &MachineSpec, mode: ExecMode, cfg: &HplConfig) -> HplResult {
-    let (traces, comms) = hpl_traces(cfg);
     let point = SimConfig::new(machine.clone(), cfg.grid.size(), mode);
-    HplResult::of(&price(&[point], &traces, &comms)[0], machine, cfg)
+    HplResult::of(&price(&[point], &hpl_traces(cfg))[0], machine, cfg)
 }
 
 /// Result of the §II.C TOP500 run including power.

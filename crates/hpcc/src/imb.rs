@@ -7,7 +7,7 @@
 
 use crate::price;
 use hpcsim_machine::{ExecMode, MachineSpec};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
 use hpcsim_net::DType;
 use serde::Serialize;
 
@@ -33,7 +33,7 @@ impl ImbPoint {
 }
 
 /// Record [`IMB_REPS`] back-to-back rounds of `round` on `ranks` tasks.
-fn imb_traces(ranks: usize, round: impl Fn(&mut Mpi) + Sync) -> Vec<Vec<Op>> {
+fn imb_traces(ranks: usize, round: impl Fn(&mut Mpi) + Sync) -> Traces {
     let record = FnProgram(move |mpi: &mut Mpi| {
         for _ in 0..IMB_REPS {
             round(mpi);
@@ -43,12 +43,12 @@ fn imb_traces(ranks: usize, round: impl Fn(&mut Mpi) + Sync) -> Vec<Vec<Op>> {
 }
 
 /// Record the IMB Allreduce of `bytes` of `dtype` on `ranks` tasks.
-pub fn imb_allreduce_traces(ranks: usize, bytes: u64, dtype: DType) -> Vec<Vec<Op>> {
+pub fn imb_allreduce_traces(ranks: usize, bytes: u64, dtype: DType) -> Traces {
     imb_traces(ranks, move |mpi| mpi.allreduce(CommId::WORLD, bytes, dtype))
 }
 
 /// Record the IMB Bcast of `bytes` on `ranks` tasks.
-pub fn imb_bcast_traces(ranks: usize, bytes: u64) -> Vec<Vec<Op>> {
+pub fn imb_bcast_traces(ranks: usize, bytes: u64) -> Traces {
     imb_traces(ranks, move |mpi| mpi.bcast(CommId::WORLD, bytes))
 }
 
@@ -62,13 +62,13 @@ pub fn imb_allreduce(
 ) -> ImbPoint {
     let point = SimConfig::new(machine.clone(), ranks, mode);
     let traces = imb_allreduce_traces(ranks, bytes, dtype);
-    ImbPoint::of(&price(&[point], &traces, &[])[0], ranks, bytes)
+    ImbPoint::of(&price(&[point], &traces)[0], ranks, bytes)
 }
 
 /// IMB Bcast latency at one (ranks, bytes) point.
 pub fn imb_bcast(machine: &MachineSpec, mode: ExecMode, ranks: usize, bytes: u64) -> ImbPoint {
     let point = SimConfig::new(machine.clone(), ranks, mode);
-    ImbPoint::of(&price(&[point], &imb_bcast_traces(ranks, bytes), &[])[0], ranks, bytes)
+    ImbPoint::of(&price(&[point], &imb_bcast_traces(ranks, bytes))[0], ranks, bytes)
 }
 
 #[cfg(test)]

@@ -40,8 +40,8 @@ pub use comm::{
 pub use epkernels::{dgemm_rate, stream_triad_rate, EpMode};
 pub use fft::{fft_run, fft_traces, FftResult};
 pub use halo::{
-    halo_eval_traces, halo_record_exchange, halo_run, halo_traces, halo_try_run, HaloConfig,
-    HaloProtocol,
+    halo_eval_traces, halo_record_exchange, halo_recording, halo_run, halo_traces, halo_try_run,
+    HaloConfig, HaloProtocol,
 };
 pub use hpl::{
     hpl_problem_size, hpl_run, hpl_traces, top500_run, HplConfig, HplResult, Top500Result,
@@ -50,11 +50,11 @@ pub use imb::{imb_allreduce, imb_allreduce_traces, imb_bcast, imb_bcast_traces, 
 pub use ptrans::{ptrans_run, ptrans_sim_config, ptrans_traces, PtransResult};
 pub use ra::{ra_run, ra_traces, RaResult};
 
-use hpcsim_mpi::{sweep_points, Op, SimConfig, SimResult};
+use hpcsim_mpi::{sweep_points, SimConfig, SimResult, Traces};
 
-/// Price one recorded program (`traces` plus sub-communicators `comms`)
-/// at every point on the process-global sweep engine. Proxy traces are
-/// well-formed and fault-free, so a replay error is a bug: panic.
-pub fn price(points: &[SimConfig], traces: &[Vec<Op>], comms: &[Vec<usize>]) -> Vec<SimResult> {
-    sweep_points(None, points, traces, comms, None, None).unwrap_or_else(|e| panic!("{e}"))
+/// Price one recorded program at every point on the process-global
+/// sweep engine. Proxy traces are well-formed and fault-free, so a
+/// replay error is a bug: panic.
+pub fn price(points: &[SimConfig], traces: &Traces) -> Vec<SimResult> {
+    sweep_points(None, points, traces, None, None).unwrap_or_else(|e| panic!("{e}"))
 }

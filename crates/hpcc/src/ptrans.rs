@@ -10,7 +10,7 @@
 
 use crate::price;
 use hpcsim_machine::{ExecMode, MachineSpec};
-use hpcsim_mpi::{FnProgram, Mpi, Op, RankLayout, SimConfig, SimResult, TraceSim};
+use hpcsim_mpi::{FnProgram, Mpi, RankLayout, SimConfig, SimResult, TraceSim, Traces};
 use hpcsim_topo::{Grid2D, Placement};
 use serde::Serialize;
 
@@ -51,7 +51,7 @@ pub fn ptrans_sim_config(
 }
 
 /// Record PTRANS of order `n` over `ranks` tasks.
-pub fn ptrans_traces(ranks: usize, n: u64) -> Vec<Vec<Op>> {
+pub fn ptrans_traces(ranks: usize, n: u64) -> Traces {
     let grid = Grid2D::near_square(ranks);
     let record = FnProgram(move |mpi: &mut Mpi| {
         let (r, c) = grid.pos(mpi.rank());
@@ -87,7 +87,7 @@ pub fn ptrans_run(
     placement: Placement,
 ) -> PtransResult {
     let point = ptrans_sim_config(machine, mode, ranks, placement);
-    PtransResult::of(&price(&[point], &ptrans_traces(ranks, n), &[])[0], n)
+    PtransResult::of(&price(&[point], &ptrans_traces(ranks, n))[0], n)
 }
 
 #[cfg(test)]

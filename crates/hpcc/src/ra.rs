@@ -10,7 +10,7 @@
 
 use crate::price;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{FnProgram, Mpi, Op, SimConfig, SimResult, TraceSim};
+use hpcsim_mpi::{FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
 use serde::Serialize;
 
 /// Result of an MPI RandomAccess run.
@@ -38,7 +38,7 @@ impl RaResult {
 /// `table_bytes_per_rank` per rank, `updates_per_rank` updates per rank,
 /// hypercube routing (the `RA_SANDIA_OPT2` algorithm for power-of-two
 /// process counts).
-pub fn ra_traces(ranks: usize, table_bytes_per_rank: u64, updates_per_rank: u64) -> Vec<Vec<Op>> {
+pub fn ra_traces(ranks: usize, table_bytes_per_rank: u64, updates_per_rank: u64) -> Traces {
     let record = FnProgram(move |mpi: &mut Mpi| {
         let p = mpi.size();
         let stages = (p as f64).log2().ceil() as u32;
@@ -73,7 +73,7 @@ pub fn ra_run(
 ) -> RaResult {
     let point = SimConfig::new(machine.clone(), ranks, mode);
     let traces = ra_traces(ranks, table_bytes_per_rank, updates_per_rank);
-    RaResult::of(&price(&[point], &traces, &[])[0], ranks, updates_per_rank)
+    RaResult::of(&price(&[point], &traces)[0], ranks, updates_per_rank)
 }
 
 #[cfg(test)]

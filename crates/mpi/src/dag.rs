@@ -79,6 +79,7 @@
 use crate::ops::Op;
 use crate::result::{SimError, SimResult};
 use crate::sim::{SimConfig, TraceSim};
+use crate::traces::Traces;
 use hpcsim_engine::SimTime;
 use hpcsim_faults::FaultPlan;
 use hpcsim_machine::{MachineSpec, NodeModel, ParamGroups, Perturbation, Workload};
@@ -228,10 +229,9 @@ pub fn sweep_engine() -> SweepEngine {
 /// proxy prices through here: this is the one place the engine is
 /// chosen and the one place a fallback is counted.
 ///
-/// `comms` are the program's sub-communicators (empty for world-only
-/// programs), in the order its trace numbers them from `CommId(1)`;
-/// they are registered on every replay engine and compiled into the
-/// DAG. Under [`SweepEngine::Dag`] with no `faults`, points whose
+/// The recording carries its sub-communicators ([`Traces::comms`]);
+/// both engines read them from it. Under [`SweepEngine::Dag`] with no
+/// `faults`, points whose
 /// machine passes [`TraceDag::exact_for`] are evaluated on the DAG that
 /// `dag` yields (`traces` compiled; called only if needed) or on one
 /// compiled here. Every other point replays `traces` with `faults`
@@ -241,8 +241,7 @@ pub fn sweep_engine() -> SweepEngine {
 pub fn sweep_points<'d>(
     engine: Option<SweepEngine>,
     points: &[SimConfig],
-    traces: &[Vec<Op>],
-    comms: &[Vec<usize>],
+    traces: &Traces,
     dag: Option<&dyn Fn() -> &'d TraceDag>,
     faults: Option<&FaultPlan>,
 ) -> Result<Vec<SimResult>, SimError> {
@@ -262,9 +261,7 @@ pub fn sweep_points<'d>(
         _ if on_dag == 0 => None,
         Some(get) => Some(get()),
         None => {
-            let mut all: Vec<Vec<usize>> = vec![(0..traces.len()).collect()];
-            all.extend_from_slice(comms);
-            compiled = TraceDag::compile(traces, &all);
+            compiled = TraceDag::compile(traces);
             Some(&compiled)
         }
     };
@@ -276,9 +273,6 @@ pub fn sweep_points<'d>(
                 Some(d) if exact(cfg) => Ok(d.evaluate(cfg)),
                 _ => {
                     let mut sim = TraceSim::new(cfg.clone());
-                    for members in comms {
-                        sim.register_comm(members.clone());
-                    }
                     if let Some(plan) = faults {
                         sim.set_faults(plan);
                     }
@@ -286,6 +280,49 @@ pub fn sweep_points<'d>(
                 }
             })
             .collect(),
+    }
+}
+
+/// A world of rank traces that [`TraceDag::compile`] reads in place:
+/// a recording, or a per-rank view of a world-only program (the view is
+/// benchmark-facing; retire it with the next benchmark PR, ROADMAP
+/// item 7). Compile reads every op once, counting each rank's request
+/// slots and compressing repeated compute blocks in that same pass, so
+/// a view compiles without first being converted into a recording.
+pub trait OpSource {
+    /// World size.
+    fn ranks(&self) -> usize;
+    /// Sub-communicators, numbered from `CommId(1)`.
+    fn comms(&self) -> &[Vec<usize>];
+    /// Rank `r`'s ops in program order.
+    fn rank_ops(&self, r: usize) -> impl ExactSizeIterator<Item = Op> + '_;
+}
+
+impl OpSource for Traces {
+    fn ranks(&self) -> usize {
+        Traces::ranks(self)
+    }
+
+    fn comms(&self) -> &[Vec<usize>] {
+        Traces::comms(self)
+    }
+
+    fn rank_ops(&self, r: usize) -> impl ExactSizeIterator<Item = Op> + '_ {
+        Traces::rank_ops(self, r)
+    }
+}
+
+impl OpSource for [Vec<Op>] {
+    fn ranks(&self) -> usize {
+        self.len()
+    }
+
+    fn comms(&self) -> &[Vec<usize>] {
+        &[]
+    }
+
+    fn rank_ops(&self, r: usize) -> impl ExactSizeIterator<Item = Op> + '_ {
+        self[r].iter().copied()
     }
 }
 
@@ -624,20 +661,23 @@ impl TraceDag {
         machine.contention_flat()
     }
 
-    /// Compile traces that only use `CommId::WORLD`.
+    /// [`TraceDag::compile`] of a per-rank view of a world-only
+    /// program, read in place. Benchmark-facing; retire with the next
+    /// benchmark PR (ROADMAP item 7).
     pub fn compile_world(traces: &[Vec<Op>]) -> TraceDag {
-        Self::compile(traces, &[(0..traces.len()).collect()])
+        Self::compile(traces)
     }
 
-    /// Compile one trace per rank into a task DAG. `comms[0]` must be
-    /// the world communicator; further entries mirror the ids handed
-    /// out by `TraceSim::register_comm`. Compilation is independent of
+    /// Compile a recording (or any [`OpSource`]) into a task DAG, with
+    /// the world and its sub-communicators. Compilation is independent of
     /// machine, mapping and mode — the same DAG serves every sweep
     /// point.
-    pub fn compile(traces: &[Vec<Op>], comms: &[Vec<usize>]) -> TraceDag {
-        let n = traces.len();
-        assert!(!comms.is_empty() && comms[0].len() == n, "comm 0 must be the world communicator");
-        let total_ops: usize = traces.iter().map(|t| t.len()).sum();
+    pub fn compile<T: OpSource + ?Sized>(traces: &T) -> TraceDag {
+        let n = traces.ranks();
+        let mut comms: Vec<Vec<usize>> = Vec::with_capacity(1 + traces.comms().len());
+        comms.push((0..n).collect());
+        comms.extend_from_slice(traces.comms());
+        let total_ops: usize = (0..n).map(|r| traces.rank_ops(r).len()).sum();
         assert!(total_ops < NONE as usize, "trace too large for u32 node ids");
 
         let mut nodes: Vec<Node> = Vec::with_capacity(total_ops);
@@ -663,18 +703,19 @@ impl TraceDag {
         let mut seq_edges = 0u64;
         let mut coll_edges = 0u64;
 
-        for (r, trace) in traces.iter().enumerate() {
+        // per rank: its (comm, next seq) collective counters
+        for (r, counters) in coll_seq.iter_mut().enumerate() {
             rank_ofs.push(nodes.len() as u32);
-            seq_edges += trace.len().saturating_sub(1) as u64;
-            let note_req = |req_counts: &mut Vec<u32>, req: crate::ops::Req| {
-                if req.0 >= req_counts[r] {
-                    req_counts[r] = req.0 + 1;
-                }
+            let ops = traces.rank_ops(r);
+            seq_edges += ops.len().saturating_sub(1) as u64;
+            let reqs = &mut req_counts[r];
+            let mut note_req = |req: crate::ops::Req| {
+                *reqs = (*reqs).max(req.0 + 1);
                 req.0
             };
-            for op in trace {
+            for op in ops {
                 let idx = nodes.len() as u32;
-                match *op {
+                match op {
                     Op::Compute { work, threads } => {
                         let cost = match compute_costs.last() {
                             Some(&(w, t)) if w == work && t == threads => compute_costs.len() - 1,
@@ -693,8 +734,7 @@ impl TraceDag {
                             (src << 96) | (dst << 64) | ((tag as u128) << 32) | idx as u128,
                             bytes,
                         ));
-                        let req = note_req(&mut req_counts, req);
-                        nodes.push(Node::Send { chan: NONE, msg: NONE, req });
+                        nodes.push(Node::Send { chan: NONE, msg: NONE, req: note_req(req) });
                         total_bytes += bytes;
                         total_msgs += 1;
                     }
@@ -706,20 +746,15 @@ impl TraceDag {
                                 | ((tag as u128) << 32)
                                 | idx as u128,
                         );
-                        let req = note_req(&mut req_counts, req);
-                        nodes.push(Node::Recv { chan: NONE, msg: NONE, req });
+                        nodes.push(Node::Recv { chan: NONE, msg: NONE, req: note_req(req) });
                     }
-                    Op::Wait { req } => {
-                        let req = note_req(&mut req_counts, req);
-                        nodes.push(Node::Wait { req });
-                    }
+                    Op::Wait { req } => nodes.push(Node::Wait { req: note_req(req) }),
                     Op::Collective { comm, op } => {
                         let cid = comm.0 as usize;
                         assert!(
                             cid < comms.len(),
                             "rank {r}: collective on unregistered comm {cid}"
                         );
-                        let counters = &mut coll_seq[r];
                         let pos = match counters.iter().position(|(c, _)| *c == comm.0) {
                             Some(p) => p,
                             None => {
@@ -888,7 +923,7 @@ impl TraceDag {
         req_base.push(acc);
 
         let (stream, runs, deadlock) =
-            Self::schedule(n, &nodes, &rank_ofs, &req_base, n_msgs, &insts, comms);
+            Self::schedule(n, &nodes, &rank_ofs, &req_base, n_msgs, &insts, &comms);
 
         let m = metrics();
         m.compiles.inc();
@@ -908,7 +943,7 @@ impl TraceDag {
             n_msgs,
             insts,
             coll_costs,
-            comms: comms.to_vec(),
+            comms,
             total_bytes,
             total_msgs,
             seq_edges,
@@ -1824,7 +1859,7 @@ mod tests {
         let cfg = SimConfig::new(machine.with_flat_contention(), ranks, mode);
         let traces = TraceSim::trace_program(prog, ranks, cfg.threads);
         let replay = TraceSim::new(cfg.clone()).replay_traces(&traces);
-        let dag = TraceDag::compile_world(&traces).evaluate(&cfg);
+        let dag = TraceDag::compile(&traces).evaluate(&cfg);
         assert_eq!(replay.finish, dag.finish);
         assert_eq!(replay.busy, dag.busy);
         assert_eq!(replay.bytes_sent, dag.bytes_sent);
@@ -1912,7 +1947,7 @@ mod tests {
         });
         let machine = bluegene_p().with_flat_contention();
         let traces = TraceSim::trace_program(&prog, 64, 1);
-        let dag = TraceDag::compile_world(&traces);
+        let dag = TraceDag::compile(&traces);
         for (_, mapping) in Mapping::fig2_set() {
             let layout = crate::layout::RankLayout::bluegene(&machine, 64, ExecMode::Vn, mapping);
             let cfg =
@@ -1946,17 +1981,15 @@ mod tests {
         let machine = bluegene_p().with_flat_contention();
         let cfg = SimConfig::new(machine, 8, ExecMode::Vn);
         let mut sim = TraceSim::new(cfg.clone());
-        let evens = sim.register_comm((0..8).step_by(2).collect());
         let prog = FnProgram(move |mpi: &mut Mpi| {
             if mpi.rank().is_multiple_of(2) {
-                mpi.allreduce(evens, 1024, DType::F64);
+                mpi.allreduce(crate::ops::CommId(1), 1024, DType::F64);
             }
         });
-        let traces = TraceSim::trace_program(&prog, 8, 1);
+        let evens: Vec<usize> = (0..8).step_by(2).collect();
+        let traces = TraceSim::trace_program(&prog, 8, 1).with_comms(vec![evens]);
         let replay = sim.replay_traces(&traces);
-        let world: Vec<usize> = (0..8).collect();
-        let members: Vec<usize> = (0..8).step_by(2).collect();
-        let dag = TraceDag::compile(&traces, &[world, members]).evaluate(&cfg);
+        let dag = TraceDag::compile(&traces).evaluate(&cfg);
         assert_eq!(replay.finish, dag.finish);
         assert_eq!(replay.busy, dag.busy);
     }
@@ -1990,7 +2023,7 @@ mod tests {
         });
         let cfg = SimConfig::new(bluegene_p().with_flat_contention(), 2, ExecMode::Smp);
         let traces = TraceSim::trace_program(&prog, 2, 1);
-        let _ = TraceDag::compile_world(&traces).evaluate(&cfg);
+        let _ = TraceDag::compile(&traces).evaluate(&cfg);
     }
 
     #[test]
@@ -2004,7 +2037,7 @@ mod tests {
             mpi.barrier(crate::ops::CommId::WORLD);
         });
         let traces = TraceSim::trace_program(&prog, 2, 1);
-        let s = TraceDag::compile_world(&traces).stats();
+        let s = TraceDag::compile(&traces).stats();
         // rank 0: isend+wait+coll, rank 1: irecv+wait+coll
         assert_eq!(s.nodes, 6);
         assert_eq!(s.messages, 1);
@@ -2026,7 +2059,7 @@ mod tests {
         });
         let machine = bluegene_p().with_flat_contention();
         let traces = TraceSim::trace_program(&prog, 64, 1);
-        let dag = TraceDag::compile_world(&traces);
+        let dag = TraceDag::compile(&traces);
         let cfg = SimConfig::new(machine, 64, ExecMode::Vn);
         (dag, cfg)
     }

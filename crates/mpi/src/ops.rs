@@ -94,7 +94,9 @@ mod tests {
 
     #[test]
     fn ops_are_small() {
-        // Traces can hold millions of ops at 40k ranks; keep them compact.
+        // Recordings hold millions of ops at 40k ranks: the arena keeps
+        // each one packed in 16 bytes; `Op` is only the decoded view.
+        assert_eq!(std::mem::size_of::<crate::traces::Packed>(), 16);
         assert!(std::mem::size_of::<Op>() <= 64, "Op grew to {} bytes", std::mem::size_of::<Op>());
     }
 }

@@ -2,6 +2,7 @@
 //! against. Looks like MPI, records a trace.
 
 use crate::ops::{CommId, Op, Req};
+use crate::traces::{TraceBuilder, Traces, IRECV, ISEND};
 use hpcsim_engine::SimTime;
 use hpcsim_machine::Workload;
 use hpcsim_net::{CollectiveOp, DType};
@@ -22,22 +23,57 @@ impl<F: Fn(&mut Mpi) + Sync> Program for FnProgram<F> {
     }
 }
 
-/// Per-rank recording handle.
+/// Per-rank recording handle. One recorder walks every rank in turn,
+/// writing each rank's ops straight into the program's [`Traces`]
+/// arena.
 #[derive(Debug)]
 pub struct Mpi {
     rank: usize,
     size: usize,
     default_threads: u32,
     next_req: u32,
-    ops: Vec<Op>,
+    rec: TraceBuilder,
 }
 
 impl Mpi {
+    /// Record `prog` on every rank of a `ranks`-rank world; compute
+    /// blocks default to `threads` OpenMP threads. SPMD ranks record
+    /// traces of nearly equal length, so once rank 0 is done the arena
+    /// is reserved at `ranks` times its length, and the finished
+    /// recording is right-sized either way.
+    pub(crate) fn record<P: Program + ?Sized>(prog: &P, ranks: usize, threads: u32) -> Traces {
+        let mut mpi = Mpi {
+            rank: 0,
+            size: ranks,
+            default_threads: threads,
+            next_req: 0,
+            rec: TraceBuilder::new(),
+        };
+        for r in 0..ranks {
+            mpi.rank = r;
+            mpi.next_req = 0;
+            prog.run(&mut mpi);
+            mpi.rec.end_rank();
+            if r == 0 {
+                mpi.rec.reserve(mpi.rec.len() * (ranks - 1));
+            }
+        }
+        mpi.rec.finish()
+    }
+
     /// Fresh recorder for `rank` of `size` ranks; compute blocks default
     /// to `default_threads` OpenMP threads.
-    pub fn new(rank: usize, size: usize, default_threads: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(rank: usize, size: usize, default_threads: u32) -> Self {
         assert!(rank < size, "rank {rank} out of range for size {size}");
-        Mpi { rank, size, default_threads, next_req: 0, ops: Vec::new() }
+        Mpi { rank, size, default_threads, next_req: 0, rec: TraceBuilder::new() }
+    }
+
+    /// This rank's recorded ops, decoded (tests).
+    #[cfg(test)]
+    pub(crate) fn into_ops(mut self) -> Vec<Op> {
+        self.rec.end_rank();
+        self.rec.finish().rank_ops(0).collect()
     }
 
     /// This rank's id in `MPI_COMM_WORLD`.
@@ -50,20 +86,9 @@ impl Mpi {
         self.size
     }
 
-    /// Reserve room for `ops` more operations, so a recorder told its
-    /// trace length up front stores it without growth slack.
-    pub(crate) fn reserve(&mut self, ops: usize) {
-        self.ops.reserve_exact(ops);
-    }
-
-    /// Consume the recorder, yielding the trace.
-    pub fn into_ops(self) -> Vec<Op> {
-        self.ops
-    }
-
-    /// Number of recorded operations (tests/diagnostics).
+    /// Number of operations this rank has recorded (tests/diagnostics).
     pub fn op_count(&self) -> usize {
-        self.ops.len()
+        self.rec.open_len()
     }
 
     fn fresh_req(&mut self) -> Req {
@@ -76,23 +101,23 @@ impl Mpi {
 
     /// Record a compute block with the run's default thread count.
     pub fn compute(&mut self, work: Workload) {
-        self.ops.push(Op::Compute { work, threads: self.default_threads });
+        self.rec.push(Op::Compute { work, threads: self.default_threads });
     }
 
     /// Record a compute block with an explicit thread count.
     pub fn compute_threads(&mut self, work: Workload, threads: u32) {
-        self.ops.push(Op::Compute { work, threads });
+        self.rec.push(Op::Compute { work, threads });
     }
 
     /// Record a fixed delay.
     pub fn delay(&mut self, time: SimTime) {
-        self.ops.push(Op::Delay { time });
+        self.rec.push(Op::Delay { time });
     }
 
     /// Record a phase-timer mark (the replay stores this rank's virtual
     /// time under `id`).
     pub fn mark(&mut self, id: u32) {
-        self.ops.push(Op::Mark { id });
+        self.rec.push(Op::Mark { id });
     }
 
     // ---- point-to-point -------------------------------------------------
@@ -101,7 +126,7 @@ impl Mpi {
     pub fn isend(&mut self, dst: usize, tag: u32, bytes: u64) -> Req {
         debug_assert!(dst < self.size, "isend to rank {dst} of {}", self.size);
         let req = self.fresh_req();
-        self.ops.push(Op::Isend { dst, tag, bytes, req });
+        self.rec.push_message(ISEND, dst, tag, bytes, req);
         req
     }
 
@@ -109,19 +134,19 @@ impl Mpi {
     pub fn irecv(&mut self, src: usize, tag: u32, bytes: u64) -> Req {
         debug_assert!(src < self.size, "irecv from rank {src} of {}", self.size);
         let req = self.fresh_req();
-        self.ops.push(Op::Irecv { src, tag, bytes, req });
+        self.rec.push_message(IRECV, src, tag, bytes, req);
         req
     }
 
     /// Block until `req` completes.
     pub fn wait(&mut self, req: Req) {
-        self.ops.push(Op::Wait { req });
+        self.rec.push_wait(req);
     }
 
     /// Block until every request in `reqs` completes.
     pub fn waitall(&mut self, reqs: &[Req]) {
         for &r in reqs {
-            self.ops.push(Op::Wait { req: r });
+            self.rec.push_wait(r);
         }
     }
 
@@ -159,32 +184,32 @@ impl Mpi {
 
     /// Barrier over `comm`.
     pub fn barrier(&mut self, comm: CommId) {
-        self.ops.push(Op::Collective { comm, op: CollectiveOp::Barrier });
+        self.rec.push(Op::Collective { comm, op: CollectiveOp::Barrier });
     }
 
     /// Broadcast `bytes` over `comm`.
     pub fn bcast(&mut self, comm: CommId, bytes: u64) {
-        self.ops.push(Op::Collective { comm, op: CollectiveOp::Bcast { bytes } });
+        self.rec.push(Op::Collective { comm, op: CollectiveOp::Bcast { bytes } });
     }
 
     /// Allreduce a `bytes`-sized vector of `dtype` over `comm`.
     pub fn allreduce(&mut self, comm: CommId, bytes: u64, dtype: DType) {
-        self.ops.push(Op::Collective { comm, op: CollectiveOp::Allreduce { bytes, dtype } });
+        self.rec.push(Op::Collective { comm, op: CollectiveOp::Allreduce { bytes, dtype } });
     }
 
     /// Reduce to a root over `comm`.
     pub fn reduce(&mut self, comm: CommId, bytes: u64, dtype: DType) {
-        self.ops.push(Op::Collective { comm, op: CollectiveOp::Reduce { bytes, dtype } });
+        self.rec.push(Op::Collective { comm, op: CollectiveOp::Reduce { bytes, dtype } });
     }
 
     /// Allgather with `bytes_per_rank` contribution over `comm`.
     pub fn allgather(&mut self, comm: CommId, bytes_per_rank: u64) {
-        self.ops.push(Op::Collective { comm, op: CollectiveOp::Allgather { bytes_per_rank } });
+        self.rec.push(Op::Collective { comm, op: CollectiveOp::Allgather { bytes_per_rank } });
     }
 
     /// Alltoall with `bytes_per_pair` per destination over `comm`.
     pub fn alltoall(&mut self, comm: CommId, bytes_per_pair: u64) {
-        self.ops.push(Op::Collective { comm, op: CollectiveOp::Alltoall { bytes_per_pair } });
+        self.rec.push(Op::Collective { comm, op: CollectiveOp::Alltoall { bytes_per_pair } });
     }
 }
 

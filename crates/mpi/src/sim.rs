@@ -25,6 +25,7 @@ use crate::layout::RankLayout;
 use crate::ops::{Op, Req};
 use crate::program::{Mpi, Program};
 use crate::result::{SimError, SimResult};
+use crate::traces::{AsTraces, Traces};
 use hpcsim_engine::{EventQueue, SimTime};
 use hpcsim_faults::{FaultPlan, LinkFaults, LossModel, NoiseModel};
 use hpcsim_machine::{ExecMode, MachineSpec, NodeModel, Workload};
@@ -34,8 +35,6 @@ use hpcsim_net::{
 use hpcsim_obs as obs;
 use hpcsim_probe::{GaugeId, NoopTracer, SpanEvent, SpanKind, Tracer};
 use std::sync::LazyLock;
-
-use crate::ops::CommId;
 
 /// Obs counters for the replay engine and its fault diagnoses. All
 /// volatile: replays only happen for points the DAG engine and the
@@ -155,8 +154,8 @@ enum Ev {
 /// `n + 2*sends + colls` events in total, so that many at a single
 /// timestamp is already impossible — exceeding it means the queue is
 /// cycling without clock progress. The derived budget is that bound
-/// plus 1024 slack, counted by the replay's one sizing pass over the
-/// traces ([`ReplayWorkspace::reset`]).
+/// plus 1024 slack, counted while the program was recorded
+/// ([`Traces::event_bound`]).
 struct Watchdog {
     last_progress: SimTime,
     stuck: u64,
@@ -318,9 +317,9 @@ struct ReplayWorkspace {
     /// The `(comm, seq)` collective instance each rank is inside, if any.
     coll_current: Vec<Option<(u32, u64)>>,
     /// Completion time of every request, flat: rank `r`'s request `q`
-    /// is slot `req_base[r] + q`, and reads [`PENDING`] until done.
+    /// is slot [`Traces::req_base`]`[r] + q`, and reads [`PENDING`]
+    /// until done.
     req_done: Vec<SimTime>,
-    req_base: Vec<usize>,
     /// Per-destination-rank matching tables (dst is the index, not a
     /// key). These and `coll_seq` may run longer than the current rank
     /// count: the surplus keeps its buffers for a larger replay.
@@ -350,13 +349,13 @@ thread_local! {
 }
 
 impl ReplayWorkspace {
-    /// Ready the workspace to replay `traces` over `comms` communicators:
-    /// O(ranks + ops), keeping every allocation. The one pass over the
-    /// traces sizes the request table and counts the replay's event
-    /// bound — one initial resume per rank, two events per send, one
-    /// per collective entry — which it returns as the watchdog's derived
-    /// budget (the bound plus 1024 slack).
-    fn reset(&mut self, traces: &[Vec<Op>], comms: usize, noise: bool, loss: bool) -> u64 {
+    /// Ready the workspace to replay `traces` in time linear in its
+    /// ranks, request slots and communicators, keeping every
+    /// allocation. The recording carries its own sizing — the request
+    /// slot offsets and the replay's event bound — so nothing here reads
+    /// an op. Returns the watchdog's derived budget (the bound plus 1024
+    /// slack).
+    fn reset(&mut self, traces: &Traces, noise: bool, loss: bool) -> u64 {
         fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
             v.clear();
             v.resize(len, value);
@@ -368,7 +367,7 @@ impl ReplayWorkspace {
             }
             v[..len].iter_mut().for_each(clear);
         }
-        let n = traces.len();
+        let n = traces.ranks();
         refill(&mut self.clock, n, SimTime::ZERO);
         refill(&mut self.pc, n, 0);
         refill(&mut self.blocked, n, Blocked::None);
@@ -379,48 +378,25 @@ impl ReplayWorkspace {
         reuse(&mut self.arrived, n, MatchQueues::clear);
         reuse(&mut self.posted, n, MatchQueues::clear);
         reuse(&mut self.coll_seq, n, Vec::clear);
-        reuse(&mut self.coll_state, comms, Vec::clear);
+        reuse(&mut self.coll_state, 1 + traces.comms().len(), Vec::clear);
         self.msgs.clear();
         self.msg_free.clear();
         self.events.reset();
         self.compute_memo.clear();
-
-        self.req_base.clear();
-        let mut slots = 0;
-        let mut bound = n as u64;
-        for trace in traces {
-            self.req_base.push(slots);
-            let mut reqs = 0;
-            for op in trace {
-                let req = match *op {
-                    Op::Isend { req, .. } => {
-                        bound += 2;
-                        req
-                    }
-                    Op::Irecv { req, .. } | Op::Wait { req } => req,
-                    Op::Collective { .. } => {
-                        bound += 1;
-                        continue;
-                    }
-                    _ => continue,
-                };
-                reqs = reqs.max(req.0 as usize + 1);
-            }
-            slots += reqs;
-        }
-        refill(&mut self.req_done, slots, PENDING);
-        bound + 1024
+        refill(&mut self.req_done, traces.req_base()[n], PENDING);
+        traces.event_bound() + 1024
     }
 }
 
-/// The replay engine. Construct, optionally register sub-communicators,
-/// then [`TraceSim::run`] a program.
+/// The replay engine. Construct, then [`TraceSim::run`] a program or
+/// [`TraceSim::try_replay`] a recording.
 pub struct TraceSim {
     cfg: SimConfig,
     node_model: NodeModel,
     p2p: P2pModel,
     tracker: FlowTracker,
-    comms: Vec<Vec<usize>>,
+    /// Collective models of the world and, during a replay, of the
+    /// recording's sub-communicators.
     coll_models: Vec<CollectiveModel>,
     faults: Option<FaultContext>,
     step_budget: Option<u64>,
@@ -433,19 +409,12 @@ impl TraceSim {
         let p2p =
             P2pModel::new(&cfg.machine, cfg.layout.torus).with_ambient(cfg.layout.ambient_flows);
         let tracker = FlowTracker::new(&cfg.layout.torus);
-        let world: Vec<usize> = (0..cfg.ranks()).collect();
-        let world_model = CollectiveModel::with_hop_scale(
-            &cfg.machine,
-            world.len(),
-            cfg.layout.tasks_per_node,
-            cfg.layout.hop_scale,
-        );
+        let world_model = Self::coll_model(&cfg, cfg.ranks());
         TraceSim {
             cfg,
             node_model,
             p2p,
             tracker,
-            comms: vec![world],
             coll_models: vec![world_model],
             faults: None,
             step_budget: None,
@@ -485,20 +454,14 @@ impl TraceSim {
         self.faults = None;
     }
 
-    /// Register a sub-communicator; returns its id. Members are world
-    /// ranks and must be distinct.
-    pub fn register_comm(&mut self, members: Vec<usize>) -> CommId {
-        assert!(!members.is_empty());
-        debug_assert!(members.iter().all(|&r| r < self.cfg.ranks()));
-        let model = CollectiveModel::with_hop_scale(
-            &self.cfg.machine,
-            members.len(),
-            self.cfg.layout.tasks_per_node,
-            self.cfg.layout.hop_scale,
-        );
-        self.comms.push(members);
-        self.coll_models.push(model);
-        CommId((self.comms.len() - 1) as u32)
+    /// The collective model of a `members`-rank communicator under `cfg`.
+    fn coll_model(cfg: &SimConfig, members: usize) -> CollectiveModel {
+        CollectiveModel::with_hop_scale(
+            &cfg.machine,
+            members,
+            cfg.layout.tasks_per_node,
+            cfg.layout.hop_scale,
+        )
     }
 
     /// The simulation configuration.
@@ -506,51 +469,33 @@ impl TraceSim {
         &self.cfg
     }
 
-    /// Generate rank traces for `prog` without replaying them. A trace
+    /// Record `prog` on every rank without replaying it. A recording
     /// depends only on (program, ranks, threads) — not on the machine,
-    /// mode, or layout — so one trace set can be replayed across many
-    /// configurations (see [`TraceSim::replay_traces`]).
-    ///
-    /// SPMD ranks record traces of nearly equal length, so each rank's
-    /// recorder is reserved at the previous rank's final length, and a
-    /// trace that outgrew it is shrunk back: the traces come out
-    /// right-sized instead of carrying up to 2× growth slack into every
-    /// cached recording.
-    pub fn trace_program<P: Program + ?Sized>(
-        prog: &P,
-        ranks: usize,
-        threads: u32,
-    ) -> Vec<Vec<Op>> {
-        let mut hint = 0;
-        (0..ranks)
-            .map(|r| {
-                let mut mpi = Mpi::new(r, ranks, threads);
-                mpi.reserve(hint);
-                prog.run(&mut mpi);
-                let mut ops = mpi.into_ops();
-                ops.shrink_to_fit();
-                hint = ops.len();
-                ops
-            })
-            .collect()
+    /// mode, or layout — so one recording can be replayed across many
+    /// configurations (see [`TraceSim::try_replay`]). Each rank's ops go
+    /// straight into the compact arena; attach sub-communicators with
+    /// [`Traces::with_comms`].
+    pub fn trace_program<P: Program + ?Sized>(prog: &P, ranks: usize, threads: u32) -> Traces {
+        Mpi::record(prog, ranks, threads)
     }
 
-    /// Generate all rank traces for `prog` and replay them.
+    /// Record `prog` and replay it.
     pub fn run<P: Program + ?Sized>(&mut self, prog: &P) -> SimResult {
         let traces = Self::trace_program(prog, self.cfg.ranks(), self.cfg.threads);
         self.replay_traces(&traces)
     }
 
-    /// Replay borrowed traces (one per rank). Borrowing lets a parameter
-    /// sweep (e.g. Fig 2's mapping comparison) build the trace set once
-    /// and replay it under every configuration. Panics with the
+    /// Replay a recording, or a per-rank view of one, panicking with the
     /// [`SimError`] diagnostic where [`TraceSim::try_replay`] would
-    /// return it.
-    pub fn replay_traces(&mut self, traces: &[Vec<Op>]) -> SimResult {
-        self.try_replay(traces, &mut NoopTracer).unwrap_or_else(|e| panic!("{e}"))
+    /// return it. Borrowing lets a parameter sweep (e.g. Fig 2's mapping
+    /// comparison) record once and replay under every configuration.
+    /// Benchmark-facing in its `&[Vec<Op>]` form; retire that form with
+    /// the next benchmark PR (ROADMAP item 7).
+    pub fn replay_traces<T: AsTraces + ?Sized>(&mut self, traces: &T) -> SimResult {
+        self.try_replay(&traces.as_traces(), &mut NoopTracer).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Replay borrowed traces (one per rank) with an observability sink
+    /// Replay a recording with an observability sink
     /// — the one replay core every other entry wraps. A fault-induced
     /// stall, cut-off destination, structural deadlock, collective
     /// mismatch, or watchdog-detected livelock comes back as a diagnosed
@@ -572,10 +517,15 @@ impl TraceSim {
     ///   `Irecv` (the copy cost surfaces on the cpu track as `Wait`).
     pub fn try_replay<T: Tracer>(
         &mut self,
-        traces: &[Vec<Op>],
+        traces: &Traces,
         tracer: &mut T,
     ) -> Result<SimResult, SimError> {
-        assert_eq!(traces.len(), self.cfg.ranks(), "one trace per rank required");
+        assert_eq!(traces.ranks(), self.cfg.ranks(), "one trace per rank required");
+        self.coll_models.truncate(1);
+        for members in traces.comms() {
+            let model = Self::coll_model(&self.cfg, members.len());
+            self.coll_models.push(model);
+        }
         let mut ws = WORKSPACE.take();
         let out = self.replay_in(&mut ws, traces, tracer);
         WORKSPACE.set(ws);
@@ -586,11 +536,11 @@ impl TraceSim {
     fn replay_in<T: Tracer>(
         &mut self,
         ws: &mut ReplayWorkspace,
-        traces: &[Vec<Op>],
+        traces: &Traces,
         tracer: &mut T,
     ) -> Result<SimResult, SimError> {
         let torus = *self.p2p.torus();
-        let n = traces.len();
+        let n = traces.ranks();
         let eager_threshold = self.cfg.machine.nic.eager_threshold;
         let o_send = self.cfg.machine.nic.o_send;
         let o_recv = self.cfg.machine.nic.o_recv;
@@ -608,8 +558,7 @@ impl TraceSim {
         let mut total_detour_legs = 0u64;
         let mut stalled: Option<SimError> = None;
 
-        let derived_budget =
-            ws.reset(traces, self.comms.len(), fault_noise.is_some(), fault_loss.is_some());
+        let derived_budget = ws.reset(traces, fault_noise.is_some(), fault_loss.is_some());
         let mut watchdog = Watchdog::new(self.step_budget.unwrap_or(derived_budget));
         let ReplayWorkspace {
             clock,
@@ -618,7 +567,6 @@ impl TraceSim {
             finished,
             coll_current,
             req_done,
-            req_base,
             arrived,
             posted,
             coll_seq,
@@ -635,6 +583,7 @@ impl TraceSim {
         let mut marks: Vec<Vec<(u32, SimTime)>> = vec![Vec::new(); n];
         let mut total_bytes = 0u64;
         let mut total_msgs = 0u64;
+        let req_base = traces.req_base();
 
         // the initial resumes land in the queue's same-time lane; the
         // heap holds arrivals and collective completions
@@ -647,7 +596,7 @@ impl TraceSim {
             // the ranks this event resumes: one, or a whole communicator
             let (comm, wakes) = match ev.payload {
                 Ev::Resume(r) => (None, r..r + 1),
-                Ev::Complete { comm } => (Some(comm as usize), 0..self.comms[comm as usize].len()),
+                Ev::Complete { comm } => (Some(comm as usize), 0..traces.comm_size(comm as usize)),
                 Ev::Arrive { msg } => {
                     if let Some(steps) = watchdog.tick(now) {
                         stalled = Some(SimError::Livelock { rank: msgs[msg].dst, steps });
@@ -692,7 +641,7 @@ impl TraceSim {
                         if k > 0 {
                             events.retire_batched();
                         }
-                        self.comms[c][k]
+                        traces.comm_member(c, k)
                     }
                     None => k,
                 };
@@ -716,13 +665,14 @@ impl TraceSim {
                     }
                     clock[r] = now;
                 }
+                let ops = traces.rank_range(r);
                 'advance: loop {
-                    if pc[r] >= traces[r].len() {
+                    if pc[r] >= ops.len() {
                         finished[r] = true;
                         finish[r] = clock[r];
                         break 'advance;
                     }
-                    let op = traces[r][pc[r]];
+                    let op = traces.op(ops.start + pc[r]);
                     match op {
                         Op::Compute { work, threads } => {
                             let mut t =
@@ -1005,7 +955,7 @@ impl TraceSim {
                                 let my_seq = counters[pos].1;
                                 counters[pos].1 += 1;
                                 let key = (cid, my_seq);
-                                let members = self.comms[cid as usize].len();
+                                let members = traces.comm_size(cid as usize);
                                 let instances = &mut coll_state[cid as usize];
                                 if instances.len() <= my_seq as usize {
                                     instances
@@ -1094,6 +1044,7 @@ impl TraceSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::CommId;
     use crate::program::FnProgram;
     use hpcsim_machine::registry::{bluegene_p, xt4_qc};
     use hpcsim_net::DType;
@@ -1197,12 +1148,15 @@ mod tests {
     #[test]
     fn subcommunicator_collectives() {
         let mut s = sim(bluegene_p(), 8, ExecMode::Vn);
-        let evens = s.register_comm((0..8).step_by(2).collect());
-        let res = s.run(&FnProgram(move |mpi: &mut Mpi| {
+        let evens = CommId(1);
+        let prog = FnProgram(move |mpi: &mut Mpi| {
             if mpi.rank().is_multiple_of(2) {
                 mpi.allreduce(evens, 1024, DType::F64);
             }
-        }));
+        });
+        let traces =
+            TraceSim::trace_program(&prog, 8, 1).with_comms(vec![(0..8).step_by(2).collect()]);
+        let res = s.replay_traces(&traces);
         // odd ranks finish immediately; evens take the collective time
         assert_eq!(res.finish[1], SimTime::ZERO);
         assert!(res.finish[0] > SimTime::ZERO);
@@ -1393,13 +1347,14 @@ mod tests {
     /// several collectives complete at one instant), then a neighbour
     /// exchange. Steps after the first keep eager halo sends in flight
     /// across both collectives, so completions pile onto a deep queue.
-    fn hpl_like() -> (TraceSim, Vec<Vec<Op>>) {
+    fn hpl_like() -> (TraceSim, Traces) {
         let (p, q) = (4usize, 4usize);
-        let mut s = sim(bluegene_p(), p * q, ExecMode::Vn);
-        let rows: Vec<CommId> =
-            (0..p).map(|i| s.register_comm((0..q).map(|j| i * q + j).collect())).collect();
-        let cols: Vec<CommId> =
-            (0..q).map(|j| s.register_comm((0..p).map(|i| i * q + j).collect())).collect();
+        let s = sim(bluegene_p(), p * q, ExecMode::Vn);
+        let row_members = (0..p).map(|i| (0..q).map(|j| i * q + j).collect());
+        let col_members = (0..q).map(|j| (0..p).map(|i| i * q + j).collect());
+        let comms: Vec<Vec<usize>> = row_members.chain(col_members).collect();
+        let rows: Vec<CommId> = (0..p).map(|i| CommId(1 + i as u32)).collect();
+        let cols: Vec<CommId> = (0..q).map(|j| CommId(1 + (p + j) as u32)).collect();
         let prog = FnProgram(move |mpi: &mut Mpi| {
             let r = mpi.rank();
             let (i, j) = (r / q, r % q);
@@ -1430,7 +1385,7 @@ mod tests {
             }
             mpi.barrier(CommId::WORLD);
         });
-        let traces = TraceSim::trace_program(&prog, p * q, 1);
+        let traces = TraceSim::trace_program(&prog, p * q, 1).with_comms(comms);
         (s, traces)
     }
 

@@ -21,12 +21,13 @@
 //!
 //! The parser is strict, because its input may be a corrupted cache
 //! file: every integer is parsed at its field's own width, every peer
-//! must be a rank of the world, and a count is trusted for allocation
-//! only as far as the remaining text could back it. Malformed input is
+//! must be a rank of the world, and a count is never trusted for
+//! allocation: ops are appended to the recording as they parse. Malformed input is
 //! a [`ParseError`] naming its line, never a truncated value, a replay
 //! panic or an aborted allocation.
 
 use crate::ops::{CommId, Op, Req};
+use crate::traces::{TraceBuilder, Traces, PEER_LIMIT};
 use hpcsim_engine::SimTime;
 use hpcsim_machine::Workload;
 use hpcsim_net::{CollectiveOp, DType};
@@ -141,16 +142,16 @@ fn write_op(out: &mut String, op: &Op) {
     out.push('\n');
 }
 
-/// Serialize a whole world of per-rank traces.
-pub fn write_traces(traces: &[Vec<Op>]) -> String {
-    let total: usize = traces.iter().map(Vec::len).sum();
+/// Serialize a whole recording's ops. Sub-communicators are not part
+/// of the format: a recording that has them is kept in memory only.
+pub fn write_traces(traces: &Traces) -> String {
     // ~16 bytes per op plus headers is a comfortable overestimate
-    let mut out = String::with_capacity(32 * total + 16 * traces.len() + 32);
-    let _ = writeln!(out, "{TRACE_MAGIC} {}", traces.len());
-    for (i, trace) in traces.iter().enumerate() {
-        let _ = writeln!(out, "rank {i} {}", trace.len());
-        for op in trace {
-            write_op(&mut out, op);
+    let mut out = String::with_capacity(32 * traces.op_count() + 16 * traces.ranks() + 32);
+    let _ = writeln!(out, "{TRACE_MAGIC} {}", traces.ranks());
+    for r in 0..traces.ranks() {
+        let _ = writeln!(out, "rank {r} {}", traces.rank_len(r));
+        for op in traces.rank_ops(r) {
+            write_op(&mut out, &op);
         }
     }
     out
@@ -188,7 +189,8 @@ fn parse_num<T: std::str::FromStr>(
     }
 }
 
-/// A send/receive peer, which must name a rank inside the world.
+/// A send/receive peer, which must name a rank inside the world and
+/// fit the packed op.
 fn parse_peer(
     line: usize,
     tok: Option<&str>,
@@ -198,6 +200,9 @@ fn parse_peer(
     let peer: usize = parse_num(line, tok, what)?;
     if peer >= ranks {
         return err(line, format!("{what} {peer} outside world of {ranks}"));
+    }
+    if peer >= PEER_LIMIT {
+        return err(line, format!("{what} {peer} at or past the packed-op limit {PEER_LIMIT}"));
     }
     Ok(peer)
 }
@@ -331,12 +336,6 @@ fn parse_op(line: usize, text: &str, ranks: usize) -> Result<Op, ParseError> {
     Ok(op)
 }
 
-/// Shortest line the format holds, newline included (`w 0\n`). A rank
-/// or op count read from the text reserves at most as many slots as the
-/// unread text could hold lines, so a corrupt count cannot allocate
-/// more than its input spells out.
-const MIN_LINE_BYTES: usize = 4;
-
 /// Line cursor over the unread text; line numbers are 1-based.
 struct Lines<'a> {
     rest: &'a str,
@@ -361,19 +360,14 @@ impl<'a> Lines<'a> {
             None => err(self.line + 1, format!("missing {}", what())),
         }
     }
-
-    /// `count`, capped by how many lines the unread text could hold.
-    fn capacity(&self, count: usize) -> usize {
-        count.min(self.rest.len() / MIN_LINE_BYTES + 1)
-    }
 }
 
-/// Parse a serialized world of traces back into per-rank op vectors.
-/// Replaying the parsed traces is bit-identical to replaying the
-/// originals ([`write_traces`] round-trips exactly). Malformed input —
+/// Parse a serialized world of traces back into a recording. Replaying
+/// the parsed recording is bit-identical to replaying the original
+/// ([`write_traces`] round-trips exactly). Malformed input —
 /// an integer too wide for its field, a peer outside the world, a count
 /// the text does not back up — is a [`ParseError`] naming its line.
-pub fn parse_traces(text: &str) -> Result<Vec<Vec<Op>>, ParseError> {
+pub fn parse_traces(text: &str) -> Result<Traces, ParseError> {
     let mut lines = Lines { rest: text, line: 0 };
     let (line, header) = lines.expect(|| "trace header".into())?;
     let mut toks = header.split_ascii_whitespace();
@@ -383,7 +377,7 @@ pub fn parse_traces(text: &str) -> Result<Vec<Vec<Op>>, ParseError> {
     }
     let ranks: usize = parse_num(line, toks.next(), "rank count")?;
     finish(line, toks)?;
-    let mut traces = Vec::with_capacity(lines.capacity(ranks));
+    let mut traces = TraceBuilder::new();
     for want in 0..ranks {
         let (line, header) = lines.expect(|| format!("rank {want} header"))?;
         let mut toks = header.split_ascii_whitespace();
@@ -396,19 +390,18 @@ pub fn parse_traces(text: &str) -> Result<Vec<Vec<Op>>, ParseError> {
         }
         let nops: usize = parse_num(line, toks.next(), "op count")?;
         finish(line, toks)?;
-        let mut ops = Vec::with_capacity(lines.capacity(nops));
         for i in 0..nops {
             let (line, text) = lines.expect(|| format!("rank {idx} op {i} of {nops}"))?;
-            ops.push(parse_op(line, text, ranks)?);
+            traces.push(parse_op(line, text, ranks)?);
         }
-        traces.push(ops);
+        traces.end_rank();
     }
     while let Some((line, extra)) = lines.next() {
         if !extra.trim().is_empty() {
             return err(line, format!("trailing content {extra:?}"));
         }
     }
-    Ok(traces)
+    Ok(traces.finish())
 }
 
 #[cfg(test)]
@@ -458,7 +451,7 @@ mod tests {
 
     #[test]
     fn round_trips_exactly() {
-        let traces = sample_traces();
+        let traces = Traces::from(&sample_traces());
         let text = write_traces(&traces);
         let parsed = parse_traces(&text).expect("round trip");
         assert_eq!(parsed, traces);
@@ -494,7 +487,7 @@ mod tests {
             .map(|work| Op::Compute { work, threads: 3 }),
         )
         .collect();
-        let traces = vec![ops];
+        let traces = Traces::from(&vec![ops]);
         assert_eq!(parse_traces(&write_traces(&traces)).unwrap(), traces);
     }
 
@@ -534,6 +527,7 @@ mod tests {
             }
             traces.push(ops);
         }
+        let traces = Traces::from(&traces);
         assert_eq!(parse_traces(&write_traces(&traces)).unwrap(), traces);
     }
 

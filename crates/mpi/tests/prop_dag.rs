@@ -127,7 +127,7 @@ proptest! {
         let spec = Arc::new(rounds(n, n_rounds, seed));
         let prog = FnProgram(round_program(Arc::clone(&spec)));
         let traces = TraceSim::trace_program(&prog, n, 1);
-        let dag = TraceDag::compile_world(&traces);
+        let dag = TraceDag::compile(&traces);
         for machine in [bluegene_p(), xt4_qc()] {
             for mode in [ExecMode::Vn, ExecMode::Smp] {
                 let cfg = SimConfig::new(machine.clone().with_flat_contention(), n, mode);
@@ -151,7 +151,7 @@ proptest! {
         let spec = Arc::new(rounds(n, n_rounds, seed));
         let prog = FnProgram(round_program(Arc::clone(&spec)));
         let traces = TraceSim::trace_program(&prog, n, 1);
-        let dag = TraceDag::compile_world(&traces);
+        let dag = TraceDag::compile(&traces);
         let machine = bluegene_p().with_flat_contention();
         let predefined = Mapping::predefined();
         let (_, mapping) = &predefined[(mapping_seed % predefined.len() as u64) as usize];
@@ -177,7 +177,7 @@ proptest! {
         let spec = Arc::new(rounds(n, n_rounds, seed));
         let prog = FnProgram(round_program(Arc::clone(&spec)));
         let traces = TraceSim::trace_program(&prog, n, 1);
-        let dag = TraceDag::compile_world(&traces);
+        let dag = TraceDag::compile(&traces);
         let cfg = SimConfig::new(bluegene_p().with_flat_contention(), n, ExecMode::Vn);
         let base = &dag.evaluate_many(std::slice::from_ref(&cfg))[0];
         let sampler = PerturbationSampler::new(seed ^ 0x9e37_79b9, PerturbSpec::default());
@@ -205,8 +205,8 @@ proptest! {
         let prog = FnProgram(round_program(Arc::clone(&spec)));
         let traces = TraceSim::trace_program(&prog, n, 1);
         let cfg = SimConfig::new(bluegene_p().with_flat_contention(), n, ExecMode::Vn);
-        let a = TraceDag::compile_world(&traces);
-        let b = TraceDag::compile_world(&traces);
+        let a = TraceDag::compile(&traces);
+        let b = TraceDag::compile(&traces);
         assert_exact(&a.evaluate(&cfg), &b.evaluate(&cfg));
         prop_assert_eq!(a.stats().nodes, b.stats().nodes);
         prop_assert_eq!(a.stats().edges, b.stats().edges);

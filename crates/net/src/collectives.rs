@@ -23,7 +23,7 @@ use hpcsim_topo::{alloc_torus_dims, CollectiveTree, Torus3D};
 use serde::{Deserialize, Serialize};
 
 /// Element type of a reduction — selects the BG/P tree fast path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DType {
     /// 32-bit float: software path on BlueGene (tree ALU is integer-only
     /// and the two-pass trick needs the double format).
@@ -55,7 +55,7 @@ impl DType {
 }
 
 /// A collective operation over a communicator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CollectiveOp {
     /// Synchronization only.
     Barrier,

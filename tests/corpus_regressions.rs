@@ -7,7 +7,7 @@
 use bgp_eval::fuzz::{canary_scenario, minimize, run_scenario, FuzzScenario, OutcomeKind};
 use bgp_eval::machine::registry::bluegene_p;
 use bgp_eval::machine::ExecMode;
-use bgp_eval::mpi::{CommId, Op, Req};
+use bgp_eval::mpi::{CommId, Op, Req, Traces};
 use bgp_eval::net::CollectiveOp;
 use bgp_eval::topo::Mapping;
 
@@ -17,7 +17,7 @@ fn flat_bgp(traces: Vec<Vec<Op>>) -> FuzzScenario {
         mode: ExecMode::Vn,
         mapping: Mapping::txyz(),
         faults: None,
-        traces,
+        traces: Traces::from(&traces),
     }
 }
 

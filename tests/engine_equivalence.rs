@@ -10,12 +10,12 @@
 //! context, which the last case checks leaks nothing between DAGs.
 
 use bgp_eval::apps::{md_sim_config, md_traces, pop_traces, MdConfig, MdResult, PopConfig};
-use bgp_eval::hpcc::{halo_traces, hpl_traces, HaloConfig, HaloProtocol, HplConfig};
+use bgp_eval::hpcc::{halo_recording, hpl_traces, HaloConfig, HaloProtocol, HplConfig};
 use bgp_eval::machine::registry::{bluegene_p, xt4_dc};
 use bgp_eval::machine::{ExecMode, PerturbSpec, Perturbation, PerturbationSampler};
 use bgp_eval::mpi::{
-    sweep_points, FnProgram, Mpi, Op, RankLayout, SimConfig, SimResult, SweepEngine, TraceDag,
-    TraceSim,
+    sweep_points, FnProgram, Mpi, RankLayout, SimConfig, SimResult, SweepEngine, TraceDag,
+    TraceSim, Traces,
 };
 use bgp_eval::topo::{Grid2D, Mapping};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,22 +30,13 @@ fn assert_same(r: &SimResult, d: &SimResult, what: &str) {
 
 /// Price `points` under both engines and demand identical results; the
 /// first point's identity perturbed sample must match them too.
-/// `comms` are the program's sub-communicators (empty for world-only
-/// programs).
-fn assert_engines_agree(
-    points: &[SimConfig],
-    traces: &[Vec<Op>],
-    comms: &[Vec<usize>],
-    what: &str,
-) -> Vec<SimResult> {
-    let run = |engine| sweep_points(Some(engine), points, traces, comms, None, None).unwrap();
+fn assert_engines_agree(points: &[SimConfig], traces: &Traces, what: &str) -> Vec<SimResult> {
+    let run = |engine| sweep_points(Some(engine), points, traces, None, None).unwrap();
     let (replay, dag) = (run(SweepEngine::Replay), run(SweepEngine::Dag));
     assert_eq!(replay.len(), points.len());
     assert_eq!(dag.len(), points.len());
-    let mut all: Vec<Vec<usize>> = vec![(0..traces.len()).collect()];
-    all.extend_from_slice(comms);
     let perturbed =
-        TraceDag::compile(traces, &all).evaluate_perturbed(&points[0], &[Perturbation::IDENTITY]);
+        TraceDag::compile(traces).evaluate_perturbed(&points[0], &[Perturbation::IDENTITY]);
     let pairs = replay.iter().zip(&dag).chain(std::iter::once((&replay[0], &perturbed[0])));
     for (i, (r, d)) in pairs.enumerate() {
         let point = if i < points.len() { format!("point {i}") } else { "identity sample".into() };
@@ -83,7 +74,7 @@ fn fig2_mapping_sweep_is_engine_invariant() {
                 .map(|(_, mapping)| cfg.sim_config(&flat, ExecMode::Vn, *mapping))
                 .collect();
             let what = format!("halo {} {words}w", protocol.label());
-            let res = assert_engines_agree(&points, &halo_traces(&cfg), &[], &what);
+            let res = assert_engines_agree(&points, &halo_recording(&cfg), &what);
             assert!(res.iter().all(|r| cfg.per_exchange(r) > 0.0), "{what}");
         }
     }
@@ -102,7 +93,7 @@ fn wide_mapping_batch_is_engine_invariant() {
     let points: Vec<SimConfig> =
         fig2_points(cfg.grid.size()).into_iter().cycle().take(32).collect();
     assert_eq!(points.len(), 32);
-    assert_engines_agree(&points, &halo_traces(&cfg), &[], "halo 32-lane batch");
+    assert_engines_agree(&points, &halo_recording(&cfg), "halo 32-lane batch");
 }
 
 /// HPL's row and column communicators priced as an 8-mapping batch:
@@ -111,9 +102,9 @@ fn wide_mapping_batch_is_engine_invariant() {
 #[test]
 fn hpl_mapping_batch_is_engine_invariant() {
     let cfg = HplConfig { n: 4096, nb: 64, grid: Grid2D::new(8, 8), samples: 3 };
-    let (traces, comms) = hpl_traces(&cfg);
+    let traces = hpl_traces(&cfg);
     let points = fig2_points(cfg.grid.size());
-    assert_engines_agree(&points, &traces, &comms, "hpl 8x8 mappings");
+    assert_engines_agree(&points, &traces, "hpl 8x8 mappings");
 }
 
 /// Fig 8: one MD point (PMEMD's alltoall transposes, reductions and
@@ -128,9 +119,9 @@ fn md_point_is_engine_invariant() {
         .map(|m| md_sim_config(&m.with_flat_contention(), 64))
         .collect();
     let traces = md_traces(64, &cfg);
-    let res = assert_engines_agree(&points, &traces, &[], "md pmemd 64r");
+    let res = assert_engines_agree(&points, &traces, "md pmemd 64r");
     assert!(res.iter().all(|r| MdResult::of(r, &cfg).ns_per_day > 0.0));
-    assert_engines_agree(&points[..1], &traces, &[], "md pmemd 64r bgp alone");
+    assert_engines_agree(&points[..1], &traces, "md pmemd 64r bgp alone");
 }
 
 /// Every evaluation on a thread runs on one shared scratch context. A
@@ -146,7 +137,7 @@ fn md_point_is_engine_invariant() {
 fn shared_scratch_leaks_no_state() {
     let tiny = PopConfig { nx: 360, ny: 240, ..PopConfig::default() };
     let traces = pop_traces(16, 1, &tiny);
-    let small = TraceDag::compile_world(&traces);
+    let small = TraceDag::compile(&traces);
     let small_cfg = fig2_points(16).swap_remove(3);
     let fresh = {
         let (dag, cfg) = (small.clone(), small_cfg.clone());
@@ -156,7 +147,6 @@ fn shared_scratch_leaks_no_state() {
         Some(SweepEngine::Replay),
         std::slice::from_ref(&small_cfg),
         &traces,
-        &[],
         None,
         None,
     )
@@ -164,7 +154,7 @@ fn shared_scratch_leaks_no_state() {
     assert_same(&replay[0], &fresh, "small pop on a fresh thread");
     assert!(fresh.marks.iter().all(|m| !m.is_empty()), "pop marks every rank");
 
-    let big = TraceDag::compile_world(&pop_traces(64, 1, &PopConfig::default()));
+    let big = TraceDag::compile(&pop_traces(64, 1, &PopConfig::default()));
     let points = fig2_points(64);
     let sampler = PerturbationSampler::new(7, PerturbSpec::default());
     let samples: Vec<Perturbation> = (0..32).map(|i| sampler.sample(i)).collect();
@@ -177,7 +167,7 @@ fn shared_scratch_leaks_no_state() {
         let peer = 1 - mpi.rank();
         mpi.recv(peer, 0, 8);
     });
-    let deadlocked = TraceDag::compile_world(&TraceSim::trace_program(&stuck, 2, 1));
+    let deadlocked = TraceDag::compile(&TraceSim::trace_program(&stuck, 2, 1));
     let pair = SimConfig::new(bluegene_p().with_flat_contention(), 2, ExecMode::Smp);
     assert!(catch_unwind(AssertUnwindSafe(|| deadlocked.evaluate(&pair))).is_err());
     assert_same(&fresh, &small.evaluate(&small_cfg), "small pop after a caught panic");

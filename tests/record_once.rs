@@ -13,12 +13,9 @@ use bgp_eval::cache::fnv1a_128;
 use bgp_eval::hpcc::*;
 use bgp_eval::machine::registry::{all_machines, bluegene_p};
 use bgp_eval::machine::{ExecMode, MachineSpec};
-use bgp_eval::mpi::{sweep_points, write_traces, Op, SimConfig, SimResult};
+use bgp_eval::mpi::{sweep_points, write_traces, SimConfig, SimResult, Traces};
 use bgp_eval::net::DType;
 use bgp_eval::topo::{Grid2D, Mapping, Placement};
-
-/// One recorded program: its traces and sub-communicators.
-type Recording = (Vec<Vec<Op>>, Vec<Vec<usize>>);
 
 /// The reducer over one priced result per recording, on a machine.
 type Reduce = Box<dyn Fn(&[SimResult], &MachineSpec) -> Vec<f64>>;
@@ -30,14 +27,10 @@ type Run = Box<dyn Fn(&MachineSpec) -> Vec<f64>>;
 /// per machine, its reducer and its direct entry.
 struct Proxy {
     name: &'static str,
-    recordings: Vec<Recording>,
+    recordings: Vec<Traces>,
     point: Box<dyn Fn(&MachineSpec) -> SimConfig>,
     reduce: Reduce,
     run: Run,
-}
-
-fn world(traces: Vec<Vec<Op>>) -> Recording {
-    (traces, Vec::new())
 }
 
 fn proxies() -> Vec<Proxy> {
@@ -58,7 +51,7 @@ fn proxies() -> Vec<Proxy> {
     vec![
         Proxy {
             name: "s3d",
-            recordings: vec![world(s3d_traces(8, &s3d))],
+            recordings: vec![s3d_traces(8, &s3d)],
             point: Box::new(vn(8)),
             reduce: Box::new({
                 let cfg = s3d.clone();
@@ -74,7 +67,7 @@ fn proxies() -> Vec<Proxy> {
         },
         Proxy {
             name: "gyro",
-            recordings: vec![world(gyro_traces(64, &gyro))],
+            recordings: vec![gyro_traces(64, &gyro)],
             point: Box::new({
                 let cfg = gyro.clone();
                 move |m| gyro_sim_config(m, 64, &cfg)
@@ -90,7 +83,7 @@ fn proxies() -> Vec<Proxy> {
         },
         Proxy {
             name: "cam",
-            recordings: vec![world(cam_traces(16, 1, &t42))],
+            recordings: vec![cam_traces(16, 1, &t42)],
             point: Box::new({
                 let cfg = t42.clone();
                 move |m| cam_sim_config(m, ExecMode::Vn, 16, 1, &cfg)
@@ -109,7 +102,7 @@ fn proxies() -> Vec<Proxy> {
         },
         Proxy {
             name: "cam-hybrid",
-            recordings: vec![world(cam_traces(8, 4, &fv))],
+            recordings: vec![cam_traces(8, 4, &fv)],
             point: Box::new({
                 let cfg = fv.clone();
                 move |m| cam_sim_config(m, ExecMode::Smp, 8, 4, &cfg)
@@ -128,7 +121,7 @@ fn proxies() -> Vec<Proxy> {
         },
         Proxy {
             name: "pop",
-            recordings: vec![world(pop_traces(16, 1, &pop))],
+            recordings: vec![pop_traces(16, 1, &pop)],
             point: Box::new(|m| pop_sim_config(m, ExecMode::Vn, 16, 1)),
             reduce: Box::new({
                 let cfg = pop.clone();
@@ -144,7 +137,7 @@ fn proxies() -> Vec<Proxy> {
         },
         Proxy {
             name: "md",
-            recordings: vec![world(md_traces(16, &md))],
+            recordings: vec![md_traces(16, &md)],
             point: Box::new(|m| md_sim_config(m, 16)),
             reduce: Box::new({
                 let cfg = md.clone();
@@ -160,7 +153,7 @@ fn proxies() -> Vec<Proxy> {
         },
         Proxy {
             name: "fft",
-            recordings: vec![world(fft_traces(16, 1 << 20))],
+            recordings: vec![fft_traces(16, 1 << 20)],
             point: Box::new(vn(16)),
             reduce: Box::new(|r, _| {
                 let r = FftResult::of(&r[0], 1 << 20);
@@ -173,7 +166,7 @@ fn proxies() -> Vec<Proxy> {
         },
         Proxy {
             name: "ptrans",
-            recordings: vec![world(ptrans_traces(16, 4096))],
+            recordings: vec![ptrans_traces(16, 4096)],
             point: Box::new(move |m| ptrans_sim_config(m, ExecMode::Vn, 16, fragmented)),
             reduce: Box::new(|r, _| {
                 let r = PtransResult::of(&r[0], 4096);
@@ -186,7 +179,7 @@ fn proxies() -> Vec<Proxy> {
         },
         Proxy {
             name: "ra",
-            recordings: vec![world(ra_traces(16, 1 << 20, 1 << 12))],
+            recordings: vec![ra_traces(16, 1 << 20, 1 << 12)],
             point: Box::new(vn(16)),
             reduce: Box::new(|r, _| {
                 let r = RaResult::of(&r[0], 16, 1 << 12);
@@ -215,14 +208,14 @@ fn proxies() -> Vec<Proxy> {
         },
         Proxy {
             name: "imb-allreduce",
-            recordings: vec![world(imb_allreduce_traces(16, 1024, DType::F64))],
+            recordings: vec![imb_allreduce_traces(16, 1024, DType::F64)],
             point: Box::new(vn(16)),
             reduce: Box::new(|r, _| vec![ImbPoint::of(&r[0], 16, 1024).usec]),
             run: Box::new(|m| vec![imb_allreduce(m, ExecMode::Vn, 16, 1024, DType::F64).usec]),
         },
         Proxy {
             name: "imb-bcast",
-            recordings: vec![world(imb_bcast_traces(16, 1024))],
+            recordings: vec![imb_bcast_traces(16, 1024)],
             point: Box::new(vn(16)),
             reduce: Box::new(|r, _| vec![ImbPoint::of(&r[0], 16, 1024).usec]),
             run: Box::new(|m| vec![imb_bcast(m, ExecMode::Vn, 16, 1024).usec]),
@@ -230,8 +223,8 @@ fn proxies() -> Vec<Proxy> {
         Proxy {
             name: "pingpong",
             recordings: vec![
-                world(pingpong_traces(8, PINGPONG_REPS[0])),
-                world(pingpong_traces(1 << 16, PINGPONG_REPS[1])),
+                pingpong_traces(8, PINGPONG_REPS[0]),
+                pingpong_traces(1 << 16, PINGPONG_REPS[1]),
             ],
             point: Box::new(|m| SimConfig::new(m.clone(), 2, ExecMode::Smp)),
             reduce: Box::new(|r, _| {
@@ -245,10 +238,7 @@ fn proxies() -> Vec<Proxy> {
         },
         Proxy {
             name: "random-ring",
-            recordings: vec![
-                world(random_ring_traces(16, 8, 1)),
-                world(random_ring_traces(16, 1 << 16, 1)),
-            ],
+            recordings: vec![random_ring_traces(16, 8, 1), random_ring_traces(16, 1 << 16, 1)],
             point: Box::new(vn(16)),
             reduce: Box::new(|r, _| {
                 let r = RingResult::of(&r[0], &r[1], 1 << 16);
@@ -261,7 +251,7 @@ fn proxies() -> Vec<Proxy> {
         },
         Proxy {
             name: "halo",
-            recordings: vec![world(halo_traces(&halo))],
+            recordings: vec![halo_recording(&halo)],
             point: Box::new({
                 let cfg = halo.clone();
                 move |m| cfg.sim_config(m, ExecMode::Vn, Mapping::txyz())
@@ -290,7 +280,7 @@ fn one_recording_prices_every_machine_like_each_run() {
         let priced: Vec<Vec<SimResult>> = proxy
             .recordings
             .iter()
-            .map(|(traces, comms)| sweep_points(None, &points, traces, comms, None, None).unwrap())
+            .map(|traces| sweep_points(None, &points, traces, None, None).unwrap())
             .collect();
         for (mi, m) in machines.iter().enumerate() {
             let results: Vec<SimResult> = priced.iter().map(|per| per[mi].clone()).collect();
@@ -360,11 +350,11 @@ fn recordings_are_pinned() {
         let got: Vec<u128> = proxy
             .recordings
             .iter()
-            .map(|(traces, _)| fnv1a_128(write_traces(traces).as_bytes()).0)
+            .map(|traces| fnv1a_128(write_traces(traces).as_bytes()).0)
             .collect();
         assert_eq!(got, want, "{name}");
     }
-    let (_, comms) = &proxies.iter().find(|p| p.name == "hpl").unwrap().recordings[0];
+    let comms = proxies.iter().find(|p| p.name == "hpl").unwrap().recordings[0].comms();
     assert_eq!(comms.len(), 8, "four row then four column communicators");
     assert_eq!(comms[0], [0, 1, 2, 3]);
     assert_eq!(comms[4], [0, 4, 8, 12]);

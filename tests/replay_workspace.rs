@@ -9,7 +9,9 @@
 
 use bgp_eval::apps::{pop_sim_config, pop_traces, PopConfig};
 use bgp_eval::faults::{FaultPlan, FaultProfile};
-use bgp_eval::hpcc::{halo_traces, halo_try_run, hpl_traces, HaloConfig, HaloProtocol, HplConfig};
+use bgp_eval::hpcc::{
+    halo_recording, halo_try_run, hpl_traces, HaloConfig, HaloProtocol, HplConfig,
+};
 use bgp_eval::machine::registry::{bluegene_p, xt4_qc};
 use bgp_eval::machine::{ExecMode, MachineSpec};
 use bgp_eval::mpi::{SimConfig, SimError, TraceSim};
@@ -24,14 +26,11 @@ fn halo(side: usize, protocol: HaloProtocol) -> HaloConfig {
 }
 
 /// A 512-rank HPL on a 16 × 32 grid, with its row and column
-/// communicators registered.
+/// communicators.
 fn hpl_512() -> String {
     let cfg = HplConfig { n: 8192, nb: 128, grid: Grid2D::new(16, 32), samples: 2 };
-    let (traces, comms) = hpl_traces(&cfg);
+    let traces = hpl_traces(&cfg);
     let mut sim = TraceSim::new(SimConfig::new(bluegene_p(), 512, ExecMode::Vn));
-    for members in comms {
-        sim.register_comm(members);
-    }
     format!("{:?}", sim.try_replay(&traces, &mut NoopTracer).expect("HPL replays"))
 }
 
@@ -39,7 +38,7 @@ fn hpl_512() -> String {
 fn halo_16() -> String {
     let cfg = halo(4, HaloProtocol::IrecvIsend);
     let mut sim = TraceSim::new(cfg.sim_config(&bluegene_p(), ExecMode::Vn, Mapping::txyz()));
-    format!("{:?}", sim.try_replay(&halo_traces(&cfg), &mut NoopTracer).expect("HALO replays"))
+    format!("{:?}", sim.try_replay(&halo_recording(&cfg), &mut NoopTracer).expect("HALO replays"))
 }
 
 /// A fault-armed 64-rank HALO that a tight step budget stops mid-run:
@@ -50,7 +49,7 @@ fn halo_livelocked() -> String {
     let mut sim = TraceSim::new(cfg.sim_config(&bluegene_p(), ExecMode::Vn, Mapping::txyz()));
     sim.set_faults(&FaultPlan::new(7, FaultProfile::Mixed));
     sim.set_step_budget(Some(40));
-    let res = sim.try_replay(&halo_traces(&cfg), &mut NoopTracer);
+    let res = sim.try_replay(&halo_recording(&cfg), &mut NoopTracer);
     assert!(matches!(res, Err(SimError::Livelock { rank: 40, steps: 41 })), "{res:?}");
     format!("{res:?}")
 }
@@ -60,9 +59,8 @@ fn halo_livelocked() -> String {
 /// receives stay posted, and the replay ends in a deadlock.
 fn halo_deadlocked() -> String {
     let cfg = halo(8, HaloProtocol::IrecvIsend);
-    let mut traces = halo_traces(&cfg);
-    let half = traces[5].len() / 2;
-    traces[5].truncate(half);
+    let mut traces = halo_recording(&cfg);
+    traces.edit_rank(5, |ops| ops.truncate(ops.len() / 2));
     let mut sim = TraceSim::new(cfg.sim_config(&bluegene_p(), ExecMode::Vn, Mapping::txyz()));
     sim.set_faults(&FaultPlan::new(7, FaultProfile::Mixed));
     let res = sim.try_replay(&traces, &mut NoopTracer);
@@ -84,8 +82,7 @@ fn pop(machine: MachineSpec) -> String {
 /// deadlock inside a collective and on its missing messages.
 fn pop_deadlocked() -> String {
     let mut traces = pop_traces(64, 1, &PopConfig::default());
-    let half = traces[5].len() / 2;
-    traces[5].truncate(half);
+    traces.edit_rank(5, |ops| ops.truncate(ops.len() / 2));
     let mut sim = TraceSim::new(pop_sim_config(&bluegene_p(), ExecMode::Vn, 64, 1));
     let res = sim.try_replay(&traces, &mut NoopTracer);
     assert!(matches!(res, Err(SimError::Deadlock { .. })), "{res:?}");
