@@ -58,7 +58,7 @@ fn bench_evaluate_vs_replay(c: &mut Criterion) {
             b.iter(|| black_box(dag.evaluate(black_box(&cfg))))
         });
         g.bench_function(format!("replay_ranks{ranks}"), |b| {
-            b.iter(|| black_box(TraceSim::new(cfg.clone()).replay_traces(black_box(&traces))))
+            b.iter(|| black_box(TraceSim::new(cfg.clone()).replay(black_box(&traces))))
         });
     }
     g.finish();
@@ -83,7 +83,7 @@ fn bench_mapping_sweep(c: &mut Criterion) {
     g.bench_function("replay8", |b| {
         b.iter(|| {
             for &m in &mappings {
-                black_box(TraceSim::new(point_cfg(ranks, m)).replay_traces(&traces));
+                black_box(TraceSim::new(point_cfg(ranks, m)).replay(&traces));
             }
         })
     });

@@ -143,7 +143,7 @@ fn bench_halo_breakdown(c: &mut Criterion) {
                 threads: 1,
                 layout: layout.clone(),
             });
-            black_box(sim.replay_traces(&traces))
+            black_box(sim.replay(&traces))
         })
     });
     g.finish();

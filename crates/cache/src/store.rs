@@ -573,7 +573,13 @@ impl ScenarioCache {
         }
     }
 
+    /// Write a recording to disk, unless it has sub-communicators: the
+    /// `hpcsim-trace/1` text holds ops only, so such a recording would
+    /// reload without them. It stays in the memory layer.
     fn store_traces(&self, hash: SpecHash, v: &Arc<TraceEntry>) {
+        if !v.traces.comms().is_empty() {
+            return;
+        }
         if let Some(path) = self.trace_path(hash) {
             write_entry(&path, &hpcsim_mpi::write_traces(&v.traces));
         }
@@ -809,7 +815,7 @@ mod tests {
 
         let a = ScenarioCache::new(cfg.clone());
         let v = a.result(hash(77), || Ok(vec![0.1, f64::INFINITY, -0.0])).unwrap();
-        let traces = Traces::from(&vec![vec![Op::Mark { id: 1 }], vec![Op::Mark { id: 2 }]]);
+        let traces = Traces::from_rank_vecs(&[vec![Op::Mark { id: 1 }], vec![Op::Mark { id: 2 }]]);
         let t = a.traces(hash(78), || traces.clone());
         assert_eq!(t.traces, traces);
 
@@ -829,11 +835,35 @@ mod tests {
     }
 
     #[test]
+    fn recording_with_communicators_stays_in_memory() {
+        let dir = std::env::temp_dir().join(format!("hpcsim-cache-comms-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = CacheConfig { dir: Some(dir.clone()), ..CacheConfig::default() };
+        let traces =
+            Traces::from_rank_vecs(&[vec![Op::Mark { id: 1 }], vec![]]).with_comms(vec![vec![0]]);
+
+        let a = ScenarioCache::new(cfg.clone());
+        assert_eq!(a.traces(hash(81), || traces.clone()).traces, traces);
+        assert_eq!(a.traces(hash(81), || panic!("memory hit")).traces, traces);
+        assert!(!dir.join("traces").join(hash(81).to_string()).exists(), "not written to disk");
+
+        // a fresh cache over the same dir records it again, whole
+        let recorded = AtomicUsize::new(0);
+        let t = ScenarioCache::new(cfg).traces(hash(81), || {
+            recorded.fetch_add(1, Ordering::SeqCst);
+            traces.clone()
+        });
+        assert_eq!(t.traces, traces);
+        assert_eq!(recorded.load(Ordering::SeqCst), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_trace_file_is_counted_and_re_recorded() {
         let dir = std::env::temp_dir().join(format!("hpcsim-cache-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = CacheConfig { dir: Some(dir.clone()), ..CacheConfig::default() };
-        let traces = Traces::from(&vec![vec![Op::Mark { id: 1 }], vec![Op::Mark { id: 2 }]]);
+        let traces = Traces::from_rank_vecs(&[vec![Op::Mark { id: 1 }], vec![Op::Mark { id: 2 }]]);
         ScenarioCache::new(cfg.clone()).traces(hash(79), || traces.clone());
         let path = dir.join("traces").join(hash(79).to_string());
         assert!(path.exists());
@@ -909,7 +939,7 @@ mod tests {
 
     #[test]
     fn trace_entry_compiles_dag_once() {
-        let traces = Traces::from(&vec![vec![Op::Mark { id: 1 }]]);
+        let traces = Traces::from_rank_vecs(&[vec![Op::Mark { id: 1 }]]);
         let entry = TraceEntry::new(traces);
         assert!(std::ptr::eq(entry.dag(), entry.dag()));
     }

@@ -235,7 +235,12 @@ mod tests {
             mode: ExecMode::Vn,
             mapping: Mapping::txyz(),
             faults: None,
-            traces: Traces::from(&vec![vec![barrier()], vec![barrier()], vec![barrier()], vec![]]),
+            traces: Traces::from_rank_vecs(&[
+                vec![barrier()],
+                vec![barrier()],
+                vec![barrier()],
+                vec![],
+            ]),
         };
         let rep = run_scenario(&sc);
         assert_eq!(rep.outcome, OutcomeKind::Deadlock, "{}", rep.detail);
@@ -248,7 +253,7 @@ mod tests {
             mode: ExecMode::Vn,
             mapping: Mapping::txyz(),
             faults: None,
-            traces: Traces::from(&vec![
+            traces: Traces::from_rank_vecs(&[
                 vec![
                     Op::Irecv { src: 1, tag: 0, bytes: 64, req: Req(0) },
                     Op::Wait { req: Req(0) },

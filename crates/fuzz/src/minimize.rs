@@ -190,7 +190,7 @@ mod tests {
             mode: ExecMode::Vn,
             mapping: hpcsim_topo::Mapping::txyz(),
             faults: None,
-            traces: Traces::from(&vec![
+            traces: Traces::from_rank_vecs(&[
                 vec![Op::Irecv { src: 1, tag: 0, bytes: 8, req: Req(0) }, Op::Wait { req: Req(0) }],
                 vec![],
             ]),

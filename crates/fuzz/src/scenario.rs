@@ -103,6 +103,8 @@ impl FuzzScenario {
 
     /// Canonical text form (see module docs for the grammar).
     pub fn to_canon(&self) -> String {
+        // the trace text holds no sub-communicators
+        assert!(self.traces.comms().is_empty(), "fuzz scenarios are WORLD-only");
         let traces = write_traces(&self.traces);
         let mut out = String::with_capacity(1024 + traces.len());
         out.push_str(FUZZ_MAGIC);
@@ -184,7 +186,7 @@ mod tests {
             mode: ExecMode::Vn,
             mapping: Mapping::txyz(),
             faults: Some(FaultSpec { seed: 7, profile: FaultProfile::Mixed }),
-            traces: Traces::from(&vec![
+            traces: Traces::from_rank_vecs(&[
                 vec![
                     Op::Compute {
                         work: Workload::Custom {

@@ -17,8 +17,8 @@ use hpcsim_engine::SimTime;
 use hpcsim_faults::FaultPlan;
 use hpcsim_machine::{ExecMode, MachineSpec};
 use hpcsim_mpi::{
-    sweep_points, AsTraces, FnProgram, Mpi, Op, RankLayout, SimConfig, SimError, SimResult,
-    SweepEngine, TraceDag, TraceSim, Traces,
+    sweep_points, FnProgram, Mpi, Op, RankLayout, SimConfig, SimError, SimResult, SweepEngine,
+    TraceDag, TraceSim, Traces,
 };
 use hpcsim_probe::Tracer;
 use hpcsim_topo::{Grid2D, Mapping};
@@ -178,20 +178,19 @@ pub fn halo_run(machine: &MachineSpec, mode: ExecMode, mapping: Mapping, cfg: &H
     cfg.per_exchange(&price(&[point], &halo_recording(cfg))[0])
 }
 
-/// Evaluate a single (machine, mode, mapping) point from traces the
-/// caller already holds (they must be `halo_recording(cfg)` or its
-/// per-rank view): through the pre-compiled `dag` where it is exact
-/// ([`TraceDag::exact_for`]), otherwise by replay. Bit-identical to
-/// [`halo_run`] on the same point. Benchmark-facing in its
-/// `&[Vec<Op>]` form; retire that form with the next benchmark PR
-/// (ROADMAP item 7). A per-rank view is converted only when the point
-/// replays.
-pub fn halo_eval_traces<T: AsTraces + ?Sized>(
+/// Evaluate a single (machine, mode, mapping) point from the per-rank
+/// view the caller already holds (it must be `halo_traces(cfg)`):
+/// through the pre-compiled `dag` where it is exact
+/// ([`TraceDag::exact_for`]), otherwise by replay, recording the view
+/// into a [`Traces`] first. Bit-identical to [`halo_run`] on the same
+/// point. Benchmark-facing; retire with the next benchmark PR (ROADMAP
+/// item 7).
+pub fn halo_eval_traces(
     machine: &MachineSpec,
     mode: ExecMode,
     mapping: Mapping,
     cfg: &HaloConfig,
-    traces: &T,
+    traces: &[Vec<Op>],
     dag: Option<&TraceDag>,
 ) -> f64 {
     let point = [cfg.sim_config(machine, mode, mapping)];
@@ -200,7 +199,7 @@ pub fn halo_eval_traces<T: AsTraces + ?Sized>(
         Some(d) if TraceDag::exact_for(machine) => Ok(vec![d.evaluate(&point[0])]),
         _ => {
             let engine = if dag.is_some() { SweepEngine::Dag } else { SweepEngine::Replay };
-            sweep_points(Some(engine), &point, &traces.as_traces(), None, None)
+            sweep_points(Some(engine), &point, &Traces::from_rank_vecs(traces), None, None)
         }
     };
     cfg.per_exchange(&res.unwrap_or_else(|e| panic!("{e}"))[0])

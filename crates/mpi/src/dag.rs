@@ -40,7 +40,7 @@
 //! On a machine whose `route_diversity` is infinite (see
 //! [`MachineSpec::with_flat_contention`]) the replay's contended wire
 //! time collapses to exactly that value, and [`TraceDag::evaluate`]
-//! reproduces `TraceSim::replay_traces` bit-for-bit — per-rank finish
+//! reproduces `TraceSim::replay` bit-for-bit — per-rank finish
 //! and busy clocks, marks, byte/message counts (the property tests in
 //! `tests/prop_dag.rs` pin this). On a contended machine the DAG result
 //! is a lower-bound approximation, so [`sweep_points`] — the function
@@ -283,13 +283,14 @@ pub fn sweep_points<'d>(
     }
 }
 
-/// A world of rank traces that [`TraceDag::compile`] reads in place:
-/// a recording, or a per-rank view of a world-only program (the view is
-/// benchmark-facing; retire it with the next benchmark PR, ROADMAP
-/// item 7). Compile reads every op once, counting each rank's request
-/// slots and compressing repeated compute blocks in that same pass, so
-/// a view compiles without first being converted into a recording.
-pub trait OpSource {
+/// A world of rank traces that compilation reads in place: a recording
+/// ([`TraceDag::compile`]), or a per-rank view of a world-only program
+/// ([`TraceDag::compile_world`]; benchmark-facing, retire it with the
+/// next benchmark PR, ROADMAP item 7). Compile reads every op once,
+/// counting each rank's request slots and compressing repeated compute
+/// blocks in that same pass, so a view compiles without first being
+/// converted into a recording.
+pub(crate) trait OpSource {
     /// World size.
     fn ranks(&self) -> usize;
     /// Sub-communicators, numbered from `CommId(1)`.
@@ -665,14 +666,17 @@ impl TraceDag {
     /// program, read in place. Benchmark-facing; retire with the next
     /// benchmark PR (ROADMAP item 7).
     pub fn compile_world(traces: &[Vec<Op>]) -> TraceDag {
-        Self::compile(traces)
+        Self::compile_from(traces)
     }
 
-    /// Compile a recording (or any [`OpSource`]) into a task DAG, with
-    /// the world and its sub-communicators. Compilation is independent of
-    /// machine, mapping and mode — the same DAG serves every sweep
-    /// point.
-    pub fn compile<T: OpSource + ?Sized>(traces: &T) -> TraceDag {
+    /// Compile a recording into a task DAG, with the world and its
+    /// sub-communicators. Compilation is independent of machine, mapping
+    /// and mode — the same DAG serves every sweep point.
+    pub fn compile(traces: &Traces) -> TraceDag {
+        Self::compile_from(traces)
+    }
+
+    fn compile_from<T: OpSource + ?Sized>(traces: &T) -> TraceDag {
         let n = traces.ranks();
         let mut comms: Vec<Vec<usize>> = Vec::with_capacity(1 + traces.comms().len());
         comms.push((0..n).collect());
@@ -1858,7 +1862,7 @@ mod tests {
     fn check<P: Program>(prog: &P, machine: MachineSpec, ranks: usize, mode: ExecMode) {
         let cfg = SimConfig::new(machine.with_flat_contention(), ranks, mode);
         let traces = TraceSim::trace_program(prog, ranks, cfg.threads);
-        let replay = TraceSim::new(cfg.clone()).replay_traces(&traces);
+        let replay = TraceSim::new(cfg.clone()).replay(&traces);
         let dag = TraceDag::compile(&traces).evaluate(&cfg);
         assert_eq!(replay.finish, dag.finish);
         assert_eq!(replay.busy, dag.busy);
@@ -1952,7 +1956,7 @@ mod tests {
             let layout = crate::layout::RankLayout::bluegene(&machine, 64, ExecMode::Vn, mapping);
             let cfg =
                 SimConfig { machine: machine.clone(), mode: ExecMode::Vn, threads: 1, layout };
-            let replay = TraceSim::new(cfg.clone()).replay_traces(&traces);
+            let replay = TraceSim::new(cfg.clone()).replay(&traces);
             let fast = dag.evaluate(&cfg);
             assert_eq!(replay.finish, fast.finish, "mapping {mapping:?}");
             assert_eq!(replay.busy, fast.busy);
@@ -1988,7 +1992,7 @@ mod tests {
         });
         let evens: Vec<usize> = (0..8).step_by(2).collect();
         let traces = TraceSim::trace_program(&prog, 8, 1).with_comms(vec![evens]);
-        let replay = sim.replay_traces(&traces);
+        let replay = sim.replay(&traces);
         let dag = TraceDag::compile(&traces).evaluate(&cfg);
         assert_eq!(replay.finish, dag.finish);
         assert_eq!(replay.busy, dag.busy);

@@ -43,13 +43,13 @@ pub mod traces;
 pub mod wire;
 
 pub use dag::{
-    perturbed_batches, set_sweep_engine, sweep_engine, sweep_points, DagStats, OpSource,
-    SweepEngine, TraceDag,
+    perturbed_batches, set_sweep_engine, sweep_engine, sweep_points, DagStats, SweepEngine,
+    TraceDag,
 };
 pub use layout::RankLayout;
 pub use ops::{CommId, Op, Req};
 pub use program::{FnProgram, Mpi, Program};
 pub use result::{SimError, SimResult};
 pub use sim::{SimConfig, TraceSim};
-pub use traces::{AsTraces, TraceBuilder, Traces, PEER_LIMIT};
+pub use traces::{TraceBuilder, Traces, PEER_LIMIT};
 pub use wire::{parse_traces, write_traces};

@@ -86,7 +86,7 @@ impl std::fmt::Display for SimError {
                 "livelock: event queue cycled {steps} steps without clock progress \
                  (last event on rank {rank}); step-budget watchdog tripped"
             ),
-            // keep the historical panic text: replay_traces panics with
+            // keep the historical panic text: `TraceSim::replay` panics with
             // exactly this Display, and callers match on "deadlock"
             SimError::Deadlock { unfinished, rank, op } => write!(
                 f,

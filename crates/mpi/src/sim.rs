@@ -25,7 +25,7 @@ use crate::layout::RankLayout;
 use crate::ops::{Op, Req};
 use crate::program::{Mpi, Program};
 use crate::result::{SimError, SimResult};
-use crate::traces::{AsTraces, Traces};
+use crate::traces::Traces;
 use hpcsim_engine::{EventQueue, SimTime};
 use hpcsim_faults::{FaultPlan, LinkFaults, LossModel, NoiseModel};
 use hpcsim_machine::{ExecMode, MachineSpec, NodeModel, Workload};
@@ -482,17 +482,22 @@ impl TraceSim {
     /// Record `prog` and replay it.
     pub fn run<P: Program + ?Sized>(&mut self, prog: &P) -> SimResult {
         let traces = Self::trace_program(prog, self.cfg.ranks(), self.cfg.threads);
-        self.replay_traces(&traces)
+        self.replay(&traces)
     }
 
-    /// Replay a recording, or a per-rank view of one, panicking with the
-    /// [`SimError`] diagnostic where [`TraceSim::try_replay`] would
-    /// return it. Borrowing lets a parameter sweep (e.g. Fig 2's mapping
-    /// comparison) record once and replay under every configuration.
-    /// Benchmark-facing in its `&[Vec<Op>]` form; retire that form with
+    /// Replay a recording, panicking with the [`SimError`] diagnostic
+    /// where [`TraceSim::try_replay`] would return it. Borrowing lets a
+    /// parameter sweep (e.g. Fig 2's mapping comparison) record once and
+    /// replay under every configuration.
+    pub fn replay(&mut self, traces: &Traces) -> SimResult {
+        self.try_replay(traces, &mut NoopTracer).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`TraceSim::replay`] of a per-rank view of a world-only program,
+    /// recorded into a [`Traces`] first. Benchmark-facing; retire with
     /// the next benchmark PR (ROADMAP item 7).
-    pub fn replay_traces<T: AsTraces + ?Sized>(&mut self, traces: &T) -> SimResult {
-        self.try_replay(&traces.as_traces(), &mut NoopTracer).unwrap_or_else(|e| panic!("{e}"))
+    pub fn replay_traces(&mut self, traces: &[Vec<Op>]) -> SimResult {
+        self.replay(&Traces::from_rank_vecs(traces))
     }
 
     /// Replay a recording with an observability sink
@@ -1156,7 +1161,7 @@ mod tests {
         });
         let traces =
             TraceSim::trace_program(&prog, 8, 1).with_comms(vec![(0..8).step_by(2).collect()]);
-        let res = s.replay_traces(&traces);
+        let res = s.replay(&traces);
         // odd ranks finish immediately; evens take the collective time
         assert_eq!(res.finish[1], SimTime::ZERO);
         assert!(res.finish[0] > SimTime::ZERO);

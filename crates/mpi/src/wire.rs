@@ -143,7 +143,9 @@ fn write_op(out: &mut String, op: &Op) {
 }
 
 /// Serialize a whole recording's ops. Sub-communicators are not part
-/// of the format: a recording that has them is kept in memory only.
+/// of the format, so the text of a recording that has them does not
+/// parse back into it: the scenario cache keeps such a recording in
+/// memory only, and fuzz scenarios are WORLD-only.
 pub fn write_traces(traces: &Traces) -> String {
     // ~16 bytes per op plus headers is a comfortable overestimate
     let mut out = String::with_capacity(32 * traces.op_count() + 16 * traces.ranks() + 32);
@@ -451,7 +453,7 @@ mod tests {
 
     #[test]
     fn round_trips_exactly() {
-        let traces = Traces::from(&sample_traces());
+        let traces = Traces::from_rank_vecs(&sample_traces());
         let text = write_traces(&traces);
         let parsed = parse_traces(&text).expect("round trip");
         assert_eq!(parsed, traces);
@@ -487,7 +489,7 @@ mod tests {
             .map(|work| Op::Compute { work, threads: 3 }),
         )
         .collect();
-        let traces = Traces::from(&vec![ops]);
+        let traces = Traces::from_rank_vecs(&[ops]);
         assert_eq!(parse_traces(&write_traces(&traces)).unwrap(), traces);
     }
 
@@ -527,7 +529,7 @@ mod tests {
             }
             traces.push(ops);
         }
-        let traces = Traces::from(&traces);
+        let traces = Traces::from_rank_vecs(&traces);
         assert_eq!(parse_traces(&write_traces(&traces)).unwrap(), traces);
     }
 

@@ -1,6 +1,6 @@
 //! Property tests pinning the DAG sweep engine to the replay oracle:
 //! on contention-flat machines, `TraceDag::evaluate` must agree with
-//! `TraceSim::replay_traces` *exactly* — per-rank finish and busy
+//! `TraceSim::replay` *exactly* — per-rank finish and busy
 //! clocks, marks, byte and message counts — over randomized programs
 //! (mixed eager/rendezvous payloads, send-first and receive-first wait
 //! orders, stragglers, collectives) and randomized mappings.
@@ -131,7 +131,7 @@ proptest! {
         for machine in [bluegene_p(), xt4_qc()] {
             for mode in [ExecMode::Vn, ExecMode::Smp] {
                 let cfg = SimConfig::new(machine.clone().with_flat_contention(), n, mode);
-                let replay = TraceSim::new(cfg.clone()).replay_traces(&traces);
+                let replay = TraceSim::new(cfg.clone()).replay(&traces);
                 let fast = dag.evaluate(&cfg);
                 assert_exact(&replay, &fast);
             }
@@ -157,7 +157,7 @@ proptest! {
         let (_, mapping) = &predefined[(mapping_seed % predefined.len() as u64) as usize];
         let layout = RankLayout::bluegene(&machine, n, ExecMode::Vn, *mapping);
         let cfg = SimConfig { machine, mode: ExecMode::Vn, threads: 1, layout };
-        let replay = TraceSim::new(cfg.clone()).replay_traces(&traces);
+        let replay = TraceSim::new(cfg.clone()).replay(&traces);
         assert_exact(&replay, &dag.evaluate(&cfg));
     }
 

@@ -114,12 +114,12 @@ fn rank_vecs_round_trip_bit_exactly() {
         Op::Irecv { src: PEER_LIMIT - 1, tag: 1, bytes: 8, req: Req(1) },
     ]]);
     for world in worlds {
-        let traces = Traces::from(&world);
+        let traces = Traces::from_rank_vecs(&world);
         assert_eq!(traces.ranks(), world.len());
         assert_eq!(traces.op_count(), world.iter().map(Vec::len).sum::<usize>());
         let back = traces.to_rank_vecs();
         assert_eq!(world_bits(&back), world_bits(&world));
-        assert_eq!(Traces::from(&back), traces, "re-recording is canonical");
+        assert_eq!(Traces::from_rank_vecs(&back), traces, "re-recording is canonical");
         let mut edited = traces.clone();
         edited.edit(|_, _| {});
         assert_eq!(edited, traces, "an identity edit keeps the recording");
@@ -139,7 +139,7 @@ fn peers_at_the_packing_limit_are_refused() {
 
 #[test]
 fn wire_text_round_trips_exactly() {
-    let traces = Traces::from(&edge_world());
+    let traces = Traces::from_rank_vecs(&edge_world());
     let text = write_traces(&traces);
     let parsed = parse_traces(&text).expect("the edge world parses");
     assert_eq!(parsed, traces);
@@ -148,7 +148,7 @@ fn wire_text_round_trips_exactly() {
     // NaN payloads and -0.0 are written as their hex bits
     assert!(text.contains("0x7ff8000000000001 0xfff0000000000001"), "{text}");
     assert!(text.contains("custom 0x8000000000000000 0x0000000000000000"), "{text}");
-    let empty = Traces::from(&Vec::new());
+    let empty = Traces::from_rank_vecs(&Vec::new());
     assert_eq!(parse_traces(&write_traces(&empty)).unwrap(), empty);
 }
 
@@ -185,7 +185,7 @@ fn scanned_sizing(traces: &Traces) -> (Vec<usize>, u64) {
 fn recorded_sizing_equals_the_op_scan() {
     let halo = |protocol| HaloConfig { grid: Grid2D::new(8, 8), words: 64, protocol, reps: 2 };
     let mut recordings = vec![
-        Traces::from(&edge_world()),
+        Traces::from_rank_vecs(&edge_world()),
         halo_recording(&halo(HaloProtocol::IrecvIsend)),
         halo_recording(&halo(HaloProtocol::Sendrecv)),
         hpl_traces(&HplConfig { n: 4096, nb: 128, grid: Grid2D::new(4, 4), samples: 2 }),

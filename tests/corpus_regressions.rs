@@ -17,7 +17,7 @@ fn flat_bgp(traces: Vec<Vec<Op>>) -> FuzzScenario {
         mode: ExecMode::Vn,
         mapping: Mapping::txyz(),
         faults: None,
-        traces: Traces::from(&traces),
+        traces: Traces::from_rank_vecs(&traces),
     }
 }
 

@@ -10,7 +10,10 @@
 //! context, which the last case checks leaks nothing between DAGs.
 
 use bgp_eval::apps::{md_sim_config, md_traces, pop_traces, MdConfig, MdResult, PopConfig};
-use bgp_eval::hpcc::{halo_recording, hpl_traces, HaloConfig, HaloProtocol, HplConfig};
+use bgp_eval::hpcc::{
+    halo_eval_traces, halo_recording, halo_run, halo_traces, hpl_traces, HaloConfig, HaloProtocol,
+    HplConfig,
+};
 use bgp_eval::machine::registry::{bluegene_p, xt4_dc};
 use bgp_eval::machine::{ExecMode, PerturbSpec, Perturbation, PerturbationSampler};
 use bgp_eval::mpi::{
@@ -77,6 +80,38 @@ fn fig2_mapping_sweep_is_engine_invariant() {
             let res = assert_engines_agree(&points, &halo_recording(&cfg), &what);
             assert!(res.iter().all(|r| cfg.per_exchange(r) > 0.0), "{what}");
         }
+    }
+}
+
+/// The benchmark harness's per-rank view of a HALO recording prices
+/// exactly like the recording: compiled in place by
+/// `TraceDag::compile_world`, replayed by `TraceSim::replay_traces`, and
+/// evaluated by `halo_eval_traces` on its DAG and replay paths.
+#[test]
+fn per_rank_view_prices_like_the_recording() {
+    let cfg = HaloConfig {
+        grid: Grid2D::new(16, 8),
+        words: 2048,
+        protocol: HaloProtocol::IrecvIsend,
+        reps: 2,
+    };
+    let (view, traces) = (halo_traces(&cfg), halo_recording(&cfg));
+    assert_eq!(Traces::from_rank_vecs(&view), traces);
+    let (world, dag) = (TraceDag::compile_world(&view), TraceDag::compile(&traces));
+    assert_eq!(format!("{:?}", world.stats()), format!("{:?}", dag.stats()));
+    let points = fig2_points(cfg.grid.size());
+    for (i, (w, d)) in
+        world.evaluate_many(&points).iter().zip(dag.evaluate_many(&points)).enumerate()
+    {
+        assert_same(w, &d, &format!("compile_world, point {i}"));
+    }
+    for (name, m) in [("flat", bluegene_p().with_flat_contention()), ("contended", bluegene_p())] {
+        let point = cfg.sim_config(&m, ExecMode::Vn, Mapping::txyz());
+        let want = TraceSim::new(point.clone()).replay(&traces);
+        assert_same(&TraceSim::new(point).replay_traces(&view), &want, name);
+        let per_exchange = halo_run(&m, ExecMode::Vn, Mapping::txyz(), &cfg);
+        let got = halo_eval_traces(&m, ExecMode::Vn, Mapping::txyz(), &cfg, &view, Some(&world));
+        assert_eq!(got.to_bits(), per_exchange.to_bits(), "halo_eval_traces, {name}");
     }
 }
 

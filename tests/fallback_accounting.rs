@@ -53,7 +53,7 @@ fn every_replayed_point_under_dag_counts_once() {
         let point = cfg.sim_config(&flat, Vn, Mapping::txyz());
         let _ = sweep_points(Some(engine), &[point], &traces, None, Some(&plan));
     };
-    let dag = TraceDag::compile(&traces);
+    let (dag, view) = (TraceDag::compile(&traces), traces.to_rank_vecs());
     let txyz = Mapping::txyz();
 
     assert_eq!(delta(|| sweep(&contended, SweepEngine::Dag)), [n, 0, 0]);
@@ -62,7 +62,7 @@ fn every_replayed_point_under_dag_counts_once() {
     assert_eq!(delta(|| faulty(SweepEngine::Dag)), [0, 1, 0]);
     // a pre-compiled DAG offered on a contended machine falls back
     let offered = || {
-        halo_eval_traces(&contended, Vn, txyz, &cfg, &traces, Some(&dag));
+        halo_eval_traces(&contended, Vn, txyz, &cfg, &view, Some(&dag));
     };
     assert_eq!(delta(offered), [1, 0, 0]);
 
@@ -70,7 +70,7 @@ fn every_replayed_point_under_dag_counts_once() {
         sweep(&contended, SweepEngine::Replay);
         sweep(&flat, SweepEngine::Replay);
         faulty(SweepEngine::Replay);
-        halo_eval_traces(&flat, Vn, txyz, &cfg, &traces, None);
+        halo_eval_traces(&flat, Vn, txyz, &cfg, &view, None);
     });
     assert_eq!(replay, [0, 0, 0], "nothing counts under Replay");
 }
