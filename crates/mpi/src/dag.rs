@@ -356,11 +356,13 @@ pub fn perturbed_batches(mut n: usize) -> impl Iterator<Item = (usize, usize)> {
 }
 
 /// One compiled task node; mirrors [`Op`] with matching resolved to
-/// integer message/channel/instance ids. Kept to 16 bytes — evaluation
-/// streams every node once per sweep point, so the fat payloads
-/// (workloads, byte sizes) live in side tables.
+/// integer message/channel/instance ids. 16 bytes (pinned by a unit
+/// test) — evaluation streams every node once per sweep point, so the
+/// fat payloads (workloads, byte sizes) live in side tables. `req`
+/// indexes one flat request arena; `msg` numbers messages in pairing
+/// order, renumbered into slots in emission order by the schedule.
 #[derive(Debug, Clone, Copy)]
-enum Node {
+pub(crate) enum Node {
     /// `cost` indexes the compiled `(Workload, threads)` side table.
     Compute {
         cost: u32,
@@ -380,7 +382,18 @@ enum Node {
         msg: u32,
         req: u32,
     },
+    /// A wait on a request that is complete when it runs: a send's, or
+    /// a receive's that an earlier wait completed. Compile emits every
+    /// wait in this form; the schedule lowers first waits on receives.
     Wait {
+        req: u32,
+    },
+    /// The first wait on a receive, lowered by the schedule: completes
+    /// message `msg` (on channel `chan`) and stores the completion time
+    /// in request `req` for any later wait.
+    WaitRecv {
+        chan: u32,
+        msg: u32,
         req: u32,
     },
     Coll {
@@ -544,10 +557,8 @@ struct EvalCtx {
     costs: CostTables,
     /// The base point of the last perturbed batch.
     point: Option<PointCosts>,
-    // structural state, identical across lanes: one slot per request
-    // or collective instance
-    req_msg: Vec<u32>,
-    req_chan: Vec<u32>,
+    // collective membership counts, identical across lanes; the
+    // schedule resolved every other structural question into the nodes
     inst_arrived: Vec<u32>,
     // per-lane factors and timing state, L lanes interleaved
     /// Per-lane factor on inline `Delay` durations (delays model OS
@@ -562,13 +573,13 @@ struct EvalCtx {
     lane_inv_bw: Vec<f64>,
     lane_hop_scale: Vec<f64>,
     lane_coll_scale: Vec<f64>,
+    /// Per request: its completion time.
     lane_req_val: Vec<SimTime>,
-    lane_msg_arrive: Vec<SimTime>,
-    // (receive's run start, receive's post clock), split into two flat
-    // arrays: the interleaved pair cost a shuffle per lane vector in
-    // the hottest (`Wait`) arm
-    lane_msg_post_rs: Vec<SimTime>,
-    lane_msg_post_clk: Vec<SimTime>,
+    /// One record per message slot, `[arrive; L] [post_rs; L]
+    /// [post_clk; L]`: the send's arrival time and the receive's run
+    /// start and clock when it was posted. Slots are numbered in stream
+    /// order, so the records fill front to back.
+    lane_msgs: Vec<SimTime>,
     lane_run_start: Vec<SimTime>,
     lane_inst_latest: Vec<SimTime>,
 }
@@ -630,8 +641,8 @@ pub struct TraceDag {
     /// `(rank, length)` runs tiling `stream`: each run is a maximal
     /// stretch one rank executes without blocking on another.
     runs: Vec<(u32, u32)>,
-    /// Flat request arena offsets (`req_base[r] + Req.0`).
-    req_base: Vec<u32>,
+    /// Requests, all ranks' in one flat arena (`Node` ids index it).
+    n_reqs: u32,
     channels: Vec<Channel>,
     /// Sorted distinct payload sizes; `Channel::class` indexes this.
     class_bytes: Vec<u64>,
@@ -686,7 +697,8 @@ impl TraceDag {
 
         let mut nodes: Vec<Node> = Vec::with_capacity(total_ops);
         let mut rank_ofs: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut req_counts: Vec<u32> = vec![0; n];
+        // flat request ids: rank r's `Req(k)` is k past earlier ranks'
+        let mut n_reqs = 0u32;
         // Matching is sort-based on packed integer keys: hashing every
         // endpoint through a general-purpose map costs more than the
         // rest of compilation combined, and fat tuple keys sort several
@@ -712,10 +724,10 @@ impl TraceDag {
             rank_ofs.push(nodes.len() as u32);
             let ops = traces.rank_ops(r);
             seq_edges += ops.len().saturating_sub(1) as u64;
-            let reqs = &mut req_counts[r];
+            let (base, reqs) = (n_reqs, &mut n_reqs);
             let mut note_req = |req: crate::ops::Req| {
-                *reqs = (*reqs).max(req.0 + 1);
-                req.0
+                *reqs = (*reqs).max(base + req.0 + 1);
+                base + req.0
             };
             for op in ops {
                 let idx = nodes.len() as u32;
@@ -918,16 +930,8 @@ impl TraceDag {
             spec.cost = pos as u32;
         }
 
-        let mut req_base = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        for &count in &req_counts {
-            req_base.push(acc);
-            acc += count;
-        }
-        req_base.push(acc);
-
         let (stream, runs, deadlock) =
-            Self::schedule(n, &nodes, &rank_ofs, &req_base, n_msgs, &insts, &comms);
+            Self::schedule(n, &nodes, &rank_ofs, n_reqs, n_msgs, &insts, &comms);
 
         let m = metrics();
         m.compiles.inc();
@@ -940,7 +944,7 @@ impl TraceDag {
             n_nodes: total_ops as u64,
             stream,
             runs,
-            req_base,
+            n_reqs,
             channels,
             class_bytes,
             compute_costs,
@@ -962,35 +966,52 @@ impl TraceDag {
     /// collective membership) carries no costs, so one structural
     /// worklist pass here buys every future evaluation a straight
     /// linear sweep; the same pass detects structural deadlock (the
-    /// schedule simply never reaches the stuck ops). Returns the
-    /// ordered node stream, the (rank, length) runs tiling it, and any
-    /// deadlock.
+    /// schedule simply never reaches the stuck ops). Emission does the
+    /// kernel's structural bookkeeping too: it lowers each first wait
+    /// on a receive to [`Node::WaitRecv`], and renumbers messages into
+    /// slots in the order their first node is emitted, so the kernel's
+    /// message records fill front to back. Returns the ordered node
+    /// stream, the (rank, length) runs tiling it, and any deadlock.
     #[allow(clippy::too_many_arguments)]
     fn schedule(
         n: usize,
         nodes: &[Node],
         rank_ofs: &[u32],
-        req_base: &[u32],
+        n_reqs: u32,
         n_msgs: u32,
         insts: &[CollSpec],
         comms: &[Vec<usize>],
     ) -> Schedule {
-        /// Request already satisfiable when waited on (send requests,
-        /// consumed receive requests).
-        const RESOLVED: u32 = u32::MAX - 1;
+        /// A request already satisfiable when waited on (a send's, a
+        /// consumed receive's); a message's waiter once it is sent.
+        const DONE: u32 = u32::MAX - 1;
         let mut stream: Vec<Node> = Vec::with_capacity(nodes.len());
         let mut runs: Vec<(u32, u32)> = Vec::new();
-        fn emit(stream: &mut Vec<Node>, runs: &mut Vec<(u32, u32)>, node: Node, r: u32) {
+        // per message, in pairing order: (slot, waiter). The slot is
+        // numbered when the message's first node, send or receive, is
+        // emitted; the waiter is the rank suspended on it, or DONE.
+        let mut msgs: Vec<(u32, u32)> = vec![(NONE, NONE); n_msgs as usize];
+        let mut n_slots = 0u32;
+        let mut emit = |mut node: Node, r: usize, msgs: &mut [(u32, u32)]| {
+            if let Node::Send { msg, .. } | Node::Recv { msg, .. } = &mut node {
+                if *msg != NONE {
+                    let slot = &mut msgs[*msg as usize].0;
+                    if *slot == NONE {
+                        (*slot, n_slots) = (n_slots, n_slots + 1);
+                    }
+                    *msg = *slot;
+                }
+            }
             stream.push(node);
             match runs.last_mut() {
-                Some((rank, len)) if *rank == r => *len += 1,
-                _ => runs.push((r, 1)),
+                Some((rank, len)) if *rank == r as u32 => *len += 1,
+                _ => runs.push((r as u32, 1)),
             }
-        }
+        };
         let mut pc: Vec<usize> = (0..n).map(|r| rank_ofs[r] as usize).collect();
-        let mut req_state: Vec<u32> = vec![NONE; req_base[n] as usize];
-        let mut sent = vec![false; n_msgs as usize];
-        let mut msg_waiter: Vec<u32> = vec![NONE; n_msgs as usize];
+        // per request: DONE, NONE (nothing to complete), or the node
+        // index of the pending receive
+        let mut req_state: Vec<u32> = vec![NONE; n_reqs as usize];
         let mut inst_arrived = vec![0u32; insts.len()];
         #[derive(Clone, Copy, PartialEq)]
         enum St {
@@ -1016,29 +1037,27 @@ impl TraceDag {
                 let node = nodes[pc[r]];
                 match node {
                     Node::Send { msg, req, .. } => {
-                        emit(&mut stream, &mut runs, node, r as u32);
-                        req_state[(req_base[r] + req) as usize] = RESOLVED;
                         if msg != NONE {
-                            sent[msg as usize] = true;
-                            let w = msg_waiter[msg as usize];
+                            let w = std::mem::replace(&mut msgs[msg as usize].1, DONE);
                             if w != NONE {
                                 state[w as usize] = St::Ready;
                                 stack.push(w as usize);
                             }
                         }
+                        emit(node, r, &mut msgs);
+                        req_state[req as usize] = DONE;
                         pc[r] += 1;
                     }
                     Node::Recv { msg, req, .. } => {
-                        emit(&mut stream, &mut runs, node, r as u32);
-                        // NONE (no paired send) makes a later wait stick
-                        req_state[(req_base[r] + req) as usize] = msg;
+                        // no paired send: a later wait sticks
+                        req_state[req as usize] = if msg == NONE { NONE } else { pc[r] as u32 };
+                        emit(node, r, &mut msgs);
                         pc[r] += 1;
                     }
                     Node::Wait { req } => {
-                        let ri = (req_base[r] + req) as usize;
-                        match req_state[ri] {
-                            RESOLVED => {
-                                emit(&mut stream, &mut runs, node, r as u32);
+                        match req_state[req as usize] {
+                            DONE => {
+                                emit(node, r, &mut msgs);
                                 pc[r] += 1;
                             }
                             NONE => {
@@ -1047,23 +1066,27 @@ impl TraceDag {
                                 state[r] = St::Stuck;
                                 break 'advance;
                             }
-                            m if sent[m as usize] => {
-                                req_state[ri] = RESOLVED;
-                                emit(&mut stream, &mut runs, node, r as u32);
+                            recv => {
+                                let Node::Recv { chan, msg, .. } = nodes[recv as usize] else {
+                                    unreachable!("pending requests name their receive")
+                                };
+                                let (slot, waiter) = &mut msgs[msg as usize];
+                                if *waiter != DONE {
+                                    // paired send not scheduled yet —
+                                    // suspend; the send wakes us
+                                    *waiter = r as u32;
+                                    state[r] = St::Susp;
+                                    break 'advance;
+                                }
+                                req_state[req as usize] = DONE;
+                                emit(Node::WaitRecv { chan, msg: *slot, req }, r, &mut msgs);
                                 pc[r] += 1;
-                            }
-                            m => {
-                                // paired send not scheduled yet —
-                                // suspend; the send wakes us
-                                msg_waiter[m as usize] = r as u32;
-                                state[r] = St::Susp;
-                                break 'advance;
                             }
                         }
                     }
                     Node::Coll { inst } => {
                         let i = inst as usize;
-                        emit(&mut stream, &mut runs, node, r as u32);
+                        emit(node, r, &mut msgs);
                         inst_arrived[i] += 1;
                         let members = &comms[insts[i].comm as usize];
                         if (inst_arrived[i] as usize) < members.len() {
@@ -1082,7 +1105,7 @@ impl TraceDag {
                         pc[r] += 1;
                     }
                     _ => {
-                        emit(&mut stream, &mut runs, node, r as u32);
+                        emit(node, r, &mut msgs);
                         pc[r] += 1;
                     }
                 }
@@ -1449,13 +1472,13 @@ impl TraceDag {
     /// costs are already priced in ONE walk of the schedule. A point or
     /// mapping batch reads the `L`-lane tables in `ctx.costs`; a perturbed
     /// (`FACTORED`) batch reads the base point's one-lane tables and
-    /// scales them per lane. The schedule fixes all control flow, so
-    /// everything structural — request→message pairing,
-    /// resolved-vs-pending wait state, collective membership counts —
-    /// is identical across lanes and stays in scalar arrays; only
-    /// timing state (clocks, route costs, arrival times) widens to `L`
-    /// interleaved lanes, so one request's lanes share a cache line and
-    /// the node decode + dispatch cost is paid once for all `L` points.
+    /// scales them per lane. The schedule fixes all control flow and
+    /// resolved each wait's kind and message slot into its node, so
+    /// the only structural state left here is the collective membership
+    /// counts (identical across lanes, scalar); timing state (clocks,
+    /// route costs, arrival times) widens to `L` interleaved lanes, so
+    /// one request's lanes share a cache line and the node decode +
+    /// dispatch cost is paid once for all `L` points.
     fn stream_lanes<const L: usize, const FACTORED: bool>(
         &self,
         o_send: SimTime,
@@ -1535,17 +1558,13 @@ impl TraceDag {
         let EvalCtx {
             costs,
             point,
-            req_msg,
-            req_chan,
             inst_arrived,
             lane_delay,
             lane_inv_bw,
             lane_hop_scale,
             lane_coll_scale,
             lane_req_val,
-            lane_msg_arrive,
-            lane_msg_post_rs,
-            lane_msg_post_clk,
+            lane_msgs,
             lane_run_start,
             lane_inst_latest,
             ..
@@ -1581,10 +1600,10 @@ impl TraceDag {
         // returned results, so they are fresh allocations; the big
         // request/message scratch is reused across batches WITHOUT a
         // reset — safe because every slot the pass reads was written
-        // earlier in the same pass (program order puts each request's
-        // send/receive before its wait, and the schedule puts each
-        // message's send before the consuming wait), and stuck ranks
-        // never make it into the stream.
+        // earlier in the same pass: a `Wait` follows its request's send
+        // or lowered `WaitRecv` in program order, a `WaitRecv` follows
+        // its receive and (by the schedule) the paired send, and stuck
+        // ranks never make it into the stream.
         let mut clock = vec![SimTime::ZERO; n * L];
         let mut busy = vec![SimTime::ZERO; n * L];
         // allocated lazily: most DAGs carry no marks, and the n·L
@@ -1592,19 +1611,12 @@ impl TraceDag {
         let mut marks: Vec<Vec<(u32, SimTime)>> = Vec::new();
         lane_run_start.clear();
         lane_run_start.resize(n * L, SimTime::ZERO);
-        let nreq = self.req_base[n] as usize;
-        if lane_req_val.len() < nreq * L {
-            lane_req_val.resize(nreq * L, SimTime::MAX);
+        if lane_req_val.len() < self.n_reqs as usize * L {
+            lane_req_val.resize(self.n_reqs as usize * L, SimTime::ZERO);
         }
-        if req_msg.len() < nreq {
-            req_msg.resize(nreq, NONE);
-            req_chan.resize(nreq, NONE);
-        }
-        let nm = self.n_msgs as usize;
-        if lane_msg_arrive.len() < nm * L {
-            lane_msg_arrive.resize(nm * L, SimTime::MAX);
-            lane_msg_post_rs.resize(nm * L, SimTime::MAX);
-            lane_msg_post_clk.resize(nm * L, SimTime::MAX);
+        let rec = 3 * L; // one message record: arrive, post_rs, post_clk
+        if lane_msgs.len() < self.n_msgs as usize * rec {
+            lane_msgs.resize(self.n_msgs as usize * rec, SimTime::ZERO);
         }
         inst_arrived.clear();
         inst_arrived.resize(self.insts.len(), 0);
@@ -1614,7 +1626,6 @@ impl TraceDag {
         let mut si = 0usize;
         for &(rank, len) in &self.runs {
             let r = rank as usize;
-            let rb = self.req_base[r] as usize;
             let mut clk = [SimTime::ZERO; L];
             let mut rs = [SimTime::ZERO; L];
             let mut bz = [SimTime::ZERO; L];
@@ -1658,7 +1669,7 @@ impl TraceDag {
                     Node::Send { chan, msg, req } => {
                         let ci = chan as usize;
                         let eager = t.eager[ci];
-                        let rv = lanes_mut::<L, _>(lane_req_val, (rb + req as usize) * L);
+                        let rv = lanes_mut::<L, _>(lane_req_val, req as usize * L);
                         let mut arrive = [SimTime::ZERO; L];
                         if FACTORED {
                             if t.on_node[ci] || id_link {
@@ -1698,48 +1709,37 @@ impl TraceDag {
                             }
                         }
                         if msg != NONE {
-                            lanes_mut::<L, _>(lane_msg_arrive, msg as usize * L)
+                            lanes_mut::<L, _>(lane_msgs, msg as usize * rec)
                                 .copy_from_slice(&arrive);
                         }
                     }
-                    Node::Recv { chan, msg, req } => {
-                        let ri0 = rb + req as usize;
-                        req_msg[ri0] = msg;
-                        req_chan[ri0] = chan;
-                        let rv = lanes_mut::<L, _>(lane_req_val, ri0 * L);
-                        for l in 0..L {
-                            clk[l] = clk[l].saturating_add(o_recv);
-                            rv[l] = SimTime::MAX;
+                    Node::Recv { msg, .. } => {
+                        for c in &mut clk {
+                            *c = c.saturating_add(o_recv);
                         }
                         if msg != NONE {
-                            lanes_mut::<L, _>(lane_msg_post_rs, msg as usize * L)
-                                .copy_from_slice(&rs);
-                            lanes_mut::<L, _>(lane_msg_post_clk, msg as usize * L)
-                                .copy_from_slice(&clk);
+                            let m = msg as usize * rec;
+                            lanes_mut::<L, _>(lane_msgs, m + L).copy_from_slice(&rs);
+                            lanes_mut::<L, _>(lane_msgs, m + 2 * L).copy_from_slice(&clk);
                         }
                     }
                     Node::Wait { req } => {
-                        let ri0 = rb + req as usize;
-                        // resolved-vs-pending is structural (a send
-                        // request, or a receive already waited), so
-                        // lane 0 decides for the batch
-                        if lane_req_val[ri0 * L] != SimTime::MAX {
-                            let rv = lanes::<L, _>(lane_req_val, ri0 * L);
-                            // unconditional blended stores, not masked
-                            // stores: a masked store to `clk` defeats
-                            // store-to-load forwarding and the very
-                            // next node reloads `clk` from the stack
-                            for l in 0..L {
-                                clk[l] = clk[l].max(rv[l]);
-                            }
-                            continue;
+                        let rv = lanes::<L, _>(lane_req_val, req as usize * L);
+                        // unconditional blended stores, not masked
+                        // stores: a masked store to `clk` defeats
+                        // store-to-load forwarding and the very next
+                        // node reloads `clk` from the stack
+                        for l in 0..L {
+                            clk[l] = clk[l].max(rv[l]);
                         }
-                        let m = req_msg[ri0] as usize * L;
-                        let copy = t.copy[req_chan[ri0] as usize];
-                        let ma = lanes::<L, _>(lane_msg_arrive, m);
-                        let mp_rs = lanes::<L, _>(lane_msg_post_rs, m);
-                        let mp_clk = lanes::<L, _>(lane_msg_post_clk, m);
-                        let rv = lanes_mut::<L, _>(lane_req_val, ri0 * L);
+                    }
+                    Node::WaitRecv { chan, msg, req } => {
+                        let m = msg as usize * rec;
+                        let copy = t.copy[chan as usize];
+                        let ma = lanes::<L, _>(lane_msgs, m);
+                        let mp_rs = lanes::<L, _>(lane_msgs, m + L);
+                        let mp_clk = lanes::<L, _>(lane_msgs, m + 2 * L);
+                        let rv = lanes_mut::<L, _>(lane_req_val, req as usize * L);
                         // branchless per lane, all stores unconditional:
                         // conditional (masked) stores to `rs`/`clk` stall
                         // the reload in the next node
@@ -1754,7 +1754,6 @@ impl TraceDag {
                             rv[l] = done;
                             clk[l] = clk[l].max(done);
                         }
-                        req_msg[ri0] = NONE;
                     }
                     Node::Coll { inst } => {
                         let i = inst as usize;

@@ -99,4 +99,10 @@ mod tests {
         assert_eq!(std::mem::size_of::<crate::traces::Packed>(), 16);
         assert!(std::mem::size_of::<Op>() <= 64, "Op grew to {} bytes", std::mem::size_of::<Op>());
     }
+
+    #[test]
+    fn dag_nodes_are_small() {
+        // DAG evaluation streams every compiled node once per sweep point
+        assert_eq!(std::mem::size_of::<crate::dag::Node>(), 16);
+    }
 }

@@ -7,9 +7,10 @@
 //! DAG's cost tables: single-point evaluation, the mixed-machine
 //! one-at-a-time batch, the 8- and 32-wide mapping lanes, and an
 //! identity perturbed sample. All of them share one per-thread scratch
-//! context, which the last case checks leaks nothing between DAGs.
+//! context, which the last cases check leaks nothing between DAGs.
 
 use bgp_eval::apps::{md_sim_config, md_traces, pop_traces, MdConfig, MdResult, PopConfig};
+use bgp_eval::engine::SimTime;
 use bgp_eval::hpcc::{
     halo_eval_traces, halo_recording, halo_run, halo_traces, hpl_traces, HaloConfig, HaloProtocol,
     HplConfig,
@@ -51,14 +52,20 @@ fn assert_engines_agree(points: &[SimConfig], traces: &Traces, what: &str) -> Ve
 /// The eight Fig 2 mappings of `ranks` ranks on contention-flat BG/P in
 /// VN mode.
 fn fig2_points(ranks: usize) -> Vec<SimConfig> {
+    mapping_points(ranks, ExecMode::Vn)
+}
+
+/// The eight Fig 2 mappings of `ranks` ranks on contention-flat BG/P in
+/// `mode`.
+fn mapping_points(ranks: usize, mode: ExecMode) -> Vec<SimConfig> {
     let flat = bluegene_p().with_flat_contention();
     Mapping::fig2_set()
         .iter()
         .map(|(_, mapping)| SimConfig {
             machine: flat.clone(),
-            mode: ExecMode::Vn,
+            mode,
             threads: 1,
-            layout: RankLayout::bluegene(&flat, ranks, ExecMode::Vn, *mapping),
+            layout: RankLayout::bluegene(&flat, ranks, mode, *mapping),
         })
         .collect()
 }
@@ -164,10 +171,12 @@ fn md_point_is_engine_invariant() {
 /// marks) evaluated after a larger DAG's single point, 8-wide mapping
 /// batch and 32-wide perturbed batch (the 0.1° POP on 64 ranks) must be
 /// bit-identical to the same point on a fresh thread and to replay; so
-/// must the next point after an evaluation that panicked on a
+/// must its point and 8-wide mapping batch alternated with an 8192-rank
+/// HALO's, and the next point after an evaluation that panicked on a
 /// structurally deadlocked DAG, as the fuzzer's differential oracle
-/// catches it. The larger DAG's clocks run far past the small one's,
-/// so a stale scratch slot would show.
+/// catches it. The POP DAG's clocks run far past the small one's, and
+/// the HALO's message and request slots far past its slot counts, so a
+/// stale scratch slot would show.
 #[test]
 fn shared_scratch_leaks_no_state() {
     let tiny = PopConfig { nx: 360, ny: 240, ..PopConfig::default() };
@@ -198,6 +207,30 @@ fn shared_scratch_leaks_no_state() {
     assert_eq!(big.evaluate_perturbed(&points[0], &samples).len(), 32);
     assert_same(&fresh, &small.evaluate(&small_cfg), "small pop after the larger dag");
 
+    // alternate with a DAG of far more messages and requests (an
+    // 8192-rank HALO) at one and at eight lanes
+    let halo = HaloConfig {
+        grid: Grid2D::near_square(8192),
+        words: 512,
+        protocol: HaloProtocol::IrecvIsend,
+        reps: 2,
+    };
+    let huge = TraceDag::compile(&halo_recording(&halo));
+    assert!(huge.stats().messages > small.stats().messages * 10);
+    let (huge_points, small_points) = (fig2_points(8192), fig2_points(16));
+    let fresh_many = {
+        let (dag, points) = (small.clone(), small_points.clone());
+        std::thread::spawn(move || dag.evaluate_many(&points)).join().unwrap()
+    };
+    for round in 0..2 {
+        assert_eq!(huge.evaluate(&huge_points[round]).finish.len(), 8192);
+        assert_same(&fresh, &small.evaluate(&small_cfg), &format!("small pop, round {round}"));
+        assert_eq!(huge.evaluate_many(&huge_points).len(), 8);
+        for (i, got) in small.evaluate_many(&small_points).iter().enumerate() {
+            assert_same(&fresh_many[i], got, &format!("small pop lane {i}, round {round}"));
+        }
+    }
+
     let stuck = FnProgram(|mpi: &mut Mpi| {
         let peer = 1 - mpi.rank();
         mpi.recv(peer, 0, 8);
@@ -206,4 +239,126 @@ fn shared_scratch_leaks_no_state() {
     let pair = SimConfig::new(bluegene_p().with_flat_contention(), 2, ExecMode::Smp);
     assert!(catch_unwind(AssertUnwindSafe(|| deadlocked.evaluate(&pair))).is_err());
     assert_same(&fresh, &small.evaluate(&small_cfg), "small pop after a caught panic");
+}
+
+/// Every shape the schedule lowers a wait into, priced against replay
+/// one point at a time, as an 8- and a 32-wide mapping batch and as a
+/// 32-wide identity perturbed batch:
+/// - rank 0 waits on an eager send, on a rendezvous send and on a send
+///   nobody receives;
+/// - rank 1 first-waits on a receive whose send is scheduled later,
+///   then on receives whose sends were scheduled earlier (the eager one
+///   arrived before its receive's run began, so it pays the unexpected
+///   copy), then on the eager one again;
+/// - rank 2 first-waits on a receive whose send is scheduled later, and
+///   posts one receive it never waits on.
+///
+/// Before each evaluation a DAG with more requests and messages and
+/// clocks a second later fills the thread's scratch at the same width,
+/// so a request value or message record the pass failed to write would
+/// show.
+#[test]
+fn every_lowered_wait_shape_matches_replay() {
+    let big = bluegene_p().nic.eager_threshold * 4;
+    let prog = FnProgram(move |mpi: &mut Mpi| match mpi.rank() {
+        0 => {
+            for (dst, tag, bytes) in [(1, 0, 8), (1, 1, big), (2, 7, 64)] {
+                let s = mpi.isend(dst, tag, bytes);
+                mpi.wait(s);
+            }
+        }
+        1 => {
+            let first = mpi.irecv(3, 9, 8);
+            mpi.wait(first);
+            let eager = mpi.irecv(0, 0, 8);
+            mpi.wait(eager);
+            let rdv = mpi.irecv(0, 1, big);
+            mpi.wait(rdv);
+            mpi.wait(eager);
+        }
+        2 => {
+            let later = mpi.irecv(3, 0, 256);
+            let _never = mpi.irecv(3, 5, 16);
+            mpi.wait(later);
+        }
+        _ => {
+            mpi.delay(SimTime::from_us(50));
+            for (dst, tag) in [(1, 9), (2, 0), (2, 5)] {
+                let s = mpi.isend(dst, tag, 256);
+                mpi.wait(s);
+            }
+        }
+    });
+    let filler = FnProgram(|mpi: &mut Mpi| {
+        let (next, prev) = ((mpi.rank() + 1) % 4, (mpi.rank() + 3) % 4);
+        mpi.delay(SimTime::from_secs(1.0));
+        for tag in 0..8 {
+            let r = mpi.irecv(prev, tag, 8);
+            let s = mpi.isend(next, tag, 8);
+            mpi.wait(s);
+            mpi.wait(r);
+        }
+    });
+    let traces = TraceSim::trace_program(&prog, 4, 1);
+    let (dag, filler) =
+        (TraceDag::compile(&traces), TraceDag::compile(&TraceSim::trace_program(&filler, 4, 1)));
+    let points = mapping_points(4, ExecMode::Smp);
+    let wide: Vec<SimConfig> = points.iter().cycle().take(32).cloned().collect();
+    let identity = [Perturbation::IDENTITY; 32];
+
+    filler.evaluate_many(&points);
+    let replay = assert_engines_agree(&points, &traces, "wait shapes, 8 lanes");
+    assert!(replay[0].finish[1] > SimTime::from_us(50), "rank 1 waits for rank 3");
+    filler.evaluate_many(&wide);
+    assert_engines_agree(&wide, &traces, "wait shapes, 32 lanes");
+    for (i, p) in points.iter().enumerate() {
+        filler.evaluate(p);
+        assert_same(&replay[i], &dag.evaluate(p), &format!("wait shapes, point {i} alone"));
+    }
+    filler.evaluate_perturbed(&points[0], &identity);
+    for (i, r) in dag.evaluate_perturbed(&points[0], &identity).iter().enumerate() {
+        assert_same(&replay[0], r, &format!("wait shapes, identity lane {i}"));
+    }
+}
+
+/// DAG clocks saturate: a send injected at `SimTime::MAX` completes its
+/// send wait and its receive there, without a panic — one point, an
+/// 8-wide mapping batch and a 32-wide identity perturbed batch, each
+/// right after a larger DAG priced at the same width on this thread.
+#[test]
+fn saturated_send_evaluates_without_panic() {
+    let prog = FnProgram(|mpi: &mut Mpi| {
+        if mpi.rank() == 0 {
+            mpi.delay(SimTime::MAX);
+            let s = mpi.isend(1, 0, 8);
+            mpi.wait(s);
+        } else {
+            let r = mpi.irecv(0, 0, 8);
+            mpi.wait(r);
+        }
+    });
+    let dag = TraceDag::compile(&TraceSim::trace_program(&prog, 2, 1));
+    let pair = SimConfig::new(bluegene_p().with_flat_contention(), 2, ExecMode::Smp);
+    let cfg = HaloConfig {
+        grid: Grid2D::new(16, 8),
+        words: 2048,
+        protocol: HaloProtocol::IrecvIsend,
+        reps: 2,
+    };
+    let larger = TraceDag::compile(&halo_recording(&cfg));
+    let points = fig2_points(cfg.grid.size());
+    let saturated = |r: &SimResult, what: &str| {
+        assert_eq!(r.finish, vec![SimTime::MAX; 2], "{what}: finish clocks");
+        assert_eq!(r.busy[0], SimTime::MAX, "{what}: rank 0 busy");
+    };
+    larger.evaluate(&points[0]);
+    saturated(&dag.evaluate(&pair), "one point");
+    larger.evaluate_many(&points);
+    for r in dag.evaluate_many(&vec![pair.clone(); 8]) {
+        saturated(&r, "8-wide mapping batch");
+    }
+    larger.evaluate_perturbed(&points[0], &[Perturbation::IDENTITY; 32]);
+    for r in dag.evaluate_perturbed(&pair, &[Perturbation::IDENTITY; 32]) {
+        saturated(&r, "32-wide perturbed batch");
+    }
 }
