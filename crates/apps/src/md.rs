@@ -7,7 +7,7 @@
 //! * **LAMMPS** — spatial decomposition: each rank owns a box of atoms,
 //!   exchanges ghost atoms with its six face neighbours each step, and
 //!   joins one small reduction. Communication shrinks as surface/volume,
-//!   so it "scale[s] from a few hundred to tens of thousands of
+//!   so it "scale\[s\] from a few hundred to tens of thousands of
 //!   processors".
 //! * **PMEMD** — particle-mesh Ewald: the direct-space force loop plus a
 //!   distributed 3-D FFT (transpose exchanges with `MPI_Sendrecv` and

@@ -13,8 +13,10 @@
 //! repro fig2 --faults 42    # fault injection (mixed profile) + the
 //!                           # resilience battery and resilience.csv
 //! repro fig2 --faults 42 --fault-profile link
-//! repro fig2 --sweep-engine dag  # DAG sweep engine (same output, less
-//!                           # time on mapping/machine scans)
+//! repro fig2 --sweep-engine dag  # DAG sweep engine where exact; no
+//!                           # registry machine is contention-flat, so
+//!                           # every paper point still replays (same
+//!                           # output, same time)
 //! repro fig2 --cache-dir .cache  # disk-backed scenario cache: a second
 //!                           # run starts warm (same output, less time)
 //! repro fig2 --no-cache     # disable scenario memoization entirely

@@ -55,8 +55,12 @@ pub struct RunFlags {
     /// `--sweep-engine NAME`: how mapping/machine sweeps evaluate their
     /// points (default `replay`). Must be one of [`SWEEP_ENGINES`].
     /// `dag` compiles each trace to a task DAG and critical-path
-    /// evaluates wherever that is provably exact, falling back to
-    /// replay elsewhere — output is byte-identical either way.
+    /// evaluates wherever that is provably exact (contention-flat
+    /// machines), falling back to replay elsewhere — output is
+    /// byte-identical either way. No registry machine is
+    /// contention-flat, so in the paper batteries every point replays
+    /// under either engine and only the volatile
+    /// `hpcsim_sweep_fallback_contention_total` counter changes.
     pub sweep_engine: Option<String>,
     /// `--cache-dir DIR`: back the scenario cache with an on-disk
     /// store, so a second run starts warm. Output is byte-identical
@@ -292,16 +296,6 @@ impl RunFlags {
     /// byte-identical across runs (the cache CLI tests diff them).
     pub fn run_report_path(&self) -> PathBuf {
         self.out.join("run_report.json")
-    }
-}
-
-/// Parse `--paper` / `--out DIR` style flags from raw args; returns
-/// (paper_scale, out_dir, remaining positional args). Panics on invalid
-/// flags — binaries should use [`RunFlags::parse`] and exit 2 instead.
-pub fn parse_flags(args: &[String]) -> (bool, PathBuf, Vec<String>) {
-    match RunFlags::parse(args) {
-        Ok(f) => (f.paper, f.out, f.positional),
-        Err(e) => panic!("{e}"),
     }
 }
 
@@ -583,25 +577,24 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let (paper, out, rest) = parse_flags(&args);
-        assert!(paper);
-        assert_eq!(out, PathBuf::from("/tmp/x"));
-        assert_eq!(rest, vec!["fig3".to_string(), "table1".to_string()]);
+        let f = RunFlags::parse(&args).expect("valid flags");
+        assert!(f.paper);
+        assert_eq!(f.out, PathBuf::from("/tmp/x"));
+        assert_eq!(f.positional, vec!["fig3".to_string(), "table1".to_string()]);
     }
 
     #[test]
     fn defaults_are_quick() {
-        let (paper, out, rest) = parse_flags(&[]);
-        assert!(!paper);
-        assert_eq!(out, default_out_dir());
-        assert!(rest.is_empty());
+        let f = RunFlags::parse(&[]).expect("valid flags");
+        assert!(!f.paper);
+        assert_eq!(f.out, default_out_dir());
+        assert!(f.positional.is_empty());
     }
 
     #[test]
     fn quick_flag_overrides() {
         let args: Vec<String> = ["--paper", "--quick"].iter().map(|s| s.to_string()).collect();
-        let (paper, _, _) = parse_flags(&args);
-        assert!(!paper);
+        assert!(!RunFlags::parse(&args).expect("valid flags").paper);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod store;
 pub use eval::{evaluate_in, EvalError};
 pub use spec::{
     fnv1a_128, parse_setup, write_setup, FaultSpec, ProgramSpec, ScenarioSpec, Setup, SpecHash,
-    SpecParseError, SETUP_LINES,
+    SETUP_LINES,
 };
 pub use store::{CacheConfig, CacheStats, ScenarioCache, TraceEntry};
 

@@ -41,8 +41,9 @@
 //! and faults — have one writer ([`write_setup`]) and one parser
 //! ([`parse_setup`]). Fuzz scenarios (`hpcsim-fuzz`) use the same pair
 //! for their header, so a machine reads and hashes the same in both
-//! formats. The parser takes every integer at its field's own width: a
-//! value too wide for its field is an error, not a truncation.
+//! formats. Both read through the shared reader of [`hpcsim_mpi::wire`],
+//! which takes every integer at its field's own width: a value too wide
+//! for its field is an error, not a truncation.
 
 use hpcsim_apps::{MdCode, MdConfig};
 use hpcsim_engine::SimTime;
@@ -52,6 +53,7 @@ use hpcsim_machine::{
     CacheCoherence, CoreArch, ExecMode, L2Kind, MachineId, MachineSpec, MemorySpec, NicSpec,
     Packaging, PowerSpec,
 };
+use hpcsim_mpi::wire::{Bits, Fields, Lines, ParseError};
 use hpcsim_net::DType;
 use hpcsim_topo::{Grid2D, Mapping};
 use std::fmt::Write as _;
@@ -288,8 +290,13 @@ impl ScenarioSpec {
 
     /// Parse a canonical text back into a spec (machine `core.name`
     /// comes back empty — it is not part of the canonical form).
-    pub fn parse(text: &str) -> Result<ScenarioSpec, SpecParseError> {
-        parse_spec(text)
+    pub fn parse(text: &str) -> Result<ScenarioSpec, ParseError> {
+        let mut lines = Lines::new(text, 1);
+        lines.keyed(SPEC_MAGIC, |_| Ok(()))?;
+        let program = lines.keyed("program", parse_program)?;
+        let Setup { machine, mode, mapping, faults } = parse_setup(&mut lines)?;
+        lines.finish()?;
+        Ok(ScenarioSpec { program, machine, mode, mapping, faults }.canonicalized())
     }
 }
 
@@ -312,6 +319,30 @@ pub struct Setup {
 /// nic, pack, power), then mode, mapping and faults.
 pub const SETUP_LINES: usize = 9;
 
+/// The text name of each variant, for the writers and [`Fields::one_of`].
+const PROTOCOLS: [(HaloProtocol, &str); 3] = [
+    (HaloProtocol::IrecvIsend, "irecv-isend"),
+    (HaloProtocol::IsendIrecv, "isend-irecv"),
+    (HaloProtocol::Sendrecv, "sendrecv"),
+];
+const MD_CODES: [(MdCode, &str); 2] = [(MdCode::Lammps, "lammps"), (MdCode::Pmemd, "pmemd")];
+const MODES: [(ExecMode, &str); 3] =
+    [(ExecMode::Smp, "smp"), (ExecMode::Dual, "dual"), (ExecMode::Vn, "vn")];
+const MACHINES: [(MachineId, &str); 5] = [
+    (MachineId::BgL, "bgl"),
+    (MachineId::BgP, "bgp"),
+    (MachineId::Xt3, "xt3"),
+    (MachineId::Xt4Dc, "xt4dc"),
+    (MachineId::Xt4Qc, "xt4qc"),
+];
+const COHERENCE: [(CacheCoherence, &str); 2] =
+    [(CacheCoherence::Software, "sw"), (CacheCoherence::Hardware, "hw")];
+
+/// The name `table` gives `v`.
+fn name<T: PartialEq>(table: &[(T, &'static str)], v: T) -> &'static str {
+    table.iter().find(|(t, _)| *t == v).map(|(_, n)| *n).expect("every variant is named")
+}
+
 /// Write the setup lines. The only writer of this grammar: scenario
 /// specs and fuzz scenarios both call it, so their machine text and
 /// hashes agree bit for bit.
@@ -323,12 +354,7 @@ pub fn write_setup(
     faults: Option<FaultSpec>,
 ) {
     write_machine(out, machine);
-    let mode = match mode {
-        ExecMode::Smp => "smp",
-        ExecMode::Dual => "dual",
-        ExecMode::Vn => "vn",
-    };
-    let _ = writeln!(out, "mode {mode}");
+    let _ = writeln!(out, "mode {}", name(&MODES, mode));
     let _ = writeln!(out, "mapping {}", mapping.name());
     match faults {
         None => out.push_str("faults none\n"),
@@ -338,43 +364,47 @@ pub fn write_setup(
     }
 }
 
-/// Parse the [`SETUP_LINES`] lines [`write_setup`] wrote at the start of
-/// `text`, whose first line is line `first_line` of the enclosing file
-/// (diagnostics carry that numbering). Returns the setup and the text
-/// after it.
-pub fn parse_setup(text: &str, first_line: usize) -> Result<(Setup, &str), SpecParseError> {
-    let mut lines = Lines { rest: text, line: first_line - 1 };
-    let setup = parse_setup_lines(&mut lines)?;
-    Ok((setup, lines.rest))
-}
-
-fn push_bits(out: &mut String, v: f64) {
-    let _ = write!(out, " 0x{:016x}", v.to_bits());
+/// Read the [`SETUP_LINES`] lines [`write_setup`] wrote at the cursor,
+/// which is left on the line after them.
+pub fn parse_setup(lines: &mut Lines<'_>) -> Result<Setup, ParseError> {
+    Ok(Setup {
+        machine: parse_machine(lines)?,
+        mode: lines.keyed("mode", |c| c.one_of("mode", &MODES))?,
+        mapping: lines.keyed("mapping", |c| c.parse_with("mapping", Mapping::parse))?,
+        faults: lines.keyed("faults", |c| match c.tok("faults seed")? {
+            "none" => Ok(None),
+            seed => {
+                let seed = seed.parse().or_else(|_| c.err(format!("bad fault seed {seed:?}")))?;
+                let profile = c.parse_with("fault profile", FaultProfile::parse)?;
+                Ok(Some(FaultSpec { seed, profile }))
+            }
+        })?,
+    })
 }
 
 fn write_program(out: &mut String, p: &ProgramSpec) {
     match p {
         ProgramSpec::Halo(cfg) => {
-            let proto = match cfg.protocol {
-                HaloProtocol::IrecvIsend => "irecv-isend",
-                HaloProtocol::IsendIrecv => "isend-irecv",
-                HaloProtocol::Sendrecv => "sendrecv",
-            };
             let _ = writeln!(
                 out,
-                "program halo {} {} {} {proto} {}",
-                cfg.grid.rows, cfg.grid.cols, cfg.words, cfg.reps
+                "program halo {} {} {} {} {}",
+                cfg.grid.rows,
+                cfg.grid.cols,
+                cfg.words,
+                name(&PROTOCOLS, cfg.protocol),
+                cfg.reps
             );
         }
         ProgramSpec::Md { ranks, cfg } => {
-            let code = match cfg.code {
-                MdCode::Lammps => "lammps",
-                MdCode::Pmemd => "pmemd",
-            };
             let _ = writeln!(
                 out,
-                "program md {ranks} {code} {} {} {} {} {}",
-                cfg.atoms, cfg.neighbors, cfg.pme_mesh, cfg.output_every, cfg.steps
+                "program md {ranks} {} {} {} {} {} {}",
+                name(&MD_CODES, cfg.code),
+                cfg.atoms,
+                cfg.neighbors,
+                cfg.pme_mesh,
+                cfg.output_every,
+                cfg.steps
             );
         }
         ProgramSpec::Hpl(cfg) => {
@@ -388,309 +418,126 @@ fn write_program(out: &mut String, p: &ProgramSpec) {
             let _ = writeln!(out, "program imb-allreduce {ranks} {bytes} {}", dtype.name());
         }
         ProgramSpec::Pop { ranks, threads, cfg } => {
-            let _ = write!(out, "program pop {ranks} {threads} {} {} {}", cfg.nx, cfg.ny, cfg.nz);
-            push_bits(out, cfg.steps_per_day);
-            let _ = write!(out, " {} {} {}", cfg.cg_iters, cfg.chron_gear as u8, cfg.cg_sim);
-            push_bits(out, cfg.flops_per_point);
-            push_bits(out, cfg.imbalance);
-            out.push('\n');
+            let _ = writeln!(
+                out,
+                "program pop {ranks} {threads} {} {} {} {} {} {} {} {} {}",
+                cfg.nx,
+                cfg.ny,
+                cfg.nz,
+                Bits(cfg.steps_per_day),
+                cfg.cg_iters,
+                cfg.chron_gear as u8,
+                cfg.cg_sim,
+                Bits(cfg.flops_per_point),
+                Bits(cfg.imbalance)
+            );
         }
     }
 }
 
+/// ` none`, or the value as [`Bits`]: the field [`Fields::opt_bits`] reads.
+fn push_opt_bits(out: &mut String, v: Option<f64>) {
+    let _ = match v {
+        None => write!(out, " none"),
+        Some(v) => write!(out, " {}", Bits(v)),
+    };
+}
+
 fn write_machine(out: &mut String, m: &MachineSpec) {
-    let id = match m.id {
-        MachineId::BgL => "bgl",
-        MachineId::BgP => "bgp",
-        MachineId::Xt3 => "xt3",
-        MachineId::Xt4Dc => "xt4dc",
-        MachineId::Xt4Qc => "xt4qc",
-    };
-    let coh = match m.coherence {
-        CacheCoherence::Software => "sw",
-        CacheCoherence::Hardware => "hw",
-    };
+    let (id, coh) = (name(&MACHINES, m.id), name(&COHERENCE, m.coherence));
     let _ = write!(out, "machine {id} {} {coh}", m.cores_per_node);
-    match m.l3_shared_mib {
-        None => out.push_str(" none"),
-        Some(v) => push_bits(out, v),
-    }
+    push_opt_bits(out, m.l3_shared_mib);
     out.push('\n');
 
     // core.name is deliberately absent: display-only (see module docs)
-    let _ = write!(out, "core");
-    push_bits(out, m.core.clock_hz);
-    push_bits(out, m.core.flops_per_cycle);
-    let _ = write!(out, " {} {}", m.core.l1_data_kib, m.core.line_bytes);
-    match m.core.l2 {
-        L2Kind::PrefetchEngine { streams } => {
-            let _ = write!(out, " pf {streams}");
-        }
-        L2Kind::Cache { kib } => {
-            let _ = write!(out, " cache {kib}");
-        }
-    }
-    push_bits(out, m.core.mem_bw_core);
-    push_bits(out, m.core.irregular_eff);
-    out.push('\n');
+    let c = &m.core;
+    let (clock, fpc) = (Bits(c.clock_hz), Bits(c.flops_per_cycle));
+    let _ = write!(out, "core {clock} {fpc} {} {}", c.l1_data_kib, c.line_bytes);
+    let _ = match c.l2 {
+        L2Kind::PrefetchEngine { streams } => write!(out, " pf {streams}"),
+        L2Kind::Cache { kib } => write!(out, " cache {kib}"),
+    };
+    let _ = writeln!(out, " {} {}", Bits(c.mem_bw_core), Bits(c.irregular_eff));
 
-    let _ = write!(out, "mem");
-    push_bits(out, m.mem.capacity_gib);
-    push_bits(out, m.mem.bw_bytes);
-    push_bits(out, m.mem.stream_eff_single);
-    push_bits(out, m.mem.stream_eff_loaded);
-    let _ = writeln!(out, " {}", m.mem.latency.0);
+    let mem = &m.mem;
+    let _ = writeln!(
+        out,
+        "mem {} {} {} {} {}",
+        Bits(mem.capacity_gib),
+        Bits(mem.bw_bytes),
+        Bits(mem.stream_eff_single),
+        Bits(mem.stream_eff_loaded),
+        mem.latency.0
+    );
 
-    let _ = write!(out, "nic");
-    push_bits(out, m.nic.torus_link_bw);
-    let _ = write!(out, " {}", m.nic.torus_links);
-    push_bits(out, m.nic.injection_bw);
-    match m.nic.tree_bw {
-        None => out.push_str(" none"),
-        Some(v) => push_bits(out, v),
-    }
+    let nic = &m.nic;
     let _ = write!(
         out,
-        " {} {} {} {} {}",
-        m.nic.has_barrier_network as u8,
-        m.nic.o_send.0,
-        m.nic.o_recv.0,
-        m.nic.per_hop.0,
-        m.nic.eager_threshold
+        "nic {} {} {}",
+        Bits(nic.torus_link_bw),
+        nic.torus_links,
+        Bits(nic.injection_bw)
     );
-    push_bits(out, m.nic.route_diversity);
-    out.push('\n');
+    push_opt_bits(out, nic.tree_bw);
+    let _ = writeln!(
+        out,
+        " {} {} {} {} {} {}",
+        nic.has_barrier_network as u8,
+        nic.o_send.0,
+        nic.o_recv.0,
+        nic.per_hop.0,
+        nic.eager_threshold,
+        Bits(nic.route_diversity)
+    );
 
     let _ =
         writeln!(out, "pack {} {}", m.packaging.nodes_per_rack, m.packaging.compute_per_io_node);
 
-    let _ = write!(out, "power");
+    let p = &m.power;
+    out.push_str("power");
     for v in [
-        m.power.node_static_w,
-        m.power.core_idle_w,
-        m.power.core_dyn_w,
-        m.power.mem_w,
-        m.power.nic_w,
-        m.power.rack_overhead_w,
-        m.power.psu_efficiency,
+        p.node_static_w,
+        p.core_idle_w,
+        p.core_dyn_w,
+        p.mem_w,
+        p.nic_w,
+        p.rack_overhead_w,
+        p.psu_efficiency,
     ] {
-        push_bits(out, v);
+        let _ = write!(out, " {}", Bits(v));
     }
     out.push('\n');
 }
 
-/// One-line diagnosis of a malformed canonical spec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecParseError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for SpecParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "spec line {}: {}", self.line, self.message)
-    }
-}
-
-struct Cursor<'a> {
-    line: usize,
-    toks: std::str::SplitAsciiWhitespace<'a>,
-}
-
-impl<'a> Cursor<'a> {
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, SpecParseError> {
-        Err(SpecParseError { line: self.line, message: message.into() })
-    }
-
-    fn tok(&mut self, what: &str) -> Result<&'a str, SpecParseError> {
-        match self.toks.next() {
-            Some(t) => Ok(t),
-            None => Err(SpecParseError { line: self.line, message: format!("missing {what}") }),
-        }
-    }
-
-    /// An integer parsed at its field's own width: a value that does not
-    /// fit is an error, never a silent truncation.
-    fn num<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, SpecParseError> {
-        let t = self.tok(what)?;
-        t.parse().or_else(|_| self.err(format!("bad {what} {t:?}")))
-    }
-
-    fn bits(&mut self, what: &str) -> Result<f64, SpecParseError> {
-        let t = self.tok(what)?;
-        bits_of(self, what, t)
-    }
-
-    fn bool01(&mut self, what: &str) -> Result<bool, SpecParseError> {
-        match self.tok(what)? {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            t => self.err(format!("bad {what} {t:?} (want 0/1)")),
-        }
-    }
-
-    fn finish(mut self) -> Result<(), SpecParseError> {
-        match self.toks.next() {
-            None => Ok(()),
-            Some(t) => {
-                Err(SpecParseError { line: self.line, message: format!("trailing token {t:?}") })
-            }
-        }
-    }
-}
-
-/// Line cursor over the unread text; line numbers are 1-based.
-struct Lines<'a> {
-    rest: &'a str,
-    line: usize,
-}
-
-impl<'a> Lines<'a> {
-    fn next(&mut self, what: &str) -> Result<Cursor<'a>, SpecParseError> {
-        if self.rest.is_empty() {
-            return Err(SpecParseError {
-                line: self.line + 1,
-                message: format!("missing {what} line"),
-            });
-        }
-        let (text, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
-        self.rest = rest;
-        self.line += 1;
-        Ok(Cursor { line: self.line, toks: text.split_ascii_whitespace() })
-    }
-}
-
-fn parse_spec(text: &str) -> Result<ScenarioSpec, SpecParseError> {
-    let mut lines = Lines { rest: text, line: 0 };
-    let next = &mut lines;
-
-    let mut c = next.next("magic")?;
-    if c.tok("magic")? != SPEC_MAGIC {
-        return c.err("bad magic");
-    }
-    c.finish()?;
-
-    let mut c = next.next("program")?;
-    if c.tok("program keyword")? != "program" {
-        return c.err("expected program line");
-    }
-    let program = parse_program(&mut c)?;
-    c.finish()?;
-
-    let Setup { machine, mode, mapping, faults } = parse_setup_lines(next)?;
-
-    for (line, extra) in (lines.line + 1..).zip(lines.rest.lines()) {
-        if !extra.trim().is_empty() {
-            return Err(SpecParseError { line, message: format!("trailing content {extra:?}") });
-        }
-    }
-
-    Ok(ScenarioSpec { program, machine, mode, mapping, faults }.canonicalized())
-}
-
-fn parse_setup_lines(next: &mut Lines<'_>) -> Result<Setup, SpecParseError> {
-    let machine = parse_machine(next)?;
-
-    let mut c = next.next("mode")?;
-    if c.tok("mode keyword")? != "mode" {
-        return c.err("expected mode line");
-    }
-    let mode = match c.tok("mode")? {
-        "smp" => ExecMode::Smp,
-        "dual" => ExecMode::Dual,
-        "vn" => ExecMode::Vn,
-        t => return c.err(format!("bad mode {t:?}")),
-    };
-    c.finish()?;
-
-    let mut c = next.next("mapping")?;
-    if c.tok("mapping keyword")? != "mapping" {
-        return c.err("expected mapping line");
-    }
-    let name = c.tok("mapping name")?;
-    let mapping = match Mapping::parse(name) {
-        Some(m) => m,
-        None => return c.err(format!("bad mapping {name:?}")),
-    };
-    c.finish()?;
-
-    let mut c = next.next("faults")?;
-    if c.tok("faults keyword")? != "faults" {
-        return c.err("expected faults line");
-    }
-    let faults = match c.tok("faults seed")? {
-        "none" => None,
-        seed => {
-            let seed: u64 = match seed.parse() {
-                Ok(s) => s,
-                Err(_) => return c.err(format!("bad fault seed {seed:?}")),
-            };
-            let prof = c.tok("fault profile")?;
-            match FaultProfile::parse(prof) {
-                Some(profile) => Some(FaultSpec { seed, profile }),
-                None => return c.err(format!("bad fault profile {prof:?}")),
-            }
-        }
-    };
-    c.finish()?;
-    Ok(Setup { machine, mode, mapping, faults })
-}
-
-fn parse_program(c: &mut Cursor<'_>) -> Result<ProgramSpec, SpecParseError> {
+fn parse_program(c: &mut Fields<'_>) -> Result<ProgramSpec, ParseError> {
     Ok(match c.tok("program kind")? {
-        "halo" => {
-            let rows = c.num("rows")?;
-            let cols = c.num("cols")?;
-            let words = c.num("words")?;
-            let protocol = match c.tok("protocol")? {
-                "irecv-isend" => HaloProtocol::IrecvIsend,
-                "isend-irecv" => HaloProtocol::IsendIrecv,
-                "sendrecv" => HaloProtocol::Sendrecv,
-                t => return c.err(format!("bad protocol {t:?}")),
-            };
-            let reps = c.num("reps")?;
-            ProgramSpec::Halo(HaloConfig { grid: Grid2D::new(rows, cols), words, protocol, reps })
-        }
-        "md" => {
-            let ranks = c.num("ranks")?;
-            let code = match c.tok("code")? {
-                "lammps" => MdCode::Lammps,
-                "pmemd" => MdCode::Pmemd,
-                t => return c.err(format!("bad md code {t:?}")),
-            };
-            ProgramSpec::Md {
-                ranks,
-                cfg: MdConfig {
-                    code,
-                    atoms: c.num("atoms")?,
-                    neighbors: c.num("neighbors")?,
-                    pme_mesh: c.num("pme_mesh")?,
-                    output_every: c.num("output_every")?,
-                    steps: c.num("steps")?,
-                },
-            }
-        }
+        "halo" => ProgramSpec::Halo(HaloConfig {
+            grid: Grid2D::new(c.num("rows")?, c.num("cols")?),
+            words: c.num("words")?,
+            protocol: c.one_of("protocol", &PROTOCOLS)?,
+            reps: c.num("reps")?,
+        }),
+        "md" => ProgramSpec::Md {
+            ranks: c.num("ranks")?,
+            cfg: MdConfig {
+                code: c.one_of("md code", &MD_CODES)?,
+                atoms: c.num("atoms")?,
+                neighbors: c.num("neighbors")?,
+                pme_mesh: c.num("pme_mesh")?,
+                output_every: c.num("output_every")?,
+                steps: c.num("steps")?,
+            },
+        },
         "hpl" => ProgramSpec::Hpl(HplConfig {
             n: c.num("n")?,
             nb: c.num("nb")?,
-            grid: {
-                let rows = c.num("rows")?;
-                Grid2D::new(rows, c.num("cols")?)
-            },
+            grid: Grid2D::new(c.num("rows")?, c.num("cols")?),
             samples: c.num("samples")?,
         }),
         "imb-allreduce" => ProgramSpec::ImbAllreduce {
             ranks: c.num("ranks")?,
             bytes: c.num("bytes")?,
-            dtype: {
-                let t = c.tok("dtype")?;
-                match DType::parse(t) {
-                    Some(d) => d,
-                    None => return c.err(format!("bad dtype {t:?}")),
-                }
-            },
+            dtype: c.parse_with("dtype", DType::parse)?,
         },
         "pop" => ProgramSpec::Pop {
             ranks: c.num("ranks")?,
@@ -711,119 +558,68 @@ fn parse_program(c: &mut Cursor<'_>) -> Result<ProgramSpec, SpecParseError> {
     })
 }
 
-fn parse_machine(next: &mut Lines<'_>) -> Result<MachineSpec, SpecParseError> {
-    let mut c = next.next("machine")?;
-    if c.tok("machine keyword")? != "machine" {
-        return c.err("expected machine line");
-    }
-    let id = match c.tok("machine id")? {
-        "bgl" => MachineId::BgL,
-        "bgp" => MachineId::BgP,
-        "xt3" => MachineId::Xt3,
-        "xt4dc" => MachineId::Xt4Dc,
-        "xt4qc" => MachineId::Xt4Qc,
-        t => return c.err(format!("bad machine id {t:?}")),
-    };
-    let cores_per_node = c.num("cores_per_node")?;
-    let coherence = match c.tok("coherence")? {
-        "sw" => CacheCoherence::Software,
-        "hw" => CacheCoherence::Hardware,
-        t => return c.err(format!("bad coherence {t:?}")),
-    };
-    let l3_shared_mib = match c.tok("l3")? {
-        "none" => None,
-        t => Some(bits_of(&c, "l3", t)?),
-    };
-    c.finish()?;
-
-    let mut c = next.next("core")?;
-    if c.tok("core keyword")? != "core" {
-        return c.err("expected core line");
-    }
-    let clock_hz = c.bits("clock_hz")?;
-    let flops_per_cycle = c.bits("flops_per_cycle")?;
-    let l1_data_kib = c.num("l1_data_kib")?;
-    let line_bytes = c.num("line_bytes")?;
-    let l2 = match c.tok("l2 kind")? {
-        "pf" => L2Kind::PrefetchEngine { streams: c.num("streams")? },
-        "cache" => L2Kind::Cache { kib: c.num("kib")? },
-        t => return c.err(format!("bad l2 kind {t:?}")),
-    };
-    let core = CoreArch {
-        name: "",
-        clock_hz,
-        flops_per_cycle,
-        l1_data_kib,
-        line_bytes,
-        l2,
-        mem_bw_core: c.bits("mem_bw_core")?,
-        irregular_eff: c.bits("irregular_eff")?,
-    };
-    c.finish()?;
-
-    let mut c = next.next("mem")?;
-    if c.tok("mem keyword")? != "mem" {
-        return c.err("expected mem line");
-    }
-    let mem = MemorySpec {
-        capacity_gib: c.bits("capacity_gib")?,
-        bw_bytes: c.bits("bw_bytes")?,
-        stream_eff_single: c.bits("stream_eff_single")?,
-        stream_eff_loaded: c.bits("stream_eff_loaded")?,
-        latency: SimTime(c.num("latency")?),
-    };
-    c.finish()?;
-
-    let mut c = next.next("nic")?;
-    if c.tok("nic keyword")? != "nic" {
-        return c.err("expected nic line");
-    }
-    let torus_link_bw = c.bits("torus_link_bw")?;
-    let torus_links = c.num("torus_links")?;
-    let injection_bw = c.bits("injection_bw")?;
-    let tree_bw = match c.tok("tree_bw")? {
-        "none" => None,
-        t => Some(bits_of(&c, "tree_bw", t)?),
-    };
-    let nic = NicSpec {
-        torus_link_bw,
-        torus_links,
-        injection_bw,
-        tree_bw,
-        has_barrier_network: c.bool01("has_barrier_network")?,
-        o_send: SimTime(c.num("o_send")?),
-        o_recv: SimTime(c.num("o_recv")?),
-        per_hop: SimTime(c.num("per_hop")?),
-        eager_threshold: c.num("eager_threshold")?,
-        route_diversity: c.bits("route_diversity")?,
-    };
-    c.finish()?;
-
-    let mut c = next.next("pack")?;
-    if c.tok("pack keyword")? != "pack" {
-        return c.err("expected pack line");
-    }
-    let packaging = Packaging {
-        nodes_per_rack: c.num("nodes_per_rack")?,
-        compute_per_io_node: c.num("compute_per_io_node")?,
-    };
-    c.finish()?;
-
-    let mut c = next.next("power")?;
-    if c.tok("power keyword")? != "power" {
-        return c.err("expected power line");
-    }
-    let power = PowerSpec {
-        node_static_w: c.bits("node_static_w")?,
-        core_idle_w: c.bits("core_idle_w")?,
-        core_dyn_w: c.bits("core_dyn_w")?,
-        mem_w: c.bits("mem_w")?,
-        nic_w: c.bits("nic_w")?,
-        rack_overhead_w: c.bits("rack_overhead_w")?,
-        psu_efficiency: c.bits("psu_efficiency")?,
-    };
-    c.finish()?;
-
+fn parse_machine(lines: &mut Lines<'_>) -> Result<MachineSpec, ParseError> {
+    let (id, cores_per_node, coherence, l3_shared_mib) = lines.keyed("machine", |c| {
+        let id = c.one_of("machine id", &MACHINES)?;
+        let cores_per_node = c.num("cores_per_node")?;
+        Ok((id, cores_per_node, c.one_of("coherence", &COHERENCE)?, c.opt_bits("l3")?))
+    })?;
+    let core = lines.keyed("core", |c| {
+        Ok(CoreArch {
+            name: "",
+            clock_hz: c.bits("clock_hz")?,
+            flops_per_cycle: c.bits("flops_per_cycle")?,
+            l1_data_kib: c.num("l1_data_kib")?,
+            line_bytes: c.num("line_bytes")?,
+            l2: match c.tok("l2 kind")? {
+                "pf" => L2Kind::PrefetchEngine { streams: c.num("streams")? },
+                "cache" => L2Kind::Cache { kib: c.num("kib")? },
+                t => return c.err(format!("bad l2 kind {t:?}")),
+            },
+            mem_bw_core: c.bits("mem_bw_core")?,
+            irregular_eff: c.bits("irregular_eff")?,
+        })
+    })?;
+    let mem = lines.keyed("mem", |c| {
+        Ok(MemorySpec {
+            capacity_gib: c.bits("capacity_gib")?,
+            bw_bytes: c.bits("bw_bytes")?,
+            stream_eff_single: c.bits("stream_eff_single")?,
+            stream_eff_loaded: c.bits("stream_eff_loaded")?,
+            latency: SimTime(c.num("latency")?),
+        })
+    })?;
+    let nic = lines.keyed("nic", |c| {
+        Ok(NicSpec {
+            torus_link_bw: c.bits("torus_link_bw")?,
+            torus_links: c.num("torus_links")?,
+            injection_bw: c.bits("injection_bw")?,
+            tree_bw: c.opt_bits("tree_bw")?,
+            has_barrier_network: c.bool01("has_barrier_network")?,
+            o_send: SimTime(c.num("o_send")?),
+            o_recv: SimTime(c.num("o_recv")?),
+            per_hop: SimTime(c.num("per_hop")?),
+            eager_threshold: c.num("eager_threshold")?,
+            route_diversity: c.bits("route_diversity")?,
+        })
+    })?;
+    let packaging = lines.keyed("pack", |c| {
+        Ok(Packaging {
+            nodes_per_rack: c.num("nodes_per_rack")?,
+            compute_per_io_node: c.num("compute_per_io_node")?,
+        })
+    })?;
+    let power = lines.keyed("power", |c| {
+        Ok(PowerSpec {
+            node_static_w: c.bits("node_static_w")?,
+            core_idle_w: c.bits("core_idle_w")?,
+            core_dyn_w: c.bits("core_dyn_w")?,
+            mem_w: c.bits("mem_w")?,
+            nic_w: c.bits("nic_w")?,
+            rack_overhead_w: c.bits("rack_overhead_w")?,
+            psu_efficiency: c.bits("psu_efficiency")?,
+        })
+    })?;
     Ok(MachineSpec {
         id,
         cores_per_node,
@@ -835,16 +631,6 @@ fn parse_machine(next: &mut Lines<'_>) -> Result<MachineSpec, SpecParseError> {
         packaging,
         power,
     })
-}
-
-fn bits_of(c: &Cursor<'_>, what: &str, t: &str) -> Result<f64, SpecParseError> {
-    let hex = t.strip_prefix("0x").ok_or(SpecParseError {
-        line: c.line,
-        message: format!("{what} must be 0x-prefixed bits, got {t:?}"),
-    })?;
-    let bits = u64::from_str_radix(hex, 16)
-        .map_err(|_| SpecParseError { line: c.line, message: format!("bad {what} bits {t:?}") })?;
-    Ok(f64::from_bits(bits))
 }
 
 #[cfg(test)]
@@ -976,15 +762,18 @@ mod tests {
             write_setup(&mut text, &m, mode, mapping, faults);
             assert_eq!(text.lines().count(), SETUP_LINES);
             let with_tail = format!("{text}tail\n");
-            let (setup, rest) = parse_setup(&with_tail, 1).expect("setup parse");
-            assert_eq!(rest, "tail\n");
+            let mut lines = Lines::new(&with_tail, 1);
+            let setup = parse_setup(&mut lines).expect("setup parse");
+            // the cursor is left on the line after the setup
+            lines.keyed("tail", |_| Ok(())).expect("tail line");
+            lines.finish().expect("nothing after the tail");
             assert_eq!((setup.mode, setup.mapping, setup.faults), (mode, mapping, faults));
             let mut again = String::new();
             write_setup(&mut again, &setup.machine, setup.mode, setup.mapping, setup.faults);
             assert_eq!(again, text);
         }
         // diagnostics carry the enclosing file's line numbers
-        let e = parse_setup("garbage\n", 4).unwrap_err();
+        let e = parse_setup(&mut Lines::new("garbage\n", 4)).unwrap_err();
         assert_eq!(e.line, 4);
     }
 

@@ -30,9 +30,11 @@
 //! every stored value is a completed simulation.
 
 use crate::spec::SpecHash;
+use hpcsim_mpi::wire::{Bits, Lines, ParseError};
 use hpcsim_mpi::{TraceDag, Traces};
 use hpcsim_obs::{self as obs, log_warn_once};
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LazyLock, Mutex, OnceLock};
@@ -539,19 +541,24 @@ impl ScenarioCache {
     fn load_result(&self, hash: SpecHash) -> Option<Arc<Vec<f64>>> {
         let path = self.result_path(hash)?;
         let text = read_entry(&path)?;
-        let parsed = parse_result_file(&text, hash);
-        if parsed.is_none() {
-            metrics().disk_errors.inc();
-            log_warn_once!("cache: corrupt result entry {} ignored; recomputing", path.display());
+        match parse_result_file(&text, hash) {
+            Ok(v) => Some(Arc::new(v)),
+            Err(e) => {
+                metrics().disk_errors.inc();
+                log_warn_once!(
+                    "cache: corrupt result entry {} ignored ({e}); recomputing",
+                    path.display()
+                );
+                None
+            }
         }
-        parsed.map(Arc::new)
     }
 
-    fn store_result(&self, hash: SpecHash, v: &Arc<Vec<f64>>) {
+    fn store_result(&self, hash: SpecHash, v: &[f64]) {
         if let Some(path) = self.result_path(hash) {
             let mut text = format!("{RESULT_MAGIC} {hash} {}\n", v.len());
-            for x in v.iter() {
-                text.push_str(&format!("0x{:016x}\n", x.to_bits()));
+            for &x in v {
+                let _ = writeln!(text, "{}", Bits(x));
             }
             write_entry(&path, &text);
         }
@@ -629,18 +636,23 @@ const RESULT_MAGIC: &str = "hpcsim-result/2";
 /// misnamed entry (another spec's result, possibly of another length),
 /// a truncated one, or one from an older format is rejected — the
 /// caller recomputes — instead of trusted by its filename.
-fn parse_result_file(text: &str, hash: SpecHash) -> Option<Vec<f64>> {
-    let mut lines = text.lines();
-    let header: Vec<&str> = lines.next()?.split_ascii_whitespace().collect();
-    let [magic, named, len] = header[..] else { return None };
-    if magic != RESULT_MAGIC || named != hash.to_string() {
-        return None;
+fn parse_result_file(text: &str, hash: SpecHash) -> Result<Vec<f64>, ParseError> {
+    let mut lines = Lines::new(text, 1);
+    let len: usize = lines.keyed(RESULT_MAGIC, |c| {
+        let named = c.tok("hash")?;
+        if named != hash.to_string() {
+            return c.err(format!("entry of {named} stored under {hash}"));
+        }
+        c.num("length")
+    })?;
+    let mut out = Vec::new();
+    for i in 0..len {
+        let mut c = lines.expect(format_args!("value {i} of {len}"))?;
+        out.push(c.bits("value")?);
+        c.finish()?;
     }
-    let len: usize = len.parse().ok()?;
-    let out = lines
-        .map(|l| Some(f64::from_bits(u64::from_str_radix(l.strip_prefix("0x")?, 16).ok()?)))
-        .collect::<Option<Vec<f64>>>()?;
-    (out.len() == len).then_some(out)
+    lines.finish()?;
+    Ok(out)
 }
 
 /// Write `text` to `path` via a same-directory temp file + rename, so a
@@ -934,6 +946,39 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&pop_path).unwrap(), pop_text);
         let warm = ScenarioCache::new(cfg).result(hash(81), || panic!("must come from disk"));
         assert_eq!(*warm.unwrap(), pop);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A result entry's disk text, frozen: a change to it would turn
+    /// every entry of an existing `--cache-dir` into a miss.
+    const FROZEN_ENTRY: &str = "hpcsim-result/2 0123456789abcdef0123456789abcdef 4\n\
+                                0x7ff8000000000001\n\
+                                0x8000000000000000\n\
+                                0x0000000000000001\n\
+                                0x3ff8000000000000\n";
+
+    #[test]
+    fn result_entry_text_is_frozen() {
+        let dir = std::env::temp_dir().join(format!("hpcsim-cache-frozen-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let h = hash(0x0123456789abcdef0123456789abcdef);
+        // a NaN with a payload, negative zero, the smallest subnormal
+        let values = vec![f64::from_bits(0x7ff8_0000_0000_0001), -0.0, f64::from_bits(1), 1.5];
+        let cfg = CacheConfig { dir: Some(dir.clone()), ..CacheConfig::default() };
+        ScenarioCache::new(cfg).result(h, || Ok(values.clone())).unwrap();
+        let path = dir.join("results").join(h.to_string());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), FROZEN_ENTRY);
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&parse_result_file(FROZEN_ENTRY, h).unwrap()), bits(&values));
+        for bad in [
+            FROZEN_ENTRY.replacen("0x8000000000000000\n", "0x8000000000000000 0x0\n", 1),
+            FROZEN_ENTRY.replacen(" 4\n", " 4 0x0\n", 1),
+            FROZEN_ENTRY.replacen("0x0000000000000001\n", "", 1),
+        ] {
+            assert_ne!(bad, FROZEN_ENTRY);
+            assert!(parse_result_file(&bad, h).is_err(), "accepted {bad:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

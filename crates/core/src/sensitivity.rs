@@ -77,7 +77,7 @@ pub struct SensitivityRow {
 /// Outcome of the Monte-Carlo sensitivity battery.
 #[derive(Debug, Clone)]
 pub struct SensitivityStats {
-    /// Per-group sensitivity rows, in [`GROUP_ROWS`] order.
+    /// Per-group sensitivity rows, in the battery's fixed group order.
     pub rows: Vec<SensitivityRow>,
     /// Total perturbation samples across all rows.
     pub samples: u64,

@@ -36,19 +36,6 @@ pub fn fmt_bytes_bin(bytes: u64) -> String {
     }
 }
 
-/// Render a rate in bytes/second with a decimal suffix (e.g. `5.10GB/s`).
-pub fn fmt_rate(bytes_per_sec: f64) -> String {
-    if bytes_per_sec >= 1e9 {
-        format!("{:.2}GB/s", bytes_per_sec / 1e9)
-    } else if bytes_per_sec >= 1e6 {
-        format!("{:.2}MB/s", bytes_per_sec / 1e6)
-    } else if bytes_per_sec >= 1e3 {
-        format!("{:.2}KB/s", bytes_per_sec / 1e3)
-    } else {
-        format!("{bytes_per_sec:.2}B/s")
-    }
-}
-
 /// Render a flop rate (e.g. `13.60 GF/s`, `1.00 TF/s`).
 pub fn fmt_flops(flops_per_sec: f64) -> String {
     if flops_per_sec >= TFLOPS {
@@ -77,14 +64,6 @@ mod tests {
         assert_eq!(fmt_bytes_bin(8 * MIB), "8MiB");
         assert_eq!(fmt_bytes_bin(2 * GIB), "2GiB");
         assert_eq!(fmt_bytes_bin(1000), "1000B");
-    }
-
-    #[test]
-    fn fmt_rate_scales() {
-        assert_eq!(fmt_rate(5.1e9), "5.10GB/s");
-        assert_eq!(fmt_rate(850e6), "850.00MB/s");
-        assert_eq!(fmt_rate(1.5e3), "1.50KB/s");
-        assert_eq!(fmt_rate(10.0), "10.00B/s");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! agree with each other and to *diagnose* pathological inputs rather
 //! than wedge. This crate stress-tests that specification:
 //!
-//! * [`generate`] builds seeded, terminate-by-construction MPI
+//! * [`generate()`] builds seeded, terminate-by-construction MPI
 //!   programs; [`mutate`] breaks them in the ways real trace bugs do
 //!   (reordering, tag/peer skew, collective imbalance,
 //!   rendezvous-threshold straddling, fault escalation);
@@ -19,7 +19,7 @@
 //! * a coverage map over probe/obs signals ([`coverage`]) decides
 //!   which candidates earn a corpus slot, and a power-schedule
 //!   scheduler ([`run_fuzz`]) decides which get mutated next;
-//! * [`minimize`] shrinks every finding into a self-contained
+//! * [`minimize()`] shrinks every finding into a self-contained
 //!   regression (see `tests/corpus/` at the workspace root).
 //!
 //! Everything is reproducible from `(seed, iteration)` alone; the

@@ -33,12 +33,11 @@
 //! bounds: 1..=[`MAX_RANKS`] ranks, at most [`MAX_OPS_PER_RANK`] ops per
 //! rank, and WORLD-only collectives.
 
-use hpcsim_cache::{
-    fnv1a_128, parse_setup, write_setup, FaultSpec, Setup, SpecHash, SpecParseError, SETUP_LINES,
-};
+use hpcsim_cache::{fnv1a_128, parse_setup, write_setup, FaultSpec, Setup, SpecHash, SETUP_LINES};
 use hpcsim_faults::FaultPlan;
 use hpcsim_machine::{ExecMode, MachineSpec};
-use hpcsim_mpi::{parse_traces, write_traces, CommId, Op, RankLayout, SimConfig, Traces};
+use hpcsim_mpi::wire::{read_traces, Lines, ParseError};
+use hpcsim_mpi::{write_traces, CommId, Op, RankLayout, SimConfig, Traces};
 use hpcsim_topo::{Mapping, Placement};
 
 /// Magic first line of the canonical serialization.
@@ -116,15 +115,12 @@ impl FuzzScenario {
 
     /// Parse the canonical text form. Inverse of [`FuzzScenario::to_canon`]:
     /// `parse(s.to_canon()) == s` and re-serialization is byte-identical.
-    pub fn parse(text: &str) -> Result<FuzzScenario, SpecParseError> {
-        let (magic, rest) = text.split_once('\n').unwrap_or((text, ""));
-        if magic != FUZZ_MAGIC {
-            let message = format!("bad magic {magic:?}, want {FUZZ_MAGIC:?}");
-            return Err(SpecParseError { line: 1, message });
-        }
-        let (Setup { machine, mode, mapping, faults }, body) = parse_setup(rest, 2)?;
-        let traces = parse_traces(body)
-            .map_err(|e| SpecParseError { line: HEADER_LINES + e.line, message: e.message })?;
+    pub fn parse(text: &str) -> Result<FuzzScenario, ParseError> {
+        let mut lines = Lines::new(text, 1);
+        lines.keyed(FUZZ_MAGIC, |_| Ok(()))?;
+        let Setup { machine, mode, mapping, faults } = parse_setup(&mut lines)?;
+        let traces = read_traces(&mut lines)?;
+        lines.finish()?;
         check_fuzz_bounds(&traces)?;
         Ok(FuzzScenario { machine, mode, mapping, faults, traces })
     }
@@ -132,9 +128,9 @@ impl FuzzScenario {
 
 /// The fuzzer's own rules on top of the trace grammar, reported at the
 /// line of the offending rank header or op.
-fn check_fuzz_bounds(traces: &Traces) -> Result<(), SpecParseError> {
+fn check_fuzz_bounds(traces: &Traces) -> Result<(), ParseError> {
     let mut line = HEADER_LINES + 1;
-    let at = |line, message| Err(SpecParseError { line, message });
+    let at = |line, message| Err(ParseError { line, message });
     let ranks = traces.ranks();
     if ranks == 0 || ranks > MAX_RANKS {
         return at(line, format!("rank count {ranks} outside 1..={MAX_RANKS}"));

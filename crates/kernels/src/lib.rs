@@ -3,7 +3,7 @@
 //! Real, runnable implementations of the computational kernels behind the
 //! paper's benchmarks — not models, actual numerics:
 //!
-//! * [`dgemm`] — blocked, Rayon-parallel dense matrix multiply.
+//! * [`mod@dgemm`] — blocked, Rayon-parallel dense matrix multiply.
 //! * [`stream`] — the four STREAM kernels (copy/scale/add/triad).
 //! * [`fft`] — iterative radix-2 complex FFT with inverse.
 //! * [`lu`] — blocked LU factorization with partial pivoting, solve, and

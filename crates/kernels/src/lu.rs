@@ -7,7 +7,7 @@
 //!
 //! Right-looking blocked algorithm: factor a panel (unblocked, partial
 //! pivoting), apply its row swaps to the rest, triangular-solve the block
-//! row, then rank-k update the trailing matrix via [`crate::dgemm`] —
+//! row, then rank-k update the trailing matrix via [`crate::dgemm()`] —
 //! which is where >90% of the flops go, exactly as on the real machines.
 
 use crate::dgemm::dgemm;

@@ -73,13 +73,13 @@ pub enum Workload {
     /// LU trailing-matrix update of an `m×n` block with inner dimension
     /// `k` (the flop carrier of HPL).
     LuUpdate { m: u64, n: u64, k: u64 },
-    /// STREAM copy: a[i] = b[i].
+    /// STREAM copy: `a[i] = b[i]`.
     StreamCopy { n: u64 },
-    /// STREAM scale: a[i] = q*b[i].
+    /// STREAM scale: `a[i] = q*b[i]`.
     StreamScale { n: u64 },
-    /// STREAM add: a[i] = b[i] + c[i].
+    /// STREAM add: `a[i] = b[i] + c[i]`.
     StreamAdd { n: u64 },
-    /// STREAM triad: a[i] = b[i] + q*c[i].
+    /// STREAM triad: `a[i] = b[i] + q*c[i]`.
     StreamTriad { n: u64 },
     /// Complex-to-complex 1-D FFT of `n` points (stock HPCC kernel, not
     /// the vendor library — per the paper's methodology).

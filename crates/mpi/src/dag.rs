@@ -1172,8 +1172,8 @@ impl TraceDag {
 
     /// Evaluate a whole batch of points, identical to calling
     /// [`TraceDag::evaluate`] on each. Runs of points that share a
-    /// machine are packed into [`WIDE`]- and then
-    /// [`NARROW`]-lane batches that price and stream together; the rest
+    /// machine are packed into 32-lane (`WIDE`) and then 8-lane
+    /// (`NARROW`) batches that price and stream together; the rest
     /// go one at a time. On a mapping sweep everything but the route
     /// pricing and the streaming pass itself is shared, so points after
     /// the first allocate nothing.

@@ -437,8 +437,7 @@ impl TraceSim {
     /// Arm fault injection from a seeded plan. Link faults are drawn for
     /// this engine's torus; the noise amplitude follows the machine's
     /// BG/P-vs-XT4 asymmetry; retransmits use the default policy. With
-    /// no call (or after [`TraceSim::clear_faults`]) the replay path is
-    /// byte-identical to the pristine engine.
+    /// no call the replay path is byte-identical to the pristine engine.
     pub fn set_faults(&mut self, plan: &FaultPlan) {
         let links = self.cfg.layout.torus.links();
         self.faults = Some(FaultContext {
@@ -447,11 +446,6 @@ impl TraceSim {
             loss: plan.loss(),
             retransmit: RetransmitPolicy::default(),
         });
-    }
-
-    /// Disarm fault injection.
-    pub fn clear_faults(&mut self) {
-        self.faults = None;
     }
 
     /// The collective model of a `members`-rank communicator under `cfg`.
@@ -1492,19 +1486,6 @@ mod tests {
                 let prev = (mpi.rank() + mpi.size() - 1) % mpi.size();
                 mpi.sendrecv(next, 0, bytes, prev, 0, bytes);
             })
-        }
-
-        #[test]
-        fn disarmed_faults_leave_the_replay_untouched() {
-            let prog = ring_exchange(4096);
-            let mut a = sim(bluegene_p(), 16, ExecMode::Vn);
-            let base = a.run(&prog);
-            let mut b = sim(bluegene_p(), 16, ExecMode::Vn);
-            b.set_faults(&FaultPlan::new(7, FaultProfile::Mixed));
-            b.clear_faults();
-            let again = b.run(&prog);
-            assert_eq!(base.finish, again.finish);
-            assert_eq!(base.bytes_sent, again.bytes_sent);
         }
 
         #[test]

@@ -5,7 +5,7 @@
 //! written to the tier-2 cache and embedded in fuzz scenarios. So it is
 //! stored once, densely, and decoded on read:
 //!
-//! * **one arena** of [`Packed`] ops (16 bytes each, a third of a
+//! * **one arena** of `Packed` ops (16 bytes each, a third of a
 //!   decoded [`Op`]) with per-rank offsets, so a rank's ops are one
 //!   contiguous slice and a world costs two allocations, not one per
 //!   rank;

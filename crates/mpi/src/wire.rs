@@ -1,14 +1,18 @@
-//! Stable text serialization of recorded traces: the one writer and the
-//! one parser of op lines in the workspace.
+//! The workspace's one text layer: the writer and parser of recorded
+//! traces, and the line/field reader and f64 codec every canonical text
+//! format parses with.
 //!
-//! Two stores keep traces in this form. The scenario cache's tier-2
-//! store writes recorded traces to disk so a later process can replay
-//! (or DAG-compile) them without re-recording, and every fuzz scenario
-//! (`hpcsim-fuzz-scenario/2`) embeds this block verbatim after its
-//! machine/mode/mapping/faults header. The format is line-oriented and
-//! exact: every float is written as its IEEE-754 bit pattern in hex, so
-//! serialize → parse is the identity on the trace and replaying a loaded
-//! trace is bit-identical to replaying the original.
+//! Four formats persist as text: tier-2 trace files (`hpcsim-trace/1`,
+//! below), scenario canon texts (`hpcsim-scenario/1`, `hpcsim-cache`'s
+//! `spec` module), fuzz scenarios (`hpcsim-fuzz-scenario/2`, which embed
+//! a trace block verbatim after their machine/mode/mapping/faults
+//! header) and result entries (`hpcsim-result/2`, `hpcsim-cache`'s
+//! `store` module). All of them are line-oriented, read through
+//! [`Lines`] and [`Fields`], write every float as its IEEE-754 bit
+//! pattern ([`Bits`]) and report malformed input as one [`ParseError`]
+//! naming its line in the enclosing file. Serialize → parse is the
+//! identity, so replaying a loaded trace is bit-identical to replaying
+//! the original.
 //!
 //! ```text
 //! hpcsim-trace/1 <ranks>
@@ -19,25 +23,191 @@
 //! ...
 //! ```
 //!
-//! The parser is strict, because its input may be a corrupted cache
-//! file: every integer is parsed at its field's own width, every peer
-//! must be a rank of the world, and a count is never trusted for
-//! allocation: ops are appended to the recording as they parse. Malformed input is
-//! a [`ParseError`] naming its line, never a truncated value, a replay
-//! panic or an aborted allocation.
+//! The reader is strict, because its input may be a corrupted cache
+//! file: every integer is parsed at its field's own width, every trace
+//! peer must be a rank of the world, and a count is never trusted for
+//! allocation: ops are appended to the recording as they parse.
+//! Malformed input is a [`ParseError`] naming its line, never a
+//! truncated value, a replay panic or an aborted allocation.
 
 use crate::ops::{CommId, Op, Req};
 use crate::traces::{TraceBuilder, Traces, PEER_LIMIT};
 use hpcsim_engine::SimTime;
 use hpcsim_machine::Workload;
 use hpcsim_net::{CollectiveOp, DType};
-use std::fmt::Write as _;
+use std::fmt::{self, Display, Write as _};
+use std::str::FromStr;
 
 /// Format-identifying first token of a serialized trace.
 pub const TRACE_MAGIC: &str = "hpcsim-trace/1";
 
-fn push_f64(out: &mut String, v: f64) {
-    let _ = write!(out, " 0x{:016x}", v.to_bits());
+/// An f64 written as its IEEE-754 bit pattern, `0x` and 16 hex digits:
+/// the one float codec of every text format ([`Fields::bits`] reads it).
+pub struct Bits(pub f64);
+
+impl Display for Bits {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "0x{:016x}", self.0.to_bits())
+    }
+}
+
+/// One-line parse diagnostic: what was malformed and where.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    /// 1-based line number of the offending line in the enclosing file.
+    pub line: usize,
+    /// What went wrong.
+    pub message: String,
+}
+
+impl Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.message)
+    }
+}
+
+/// Line cursor over the unread text. Line numbers are 1-based and count
+/// from the enclosing file, so a block embedded in a larger file (or
+/// read after a header) reports where it sits in that file.
+pub struct Lines<'a> {
+    rest: &'a str,
+    line: usize,
+}
+
+impl<'a> Lines<'a> {
+    /// A cursor over `text`, whose first line is line `first` of the
+    /// enclosing file.
+    pub fn new(text: &'a str, first: usize) -> Self {
+        Lines { rest: text, line: first - 1 }
+    }
+
+    /// The next line's fields, or a diagnostic at the line where it is
+    /// missing (`missing <what>`).
+    pub fn expect(&mut self, what: impl Display) -> Result<Fields<'a>, ParseError> {
+        if self.rest.is_empty() {
+            return Err(ParseError { line: self.line + 1, message: format!("missing {what}") });
+        }
+        let (text, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
+        self.rest = rest;
+        self.line += 1;
+        Ok(Fields { line: self.line, toks: text.split_ascii_whitespace() })
+    }
+
+    /// Read the next line, which must start with `key`, whole: `parse`
+    /// reads the fields after the key and no token may follow them.
+    pub fn keyed<T>(
+        &mut self,
+        key: &str,
+        parse: impl FnOnce(&mut Fields<'a>) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let mut c = self.expect(format_args!("{key} line"))?;
+        c.keyword(key)?;
+        let value = parse(&mut c)?;
+        c.finish()?;
+        Ok(value)
+    }
+
+    /// End of input: anything but blank lines left is an error.
+    pub fn finish(self) -> Result<(), ParseError> {
+        for (line, extra) in (self.line + 1..).zip(self.rest.split('\n')) {
+            if !extra.trim().is_empty() {
+                return Err(ParseError { line, message: format!("trailing content {extra:?}") });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Field cursor over one line's whitespace-separated tokens. Each reader
+/// names its field (`what`) for the diagnostic.
+pub struct Fields<'a> {
+    line: usize,
+    toks: std::str::SplitAsciiWhitespace<'a>,
+}
+
+impl<'a> Fields<'a> {
+    /// A diagnostic at this line.
+    pub fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
+        Err(ParseError { line: self.line, message: message.into() })
+    }
+
+    /// The next token.
+    pub fn tok(&mut self, what: &str) -> Result<&'a str, ParseError> {
+        match self.toks.next() {
+            Some(t) => Ok(t),
+            None => self.err(format!("missing {what}")),
+        }
+    }
+
+    /// The next token, which must be `key`.
+    fn keyword(&mut self, key: &str) -> Result<(), ParseError> {
+        match self.tok(key)? {
+            t if t == key => Ok(()),
+            t => self.err(format!("expected {key:?}, got {t:?}")),
+        }
+    }
+
+    /// A value read from the next token by `parse`.
+    pub fn parse_with<T>(
+        &mut self,
+        what: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, ParseError> {
+        let t = self.tok(what)?;
+        parse(t).map_or_else(|| self.err(format!("bad {what} {t:?}")), Ok)
+    }
+
+    /// The value `table` names by the next token.
+    pub fn one_of<T: Copy>(&mut self, what: &str, table: &[(T, &str)]) -> Result<T, ParseError> {
+        self.parse_with(what, |t| table.iter().find(|(_, name)| *name == t).map(|&(v, _)| v))
+    }
+
+    /// An integer parsed at its field's own width: a value that does not
+    /// fit is an error, never a silent truncation.
+    pub fn num<T: FromStr>(&mut self, what: &str) -> Result<T, ParseError> {
+        self.parse_with(what, |t| t.parse().ok())
+    }
+
+    /// An f64 written as [`Bits`].
+    pub fn bits(&mut self, what: &str) -> Result<f64, ParseError> {
+        let t = self.tok(what)?;
+        self.bits_of(what, t)
+    }
+
+    /// `none`, or an f64 written as [`Bits`].
+    pub fn opt_bits(&mut self, what: &str) -> Result<Option<f64>, ParseError> {
+        match self.tok(what)? {
+            "none" => Ok(None),
+            t => self.bits_of(what, t).map(Some),
+        }
+    }
+
+    fn bits_of(&self, what: &str, t: &str) -> Result<f64, ParseError> {
+        let Some(hex) = t.strip_prefix("0x") else {
+            return self.err(format!("{what} must be 0x-prefixed bits, got {t:?}"));
+        };
+        match u64::from_str_radix(hex, 16) {
+            Ok(bits) => Ok(f64::from_bits(bits)),
+            Err(_) => self.err(format!("bad {what} bits {t:?}")),
+        }
+    }
+
+    /// A flag written `0` or `1`.
+    pub fn bool01(&mut self, what: &str) -> Result<bool, ParseError> {
+        match self.tok(what)? {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            t => self.err(format!("bad {what} {t:?} (want 0/1)")),
+        }
+    }
+
+    /// End of the line: a further token is an error.
+    pub fn finish(mut self) -> Result<(), ParseError> {
+        match self.toks.next() {
+            None => Ok(()),
+            Some(extra) => self.err(format!("trailing token {extra:?}")),
+        }
+    }
 }
 
 fn write_workload(out: &mut String, w: &Workload) {
@@ -67,24 +237,18 @@ fn write_workload(out: &mut String, w: &Workload) {
             let _ = write!(out, "ra {updates} {table_bytes}");
         }
         Workload::Stencil { points, flops_per_point, bytes_per_point } => {
-            let _ = write!(out, "stencil {points}");
-            push_f64(out, flops_per_point);
-            push_f64(out, bytes_per_point);
+            let (f, b) = (Bits(flops_per_point), Bits(bytes_per_point));
+            let _ = write!(out, "stencil {points} {f} {b}");
         }
         Workload::Chemistry { points, flops_per_point } => {
-            let _ = write!(out, "chem {points}");
-            push_f64(out, flops_per_point);
+            let _ = write!(out, "chem {points} {}", Bits(flops_per_point));
         }
         Workload::MdForce { pairs, flops_per_pair } => {
-            let _ = write!(out, "mdforce {pairs}");
-            push_f64(out, flops_per_pair);
+            let _ = write!(out, "mdforce {pairs} {}", Bits(flops_per_pair));
         }
         Workload::Custom { flops, dram_bytes, simd_eff, serial_frac } => {
-            let _ = write!(out, "custom");
-            push_f64(out, flops);
-            push_f64(out, dram_bytes);
-            push_f64(out, simd_eff);
-            push_f64(out, serial_frac);
+            let (f, d, s, p) = (Bits(flops), Bits(dram_bytes), Bits(simd_eff), Bits(serial_frac));
+            let _ = write!(out, "custom {f} {d} {s} {p}");
         }
     }
 }
@@ -159,249 +323,139 @@ pub fn write_traces(traces: &Traces) -> String {
     out
 }
 
-/// One-line parse diagnostic: what was malformed and where.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.message)
-    }
-}
-
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
-    Err(ParseError { line, message: message.into() })
-}
-
-/// Parse an integer at its field's own width: a value that does not fit
-/// is an error, never a silent truncation.
-fn parse_num<T: std::str::FromStr>(
-    line: usize,
-    tok: Option<&str>,
-    what: &str,
-) -> Result<T, ParseError> {
-    match tok {
-        None => err(line, format!("missing {what}")),
-        Some(t) => t.parse().or_else(|_| err(line, format!("bad {what} {t:?}"))),
-    }
-}
-
 /// A send/receive peer, which must name a rank inside the world and
 /// fit the packed op.
-fn parse_peer(
-    line: usize,
-    tok: Option<&str>,
-    what: &str,
-    ranks: usize,
-) -> Result<usize, ParseError> {
-    let peer: usize = parse_num(line, tok, what)?;
+fn parse_peer(c: &mut Fields<'_>, what: &str, ranks: usize) -> Result<usize, ParseError> {
+    let peer: usize = c.num(what)?;
     if peer >= ranks {
-        return err(line, format!("{what} {peer} outside world of {ranks}"));
+        return c.err(format!("{what} {peer} outside world of {ranks}"));
     }
     if peer >= PEER_LIMIT {
-        return err(line, format!("{what} {peer} at or past the packed-op limit {PEER_LIMIT}"));
+        return c.err(format!("{what} {peer} at or past the packed-op limit {PEER_LIMIT}"));
     }
     Ok(peer)
 }
 
-fn parse_f64(line: usize, tok: Option<&str>, what: &str) -> Result<f64, ParseError> {
-    let Some(t) = tok else { return err(line, format!("missing {what}")) };
-    let Some(hex) = t.strip_prefix("0x") else {
-        return err(line, format!("{what} must be 0x-prefixed bits, got {t:?}"));
-    };
-    match u64::from_str_radix(hex, 16) {
-        Ok(bits) => Ok(f64::from_bits(bits)),
-        Err(_) => err(line, format!("bad {what} bits {t:?}")),
-    }
-}
-
-fn parse_dtype(line: usize, tok: Option<&str>) -> Result<DType, ParseError> {
-    match tok.and_then(DType::parse) {
-        Some(d) => Ok(d),
-        None => err(line, format!("bad dtype {tok:?}")),
-    }
-}
-
-fn finish<'a>(line: usize, mut toks: impl Iterator<Item = &'a str>) -> Result<(), ParseError> {
-    match toks.next() {
-        None => Ok(()),
-        Some(extra) => err(line, format!("trailing token {extra:?}")),
-    }
-}
-
-fn parse_workload<'a>(
-    line: usize,
-    toks: &mut impl Iterator<Item = &'a str>,
-) -> Result<Workload, ParseError> {
-    let Some(kind) = toks.next() else { return err(line, "missing workload") };
-    Ok(match kind {
-        "dgemm" => Workload::Dgemm { n: parse_num(line, toks.next(), "n")? },
-        "lu" => Workload::LuUpdate {
-            m: parse_num(line, toks.next(), "m")?,
-            n: parse_num(line, toks.next(), "n")?,
-            k: parse_num(line, toks.next(), "k")?,
-        },
-        "scopy" => Workload::StreamCopy { n: parse_num(line, toks.next(), "n")? },
-        "sscale" => Workload::StreamScale { n: parse_num(line, toks.next(), "n")? },
-        "sadd" => Workload::StreamAdd { n: parse_num(line, toks.next(), "n")? },
-        "striad" => Workload::StreamTriad { n: parse_num(line, toks.next(), "n")? },
-        "fft" => Workload::Fft1d { n: parse_num(line, toks.next(), "n")? },
+fn parse_workload(c: &mut Fields<'_>) -> Result<Workload, ParseError> {
+    Ok(match c.tok("workload")? {
+        "dgemm" => Workload::Dgemm { n: c.num("n")? },
+        "lu" => Workload::LuUpdate { m: c.num("m")?, n: c.num("n")?, k: c.num("k")? },
+        "scopy" => Workload::StreamCopy { n: c.num("n")? },
+        "sscale" => Workload::StreamScale { n: c.num("n")? },
+        "sadd" => Workload::StreamAdd { n: c.num("n")? },
+        "striad" => Workload::StreamTriad { n: c.num("n")? },
+        "fft" => Workload::Fft1d { n: c.num("n")? },
         "ra" => Workload::RandomAccess {
-            updates: parse_num(line, toks.next(), "updates")?,
-            table_bytes: parse_num(line, toks.next(), "table_bytes")?,
+            updates: c.num("updates")?,
+            table_bytes: c.num("table_bytes")?,
         },
         "stencil" => Workload::Stencil {
-            points: parse_num(line, toks.next(), "points")?,
-            flops_per_point: parse_f64(line, toks.next(), "flops_per_point")?,
-            bytes_per_point: parse_f64(line, toks.next(), "bytes_per_point")?,
+            points: c.num("points")?,
+            flops_per_point: c.bits("flops_per_point")?,
+            bytes_per_point: c.bits("bytes_per_point")?,
         },
         "chem" => Workload::Chemistry {
-            points: parse_num(line, toks.next(), "points")?,
-            flops_per_point: parse_f64(line, toks.next(), "flops_per_point")?,
+            points: c.num("points")?,
+            flops_per_point: c.bits("flops_per_point")?,
         },
-        "mdforce" => Workload::MdForce {
-            pairs: parse_num(line, toks.next(), "pairs")?,
-            flops_per_pair: parse_f64(line, toks.next(), "flops_per_pair")?,
-        },
+        "mdforce" => {
+            Workload::MdForce { pairs: c.num("pairs")?, flops_per_pair: c.bits("flops_per_pair")? }
+        }
         "custom" => Workload::Custom {
-            flops: parse_f64(line, toks.next(), "flops")?,
-            dram_bytes: parse_f64(line, toks.next(), "dram_bytes")?,
-            simd_eff: parse_f64(line, toks.next(), "simd_eff")?,
-            serial_frac: parse_f64(line, toks.next(), "serial_frac")?,
+            flops: c.bits("flops")?,
+            dram_bytes: c.bits("dram_bytes")?,
+            simd_eff: c.bits("simd_eff")?,
+            serial_frac: c.bits("serial_frac")?,
         },
-        other => return err(line, format!("unknown workload {other:?}")),
+        other => return c.err(format!("unknown workload {other:?}")),
     })
 }
 
-fn parse_collective<'a>(
-    line: usize,
-    toks: &mut impl Iterator<Item = &'a str>,
-) -> Result<CollectiveOp, ParseError> {
-    let Some(kind) = toks.next() else { return err(line, "missing collective") };
-    Ok(match kind {
+fn parse_collective(c: &mut Fields<'_>) -> Result<CollectiveOp, ParseError> {
+    Ok(match c.tok("collective")? {
         "barrier" => CollectiveOp::Barrier,
-        "bcast" => CollectiveOp::Bcast { bytes: parse_num(line, toks.next(), "bytes")? },
+        "bcast" => CollectiveOp::Bcast { bytes: c.num("bytes")? },
         "reduce" => CollectiveOp::Reduce {
-            bytes: parse_num(line, toks.next(), "bytes")?,
-            dtype: parse_dtype(line, toks.next())?,
+            bytes: c.num("bytes")?,
+            dtype: c.parse_with("dtype", DType::parse)?,
         },
         "allreduce" => CollectiveOp::Allreduce {
-            bytes: parse_num(line, toks.next(), "bytes")?,
-            dtype: parse_dtype(line, toks.next())?,
+            bytes: c.num("bytes")?,
+            dtype: c.parse_with("dtype", DType::parse)?,
         },
-        "allgather" => {
-            CollectiveOp::Allgather { bytes_per_rank: parse_num(line, toks.next(), "bytes")? }
-        }
-        "alltoall" => {
-            CollectiveOp::Alltoall { bytes_per_pair: parse_num(line, toks.next(), "bytes")? }
-        }
-        other => return err(line, format!("unknown collective {other:?}")),
+        "allgather" => CollectiveOp::Allgather { bytes_per_rank: c.num("bytes")? },
+        "alltoall" => CollectiveOp::Alltoall { bytes_per_pair: c.num("bytes")? },
+        other => return c.err(format!("unknown collective {other:?}")),
     })
 }
 
 /// Parse one op line of a world of `ranks` ranks.
-fn parse_op(line: usize, text: &str, ranks: usize) -> Result<Op, ParseError> {
-    let mut toks = text.split_ascii_whitespace();
-    let Some(tag) = toks.next() else { return err(line, "empty op line") };
-    let op = match tag {
+fn parse_op(c: &mut Fields<'_>, ranks: usize) -> Result<Op, ParseError> {
+    Ok(match c.tok("op tag")? {
         "c" => {
-            let work = parse_workload(line, &mut toks)?;
-            Op::Compute { work, threads: parse_num(line, toks.next(), "threads")? }
+            let work = parse_workload(c)?;
+            Op::Compute { work, threads: c.num("threads")? }
         }
-        "d" => Op::Delay { time: SimTime(parse_num(line, toks.next(), "picos")?) },
+        "d" => Op::Delay { time: SimTime(c.num("picos")?) },
         "s" => Op::Isend {
-            dst: parse_peer(line, toks.next(), "dst", ranks)?,
-            tag: parse_num(line, toks.next(), "tag")?,
-            bytes: parse_num(line, toks.next(), "bytes")?,
-            req: Req(parse_num(line, toks.next(), "req")?),
+            dst: parse_peer(c, "dst", ranks)?,
+            tag: c.num("tag")?,
+            bytes: c.num("bytes")?,
+            req: Req(c.num("req")?),
         },
         "r" => Op::Irecv {
-            src: parse_peer(line, toks.next(), "src", ranks)?,
-            tag: parse_num(line, toks.next(), "tag")?,
-            bytes: parse_num(line, toks.next(), "bytes")?,
-            req: Req(parse_num(line, toks.next(), "req")?),
+            src: parse_peer(c, "src", ranks)?,
+            tag: c.num("tag")?,
+            bytes: c.num("bytes")?,
+            req: Req(c.num("req")?),
         },
-        "w" => Op::Wait { req: Req(parse_num(line, toks.next(), "req")?) },
+        "w" => Op::Wait { req: Req(c.num("req")?) },
         "k" => {
-            let comm = CommId(parse_num(line, toks.next(), "comm")?);
-            Op::Collective { comm, op: parse_collective(line, &mut toks)? }
+            let comm = CommId(c.num("comm")?);
+            Op::Collective { comm, op: parse_collective(c)? }
         }
-        "m" => Op::Mark { id: parse_num(line, toks.next(), "id")? },
-        other => return err(line, format!("unknown op tag {other:?}")),
-    };
-    finish(line, toks)?;
-    Ok(op)
-}
-
-/// Line cursor over the unread text; line numbers are 1-based.
-struct Lines<'a> {
-    rest: &'a str,
-    line: usize,
-}
-
-impl<'a> Lines<'a> {
-    fn next(&mut self) -> Option<(usize, &'a str)> {
-        if self.rest.is_empty() {
-            return None;
-        }
-        let (text, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
-        self.rest = rest;
-        self.line += 1;
-        Some((self.line, text))
-    }
-
-    /// The next line, or a diagnostic at the line where it is missing.
-    fn expect(&mut self, what: impl FnOnce() -> String) -> Result<(usize, &'a str), ParseError> {
-        match self.next() {
-            Some(next) => Ok(next),
-            None => err(self.line + 1, format!("missing {}", what())),
-        }
-    }
+        "m" => Op::Mark { id: c.num("id")? },
+        other => return c.err(format!("unknown op tag {other:?}")),
+    })
 }
 
 /// Parse a serialized world of traces back into a recording. Replaying
 /// the parsed recording is bit-identical to replaying the original
 /// ([`write_traces`] round-trips exactly). Malformed input —
 /// an integer too wide for its field, a peer outside the world, a count
-/// the text does not back up — is a [`ParseError`] naming its line.
+/// the text does not back up, trailing content — is a [`ParseError`]
+/// naming its line.
 pub fn parse_traces(text: &str) -> Result<Traces, ParseError> {
-    let mut lines = Lines { rest: text, line: 0 };
-    let (line, header) = lines.expect(|| "trace header".into())?;
-    let mut toks = header.split_ascii_whitespace();
-    match toks.next() {
-        Some(TRACE_MAGIC) => {}
-        other => return err(line, format!("bad magic {other:?}")),
-    }
-    let ranks: usize = parse_num(line, toks.next(), "rank count")?;
-    finish(line, toks)?;
+    let mut lines = Lines::new(text, 1);
+    let traces = read_traces(&mut lines)?;
+    lines.finish()?;
+    Ok(traces)
+}
+
+/// Read one serialized world of traces at the cursor, which is left on
+/// the line after its last op: the reader of a trace block embedded in
+/// a larger file.
+pub fn read_traces(lines: &mut Lines<'_>) -> Result<Traces, ParseError> {
+    let mut c = lines.expect("trace header")?;
+    c.keyword(TRACE_MAGIC)?;
+    let ranks: usize = c.num("rank count")?;
+    c.finish()?;
     let mut traces = TraceBuilder::new();
     for want in 0..ranks {
-        let (line, header) = lines.expect(|| format!("rank {want} header"))?;
-        let mut toks = header.split_ascii_whitespace();
-        if toks.next() != Some("rank") {
-            return err(line, format!("expected rank header, got {header:?}"));
-        }
-        let idx: usize = parse_num(line, toks.next(), "rank index")?;
+        let mut c = lines.expect(format_args!("rank {want} header"))?;
+        c.keyword("rank")?;
+        let idx: usize = c.num("rank index")?;
         if idx != want {
-            return err(line, format!("rank {idx} out of order (expected {want})"));
+            return c.err(format!("rank {idx} out of order (expected {want})"));
         }
-        let nops: usize = parse_num(line, toks.next(), "op count")?;
-        finish(line, toks)?;
+        let nops: usize = c.num("op count")?;
+        c.finish()?;
         for i in 0..nops {
-            let (line, text) = lines.expect(|| format!("rank {idx} op {i} of {nops}"))?;
-            traces.push(parse_op(line, text, ranks)?);
+            let mut c = lines.expect(format_args!("rank {idx} op {i} of {nops}"))?;
+            traces.push(parse_op(&mut c, ranks)?);
+            c.finish()?;
         }
         traces.end_rank();
-    }
-    while let Some((line, extra)) = lines.next() {
-        if !extra.trim().is_empty() {
-            return err(line, format!("trailing content {extra:?}"));
-        }
     }
     Ok(traces.finish())
 }
