@@ -291,7 +291,7 @@ impl ScenarioSpec {
     /// Parse a canonical text back into a spec (machine `core.name`
     /// comes back empty — it is not part of the canonical form).
     pub fn parse(text: &str) -> Result<ScenarioSpec, ParseError> {
-        let mut lines = Lines::new(text, 1);
+        let mut lines = Lines::new(text);
         lines.keyed(SPEC_MAGIC, |_| Ok(()))?;
         let program = lines.keyed("program", parse_program)?;
         let Setup { machine, mode, mapping, faults } = parse_setup(&mut lines)?;
@@ -319,29 +319,55 @@ pub struct Setup {
 /// nic, pack, power), then mode, mapping and faults.
 pub const SETUP_LINES: usize = 9;
 
-/// The text name of each variant, for the writers and [`Fields::one_of`].
-const PROTOCOLS: [(HaloProtocol, &str); 3] = [
-    (HaloProtocol::IrecvIsend, "irecv-isend"),
-    (HaloProtocol::IsendIrecv, "isend-irecv"),
-    (HaloProtocol::Sendrecv, "sendrecv"),
-];
-const MD_CODES: [(MdCode, &str); 2] = [(MdCode::Lammps, "lammps"), (MdCode::Pmemd, "pmemd")];
-const MODES: [(ExecMode, &str); 3] =
-    [(ExecMode::Smp, "smp"), (ExecMode::Dual, "dual"), (ExecMode::Vn, "vn")];
-const MACHINES: [(MachineId, &str); 5] = [
-    (MachineId::BgL, "bgl"),
-    (MachineId::BgP, "bgp"),
-    (MachineId::Xt3, "xt3"),
-    (MachineId::Xt4Dc, "xt4dc"),
-    (MachineId::Xt4Qc, "xt4qc"),
-];
-const COHERENCE: [(CacheCoherence, &str); 2] =
-    [(CacheCoherence::Software, "sw"), (CacheCoherence::Hardware, "hw")];
-
-/// The name `table` gives `v`.
-fn name<T: PartialEq>(table: &[(T, &'static str)], v: T) -> &'static str {
-    table.iter().find(|(t, _)| *t == v).map(|(_, n)| *n).expect("every variant is named")
+/// The text name of each variant. Each is an exhaustive `match`, so a new
+/// variant does not compile until it has a name; the variant lists next
+/// to them are what [`Fields::one_of`] reads back.
+fn protocol_name(p: HaloProtocol) -> &'static str {
+    match p {
+        HaloProtocol::IrecvIsend => "irecv-isend",
+        HaloProtocol::IsendIrecv => "isend-irecv",
+        HaloProtocol::Sendrecv => "sendrecv",
+    }
 }
+const PROTOCOLS: [HaloProtocol; 3] =
+    [HaloProtocol::IrecvIsend, HaloProtocol::IsendIrecv, HaloProtocol::Sendrecv];
+
+fn md_code_name(c: MdCode) -> &'static str {
+    match c {
+        MdCode::Lammps => "lammps",
+        MdCode::Pmemd => "pmemd",
+    }
+}
+const MD_CODES: [MdCode; 2] = [MdCode::Lammps, MdCode::Pmemd];
+
+fn mode_name(m: ExecMode) -> &'static str {
+    match m {
+        ExecMode::Smp => "smp",
+        ExecMode::Dual => "dual",
+        ExecMode::Vn => "vn",
+    }
+}
+const MODES: [ExecMode; 3] = [ExecMode::Smp, ExecMode::Dual, ExecMode::Vn];
+
+fn machine_name(id: MachineId) -> &'static str {
+    match id {
+        MachineId::BgL => "bgl",
+        MachineId::BgP => "bgp",
+        MachineId::Xt3 => "xt3",
+        MachineId::Xt4Dc => "xt4dc",
+        MachineId::Xt4Qc => "xt4qc",
+    }
+}
+const MACHINES: [MachineId; 5] =
+    [MachineId::BgL, MachineId::BgP, MachineId::Xt3, MachineId::Xt4Dc, MachineId::Xt4Qc];
+
+fn coherence_name(c: CacheCoherence) -> &'static str {
+    match c {
+        CacheCoherence::Software => "sw",
+        CacheCoherence::Hardware => "hw",
+    }
+}
+const COHERENCE: [CacheCoherence; 2] = [CacheCoherence::Software, CacheCoherence::Hardware];
 
 /// Write the setup lines. The only writer of this grammar: scenario
 /// specs and fuzz scenarios both call it, so their machine text and
@@ -354,7 +380,7 @@ pub fn write_setup(
     faults: Option<FaultSpec>,
 ) {
     write_machine(out, machine);
-    let _ = writeln!(out, "mode {}", name(&MODES, mode));
+    let _ = writeln!(out, "mode {}", mode_name(mode));
     let _ = writeln!(out, "mapping {}", mapping.name());
     match faults {
         None => out.push_str("faults none\n"),
@@ -369,7 +395,7 @@ pub fn write_setup(
 pub fn parse_setup(lines: &mut Lines<'_>) -> Result<Setup, ParseError> {
     Ok(Setup {
         machine: parse_machine(lines)?,
-        mode: lines.keyed("mode", |c| c.one_of("mode", &MODES))?,
+        mode: lines.keyed("mode", |c| c.one_of("mode", &MODES, mode_name))?,
         mapping: lines.keyed("mapping", |c| c.parse_with("mapping", Mapping::parse))?,
         faults: lines.keyed("faults", |c| match c.tok("faults seed")? {
             "none" => Ok(None),
@@ -391,7 +417,7 @@ fn write_program(out: &mut String, p: &ProgramSpec) {
                 cfg.grid.rows,
                 cfg.grid.cols,
                 cfg.words,
-                name(&PROTOCOLS, cfg.protocol),
+                protocol_name(cfg.protocol),
                 cfg.reps
             );
         }
@@ -399,7 +425,7 @@ fn write_program(out: &mut String, p: &ProgramSpec) {
             let _ = writeln!(
                 out,
                 "program md {ranks} {} {} {} {} {} {}",
-                name(&MD_CODES, cfg.code),
+                md_code_name(cfg.code),
                 cfg.atoms,
                 cfg.neighbors,
                 cfg.pme_mesh,
@@ -444,7 +470,7 @@ fn push_opt_bits(out: &mut String, v: Option<f64>) {
 }
 
 fn write_machine(out: &mut String, m: &MachineSpec) {
-    let (id, coh) = (name(&MACHINES, m.id), name(&COHERENCE, m.coherence));
+    let (id, coh) = (machine_name(m.id), coherence_name(m.coherence));
     let _ = write!(out, "machine {id} {} {coh}", m.cores_per_node);
     push_opt_bits(out, m.l3_shared_mib);
     out.push('\n');
@@ -514,13 +540,13 @@ fn parse_program(c: &mut Fields<'_>) -> Result<ProgramSpec, ParseError> {
         "halo" => ProgramSpec::Halo(HaloConfig {
             grid: Grid2D::new(c.num("rows")?, c.num("cols")?),
             words: c.num("words")?,
-            protocol: c.one_of("protocol", &PROTOCOLS)?,
+            protocol: c.one_of("protocol", &PROTOCOLS, protocol_name)?,
             reps: c.num("reps")?,
         }),
         "md" => ProgramSpec::Md {
             ranks: c.num("ranks")?,
             cfg: MdConfig {
-                code: c.one_of("md code", &MD_CODES)?,
+                code: c.one_of("md code", &MD_CODES, md_code_name)?,
                 atoms: c.num("atoms")?,
                 neighbors: c.num("neighbors")?,
                 pme_mesh: c.num("pme_mesh")?,
@@ -560,9 +586,14 @@ fn parse_program(c: &mut Fields<'_>) -> Result<ProgramSpec, ParseError> {
 
 fn parse_machine(lines: &mut Lines<'_>) -> Result<MachineSpec, ParseError> {
     let (id, cores_per_node, coherence, l3_shared_mib) = lines.keyed("machine", |c| {
-        let id = c.one_of("machine id", &MACHINES)?;
+        let id = c.one_of("machine id", &MACHINES, machine_name)?;
         let cores_per_node = c.num("cores_per_node")?;
-        Ok((id, cores_per_node, c.one_of("coherence", &COHERENCE)?, c.opt_bits("l3")?))
+        Ok((
+            id,
+            cores_per_node,
+            c.one_of("coherence", &COHERENCE, coherence_name)?,
+            c.opt_bits("l3")?,
+        ))
     })?;
     let core = lines.keyed("core", |c| {
         Ok(CoreArch {
@@ -762,7 +793,7 @@ mod tests {
             write_setup(&mut text, &m, mode, mapping, faults);
             assert_eq!(text.lines().count(), SETUP_LINES);
             let with_tail = format!("{text}tail\n");
-            let mut lines = Lines::new(&with_tail, 1);
+            let mut lines = Lines::new(&with_tail);
             let setup = parse_setup(&mut lines).expect("setup parse");
             // the cursor is left on the line after the setup
             lines.keyed("tail", |_| Ok(())).expect("tail line");
@@ -773,8 +804,11 @@ mod tests {
             assert_eq!(again, text);
         }
         // diagnostics carry the enclosing file's line numbers
-        let e = parse_setup(&mut Lines::new("garbage\n", 4)).unwrap_err();
-        assert_eq!(e.line, 4);
+        let mut lines = Lines::new("a\nb\nc\ngarbage\n");
+        for key in ["a", "b", "c"] {
+            lines.keyed(key, |_| Ok(())).expect("filler line");
+        }
+        assert_eq!(parse_setup(&mut lines).unwrap_err().line, 4);
     }
 
     #[test]

@@ -637,7 +637,7 @@ const RESULT_MAGIC: &str = "hpcsim-result/2";
 /// a truncated one, or one from an older format is rejected — the
 /// caller recomputes — instead of trusted by its filename.
 fn parse_result_file(text: &str, hash: SpecHash) -> Result<Vec<f64>, ParseError> {
-    let mut lines = Lines::new(text, 1);
+    let mut lines = Lines::new(text);
     let len: usize = lines.keyed(RESULT_MAGIC, |c| {
         let named = c.tok("hash")?;
         if named != hash.to_string() {

@@ -116,7 +116,7 @@ impl FuzzScenario {
     /// Parse the canonical text form. Inverse of [`FuzzScenario::to_canon`]:
     /// `parse(s.to_canon()) == s` and re-serialization is byte-identical.
     pub fn parse(text: &str) -> Result<FuzzScenario, ParseError> {
-        let mut lines = Lines::new(text, 1);
+        let mut lines = Lines::new(text);
         lines.keyed(FUZZ_MAGIC, |_| Ok(()))?;
         let Setup { machine, mode, mapping, faults } = parse_setup(&mut lines)?;
         let traces = read_traces(&mut lines)?;

@@ -66,19 +66,19 @@ impl Display for ParseError {
     }
 }
 
-/// Line cursor over the unread text. Line numbers are 1-based and count
-/// from the enclosing file, so a block embedded in a larger file (or
-/// read after a header) reports where it sits in that file.
+/// Line cursor over the unread text. Line numbers are 1-based from the
+/// start of the text. A block embedded in a larger file (or read after a
+/// header) is read through the file's own cursor, so it reports where it
+/// sits in that file.
 pub struct Lines<'a> {
     rest: &'a str,
     line: usize,
 }
 
 impl<'a> Lines<'a> {
-    /// A cursor over `text`, whose first line is line `first` of the
-    /// enclosing file.
-    pub fn new(text: &'a str, first: usize) -> Self {
-        Lines { rest: text, line: first - 1 }
+    /// A cursor at line 1 of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Lines { rest: text, line: 0 }
     }
 
     /// The next line's fields, or a diagnostic at the line where it is
@@ -157,9 +157,14 @@ impl<'a> Fields<'a> {
         parse(t).map_or_else(|| self.err(format!("bad {what} {t:?}")), Ok)
     }
 
-    /// The value `table` names by the next token.
-    pub fn one_of<T: Copy>(&mut self, what: &str, table: &[(T, &str)]) -> Result<T, ParseError> {
-        self.parse_with(what, |t| table.iter().find(|(_, name)| *name == t).map(|&(v, _)| v))
+    /// The one of `variants` whose `name` is the next token.
+    pub fn one_of<T: Copy>(
+        &mut self,
+        what: &str,
+        variants: &[T],
+        name: impl Fn(T) -> &'static str,
+    ) -> Result<T, ParseError> {
+        self.parse_with(what, |t| variants.iter().copied().find(|&v| name(v) == t))
     }
 
     /// An integer parsed at its field's own width: a value that does not
@@ -426,7 +431,7 @@ fn parse_op(c: &mut Fields<'_>, ranks: usize) -> Result<Op, ParseError> {
 /// the text does not back up, trailing content — is a [`ParseError`]
 /// naming its line.
 pub fn parse_traces(text: &str) -> Result<Traces, ParseError> {
-    let mut lines = Lines::new(text, 1);
+    let mut lines = Lines::new(text);
     let traces = read_traces(&mut lines)?;
     lines.finish()?;
     Ok(traces)
