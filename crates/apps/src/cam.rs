@@ -11,9 +11,8 @@
 //! cores, staying inside the dycore's rank limit while threads mop up
 //! the physics.
 
-use crate::price_one;
-use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
+use hpcsim_machine::Workload;
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimResult, TraceSim, Traces};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid2D;
 use serde::Serialize;
@@ -28,7 +27,7 @@ pub enum Dycore {
 }
 
 /// A CAM benchmark problem.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CamConfig {
     /// Problem label ("T42L26", "FV 1.9x2.5 L26", …).
     pub name: &'static str,
@@ -93,6 +92,11 @@ impl CamConfig {
         }
     }
 
+    /// The four problems of Figure 5, in the order above.
+    pub fn presets() -> [CamConfig; 4] {
+        [Self::t42(), Self::t85(), Self::fv_2deg(), Self::fv_half_deg()]
+    }
+
     /// Maximum useful MPI ranks for this problem.
     pub fn max_ranks(&self) -> usize {
         match self.dycore {
@@ -105,7 +109,7 @@ impl CamConfig {
     /// The MPI ranks a request for `ranks` actually runs: ranks above
     /// the dycore cap would do dynamics-idle physics only (CAM would
     /// refuse; we clamp instead and the caller sees flat scaling).
-    pub(crate) fn mpi_ranks(&self, ranks: usize) -> usize {
+    pub fn mpi_ranks(&self, ranks: usize) -> usize {
         ranks.min(self.max_ranks()).max(1)
     }
 }
@@ -128,38 +132,12 @@ impl CamResult {
     }
 }
 
-/// The simulator configuration of CAM on `ranks` (clamped to the dycore
-/// cap) MPI tasks × `threads` OpenMP threads.
-pub fn cam_sim_config(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    ranks: usize,
-    threads: u32,
-    cfg: &CamConfig,
-) -> SimConfig {
-    let mut point = SimConfig::new(machine.clone(), cfg.mpi_ranks(ranks), mode);
-    point.threads = threads;
-    point
-}
-
 /// Record one CAM step on `ranks` (clamped) tasks × `threads` threads
 /// (machine-free).
 pub fn cam_traces(ranks: usize, threads: u32, cfg: &CamConfig) -> Traces {
     let prog = cfg.clone();
     let record = FnProgram(move |mpi: &mut Mpi| record_step(mpi, &prog, threads));
     TraceSim::trace_program(&record, cfg.mpi_ranks(ranks), threads)
-}
-
-/// Run CAM on `ranks` MPI tasks × `threads` OpenMP threads.
-pub fn cam_run(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    ranks: usize,
-    threads: u32,
-    cfg: &CamConfig,
-) -> CamResult {
-    let point = cam_sim_config(machine, mode, ranks, threads, cfg);
-    CamResult::of(&price_one(point, &cam_traces(ranks, threads, cfg)), threads, cfg)
 }
 
 fn record_step(mpi: &mut Mpi, cfg: &CamConfig, threads: u32) {
@@ -228,6 +206,21 @@ fn record_step(mpi: &mut Mpi, cfg: &CamConfig, threads: u32) {
 mod tests {
     use super::*;
     use hpcsim_machine::registry::{bluegene_p, xt3, xt4_qc};
+    use hpcsim_machine::{ExecMode, MachineSpec};
+    use hpcsim_mpi::{sweep_points, SimConfig};
+
+    fn cam_run(
+        machine: &MachineSpec,
+        mode: ExecMode,
+        ranks: usize,
+        threads: u32,
+        cfg: &CamConfig,
+    ) -> CamResult {
+        let point =
+            SimConfig { threads, ..SimConfig::new(machine.clone(), cfg.mpi_ranks(ranks), mode) };
+        let traces = cam_traces(ranks, threads, cfg);
+        CamResult::of(&sweep_points(None, &[point], &traces, None, None).unwrap()[0], threads, cfg)
+    }
 
     /// Fig 5(a): hybrid ≈ pure MPI at small core counts, but extends
     /// scalability at large counts (the dycore caps MPI ranks).

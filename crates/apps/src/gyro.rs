@@ -13,9 +13,8 @@
 //! * **B3-gtc** — 64 modes, 64×400×8×8×20 grid, 100 steps, FFT-based
 //!   field solve. Its memory footprint forces DUAL mode on BG/P.
 
-use crate::price_one;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimResult, TraceSim, Traces};
 use hpcsim_net::DType;
 use serde::Serialize;
 
@@ -31,7 +30,7 @@ pub enum GyroProblem {
 }
 
 /// GYRO proxy configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GyroConfig {
     /// Problem selection.
     pub problem: GyroProblem,
@@ -84,14 +83,6 @@ impl GyroConfig {
     pub fn mem_per_task(&self, ranks: usize) -> f64 {
         self.replicated_bytes() + 16.0 * 8.0 * self.grid_points() as f64 / ranks as f64
     }
-
-    /// Rank-count granularity (B1 runs on multiples of 16, B3 of 64).
-    pub fn rank_multiple(&self) -> usize {
-        match self.problem {
-            GyroProblem::B1Std => 16,
-            _ => 64,
-        }
-    }
 }
 
 /// Result of a GYRO run.
@@ -119,12 +110,6 @@ impl GyroResult {
     pub fn of(res: &SimResult, cfg: &GyroConfig, mode: ExecMode) -> GyroResult {
         GyroResult { seconds_per_step: res.makespan().as_secs() / cfg.steps as f64, mode }
     }
-}
-
-/// The simulator configuration GYRO runs on: `ranks` tasks in the
-/// densest mode whose memory fits ([`mode_for_memory`]).
-pub fn gyro_sim_config(machine: &MachineSpec, ranks: usize, cfg: &GyroConfig) -> SimConfig {
-    SimConfig::new(machine.clone(), ranks, mode_for_memory(machine, cfg, ranks))
 }
 
 /// Record the GYRO trace on `ranks` tasks (machine-free).
@@ -161,17 +146,18 @@ pub fn gyro_traces(ranks: usize, cfg: &GyroConfig) -> Traces {
     TraceSim::trace_program(&record, ranks, 1)
 }
 
-/// Run the GYRO proxy on `ranks` tasks (mode chosen by memory fit).
-pub fn gyro_run(machine: &MachineSpec, ranks: usize, cfg: &GyroConfig) -> GyroResult {
-    let point = gyro_sim_config(machine, ranks, cfg);
-    let mode = point.mode;
-    GyroResult::of(&price_one(point, &gyro_traces(ranks, cfg)), cfg, mode)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hpcsim_machine::registry::{bluegene_l, bluegene_p, xt4_qc};
+    use hpcsim_mpi::{sweep_points, SimConfig};
+
+    fn gyro_run(machine: &MachineSpec, ranks: usize, cfg: &GyroConfig) -> GyroResult {
+        let point = SimConfig::new(machine.clone(), ranks, mode_for_memory(machine, cfg, ranks));
+        let res =
+            sweep_points(None, std::slice::from_ref(&point), &gyro_traces(ranks, cfg), None, None);
+        GyroResult::of(&res.unwrap()[0], cfg, point.mode)
+    }
 
     /// Fig 7(a): B1-std strong scaling — "the XT4 quickly runs out of
     /// work per process …, while the BG/P system continues to scale".

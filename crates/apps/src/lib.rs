@@ -24,10 +24,13 @@
 //!   PMEMD-like PME code whose scaling dies in Allreduce latency and
 //!   FFT exchanges.
 //!
-//! Every proxy has one shape: a machine-free `*_traces` recorder, a
+//! Every proxy has one shape: a machine-free `*_traces` recorder and a
 //! `*Result::of` reducer to the paper's own metric (simulated years per
-//! day, cost per grid point, …), and a `*_run` entry that records,
-//! prices one point through [`hpcsim_mpi::sweep_points`] and reduces.
+//! day, cost per grid point, …). Nothing here prices a program:
+//! `hpcsim_cache::ProgramSpec` names each proxy at a configuration and
+//! the simulator configuration it runs on, and the scenario cache
+//! records it once and prices it on every machine through
+//! [`hpcsim_mpi::sweep_points`].
 
 pub mod cam;
 pub mod gyro;
@@ -35,17 +38,8 @@ pub mod md;
 pub mod pop;
 pub mod s3d;
 
-pub use cam::{cam_run, cam_sim_config, cam_traces, CamConfig, CamResult, Dycore};
-pub use gyro::{gyro_run, gyro_sim_config, gyro_traces, GyroConfig, GyroProblem, GyroResult};
-pub use md::{md_run, md_sim_config, md_traces, MdCode, MdConfig, MdResult};
-pub use pop::{pop_run, pop_sim_config, pop_traces, PopConfig, PopResult};
-pub use s3d::{s3d_run, s3d_traces, S3dConfig, S3dResult};
-
-use hpcsim_mpi::{sweep_points, SimConfig, SimResult, Traces};
-
-/// Price one point of a recorded proxy on the process-global sweep
-/// engine. Proxy traces are well-formed and fault-free, so a replay
-/// error is a bug: panic with the engine's diagnosis.
-fn price_one(point: SimConfig, traces: &Traces) -> SimResult {
-    sweep_points(None, &[point], traces, None, None).unwrap_or_else(|e| panic!("{e}")).remove(0)
-}
+pub use cam::{cam_traces, CamConfig, CamResult, Dycore};
+pub use gyro::{gyro_traces, mode_for_memory, GyroConfig, GyroProblem, GyroResult};
+pub use md::{md_traces, MdCode, MdConfig, MdResult};
+pub use pop::{pop_traces, PopConfig, PopResult};
+pub use s3d::{s3d_traces, S3dConfig, S3dResult};

@@ -17,9 +17,8 @@
 //!   exchange operations in FFT computation"; BG/P's collective network
 //!   yields "relatively higher parallel efficiencies".
 
-use crate::price_one;
-use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
+use hpcsim_machine::Workload;
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimResult, TraceSim, Traces};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid3D;
 use serde::Serialize;
@@ -95,12 +94,6 @@ impl MdResult {
     }
 }
 
-/// The simulator configuration the MD proxy runs on: `ranks` tasks in
-/// VN mode with the machine's default placement.
-pub fn md_sim_config(machine: &MachineSpec, ranks: usize) -> SimConfig {
-    SimConfig::new(machine.clone(), ranks, ExecMode::Vn)
-}
-
 /// Record the MD proxy's trace on `ranks` tasks. The trace depends only
 /// on the rank count and configuration — not the machine — so one
 /// recording serves every machine in a comparison scan.
@@ -116,11 +109,6 @@ pub fn md_traces(ranks: usize, cfg: &MdConfig) -> Traces {
         ranks,
         1,
     )
-}
-
-/// Run the MD proxy on `ranks` tasks in VN mode.
-pub fn md_run(machine: &MachineSpec, ranks: usize, cfg: &MdConfig) -> MdResult {
-    MdResult::of(&price_one(md_sim_config(machine, ranks), &md_traces(ranks, cfg)), cfg)
 }
 
 fn record_step(mpi: &mut Mpi, cfg: &MdConfig, grid: Grid3D, step: u32) {
@@ -180,6 +168,16 @@ fn record_step(mpi: &mut Mpi, cfg: &MdConfig, grid: Grid3D, step: u32) {
 mod tests {
     use super::*;
     use hpcsim_machine::registry::{bluegene_p, xt4_dc};
+    use hpcsim_machine::{ExecMode, MachineSpec};
+    use hpcsim_mpi::{sweep_points, SimConfig};
+
+    fn md_run(machine: &MachineSpec, ranks: usize, cfg: &MdConfig) -> MdResult {
+        let point = SimConfig::new(machine.clone(), ranks, ExecMode::Vn);
+        MdResult::of(
+            &sweep_points(None, &[point], &md_traces(ranks, cfg), None, None).unwrap()[0],
+            cfg,
+        )
+    }
 
     fn eff(machine: &MachineSpec, cfg: &MdConfig, lo: usize, hi: usize) -> f64 {
         let t_lo = md_run(machine, lo, cfg).seconds_per_step;

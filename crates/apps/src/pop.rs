@@ -12,10 +12,9 @@
 //! timing barrier between the phases so that baroclinic load imbalance is
 //! not misattributed to the barotropic solver (Fig 4b).
 
-use crate::price_one;
 use hpcsim_engine::SimTime;
-use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
+use hpcsim_machine::Workload;
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimResult, TraceSim, Traces};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid2D;
 use serde::Serialize;
@@ -100,36 +99,12 @@ impl PopResult {
     }
 }
 
-/// The simulator configuration of POP on `ranks` tasks × `threads`.
-pub fn pop_sim_config(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    ranks: usize,
-    threads: u32,
-) -> SimConfig {
-    let mut point = SimConfig::new(machine.clone(), ranks, mode);
-    point.threads = threads;
-    point
-}
-
 /// Record one POP step on `ranks` tasks × `threads` (machine-free).
 pub fn pop_traces(ranks: usize, threads: u32, cfg: &PopConfig) -> Traces {
     let grid = Grid2D::near_square(ranks);
     let prog = cfg.clone();
     let record = FnProgram(move |mpi: &mut Mpi| record_step(mpi, &prog, grid));
     TraceSim::trace_program(&record, ranks, threads)
-}
-
-/// Run the POP proxy on `ranks` tasks.
-pub fn pop_run(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    ranks: usize,
-    threads: u32,
-    cfg: &PopConfig,
-) -> PopResult {
-    let point = pop_sim_config(machine, mode, ranks, threads);
-    PopResult::of(&price_one(point, &pop_traces(ranks, threads, cfg)), cfg)
 }
 
 /// Record one baroclinic step + barotropic solve for this rank.
@@ -210,6 +185,20 @@ fn record_step(mpi: &mut Mpi, cfg: &PopConfig, grid: Grid2D) {
 mod tests {
     use super::*;
     use hpcsim_machine::registry::{bluegene_p, xt4_dc};
+    use hpcsim_machine::{ExecMode, MachineSpec};
+    use hpcsim_mpi::{sweep_points, SimConfig};
+
+    fn pop_run(
+        machine: &MachineSpec,
+        mode: ExecMode,
+        ranks: usize,
+        threads: u32,
+        cfg: &PopConfig,
+    ) -> PopResult {
+        let point = SimConfig { threads, ..SimConfig::new(machine.clone(), ranks, mode) };
+        let traces = pop_traces(ranks, threads, cfg);
+        PopResult::of(&sweep_points(None, &[point], &traces, None, None).unwrap()[0], cfg)
+    }
 
     fn bgp(ranks: usize, mode: ExecMode) -> PopResult {
         pop_run(&bluegene_p(), mode, ranks, 1, &PopConfig::default())

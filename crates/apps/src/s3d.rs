@@ -10,15 +10,14 @@
 //! paper's Figure 6 metric is **cost per grid point per time step** —
 //! flat curves mean perfect weak scaling.
 
-use crate::price_one;
-use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
+use hpcsim_machine::Workload;
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimResult, TraceSim, Traces};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid3D;
 use serde::Serialize;
 
 /// S3D configuration (defaults: the paper's pressure-wave test).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct S3dConfig {
     /// Grid points per rank along each axis (50 in the paper).
     pub pts_per_rank_edge: u64,
@@ -69,12 +68,6 @@ pub fn s3d_traces(ranks: usize, cfg: &S3dConfig) -> Traces {
     TraceSim::trace_program(&record, ranks, 1)
 }
 
-/// Run the S3D proxy weak-scaled over `ranks` tasks.
-pub fn s3d_run(machine: &MachineSpec, mode: ExecMode, ranks: usize, cfg: &S3dConfig) -> S3dResult {
-    let res = price_one(SimConfig::new(machine.clone(), ranks, mode), &s3d_traces(ranks, cfg));
-    S3dResult::of(&res, ranks, cfg)
-}
-
 fn record_step(mpi: &mut Mpi, cfg: &S3dConfig, grid: Grid3D) {
     let edge = cfg.pts_per_rank_edge;
     let pts = edge * edge * edge;
@@ -118,6 +111,14 @@ fn record_step(mpi: &mut Mpi, cfg: &S3dConfig, grid: Grid3D) {
 mod tests {
     use super::*;
     use hpcsim_machine::registry::{bluegene_p, xt3, xt4_qc};
+    use hpcsim_machine::{ExecMode, MachineSpec};
+    use hpcsim_mpi::{sweep_points, SimConfig};
+
+    fn s3d_run(machine: &MachineSpec, mode: ExecMode, ranks: usize, cfg: &S3dConfig) -> S3dResult {
+        let point = SimConfig::new(machine.clone(), ranks, mode);
+        let res = sweep_points(None, &[point], &s3d_traces(ranks, cfg), None, None).unwrap();
+        S3dResult::of(&res[0], ranks, cfg)
+    }
 
     /// Fig 6: cost per grid point per step is FLAT under weak scaling —
     /// "S3D exhibits excellent parallel performance".

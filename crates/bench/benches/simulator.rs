@@ -4,9 +4,10 @@
 //! paper-shaped outputs of the `repro` binary.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use hpcsim_apps::{pop_run, PopConfig};
+use hpcsim_apps::PopConfig;
+use hpcsim_cache::{evaluate_in, CacheConfig, ProgramSpec, ScenarioCache, ScenarioSpec, Setup};
 use hpcsim_engine::{EventQueue, SimTime};
-use hpcsim_hpcc::{halo_run, imb_allreduce, HaloConfig, HaloProtocol};
+use hpcsim_hpcc::{halo_run, HaloConfig, HaloProtocol};
 use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::ExecMode;
 use hpcsim_net::DType;
@@ -54,12 +55,20 @@ fn bench_halo_replay(c: &mut Criterion) {
     g.finish();
 }
 
+/// Record and price `program` on BG/P in VN mode, every call (the cache
+/// is off, so nothing is memoized between iterations).
+fn record_and_price(program: ProgramSpec) -> f64 {
+    let off = ScenarioCache::new(CacheConfig { enabled: false, ..CacheConfig::default() });
+    let spec = ScenarioSpec::new(program, Setup::new(&bluegene_p(), ExecMode::Vn));
+    evaluate_in(&off, &spec).expect("evaluates")[0]
+}
+
 fn bench_collective_replay(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_allreduce");
     g.sample_size(10);
-    let m = bluegene_p();
+    let program = ProgramSpec::ImbAllreduce { ranks: 4096, bytes: 32 * 1024, dtype: DType::F64 };
     g.bench_function("ranks4096", |b| {
-        b.iter(|| black_box(imb_allreduce(&m, ExecMode::Vn, 4096, 32 * 1024, DType::F64)));
+        b.iter(|| black_box(record_and_price(program.clone())));
     });
     g.finish();
 }
@@ -67,9 +76,9 @@ fn bench_collective_replay(c: &mut Criterion) {
 fn bench_pop_step(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_pop_step");
     g.sample_size(10);
-    let m = bluegene_p();
+    let program = ProgramSpec::Pop { ranks: 1024, threads: 1, cfg: PopConfig::default() };
     g.bench_function("ranks1024", |b| {
-        b.iter(|| black_box(pop_run(&m, ExecMode::Vn, 1024, 1, &PopConfig::default())));
+        b.iter(|| black_box(record_and_price(program.clone())));
     });
     g.finish();
 }

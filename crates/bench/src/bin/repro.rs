@@ -515,7 +515,7 @@ fn run_traced_battery(flags: &RunFlags, scale: Scale) {
     }
     let reports: Vec<hpcsim_core::TraceReport> = selected
         .iter()
-        .filter_map(|&id| hpcsim_core::trace_experiment_with(id, scale, plan.as_ref()))
+        .filter_map(|&id| hpcsim_core::trace_experiment(id, scale, plan.as_ref()))
         .collect();
 
     for report in &reports {

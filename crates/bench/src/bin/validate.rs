@@ -5,8 +5,9 @@
 //! cargo run --release -p hpcsim-bench --bin validate
 //! ```
 
-use hpcsim_apps::{pop_run, PopConfig};
-use hpcsim_hpcc::top500_run;
+use hpcsim_apps::PopConfig;
+use hpcsim_cache::{evaluate, ProgramSpec, ScenarioSpec, Setup};
+use hpcsim_core::paper::micro::top500_run;
 use hpcsim_machine::registry::{bluegene_p, xt4_dc, xt4_qc};
 use hpcsim_machine::ExecMode;
 use hpcsim_power::{PowerModel, UTIL_HPL, UTIL_SCIENCE};
@@ -30,9 +31,12 @@ fn main() {
     let pm_b = PowerModel::new(bgp.clone());
     let pm_x = PowerModel::new(qc.clone());
     let top = top500_run(&bgp);
-    let pop_cfg = PopConfig::default();
-    let pop_b = pop_run(&bgp, ExecMode::Vn, 8192, 1, &pop_cfg);
-    let pop_x = pop_run(&xt4_dc(), ExecMode::Vn, 8192, 1, &pop_cfg);
+    // POP results: [syd, baroclinic_s, barrier_s, barotropic_s]
+    let pop_syd = |machine| {
+        let program = ProgramSpec::Pop { ranks: 8192, threads: 1, cfg: PopConfig::default() };
+        evaluate(&ScenarioSpec::new(program, Setup::new(machine, ExecMode::Vn))).expect("POP")[0]
+    };
+    let (pop_b, pop_x) = (pop_syd(&bgp), pop_syd(&xt4_dc()));
 
     let checks = [
         Check {
@@ -84,12 +88,12 @@ fn main() {
             simulated: top.mflops_per_watt,
             tol_pct: 15.0,
         },
-        Check { name: "POP SYD @ 8192, BG/P", paper: 3.6, simulated: pop_b.syd, tol_pct: 35.0 },
-        Check { name: "POP SYD @ 8192, XT4", paper: 12.5, simulated: pop_x.syd, tol_pct: 45.0 },
+        Check { name: "POP SYD @ 8192, BG/P", paper: 3.6, simulated: pop_b, tol_pct: 35.0 },
+        Check { name: "POP SYD @ 8192, XT4", paper: 12.5, simulated: pop_x, tol_pct: 45.0 },
         Check {
             name: "POP XT4/BG-P ratio @ 8192",
             paper: 3.6,
-            simulated: pop_x.syd / pop_b.syd,
+            simulated: pop_x / pop_b,
             tol_pct: 30.0,
         },
         Check {

@@ -1,22 +1,24 @@
 //! Spec-driven evaluation: what a tier-1 miss actually runs.
 //!
-//! One entry point, [`evaluate_in`], turns a [`ScenarioSpec`] into its
-//! result vector through the cache:
+//! One entry point, [`evaluate_on_in`], prices a [`ProgramSpec`] on a
+//! list of [`Setup`]s through the cache:
 //!
-//! 1. tier-1 lookup on the spec hash — a hit returns immediately;
-//! 2. for trace-replayable programs (HALO, MD), tier-2 lookup on the
-//!    program sub-hash — a hit shares the recorded trace (and its DAG,
-//!    compiled on first demand), a miss records it once for everyone.
-//!    HPL, IMB and POP record afresh on every miss: keeping their
-//!    recordings for a whole pass costs more memory than it saves
-//!    (DESIGN §14);
-//! 3. the point is priced by [`hpcsim_mpi::sweep_points`] — the same
-//!    function every proxy's direct entry point (`hpcc::halo_run`,
-//!    `apps::pop_run`, …) prices through, on the same process-global
-//!    engine — so cached and uncached runs are bit-identical and count
-//!    the same DAG fallbacks.
+//! 1. one tier-1 lookup per setup, on the canonical spec's hash — a hit
+//!    returns immediately;
+//! 2. the first miss records the program, once for the whole call, and
+//!    every later miss of the call prices that same recording. HALO and
+//!    MD record through tier 2, keyed by the program sub-hash, so a miss
+//!    in any later call shares the recording (and its DAG, compiled on
+//!    first demand). The other programs' recordings live for the call
+//!    only: keeping them for a whole pass costs more memory than it
+//!    saves (DESIGN §14);
+//! 3. each miss is priced by [`hpcsim_mpi::sweep_points`] on the
+//!    process-global engine and reduced by [`ProgramSpec::reduce`], so
+//!    cached and uncached runs are bit-identical and count the same DAG
+//!    fallbacks.
 //!
-//! The result-vector layout per program is part of the store format:
+//! [`evaluate_in`] is its one-setup case. The result-vector layout per
+//! program is part of the store format:
 //!
 //! | program        | values                                              |
 //! |----------------|-----------------------------------------------------|
@@ -25,13 +27,21 @@
 //! | hpl            | `[seconds, gflops, efficiency]`                     |
 //! | imb-allreduce  | `[usec]`                                            |
 //! | pop            | `[syd, baroclinic_s, barrier_s, barotropic_s]`      |
+//! | s3d            | `[core_hours_per_point_step, seconds_per_step]`     |
+//! | gyro           | `[seconds_per_step]`                                |
+//! | cam            | `[years_per_day, cores]`                            |
+//! | fft            | `[n, seconds, gflops]`                              |
+//! | ptrans         | `[n, seconds, gbps]`                                |
+//! | ra             | `[updates, seconds, gups]`                          |
+//! | imb-bcast      | `[usec]`                                            |
+//! | pingpong       | `[makespan_seconds]`                                |
+//! | random-ring    | `[makespan_seconds]`                                |
 
-use crate::spec::{ProgramSpec, ScenarioSpec};
-use crate::store::ScenarioCache;
-use hpcsim_apps as apps;
+use crate::spec::{ProgramSpec, ScenarioSpec, Setup};
+use crate::store::{ScenarioCache, TraceEntry};
 use hpcsim_faults::FaultPlan;
-use hpcsim_hpcc as hpcc;
-use hpcsim_mpi::{sweep_points, SimConfig, SimResult, Traces};
+use hpcsim_mpi::sweep_points;
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 /// Why a scenario could not be evaluated (today: a fault-induced stall;
@@ -50,87 +60,61 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Evaluate `spec` through `cache` (both tiers + in-flight dedupe).
-/// Returns the program's result vector (layout in the module docs).
-pub fn evaluate_in(cache: &ScenarioCache, spec: &ScenarioSpec) -> Result<Arc<Vec<f64>>, EvalError> {
-    let spec = spec.clone().canonicalized();
-    cache
-        .result(spec.hash(), || cold_evaluate(cache, &spec))
-        .map_err(|message| EvalError { message })
-}
+/// A result vector (layout in the module docs), or why it has none.
+pub type Evaluation = Result<Arc<Vec<f64>>, EvalError>;
 
-/// The tier-1 miss path, one shape for every program: record (through
-/// tier 2 for HALO and MD), price with [`sweep_points`], reduce. A
-/// fault-induced stall comes back as the replay diagnostic, verbatim.
-fn cold_evaluate(cache: &ScenarioCache, spec: &ScenarioSpec) -> Result<Vec<f64>, String> {
-    let program = &spec.program;
-    let point = [sim_config(spec)];
-    let plan = spec.faults.map(|f| FaultPlan::new(f.seed, f.profile));
-    let res = if program.trace_replayable() {
-        let entry = cache.traces(spec.program_hash(), || record(program));
+/// Price `program` on every setup through `cache` (both tiers +
+/// in-flight dedupe), recording it at most once. Results come back in
+/// setup order.
+pub fn evaluate_on_in(
+    cache: &ScenarioCache,
+    program: &ProgramSpec,
+    setups: &[Setup],
+) -> Vec<Evaluation> {
+    let recording: OnceCell<Arc<TraceEntry>> = OnceCell::new();
+    let priced = |spec: &ScenarioSpec| {
+        // canonicalization folds only axes the recording ignores, so
+        // every setup's canonical program records the same trace
+        let entry = recording.get_or_init(|| {
+            let record = || spec.program.record();
+            if program.trace_replayable() {
+                cache.traces(spec.program_hash(), record)
+            } else {
+                Arc::new(TraceEntry::new(record()))
+            }
+        });
+        let point = [spec.program.sim_config(&spec.setup)];
+        let plan = spec.setup.faults.map(|f| FaultPlan::new(f.seed, f.profile));
         let dag = || entry.dag();
-        sweep_points(None, &point, &entry.traces, Some(&dag), plan.as_ref())
-    } else {
-        sweep_points(None, &point, &record(program), None, plan.as_ref())
+        let res = sweep_points(None, &point, &entry.traces, Some(&dag), plan.as_ref());
+        Ok(spec.program.reduce(&point[0], &res.map_err(|e| e.to_string())?[0]))
     };
-    Ok(reduce(spec, &res.map_err(|e| e.to_string())?[0]))
+    setups
+        .iter()
+        .map(|setup| {
+            let spec = ScenarioSpec::new(program.clone(), setup.clone());
+            cache.result(spec.hash(), || priced(&spec)).map_err(|message| EvalError { message })
+        })
+        .collect()
 }
 
-/// The program's machine-free recording.
-fn record(program: &ProgramSpec) -> Traces {
-    match program {
-        ProgramSpec::Hpl(cfg) => hpcc::hpl_traces(cfg),
-        ProgramSpec::Halo(cfg) => hpcc::halo_recording(cfg),
-        ProgramSpec::Md { ranks, cfg } => apps::md_traces(*ranks, cfg),
-        ProgramSpec::ImbAllreduce { ranks, bytes, dtype } => {
-            hpcc::imb_allreduce_traces(*ranks, *bytes, *dtype)
-        }
-        ProgramSpec::Pop { ranks, threads, cfg } => apps::pop_traces(*ranks, *threads, cfg),
-    }
-}
-
-/// The simulator configuration of the spec's point.
-fn sim_config(spec: &ScenarioSpec) -> SimConfig {
-    let (machine, mode) = (&spec.machine, spec.mode);
-    match &spec.program {
-        ProgramSpec::Halo(cfg) => cfg.sim_config(machine, mode, spec.mapping),
-        ProgramSpec::Pop { ranks, threads, .. } => {
-            apps::pop_sim_config(machine, mode, *ranks, *threads)
-        }
-        program => SimConfig::new(machine.clone(), program.ranks(), mode),
-    }
-}
-
-/// The program's result vector (layout in the module docs).
-fn reduce(spec: &ScenarioSpec, res: &SimResult) -> Vec<f64> {
-    match &spec.program {
-        ProgramSpec::Halo(cfg) => vec![cfg.per_exchange(res)],
-        ProgramSpec::Md { cfg, .. } => {
-            let r = apps::MdResult::of(res, cfg);
-            vec![r.seconds_per_step, r.ns_per_day]
-        }
-        ProgramSpec::Hpl(cfg) => {
-            let r = hpcc::HplResult::of(res, &spec.machine, cfg);
-            vec![r.seconds, r.gflops, r.efficiency]
-        }
-        ProgramSpec::ImbAllreduce { ranks, bytes, .. } => {
-            vec![hpcc::ImbPoint::of(res, *ranks, *bytes).usec]
-        }
-        ProgramSpec::Pop { cfg, .. } => {
-            let r = apps::PopResult::of(res, cfg);
-            vec![r.syd, r.baroclinic_s, r.barrier_s, r.barotropic_s]
-        }
-    }
+/// Evaluate one spec through `cache`: [`evaluate_on_in`] on its one
+/// setup.
+pub fn evaluate_in(cache: &ScenarioCache, spec: &ScenarioSpec) -> Evaluation {
+    let setups = std::slice::from_ref(&spec.setup);
+    evaluate_on_in(cache, &spec.program, setups).remove(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::CacheConfig;
+    use hpcsim_apps as apps;
     use hpcsim_faults::FaultProfile;
-    use hpcsim_hpcc::{HaloConfig, HaloProtocol};
-    use hpcsim_machine::registry::{bluegene_p, xt4_dc};
+    use hpcsim_hpcc::{self as hpcc, HaloConfig, HaloProtocol};
+    use hpcsim_machine::registry::{bluegene_p, xt3, xt4_dc};
     use hpcsim_machine::ExecMode;
+    use hpcsim_mpi::SimConfig;
     use hpcsim_topo::{Grid2D, Mapping};
 
     fn cache() -> ScenarioCache {
@@ -162,12 +146,18 @@ mod tests {
     }
 
     #[test]
-    fn md_matches_direct_entry_point_bitwise() {
+    fn md_matches_direct_pricing_bitwise() {
         let m = xt4_dc();
         let c = cache();
-        let spec = ScenarioSpec::md(&m, 64, apps::MdConfig::lammps_rub());
+        let cfg = apps::MdConfig::lammps_rub();
+        let spec = ScenarioSpec::new(
+            ProgramSpec::Md { ranks: 64, cfg: cfg.clone() },
+            Setup::new(&m, ExecMode::Vn),
+        );
         let cached = evaluate_in(&c, &spec).unwrap();
-        let direct = apps::md_run(&m, 64, &apps::MdConfig::lammps_rub());
+        let point = [SimConfig::new(m.clone(), 64, ExecMode::Vn)];
+        let res = sweep_points(None, &point, &apps::md_traces(64, &cfg), None, None).unwrap();
+        let direct = apps::MdResult::of(&res[0], &cfg);
         assert_eq!(cached[0].to_bits(), direct.seconds_per_step.to_bits());
         assert_eq!(cached[1].to_bits(), direct.ns_per_day.to_bits());
         // warm lookup: no new evaluation
@@ -211,19 +201,41 @@ mod tests {
         assert_eq!(replay[0].to_bits(), dag[0].to_bits());
     }
 
+    /// Every program outside tier 2, one small point each.
+    fn untiered() -> Vec<ProgramSpec> {
+        vec![
+            ProgramSpec::Hpl(hpcc::HplConfig {
+                n: 4096,
+                nb: 128,
+                grid: Grid2D::new(4, 4),
+                samples: 2,
+            }),
+            ProgramSpec::ImbAllreduce { ranks: 32, bytes: 1024, dtype: hpcsim_net::DType::F64 },
+            ProgramSpec::Pop { ranks: 16, threads: 1, cfg: apps::PopConfig::default() },
+            ProgramSpec::S3d { ranks: 8, cfg: apps::S3dConfig::default() },
+            ProgramSpec::Gyro { ranks: 16, cfg: apps::GyroConfig::b1_std() },
+            ProgramSpec::Cam { ranks: 16, threads: 1, cfg: apps::CamConfig::t42() },
+            ProgramSpec::Fft { ranks: 16, n: 1 << 16 },
+            ProgramSpec::Ptrans {
+                ranks: 16,
+                n: 4096,
+                placement: hpcsim_topo::Placement::Fragmented { spread: 1.5, seed: 3 },
+            },
+            ProgramSpec::RandomAccess { ranks: 16, table_bytes: 1 << 20, updates: 1 << 10 },
+            ProgramSpec::ImbBcast { ranks: 32, bytes: 1024 },
+            ProgramSpec::Pingpong { bytes: 8, reps: 8 },
+            ProgramSpec::RandomRing { ranks: 16, bytes: 8, seed: 1 },
+        ]
+    }
+
     #[test]
-    fn hpl_imb_pop_cache_through_tier1() {
+    fn untiered_programs_cache_through_tier1() {
         let m = bluegene_p();
         let c = cache();
-        let specs = [
-            ScenarioSpec::hpl(
-                &m,
-                ExecMode::Vn,
-                hpcc::HplConfig { n: 4096, nb: 128, grid: Grid2D::new(4, 4), samples: 2 },
-            ),
-            ScenarioSpec::imb_allreduce(&m, ExecMode::Vn, 32, 1024, hpcsim_net::DType::F64),
-            ScenarioSpec::pop(&m, ExecMode::Vn, 16, 1, apps::PopConfig::default()),
-        ];
+        let specs: Vec<ScenarioSpec> = untiered()
+            .into_iter()
+            .map(|p| ScenarioSpec::new(p, Setup::new(&m, ExecMode::Vn)))
+            .collect();
         for spec in &specs {
             let first = evaluate_in(&c, spec).unwrap();
             let second = evaluate_in(&c, spec).unwrap();
@@ -234,8 +246,35 @@ mod tests {
             assert!(first.iter().all(|v| v.is_finite() && *v >= 0.0));
         }
         let s = c.stats();
-        assert_eq!((s.result_misses, s.result_hits), (3, 3));
+        let n = specs.len() as u64;
+        assert_eq!((s.result_misses, s.result_hits), (n, n));
         // none of these are trace-replayable: tier 2 untouched
         assert_eq!((s.trace_misses, s.trace_hits), (0, 0));
+    }
+
+    /// One call prices every setup like its own one-setup evaluation,
+    /// looks each setup up once, and hits on a setup it already priced.
+    #[test]
+    fn evaluate_on_equals_one_setup_evaluations() {
+        let setups: Vec<Setup> = [bluegene_p(), xt3(), xt4_dc(), bluegene_p()]
+            .iter()
+            .map(|m| Setup::new(m, ExecMode::Vn))
+            .collect();
+        let halo = ProgramSpec::Halo(halo_cfg());
+        for program in untiered().into_iter().chain([halo]) {
+            let (together, alone) = (cache(), cache());
+            let all = evaluate_on_in(&together, &program, &setups);
+            for (setup, v) in setups.iter().zip(&all) {
+                let spec = ScenarioSpec::new(program.clone(), setup.clone());
+                let one = evaluate_in(&alone, &spec).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(v.as_ref().unwrap()), bits(&one), "{}", spec.to_canon());
+            }
+            let s = together.stats();
+            assert_eq!((s.result_misses, s.result_hits), (3, 1), "{program:?}");
+            // tier 2 is asked once per call, and only for HALO and MD
+            let tiered = u64::from(program.trace_replayable());
+            assert_eq!(s.trace_misses + s.trace_hits, tiered, "{program:?}");
+        }
     }
 }

@@ -16,8 +16,10 @@
 //!   by spec hash, tier 2 shards recorded traces by the program-only
 //!   sub-hash so a *new* machine/mapping query replays a cached trace
 //!   instead of re-recording it ([`store`] module docs);
-//! * [`evaluate`] / [`evaluate_in`] — the evaluation front door used by
-//!   the figure batteries, the `repro` CLI and the examples.
+//! * [`evaluate_on`] / [`evaluate`] — the evaluation front door: one
+//!   program priced on a list of setups (recorded at most once per
+//!   call), or one spec. Every figure, table and ablation of the paper,
+//!   the `repro` CLI and the examples price through it.
 //!
 //! Correctness invariant: with the cache enabled, disabled, cold, warm,
 //! in-memory or disk-backed, every query returns bit-identical values —
@@ -34,7 +36,7 @@ pub mod eval;
 pub mod spec;
 pub mod store;
 
-pub use eval::{evaluate_in, EvalError};
+pub use eval::{evaluate_in, evaluate_on_in, EvalError, Evaluation};
 pub use spec::{
     fnv1a_128, parse_setup, write_setup, FaultSpec, ProgramSpec, ScenarioSpec, Setup, SpecHash,
     SETUP_LINES,
@@ -60,9 +62,15 @@ pub fn configure(cfg: CacheConfig) {
     *global_slot().lock().unwrap() = Arc::new(ScenarioCache::new(cfg));
 }
 
-/// Evaluate a spec through the process-global cache. See
-/// [`eval`] module docs for the result-vector layout per program.
-pub fn evaluate(spec: &ScenarioSpec) -> Result<Arc<Vec<f64>>, EvalError> {
+/// Price `program` on every setup through the process-global cache,
+/// recording it at most once; results in setup order. See [`eval`]
+/// module docs for the result-vector layout per program.
+pub fn evaluate_on(program: &ProgramSpec, setups: &[Setup]) -> Vec<Evaluation> {
+    evaluate_on_in(&global(), program, setups)
+}
+
+/// Evaluate one spec through the process-global cache.
+pub fn evaluate(spec: &ScenarioSpec) -> Evaluation {
     evaluate_in(&global(), spec)
 }
 

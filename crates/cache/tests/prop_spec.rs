@@ -1,17 +1,18 @@
 //! Property tests pinning the canonical spec form: serialize →
 //! deserialize → re-hash is the identity over randomized scenarios
-//! across every program family, machine, mode, mapping and fault
+//! across every program kind, machine, mode, mapping and fault
 //! profile — and distinct canonical forms never share a hash (the
 //! documented by-construction collisions are exactly the axes
 //! canonicalization erases).
 
-use hpcsim_cache::{ScenarioSpec, SpecHash};
+use hpcsim_apps::{CamConfig, GyroConfig, GyroProblem, MdConfig, PopConfig, S3dConfig};
+use hpcsim_cache::{ProgramSpec, ScenarioSpec, Setup, SpecHash};
 use hpcsim_faults::FaultProfile;
 use hpcsim_hpcc::{HaloConfig, HaloProtocol, HplConfig};
 use hpcsim_machine::registry::all_machines;
 use hpcsim_machine::ExecMode;
 use hpcsim_net::DType;
-use hpcsim_topo::{Grid2D, Mapping};
+use hpcsim_topo::{Grid2D, Mapping, Placement};
 use proptest::prelude::*;
 
 /// Deterministic spec from a seed: a splitmix walk picks every axis, so
@@ -31,62 +32,72 @@ fn spec_from_seed(seed: u64) -> ScenarioSpec {
     };
     let mappings = Mapping::predefined();
     let (_, mapping) = mappings[(next() % mappings.len() as u64) as usize];
-    let spec = match next() % 5 {
+    let ranks = 2 + (next() % 1024) as usize;
+    let dtype = match next() % 3 {
+        0 => DType::F32,
+        1 => DType::F64,
+        _ => DType::Int,
+    };
+    let program = match next() % 14 {
         0 => {
             let protos = HaloProtocol::all();
-            let cfg = HaloConfig {
+            ProgramSpec::Halo(HaloConfig {
                 grid: Grid2D::new(1 + (next() % 16) as usize, 1 + (next() % 16) as usize),
                 words: 1 + next() % 65_536,
                 protocol: protos[(next() % protos.len() as u64) as usize],
                 reps: 1 + (next() % 4) as u32,
-            };
-            ScenarioSpec::halo(machine, mode, mapping, cfg)
+            })
         }
         1 => {
-            let cfg = if next() % 2 == 0 {
-                hpcsim_apps::MdConfig::lammps_rub()
+            let cfg = if next() % 2 == 0 { MdConfig::lammps_rub() } else { MdConfig::pmemd_rub() };
+            ProgramSpec::Md { ranks: 2 + (next() % 128) as usize, cfg }
+        }
+        2 => ProgramSpec::Hpl(HplConfig {
+            n: 256 + next() % 8192,
+            nb: 32 + next() % 224,
+            grid: Grid2D::near_square(1 + (next() % 256) as usize),
+            samples: 1 + (next() % 4) as usize,
+        }),
+        3 => ProgramSpec::ImbAllreduce { ranks, bytes: 8 + next() % (1 << 20), dtype },
+        4 => ProgramSpec::Pop {
+            ranks: 16 + (next() % 2048) as usize,
+            threads: 1 + (next() % 4) as u32,
+            cfg: PopConfig { chron_gear: next() % 2 == 0, ..PopConfig::default() },
+        },
+        5 => ProgramSpec::S3d {
+            ranks,
+            cfg: S3dConfig { species: 1 + next() % 40, ..S3dConfig::default() },
+        },
+        6 => {
+            let problems = [GyroProblem::B1Std, GyroProblem::B3Gtc, GyroProblem::B3GtcModified];
+            let problem = problems[(next() % 3) as usize];
+            ProgramSpec::Gyro { ranks, cfg: GyroConfig { problem, steps: 1 + (next() % 8) as u32 } }
+        }
+        7 => {
+            let cfg = CamConfig::presets()[(next() % 4) as usize].clone();
+            ProgramSpec::Cam { ranks, threads: 1 + (next() % 4) as u32, cfg }
+        }
+        8 => ProgramSpec::Fft { ranks, n: 1 << (10 + next() % 20) },
+        9 => {
+            let placement = if next() % 2 == 0 {
+                Placement::Compact
             } else {
-                hpcsim_apps::MdConfig::pmemd_rub()
+                Placement::Fragmented { spread: 1.0 + (next() % 8) as f64 / 4.0, seed: next() }
             };
-            ScenarioSpec::md(machine, 2 + (next() % 128) as usize, cfg)
+            ProgramSpec::Ptrans { ranks, n: 1024 + next() % 65_536, placement }
         }
-        2 => {
-            let cfg = HplConfig {
-                n: 256 + next() % 8192,
-                nb: 32 + next() % 224,
-                grid: Grid2D::near_square(1 + (next() % 256) as usize),
-                samples: 1 + (next() % 4) as usize,
-            };
-            ScenarioSpec::hpl(machine, mode, cfg)
+        10 => ProgramSpec::RandomAccess {
+            ranks,
+            table_bytes: 1 << (16 + next() % 12),
+            updates: 1 << (8 + next() % 10),
+        },
+        11 => ProgramSpec::ImbBcast { ranks, bytes: 8 + next() % (1 << 20) },
+        12 => {
+            ProgramSpec::Pingpong { bytes: 8 + next() % (1 << 22), reps: 1 + (next() % 8) as u32 }
         }
-        3 => {
-            let dtype = match next() % 3 {
-                0 => DType::F32,
-                1 => DType::F64,
-                _ => DType::Int,
-            };
-            ScenarioSpec::imb_allreduce(
-                machine,
-                mode,
-                2 + (next() % 1024) as usize,
-                8 + next() % (1 << 20),
-                dtype,
-            )
-        }
-        _ => {
-            let cfg = hpcsim_apps::PopConfig {
-                chron_gear: next() % 2 == 0,
-                ..hpcsim_apps::PopConfig::default()
-            };
-            ScenarioSpec::pop(
-                machine,
-                mode,
-                16 + (next() % 2048) as usize,
-                1 + (next() % 4) as u32,
-                cfg,
-            )
-        }
+        _ => ProgramSpec::RandomRing { ranks, bytes: 8 + next() % (1 << 22), seed: next() },
     };
+    let spec = ScenarioSpec::new(program, Setup { mapping, ..Setup::new(machine, mode) });
     if next() % 3 == 0 {
         let profile = match next() % 4 {
             0 => FaultProfile::Link,

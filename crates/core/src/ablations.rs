@@ -15,18 +15,15 @@
 //!   STREAM-bound work;
 //! * **double hummer** — halve flops/cycle and rerun DGEMM.
 
-use crate::paper::{halo_point, pop_point};
+use crate::paper::{price, vn, Row};
 use crate::report::Table;
-use crate::runner::parmap;
-use hpcsim_apps::{pop_run, PopConfig};
-use hpcsim_hpcc::{
-    halo_run, imb_allreduce_traces, imb_bcast_traces, price, HaloConfig, HaloProtocol, ImbPoint,
-};
+use hpcsim_apps::PopConfig;
+use hpcsim_cache::ProgramSpec;
+use hpcsim_hpcc::{HaloConfig, HaloProtocol};
 use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::{ExecMode, MachineSpec, NodeModel, Workload};
-use hpcsim_mpi::{SimConfig, Traces};
 use hpcsim_net::DType;
-use hpcsim_topo::{Grid2D, Mapping};
+use hpcsim_topo::Grid2D;
 
 /// One ablation's outcome.
 #[derive(Debug, Clone)]
@@ -73,117 +70,60 @@ fn without_double_hummer(m: &MachineSpec) -> MachineSpec {
 
 /// Run the full ablation battery on BG/P at `ranks` tasks.
 ///
-/// Each measurement is a self-contained with/without pair, so the
-/// battery is expressed as a scenario set and fanned out over the
-/// worker pool; results come back in the declared order. The baseline
-/// POP and HALO runs are paper points too (Fig 2, Fig 4), so they go
-/// through the scenario cache; the ablated machines run directly.
+/// Each MPI measurement is a with/without pair: one program priced on
+/// the base and the ablated machine in one scenario-cache call (one
+/// recording), the pairs fanned out over the worker pool. The base
+/// points are paper points too (Fig 2, Fig 3, Fig 4). The memory and
+/// FPU ablations are analytic node-model times.
 pub fn run_ablations(ranks: usize) -> Vec<Ablation> {
-    let base = bluegene_p();
-    let pop_cfg = PopConfig::default();
-    let halo_cfg = HaloConfig {
-        grid: Grid2D::near_square(ranks),
-        words: 32_768,
-        protocol: HaloProtocol::IrecvIsend,
-        reps: 2,
+    let base = &bluegene_p();
+    let halo = |words| {
+        let grid = Grid2D::near_square(ranks);
+        ProgramSpec::Halo(HaloConfig { grid, words, protocol: HaloProtocol::IrecvIsend, reps: 2 })
     };
-    let mid_cfg = HaloConfig { words: 128, ..halo_cfg.clone() };
-
-    // an IMB recording of 32 KiB rounds priced with and without the
-    // tree, in one call: (with, without) microseconds
-    let tree_pair = |traces: &Traces| {
-        let points =
-            [base.clone(), without_tree(&base)].map(|m| SimConfig::new(m, ranks, ExecMode::Vn));
-        let res = price(&points, traces);
-        let usec = |r| ImbPoint::of(r, ranks, 32 * 1024).usec;
-        (usec(&res[0]), usec(&res[1]))
+    let bytes = 32 * 1024;
+    let tree = without_tree(base);
+    let rows: Vec<Row> = [
+        // collective tree: IMB latency at 32 KiB, and end-to-end POP
+        // (the barotropic solver leans on it)
+        (ProgramSpec::ImbAllreduce { ranks, bytes, dtype: DType::F64 }, &tree),
+        (ProgramSpec::ImbBcast { ranks, bytes }, &tree),
+        (ProgramSpec::Pop { ranks, threads: 1, cfg: PopConfig::default() }, &tree),
+        // adaptive routing: bandwidth-bound HALO
+        (halo(32_768), &without_adaptive_routing(base)),
+        // eager threshold: mid-size halos forced into rendezvous
+        (halo(128), &with_tiny_eager(base)),
+    ]
+    .map(|(program, ablated)| (program, vec![vn(base), vn(ablated)]))
+    .into();
+    let v = price(&rows);
+    // every value read here comes first in its vector: a time, except
+    // POP's simulated years per day, a rate
+    let (with, without) = (|i: usize| v[i][0][0], |i: usize| v[i][1][0]);
+    let slower = |i: usize| without(i) / with(i);
+    // one node-model kernel on the base and the ablated machine
+    let node = |ablated: MachineSpec, w: Workload| {
+        let time = |m: &MachineSpec| NodeModel::new(m.clone()).time(&w, ExecMode::Vn, 1).as_secs();
+        time(&ablated) / time(base)
     };
-
-    type Unit<'a> = Box<dyn Fn() -> Ablation + Sync + 'a>;
-    let units: Vec<Unit<'_>> = vec![
-        // 1. collective tree: Allreduce latency at 32 KiB
-        Box::new(|| {
-            let (t_with, t_without) =
-                tree_pair(&imb_allreduce_traces(ranks, 32 * 1024, DType::F64));
-            Ablation {
-                feature: "collective tree",
-                workload: "Allreduce 32KiB",
-                slowdown: t_without / t_with,
-            }
-        }),
-        // ... and Bcast
-        Box::new(|| {
-            let (b_with, b_without) = tree_pair(&imb_bcast_traces(ranks, 32 * 1024));
-            Ablation {
-                feature: "collective tree",
-                workload: "Bcast 32KiB",
-                slowdown: b_without / b_with,
-            }
-        }),
-        // ... and end-to-end POP (the barotropic solver leans on it)
-        Box::new(|| {
-            let syd_with = pop_point(&base, ExecMode::Vn, ranks, 1, &pop_cfg).syd;
-            let syd_without = pop_run(&without_tree(&base), ExecMode::Vn, ranks, 1, &pop_cfg).syd;
-            Ablation {
-                feature: "collective tree",
-                workload: "POP 0.1deg (SYD)",
-                slowdown: syd_with / syd_without,
-            }
-        }),
-        // 2. adaptive routing: bandwidth-bound HALO
-        Box::new(|| {
-            let h_with = halo_point(&base, ExecMode::Vn, Mapping::txyz(), &halo_cfg);
-            let h_without = halo_run(
-                &without_adaptive_routing(&base),
-                ExecMode::Vn,
-                Mapping::txyz(),
-                &halo_cfg,
-            );
-            Ablation {
-                feature: "adaptive routing",
-                workload: "HALO 32768 words",
-                slowdown: h_without / h_with,
-            }
-        }),
-        // 3. eager threshold: mid-size halos forced into rendezvous
-        Box::new(|| {
-            let e_with = halo_point(&base, ExecMode::Vn, Mapping::txyz(), &mid_cfg);
-            let e_without =
-                halo_run(&with_tiny_eager(&base), ExecMode::Vn, Mapping::txyz(), &mid_cfg);
-            Ablation {
-                feature: "eager protocol window",
-                workload: "HALO 128 words",
-                slowdown: e_without / e_with,
-            }
-        }),
-        // 4. memory bandwidth: STREAM triad per task
-        Box::new(|| {
-            let nm_with = NodeModel::new(base.clone());
-            let nm_without = NodeModel::new(with_xt3_memory(&base));
-            let w = Workload::StreamTriad { n: 4_000_000 };
-            let s_with = nm_with.time(&w, ExecMode::Vn, 1).as_secs();
-            let s_without = nm_without.time(&w, ExecMode::Vn, 1).as_secs();
-            Ablation {
-                feature: "13.6 GB/s memory (vs 6.4)",
-                workload: "STREAM triad",
-                slowdown: s_without / s_with,
-            }
-        }),
-        // 5. double hummer: DGEMM per task
-        Box::new(|| {
-            let nm_with = NodeModel::new(base.clone());
-            let nm_scalar = NodeModel::new(without_double_hummer(&base));
-            let d = Workload::Dgemm { n: 1500 };
-            let g_with = nm_with.time(&d, ExecMode::Vn, 1).as_secs();
-            let g_without = nm_scalar.time(&d, ExecMode::Vn, 1).as_secs();
-            Ablation {
-                feature: "Double Hummer FPU",
-                workload: "DGEMM n=1500",
-                slowdown: g_without / g_with,
-            }
-        }),
-    ];
-    parmap(&units, |u| u())
+    let ablation = |feature, workload, slowdown| Ablation { feature, workload, slowdown };
+    vec![
+        ablation("collective tree", "Allreduce 32KiB", slower(0)),
+        ablation("collective tree", "Bcast 32KiB", slower(1)),
+        ablation("collective tree", "POP 0.1deg (SYD)", with(2) / without(2)),
+        ablation("adaptive routing", "HALO 32768 words", slower(3)),
+        ablation("eager protocol window", "HALO 128 words", slower(4)),
+        ablation(
+            "13.6 GB/s memory (vs 6.4)",
+            "STREAM triad",
+            node(with_xt3_memory(base), Workload::StreamTriad { n: 4_000_000 }),
+        ),
+        ablation(
+            "Double Hummer FPU",
+            "DGEMM n=1500",
+            node(without_double_hummer(base), Workload::Dgemm { n: 1500 }),
+        ),
+    ]
 }
 
 /// Render the ablations as a table.

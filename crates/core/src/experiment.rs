@@ -1,6 +1,6 @@
 //! Experiment identifiers, scales, and the runner.
 
-use crate::paper;
+use crate::paper::{self, Traced};
 use crate::report::{Figure, Table};
 use serde::Serialize;
 
@@ -63,7 +63,38 @@ impl ExperimentId {
     pub fn from_slug(s: &str) -> Option<ExperimentId> {
         ExperimentId::all().into_iter().find(|e| e.slug() == s.trim().to_lowercase())
     }
+
+    /// The experiment's two halves: its tables and figures, and the
+    /// representative scenarios its traced battery replays (none for
+    /// Table 1, which prices no program).
+    fn parts(self) -> (Render, fn(Scale) -> Vec<Traced>) {
+        use paper::{apps, micro, power};
+        use ExperimentId::*;
+        match self {
+            Table1 => (|_| (vec![micro::table1()], vec![]), |_| vec![]),
+            Table2 => (|s| (vec![micro::table2(s)], vec![]), micro::table2_traced),
+            Fig1 => (|s| (vec![], micro::fig1(s)), micro::fig1_traced),
+            Fig2 => (|s| (vec![], micro::fig2(s)), micro::fig2_traced),
+            Fig3 => (|s| (vec![], micro::fig3(s)), micro::fig3_traced),
+            Top500 => (|_| (vec![micro::top500_table()], vec![]), micro::top500_traced),
+            Fig4 => (|s| (vec![], apps::fig4(s)), apps::fig4_traced),
+            Fig5 => (|s| (vec![], apps::fig5(s)), apps::fig5_traced),
+            Fig6 => (|s| (vec![], apps::fig6(s)), apps::fig6_traced),
+            Fig7 => (|s| (vec![], apps::fig7(s)), apps::fig7_traced),
+            Fig8 => (|s| (vec![], apps::fig8(s)), apps::fig8_traced),
+            Table3 => (|s| (vec![power::table3(s)], vec![]), power::table3_traced),
+        }
+    }
+
+    /// The representative scenarios of the experiment's traced battery
+    /// at `scale`, labelled; empty if it prices no MPI program.
+    pub fn traced(self, scale: Scale) -> Vec<Traced> {
+        (self.parts().1)(scale)
+    }
 }
+
+/// An experiment's render step: its tables and figure panels at a scale.
+type Render = fn(Scale) -> (Vec<Table>, Vec<Figure>);
 
 /// How big to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -133,20 +164,7 @@ impl Artifact {
 
 /// Run one experiment at the given scale.
 pub fn run_experiment(id: ExperimentId, scale: Scale) -> Artifact {
-    let (tables, figures) = match id {
-        ExperimentId::Table1 => (vec![paper::micro::table1()], vec![]),
-        ExperimentId::Table2 => (vec![paper::micro::table2(scale)], vec![]),
-        ExperimentId::Fig1 => (vec![], paper::micro::fig1(scale)),
-        ExperimentId::Fig2 => (vec![], paper::micro::fig2(scale)),
-        ExperimentId::Fig3 => (vec![], paper::micro::fig3(scale)),
-        ExperimentId::Top500 => (vec![paper::micro::top500_table()], vec![]),
-        ExperimentId::Fig4 => (vec![], paper::apps::fig4(scale)),
-        ExperimentId::Fig5 => (vec![], paper::apps::fig5(scale)),
-        ExperimentId::Fig6 => (vec![], paper::apps::fig6(scale)),
-        ExperimentId::Fig7 => (vec![], paper::apps::fig7(scale)),
-        ExperimentId::Fig8 => (vec![], paper::apps::fig8(scale)),
-        ExperimentId::Table3 => (vec![paper::power::table3(scale)], vec![]),
-    };
+    let (tables, figures) = (id.parts().0)(scale);
     Artifact { id, scale, tables, figures }
 }
 

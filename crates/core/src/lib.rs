@@ -34,7 +34,7 @@ pub use experiment::{run_experiment, Artifact, ExperimentId, Scale};
 pub use hpcsim_mpi::{set_sweep_engine, sweep_engine, SweepEngine};
 pub use probe::{
     breakdown_table, chrome_json, metrics_json, scenario_metrics, spans_csv, trace_experiment,
-    trace_experiment_with, traceable, TraceReport, TracedScenario,
+    traceable, TraceReport, TracedScenario,
 };
 pub use report::{Figure, Series, Table};
 pub use resilience::{resilience_battery, ResilienceReport, ScenarioError};

@@ -1,44 +1,53 @@
 //! Regeneration of the paper's tables and figures, one function per
 //! artifact. See `DESIGN.md` §4 for the experiment index.
 //!
-//! Every POP and HALO point an artifact prices goes through the
-//! process-global scenario cache ([`pop_point`], [`halo_point`]), so a
-//! pass simulates each distinct scenario once however many panels,
-//! tables and ablations repeat it. Under `--no-cache` each point is
-//! computed directly; the values are bit-identical either way.
+//! Every experiment has one shape: a list of rows, each one MPI program
+//! ([`ProgramSpec`]) on the setups it runs on, priced by `price`, then
+//! a render step over the result vectors. `price` goes through the
+//! process-global scenario cache, so a pass simulates each distinct
+//! scenario once however many panels, tables and ablations repeat it,
+//! and a row records its program once however many machines price it.
+//! Under `--no-cache` each point is computed directly; the values are
+//! bit-identical either way.
+//!
+//! Every experiment that prices a program also names a few
+//! representative scenarios (its `*_traced` list, [`Traced`]) that the
+//! traced battery ([`crate::probe`]) replays with the recorder attached.
 
 pub mod apps;
 pub mod micro;
 pub mod power;
 
-use hpcsim_apps::{PopConfig, PopResult};
-use hpcsim_cache::{evaluate, ScenarioSpec};
-use hpcsim_hpcc::HaloConfig;
+use crate::runner::parmap;
+use hpcsim_cache::{evaluate_on, ProgramSpec, ScenarioSpec, Setup};
+use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::{ExecMode, MachineSpec};
-use hpcsim_topo::Mapping;
+use std::sync::Arc;
 
-/// One POP run through the scenario cache; bit-identical to
-/// [`hpcsim_apps::pop_run`].
-pub fn pop_point(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    ranks: usize,
-    threads: u32,
-    cfg: &PopConfig,
-) -> PopResult {
-    let spec = ScenarioSpec::pop(machine, mode, ranks, threads, cfg.clone());
-    let v = evaluate(&spec).expect("pristine POP scenarios evaluate");
-    PopResult { syd: v[0], baroclinic_s: v[1], barrier_s: v[2], barotropic_s: v[3] }
+/// One program priced on one or more setups.
+pub(crate) type Row = (ProgramSpec, Vec<Setup>);
+
+/// A representative scenario of a traced battery and its label.
+pub type Traced = (String, ScenarioSpec);
+
+/// Price every row through the process-global scenario cache, rows
+/// fanned out over the worker pool: `values[row][setup]`, each a result
+/// vector (layout in `hpcsim_cache::eval`). Paper programs are
+/// well-formed and fault-free, so an evaluation error is a bug.
+pub(crate) fn price(rows: &[Row]) -> Vec<Vec<Arc<Vec<f64>>>> {
+    parmap(rows, |(program, setups)| {
+        let values = evaluate_on(program, setups).into_iter();
+        values.map(|v| v.unwrap_or_else(|e| panic!("{e}"))).collect()
+    })
 }
 
-/// Seconds per exchange of one HALO run through the scenario cache;
-/// bit-identical to [`hpcsim_hpcc::halo_run`].
-pub fn halo_point(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    mapping: Mapping,
-    cfg: &HaloConfig,
-) -> f64 {
-    let spec = ScenarioSpec::halo(machine, mode, mapping, cfg.clone());
-    evaluate(&spec).expect("pristine HALO scenarios evaluate")[0]
+/// `machine` in virtual-node mode, the paper's default.
+pub(crate) fn vn(machine: &MachineSpec) -> Setup {
+    Setup::new(machine, ExecMode::Vn)
+}
+
+/// A traced scenario: `program` on BG/P, the machine of every traced
+/// battery, in `mode`.
+pub(crate) fn on_bgp(label: String, program: ProgramSpec, mode: ExecMode) -> Traced {
+    (label, ScenarioSpec::new(program, Setup::new(&bluegene_p(), mode)))
 }

@@ -6,21 +6,41 @@
 //! iso-throughput comparison — how many cores and watts each machine
 //! needs to reach 12 SYD.
 
-use super::pop_point;
+use super::{on_bgp, price, vn, Traced};
 use crate::experiment::Scale;
 use crate::report::Table;
 use crate::runner::parmap;
-use hpcsim_apps as apps;
-use hpcsim_hpcc as hpcc;
+use hpcsim_apps::PopConfig;
+use hpcsim_cache::ProgramSpec;
+use hpcsim_hpcc::{hpl_problem_size, HplConfig};
 use hpcsim_machine::registry::{bluegene_p, xt4_dc, xt4_qc};
 use hpcsim_machine::{ExecMode, MachineSpec};
 use hpcsim_power::{PowerModel, UTIL_HPL, UTIL_SCIENCE};
 use hpcsim_topo::Grid2D;
 
-/// Find the POP SYD at a given core count (helper for the iso-SYD rows;
-/// the bisection revisits rungs, and Fig 4 prices some of the same runs).
+/// POP 0.1° on `cores` tasks in VN mode.
+fn pop(cores: usize) -> ProgramSpec {
+    ProgramSpec::Pop { ranks: cores, threads: 1, cfg: PopConfig::default() }
+}
+
+/// The POP SYD at a given core count (helper for the iso-SYD rows; the
+/// bisection revisits rungs, and Fig 4 prices some of the same runs).
 fn pop_syd(machine: &MachineSpec, cores: usize) -> f64 {
-    pop_point(machine, ExecMode::Vn, cores, 1, &apps::PopConfig::default()).syd
+    price(&[(pop(cores), vec![vn(machine)])])[0][0][0]
+}
+
+/// HPL on `cores` tasks of `machine`, filling 70% of its memory.
+fn hpl(machine: &MachineSpec, cores: usize) -> ProgramSpec {
+    let n = hpl_problem_size(machine, cores, ExecMode::Vn, 0.7);
+    ProgramSpec::Hpl(HplConfig { n, nb: 96, grid: Grid2D::near_square(cores), samples: 8 })
+}
+
+/// The table's (BG/P, XT/QC) core counts.
+fn table3_cores(scale: Scale) -> (usize, usize) {
+    match scale {
+        Scale::Paper => (8192, 30_976),
+        Scale::Quick => (1024, 1024),
+    }
 }
 
 /// Search the core count needed to reach `target` SYD (coarse bisection
@@ -55,14 +75,7 @@ pub fn table3(scale: Scale) -> Table {
     let pm_b = PowerModel::new(bgp.clone());
     let pm_x = PowerModel::new(xt.clone());
 
-    let cores_b = match scale {
-        Scale::Paper => 8192usize,
-        Scale::Quick => 1024,
-    };
-    let cores_x = match scale {
-        Scale::Paper => 30_976usize,
-        Scale::Quick => 1024,
-    };
+    let (cores_b, cores_x) = table3_cores(scale);
 
     // Paper: iso-throughput at 12 SYD. Quick scale caps the search at
     // 4096 cores, where neither machine reaches 12 — use a target both
@@ -77,19 +90,14 @@ pub fn table3(scale: Scale) -> Table {
     // XT4/DC, watts from XT/QC per-core draw.
     let xt_pop = xt4_dc();
 
-    // HPL runs for sustained flops
-    let hpl = |machine: &MachineSpec, cores: usize| {
-        let n = hpcc::hpl_problem_size(machine, cores, ExecMode::Vn, 0.7);
-        let cfg = hpcc::HplConfig { n, nb: 96, grid: Grid2D::near_square(cores), samples: 8 };
-        hpcc::hpl_run(machine, ExecMode::Vn, &cfg)
-    };
-
-    // scenario set: the six expensive simulations behind the table,
-    // each a self-contained unit so the pool can run them concurrently
+    // the six expensive simulations behind the table, each a
+    // self-contained unit so the pool can run them concurrently; HPL
+    // values are [seconds, gflops, efficiency]
+    let hpl_gflops = |m: &MachineSpec, cores| price(&[(hpl(m, cores), vec![vn(m)])])[0][0][1];
     type Unit<'a> = Box<dyn Fn() -> f64 + Sync + 'a>;
     let units: Vec<Unit<'_>> = vec![
-        Box::new(|| hpl(&bgp, cores_b).gflops),
-        Box::new(|| hpl(&xt, cores_x).gflops),
+        Box::new(|| hpl_gflops(&bgp, cores_b)),
+        Box::new(|| hpl_gflops(&xt, cores_x)),
         Box::new(|| pop_syd(&bgp, cores_b.max(512))),
         Box::new(|| pop_syd(&xt_pop, cores_b.max(512))),
         Box::new(|| cores_for_syd(&bgp, syd_target, scale) as f64),
@@ -164,6 +172,17 @@ pub fn table3(scale: Scale) -> Table {
         kw(pm_x.aggregate_w(iso_cores_x as u64, UTIL_SCIENCE)),
     ]);
     t
+}
+
+/// Table 3's traced scenarios: the BG/P HPL run and its POP point.
+pub fn table3_traced(scale: Scale) -> Vec<Traced> {
+    let cores = table3_cores(scale).0;
+    let bgp = bluegene_p();
+    let pop_cores = cores.max(512);
+    vec![
+        on_bgp(format!("hpl {cores}r"), hpl(&bgp, cores), ExecMode::Vn),
+        on_bgp(format!("pop {pop_cores}r"), pop(pop_cores), ExecMode::Vn),
+    ]
 }
 
 #[cfg(test)]

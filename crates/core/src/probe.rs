@@ -3,27 +3,27 @@
 //! tables, Chrome traces, and a metrics report.
 //!
 //! Tracing a full `run_experiment` battery would record millions of
-//! spans per figure; instead each traceable figure nominates a handful
-//! of representative scenarios (the paper's interesting corners) that
-//! reproduce its communication structure faithfully. Scenarios fan out
-//! through [`parmap`] and are collected in input order, so the exported
-//! trace and metrics are byte-identical regardless of `--jobs`.
+//! spans per figure; instead each experiment that prices an MPI program
+//! names a handful of representative scenarios as data
+//! ([`ExperimentId::traced`]: labelled [`ScenarioSpec`]s, the paper's
+//! interesting corners) that reproduce its communication structure
+//! faithfully. One path replays them all: each spec's program records
+//! its trace and runs on the spec's simulator configuration, exactly
+//! as the scenario cache prices it. Scenarios fan out through
+//! [`parmap`] and are collected in input order, so the exported trace
+//! and metrics are byte-identical regardless of `--jobs`.
 
 use crate::experiment::{ExperimentId, Scale};
 use crate::report::Table;
 use crate::runner::parmap;
-use hpcsim_apps::{md_traces, MdConfig};
+use hpcsim_cache::ScenarioSpec;
 use hpcsim_engine::stats::{Histogram, OnlineStats};
 use hpcsim_engine::SimTime;
-use hpcsim_hpcc::{self as hpcc, HaloProtocol::*};
-use hpcsim_machine::registry::bluegene_p;
-use hpcsim_machine::ExecMode;
-use hpcsim_mpi::{SimConfig, TraceSim, Traces};
-use hpcsim_net::DType;
+use hpcsim_faults::FaultPlan;
+use hpcsim_mpi::TraceSim;
 use hpcsim_probe::{
     chrome_trace, metrics_report_json, trace_csv, GaugeId, MetricsRegistry, RingRecorder, SpanKind,
 };
-use hpcsim_topo::{Grid2D, Mapping};
 
 /// One traced scenario: the recorder plus the replay facts needed to
 /// cross-check it.
@@ -54,24 +54,19 @@ pub struct TraceReport {
     pub scenarios: Vec<TracedScenario>,
 }
 
-/// One traced scenario before it runs: its label, the point it replays
-/// on, and the program's machine-free recording.
-type Scenario = (String, SimConfig, Traces);
-
-/// Replay one scenario with a fresh recorder attached (and `faults`
-/// armed, if any).
-fn replay(
-    (label, point, traces): &Scenario,
-    faults: Option<&hpcsim_faults::FaultPlan>,
-) -> TracedScenario {
-    let mut sim = TraceSim::new(point.clone());
-    if let Some(plan) = faults {
+/// Replay one labelled scenario with a fresh recorder attached, and
+/// `faults` armed if the spec's canonicalization keeps them (HALO only).
+fn replay(label: &str, spec: &ScenarioSpec, faults: Option<&FaultPlan>) -> TracedScenario {
+    let mut sim = TraceSim::new(spec.program.sim_config(&spec.setup));
+    let kept =
+        |p: &&FaultPlan| spec.clone().with_faults(p.seed(), p.profile()).setup.faults.is_some();
+    if let Some(plan) = faults.filter(kept) {
         sim.set_faults(plan);
     }
     let mut rec = RingRecorder::new();
-    let res = sim.try_replay(traces, &mut rec).unwrap_or_else(|e| panic!("{e}"));
+    let res = sim.try_replay(&spec.program.record(), &mut rec).unwrap_or_else(|e| panic!("{e}"));
     TracedScenario {
-        label: label.clone(),
+        label: label.to_string(),
         ranks: res.finish.len(),
         makespan: res.makespan(),
         finish: res.finish.clone(),
@@ -81,69 +76,26 @@ fn replay(
     }
 }
 
-/// The figures with a traced battery.
-pub fn traceable() -> [ExperimentId; 3] {
-    [ExperimentId::Fig2, ExperimentId::Fig3, ExperimentId::Fig8]
+/// The experiments with a traced battery: every one that prices an MPI
+/// program, which is all but Table 1.
+pub fn traceable() -> Vec<ExperimentId> {
+    ExperimentId::all().into_iter().filter(|id| !id.traced(Scale::Quick).is_empty()).collect()
 }
 
-/// Run the traced battery for one figure; `None` if the figure has no
-/// traced battery. Scenarios run through [`parmap`] and are merged in
-/// input order, so output is identical at any `--jobs`.
-pub fn trace_experiment(id: ExperimentId, scale: Scale) -> Option<TraceReport> {
-    trace_experiment_with(id, scale, None)
-}
-
-/// [`trace_experiment`] with an optional armed fault plan. The plan
-/// arms the Fig 2 HALO scenarios, where detours, retransmit spans and
-/// outage gauges show up in the trace; the collective and app batteries
-/// are replayed pristine for now. With `faults` of `None` this is
-/// byte-for-byte [`trace_experiment`].
-pub fn trace_experiment_with(
+/// Run the traced battery of one experiment, with `faults` armed on the
+/// scenarios that keep them; `None` if the experiment has no traced
+/// battery. Scenarios run through [`parmap`] and are merged in input
+/// order, so output is identical at any `--jobs`.
+pub fn trace_experiment(
     id: ExperimentId,
     scale: Scale,
-    faults: Option<&hpcsim_faults::FaultPlan>,
+    faults: Option<&FaultPlan>,
 ) -> Option<TraceReport> {
-    let machine = bluegene_p();
-    let vn = |ranks| SimConfig::new(machine.clone(), ranks, ExecMode::Vn);
-    let scenarios: Vec<Scenario> = match id {
-        ExperimentId::Fig2 => {
-            // nearest-neighbour halo: both extremes of the word sweep
-            // plus the protocol that serializes the four directions
-            let grid = Grid2D::near_square(scale.ranks(8192));
-            let (rows, cols) = (grid.rows, grid.cols);
-            [(IrecvIsend, 2048), (Sendrecv, 2048), (IrecvIsend, 32768)]
-                .map(|(protocol, words)| {
-                    let cfg = hpcc::HaloConfig { grid, words, protocol, reps: 2 };
-                    let label = format!("halo {rows}x{cols} {} {words}w", protocol.label());
-                    let point = cfg.sim_config(&machine, ExecMode::Vn, Mapping::txyz());
-                    (label, point, hpcc::halo_recording(&cfg))
-                })
-                .into()
-        }
-        ExperimentId::Fig3 => {
-            // collectives at the fixed 32 KiB point: the tree-eligible
-            // double-precision Allreduce, its single-precision twin
-            // (no tree), and Bcast
-            let ranks = scale.ranks(8192);
-            let bytes = 32 * 1024;
-            let allreduce = |dtype| {
-                let label = format!("allreduce {bytes}B {dtype:?} {ranks}r");
-                (label, vn(ranks), hpcc::imb_allreduce_traces(ranks, bytes, dtype))
-            };
-            let label = format!("bcast {bytes}B {ranks}r");
-            let bcast = (label, vn(ranks), hpcc::imb_bcast_traces(ranks, bytes));
-            vec![allreduce(DType::F64), allreduce(DType::F32), bcast]
-        }
-        ExperimentId::Fig8 => {
-            let ranks = scale.ranks(2048);
-            [("lammps", MdConfig::lammps_rub()), ("pmemd", MdConfig::pmemd_rub())]
-                .map(|(name, cfg)| (format!("{name} {ranks}r"), vn(ranks), md_traces(ranks, &cfg)))
-                .into()
-        }
-        _ => return None,
-    };
-    let faults = faults.filter(|_| id == ExperimentId::Fig2);
-    let scenarios = parmap(&scenarios, |s| replay(s, faults));
+    let scenarios = id.traced(scale);
+    if scenarios.is_empty() {
+        return None;
+    }
+    let scenarios = parmap(&scenarios, |(label, spec)| replay(label, spec, faults));
     Some(TraceReport { id, scenarios })
 }
 
@@ -258,16 +210,39 @@ mod tests {
     use hpcsim_probe::validate_trace;
 
     fn small_fig2() -> TraceReport {
-        trace_experiment(ExperimentId::Fig2, Scale::Quick).unwrap()
+        trace_experiment(ExperimentId::Fig2, Scale::Quick, None).unwrap()
     }
 
     #[test]
-    fn untraceable_figures_return_none() {
-        assert!(trace_experiment(ExperimentId::Table1, Scale::Quick).is_none());
+    fn every_pricing_experiment_is_traceable() {
+        assert!(trace_experiment(ExperimentId::Table1, Scale::Quick, None).is_none());
+        let all = ExperimentId::all();
+        assert_eq!(traceable(), all[1..], "all but Table 1");
         for id in traceable() {
-            // cheap existence check: the dispatcher recognises the id
-            // without running it (Fig2 is exercised below)
-            assert!(ExperimentId::from_slug(id.slug()).is_some());
+            for scale in [Scale::Quick, Scale::Paper] {
+                let traced = id.traced(scale);
+                assert!(!traced.is_empty(), "{}", id.slug());
+                // labels name the trace processes: unique per battery
+                let mut labels: Vec<&str> = traced.iter().map(|(l, _)| l.as_str()).collect();
+                labels.sort_unstable();
+                labels.dedup();
+                assert_eq!(labels.len(), traced.len(), "{}", id.slug());
+            }
+        }
+    }
+
+    /// Every battery replays, tiles each rank's clock exactly with cpu
+    /// spans, and exports a Chrome trace that validates.
+    #[test]
+    fn every_battery_traces_and_validates() {
+        for id in traceable() {
+            let report = trace_experiment(id, Scale::Quick, None).unwrap();
+            for s in &report.scenarios {
+                assert_eq!(s.recorder.dropped(), 0, "{}", s.label);
+                assert_eq!(s.recorder.cpu_sums(), s.finish, "{}", s.label);
+            }
+            let json = chrome_json(std::slice::from_ref(&report));
+            validate_trace(&json).unwrap_or_else(|e| panic!("{}: {e}", id.slug()));
         }
     }
 

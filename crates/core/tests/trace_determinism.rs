@@ -15,9 +15,9 @@ use hpcsim_probe::validate_trace;
 #[test]
 fn traced_battery_is_identical_at_any_worker_count() {
     set_jobs(1);
-    let seq = trace_experiment(ExperimentId::Fig2, Scale::Quick).unwrap();
+    let seq = trace_experiment(ExperimentId::Fig2, Scale::Quick, None).unwrap();
     set_jobs(4);
-    let par = trace_experiment(ExperimentId::Fig2, Scale::Quick).unwrap();
+    let par = trace_experiment(ExperimentId::Fig2, Scale::Quick, None).unwrap();
     set_jobs(0);
 
     let seq = std::slice::from_ref(&seq);

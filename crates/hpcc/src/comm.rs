@@ -7,10 +7,8 @@
 //! low-latency communication whereas the XT's strength is high-bandwidth
 //! communication".
 
-use crate::price;
 use hpcsim_engine::DetRng;
-use hpcsim_machine::{ExecMode, MachineSpec};
-use hpcsim_mpi::{FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
+use hpcsim_mpi::{FnProgram, Mpi, TraceSim, Traces};
 use serde::Serialize;
 
 /// Record `reps` ping-pong round trips of `bytes` between ranks 0 and 1.
@@ -32,21 +30,13 @@ pub fn pingpong_traces(bytes: u64, reps: u32) -> Traces {
 /// Round trips of the small- and the large-payload ping-pong run.
 pub const PINGPONG_REPS: [u32; 2] = [8, 4];
 
-/// (one-way latency seconds, bandwidth bytes/s) of priced small- and
-/// `large_bytes`-payload ping-pong runs ([`PINGPONG_REPS`] round trips).
-pub fn pingpong_of(small: &SimResult, large: &SimResult, large_bytes: u64) -> (f64, f64) {
-    let one_way = |res: &SimResult, reps: u32| res.makespan().as_secs() / reps as f64 / 2.0;
-    let t_large = one_way(large, PINGPONG_REPS[1]);
-    (one_way(small, PINGPONG_REPS[0]), large_bytes as f64 / t_large)
-}
-
-/// Ping-pong between ranks 0 and 1: returns (one-way latency seconds,
-/// bandwidth bytes/s) measured with `small` and `large` payloads.
-pub fn pingpong(machine: &MachineSpec, small: u64, large: u64) -> (f64, f64) {
-    let point = [SimConfig::new(machine.clone(), 2, ExecMode::Smp)];
-    let [s, l] = [(small, PINGPONG_REPS[0]), (large, PINGPONG_REPS[1])]
-        .map(|(bytes, reps)| price(&point, &pingpong_traces(bytes, reps)).remove(0));
-    pingpong_of(&s, &l, large)
+/// (one-way latency seconds, bandwidth bytes/s) of the small- and
+/// `large_bytes`-payload ping-pong runs ([`PINGPONG_REPS`] round trips),
+/// from their makespans in seconds.
+pub fn pingpong_of(small_s: f64, large_s: f64, large_bytes: u64) -> (f64, f64) {
+    let one_way = |secs: f64, reps: u32| secs / reps as f64 / 2.0;
+    let t_large = one_way(large_s, PINGPONG_REPS[1]);
+    (one_way(small_s, PINGPONG_REPS[0]), large_bytes as f64 / t_large)
 }
 
 /// Result of a ring test.
@@ -59,11 +49,11 @@ pub struct RingResult {
 }
 
 impl RingResult {
-    /// The ring metrics of priced `small`- and `large`-byte ring runs.
-    pub fn of(small: &SimResult, large: &SimResult, large_bytes: u64) -> RingResult {
+    /// The ring metrics of the small- and `large_bytes`-byte ring runs,
+    /// from their makespans in seconds.
+    pub fn of(small_s: f64, large_s: f64, large_bytes: u64) -> RingResult {
         // each run makes two exchanges
-        let latency_s = small.makespan().as_secs() / 2.0;
-        RingResult { latency_s, bandwidth: large_bytes as f64 / (large.makespan().as_secs() / 2.0) }
+        RingResult { latency_s: small_s / 2.0, bandwidth: large_bytes as f64 / (large_s / 2.0) }
     }
 }
 
@@ -92,27 +82,37 @@ pub fn random_ring_traces(ranks: usize, bytes: u64, seed: u64) -> Traces {
     TraceSim::trace_program(&record, ranks, 1)
 }
 
-/// HPCC random-ring: ranks permuted randomly, each exchanges with its
-/// ring neighbours (`small`-byte messages for latency, `large` for
-/// bandwidth).
-pub fn random_ring(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    ranks: usize,
-    small: u64,
-    large: u64,
-    seed: u64,
-) -> RingResult {
-    let point = [SimConfig::new(machine.clone(), ranks, mode)];
-    let [s, l] = [small, large]
-        .map(|bytes| price(&point, &random_ring_traces(ranks, bytes, seed)).remove(0));
-    RingResult::of(&s, &l, large)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hpcsim_machine::registry::{bluegene_p, xt4_qc};
+    use hpcsim_machine::{ExecMode, MachineSpec};
+    use hpcsim_mpi::{sweep_points, SimConfig};
+
+    fn makespan(point: &SimConfig, traces: &Traces) -> f64 {
+        let res = sweep_points(None, std::slice::from_ref(point), traces, None, None).unwrap();
+        res[0].makespan().as_secs()
+    }
+
+    fn pingpong(machine: &MachineSpec, small: u64, large: u64) -> (f64, f64) {
+        let point = SimConfig::new(machine.clone(), 2, ExecMode::Smp);
+        let [s, l] = [(small, PINGPONG_REPS[0]), (large, PINGPONG_REPS[1])]
+            .map(|(bytes, reps)| makespan(&point, &pingpong_traces(bytes, reps)));
+        pingpong_of(s, l, large)
+    }
+
+    fn random_ring(
+        machine: &MachineSpec,
+        mode: ExecMode,
+        ranks: usize,
+        small: u64,
+        large: u64,
+        seed: u64,
+    ) -> RingResult {
+        let point = SimConfig::new(machine.clone(), ranks, mode);
+        let [s, l] = [small, large].map(|b| makespan(&point, &random_ring_traces(ranks, b, seed)));
+        RingResult::of(s, l, large)
+    }
 
     /// Table 2: BG/P strength = latency; XT strength = bandwidth.
     #[test]

@@ -7,9 +7,8 @@
 //! benchmark "stresses a system's memory hierarchy and network more than
 //! HPL" (§II.A.3).
 
-use crate::price;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimResult, TraceSim, Traces};
 use serde::Serialize;
 
 /// Result of an MPI FFT run.
@@ -72,16 +71,19 @@ pub fn fft_traces(ranks: usize, n: u64) -> Traces {
     TraceSim::trace_program(&record, ranks, 1)
 }
 
-/// Run the distributed FFT of `n` points over `ranks` tasks.
-pub fn fft_run(machine: &MachineSpec, mode: ExecMode, ranks: usize, n: u64) -> FftResult {
-    let point = SimConfig::new(machine.clone(), ranks, mode);
-    FftResult::of(&price(&[point], &fft_traces(ranks, n))[0], n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hpcsim_machine::registry::{bluegene_p, xt4_qc};
+    use hpcsim_mpi::{sweep_points, SimConfig};
+
+    fn fft_run(machine: &MachineSpec, mode: ExecMode, ranks: usize, n: u64) -> FftResult {
+        let point = SimConfig::new(machine.clone(), ranks, mode);
+        FftResult::of(
+            &sweep_points(None, &[point], &fft_traces(ranks, n), None, None).unwrap()[0],
+            n,
+        )
+    }
 
     #[test]
     fn problem_size_is_power_of_two() {

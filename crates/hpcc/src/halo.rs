@@ -12,8 +12,6 @@
 //! * (c,d) **process→processor mapping**: the predefined BG/P orderings;
 //! * (e,f) **virtual grid shape** at fixed core count.
 
-use crate::price;
-use hpcsim_engine::SimTime;
 use hpcsim_faults::FaultPlan;
 use hpcsim_machine::{ExecMode, MachineSpec};
 use hpcsim_mpi::{
@@ -174,8 +172,9 @@ impl HaloConfig {
 /// Run a HALO experiment on the process-global sweep engine; returns
 /// seconds per exchange (makespan / reps).
 pub fn halo_run(machine: &MachineSpec, mode: ExecMode, mapping: Mapping, cfg: &HaloConfig) -> f64 {
-    let point = cfg.sim_config(machine, mode, mapping);
-    cfg.per_exchange(&price(&[point], &halo_recording(cfg))[0])
+    let point = [cfg.sim_config(machine, mode, mapping)];
+    let res = sweep_points(None, &point, &halo_recording(cfg), None, None);
+    cfg.per_exchange(&res.unwrap_or_else(|e| panic!("{e}"))[0])
 }
 
 /// Evaluate a single (machine, mode, mapping) point from the per-rank
@@ -224,12 +223,6 @@ pub fn halo_try_run<T: Tracer>(
     }
     let res = sim.try_replay(&halo_recording(cfg), tracer)?;
     Ok((cfg.per_exchange(&res), res))
-}
-
-/// Sanity floor used by tests: an exchange can't beat four message
-/// latencies.
-pub fn latency_floor(machine: &MachineSpec) -> SimTime {
-    (machine.nic.o_send + machine.nic.o_recv) * 2
 }
 
 #[cfg(test)]

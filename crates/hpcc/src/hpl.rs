@@ -10,9 +10,8 @@
 //! accounting HPL's own projections use (total flops = 2N³/3 + lower
 //! order).
 
-use crate::price;
 use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimResult, TraceSim, Traces};
 use hpcsim_net::DType;
 use hpcsim_topo::Grid2D;
 use serde::Serialize;
@@ -138,38 +137,17 @@ impl HplResult {
     }
 }
 
-/// Run HPL with `cfg` on `machine` in `mode`.
-pub fn hpl_run(machine: &MachineSpec, mode: ExecMode, cfg: &HplConfig) -> HplResult {
-    let point = SimConfig::new(machine.clone(), cfg.grid.size(), mode);
-    HplResult::of(&price(&[point], &hpl_traces(cfg))[0], machine, cfg)
-}
-
-/// Result of the §II.C TOP500 run including power.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct Top500Result {
-    /// The HPL performance result.
-    pub hpl: HplResult,
-    /// Aggregate power during the run, kW.
-    pub power_kw: f64,
-    /// The Green500 metric.
-    pub mflops_per_watt: f64,
-}
-
-/// The paper's TOP500 configuration: N = 614399, NB = 96, 64×128 grid on
-/// the ORNL BG/P (8192 cores, VN mode), with power metering.
-pub fn top500_run(machine: &MachineSpec) -> Top500Result {
-    let cfg = HplConfig { n: 614_399, nb: 96, grid: Grid2D::new(64, 128), samples: 12 };
-    let hpl = hpl_run(machine, ExecMode::Vn, &cfg);
-    let pm = hpcsim_power::PowerModel::new(machine.clone());
-    let cores = cfg.grid.size() as u64;
-    let watts = pm.aggregate_w(cores, hpcsim_power::UTIL_HPL);
-    Top500Result { hpl, power_kw: watts / 1e3, mflops_per_watt: hpl.gflops * 1e3 / watts }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hpcsim_machine::registry::{bluegene_p, xt4_qc};
+    use hpcsim_mpi::{sweep_points, SimConfig};
+
+    fn hpl_run(machine: &MachineSpec, mode: ExecMode, cfg: &HplConfig) -> HplResult {
+        let point = SimConfig::new(machine.clone(), cfg.grid.size(), mode);
+        let res = sweep_points(None, &[point], &hpl_traces(cfg), None, None).unwrap();
+        HplResult::of(&res[0], machine, cfg)
+    }
 
     fn small_cfg(ranks: usize, n: u64) -> HplConfig {
         HplConfig { n, nb: 96, grid: Grid2D::near_square(ranks), samples: 6 }
@@ -216,24 +194,5 @@ mod tests {
         let r256 = hpl_run(&bluegene_p(), ExecMode::Vn, &small_cfg(256, 80_000));
         let speedup = r256.gflops / r64.gflops;
         assert!(speedup > 3.0, "4x ranks should give >3x rate, got {speedup:.2}");
-    }
-
-    #[test]
-    fn top500_reproduces_section_iic() {
-        let r = top500_run(&bluegene_p());
-        // paper: 21.4 TF (we accept the band 17–26 TF)
-        assert!(
-            r.hpl.gflops > 17_000.0 && r.hpl.gflops < 26_000.0,
-            "TOP500 GF = {:.0}",
-            r.hpl.gflops
-        );
-        // paper: 310.93 MF/W (Green500 №5); Table 3 reports 347.6
-        assert!(
-            r.mflops_per_watt > 270.0 && r.mflops_per_watt < 420.0,
-            "MF/W = {:.1}",
-            r.mflops_per_watt
-        );
-        // ~63 kW aggregate
-        assert!(r.power_kw > 55.0 && r.power_kw < 72.0, "power {:.1} kW", r.power_kw);
     }
 }

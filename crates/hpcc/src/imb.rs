@@ -5,9 +5,7 @@
 //! (Fig 3a/c) and process count at fixed 32 KiB payload (Fig 3b/d), with
 //! the single- vs double-precision Allreduce distinction from §II.B.2.
 
-use crate::price;
-use hpcsim_machine::{ExecMode, MachineSpec};
-use hpcsim_mpi::{CommId, FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
+use hpcsim_mpi::{CommId, FnProgram, Mpi, SimResult, TraceSim, Traces};
 use hpcsim_net::DType;
 use serde::Serialize;
 
@@ -52,29 +50,25 @@ pub fn imb_bcast_traces(ranks: usize, bytes: u64) -> Traces {
     imb_traces(ranks, move |mpi| mpi.bcast(CommId::WORLD, bytes))
 }
 
-/// IMB Allreduce latency at one (ranks, bytes) point.
-pub fn imb_allreduce(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    ranks: usize,
-    bytes: u64,
-    dtype: DType,
-) -> ImbPoint {
-    let point = SimConfig::new(machine.clone(), ranks, mode);
-    let traces = imb_allreduce_traces(ranks, bytes, dtype);
-    ImbPoint::of(&price(&[point], &traces)[0], ranks, bytes)
-}
-
-/// IMB Bcast latency at one (ranks, bytes) point.
-pub fn imb_bcast(machine: &MachineSpec, mode: ExecMode, ranks: usize, bytes: u64) -> ImbPoint {
-    let point = SimConfig::new(machine.clone(), ranks, mode);
-    ImbPoint::of(&price(&[point], &imb_bcast_traces(ranks, bytes))[0], ranks, bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hpcsim_machine::registry::{bluegene_p, xt4_qc};
+    use hpcsim_machine::{ExecMode, MachineSpec};
+    use hpcsim_mpi::{sweep_points, SimConfig};
+
+    fn imb(m: &MachineSpec, mode: ExecMode, ranks: usize, bytes: u64, traces: Traces) -> ImbPoint {
+        let point = SimConfig::new(m.clone(), ranks, mode);
+        ImbPoint::of(&sweep_points(None, &[point], &traces, None, None).unwrap()[0], ranks, bytes)
+    }
+
+    fn imb_allreduce(m: &MachineSpec, mode: ExecMode, r: usize, b: u64, dtype: DType) -> ImbPoint {
+        imb(m, mode, r, b, imb_allreduce_traces(r, b, dtype))
+    }
+
+    fn imb_bcast(m: &MachineSpec, mode: ExecMode, ranks: usize, bytes: u64) -> ImbPoint {
+        imb(m, mode, ranks, bytes, imb_bcast_traces(ranks, bytes))
+    }
 
     /// Fig 3(c): BG/P "dramatically outperforms the Cray XT for all
     /// message sizes" on Bcast.

@@ -20,9 +20,12 @@
 //!   (Fig 3), including the single- vs double-precision Allreduce split.
 //!
 //! Every MPI-parallel test has one shape: a machine-free `*_traces`
-//! recorder, a `*Result::of` reducer, and a `*_run` entry that records,
-//! prices through [`price`] and reduces. Only the fault-armed
-//! [`halo_try_run`] builds its own replay engine.
+//! recorder and a `*Result::of` reducer. Pricing lives in one place:
+//! `hpcsim_cache::ProgramSpec` names each test at a configuration and
+//! the scenario cache records it once and prices it on every machine
+//! through [`hpcsim_mpi::sweep_points`]. HALO keeps two direct entries
+//! for the harness guards: [`halo_run`] on the process-global sweep
+//! engine, and the fault-armed, traced [`halo_try_run`].
 
 pub mod comm;
 pub mod epkernels;
@@ -33,28 +36,14 @@ pub mod imb;
 pub mod ptrans;
 pub mod ra;
 
-pub use comm::{
-    pingpong, pingpong_of, pingpong_traces, random_ring, random_ring_traces, RingResult,
-    PINGPONG_REPS,
-};
+pub use comm::{pingpong_of, pingpong_traces, random_ring_traces, RingResult, PINGPONG_REPS};
 pub use epkernels::{dgemm_rate, stream_triad_rate, EpMode};
-pub use fft::{fft_run, fft_traces, FftResult};
+pub use fft::{fft_problem_size, fft_traces, FftResult};
 pub use halo::{
     halo_eval_traces, halo_record_exchange, halo_recording, halo_run, halo_traces, halo_try_run,
     HaloConfig, HaloProtocol,
 };
-pub use hpl::{
-    hpl_problem_size, hpl_run, hpl_traces, top500_run, HplConfig, HplResult, Top500Result,
-};
-pub use imb::{imb_allreduce, imb_allreduce_traces, imb_bcast, imb_bcast_traces, ImbPoint};
-pub use ptrans::{ptrans_run, ptrans_sim_config, ptrans_traces, PtransResult};
-pub use ra::{ra_run, ra_traces, RaResult};
-
-use hpcsim_mpi::{sweep_points, SimConfig, SimResult, Traces};
-
-/// Price one recorded program at every point on the process-global
-/// sweep engine. Proxy traces are well-formed and fault-free, so a
-/// replay error is a bug: panic.
-pub fn price(points: &[SimConfig], traces: &Traces) -> Vec<SimResult> {
-    sweep_points(None, points, traces, None, None).unwrap_or_else(|e| panic!("{e}"))
-}
+pub use hpl::{hpl_problem_size, hpl_traces, HplConfig, HplResult};
+pub use imb::{imb_allreduce_traces, imb_bcast_traces, ImbPoint};
+pub use ptrans::{ptrans_traces, PtransResult};
+pub use ra::{ra_traces, RaResult};

@@ -6,12 +6,11 @@
 //! stresses a system's network bisection bandwidth" (§II.A.3). Figure 1c
 //! shows the XT matching BG/P in absolute rate but with far more
 //! variability, which the paper attributes to allocator fragmentation —
-//! reproduced here via the `Placement` of the run.
+//! reproduced by the `Placement` the program runs with on an XT
+//! (`hpcsim_cache::ProgramSpec::Ptrans`).
 
-use crate::price;
-use hpcsim_machine::{ExecMode, MachineSpec};
-use hpcsim_mpi::{FnProgram, Mpi, RankLayout, SimConfig, SimResult, TraceSim, Traces};
-use hpcsim_topo::{Grid2D, Placement};
+use hpcsim_mpi::{FnProgram, Mpi, SimResult, TraceSim, Traces};
+use hpcsim_topo::Grid2D;
 use serde::Serialize;
 
 /// Result of a PTRANS run.
@@ -31,23 +30,6 @@ impl PtransResult {
         let seconds = res.makespan().as_secs();
         PtransResult { n, seconds, gbps: 8.0 * (n as f64).powi(2) / seconds / 1e9 }
     }
-}
-
-/// The simulator configuration of PTRANS on `ranks` tasks: BlueGene
-/// machines place by their default; XT machines by `placement` (use
-/// `Placement::Fragmented` to reproduce the XT's variability).
-pub fn ptrans_sim_config(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    ranks: usize,
-    placement: Placement,
-) -> SimConfig {
-    let layout = if machine.id.is_bluegene() {
-        RankLayout::default_for(machine, ranks, mode)
-    } else {
-        RankLayout::xt(machine, ranks, mode, placement)
-    };
-    SimConfig { machine: machine.clone(), mode, threads: 1, layout }
 }
 
 /// Record PTRANS of order `n` over `ranks` tasks.
@@ -78,22 +60,32 @@ pub fn ptrans_traces(ranks: usize, n: u64) -> Traces {
     TraceSim::trace_program(&record, ranks, 1)
 }
 
-/// Run PTRANS of order `n` over `ranks` tasks with the given placement.
-pub fn ptrans_run(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    ranks: usize,
-    n: u64,
-    placement: Placement,
-) -> PtransResult {
-    let point = ptrans_sim_config(machine, mode, ranks, placement);
-    PtransResult::of(&price(&[point], &ptrans_traces(ranks, n))[0], n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hpcsim_machine::registry::{bluegene_p, xt4_qc};
+    use hpcsim_machine::{ExecMode, MachineSpec};
+    use hpcsim_mpi::{sweep_points, RankLayout, SimConfig};
+    use hpcsim_topo::Placement;
+
+    fn ptrans_run(
+        m: &MachineSpec,
+        mode: ExecMode,
+        ranks: usize,
+        n: u64,
+        p: Placement,
+    ) -> PtransResult {
+        let layout = if m.id.is_bluegene() {
+            RankLayout::default_for(m, ranks, mode)
+        } else {
+            RankLayout::xt(m, ranks, mode, p)
+        };
+        let point = SimConfig { machine: m.clone(), mode, threads: 1, layout };
+        PtransResult::of(
+            &sweep_points(None, &[point], &ptrans_traces(ranks, n), None, None).unwrap()[0],
+            n,
+        )
+    }
 
     const N: u64 = 65_536;
 

@@ -8,9 +8,8 @@
 //! very sensitive to network latency" (§II.A.3). Only the optimized
 //! router is modelled: Fig 1(d) plots it.
 
-use crate::price;
-use hpcsim_machine::{ExecMode, MachineSpec, Workload};
-use hpcsim_mpi::{FnProgram, Mpi, SimConfig, SimResult, TraceSim, Traces};
+use hpcsim_machine::Workload;
+use hpcsim_mpi::{FnProgram, Mpi, SimResult, TraceSim, Traces};
 use serde::Serialize;
 
 /// Result of an MPI RandomAccess run.
@@ -63,23 +62,18 @@ pub fn ra_traces(ranks: usize, table_bytes_per_rank: u64, updates_per_rank: u64)
     TraceSim::trace_program(&record, ranks, 1)
 }
 
-/// Run distributed RandomAccess (see [`ra_traces`]).
-pub fn ra_run(
-    machine: &MachineSpec,
-    mode: ExecMode,
-    ranks: usize,
-    table_bytes_per_rank: u64,
-    updates_per_rank: u64,
-) -> RaResult {
-    let point = SimConfig::new(machine.clone(), ranks, mode);
-    let traces = ra_traces(ranks, table_bytes_per_rank, updates_per_rank);
-    RaResult::of(&price(&[point], &traces)[0], ranks, updates_per_rank)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hpcsim_machine::registry::{bluegene_p, xt4_qc};
+    use hpcsim_machine::{ExecMode, MachineSpec};
+    use hpcsim_mpi::{sweep_points, SimConfig};
+
+    fn ra_run(m: &MachineSpec, mode: ExecMode, ranks: usize, table: u64, updates: u64) -> RaResult {
+        let point = SimConfig::new(m.clone(), ranks, mode);
+        let res = sweep_points(None, &[point], &ra_traces(ranks, table, updates), None, None);
+        RaResult::of(&res.unwrap()[0], ranks, updates)
+    }
 
     /// Fig 1d: "The two systems showed very similar performance and
     /// scalability trends" — RA parity despite different networks.

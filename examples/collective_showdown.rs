@@ -9,14 +9,20 @@
 //! cargo run --release --example collective_showdown
 //! ```
 
-use bgp_eval::hpcc::{imb_allreduce, imb_bcast};
+use bgp_eval::cache::{evaluate_on, ProgramSpec, Setup};
 use bgp_eval::machine::registry::{bluegene_p, xt4_qc};
 use bgp_eval::machine::ExecMode;
 use bgp_eval::net::DType;
 
+/// Mean latency (us) of an IMB program on each setup, through the
+/// scenario cache (one recording per program).
+fn usec(program: ProgramSpec, setups: &[Setup]) -> Vec<f64> {
+    evaluate_on(&program, setups).into_iter().map(|v| v.expect("IMB evaluates")[0]).collect()
+}
+
 fn main() {
-    let bgp = bluegene_p();
-    let xt = xt4_qc();
+    let bgp = [Setup::new(&bluegene_p(), ExecMode::Vn)];
+    let both = [bgp[0].clone(), Setup::new(&xt4_qc(), ExecMode::Vn)];
     let ranks = 2048;
 
     println!("MPI_Allreduce latency (us) at {ranks} processes, VN mode\n");
@@ -25,17 +31,18 @@ fn main() {
         "bytes", "BG/P double", "BG/P single", "XT4/QC double", "BGP win"
     );
     for bytes in [8u64, 512, 32 * 1024, 1 << 20] {
-        let b_dp = imb_allreduce(&bgp, ExecMode::Vn, ranks, bytes, DType::F64).usec;
-        let b_sp = imb_allreduce(&bgp, ExecMode::Vn, ranks, bytes, DType::F32).usec;
-        let x_dp = imb_allreduce(&xt, ExecMode::Vn, ranks, bytes, DType::F64).usec;
+        let allreduce = |dtype| ProgramSpec::ImbAllreduce { ranks, bytes, dtype };
+        let [b_dp, x_dp] = usec(allreduce(DType::F64), &both)[..] else { unreachable!() };
+        let b_sp = usec(allreduce(DType::F32), &bgp)[0];
         println!("{bytes:>10} {b_dp:>14.1} {b_sp:>14.1} {x_dp:>14.1} {:>8.1}x", x_dp / b_dp);
     }
 
     println!("\nMPI_Bcast latency (us), 32 KiB payload, across scales\n");
     println!("{:>10} {:>12} {:>12} {:>9}", "processes", "BG/P", "XT4/QC", "BGP win");
     for p in [128usize, 512, 2048, 8192] {
-        let b = imb_bcast(&bgp, ExecMode::Vn, p, 32 * 1024).usec;
-        let x = imb_bcast(&xt, ExecMode::Vn, p, 32 * 1024).usec;
+        let [b, x] = usec(ProgramSpec::ImbBcast { ranks: p, bytes: 32 * 1024 }, &both)[..] else {
+            unreachable!()
+        };
         println!("{p:>10} {b:>12.1} {x:>12.1} {:>8.1}x", x / b);
     }
     println!(

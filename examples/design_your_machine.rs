@@ -12,7 +12,7 @@
 //! cargo run --release --example design_your_machine
 //! ```
 
-use bgp_eval::cache::{evaluate, ScenarioSpec};
+use bgp_eval::cache::{evaluate, ProgramSpec, ScenarioSpec, Setup};
 use bgp_eval::hpcc::{hpl_problem_size, HplConfig};
 use bgp_eval::machine::registry::{bluegene_p, xt4_qc};
 use bgp_eval::machine::{ExecMode, MachineSpec};
@@ -42,14 +42,16 @@ fn report(machine: &MachineSpec, tag: &str) {
     let cores = 1024usize;
     let n = hpl_problem_size(machine, cores, ExecMode::Vn, 0.8);
     // three what-if questions, each a content-addressed scenario
-    let hpl_spec = ScenarioSpec::hpl(
-        machine,
-        ExecMode::Vn,
-        HplConfig { n, nb: 144, grid: Grid2D::near_square(cores), samples: 6 },
-    );
-    let ar_spec = ScenarioSpec::imb_allreduce(machine, ExecMode::Vn, cores, 32 * 1024, DType::F64);
-    let pop_spec =
-        ScenarioSpec::pop(machine, ExecMode::Vn, cores, 1, bgp_eval::apps::PopConfig::default());
+    let spec = |program| ScenarioSpec::new(program, Setup::new(machine, ExecMode::Vn));
+    let grid = Grid2D::near_square(cores);
+    let hpl_spec = spec(ProgramSpec::Hpl(HplConfig { n, nb: 144, grid, samples: 6 }));
+    let ar_spec =
+        spec(ProgramSpec::ImbAllreduce { ranks: cores, bytes: 32 * 1024, dtype: DType::F64 });
+    let pop_spec = spec(ProgramSpec::Pop {
+        ranks: cores,
+        threads: 1,
+        cfg: bgp_eval::apps::PopConfig::default(),
+    });
     // result-vector layouts: hpl = [seconds, gflops, efficiency],
     // imb-allreduce = [usec], pop = [syd, ...]
     let hpl_gflops = evaluate(&hpl_spec).expect("hpl evaluates")[1];

@@ -9,13 +9,21 @@
 //! cargo run --release --example pop_scaling
 //! ```
 
-use bgp_eval::apps::{pop_run, PopConfig};
+use bgp_eval::apps::PopConfig;
+use bgp_eval::cache::{evaluate, ProgramSpec, ScenarioSpec, Setup};
 use bgp_eval::machine::registry::{bluegene_p, xt4_dc};
-use bgp_eval::machine::ExecMode;
+use bgp_eval::machine::{ExecMode, MachineSpec};
 use bgp_eval::power::{PowerModel, UTIL_SCIENCE};
 
+/// POP on `procs` tasks of `machine` through the scenario cache:
+/// `[syd, baroclinic_s, barrier_s, barotropic_s]`.
+fn pop(machine: &MachineSpec, procs: usize) -> Vec<f64> {
+    let program = ProgramSpec::Pop { ranks: procs, threads: 1, cfg: PopConfig::default() };
+    let spec = ScenarioSpec::new(program, Setup::new(machine, ExecMode::Vn));
+    evaluate(&spec).expect("POP evaluates").to_vec()
+}
+
 fn main() {
-    let cfg = PopConfig::default();
     println!("POP 0.1-degree proxy (VN mode, ChronGear solver)\n");
     println!(
         "{:>8} {:>8} {:>8} {:>12} {:>12} {:>12} {:>10}",
@@ -24,15 +32,15 @@ fn main() {
     for machine in [bluegene_p(), xt4_dc()] {
         let pm = PowerModel::new(machine.clone());
         for procs in [1024usize, 2048, 4096] {
-            let r = pop_run(&machine, ExecMode::Vn, procs, 1, &cfg);
+            let r = pop(&machine, procs);
             println!(
                 "{:>8} {:>8} {:>8.2} {:>10.1}s {:>10.1}s {:>10.1}s {:>10.1}",
                 machine.id.label(),
                 procs,
-                r.syd,
-                r.baroclinic_s,
-                r.barotropic_s,
-                r.barrier_s,
+                r[0],
+                r[1],
+                r[3],
+                r[2],
                 pm.aggregate_w(procs as u64, UTIL_SCIENCE) / 1e3,
             );
         }
@@ -44,7 +52,7 @@ fn main() {
     for machine in [bluegene_p(), xt4_dc()] {
         let pm = PowerModel::new(machine.clone());
         let mut procs = 256;
-        while procs <= 16384 && pop_run(&machine, ExecMode::Vn, procs, 1, &cfg).syd < target_syd {
+        while procs <= 16384 && pop(&machine, procs)[0] < target_syd {
             procs *= 2;
         }
         let kw = pm.aggregate_w(procs as u64, UTIL_SCIENCE) / 1e3;

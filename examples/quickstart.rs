@@ -6,7 +6,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use bgp_eval::hpcc::{hpl_problem_size, hpl_run, HplConfig};
+use bgp_eval::cache::{evaluate, ProgramSpec, ScenarioSpec, Setup};
+use bgp_eval::hpcc::{hpl_problem_size, HplConfig};
 use bgp_eval::machine::registry::{bluegene_p, xt4_qc};
 use bgp_eval::machine::ExecMode;
 use bgp_eval::power::{PowerModel, UTIL_HPL};
@@ -23,15 +24,17 @@ fn main() {
         for cores in [256usize, 1024, 4096] {
             let n = hpl_problem_size(&machine, cores, ExecMode::Vn, 0.8);
             let cfg = HplConfig { n, nb: 144, grid: Grid2D::near_square(cores), samples: 6 };
-            let r = hpl_run(&machine, ExecMode::Vn, &cfg);
-            let mfw = pm.mflops_per_watt(r.gflops * 1e9, cores as u64, UTIL_HPL);
+            let spec = ScenarioSpec::new(ProgramSpec::Hpl(cfg), Setup::new(&machine, ExecMode::Vn));
+            // HPL results: [seconds, gflops, efficiency]
+            let r = evaluate(&spec).expect("HPL evaluates");
+            let mfw = pm.mflops_per_watt(r[1] * 1e9, cores as u64, UTIL_HPL);
             println!(
                 "{:>8} {:>10} {:>12} {:>10.0} {:>7.1}% {:>10.1}",
                 cores,
                 machine.id.label(),
                 n,
-                r.gflops,
-                r.efficiency * 100.0,
+                r[1],
+                r[2] * 100.0,
                 mfw
             );
         }

@@ -9,7 +9,7 @@
 //! identity perturbed sample. All of them share one per-thread scratch
 //! context, which the last cases check leaks nothing between DAGs.
 
-use bgp_eval::apps::{md_sim_config, md_traces, pop_traces, MdConfig, MdResult, PopConfig};
+use bgp_eval::apps::{md_traces, pop_traces, MdConfig, MdResult, PopConfig};
 use bgp_eval::engine::SimTime;
 use bgp_eval::hpcc::{
     halo_eval_traces, halo_recording, halo_run, halo_traces, hpl_traces, HaloConfig, HaloProtocol,
@@ -158,7 +158,7 @@ fn md_point_is_engine_invariant() {
     let cfg = MdConfig::pmemd_rub();
     let points: Vec<SimConfig> = [bluegene_p(), xt4_dc()]
         .into_iter()
-        .map(|m| md_sim_config(&m.with_flat_contention(), 64))
+        .map(|m| SimConfig::new(m.with_flat_contention(), 64, ExecMode::Vn))
         .collect();
     let traces = md_traces(64, &cfg);
     let res = assert_engines_agree(&points, &traces, "md pmemd 64r");

@@ -2,12 +2,39 @@
 //! through the public `bgp_eval` API. Each test names the claim in the
 //! paper it pins.
 
-use bgp_eval::apps::{md_run, pop_run, s3d_run, MdConfig, PopConfig, S3dConfig};
-use bgp_eval::hpcc::{imb_allreduce, imb_bcast, pingpong, top500_run};
+use bgp_eval::apps::{MdConfig, PopConfig, S3dConfig};
+use bgp_eval::cache::{evaluate, ProgramSpec, ScenarioSpec, Setup};
+use bgp_eval::core::paper::micro::top500_run;
+use bgp_eval::hpcc::{pingpong_of, PINGPONG_REPS};
 use bgp_eval::machine::registry::{bluegene_p, xt4_dc, xt4_qc};
-use bgp_eval::machine::{ExecMode, NodeModel, Workload};
+use bgp_eval::machine::{ExecMode, MachineSpec, NodeModel, Workload};
 use bgp_eval::net::DType;
 use bgp_eval::power::{PowerModel, UTIL_HPL};
+
+/// `program` on `machine` in `mode` through the scenario cache: its
+/// result vector (layout in `cache::eval`).
+fn run(program: ProgramSpec, machine: &MachineSpec, mode: ExecMode) -> Vec<f64> {
+    let spec = ScenarioSpec::new(program, Setup::new(machine, mode));
+    evaluate(&spec).unwrap().to_vec()
+}
+
+/// SYD of POP 0.1° on `ranks` tasks in VN mode.
+fn pop_syd(machine: &MachineSpec, ranks: usize) -> f64 {
+    let program = ProgramSpec::Pop { ranks, threads: 1, cfg: PopConfig::default() };
+    run(program, machine, ExecMode::Vn)[0]
+}
+
+/// Mean IMB latency in microseconds.
+fn imb_usec(program: ProgramSpec, machine: &MachineSpec) -> f64 {
+    run(program, machine, ExecMode::Vn)[0]
+}
+
+/// (one-way latency seconds, bandwidth bytes/s) of ping-pong runs with
+/// `small` and `large` payloads.
+fn pingpong(machine: &MachineSpec, small: u64, large: u64) -> (f64, f64) {
+    let secs = |bytes, reps| run(ProgramSpec::Pingpong { bytes, reps }, machine, ExecMode::Smp)[0];
+    pingpong_of(secs(small, PINGPONG_REPS[0]), secs(large, PINGPONG_REPS[1]), large)
+}
 
 /// Abstract: "BG/P has good scalability with an expected lower
 /// performance per processor when compared to the Cray XT4's Opteron."
@@ -49,9 +76,9 @@ fn latency_vs_bandwidth_network_split() {
 #[test]
 fn bcast_tree_benefit_all_sizes() {
     for bytes in [8u64, 1024, 32 * 1024, 1 << 20] {
-        let b = imb_bcast(&bluegene_p(), ExecMode::Vn, 1024, bytes);
-        let x = imb_bcast(&xt4_qc(), ExecMode::Vn, 1024, bytes);
-        assert!(b.usec < x.usec, "bytes={bytes}");
+        let bcast = || ProgramSpec::ImbBcast { ranks: 1024, bytes };
+        let (b, x) = (imb_usec(bcast(), &bluegene_p()), imb_usec(bcast(), &xt4_qc()));
+        assert!(b < x, "bytes={bytes}");
     }
 }
 
@@ -61,9 +88,10 @@ fn bcast_tree_benefit_all_sizes() {
 fn allreduce_precision_asymmetry() {
     let ranks = 512;
     let bytes = 32 * 1024;
-    let gap = |machine: &bgp_eval::machine::MachineSpec| {
-        let sp = imb_allreduce(machine, ExecMode::Vn, ranks, bytes, DType::F32).usec;
-        let dp = imb_allreduce(machine, ExecMode::Vn, ranks, bytes, DType::F64).usec;
+    let gap = |machine: &MachineSpec| {
+        let allreduce = |dtype| ProgramSpec::ImbAllreduce { ranks, bytes, dtype };
+        let sp = imb_usec(allreduce(DType::F32), machine);
+        let dp = imb_usec(allreduce(DType::F64), machine);
         sp / dp
     };
     assert!(gap(&bluegene_p()) > 2.0);
@@ -77,10 +105,9 @@ fn allreduce_precision_asymmetry() {
 /// XT.
 #[test]
 fn pop_gap_narrows_with_scale() {
-    let cfg = PopConfig::default();
     let ratio_at = |p: usize| {
-        let b = pop_run(&bluegene_p(), ExecMode::Vn, p, 1, &cfg).syd;
-        let x = pop_run(&xt4_dc(), ExecMode::Vn, p, 1, &cfg).syd;
+        let b = pop_syd(&bluegene_p(), p);
+        let x = pop_syd(&xt4_dc(), p);
         x / b
     };
     let r8k = ratio_at(8192);
@@ -93,9 +120,8 @@ fn pop_gap_narrows_with_scale() {
 /// scaling well out to 40,000" on BG/P.
 #[test]
 fn pop_scales_to_40000() {
-    let cfg = PopConfig::default();
-    let s8 = pop_run(&bluegene_p(), ExecMode::Vn, 8192, 1, &cfg).syd;
-    let s40 = pop_run(&bluegene_p(), ExecMode::Vn, 40_000, 1, &cfg).syd;
+    let s8 = pop_syd(&bluegene_p(), 8192);
+    let s40 = pop_syd(&bluegene_p(), 40_000);
     let speedup = s40 / s8;
     assert!(speedup > 2.0, "8k->40k speedup {speedup:.2} (paper: 3.6/12 ≈ 3.3)");
     // Table 3: roughly 12 SYD at 40,000 cores
@@ -106,10 +132,13 @@ fn pop_scales_to_40000() {
 /// architectures" — weak scaling cost flat on BOTH machines.
 #[test]
 fn s3d_flat_on_both_machines() {
-    let cfg = S3dConfig::default();
+    // S3D results: [core_hours_per_point_step, seconds_per_step]
+    let cost = |machine: &MachineSpec, ranks| {
+        run(ProgramSpec::S3d { ranks, cfg: S3dConfig::default() }, machine, ExecMode::Vn)[0]
+    };
     for machine in [bluegene_p(), xt4_qc()] {
-        let c64 = s3d_run(&machine, ExecMode::Vn, 64, &cfg).core_hours_per_point_step;
-        let c1728 = s3d_run(&machine, ExecMode::Vn, 1728, &cfg).core_hours_per_point_step;
+        let c64 = cost(&machine, 64);
+        let c1728 = cost(&machine, 1728);
         let spread = (c1728 / c64).max(c64 / c1728);
         assert!(spread < 1.2, "{}: weak-scaling spread {spread:.2}", machine.id);
     }
@@ -119,10 +148,13 @@ fn s3d_flat_on_both_machines() {
 /// improvements … particularly on large number of MPI tasks."
 #[test]
 fn md_generation_improvement() {
-    let cfg = MdConfig::lammps_rub();
-    let bgl = md_run(&bgp_eval::machine::registry::bluegene_l(), 1024, &cfg);
-    let bgp = md_run(&bluegene_p(), 1024, &cfg);
-    assert!(bgp.ns_per_day > bgl.ns_per_day);
+    // MD results: [seconds_per_step, ns_per_day]
+    let ns_per_day = |machine: &MachineSpec| {
+        run(ProgramSpec::Md { ranks: 1024, cfg: MdConfig::lammps_rub() }, machine, ExecMode::Vn)[1]
+    };
+    let bgl = ns_per_day(&bgp_eval::machine::registry::bluegene_l());
+    let bgp = ns_per_day(&bluegene_p());
+    assert!(bgp > bgl);
 }
 
 /// Conclusion: power advantage shrinks on science-driven metrics — the
@@ -131,21 +163,20 @@ fn md_generation_improvement() {
 fn science_metric_power_story() {
     let pm_b = PowerModel::new(bluegene_p());
     let pm_x = PowerModel::new(xt4_dc());
-    let cfg = PopConfig::default();
     // per-core gap at equal core count
     let per_core = pm_x.per_core_w(UTIL_HPL) / pm_b.per_core_w(UTIL_HPL);
     // iso-throughput: find cores for 3 SYD on each
-    let cores_for = |machine: &bgp_eval::machine::MachineSpec, pm: &PowerModel| -> (usize, f64) {
+    let cores_for = |machine: &MachineSpec, pm: &PowerModel| -> (usize, f64) {
         let mut lo = 1024;
         let mut hi = lo;
-        while hi < 65536 && pop_run(machine, ExecMode::Vn, hi, 1, &cfg).syd < 3.0 {
+        while hi < 65536 && pop_syd(machine, hi) < 3.0 {
             lo = hi;
             hi *= 2;
         }
         // refine: three bisection steps so the iso point is within ~12%
         for _ in 0..3 {
             let mid = (lo + hi) / 2;
-            if pop_run(machine, ExecMode::Vn, mid, 1, &cfg).syd < 3.0 {
+            if pop_syd(machine, mid) < 3.0 {
                 lo = mid;
             } else {
                 hi = mid;

@@ -1,292 +1,156 @@
-//! Every proxy records a machine-free trace once and is priced per
-//! machine through `mpi::sweep_points`. For each proxy at one small
-//! point:
+//! Every proxy is a `cache::ProgramSpec`: it records a machine-free
+//! trace once and is priced per machine through `mpi::sweep_points`.
+//! For each proxy at one small point:
 //!
-//! * one recording priced on every registry machine in one call equals
-//!   the per-machine `*_run` entry bit for bit;
-//! * the `*_run` result on BG/P is pinned bit for bit;
+//! * one recording priced on every registry machine in one call and
+//!   reduced by `ProgramSpec::reduce` equals the per-machine evaluation
+//!   through the scenario cache bit for bit;
+//! * the result on BG/P is pinned bit for bit;
 //! * the recording itself is pinned by the hash of its wire form, so a
 //!   trace that silently changes fails here.
 
 use bgp_eval::apps::*;
-use bgp_eval::cache::fnv1a_128;
+use bgp_eval::cache::{evaluate, fnv1a_128, ProgramSpec, ScenarioSpec, Setup};
 use bgp_eval::hpcc::*;
 use bgp_eval::machine::registry::{all_machines, bluegene_p};
 use bgp_eval::machine::{ExecMode, MachineSpec};
-use bgp_eval::mpi::{sweep_points, write_traces, SimConfig, SimResult, Traces};
+use bgp_eval::mpi::{sweep_points, write_traces, SimConfig, SimResult};
 use bgp_eval::net::DType;
-use bgp_eval::topo::{Grid2D, Mapping, Placement};
+use bgp_eval::topo::{Grid2D, Placement};
 
-/// The reducer over one priced result per recording, on a machine.
-type Reduce = Box<dyn Fn(&[SimResult], &MachineSpec) -> Vec<f64>>;
-/// The direct per-machine `*_run` entry, flattened to its values.
-type Run = Box<dyn Fn(&MachineSpec) -> Vec<f64>>;
+/// Combines a proxy's per-program result vectors into its pinned values.
+type Combine = fn(&[Vec<f64>]) -> Vec<f64>;
 
-/// One proxy at one point: its recordings (two for the probes that
-/// measure a small and a large payload), the configuration it runs on
-/// per machine, its reducer and its direct entry.
+/// One proxy at one point: its programs (two for the probes that measure
+/// a small and a large payload), the mode they run in, and how their
+/// result vectors combine (one program: its vector as is).
 struct Proxy {
     name: &'static str,
-    recordings: Vec<Traces>,
-    point: Box<dyn Fn(&MachineSpec) -> SimConfig>,
-    reduce: Reduce,
-    run: Run,
+    programs: Vec<ProgramSpec>,
+    mode: ExecMode,
+    combine: Combine,
 }
 
 fn proxies() -> Vec<Proxy> {
-    let vn = |ranks| move |m: &MachineSpec| SimConfig::new(m.clone(), ranks, ExecMode::Vn);
-    let s3d = S3dConfig::default();
-    let gyro = GyroConfig::b1_std();
-    let (t42, fv) = (CamConfig::t42(), CamConfig::fv_2deg());
-    let pop = PopConfig::default();
-    let md = MdConfig::pmemd_rub();
+    use ExecMode::{Smp, Vn};
+    let one: Combine = |v| v[0].clone();
+    let proxy = |name, programs, mode, combine| Proxy { name, programs, mode, combine };
     let hpl = HplConfig { n: 4096, nb: 128, grid: Grid2D::new(4, 4), samples: 2 };
-    let fragmented = Placement::Fragmented { spread: 1.5, seed: 3 };
     let halo = HaloConfig {
         grid: Grid2D::new(4, 4),
         words: 64,
         protocol: HaloProtocol::IrecvIsend,
         reps: 2,
     };
+    let placement = Placement::Fragmented { spread: 1.5, seed: 3 };
+    let (small, large) = (8, 1 << 16);
     vec![
-        Proxy {
-            name: "s3d",
-            recordings: vec![s3d_traces(8, &s3d)],
-            point: Box::new(vn(8)),
-            reduce: Box::new({
-                let cfg = s3d.clone();
-                move |r, _| {
-                    let r = S3dResult::of(&r[0], 8, &cfg);
-                    vec![r.core_hours_per_point_step, r.seconds_per_step]
-                }
-            }),
-            run: Box::new(move |m| {
-                let r = s3d_run(m, ExecMode::Vn, 8, &s3d);
-                vec![r.core_hours_per_point_step, r.seconds_per_step]
-            }),
-        },
-        Proxy {
-            name: "gyro",
-            recordings: vec![gyro_traces(64, &gyro)],
-            point: Box::new({
-                let cfg = gyro.clone();
-                move |m| gyro_sim_config(m, 64, &cfg)
-            }),
-            reduce: Box::new({
-                let cfg = gyro.clone();
-                move |r, m| {
-                    let mode = gyro_sim_config(m, 64, &cfg).mode;
-                    vec![GyroResult::of(&r[0], &cfg, mode).seconds_per_step]
-                }
-            }),
-            run: Box::new(move |m| vec![gyro_run(m, 64, &gyro).seconds_per_step]),
-        },
-        Proxy {
-            name: "cam",
-            recordings: vec![cam_traces(16, 1, &t42)],
-            point: Box::new({
-                let cfg = t42.clone();
-                move |m| cam_sim_config(m, ExecMode::Vn, 16, 1, &cfg)
-            }),
-            reduce: Box::new({
-                let cfg = t42.clone();
-                move |r, _| {
-                    let r = CamResult::of(&r[0], 1, &cfg);
-                    vec![r.years_per_day, r.cores as f64]
-                }
-            }),
-            run: Box::new(move |m| {
-                let r = cam_run(m, ExecMode::Vn, 16, 1, &t42);
-                vec![r.years_per_day, r.cores as f64]
-            }),
-        },
-        Proxy {
-            name: "cam-hybrid",
-            recordings: vec![cam_traces(8, 4, &fv)],
-            point: Box::new({
-                let cfg = fv.clone();
-                move |m| cam_sim_config(m, ExecMode::Smp, 8, 4, &cfg)
-            }),
-            reduce: Box::new({
-                let cfg = fv.clone();
-                move |r, _| {
-                    let r = CamResult::of(&r[0], 4, &cfg);
-                    vec![r.years_per_day, r.cores as f64]
-                }
-            }),
-            run: Box::new(move |m| {
-                let r = cam_run(m, ExecMode::Smp, 8, 4, &fv);
-                vec![r.years_per_day, r.cores as f64]
-            }),
-        },
-        Proxy {
-            name: "pop",
-            recordings: vec![pop_traces(16, 1, &pop)],
-            point: Box::new(|m| pop_sim_config(m, ExecMode::Vn, 16, 1)),
-            reduce: Box::new({
-                let cfg = pop.clone();
-                move |r, _| {
-                    let r = PopResult::of(&r[0], &cfg);
-                    vec![r.syd, r.baroclinic_s, r.barrier_s, r.barotropic_s]
-                }
-            }),
-            run: Box::new(move |m| {
-                let r = pop_run(m, ExecMode::Vn, 16, 1, &pop);
-                vec![r.syd, r.baroclinic_s, r.barrier_s, r.barotropic_s]
-            }),
-        },
-        Proxy {
-            name: "md",
-            recordings: vec![md_traces(16, &md)],
-            point: Box::new(|m| md_sim_config(m, 16)),
-            reduce: Box::new({
-                let cfg = md.clone();
-                move |r, _| {
-                    let r = MdResult::of(&r[0], &cfg);
-                    vec![r.seconds_per_step, r.ns_per_day]
-                }
-            }),
-            run: Box::new(move |m| {
-                let r = md_run(m, 16, &md);
-                vec![r.seconds_per_step, r.ns_per_day]
-            }),
-        },
-        Proxy {
-            name: "fft",
-            recordings: vec![fft_traces(16, 1 << 20)],
-            point: Box::new(vn(16)),
-            reduce: Box::new(|r, _| {
-                let r = FftResult::of(&r[0], 1 << 20);
-                vec![r.n as f64, r.seconds, r.gflops]
-            }),
-            run: Box::new(|m| {
-                let r = fft_run(m, ExecMode::Vn, 16, 1 << 20);
-                vec![r.n as f64, r.seconds, r.gflops]
-            }),
-        },
-        Proxy {
-            name: "ptrans",
-            recordings: vec![ptrans_traces(16, 4096)],
-            point: Box::new(move |m| ptrans_sim_config(m, ExecMode::Vn, 16, fragmented)),
-            reduce: Box::new(|r, _| {
-                let r = PtransResult::of(&r[0], 4096);
-                vec![r.n as f64, r.seconds, r.gbps]
-            }),
-            run: Box::new(move |m| {
-                let r = ptrans_run(m, ExecMode::Vn, 16, 4096, fragmented);
-                vec![r.n as f64, r.seconds, r.gbps]
-            }),
-        },
-        Proxy {
-            name: "ra",
-            recordings: vec![ra_traces(16, 1 << 20, 1 << 12)],
-            point: Box::new(vn(16)),
-            reduce: Box::new(|r, _| {
-                let r = RaResult::of(&r[0], 16, 1 << 12);
-                vec![r.updates as f64, r.seconds, r.gups]
-            }),
-            run: Box::new(|m| {
-                let r = ra_run(m, ExecMode::Vn, 16, 1 << 20, 1 << 12);
-                vec![r.updates as f64, r.seconds, r.gups]
-            }),
-        },
-        Proxy {
-            name: "hpl",
-            recordings: vec![hpl_traces(&hpl)],
-            point: Box::new(vn(16)),
-            reduce: Box::new({
-                let cfg = hpl.clone();
-                move |r, m| {
-                    let r = HplResult::of(&r[0], m, &cfg);
-                    vec![r.seconds, r.gflops, r.efficiency]
-                }
-            }),
-            run: Box::new(move |m| {
-                let r = hpl_run(m, ExecMode::Vn, &hpl);
-                vec![r.seconds, r.gflops, r.efficiency]
-            }),
-        },
-        Proxy {
-            name: "imb-allreduce",
-            recordings: vec![imb_allreduce_traces(16, 1024, DType::F64)],
-            point: Box::new(vn(16)),
-            reduce: Box::new(|r, _| vec![ImbPoint::of(&r[0], 16, 1024).usec]),
-            run: Box::new(|m| vec![imb_allreduce(m, ExecMode::Vn, 16, 1024, DType::F64).usec]),
-        },
-        Proxy {
-            name: "imb-bcast",
-            recordings: vec![imb_bcast_traces(16, 1024)],
-            point: Box::new(vn(16)),
-            reduce: Box::new(|r, _| vec![ImbPoint::of(&r[0], 16, 1024).usec]),
-            run: Box::new(|m| vec![imb_bcast(m, ExecMode::Vn, 16, 1024).usec]),
-        },
-        Proxy {
-            name: "pingpong",
-            recordings: vec![
-                pingpong_traces(8, PINGPONG_REPS[0]),
-                pingpong_traces(1 << 16, PINGPONG_REPS[1]),
+        proxy("s3d", vec![ProgramSpec::S3d { ranks: 8, cfg: S3dConfig::default() }], Vn, one),
+        proxy("gyro", vec![ProgramSpec::Gyro { ranks: 64, cfg: GyroConfig::b1_std() }], Vn, one),
+        proxy(
+            "cam",
+            vec![ProgramSpec::Cam { ranks: 16, threads: 1, cfg: CamConfig::t42() }],
+            Vn,
+            one,
+        ),
+        proxy(
+            "cam-hybrid",
+            vec![ProgramSpec::Cam { ranks: 8, threads: 4, cfg: CamConfig::fv_2deg() }],
+            Smp,
+            one,
+        ),
+        proxy(
+            "pop",
+            vec![ProgramSpec::Pop { ranks: 16, threads: 1, cfg: PopConfig::default() }],
+            Vn,
+            one,
+        ),
+        proxy("md", vec![ProgramSpec::Md { ranks: 16, cfg: MdConfig::pmemd_rub() }], Vn, one),
+        proxy("fft", vec![ProgramSpec::Fft { ranks: 16, n: 1 << 20 }], Vn, one),
+        proxy("ptrans", vec![ProgramSpec::Ptrans { ranks: 16, n: 4096, placement }], Vn, one),
+        proxy(
+            "ra",
+            vec![ProgramSpec::RandomAccess { ranks: 16, table_bytes: 1 << 20, updates: 1 << 12 }],
+            Vn,
+            one,
+        ),
+        proxy("hpl", vec![ProgramSpec::Hpl(hpl)], Vn, one),
+        proxy(
+            "imb-allreduce",
+            vec![ProgramSpec::ImbAllreduce { ranks: 16, bytes: 1024, dtype: DType::F64 }],
+            Vn,
+            one,
+        ),
+        proxy("imb-bcast", vec![ProgramSpec::ImbBcast { ranks: 16, bytes: 1024 }], Vn, one),
+        proxy(
+            "pingpong",
+            vec![
+                ProgramSpec::Pingpong { bytes: small, reps: PINGPONG_REPS[0] },
+                ProgramSpec::Pingpong { bytes: large, reps: PINGPONG_REPS[1] },
             ],
-            point: Box::new(|m| SimConfig::new(m.clone(), 2, ExecMode::Smp)),
-            reduce: Box::new(|r, _| {
-                let (latency, bandwidth) = pingpong_of(&r[0], &r[1], 1 << 16);
+            Smp,
+            |v| {
+                let (latency, bandwidth) = pingpong_of(v[0][0], v[1][0], 1 << 16);
                 vec![latency, bandwidth]
-            }),
-            run: Box::new(|m| {
-                let (latency, bandwidth) = pingpong(m, 8, 1 << 16);
-                vec![latency, bandwidth]
-            }),
-        },
-        Proxy {
-            name: "random-ring",
-            recordings: vec![random_ring_traces(16, 8, 1), random_ring_traces(16, 1 << 16, 1)],
-            point: Box::new(vn(16)),
-            reduce: Box::new(|r, _| {
-                let r = RingResult::of(&r[0], &r[1], 1 << 16);
+            },
+        ),
+        proxy(
+            "random-ring",
+            [small, large]
+                .map(|bytes| ProgramSpec::RandomRing { ranks: 16, bytes, seed: 1 })
+                .into(),
+            Vn,
+            |v| {
+                let r = RingResult::of(v[0][0], v[1][0], 1 << 16);
                 vec![r.latency_s, r.bandwidth]
-            }),
-            run: Box::new(|m| {
-                let r = random_ring(m, ExecMode::Vn, 16, 8, 1 << 16, 1);
-                vec![r.latency_s, r.bandwidth]
-            }),
-        },
-        Proxy {
-            name: "halo",
-            recordings: vec![halo_recording(&halo)],
-            point: Box::new({
-                let cfg = halo.clone();
-                move |m| cfg.sim_config(m, ExecMode::Vn, Mapping::txyz())
-            }),
-            reduce: Box::new({
-                let cfg = halo.clone();
-                move |r, _| vec![cfg.per_exchange(&r[0])]
-            }),
-            run: Box::new(move |m| vec![halo_run(m, ExecMode::Vn, Mapping::txyz(), &halo)]),
-        },
+            },
+        ),
+        proxy("halo", vec![ProgramSpec::Halo(halo)], Vn, one),
     ]
+}
+
+impl Proxy {
+    /// Each program as a scenario on `machine`.
+    fn specs(&self, machine: &MachineSpec) -> Vec<ScenarioSpec> {
+        let setup = Setup::new(machine, self.mode);
+        self.programs.iter().map(|p| ScenarioSpec::new(p.clone(), setup.clone())).collect()
+    }
+
+    /// The proxy's values on `machine`, priced through the scenario cache.
+    fn run(&self, machine: &MachineSpec) -> Vec<f64> {
+        let values: Vec<Vec<f64>> =
+            self.specs(machine).iter().map(|s| evaluate(s).unwrap().to_vec()).collect();
+        (self.combine)(&values)
+    }
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// One recording per proxy, priced on all five registry machines in one
-/// `sweep_points` call, equals each machine's own `*_run`.
+/// One recording per program, priced on all five registry machines in
+/// one `sweep_points` call and reduced by `ProgramSpec::reduce`, equals
+/// each machine's own evaluation through the scenario cache.
 #[test]
 fn one_recording_prices_every_machine_like_each_run() {
     let machines = all_machines();
     for proxy in proxies() {
-        let points: Vec<SimConfig> = machines.iter().map(|m| (proxy.point)(m)).collect();
-        // priced[recording][machine]
-        let priced: Vec<Vec<SimResult>> = proxy
-            .recordings
-            .iter()
-            .map(|traces| sweep_points(None, &points, traces, None, None).unwrap())
-            .collect();
+        let specs: Vec<Vec<ScenarioSpec>> = machines.iter().map(|m| proxy.specs(m)).collect();
+        // values[machine][program]
+        let mut values = vec![Vec::new(); machines.len()];
+        for (pi, program) in proxy.programs.iter().enumerate() {
+            let points: Vec<SimConfig> =
+                specs.iter().map(|s| s[pi].program.sim_config(&s[pi].setup)).collect();
+            let priced: Vec<SimResult> =
+                sweep_points(None, &points, &program.record(), None, None).unwrap();
+            for (mi, res) in priced.iter().enumerate() {
+                values[mi].push(specs[mi][pi].program.reduce(&points[mi], res));
+            }
+        }
         for (mi, m) in machines.iter().enumerate() {
-            let results: Vec<SimResult> = priced.iter().map(|per| per[mi].clone()).collect();
             assert_eq!(
-                bits(&(proxy.reduce)(&results, m)),
-                bits(&(proxy.run)(m)),
+                bits(&(proxy.combine)(&values[mi])),
+                bits(&proxy.run(m)),
                 "{} on {}",
                 proxy.name,
                 m.id.label()
@@ -295,7 +159,7 @@ fn one_recording_prices_every_machine_like_each_run() {
     }
 }
 
-/// Each `*_run` result on BG/P, pinned bit for bit.
+/// Each proxy's result on BG/P, pinned bit for bit.
 #[test]
 fn run_results_are_pinned() {
     let pins: [(&str, &[u64]); 15] = [
@@ -320,7 +184,7 @@ fn run_results_are_pinned() {
     assert_eq!(proxies.len(), pins.len());
     for (proxy, (name, want)) in proxies.iter().zip(pins) {
         assert_eq!(proxy.name, name);
-        assert_eq!(bits(&(proxy.run)(&bgp)), want, "{name}");
+        assert_eq!(bits(&proxy.run(&bgp)), want, "{name}");
     }
 }
 
@@ -348,13 +212,14 @@ fn recordings_are_pinned() {
     let proxies = proxies();
     for (proxy, (name, want)) in proxies.iter().zip(pins) {
         let got: Vec<u128> = proxy
-            .recordings
+            .programs
             .iter()
-            .map(|traces| fnv1a_128(write_traces(traces).as_bytes()).0)
+            .map(|program| fnv1a_128(write_traces(&program.record()).as_bytes()).0)
             .collect();
         assert_eq!(got, want, "{name}");
     }
-    let comms = proxies.iter().find(|p| p.name == "hpl").unwrap().recordings[0].comms();
+    let hpl = proxies.iter().find(|p| p.name == "hpl").unwrap().programs[0].record();
+    let comms = hpl.comms();
     assert_eq!(comms.len(), 8, "four row then four column communicators");
     assert_eq!(comms[0], [0, 1, 2, 3]);
     assert_eq!(comms[4], [0, 4, 8, 12]);

@@ -7,7 +7,7 @@
 //! cases that leave the workspace mid-run assert the error they stop
 //! with, so a change that lets them finish cannot pass vacuously.
 
-use bgp_eval::apps::{pop_sim_config, pop_traces, PopConfig};
+use bgp_eval::apps::{pop_traces, PopConfig};
 use bgp_eval::faults::{FaultPlan, FaultProfile};
 use bgp_eval::hpcc::{
     halo_recording, halo_try_run, hpl_traces, HaloConfig, HaloProtocol, HplConfig,
@@ -72,7 +72,7 @@ fn halo_deadlocked() -> String {
 /// compute blocks priced by that machine's node model.
 fn pop(machine: MachineSpec) -> String {
     let traces = pop_traces(64, 1, &PopConfig::default());
-    let mut sim = TraceSim::new(pop_sim_config(&machine, ExecMode::Vn, 64, 1));
+    let mut sim = TraceSim::new(SimConfig::new(machine.clone(), 64, ExecMode::Vn));
     let res = sim.try_replay(&traces, &mut NoopTracer).expect("POP replays");
     assert!(res.marks.iter().all(|m| !m.is_empty()), "POP records phase marks");
     format!("{res:?}")
@@ -83,7 +83,7 @@ fn pop(machine: MachineSpec) -> String {
 fn pop_deadlocked() -> String {
     let mut traces = pop_traces(64, 1, &PopConfig::default());
     traces.edit_rank(5, |ops| ops.truncate(ops.len() / 2));
-    let mut sim = TraceSim::new(pop_sim_config(&bluegene_p(), ExecMode::Vn, 64, 1));
+    let mut sim = TraceSim::new(SimConfig::new(bluegene_p(), 64, ExecMode::Vn));
     let res = sim.try_replay(&traces, &mut NoopTracer);
     assert!(matches!(res, Err(SimError::Deadlock { .. })), "{res:?}");
     format!("{res:?}")
