@@ -154,8 +154,7 @@ mod tests {
 
     fn gyro_run(machine: &MachineSpec, ranks: usize, cfg: &GyroConfig) -> GyroResult {
         let point = SimConfig::new(machine.clone(), ranks, mode_for_memory(machine, cfg, ranks));
-        let res =
-            sweep_points(None, std::slice::from_ref(&point), &gyro_traces(ranks, cfg), None, None);
+        let res = sweep_points(std::slice::from_ref(&point), &gyro_traces(ranks, cfg), None, None);
         GyroResult::of(&res.unwrap()[0], cfg, point.mode)
     }
 

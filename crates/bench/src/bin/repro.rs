@@ -13,10 +13,6 @@
 //! repro fig2 --faults 42    # fault injection (mixed profile) + the
 //!                           # resilience battery and resilience.csv
 //! repro fig2 --faults 42 --fault-profile link
-//! repro fig2 --sweep-engine dag  # DAG sweep engine where exact; no
-//!                           # registry machine is contention-flat, so
-//!                           # every paper point still replays (same
-//!                           # output, same time)
 //! repro fig2 --cache-dir .cache  # disk-backed scenario cache: a second
 //!                           # run starts warm (same output, less time)
 //! repro fig2 --no-cache     # disable scenario memoization entirely
@@ -33,15 +29,17 @@
 //! writes CSV files to the artifact directory. Experiments fan their
 //! simulation points out over `--jobs` workers (default: one per
 //! available core); results are assembled in a fixed order, so the
-//! artifacts are byte-identical regardless of the worker count.
+//! artifacts are byte-identical regardless of the worker count. Every
+//! point is priced on the trace DAG where that is exact (a
+//! contention-flat machine, no fault plan) and replayed elsewhere;
+//! there is no engine flag.
 
 use hpcsim_bench::{
     bench_json_report, CacheReport, ObsReport, PhaseTiming, RunFlags, SensitivityReport,
     SweepReport,
 };
 use hpcsim_core::{
-    log_error, log_warn, run_experiment, set_jobs, set_log_level, set_sweep_engine, ExperimentId,
-    LogLevel, Scale, SweepEngine,
+    log_error, log_warn, run_experiment, set_jobs, set_log_level, ExperimentId, LogLevel, Scale,
 };
 use hpcsim_faults::{FaultPlan, FaultProfile};
 use hpcsim_obs as obs;
@@ -50,7 +48,7 @@ use std::time::Instant;
 fn usage() -> ! {
     log_error!(
         "usage: repro [--paper] [--out DIR] [--jobs N] [--bench-json] [--bench-timestamp TS] \
-         [--sweep-engine replay|dag] [--cache-dir DIR | --no-cache] \
+         [--cache-dir DIR | --no-cache] \
          [--trace] [--trace-out FILE] [--metrics-out FILE] \
          [--faults SEED] [--fault-profile link|noise|loss|mixed] \
          [--obs-out FILE | --no-obs] [--log-level quiet|info|debug] [--sensitivity SEED] \
@@ -117,10 +115,6 @@ fn main() {
     }
     if let Some(n) = flags.jobs {
         set_jobs(n);
-    }
-    if let Some(name) = &flags.sweep_engine {
-        let engine = SweepEngine::parse(name).expect("RunFlags::parse validated the engine");
-        set_sweep_engine(engine);
     }
     let scale = if flags.paper { Scale::Paper } else { Scale::Quick };
     let out_dir = &flags.out;

@@ -52,16 +52,6 @@ pub struct RunFlags {
     /// `--fault-profile NAME`: which fault ingredients the armed plan
     /// enables (default `mixed`). Must be one of [`FAULT_PROFILES`].
     pub fault_profile: Option<String>,
-    /// `--sweep-engine NAME`: how mapping/machine sweeps evaluate their
-    /// points (default `replay`). Must be one of [`SWEEP_ENGINES`].
-    /// `dag` compiles each trace to a task DAG and critical-path
-    /// evaluates wherever that is provably exact (contention-flat
-    /// machines), falling back to replay elsewhere — output is
-    /// byte-identical either way. No registry machine is
-    /// contention-flat, so in the paper batteries every point replays
-    /// under either engine and only the volatile
-    /// `hpcsim_sweep_fallback_contention_total` counter changes.
-    pub sweep_engine: Option<String>,
     /// `--cache-dir DIR`: back the scenario cache with an on-disk
     /// store, so a second run starts warm. Output is byte-identical
     /// cold or warm. Conflicts with `--no-cache`.
@@ -105,9 +95,6 @@ pub struct RunFlags {
     pub positional: Vec<String>,
 }
 
-/// Sweep engines the CLI accepts.
-pub const SWEEP_ENGINES: [&str; 2] = ["replay", "dag"];
-
 /// Log levels the CLI accepts.
 pub const LOG_LEVELS: [&str; 3] = ["quiet", "info", "debug"];
 
@@ -138,7 +125,6 @@ impl RunFlags {
             bench_timestamp: None,
             fault_seed: None,
             fault_profile: None,
-            sweep_engine: None,
             cache_dir: None,
             no_cache: false,
             obs_out: None,
@@ -192,16 +178,6 @@ impl RunFlags {
                         ));
                     }
                     flags.fault_profile = Some(v);
-                }
-                "--sweep-engine" => {
-                    let v = take_value(args, &mut i, "--sweep-engine")?;
-                    if !SWEEP_ENGINES.contains(&v.as_str()) {
-                        return Err(format!(
-                            "--sweep-engine: unknown engine {v:?} (expected one of {})",
-                            SWEEP_ENGINES.join("|")
-                        ));
-                    }
-                    flags.sweep_engine = Some(v);
                 }
                 "--cache-dir" => {
                     flags.cache_dir = Some(PathBuf::from(take_value(args, &mut i, "--cache-dir")?));
@@ -906,24 +882,6 @@ mod tests {
 
         // dangling value is diagnosed like every other flag
         let args: Vec<String> = ["--cache-dir"].iter().map(|s| s.to_string()).collect();
-        assert!(RunFlags::parse(&args).unwrap_err().contains("missing value"));
-    }
-
-    #[test]
-    fn sweep_engine_flag_parses_and_validates() {
-        let args: Vec<String> =
-            ["--sweep-engine", "dag", "fig2"].iter().map(|s| s.to_string()).collect();
-        let f = RunFlags::parse(&args).expect("valid engine");
-        assert_eq!(f.sweep_engine.as_deref(), Some("dag"));
-        assert_eq!(f.positional, vec!["fig2".to_string()]);
-        let args: Vec<String> =
-            ["--sweep-engine", "replay"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(RunFlags::parse(&args).unwrap().sweep_engine.as_deref(), Some("replay"));
-        // unknown engine and dangling flag are one-line diagnostics
-        let args: Vec<String> = ["--sweep-engine", "warp"].iter().map(|s| s.to_string()).collect();
-        let err = RunFlags::parse(&args).expect_err("unknown engine");
-        assert!(err.contains("warp") && err.contains("replay|dag"), "{err}");
-        let args: Vec<String> = ["--sweep-engine"].iter().map(|s| s.to_string()).collect();
         assert!(RunFlags::parse(&args).unwrap_err().contains("missing value"));
     }
 

@@ -1,6 +1,6 @@
 //! End-to-end `--obs-out` exports from the `repro` CLI: the
 //! `"deterministic"` block of `run_report.json` must be byte-identical
-//! across `--jobs` counts, sweep engines, and cache temperatures; the
+//! across `--jobs` counts and cache temperatures; the
 //! Prometheus file must be real text exposition; and without
 //! `--obs-out` no report file may appear (the cache CLI tests diff
 //! artifact directories recursively, so a default report would break
@@ -45,16 +45,15 @@ fn deterministic_block(report: &str) -> String {
 }
 
 #[test]
-fn deterministic_block_survives_jobs_engines_and_cache_temperature() {
+fn deterministic_block_survives_jobs_and_cache_temperature() {
     let base = std::env::temp_dir().join(format!("repro_obs_{}", std::process::id()));
     let cache = base.join("cache");
     let cache_str = cache.to_str().unwrap();
 
-    // five fig2 runs that may only differ in *observed* telemetry
+    // four fig2 runs that may only differ in *observed* telemetry
     let variants: &[(&str, &[&str])] = &[
         ("j1", &["--jobs", "1"]),
         ("j4", &["--jobs", "4"]),
-        ("dag", &["--jobs", "1", "--sweep-engine", "dag"]),
         ("cold", &["--jobs", "1", "--cache-dir", cache_str]),
         ("warm", &["--jobs", "1", "--cache-dir", cache_str]),
     ];

@@ -12,10 +12,10 @@
 //!    first demand). The other programs' recordings live for the call
 //!    only: keeping them for a whole pass costs more memory than it
 //!    saves (DESIGN §14);
-//! 3. each miss is priced by [`hpcsim_mpi::sweep_points`] on the
-//!    process-global engine and reduced by [`ProgramSpec::reduce`], so
-//!    cached and uncached runs are bit-identical and count the same DAG
-//!    fallbacks.
+//! 3. each miss is priced by [`hpcsim_mpi::sweep_points`] (the DAG
+//!    where it is exact, replay elsewhere) and reduced by
+//!    [`ProgramSpec::reduce`], so cached and uncached runs are
+//!    bit-identical and count the same DAG fallbacks.
 //!
 //! [`evaluate_in`] is its one-setup case. The result-vector layout per
 //! program is part of the store format:
@@ -86,7 +86,7 @@ pub fn evaluate_on_in(
         let point = [spec.program.sim_config(&spec.setup)];
         let plan = spec.setup.faults.map(|f| FaultPlan::new(f.seed, f.profile));
         let dag = || entry.dag();
-        let res = sweep_points(None, &point, &entry.traces, Some(&dag), plan.as_ref());
+        let res = sweep_points(&point, &entry.traces, Some(&dag), plan.as_ref());
         Ok(spec.program.reduce(&point[0], &res.map_err(|e| e.to_string())?[0]))
     };
     setups
@@ -114,7 +114,7 @@ mod tests {
     use hpcsim_hpcc::{self as hpcc, HaloConfig, HaloProtocol};
     use hpcsim_machine::registry::{bluegene_p, xt3, xt4_dc};
     use hpcsim_machine::ExecMode;
-    use hpcsim_mpi::SimConfig;
+    use hpcsim_mpi::{SimConfig, TraceSim};
     use hpcsim_topo::{Grid2D, Mapping};
 
     fn cache() -> ScenarioCache {
@@ -156,7 +156,7 @@ mod tests {
         );
         let cached = evaluate_in(&c, &spec).unwrap();
         let point = [SimConfig::new(m.clone(), 64, ExecMode::Vn)];
-        let res = sweep_points(None, &point, &apps::md_traces(64, &cfg), None, None).unwrap();
+        let res = sweep_points(&point, &apps::md_traces(64, &cfg), None, None).unwrap();
         let direct = apps::MdResult::of(&res[0], &cfg);
         assert_eq!(cached[0].to_bits(), direct.seconds_per_step.to_bits());
         assert_eq!(cached[1].to_bits(), direct.ns_per_day.to_bits());
@@ -176,7 +176,7 @@ mod tests {
         let plan = FaultPlan::new(5, FaultProfile::Mixed);
         let point = halo_cfg().sim_config(&m, ExecMode::Vn, Mapping::txyz());
         let traces = hpcc::halo_recording(&halo_cfg());
-        let res = sweep_points(None, &[point], &traces, None, Some(&plan)).unwrap();
+        let res = sweep_points(&[point], &traces, None, Some(&plan)).unwrap();
         let direct = halo_cfg().per_exchange(&res[0]);
         assert_eq!(cached[0].to_bits(), direct.to_bits());
         // faulty and pristine specs are distinct tier-1 entries sharing tier 2
@@ -186,19 +186,16 @@ mod tests {
         assert_eq!(c.stats().trace_hits, 1);
     }
 
+    /// A contention-flat point is priced on the DAG; direct replay is
+    /// the oracle it must match.
     #[test]
-    fn dag_engine_selection_does_not_change_cached_values() {
-        use hpcsim_mpi::{set_sweep_engine, SweepEngine};
+    fn dag_priced_value_matches_replay() {
         let flat = bluegene_p().with_flat_contention();
         let spec = ScenarioSpec::halo(&flat, ExecMode::Vn, Mapping::xyzt(), halo_cfg());
-        let c_replay = cache();
-        set_sweep_engine(SweepEngine::Replay);
-        let replay = evaluate_in(&c_replay, &spec).unwrap();
-        let c_dag = cache();
-        set_sweep_engine(SweepEngine::Dag);
-        let dag = evaluate_in(&c_dag, &spec).unwrap();
-        set_sweep_engine(SweepEngine::Replay);
-        assert_eq!(replay[0].to_bits(), dag[0].to_bits());
+        let dag = evaluate_in(&cache(), &spec).unwrap();
+        let point = halo_cfg().sim_config(&flat, ExecMode::Vn, Mapping::xyzt());
+        let replay = TraceSim::new(point).replay(&hpcc::halo_recording(&halo_cfg()));
+        assert_eq!(dag[0].to_bits(), halo_cfg().per_exchange(&replay).to_bits());
     }
 
     /// Every program outside tier 2, one small point each.

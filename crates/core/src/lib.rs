@@ -31,7 +31,6 @@ pub mod sweep;
 pub use ablations::{ablation_table, run_ablations, Ablation};
 pub use cache_bench::{scenario_cache_battery, ScenarioCacheStats};
 pub use experiment::{run_experiment, Artifact, ExperimentId, Scale};
-pub use hpcsim_mpi::{set_sweep_engine, sweep_engine, SweepEngine};
 pub use probe::{
     breakdown_table, chrome_json, metrics_json, scenario_metrics, spans_csv, trace_experiment,
     traceable, TraceReport, TracedScenario,

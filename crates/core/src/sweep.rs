@@ -4,14 +4,16 @@
 //!
 //! The scan runs on a contention-flat BG/P variant
 //! ([`MachineSpec::with_flat_contention`]) so the DAG path is live (on
-//! the real, contended BG/P the Dag engine falls back to replay and the
-//! comparison would be vacuous). Agreement is checked point by point:
-//! both engines must produce bit-identical seconds-per-exchange.
+//! the real, contended BG/P [`sweep_points`] replays every point and
+//! the comparison would be vacuous). The replay half calls
+//! [`TraceSim`] directly, so it stays the oracle. Agreement is checked
+//! point by point: both engines must produce bit-identical
+//! seconds-per-exchange.
 
 use hpcsim_hpcc as hpcc;
 use hpcsim_machine::registry::bluegene_p;
 use hpcsim_machine::{ExecMode, MachineSpec};
-use hpcsim_mpi::{sweep_points, SimConfig, SweepEngine, TraceDag};
+use hpcsim_mpi::{sweep_points, SimConfig, SimResult, TraceDag, TraceSim, Traces};
 use hpcsim_topo::{Grid2D, Mapping};
 
 use crate::experiment::Scale;
@@ -77,16 +79,20 @@ pub fn fig2_mapping_sweep(scale: Scale) -> MappingSweepStats {
         })
         .collect();
 
-    let run = |engine: SweepEngine| -> (f64, Vec<Vec<f64>>) {
+    type Engine = fn(Vec<SimConfig>, &Traces) -> Vec<SimResult>;
+    let replay: Engine =
+        |points, traces| points.into_iter().map(|cfg| TraceSim::new(cfg).replay(traces)).collect();
+    let dag: Engine = |points, traces| {
+        sweep_points(&points, traces, None, None).expect("pristine HALO points evaluate")
+    };
+    let run = |engine: Engine| -> (f64, Vec<Vec<f64>>) {
         let t0 = std::time::Instant::now();
         let results = traced
             .iter()
             .map(|(cfg, traces)| {
                 let points: Vec<SimConfig> =
                     mappings.iter().map(|&m| cfg.sim_config(&machine, ExecMode::Vn, m)).collect();
-                let res = sweep_points(Some(engine), &points, traces, None, None)
-                    .expect("pristine HALO points replay");
-                res.iter().map(|r| cfg.per_exchange(r)).collect()
+                engine(points, traces).iter().map(|r| cfg.per_exchange(r)).collect()
             })
             .collect();
         (t0.elapsed().as_secs_f64(), results)
@@ -98,14 +104,14 @@ pub fn fig2_mapping_sweep(scale: Scale) -> MappingSweepStats {
     // compares this entry against the committed report, and a single
     // timed round is at the mercy of scheduler noise on shared
     // runners; the minimum is the stable steady-state estimator.
-    let (_, warm_replay) = run(SweepEngine::Replay);
-    let (_, warm_dag) = run(SweepEngine::Dag);
+    let (_, warm_replay) = run(replay);
+    let (_, warm_dag) = run(dag);
     let mut replay_seconds = f64::INFINITY;
     let mut dag_seconds = f64::INFINITY;
     let mut engines_agree = true;
     for _ in 0..3 {
-        let (rs, replay_results) = run(SweepEngine::Replay);
-        let (ds, dag_results) = run(SweepEngine::Dag);
+        let (rs, replay_results) = run(replay);
+        let (ds, dag_results) = run(dag);
         replay_seconds = replay_seconds.min(rs);
         dag_seconds = dag_seconds.min(ds);
         engines_agree = engines_agree
@@ -131,7 +137,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_engines_agree_at_quick_scale() {
+    fn replay_and_dag_halves_agree_at_quick_scale() {
         let s = fig2_mapping_sweep(Scale::Quick);
         assert!(s.engines_agree, "DAG and replay diverged on a flat machine");
         assert_eq!(s.points, 32);

@@ -79,10 +79,7 @@ mod tests {
 
     fn fft_run(machine: &MachineSpec, mode: ExecMode, ranks: usize, n: u64) -> FftResult {
         let point = SimConfig::new(machine.clone(), ranks, mode);
-        FftResult::of(
-            &sweep_points(None, &[point], &fft_traces(ranks, n), None, None).unwrap()[0],
-            n,
-        )
+        FftResult::of(&sweep_points(&[point], &fft_traces(ranks, n), None, None).unwrap()[0], n)
     }
 
     #[test]

@@ -15,8 +15,8 @@
 use hpcsim_faults::FaultPlan;
 use hpcsim_machine::{ExecMode, MachineSpec};
 use hpcsim_mpi::{
-    sweep_points, FnProgram, Mpi, Op, RankLayout, SimConfig, SimError, SimResult, SweepEngine,
-    TraceDag, TraceSim, Traces,
+    sweep_points, FnProgram, Mpi, Op, RankLayout, SimConfig, SimError, SimResult, TraceDag,
+    TraceSim, Traces,
 };
 use hpcsim_probe::Tracer;
 use hpcsim_topo::{Grid2D, Mapping};
@@ -169,11 +169,12 @@ impl HaloConfig {
     }
 }
 
-/// Run a HALO experiment on the process-global sweep engine; returns
-/// seconds per exchange (makespan / reps).
+/// Run a HALO experiment through [`sweep_points`] (the DAG where it is
+/// exact, replay elsewhere); returns seconds per exchange (makespan /
+/// reps).
 pub fn halo_run(machine: &MachineSpec, mode: ExecMode, mapping: Mapping, cfg: &HaloConfig) -> f64 {
     let point = [cfg.sim_config(machine, mode, mapping)];
-    let res = sweep_points(None, &point, &halo_recording(cfg), None, None);
+    let res = sweep_points(&point, &halo_recording(cfg), None, None);
     cfg.per_exchange(&res.unwrap_or_else(|e| panic!("{e}"))[0])
 }
 
@@ -181,9 +182,10 @@ pub fn halo_run(machine: &MachineSpec, mode: ExecMode, mapping: Mapping, cfg: &H
 /// view the caller already holds (it must be `halo_traces(cfg)`):
 /// through the pre-compiled `dag` where it is exact
 /// ([`TraceDag::exact_for`]), otherwise by replay, recording the view
-/// into a [`Traces`] first. Bit-identical to [`halo_run`] on the same
-/// point. Benchmark-facing; retire with the next benchmark PR (ROADMAP
-/// item 7).
+/// into a [`Traces`] first. With no `dag` it always replays, so a
+/// caller can re-price a DAG answer against the oracle. Bit-identical
+/// to [`halo_run`] on the same point. Benchmark-facing; retire with the
+/// next benchmark PR (ROADMAP item 7).
 pub fn halo_eval_traces(
     machine: &MachineSpec,
     mode: ExecMode,
@@ -192,16 +194,18 @@ pub fn halo_eval_traces(
     traces: &[Vec<Op>],
     dag: Option<&TraceDag>,
 ) -> f64 {
-    let point = [cfg.sim_config(machine, mode, mapping)];
+    let point = cfg.sim_config(machine, mode, mapping);
     let res = match dag {
         // what sweep_points does with one exact point and a DAG in hand
-        Some(d) if TraceDag::exact_for(machine) => Ok(vec![d.evaluate(&point[0])]),
-        _ => {
-            let engine = if dag.is_some() { SweepEngine::Dag } else { SweepEngine::Replay };
-            sweep_points(Some(engine), &point, &Traces::from_rank_vecs(traces), None, None)
+        Some(d) if TraceDag::exact_for(machine) => d.evaluate(&point),
+        // replays and counts the contention fallback
+        Some(_) => {
+            let res = sweep_points(&[point], &Traces::from_rank_vecs(traces), None, None);
+            res.unwrap_or_else(|e| panic!("{e}")).remove(0)
         }
+        None => TraceSim::new(point).replay_traces(traces),
     };
-    cfg.per_exchange(&res.unwrap_or_else(|e| panic!("{e}"))[0])
+    cfg.per_exchange(&res)
 }
 
 /// One HALO point by event-queue replay, fallibly, with an optional
@@ -333,12 +337,12 @@ mod tests {
         assert_eq!(faulty().unwrap(), faulty().unwrap());
     }
 
-    /// The DAG sweep engine agrees with replay bit-for-bit across the
+    /// `sweep_points` agrees with direct replay bit-for-bit across the
     /// Fig 2 mapping set: exactly on a contention-flat machine (where
     /// the DAG path is live), and trivially on the real contended BG/P
-    /// (where it falls back to replay).
+    /// (where it replays).
     #[test]
-    fn dag_engine_matches_replay_across_mappings() {
+    fn sweep_points_matches_replay_across_mappings() {
         let grid = Grid2D::new(16, 8);
         let mappings: Vec<Mapping> = Mapping::fig2_set().iter().map(|(_, m)| *m).collect();
         for words in [8u64, 2048, 32_768] {
@@ -347,12 +351,13 @@ mod tests {
             for m in [bluegene_p().with_flat_contention(), bluegene_p()] {
                 let points: Vec<SimConfig> =
                     mappings.iter().map(|&mp| c.sim_config(&m, ExecMode::Vn, mp)).collect();
-                let sweep = |engine| {
-                    let res = sweep_points(Some(engine), &points, &traces, None, None);
-                    res.unwrap().iter().map(|r| c.per_exchange(r)).collect::<Vec<_>>()
-                };
-                let (replay, dag) = (sweep(SweepEngine::Replay), sweep(SweepEngine::Dag));
-                assert_eq!(replay, dag, "words={words} flat={}", m.contention_flat());
+                let replay: Vec<f64> = points
+                    .iter()
+                    .map(|p| c.per_exchange(&TraceSim::new(p.clone()).replay(&traces)))
+                    .collect();
+                let res = sweep_points(&points, &traces, None, None).unwrap();
+                let swept: Vec<f64> = res.iter().map(|r| c.per_exchange(r)).collect();
+                assert_eq!(replay, swept, "words={words} flat={}", m.contention_flat());
             }
         }
     }

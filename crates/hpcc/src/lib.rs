@@ -24,8 +24,8 @@
 //! `hpcsim_cache::ProgramSpec` names each test at a configuration and
 //! the scenario cache records it once and prices it on every machine
 //! through [`hpcsim_mpi::sweep_points`]. HALO keeps two direct entries
-//! for the harness guards: [`halo_run`] on the process-global sweep
-//! engine, and the fault-armed, traced [`halo_try_run`].
+//! for the harness guards: [`halo_run`] through that same function, and
+//! the fault-armed, traced [`halo_try_run`].
 
 pub mod comm;
 pub mod epkernels;

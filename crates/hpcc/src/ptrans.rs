@@ -82,7 +82,7 @@ mod tests {
         };
         let point = SimConfig { machine: m.clone(), mode, threads: 1, layout };
         PtransResult::of(
-            &sweep_points(None, &[point], &ptrans_traces(ranks, n), None, None).unwrap()[0],
+            &sweep_points(&[point], &ptrans_traces(ranks, n), None, None).unwrap()[0],
             n,
         )
     }

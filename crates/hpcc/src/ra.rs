@@ -71,7 +71,7 @@ mod tests {
 
     fn ra_run(m: &MachineSpec, mode: ExecMode, ranks: usize, table: u64, updates: u64) -> RaResult {
         let point = SimConfig::new(m.clone(), ranks, mode);
-        let res = sweep_points(None, &[point], &ra_traces(ranks, table, updates), None, None);
+        let res = sweep_points(&[point], &ra_traces(ranks, table, updates), None, None);
         RaResult::of(&res.unwrap()[0], ranks, updates)
     }
 

@@ -44,10 +44,9 @@
 //! and busy clocks, marks, byte/message counts (the property tests in
 //! `tests/prop_dag.rs` pin this). On a contended machine the DAG result
 //! is a lower-bound approximation, so [`sweep_points`] — the function
-//! every sweep entry point delegates to — automatically falls back to
-//! replay there: [`SweepEngine::Dag`] means "DAG where provably
-//! exact, replay otherwise", which keeps repro output byte-identical
-//! under either engine selection.
+//! every sweep entry point delegates to — decides per point from what
+//! it sees: the DAG where it is provably exact, replay otherwise, which
+//! keeps repro output bit-identical to replay.
 //!
 //! One replay subtlety is worth naming: whether a message is
 //! *unexpected* (arrived before its receive was posted, paying a copy)
@@ -87,13 +86,13 @@ use hpcsim_net::{CollectiveModel, CollectiveOp, P2pModel};
 use hpcsim_obs as obs;
 use hpcsim_probe::NoopTracer;
 use hpcsim_topo::{Coord, Torus3D};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::LazyLock;
 
 /// Obs counters for the sweep engine. All volatile: how points were
-/// evaluated (DAG lanes vs scalar vs replay fallback) depends on the
-/// engine selection and per-machine exactness, which is exactly what
-/// these exist to report.
+/// evaluated (DAG lanes vs scalar vs replay fallback) depends on
+/// per-machine exactness, fault plans and which caller priced them,
+/// which is exactly what these exist to report.
 struct ObsMetrics {
     compiles: &'static obs::Counter,
     nodes: &'static obs::Counter,
@@ -174,88 +173,43 @@ fn metrics() -> &'static ObsMetrics {
     &M
 }
 
-/// Which engine a parameter sweep uses per point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Benchmark-facing: the benchmark selects the DAG before its sweeps,
+/// but [`sweep_points`] always uses it wherever it is exact, so there
+/// is nothing to select. Retire with the next benchmark PR (ROADMAP
+/// item 7), like [`TraceDag::compile_world`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepEngine {
-    /// Event-queue replay for every point (the oracle).
-    #[default]
-    Replay,
-    /// DAG evaluation where it is provably exact (contention-flat
-    /// machines, no faults); automatic fallback to replay elsewhere.
+    /// DAG evaluation where it is exact, replay elsewhere.
     Dag,
 }
 
-impl SweepEngine {
-    /// Parse a CLI value (`replay` | `dag`).
-    pub fn parse(s: &str) -> Option<SweepEngine> {
-        match s {
-            "replay" => Some(SweepEngine::Replay),
-            "dag" => Some(SweepEngine::Dag),
-            _ => None,
-        }
-    }
+/// Benchmark-facing no-op: see [`SweepEngine`].
+pub fn set_sweep_engine(_: SweepEngine) {}
 
-    /// Display label (the CLI spelling).
-    pub fn label(self) -> &'static str {
-        match self {
-            SweepEngine::Replay => "replay",
-            SweepEngine::Dag => "dag",
-        }
-    }
-}
-
-/// Process-global engine selection, like the runner's jobs knob: the
-/// `repro` binary sets it from `--sweep-engine` once, and
-/// [`sweep_points`] reads it whenever a caller names no engine. Default
-/// is [`SweepEngine::Replay`].
-static SWEEP_ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// Select the engine used by sweep entry points that don't take one
-/// explicitly.
-pub fn set_sweep_engine(engine: SweepEngine) {
-    SWEEP_ENGINE.store(engine as u8, Ordering::Relaxed);
-}
-
-/// The currently selected sweep engine.
-pub fn sweep_engine() -> SweepEngine {
-    match SWEEP_ENGINE.load(Ordering::Relaxed) {
-        0 => SweepEngine::Replay,
-        _ => SweepEngine::Dag,
-    }
-}
-
-/// Price `points` (configurations of one recorded trace set) on
-/// `engine`, or on the process-global selection when `None`. Every
+/// Price `points` (configurations of one recorded trace set). Every
 /// proxy prices through here: this is the one place the engine is
 /// chosen and the one place a fallback is counted.
 ///
 /// The recording carries its sub-communicators ([`Traces::comms`]);
-/// both engines read them from it. Under [`SweepEngine::Dag`] with no
-/// `faults`, points whose
+/// both engines read them from it. With no `faults`, points whose
 /// machine passes [`TraceDag::exact_for`] are evaluated on the DAG that
 /// `dag` yields (`traces` compiled; called only if needed) or on one
 /// compiled here. Every other point replays `traces` with `faults`
-/// armed, and under `Dag` counts as a contention or fault fallback.
-/// Results come back in point order, bit-identical under either engine;
-/// the first replay error is returned as is.
+/// armed and counts as a contention or fault fallback. Results come
+/// back in point order, bit-identical to replay; the first replay error
+/// is returned as is.
 pub fn sweep_points<'d>(
-    engine: Option<SweepEngine>,
     points: &[SimConfig],
     traces: &Traces,
     dag: Option<&dyn Fn() -> &'d TraceDag>,
     faults: Option<&FaultPlan>,
 ) -> Result<Vec<SimResult>, SimError> {
     let exact = |cfg: &SimConfig| TraceDag::exact_for(&cfg.machine);
-    let mut on_dag = 0;
-    if engine.unwrap_or_else(sweep_engine) == SweepEngine::Dag {
-        let m = metrics();
-        if faults.is_some() {
-            m.fallback_faults.add(points.len() as u64);
-        } else {
-            on_dag = points.iter().filter(|cfg| exact(cfg)).count();
-            m.fallback_contention.add((points.len() - on_dag) as u64);
-        }
-    }
+    let (m, on_dag) = match faults {
+        Some(_) => (metrics().fallback_faults, 0),
+        None => (metrics().fallback_contention, points.iter().filter(|cfg| exact(cfg)).count()),
+    };
+    m.add((points.len() - on_dag) as u64);
     let compiled;
     let dag = match dag {
         _ if on_dag == 0 => None,
@@ -2115,17 +2069,5 @@ mod tests {
         let faster = Perturbation { bw_scale: 2.0, hop_scale: 0.5, ..Perturbation::IDENTITY };
         let r = &dag.evaluate_perturbed(&cfg, &[faster])[0];
         assert!(r.makespan() < base, "a faster network must cost less");
-    }
-
-    #[test]
-    fn engine_selector_round_trips() {
-        assert_eq!(SweepEngine::parse("replay"), Some(SweepEngine::Replay));
-        assert_eq!(SweepEngine::parse("dag"), Some(SweepEngine::Dag));
-        assert_eq!(SweepEngine::parse("fast"), None);
-        assert_eq!(SweepEngine::Dag.label(), "dag");
-        let before = sweep_engine();
-        set_sweep_engine(SweepEngine::Dag);
-        assert_eq!(sweep_engine(), SweepEngine::Dag);
-        set_sweep_engine(before);
     }
 }

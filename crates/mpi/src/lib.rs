@@ -30,7 +30,7 @@
 //! mapping, mode) points, [`dag::TraceDag`] compiles the trace once into
 //! a task DAG and evaluates each point in a single pass — exact against
 //! replay on contention-flat machines. [`dag::sweep_points`] picks the
-//! engine per point, with automatic fallback to replay elsewhere (see
+//! engine per point: the DAG where it is exact, replay elsewhere (see
 //! the [`dag`] module docs).
 
 pub mod dag;
@@ -42,10 +42,7 @@ pub mod sim;
 pub mod traces;
 pub mod wire;
 
-pub use dag::{
-    perturbed_batches, set_sweep_engine, sweep_engine, sweep_points, DagStats, SweepEngine,
-    TraceDag,
-};
+pub use dag::{perturbed_batches, set_sweep_engine, sweep_points, DagStats, SweepEngine, TraceDag};
 pub use layout::RankLayout;
 pub use ops::{CommId, Op, Req};
 pub use program::{FnProgram, Mpi, Program};

@@ -1,13 +1,14 @@
 //! The two sweep engines give bit-identical results inside the DAG
 //! engine's exactness contract (contention-flat machines). Every case
-//! prices the same points through `mpi::sweep_points` twice, under an
-//! explicit `SweepEngine::Replay` and an explicit `SweepEngine::Dag` —
-//! never through the process-global selection, so tests running in
-//! parallel cannot race on it. The cases reach every consumer of the
-//! DAG's cost tables: single-point evaluation, the mixed-machine
-//! one-at-a-time batch, the 8- and 32-wide mapping lanes, and an
-//! identity perturbed sample. All of them share one per-thread scratch
-//! context, which the last cases check leaks nothing between DAGs.
+//! replays each point directly with `TraceSim`, the oracle, and
+//! compares that with `mpi::sweep_points` on the same points and with a
+//! single-point `TraceDag::evaluate` of each; no case compares
+//! `sweep_points` with itself, because on a flat machine it is the DAG.
+//! The cases reach every consumer of the DAG's cost tables:
+//! single-point evaluation, the mixed-machine batch, the 8- and 32-wide
+//! mapping lanes, and an identity perturbed sample. All of them share
+//! one per-thread scratch context, which the last cases check leaks
+//! nothing between DAGs.
 
 use bgp_eval::apps::{md_traces, pop_traces, MdConfig, MdResult, PopConfig};
 use bgp_eval::engine::SimTime;
@@ -18,8 +19,7 @@ use bgp_eval::hpcc::{
 use bgp_eval::machine::registry::{bluegene_p, xt4_dc};
 use bgp_eval::machine::{ExecMode, PerturbSpec, Perturbation, PerturbationSampler};
 use bgp_eval::mpi::{
-    sweep_points, FnProgram, Mpi, RankLayout, SimConfig, SimResult, SweepEngine, TraceDag,
-    TraceSim, Traces,
+    sweep_points, FnProgram, Mpi, RankLayout, SimConfig, SimResult, TraceDag, TraceSim, Traces,
 };
 use bgp_eval::topo::{Grid2D, Mapping};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,20 +32,21 @@ fn assert_same(r: &SimResult, d: &SimResult, what: &str) {
     assert_eq!((r.bytes_sent, r.messages), (d.bytes_sent, d.messages), "{what}: traffic");
 }
 
-/// Price `points` under both engines and demand identical results; the
-/// first point's identity perturbed sample must match them too.
+/// Replay each of `points` directly and demand that `sweep_points`, a
+/// single-point `TraceDag::evaluate` of each point and the first
+/// point's identity perturbed sample match it; returns the replays.
 fn assert_engines_agree(points: &[SimConfig], traces: &Traces, what: &str) -> Vec<SimResult> {
-    let run = |engine| sweep_points(Some(engine), points, traces, None, None).unwrap();
-    let (replay, dag) = (run(SweepEngine::Replay), run(SweepEngine::Dag));
-    assert_eq!(replay.len(), points.len());
-    assert_eq!(dag.len(), points.len());
-    let perturbed =
-        TraceDag::compile(traces).evaluate_perturbed(&points[0], &[Perturbation::IDENTITY]);
-    let pairs = replay.iter().zip(&dag).chain(std::iter::once((&replay[0], &perturbed[0])));
-    for (i, (r, d)) in pairs.enumerate() {
-        let point = if i < points.len() { format!("point {i}") } else { "identity sample".into() };
-        assert_same(r, d, &format!("{what}, {point}"));
+    let replay: Vec<SimResult> =
+        points.iter().map(|p| TraceSim::new(p.clone()).replay(traces)).collect();
+    let swept = sweep_points(points, traces, None, None).unwrap();
+    assert_eq!(swept.len(), points.len());
+    let dag = TraceDag::compile(traces);
+    for (i, (p, r)) in points.iter().zip(&replay).enumerate() {
+        assert_same(r, &swept[i], &format!("{what}, point {i}, sweep_points"));
+        assert_same(r, &dag.evaluate(p), &format!("{what}, point {i} alone"));
     }
+    let perturbed = dag.evaluate_perturbed(&points[0], &[Perturbation::IDENTITY]);
+    assert_same(&replay[0], &perturbed[0], &format!("{what}, identity sample"));
     replay
 }
 
@@ -91,9 +92,10 @@ fn fig2_mapping_sweep_is_engine_invariant() {
 }
 
 /// The benchmark harness's per-rank view of a HALO recording prices
-/// exactly like the recording: compiled in place by
-/// `TraceDag::compile_world`, replayed by `TraceSim::replay_traces`, and
-/// evaluated by `halo_eval_traces` on its DAG and replay paths.
+/// exactly like a replay of the recording: compiled in place by
+/// `TraceDag::compile_world`, replayed by `TraceSim::replay_traces`,
+/// priced by `halo_run`, and evaluated by `halo_eval_traces` on its DAG
+/// and replay paths.
 #[test]
 fn per_rank_view_prices_like_the_recording() {
     let cfg = HaloConfig {
@@ -116,9 +118,13 @@ fn per_rank_view_prices_like_the_recording() {
         let point = cfg.sim_config(&m, ExecMode::Vn, Mapping::txyz());
         let want = TraceSim::new(point.clone()).replay(&traces);
         assert_same(&TraceSim::new(point).replay_traces(&view), &want, name);
-        let per_exchange = halo_run(&m, ExecMode::Vn, Mapping::txyz(), &cfg);
-        let got = halo_eval_traces(&m, ExecMode::Vn, Mapping::txyz(), &cfg, &view, Some(&world));
-        assert_eq!(got.to_bits(), per_exchange.to_bits(), "halo_eval_traces, {name}");
+        let per_exchange = cfg.per_exchange(&want).to_bits();
+        let run = halo_run(&m, ExecMode::Vn, Mapping::txyz(), &cfg);
+        assert_eq!(run.to_bits(), per_exchange, "halo_run, {name}");
+        for (path, dag) in [("dag", Some(&world)), ("replay", None)] {
+            let got = halo_eval_traces(&m, ExecMode::Vn, Mapping::txyz(), &cfg, &view, dag);
+            assert_eq!(got.to_bits(), per_exchange, "halo_eval_traces {path} path, {name}");
+        }
     }
 }
 
@@ -187,15 +193,8 @@ fn shared_scratch_leaks_no_state() {
         let (dag, cfg) = (small.clone(), small_cfg.clone());
         std::thread::spawn(move || dag.evaluate(&cfg)).join().unwrap()
     };
-    let replay = sweep_points(
-        Some(SweepEngine::Replay),
-        std::slice::from_ref(&small_cfg),
-        &traces,
-        None,
-        None,
-    )
-    .unwrap();
-    assert_same(&replay[0], &fresh, "small pop on a fresh thread");
+    let replay = TraceSim::new(small_cfg.clone()).replay(&traces);
+    assert_same(&replay, &fresh, "small pop on a fresh thread");
     assert!(fresh.marks.iter().all(|m| !m.is_empty()), "pop marks every rank");
 
     let big = TraceDag::compile(&pop_traces(64, 1, &PopConfig::default()));

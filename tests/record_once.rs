@@ -142,7 +142,7 @@ fn one_recording_prices_every_machine_like_each_run() {
             let points: Vec<SimConfig> =
                 specs.iter().map(|s| s[pi].program.sim_config(&s[pi].setup)).collect();
             let priced: Vec<SimResult> =
-                sweep_points(None, &points, &program.record(), None, None).unwrap();
+                sweep_points(&points, &program.record(), None, None).unwrap();
             for (mi, res) in priced.iter().enumerate() {
                 values[mi].push(specs[mi][pi].program.reduce(&points[mi], res));
             }
