@@ -233,13 +233,12 @@ fn main() {
         let s = hpcsim_cache::global().stats();
         println!(
             "# scenario cache: {} result hits ({} disk), {} misses, {} coalesced; \
-             traces: {} hits ({} disk), {} misses",
+             traces: {} hits, {} misses",
             s.result_hits,
             s.disk_result_hits,
             s.result_misses,
             s.coalesced,
             s.trace_hits,
-            s.disk_trace_hits,
             s.trace_misses
         );
     }

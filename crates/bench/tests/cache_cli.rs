@@ -64,6 +64,8 @@ fn warm_and_cold_runs_are_byte_identical_across_jobs() {
         "--out",
         cold_dir.to_str().unwrap(),
     ]);
+    // recordings stay in memory: the store holds results only
+    assert!(!cache.join("traces").exists(), "cold run must write no recordings");
     let warm = run_repro(&[
         "fig2",
         "--jobs",

@@ -13,9 +13,10 @@
 //!   stable text serialization and a 128-bit FNV-1a content hash
 //!   ([`spec`] module docs cover the canonicalization rules);
 //! * [`ScenarioCache`] — a two-tier store: tier 1 memoizes full results
-//!   by spec hash, tier 2 shards recorded traces by the program-only
-//!   sub-hash so a *new* machine/mapping query replays a cached trace
-//!   instead of re-recording it ([`store`] module docs);
+//!   by spec hash (optionally backed by a directory), tier 2 keeps
+//!   recorded traces in memory by the program-only sub-hash so a *new*
+//!   machine/mapping query replays a cached trace instead of
+//!   re-recording it ([`store`] module docs);
 //! * [`evaluate_on`] / [`evaluate`] — the evaluation front door: one
 //!   program priced on a list of setups (recorded at most once per
 //!   call), or one spec. Every figure, table and ablation of the paper,

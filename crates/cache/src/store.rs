@@ -5,24 +5,26 @@
 //!   *all* simulation.
 //! * **Tier 2 — traces**: program sub-hash → the recorded per-rank op
 //!   traces (plus a lazily compiled [`TraceDag`]). A tier-1 miss whose
-//!   program was seen before replays the shared trace instead of
-//!   re-recording it — the record-once/replay-per-point split, made
-//!   persistent.
+//!   program was seen before in this process prices the shared
+//!   recording instead of re-recording it — record once, price many.
 //!
-//! Both tiers are sharded `Mutex<HashMap>`s with:
+//! Each tier is one `Mutex` over one map and one FIFO, with:
 //!
 //! * **in-flight dedupe** — concurrent identical requests (e.g. the same
 //!   spec issued from several `parmap` workers) coalesce onto one
 //!   evaluation; followers block on a condvar and receive the leader's
 //!   value;
-//! * **FIFO eviction** — each tier is bounded; inserting past the cap
-//!   evicts the oldest entry (the access pattern this serves — sweeps
-//!   around a design point — has little recency skew, so FIFO ≈ LRU at
-//!   far lower bookkeeping cost);
-//! * an optional **on-disk layer** — misses consult
-//!   `<dir>/results/<hash>` / `<dir>/traces/<hash>` and successful
-//!   evaluations write through (temp file + rename, so concurrent
-//!   processes never observe a torn entry).
+//! * **FIFO eviction** — tier 1 holds [`RESULT_CAP`] results, tier 2
+//!   [`TRACE_CAP`] recordings; inserting past the cap evicts the oldest
+//!   entry (the access pattern this serves — sweeps around a design
+//!   point — has little recency skew, so FIFO ≈ LRU at far lower
+//!   bookkeeping cost). No computation runs under a tier's lock.
+//!
+//! Tier 1 alone has an optional **on-disk layer**: misses consult
+//! `<dir>/results/<hash>` and successful evaluations write through
+//! (temp file + rename, so concurrent processes never observe a torn
+//! entry). Recordings stay in memory: parsing one back costs several
+//! times more than recording it afresh (DESIGN §14).
 //!
 //! Failed evaluations (fault-induced stalls) are *not* cached: they are
 //! deterministic, so recomputing reproduces the same diagnostic, and
@@ -39,7 +41,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LazyLock, Mutex, OnceLock};
 
-const SHARDS: usize = 16;
+/// Tier-1 capacity in result vectors.
+pub const RESULT_CAP: usize = 65_536;
+
+/// Tier-2 capacity in recordings. A pass comes back to a program
+/// before 64 others are recorded, so one FIFO of 64 records each of
+/// Fig 2's HALO programs once per pass (DESIGN §14).
+pub const TRACE_CAP: usize = 64;
 
 /// Process-global obs metrics the cache feeds alongside the
 /// per-instance [`CacheStats`] cells. Lookups *issued* are
@@ -57,7 +65,6 @@ struct ObsMetrics {
     disk_result_hits: &'static obs::Counter,
     trace_hits: &'static obs::Counter,
     trace_misses: &'static obs::Counter,
-    disk_trace_hits: &'static obs::Counter,
     evictions: &'static obs::Counter,
     disk_read_bytes: &'static obs::Counter,
     disk_write_bytes: &'static obs::Counter,
@@ -100,17 +107,12 @@ fn metrics() -> &'static ObsMetrics {
         ),
         trace_hits: obs::counter(
             "hpcsim_cache_trace_hits_total",
-            "Tier-2 lookups served from memory or disk",
+            "Tier-2 lookups served from memory",
             Volatile,
         ),
         trace_misses: obs::counter(
             "hpcsim_cache_trace_misses_total",
             "Tier-2 lookups that recorded a trace",
-            Volatile,
-        ),
-        disk_trace_hits: obs::counter(
-            "hpcsim_cache_disk_trace_hits_total",
-            "Tier-2 hits satisfied by the on-disk layer",
             Volatile,
         ),
         evictions: obs::counter(
@@ -147,17 +149,13 @@ pub struct CacheConfig {
     /// When false, every lookup computes directly (no memoization, no
     /// stats) — the `--no-cache` escape hatch.
     pub enabled: bool,
-    /// Optional on-disk layer root. Created on first use.
+    /// Optional root of tier 1's on-disk layer. Created on first use.
     pub dir: Option<PathBuf>,
-    /// Tier-1 capacity in results.
-    pub result_cap: usize,
-    /// Tier-2 capacity in trace worlds (each can be large: cap is small).
-    pub trace_cap: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig { enabled: true, dir: None, result_cap: 65_536, trace_cap: 64 }
+        CacheConfig { enabled: true, dir: None }
     }
 }
 
@@ -172,12 +170,10 @@ pub struct CacheStats {
     pub coalesced: u64,
     /// Tier-1 hits satisfied by the on-disk layer.
     pub disk_result_hits: u64,
-    /// Tier-2 lookups served from memory or disk.
+    /// Tier-2 lookups served from memory.
     pub trace_hits: u64,
     /// Tier-2 lookups that had to record a trace.
     pub trace_misses: u64,
-    /// Tier-2 hits satisfied by the on-disk layer.
-    pub disk_trace_hits: u64,
     /// Entries dropped by the FIFO bound (both tiers).
     pub evictions: u64,
 }
@@ -205,33 +201,6 @@ impl Stat {
     }
 }
 
-struct StatCells {
-    result_hits: Stat,
-    result_misses: Stat,
-    coalesced: Stat,
-    disk_result_hits: Stat,
-    trace_hits: Stat,
-    trace_misses: Stat,
-    disk_trace_hits: Stat,
-    evictions: Stat,
-}
-
-impl StatCells {
-    fn new() -> Self {
-        let m = metrics();
-        StatCells {
-            result_hits: Stat::new(m.result_hits),
-            result_misses: Stat::new(m.result_misses),
-            coalesced: Stat::new(m.coalesced),
-            disk_result_hits: Stat::new(m.disk_result_hits),
-            trace_hits: Stat::new(m.trace_hits),
-            trace_misses: Stat::new(m.trace_misses),
-            disk_trace_hits: Stat::new(m.disk_trace_hits),
-            evictions: Stat::new(m.evictions),
-        }
-    }
-}
-
 /// A recorded trace world plus its lazily compiled DAG. Shared by every
 /// query replaying the same program.
 pub struct TraceEntry {
@@ -241,7 +210,7 @@ pub struct TraceEntry {
 }
 
 impl TraceEntry {
-    /// Wrap freshly recorded (or loaded) traces.
+    /// Wrap a fresh recording.
     pub fn new(traces: Traces) -> Self {
         TraceEntry { traces, dag: OnceLock::new() }
     }
@@ -287,124 +256,110 @@ enum Slot<V> {
     InFlight(Arc<Flight<V>>),
 }
 
-struct Shard<V> {
+/// How a leader filled its slot. A value loaded from tier 1's disk
+/// layer counts as a hit, a computed one as a miss.
+enum Fill<V> {
+    Loaded(V),
+    Computed(V),
+}
+
+/// A tier's ready and in-flight slots, and its ready hashes oldest
+/// first.
+struct Slots<V> {
     map: HashMap<u128, Slot<V>>,
     fifo: VecDeque<u128>,
 }
 
-impl<V> Default for Shard<V> {
-    fn default() -> Self {
-        Shard { map: HashMap::new(), fifo: VecDeque::new() }
-    }
-}
-
+/// One tier: one lock over its slots, its capacity and its counters.
 struct Tier<V> {
-    shards: Vec<Mutex<Shard<V>>>,
-    /// Per-shard FIFO capacity (total cap split across shards).
-    shard_cap: usize,
+    cap: usize,
+    slots: Mutex<Slots<V>>,
+    hits: Stat,
+    misses: Stat,
+    coalesced: Stat,
+    evictions: Stat,
 }
 
 impl<V: Clone> Tier<V> {
-    fn new(cap: usize) -> Self {
+    fn new(cap: usize, hits: &'static obs::Counter, misses: &'static obs::Counter) -> Self {
+        let m = metrics();
         Tier {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_cap: cap.div_ceil(SHARDS).max(1),
+            cap,
+            slots: Mutex::new(Slots { map: HashMap::new(), fifo: VecDeque::new() }),
+            hits: Stat::new(hits),
+            misses: Stat::new(misses),
+            coalesced: Stat::new(m.coalesced),
+            evictions: Stat::new(m.evictions),
         }
     }
 
-    fn shard(&self, hash: SpecHash) -> &Mutex<Shard<V>> {
-        // low bits of FNV are well mixed
-        &self.shards[(hash.0 as usize) % SHARDS]
-    }
-
-    /// The dedupe engine shared by both tiers. Exactly one caller per
-    /// hash evaluates; everyone else gets its value (memory hit, flight
-    /// coalesce, or disk hit).
-    #[allow(clippy::too_many_arguments)]
-    fn get_or_compute(
+    /// The dedupe engine of both tiers. Exactly one caller per hash
+    /// fills the slot; everyone else gets its value (memory hit or
+    /// flight coalesce).
+    fn get_or_fill(
         &self,
         hash: SpecHash,
-        hits: &Stat,
-        misses: &Stat,
-        coalesced: &Stat,
-        disk_hits: &Stat,
-        evictions: &Stat,
-        disk_load: impl FnOnce() -> Option<V>,
-        disk_store: impl FnOnce(&V),
-        compute: impl FnOnce() -> Result<V, String>,
+        fill: impl FnOnce() -> Result<Fill<V>, String>,
     ) -> Result<V, String> {
         let flight: Arc<Flight<V>>;
         {
-            let mut shard = self.shard(hash).lock().unwrap();
-            match shard.map.get(&hash.0) {
+            let mut slots = self.slots.lock().unwrap();
+            match slots.map.get(&hash.0) {
                 Some(Slot::Ready(v)) => {
-                    hits.bump();
+                    self.hits.bump();
                     return Ok(v.clone());
                 }
                 Some(Slot::InFlight(f)) => {
                     let f = Arc::clone(f);
-                    drop(shard);
-                    coalesced.bump();
+                    drop(slots);
+                    self.coalesced.bump();
                     return f.wait().map_err(|e| format!("coalesced onto failed evaluation: {e}"));
                 }
                 None => {
                     flight = Arc::new(Flight::new());
-                    shard.map.insert(hash.0, Slot::InFlight(Arc::clone(&flight)));
+                    slots.map.insert(hash.0, Slot::InFlight(Arc::clone(&flight)));
                 }
             }
         }
 
-        // We are the leader. Never hold the shard lock while loading,
-        // computing or touching disk.
-        let outcome: Result<(V, bool), String> = match disk_load() {
-            Some(v) => Ok((v, true)),
-            None => {
-                let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute));
-                match computed {
-                    Ok(Ok(v)) => Ok((v, false)),
-                    Ok(Err(e)) => Err(e),
-                    Err(panic) => {
-                        // release followers, forget the slot, re-raise
-                        // (&*: coerce to the payload, not the Box-as-Any)
-                        let msg = panic_message(&*panic);
-                        flight.publish(Err(msg));
-                        self.shard(hash).lock().unwrap().map.remove(&hash.0);
-                        std::panic::resume_unwind(panic);
-                    }
-                }
+        // We are the leader. Never hold the lock while filling.
+        let filled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(fill));
+        let v = match filled {
+            Ok(Ok(Fill::Loaded(v))) => {
+                self.hits.bump();
+                v
+            }
+            Ok(Ok(Fill::Computed(v))) => {
+                self.misses.bump();
+                v
+            }
+            Ok(Err(e)) => {
+                self.misses.bump();
+                flight.publish(Err(e.clone()));
+                self.slots.lock().unwrap().map.remove(&hash.0);
+                return Err(e);
+            }
+            Err(panic) => {
+                // release followers, forget the slot, re-raise
+                // (&*: coerce to the payload, not the Box-as-Any)
+                flight.publish(Err(panic_message(&*panic)));
+                self.slots.lock().unwrap().map.remove(&hash.0);
+                std::panic::resume_unwind(panic);
             }
         };
-
-        match outcome {
-            Ok((v, from_disk)) => {
-                if from_disk {
-                    hits.bump();
-                    disk_hits.bump();
-                } else {
-                    misses.bump();
-                    disk_store(&v);
+        flight.publish(Ok(v.clone()));
+        let mut slots = self.slots.lock().unwrap();
+        slots.map.insert(hash.0, Slot::Ready(v.clone()));
+        slots.fifo.push_back(hash.0);
+        while slots.fifo.len() > self.cap {
+            if let Some(old) = slots.fifo.pop_front() {
+                if matches!(slots.map.get(&old), Some(Slot::Ready(_))) {
+                    slots.map.remove(&old);
+                    self.evictions.bump();
                 }
-                flight.publish(Ok(v.clone()));
-                let mut shard = self.shard(hash).lock().unwrap();
-                shard.map.insert(hash.0, Slot::Ready(v.clone()));
-                shard.fifo.push_back(hash.0);
-                while shard.fifo.len() > self.shard_cap {
-                    if let Some(old) = shard.fifo.pop_front() {
-                        if matches!(shard.map.get(&old), Some(Slot::Ready(_))) {
-                            shard.map.remove(&old);
-                            evictions.bump();
-                        }
-                    }
-                }
-                Ok(v)
-            }
-            Err(e) => {
-                misses.bump();
-                flight.publish(Err(e.clone()));
-                self.shard(hash).lock().unwrap().map.remove(&hash.0);
-                Err(e)
             }
         }
+        Ok(v)
     }
 }
 
@@ -423,43 +378,33 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 pub struct ScenarioCache {
     cfg: CacheConfig,
     results: Tier<Arc<Vec<f64>>>,
+    disk_result_hits: Stat,
     traces: Tier<Arc<TraceEntry>>,
-    stats: StatCells,
 }
 
 impl ScenarioCache {
-    /// An empty cache with the given bounds/backing.
+    /// An empty cache with the given backing.
     pub fn new(cfg: CacheConfig) -> Self {
+        let m = metrics();
         ScenarioCache {
-            results: Tier::new(cfg.result_cap),
-            traces: Tier::new(cfg.trace_cap),
             cfg,
-            stats: StatCells::new(),
+            results: Tier::new(RESULT_CAP, m.result_hits, m.result_misses),
+            disk_result_hits: Stat::new(m.disk_result_hits),
+            traces: Tier::new(TRACE_CAP, m.trace_hits, m.trace_misses),
         }
-    }
-
-    /// Whether lookups memoize at all.
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
-    /// The on-disk layer root, if configured.
-    pub fn dir(&self) -> Option<&Path> {
-        self.cfg.dir.as_deref()
     }
 
     /// Snapshot the counters.
     pub fn stats(&self) -> CacheStats {
-        let s = &self.stats;
+        let (r, t) = (&self.results, &self.traces);
         CacheStats {
-            result_hits: s.result_hits.get(),
-            result_misses: s.result_misses.get(),
-            coalesced: s.coalesced.get(),
-            disk_result_hits: s.disk_result_hits.get(),
-            trace_hits: s.trace_hits.get(),
-            trace_misses: s.trace_misses.get(),
-            disk_trace_hits: s.disk_trace_hits.get(),
-            evictions: s.evictions.get(),
+            result_hits: r.hits.get(),
+            result_misses: r.misses.get(),
+            coalesced: r.coalesced.get() + t.coalesced.get(),
+            disk_result_hits: self.disk_result_hits.get(),
+            trace_hits: t.hits.get(),
+            trace_misses: t.misses.get(),
+            evictions: r.evictions.get() + t.evictions.get(),
         }
     }
 
@@ -486,18 +431,15 @@ impl ScenarioCache {
         if !self.cfg.enabled {
             return timed();
         }
-        let s = &self.stats;
-        self.results.get_or_compute(
-            hash,
-            &s.result_hits,
-            &s.result_misses,
-            &s.coalesced,
-            &s.disk_result_hits,
-            &s.evictions,
-            || self.load_result(hash),
-            |v| self.store_result(hash, v),
-            timed,
-        )
+        self.results.get_or_fill(hash, || {
+            if let Some(v) = self.load_result(hash) {
+                self.disk_result_hits.bump();
+                return Ok(Fill::Loaded(v));
+            }
+            let v = timed()?;
+            self.store_result(hash, &v);
+            Ok(Fill::Computed(v))
+        })
     }
 
     /// Tier-2 lookup: the shared trace world for a program sub-hash,
@@ -509,38 +451,37 @@ impl ScenarioCache {
         record: impl FnOnce() -> Traces,
     ) -> Arc<TraceEntry> {
         metrics().trace_lookups.inc();
+        let record = || Arc::new(TraceEntry::new(record()));
         if !self.cfg.enabled {
-            return Arc::new(TraceEntry::new(record()));
+            return record();
         }
-        let s = &self.stats;
         self.traces
-            .get_or_compute(
-                program_hash,
-                &s.trace_hits,
-                &s.trace_misses,
-                &s.coalesced,
-                &s.disk_trace_hits,
-                &s.evictions,
-                || self.load_traces(program_hash),
-                |v| self.store_traces(program_hash, v),
-                || Ok(Arc::new(TraceEntry::new(record()))),
-            )
+            .get_or_fill(program_hash, || Ok(Fill::Computed(record())))
             .expect("trace recording is infallible")
     }
 
-    // ----- on-disk layer -------------------------------------------------
+    // ----- tier 1's on-disk layer ----------------------------------------
 
     fn result_path(&self, hash: SpecHash) -> Option<PathBuf> {
         self.cfg.dir.as_ref().map(|d| d.join("results").join(hash.to_string()))
     }
 
-    fn trace_path(&self, hash: SpecHash) -> Option<PathBuf> {
-        self.cfg.dir.as_ref().map(|d| d.join("traces").join(hash.to_string()))
-    }
-
+    /// Read `<dir>/results/<hash>`. A missing file is the normal miss
+    /// path; a failed read (permissions, I/O error) or a corrupt entry
+    /// is absorbed — the entry is recomputed — but counted and
+    /// diagnosed once.
     fn load_result(&self, hash: SpecHash) -> Option<Arc<Vec<f64>>> {
         let path = self.result_path(hash)?;
-        let text = read_entry(&path)?;
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+            Err(e) => {
+                metrics().disk_errors.inc();
+                log_warn_once!("cache: disk read of {} failed ({e}); recomputing", path.display());
+                return None;
+            }
+        };
+        metrics().disk_read_bytes.add(text.len() as u64);
         match parse_result_file(&text, hash) {
             Ok(v) => Some(Arc::new(v)),
             Err(e) => {
@@ -554,75 +495,24 @@ impl ScenarioCache {
         }
     }
 
+    /// Write a result through to disk. Failures leave the entry
+    /// memory-only (results are unaffected) but are counted and
+    /// diagnosed once.
     fn store_result(&self, hash: SpecHash, v: &[f64]) {
-        if let Some(path) = self.result_path(hash) {
-            let mut text = format!("{RESULT_MAGIC} {hash} {}\n", v.len());
-            for &x in v {
-                let _ = writeln!(text, "{}", Bits(x));
-            }
-            write_entry(&path, &text);
+        let Some(path) = self.result_path(hash) else { return };
+        let mut text = format!("{RESULT_MAGIC} {hash} {}\n", v.len());
+        for &x in v {
+            let _ = writeln!(text, "{}", Bits(x));
         }
-    }
-
-    fn load_traces(&self, hash: SpecHash) -> Option<Arc<TraceEntry>> {
-        let path = self.trace_path(hash)?;
-        let text = read_entry(&path)?;
-        match hpcsim_mpi::parse_traces(&text) {
-            Ok(traces) => Some(Arc::new(TraceEntry::new(traces))),
+        match write_atomic(&path, &text) {
+            Ok(()) => metrics().disk_write_bytes.add(text.len() as u64),
             Err(e) => {
                 metrics().disk_errors.inc();
                 log_warn_once!(
-                    "cache: corrupt trace entry {} ignored ({e}); re-recording",
+                    "cache: disk write of {} failed ({e}); entry stays memory-only",
                     path.display()
                 );
-                None
             }
-        }
-    }
-
-    /// Write a recording to disk, unless it has sub-communicators: the
-    /// `hpcsim-trace/1` text holds ops only, so such a recording would
-    /// reload without them. It stays in the memory layer.
-    fn store_traces(&self, hash: SpecHash, v: &Arc<TraceEntry>) {
-        if !v.traces.comms().is_empty() {
-            return;
-        }
-        if let Some(path) = self.trace_path(hash) {
-            write_entry(&path, &hpcsim_mpi::write_traces(&v.traces));
-        }
-    }
-}
-
-/// Read one disk-layer entry. A missing file is the normal miss path; a
-/// *failed* read (permissions, I/O error) is absorbed — the entry is
-/// recomputed — but counted and diagnosed once.
-fn read_entry(path: &Path) -> Option<String> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => {
-            metrics().disk_read_bytes.add(text.len() as u64);
-            Some(text)
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => {
-            metrics().disk_errors.inc();
-            log_warn_once!("cache: disk read of {} failed ({e}); recomputing", path.display());
-            None
-        }
-    }
-}
-
-/// Write-through one disk-layer entry. Failures leave the cache
-/// memory-only for that entry (results are unaffected) but are counted
-/// and diagnosed once.
-fn write_entry(path: &Path, text: &str) {
-    match write_atomic(path, text) {
-        Ok(()) => metrics().disk_write_bytes.add(text.len() as u64),
-        Err(e) => {
-            metrics().disk_errors.inc();
-            log_warn_once!(
-                "cache: disk write of {} failed ({e}); entry stays memory-only",
-                path.display()
-            );
         }
     }
 }
@@ -657,8 +547,8 @@ fn parse_result_file(text: &str, hash: SpecHash) -> Result<Vec<f64>, ParseError>
 
 /// Write `text` to `path` via a same-directory temp file + rename, so a
 /// concurrent reader sees either nothing or the complete entry. Disk-
-/// layer writes are best-effort — the caller ([`write_entry`]) counts
-/// and reports failures; results never depend on them.
+/// layer writes are best-effort — the caller ([`ScenarioCache::store_result`])
+/// counts and reports failures; results never depend on them.
 fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     let Some(parent) = path.parent() else { return Ok(()) };
     std::fs::create_dir_all(parent)?;
@@ -742,26 +632,34 @@ mod tests {
     }
 
     #[test]
-    fn fifo_eviction_bounds_each_shard() {
-        let cache = ScenarioCache::new(CacheConfig {
-            result_cap: SHARDS, // one entry per shard
-            ..CacheConfig::default()
-        });
-        // land many entries in the same shard: hashes ≡ 3 (mod SHARDS)
-        for i in 0..4u128 {
-            cache.result(hash(3 + i * SHARDS as u128), || Ok(vec![i as f64])).unwrap();
+    fn fifo_eviction_drops_the_oldest_entry() {
+        let m = metrics();
+        let tier: Tier<u32> = Tier::new(1, m.result_hits, m.result_misses);
+        for i in 0..4 {
+            tier.get_or_fill(hash(i as u128), || Ok(Fill::Computed(i))).unwrap();
+        }
+        assert_eq!(tier.evictions.get(), 3);
+        // the newest entry is kept, the oldest was evicted and refills
+        assert_eq!(tier.get_or_fill(hash(3), || panic!("memory hit")), Ok(3));
+        assert_eq!(tier.get_or_fill(hash(0), || Ok(Fill::Computed(9))), Ok(9));
+        assert_eq!((tier.hits.get(), tier.misses.get()), (1, 5));
+    }
+
+    #[test]
+    fn recordings_sharing_low_hash_bits_all_stay() {
+        let cache = mem_cache();
+        let traces = Traces::from_rank_vecs(&[vec![Op::Mark { id: 1 }]]);
+        // hashes ≡ 3 (mod 16): a store split by the low 4 bits would
+        // keep only a few of them
+        let h = |i: u128| hash(3 + 16 * i);
+        for i in 0..TRACE_CAP as u128 {
+            cache.traces(h(i), || traces.clone());
+        }
+        for i in 0..TRACE_CAP as u128 {
+            assert_eq!(cache.traces(h(i), || panic!("recording {i} was evicted")).traces, traces);
         }
         let s = cache.stats();
-        assert_eq!(s.evictions, 3, "{s:?}");
-        // oldest evicted: recomputes
-        let calls = AtomicUsize::new(0);
-        cache
-            .result(hash(3), || {
-                calls.fetch_add(1, Ordering::SeqCst);
-                Ok(vec![9.0])
-            })
-            .unwrap();
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert_eq!((s.trace_hits, s.trace_misses, s.evictions), (64, 64, 0), "{s:?}");
     }
 
     #[test]
@@ -820,7 +718,7 @@ mod tests {
     }
 
     #[test]
-    fn disk_layer_round_trips_results_and_traces() {
+    fn disk_layer_round_trips_results_but_not_traces() {
         let dir = std::env::temp_dir().join(format!("hpcsim-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = CacheConfig { dir: Some(dir.clone()), ..CacheConfig::default() };
@@ -828,79 +726,26 @@ mod tests {
         let a = ScenarioCache::new(cfg.clone());
         let v = a.result(hash(77), || Ok(vec![0.1, f64::INFINITY, -0.0])).unwrap();
         let traces = Traces::from_rank_vecs(&[vec![Op::Mark { id: 1 }], vec![Op::Mark { id: 2 }]]);
-        let t = a.traces(hash(78), || traces.clone());
-        assert_eq!(t.traces, traces);
+        assert_eq!(a.traces(hash(78), || traces.clone()).traces, traces);
 
-        // a fresh cache over the same dir serves both without computing
+        // a fresh cache over the same dir serves the result without
+        // computing, and records the trace again
         let b = ScenarioCache::new(cfg);
         let v2 = b.result(hash(77), || panic!("must come from disk")).unwrap();
         assert_eq!(
             v2.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
-        let t2 = b.traces(hash(78), || panic!("must come from disk"));
-        assert_eq!(t2.traces, traces);
-        let s = b.stats();
-        assert_eq!(s.disk_result_hits, 1);
-        assert_eq!(s.disk_trace_hits, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recording_with_communicators_stays_in_memory() {
-        let dir = std::env::temp_dir().join(format!("hpcsim-cache-comms-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = CacheConfig { dir: Some(dir.clone()), ..CacheConfig::default() };
-        let traces =
-            Traces::from_rank_vecs(&[vec![Op::Mark { id: 1 }], vec![]]).with_comms(vec![vec![0]]);
-
-        let a = ScenarioCache::new(cfg.clone());
-        assert_eq!(a.traces(hash(81), || traces.clone()).traces, traces);
-        assert_eq!(a.traces(hash(81), || panic!("memory hit")).traces, traces);
-        assert!(!dir.join("traces").join(hash(81).to_string()).exists(), "not written to disk");
-
-        // a fresh cache over the same dir records it again, whole
         let recorded = AtomicUsize::new(0);
-        let t = ScenarioCache::new(cfg).traces(hash(81), || {
+        let t2 = b.traces(hash(78), || {
             recorded.fetch_add(1, Ordering::SeqCst);
             traces.clone()
         });
-        assert_eq!(t.traces, traces);
+        assert_eq!(t2.traces, traces);
         assert_eq!(recorded.load(Ordering::SeqCst), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_trace_file_is_counted_and_re_recorded() {
-        let dir = std::env::temp_dir().join(format!("hpcsim-cache-corrupt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = CacheConfig { dir: Some(dir.clone()), ..CacheConfig::default() };
-        let traces = Traces::from_rank_vecs(&[vec![Op::Mark { id: 1 }], vec![Op::Mark { id: 2 }]]);
-        ScenarioCache::new(cfg.clone()).traces(hash(79), || traces.clone());
-        let path = dir.join("traces").join(hash(79).to_string());
-        assert!(path.exists());
-
-        obs::set_enabled(true);
-        // an out-of-world peer (replay would index past the world) and
-        // an op count no text backs (would reserve terabytes)
-        for corrupt in [
-            "hpcsim-trace/1 2\nrank 0 1\ns 7 0 8 0\nrank 1 0\n",
-            "hpcsim-trace/1 1\nrank 0 100000000000\n",
-        ] {
-            std::fs::write(&path, corrupt).unwrap();
-            let errors = metrics().disk_errors.total();
-            let recorded = AtomicUsize::new(0);
-            let t = ScenarioCache::new(cfg.clone()).traces(hash(79), || {
-                recorded.fetch_add(1, Ordering::SeqCst);
-                traces.clone()
-            });
-            assert_eq!(t.traces, traces);
-            assert_eq!(recorded.load(Ordering::SeqCst), 1, "re-recorded after {corrupt:?}");
-            assert!(metrics().disk_errors.total() > errors, "counted: {corrupt:?}");
-        }
-        // the re-recorded trace was written back whole
-        let healed = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(hpcsim_mpi::parse_traces(&healed).unwrap(), traces);
+        let s = b.stats();
+        assert_eq!((s.disk_result_hits, s.trace_misses), (1, 1), "{s:?}");
+        assert!(!dir.join("traces").exists(), "recordings stay in memory");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -116,7 +116,7 @@ proptest! {
 
     /// serialize → deserialize → re-hash is the identity: the parsed
     /// spec re-serializes to the same bytes, hashes to the same value,
-    /// keys the same tier-2 shard, and canonicalization is idempotent.
+    /// keys the same tier-2 entry, and canonicalization is idempotent.
     #[test]
     fn canon_parse_rehash_is_identity(seed: u64) {
         let canon = spec_from_seed(seed).canonicalized();

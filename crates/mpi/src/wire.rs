@@ -2,12 +2,13 @@
 //! traces, and the line/field reader and f64 codec every canonical text
 //! format parses with.
 //!
-//! Four formats persist as text: tier-2 trace files (`hpcsim-trace/1`,
-//! below), scenario canon texts (`hpcsim-scenario/1`, `hpcsim-cache`'s
-//! `spec` module), fuzz scenarios (`hpcsim-fuzz-scenario/2`, which embed
-//! a trace block verbatim after their machine/mode/mapping/faults
+//! Four formats are text: recorded traces (`hpcsim-trace/1`, below),
+//! scenario canon texts (`hpcsim-scenario/1`, `hpcsim-cache`'s `spec`
+//! module), fuzz scenarios (`hpcsim-fuzz-scenario/2`, which embed a
+//! trace block verbatim after their machine/mode/mapping/faults
 //! header) and result entries (`hpcsim-result/2`, `hpcsim-cache`'s
-//! `store` module). All of them are line-oriented, read through
+//! `store` module). Fuzz corpus files and result entries persist on
+//! disk; the scenario cache keeps recordings in memory only. All of them are line-oriented, read through
 //! [`Lines`] and [`Fields`], write every float as its IEEE-754 bit
 //! pattern ([`Bits`]) and report malformed input as one [`ParseError`]
 //! naming its line in the enclosing file. Serialize → parse is the
@@ -23,8 +24,8 @@
 //! ...
 //! ```
 //!
-//! The reader is strict, because its input may be a corrupted cache
-//! file: every integer is parsed at its field's own width, every trace
+//! The reader is strict, because its input may be a corrupt or
+//! hand-edited file (a corpus entry, a cache result entry): every integer is parsed at its field's own width, every trace
 //! peer must be a rank of the world, and a count is never trusted for
 //! allocation: ops are appended to the recording as they parse.
 //! Malformed input is a [`ParseError`] naming its line, never a
@@ -313,8 +314,8 @@ fn write_op(out: &mut String, op: &Op) {
 
 /// Serialize a whole recording's ops. Sub-communicators are not part
 /// of the format, so the text of a recording that has them does not
-/// parse back into it: the scenario cache keeps such a recording in
-/// memory only, and fuzz scenarios are WORLD-only.
+/// parse back into it: fuzz scenarios, which embed this text, are
+/// WORLD-only.
 pub fn write_traces(traces: &Traces) -> String {
     // ~16 bytes per op plus headers is a comfortable overestimate
     let mut out = String::with_capacity(32 * traces.op_count() + 16 * traces.ranks() + 32);
