@@ -219,7 +219,7 @@ mod tests {
         let point =
             SimConfig { threads, ..SimConfig::new(machine.clone(), cfg.mpi_ranks(ranks), mode) };
         let traces = cam_traces(ranks, threads, cfg);
-        CamResult::of(&sweep_points(&[point], &traces, None, None).unwrap()[0], threads, cfg)
+        CamResult::of(&sweep_points(&[point], &|| &traces, None, None).unwrap()[0], threads, cfg)
     }
 
     /// Fig 5(a): hybrid ≈ pure MPI at small core counts, but extends

@@ -154,7 +154,8 @@ mod tests {
 
     fn gyro_run(machine: &MachineSpec, ranks: usize, cfg: &GyroConfig) -> GyroResult {
         let point = SimConfig::new(machine.clone(), ranks, mode_for_memory(machine, cfg, ranks));
-        let res = sweep_points(std::slice::from_ref(&point), &gyro_traces(ranks, cfg), None, None);
+        let traces = gyro_traces(ranks, cfg);
+        let res = sweep_points(std::slice::from_ref(&point), &|| &traces, None, None);
         GyroResult::of(&res.unwrap()[0], cfg, point.mode)
     }
 

@@ -173,7 +173,8 @@ mod tests {
 
     fn md_run(machine: &MachineSpec, ranks: usize, cfg: &MdConfig) -> MdResult {
         let point = SimConfig::new(machine.clone(), ranks, ExecMode::Vn);
-        MdResult::of(&sweep_points(&[point], &md_traces(ranks, cfg), None, None).unwrap()[0], cfg)
+        let traces = md_traces(ranks, cfg);
+        MdResult::of(&sweep_points(&[point], &|| &traces, None, None).unwrap()[0], cfg)
     }
 
     fn eff(machine: &MachineSpec, cfg: &MdConfig, lo: usize, hi: usize) -> f64 {

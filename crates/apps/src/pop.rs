@@ -197,7 +197,7 @@ mod tests {
     ) -> PopResult {
         let point = SimConfig { threads, ..SimConfig::new(machine.clone(), ranks, mode) };
         let traces = pop_traces(ranks, threads, cfg);
-        PopResult::of(&sweep_points(&[point], &traces, None, None).unwrap()[0], cfg)
+        PopResult::of(&sweep_points(&[point], &|| &traces, None, None).unwrap()[0], cfg)
     }
 
     fn bgp(ranks: usize, mode: ExecMode) -> PopResult {

@@ -116,7 +116,8 @@ mod tests {
 
     fn s3d_run(machine: &MachineSpec, mode: ExecMode, ranks: usize, cfg: &S3dConfig) -> S3dResult {
         let point = SimConfig::new(machine.clone(), ranks, mode);
-        let res = sweep_points(&[point], &s3d_traces(ranks, cfg), None, None).unwrap();
+        let traces = s3d_traces(ranks, cfg);
+        let res = sweep_points(&[point], &|| &traces, None, None).unwrap();
         S3dResult::of(&res[0], ranks, cfg)
     }
 

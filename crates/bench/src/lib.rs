@@ -329,7 +329,8 @@ pub struct CacheReport {
     pub result_misses: u64,
     /// Queries coalesced onto an identical in-flight evaluation.
     pub coalesced: u64,
-    /// Tier-2 trace-store hits (mappings sharing a recording).
+    /// Tier-2 compiled-DAG hits (0 on the contended BG/P the battery
+    /// prices).
     pub trace_hits: u64,
     /// Whether every warm lookup returned the cold pass's exact bits.
     pub bitwise_identical: bool,

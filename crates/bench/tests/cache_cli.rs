@@ -54,7 +54,7 @@ fn warm_and_cold_runs_are_byte_identical_across_jobs() {
     let plain_dir = base.join("plain");
     let cache_str = cache.to_str().unwrap();
 
-    // fig2 exercises both cache tiers (mappings share tier-2 traces)
+    // fig2: every mapping is its own tier-1 entry
     let cold = run_repro(&[
         "fig2",
         "--jobs",

@@ -24,7 +24,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// A battery crossing every instrumented layer: runner (`parmap`),
-/// tier-1/tier-2 cache, and the replay engine underneath. A fresh cache
+/// scenario cache, and the replay engine underneath. A fresh cache
 /// per timing keeps every rep cold, so reps do equal work.
 fn specs() -> Vec<ScenarioSpec> {
     let m = bluegene_p();

@@ -5,17 +5,16 @@
 //!
 //! 1. one tier-1 lookup per setup, on the canonical spec's hash — a hit
 //!    returns immediately;
-//! 2. the first miss records the program, once for the whole call, and
-//!    every later miss of the call prices that same recording. HALO and
-//!    MD record through tier 2, keyed by the program sub-hash, so a miss
-//!    in any later call shares the recording (and its DAG, compiled on
-//!    first demand). The other programs' recordings live for the call
-//!    only: keeping them for a whole pass costs more memory than it
-//!    saves (DESIGN §14);
-//! 3. each miss is priced by [`hpcsim_mpi::sweep_points`] (the DAG
+//! 2. each miss is priced by [`hpcsim_mpi::sweep_points`] (the DAG
 //!    where it is exact, replay elsewhere) and reduced by
 //!    [`ProgramSpec::reduce`], so cached and uncached runs are
-//!    bit-identical and count the same DAG fallbacks.
+//!    bit-identical and count the same DAG fallbacks;
+//! 3. `sweep_points` asks for the recording and the DAG through
+//!    getters, each answered at most once per call. The DAG comes from
+//!    tier 2, keyed by the program sub-hash, so a DAG-priced miss in a
+//!    later call neither records nor compiles. The recording lives for
+//!    the call only, whatever the program: keeping recordings for a
+//!    whole pass costs more memory than it saves (DESIGN §14).
 //!
 //! [`evaluate_in`] is its one-setup case. The result-vector layout per
 //! program is part of the store format:
@@ -38,9 +37,9 @@
 //! | random-ring    | `[makespan_seconds]`                                |
 
 use crate::spec::{ProgramSpec, ScenarioSpec, Setup};
-use crate::store::{ScenarioCache, TraceEntry};
+use crate::store::ScenarioCache;
 use hpcsim_faults::FaultPlan;
-use hpcsim_mpi::sweep_points;
+use hpcsim_mpi::{sweep_points, TraceDag, Traces};
 use std::cell::OnceCell;
 use std::sync::Arc;
 
@@ -64,29 +63,26 @@ impl std::error::Error for EvalError {}
 pub type Evaluation = Result<Arc<Vec<f64>>, EvalError>;
 
 /// Price `program` on every setup through `cache` (both tiers +
-/// in-flight dedupe), recording it at most once. Results come back in
-/// setup order.
+/// in-flight dedupe), recording it and asking tier 2 for its DAG at
+/// most once. Results come back in setup order.
 pub fn evaluate_on_in(
     cache: &ScenarioCache,
     program: &ProgramSpec,
     setups: &[Setup],
 ) -> Vec<Evaluation> {
-    let recording: OnceCell<Arc<TraceEntry>> = OnceCell::new();
+    // canonicalization folds only axes the recording ignores, so every
+    // setup's canonical program records the same trace
+    let recording: OnceCell<Traces> = OnceCell::new();
+    let compiled: OnceCell<Arc<TraceDag>> = OnceCell::new();
     let priced = |spec: &ScenarioSpec| {
-        // canonicalization folds only axes the recording ignores, so
-        // every setup's canonical program records the same trace
-        let entry = recording.get_or_init(|| {
-            let record = || spec.program.record();
-            if program.trace_replayable() {
-                cache.traces(spec.program_hash(), record)
-            } else {
-                Arc::new(TraceEntry::new(record()))
-            }
-        });
+        let traces = || recording.get_or_init(|| spec.program.record());
+        let dag = || {
+            let compile = || TraceDag::compile(traces());
+            &**compiled.get_or_init(|| cache.dag(spec.program_hash(), compile))
+        };
         let point = [spec.program.sim_config(&spec.setup)];
         let plan = spec.setup.faults.map(|f| FaultPlan::new(f.seed, f.profile));
-        let dag = || entry.dag();
-        let res = sweep_points(&point, &entry.traces, Some(&dag), plan.as_ref());
+        let res = sweep_points(&point, &traces, Some(&dag), plan.as_ref());
         Ok(spec.program.reduce(&point[0], &res.map_err(|e| e.to_string())?[0]))
     };
     setups
@@ -108,6 +104,7 @@ pub fn evaluate_in(cache: &ScenarioCache, spec: &ScenarioSpec) -> Evaluation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::FaultSpec;
     use crate::store::CacheConfig;
     use hpcsim_apps as apps;
     use hpcsim_faults::FaultProfile;
@@ -130,6 +127,12 @@ mod tests {
         }
     }
 
+    /// Tier-2 lookups (hits + misses) `c` has made.
+    fn dag_lookups(c: &ScenarioCache) -> u64 {
+        let s = c.stats();
+        s.trace_hits + s.trace_misses
+    }
+
     #[test]
     fn halo_matches_direct_entry_point_bitwise() {
         let m = bluegene_p();
@@ -142,7 +145,7 @@ mod tests {
         }
         let s = c.stats();
         assert_eq!(s.result_misses, 2);
-        assert_eq!(s.trace_hits, 1, "second mapping shares the tier-2 trace");
+        assert_eq!(dag_lookups(&c), 0, "contended points replay: tier 2 untouched");
     }
 
     #[test]
@@ -156,7 +159,8 @@ mod tests {
         );
         let cached = evaluate_in(&c, &spec).unwrap();
         let point = [SimConfig::new(m.clone(), 64, ExecMode::Vn)];
-        let res = sweep_points(&point, &apps::md_traces(64, &cfg), None, None).unwrap();
+        let traces = apps::md_traces(64, &cfg);
+        let res = sweep_points(&point, &|| &traces, None, None).unwrap();
         let direct = apps::MdResult::of(&res[0], &cfg);
         assert_eq!(cached[0].to_bits(), direct.seconds_per_step.to_bits());
         assert_eq!(cached[1].to_bits(), direct.ns_per_day.to_bits());
@@ -176,14 +180,15 @@ mod tests {
         let plan = FaultPlan::new(5, FaultProfile::Mixed);
         let point = halo_cfg().sim_config(&m, ExecMode::Vn, Mapping::txyz());
         let traces = hpcc::halo_recording(&halo_cfg());
-        let res = sweep_points(&[point], &traces, None, Some(&plan)).unwrap();
+        let res = sweep_points(&[point], &|| &traces, None, Some(&plan)).unwrap();
         let direct = halo_cfg().per_exchange(&res[0]);
         assert_eq!(cached[0].to_bits(), direct.to_bits());
-        // faulty and pristine specs are distinct tier-1 entries sharing tier 2
+        // faulty and pristine specs are distinct tier-1 entries
         let pristine = ScenarioSpec::halo(&m, ExecMode::Vn, Mapping::txyz(), halo_cfg());
         let p = evaluate_in(&c, &pristine).unwrap();
         assert!(p[0] <= cached[0], "faults never speed a halo up");
-        assert_eq!(c.stats().trace_hits, 1);
+        assert_eq!(c.stats().result_misses, 2);
+        assert_eq!(dag_lookups(&c), 0, "both replay: tier 2 untouched");
     }
 
     /// A contention-flat point is priced on the DAG; direct replay is
@@ -198,9 +203,44 @@ mod tests {
         assert_eq!(dag[0].to_bits(), halo_cfg().per_exchange(&replay).to_bits());
     }
 
-    /// Every program outside tier 2, one small point each.
-    fn untiered() -> Vec<ProgramSpec> {
+    /// Two mappings of one flat HALO program in two calls: the first
+    /// compiles the program into tier 2, the second prices that same
+    /// DAG without recording it.
+    #[test]
+    fn flat_halo_mappings_share_one_compiled_dag() {
+        let flat = bluegene_p().with_flat_contention();
+        let c = cache();
+        for mapping in [Mapping::txyz(), Mapping::xyzt()] {
+            evaluate_in(&c, &ScenarioSpec::halo(&flat, ExecMode::Vn, mapping, halo_cfg())).unwrap();
+        }
+        let s = c.stats();
+        assert_eq!((s.result_misses, s.trace_misses, s.trace_hits), (2, 1, 1), "{s:?}");
+        let h = ScenarioSpec::halo(&flat, ExecMode::Vn, Mapping::txyz(), halo_cfg()).program_hash();
+        let (a, b) = (c.dag(h, || panic!("compiled")), c.dag(h, || panic!("compiled")));
+        assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    /// Points that replay never ask tier 2: a contended machine, or a
+    /// flat one with faults armed.
+    #[test]
+    fn replayed_points_make_no_dag_lookups() {
+        let flat = bluegene_p().with_flat_contention();
+        let c = cache();
+        for (m, faults) in [(bluegene_p(), None), (flat.clone(), Some(5)), (bluegene_p(), Some(5))]
+        {
+            let mut spec = ScenarioSpec::halo(&m, ExecMode::Vn, Mapping::xyzt(), halo_cfg());
+            if let Some(seed) = faults {
+                spec = spec.with_faults(seed, FaultProfile::Mixed);
+            }
+            evaluate_in(&c, &spec).unwrap();
+        }
+        assert_eq!((c.stats().result_misses, dag_lookups(&c)), (3, 0));
+    }
+
+    /// Every program but HALO, one small point each.
+    fn programs() -> Vec<ProgramSpec> {
         vec![
+            ProgramSpec::Md { ranks: 16, cfg: apps::MdConfig::lammps_rub() },
             ProgramSpec::Hpl(hpcc::HplConfig {
                 n: 4096,
                 nb: 128,
@@ -226,10 +266,10 @@ mod tests {
     }
 
     #[test]
-    fn untiered_programs_cache_through_tier1() {
+    fn every_program_caches_through_tier1() {
         let m = bluegene_p();
         let c = cache();
-        let specs: Vec<ScenarioSpec> = untiered()
+        let specs: Vec<ScenarioSpec> = programs()
             .into_iter()
             .map(|p| ScenarioSpec::new(p, Setup::new(&m, ExecMode::Vn)))
             .collect();
@@ -245,20 +285,27 @@ mod tests {
         let s = c.stats();
         let n = specs.len() as u64;
         assert_eq!((s.result_misses, s.result_hits), (n, n));
-        // none of these are trace-replayable: tier 2 untouched
+        // contended BG/P replays every point: tier 2 untouched
         assert_eq!((s.trace_misses, s.trace_hits), (0, 0));
     }
 
     /// One call prices every setup like its own one-setup evaluation,
-    /// looks each setup up once, and hits on a setup it already priced.
+    /// looks each setup up once, hits on a setup it already priced, and
+    /// asks tier 2 once if some setup is priced on the DAG.
     #[test]
     fn evaluate_on_equals_one_setup_evaluations() {
-        let setups: Vec<Setup> = [bluegene_p(), xt3(), xt4_dc(), bluegene_p()]
+        let flat = bluegene_p().with_flat_contention();
+        let setups: Vec<Setup> = [bluegene_p(), xt3(), xt4_dc(), bluegene_p(), flat.clone()]
             .iter()
             .map(|m| Setup::new(m, ExecMode::Vn))
             .collect();
-        let halo = ProgramSpec::Halo(halo_cfg());
-        for program in untiered().into_iter().chain([halo]) {
+        let faulty = Setup {
+            faults: Some(FaultSpec { seed: 5, profile: FaultProfile::Mixed }),
+            ..Setup::new(&flat, ExecMode::Vn)
+        };
+        let halo = (ProgramSpec::Halo(halo_cfg()), [&setups[..], &[faulty]].concat());
+        let cases = programs().into_iter().map(|p| (p, setups.clone())).chain([halo]);
+        for (program, setups) in cases {
             let (together, alone) = (cache(), cache());
             let all = evaluate_on_in(&together, &program, &setups);
             for (setup, v) in setups.iter().zip(&all) {
@@ -268,10 +315,10 @@ mod tests {
                 assert_eq!(bits(v.as_ref().unwrap()), bits(&one), "{}", spec.to_canon());
             }
             let s = together.stats();
-            assert_eq!((s.result_misses, s.result_hits), (3, 1), "{program:?}");
-            // tier 2 is asked once per call, and only for HALO and MD
-            let tiered = u64::from(program.trace_replayable());
-            assert_eq!(s.trace_misses + s.trace_hits, tiered, "{program:?}");
+            let n = setups.len() as u64;
+            assert_eq!((s.result_misses, s.result_hits), (n - 1, 1), "{program:?}");
+            // one flat, fault-free setup: tier 2 is asked once, and misses
+            assert_eq!((s.trace_misses, s.trace_hits), (1, 0), "{program:?}");
         }
     }
 }

@@ -14,13 +14,14 @@
 //!   ([`spec`] module docs cover the canonicalization rules);
 //! * [`ScenarioCache`] — a two-tier store: tier 1 memoizes full results
 //!   by spec hash (optionally backed by a directory), tier 2 keeps
-//!   recorded traces in memory by the program-only sub-hash so a *new*
-//!   machine/mapping query replays a cached trace instead of
-//!   re-recording it ([`store`] module docs);
+//!   compiled DAGs in memory by the program-only sub-hash, so a *new*
+//!   machine/mapping query that the DAG prices exactly neither records
+//!   nor compiles the program again ([`store`] module docs);
 //! * [`evaluate_on`] / [`evaluate`] — the evaluation front door: one
 //!   program priced on a list of setups (recorded at most once per
-//!   call), or one spec. Every figure, table and ablation of the paper,
-//!   the `repro` CLI and the examples price through it.
+//!   call, and the recording dropped when the call returns), or one
+//!   spec. Every figure, table and ablation of the paper, the `repro`
+//!   CLI and the examples price through it.
 //!
 //! Correctness invariant: with the cache enabled, disabled, cold, warm,
 //! in-memory or disk-backed, every query returns bit-identical values —
@@ -42,7 +43,7 @@ pub use spec::{
     fnv1a_128, parse_setup, write_setup, FaultSpec, ProgramSpec, ScenarioSpec, Setup, SpecHash,
     SETUP_LINES,
 };
-pub use store::{CacheConfig, CacheStats, ScenarioCache, TraceEntry};
+pub use store::{CacheConfig, CacheStats, ScenarioCache};
 
 use std::sync::{Arc, Mutex, OnceLock};
 

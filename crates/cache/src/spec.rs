@@ -35,11 +35,11 @@
 //!
 //! ## Sub-keys
 //!
-//! [`ScenarioSpec::program_hash`] hashes only the `program` line. For
-//! the trace-replayable programs (HALO, MD) the recorded trace depends
-//! on nothing else — not machine, mapping, mode or faults — so the
-//! program hash is the tier-2 key under which traces are shared by
-//! every query that replays the same program.
+//! [`ScenarioSpec::program_hash`] hashes only the `program` line. A
+//! program's recording, and so its compiled DAG, depends on nothing
+//! else — not machine, mapping, mode or faults — so the program hash is
+//! the tier-2 key under which a DAG is shared by every query that
+//! prices the same program on it.
 //!
 //! ## Program lines
 //!
@@ -223,13 +223,6 @@ pub enum ProgramSpec {
 }
 
 impl ProgramSpec {
-    /// Whether tier 2 of the cache keeps this program's recording for
-    /// the pass: HALO and MD, whose traces are world-only and small.
-    /// The others record afresh on every tier-1 miss (DESIGN §14).
-    pub fn trace_replayable(&self) -> bool {
-        matches!(self, ProgramSpec::Halo(_) | ProgramSpec::Md { .. })
-    }
-
     /// MPI ranks the program runs on.
     pub fn ranks(&self) -> usize {
         match self {
@@ -527,8 +520,8 @@ impl ScenarioSpec {
         fnv1a_128(self.to_canon().as_bytes())
     }
 
-    /// Content hash of the program line alone: the tier-2 trace key.
-    /// Every query replaying the same program shares this, whatever its
+    /// Content hash of the program line alone: the tier-2 DAG key.
+    /// Every query pricing the same program shares this, whatever its
     /// machine/mapping/mode/faults.
     pub fn program_hash(&self) -> SpecHash {
         let mut line = String::with_capacity(96);

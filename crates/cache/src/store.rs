@@ -3,10 +3,13 @@
 //! * **Tier 1 — results**: spec hash → the full result vector of the
 //!   evaluated scenario, stored as exact f64 bit patterns. A hit skips
 //!   *all* simulation.
-//! * **Tier 2 — traces**: program sub-hash → the recorded per-rank op
-//!   traces (plus a lazily compiled [`TraceDag`]). A tier-1 miss whose
-//!   program was seen before in this process prices the shared
-//!   recording instead of re-recording it — record once, price many.
+//! * **Tier 2 — compiled DAGs**: program sub-hash → the program's
+//!   [`TraceDag`]. It is asked only when a point is priced on the DAG
+//!   (fault-free, on a machine [`TraceDag::exact_for`] accepts), so a
+//!   tier-1 miss whose program was compiled before in this process
+//!   neither records nor compiles it — record once, price many.
+//!   Recordings are never kept: each lives for the one
+//!   [`evaluate_on_in`](crate::evaluate_on_in) call that needs it.
 //!
 //! Each tier is one `Mutex` over one map and one FIFO, with:
 //!
@@ -15,7 +18,7 @@
 //!   evaluation; followers block on a condvar and receive the leader's
 //!   value;
 //! * **FIFO eviction** — tier 1 holds [`RESULT_CAP`] results, tier 2
-//!   [`TRACE_CAP`] recordings; inserting past the cap evicts the oldest
+//!   [`DAG_CAP`] DAGs; inserting past the cap evicts the oldest
 //!   entry (the access pattern this serves — sweeps around a design
 //!   point — has little recency skew, so FIFO ≈ LRU at far lower
 //!   bookkeeping cost). No computation runs under a tier's lock.
@@ -23,8 +26,7 @@
 //! Tier 1 alone has an optional **on-disk layer**: misses consult
 //! `<dir>/results/<hash>` and successful evaluations write through
 //! (temp file + rename, so concurrent processes never observe a torn
-//! entry). Recordings stay in memory: parsing one back costs several
-//! times more than recording it afresh (DESIGN §14).
+//! entry).
 //!
 //! Failed evaluations (fault-induced stalls) are *not* cached: they are
 //! deterministic, so recomputing reproduces the same diagnostic, and
@@ -33,21 +35,20 @@
 
 use crate::spec::SpecHash;
 use hpcsim_mpi::wire::{Bits, Lines, ParseError};
-use hpcsim_mpi::{TraceDag, Traces};
+use hpcsim_mpi::TraceDag;
 use hpcsim_obs::{self as obs, log_warn_once};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, LazyLock, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, LazyLock, Mutex};
 
 /// Tier-1 capacity in result vectors.
 pub const RESULT_CAP: usize = 65_536;
 
-/// Tier-2 capacity in recordings. A pass comes back to a program
-/// before 64 others are recorded, so one FIFO of 64 records each of
-/// Fig 2's HALO programs once per pass (DESIGN §14).
-pub const TRACE_CAP: usize = 64;
+/// Tier-2 capacity in compiled DAGs: more than the distinct programs a
+/// what-if sweep around one design point compiles (DESIGN §14).
+pub const DAG_CAP: usize = 64;
 
 /// Process-global obs metrics the cache feeds alongside the
 /// per-instance [`CacheStats`] cells. Lookups *issued* are
@@ -82,7 +83,7 @@ fn metrics() -> &'static ObsMetrics {
         ),
         trace_lookups: obs::counter(
             "hpcsim_cache_trace_lookups_total",
-            "Tier-2 lookups issued (only on tier-1 misses, so temperature-dependent)",
+            "Tier-2 compiled-DAG lookups issued (only on tier-1 misses, so temperature-dependent)",
             Volatile,
         ),
         result_hits: obs::counter(
@@ -107,12 +108,12 @@ fn metrics() -> &'static ObsMetrics {
         ),
         trace_hits: obs::counter(
             "hpcsim_cache_trace_hits_total",
-            "Tier-2 lookups served from memory",
+            "Tier-2 compiled-DAG lookups served from memory",
             Volatile,
         ),
         trace_misses: obs::counter(
             "hpcsim_cache_trace_misses_total",
-            "Tier-2 lookups that recorded a trace",
+            "Tier-2 compiled-DAG lookups that recorded and compiled the program",
             Volatile,
         ),
         evictions: obs::counter(
@@ -170,9 +171,10 @@ pub struct CacheStats {
     pub coalesced: u64,
     /// Tier-1 hits satisfied by the on-disk layer.
     pub disk_result_hits: u64,
-    /// Tier-2 lookups served from memory.
+    /// Tier-2 (compiled-DAG) lookups served from memory.
     pub trace_hits: u64,
-    /// Tier-2 lookups that had to record a trace.
+    /// Tier-2 (compiled-DAG) lookups that recorded and compiled the
+    /// program.
     pub trace_misses: u64,
     /// Entries dropped by the FIFO bound (both tiers).
     pub evictions: u64,
@@ -198,27 +200,6 @@ impl Stat {
 
     fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// A recorded trace world plus its lazily compiled DAG. Shared by every
-/// query replaying the same program.
-pub struct TraceEntry {
-    /// The recording, exactly as recorded.
-    pub traces: Traces,
-    dag: OnceLock<TraceDag>,
-}
-
-impl TraceEntry {
-    /// Wrap a fresh recording.
-    pub fn new(traces: Traces) -> Self {
-        TraceEntry { traces, dag: OnceLock::new() }
-    }
-
-    /// The compiled DAG, built on first demand and reused by every
-    /// subsequent DAG-engine evaluation of this program.
-    pub fn dag(&self) -> &TraceDag {
-        self.dag.get_or_init(|| TraceDag::compile(&self.traces))
     }
 }
 
@@ -379,7 +360,7 @@ pub struct ScenarioCache {
     cfg: CacheConfig,
     results: Tier<Arc<Vec<f64>>>,
     disk_result_hits: Stat,
-    traces: Tier<Arc<TraceEntry>>,
+    dags: Tier<Arc<TraceDag>>,
 }
 
 impl ScenarioCache {
@@ -390,13 +371,13 @@ impl ScenarioCache {
             cfg,
             results: Tier::new(RESULT_CAP, m.result_hits, m.result_misses),
             disk_result_hits: Stat::new(m.disk_result_hits),
-            traces: Tier::new(TRACE_CAP, m.trace_hits, m.trace_misses),
+            dags: Tier::new(DAG_CAP, m.trace_hits, m.trace_misses),
         }
     }
 
     /// Snapshot the counters.
     pub fn stats(&self) -> CacheStats {
-        let (r, t) = (&self.results, &self.traces);
+        let (r, t) = (&self.results, &self.dags);
         CacheStats {
             result_hits: r.hits.get(),
             result_misses: r.misses.get(),
@@ -442,22 +423,18 @@ impl ScenarioCache {
         })
     }
 
-    /// Tier-2 lookup: the shared trace world for a program sub-hash,
-    /// recording it on a miss. Recording is infallible (trace capture
-    /// involves no machine model), so this never errors.
-    pub fn traces(
-        &self,
-        program_hash: SpecHash,
-        record: impl FnOnce() -> Traces,
-    ) -> Arc<TraceEntry> {
+    /// Tier-2 lookup: the shared compiled DAG for a program sub-hash,
+    /// compiling it on a miss. Recording and compiling involve no
+    /// machine model, so this never errors.
+    pub fn dag(&self, program_hash: SpecHash, compile: impl FnOnce() -> TraceDag) -> Arc<TraceDag> {
         metrics().trace_lookups.inc();
-        let record = || Arc::new(TraceEntry::new(record()));
+        let compile = || Arc::new(compile());
         if !self.cfg.enabled {
-            return record();
+            return compile();
         }
-        self.traces
-            .get_or_fill(program_hash, || Ok(Fill::Computed(record())))
-            .expect("trace recording is infallible")
+        self.dags
+            .get_or_fill(program_hash, || Ok(Fill::Computed(compile())))
+            .expect("compiling a recording is infallible")
     }
 
     // ----- tier 1's on-disk layer ----------------------------------------
@@ -568,7 +545,7 @@ fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcsim_mpi::Op;
+    use hpcsim_mpi::{Op, Traces};
     use std::sync::atomic::AtomicUsize;
 
     fn hash(n: u128) -> SpecHash {
@@ -577,6 +554,11 @@ mod tests {
 
     fn mem_cache() -> ScenarioCache {
         ScenarioCache::new(CacheConfig::default())
+    }
+
+    fn mark_dag(ranks: u32) -> TraceDag {
+        let world: Vec<Vec<Op>> = (0..ranks).map(|id| vec![Op::Mark { id }]).collect();
+        TraceDag::compile(&Traces::from_rank_vecs(&world))
     }
 
     #[test]
@@ -646,17 +628,16 @@ mod tests {
     }
 
     #[test]
-    fn recordings_sharing_low_hash_bits_all_stay() {
+    fn dags_sharing_low_hash_bits_all_stay() {
         let cache = mem_cache();
-        let traces = Traces::from_rank_vecs(&[vec![Op::Mark { id: 1 }]]);
         // hashes ≡ 3 (mod 16): a store split by the low 4 bits would
         // keep only a few of them
         let h = |i: u128| hash(3 + 16 * i);
-        for i in 0..TRACE_CAP as u128 {
-            cache.traces(h(i), || traces.clone());
-        }
-        for i in 0..TRACE_CAP as u128 {
-            assert_eq!(cache.traces(h(i), || panic!("recording {i} was evicted")).traces, traces);
+        let kept: Vec<Arc<TraceDag>> =
+            (0..DAG_CAP as u128).map(|i| cache.dag(h(i), || mark_dag(1))).collect();
+        for (i, dag) in kept.iter().enumerate() {
+            let again = cache.dag(h(i as u128), || panic!("DAG {i} was evicted"));
+            assert!(Arc::ptr_eq(dag, &again));
         }
         let s = cache.stats();
         assert_eq!((s.trace_hits, s.trace_misses, s.evictions), (64, 64, 0), "{s:?}");
@@ -718,34 +699,33 @@ mod tests {
     }
 
     #[test]
-    fn disk_layer_round_trips_results_but_not_traces() {
+    fn disk_layer_round_trips_results_but_not_dags() {
         let dir = std::env::temp_dir().join(format!("hpcsim-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = CacheConfig { dir: Some(dir.clone()), ..CacheConfig::default() };
 
         let a = ScenarioCache::new(cfg.clone());
         let v = a.result(hash(77), || Ok(vec![0.1, f64::INFINITY, -0.0])).unwrap();
-        let traces = Traces::from_rank_vecs(&[vec![Op::Mark { id: 1 }], vec![Op::Mark { id: 2 }]]);
-        assert_eq!(a.traces(hash(78), || traces.clone()).traces, traces);
+        assert_eq!(a.dag(hash(78), || mark_dag(2)).ranks(), 2);
 
         // a fresh cache over the same dir serves the result without
-        // computing, and records the trace again
+        // computing, and compiles the DAG again
         let b = ScenarioCache::new(cfg);
         let v2 = b.result(hash(77), || panic!("must come from disk")).unwrap();
         assert_eq!(
             v2.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
-        let recorded = AtomicUsize::new(0);
-        let t2 = b.traces(hash(78), || {
-            recorded.fetch_add(1, Ordering::SeqCst);
-            traces.clone()
+        let compiled = AtomicUsize::new(0);
+        let d2 = b.dag(hash(78), || {
+            compiled.fetch_add(1, Ordering::SeqCst);
+            mark_dag(2)
         });
-        assert_eq!(t2.traces, traces);
-        assert_eq!(recorded.load(Ordering::SeqCst), 1);
+        assert_eq!(d2.ranks(), 2);
+        assert_eq!(compiled.load(Ordering::SeqCst), 1);
         let s = b.stats();
         assert_eq!((s.disk_result_hits, s.trace_misses), (1, 1), "{s:?}");
-        assert!(!dir.join("traces").exists(), "recordings stay in memory");
+        assert!(!dir.join("traces").exists(), "tier 2 stays in memory");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -825,12 +805,5 @@ mod tests {
             assert!(parse_result_file(&bad, h).is_err(), "accepted {bad:?}");
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn trace_entry_compiles_dag_once() {
-        let traces = Traces::from_rank_vecs(&[vec![Op::Mark { id: 1 }]]);
-        let entry = TraceEntry::new(traces);
-        assert!(std::ptr::eq(entry.dag(), entry.dag()));
     }
 }

@@ -318,10 +318,7 @@ pub fn fig8(scale: Scale) -> Vec<Figure> {
     procs.dedup();
 
     // One row per (code, rank count) scans all three machines from one
-    // recording — the trace is machine-agnostic, and tier 2 of the
-    // scenario cache keeps it (keyed by the program-only sub-hash), so
-    // any other battery or run asking about the same MD program shares
-    // it.
+    // recording — the trace is machine-agnostic.
     let machines: Vec<Setup> = [bluegene_p(), xt3(), xt4_dc()].iter().map(vn).collect();
     let rows: Vec<Row> = fig8_codes()
         .into_iter()

@@ -243,9 +243,8 @@ pub fn fig2(scale: Scale) -> Vec<Figure> {
 
     // (c,d) mappings at 4096 and 8192 cores, VN. One row per halo size
     // prices all eight mappings from one recording (HALO's trace does
-    // not depend on the mapping, and tier 2 keeps it for the pass);
-    // re-running the figure in-process (or against `--cache-dir`) is
-    // pure lookups.
+    // not depend on the mapping); re-running the figure in-process (or
+    // against `--cache-dir`) is pure lookups.
     let mappings: Vec<Setup> =
         Mapping::fig2_set().iter().map(|&(_, mapping)| at(ExecMode::Vn, mapping)).collect();
     for (title, paper_ranks) in

@@ -83,7 +83,7 @@ pub fn fig2_mapping_sweep(scale: Scale) -> MappingSweepStats {
     let replay: Engine =
         |points, traces| points.into_iter().map(|cfg| TraceSim::new(cfg).replay(traces)).collect();
     let dag: Engine = |points, traces| {
-        sweep_points(&points, traces, None, None).expect("pristine HALO points evaluate")
+        sweep_points(&points, &|| traces, None, None).expect("pristine HALO points evaluate")
     };
     let run = |engine: Engine| -> (f64, Vec<Vec<f64>>) {
         let t0 = std::time::Instant::now();

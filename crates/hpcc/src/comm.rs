@@ -90,7 +90,7 @@ mod tests {
     use hpcsim_mpi::{sweep_points, SimConfig};
 
     fn makespan(point: &SimConfig, traces: &Traces) -> f64 {
-        let res = sweep_points(std::slice::from_ref(point), traces, None, None).unwrap();
+        let res = sweep_points(std::slice::from_ref(point), &|| traces, None, None).unwrap();
         res[0].makespan().as_secs()
     }
 

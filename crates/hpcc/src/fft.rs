@@ -79,7 +79,8 @@ mod tests {
 
     fn fft_run(machine: &MachineSpec, mode: ExecMode, ranks: usize, n: u64) -> FftResult {
         let point = SimConfig::new(machine.clone(), ranks, mode);
-        FftResult::of(&sweep_points(&[point], &fft_traces(ranks, n), None, None).unwrap()[0], n)
+        let traces = fft_traces(ranks, n);
+        FftResult::of(&sweep_points(&[point], &|| &traces, None, None).unwrap()[0], n)
     }
 
     #[test]

@@ -135,7 +135,8 @@ pub fn halo_recording(cfg: &HaloConfig) -> Traces {
 }
 
 /// [`halo_recording`] as one op vector per rank. Benchmark-facing;
-/// retire with the next benchmark PR (ROADMAP item 7).
+/// retire with the next benchmark PR (ROADMAP: "One benchmark record
+/// that covers paper scale, and no dead code").
 pub fn halo_traces(cfg: &HaloConfig) -> Vec<Vec<Op>> {
     halo_recording(cfg).to_rank_vecs()
 }
@@ -174,7 +175,8 @@ impl HaloConfig {
 /// reps).
 pub fn halo_run(machine: &MachineSpec, mode: ExecMode, mapping: Mapping, cfg: &HaloConfig) -> f64 {
     let point = [cfg.sim_config(machine, mode, mapping)];
-    let res = sweep_points(&point, &halo_recording(cfg), None, None);
+    let traces = halo_recording(cfg);
+    let res = sweep_points(&point, &|| &traces, None, None);
     cfg.per_exchange(&res.unwrap_or_else(|e| panic!("{e}"))[0])
 }
 
@@ -185,7 +187,8 @@ pub fn halo_run(machine: &MachineSpec, mode: ExecMode, mapping: Mapping, cfg: &H
 /// into a [`Traces`] first. With no `dag` it always replays, so a
 /// caller can re-price a DAG answer against the oracle. Bit-identical
 /// to [`halo_run`] on the same point. Benchmark-facing; retire with the
-/// next benchmark PR (ROADMAP item 7).
+/// next benchmark PR (ROADMAP: "One benchmark record that covers paper
+/// scale, and no dead code").
 pub fn halo_eval_traces(
     machine: &MachineSpec,
     mode: ExecMode,
@@ -200,7 +203,8 @@ pub fn halo_eval_traces(
         Some(d) if TraceDag::exact_for(machine) => d.evaluate(&point),
         // replays and counts the contention fallback
         Some(_) => {
-            let res = sweep_points(&[point], &Traces::from_rank_vecs(traces), None, None);
+            let traces = Traces::from_rank_vecs(traces);
+            let res = sweep_points(&[point], &|| &traces, None, None);
             res.unwrap_or_else(|e| panic!("{e}")).remove(0)
         }
         None => TraceSim::new(point).replay_traces(traces),
@@ -355,7 +359,7 @@ mod tests {
                     .iter()
                     .map(|p| c.per_exchange(&TraceSim::new(p.clone()).replay(&traces)))
                     .collect();
-                let res = sweep_points(&points, &traces, None, None).unwrap();
+                let res = sweep_points(&points, &|| &traces, None, None).unwrap();
                 let swept: Vec<f64> = res.iter().map(|r| c.per_exchange(r)).collect();
                 assert_eq!(replay, swept, "words={words} flat={}", m.contention_flat());
             }

@@ -145,7 +145,8 @@ mod tests {
 
     fn hpl_run(machine: &MachineSpec, mode: ExecMode, cfg: &HplConfig) -> HplResult {
         let point = SimConfig::new(machine.clone(), cfg.grid.size(), mode);
-        let res = sweep_points(&[point], &hpl_traces(cfg), None, None).unwrap();
+        let traces = hpl_traces(cfg);
+        let res = sweep_points(&[point], &|| &traces, None, None).unwrap();
         HplResult::of(&res[0], machine, cfg)
     }
 

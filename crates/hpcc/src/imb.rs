@@ -59,7 +59,7 @@ mod tests {
 
     fn imb(m: &MachineSpec, mode: ExecMode, ranks: usize, bytes: u64, traces: Traces) -> ImbPoint {
         let point = SimConfig::new(m.clone(), ranks, mode);
-        ImbPoint::of(&sweep_points(&[point], &traces, None, None).unwrap()[0], ranks, bytes)
+        ImbPoint::of(&sweep_points(&[point], &|| &traces, None, None).unwrap()[0], ranks, bytes)
     }
 
     fn imb_allreduce(m: &MachineSpec, mode: ExecMode, r: usize, b: u64, dtype: DType) -> ImbPoint {

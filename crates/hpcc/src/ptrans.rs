@@ -81,10 +81,8 @@ mod tests {
             RankLayout::xt(m, ranks, mode, p)
         };
         let point = SimConfig { machine: m.clone(), mode, threads: 1, layout };
-        PtransResult::of(
-            &sweep_points(&[point], &ptrans_traces(ranks, n), None, None).unwrap()[0],
-            n,
-        )
+        let traces = ptrans_traces(ranks, n);
+        PtransResult::of(&sweep_points(&[point], &|| &traces, None, None).unwrap()[0], n)
     }
 
     const N: u64 = 65_536;

@@ -71,7 +71,8 @@ mod tests {
 
     fn ra_run(m: &MachineSpec, mode: ExecMode, ranks: usize, table: u64, updates: u64) -> RaResult {
         let point = SimConfig::new(m.clone(), ranks, mode);
-        let res = sweep_points(&[point], &ra_traces(ranks, table, updates), None, None);
+        let traces = ra_traces(ranks, table, updates);
+        let res = sweep_points(&[point], &|| &traces, None, None);
         RaResult::of(&res.unwrap()[0], ranks, updates)
     }
 

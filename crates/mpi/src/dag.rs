@@ -175,8 +175,9 @@ fn metrics() -> &'static ObsMetrics {
 
 /// Benchmark-facing: the benchmark selects the DAG before its sweeps,
 /// but [`sweep_points`] always uses it wherever it is exact, so there
-/// is nothing to select. Retire with the next benchmark PR (ROADMAP
-/// item 7), like [`TraceDag::compile_world`].
+/// is nothing to select. Retire with the next benchmark PR (ROADMAP:
+/// "One benchmark record that covers paper scale, and no dead code"),
+/// like [`TraceDag::compile_world`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepEngine {
     /// DAG evaluation where it is exact, replay elsewhere.
@@ -193,14 +194,15 @@ pub fn set_sweep_engine(_: SweepEngine) {}
 /// The recording carries its sub-communicators ([`Traces::comms`]);
 /// both engines read them from it. With no `faults`, points whose
 /// machine passes [`TraceDag::exact_for`] are evaluated on the DAG that
-/// `dag` yields (`traces` compiled; called only if needed) or on one
-/// compiled here. Every other point replays `traces` with `faults`
-/// armed and counts as a contention or fault fallback. Results come
-/// back in point order, bit-identical to replay; the first replay error
-/// is returned as is.
-pub fn sweep_points<'d>(
+/// `dag` yields or on one compiled here from `traces`. Every other
+/// point replays `traces` with `faults` armed and counts as a
+/// contention or fault fallback. Both getters are called only if
+/// needed, so a caller holding a compiled DAG records nothing when
+/// every point is exact. Results come back in point order,
+/// bit-identical to replay; the first replay error is returned as is.
+pub fn sweep_points<'t, 'd>(
     points: &[SimConfig],
-    traces: &Traces,
+    traces: &dyn Fn() -> &'t Traces,
     dag: Option<&dyn Fn() -> &'d TraceDag>,
     faults: Option<&FaultPlan>,
 ) -> Result<Vec<SimResult>, SimError> {
@@ -215,7 +217,7 @@ pub fn sweep_points<'d>(
         _ if on_dag == 0 => None,
         Some(get) => Some(get()),
         None => {
-            compiled = TraceDag::compile(traces);
+            compiled = TraceDag::compile(traces());
             Some(&compiled)
         }
     };
@@ -230,7 +232,7 @@ pub fn sweep_points<'d>(
                     if let Some(plan) = faults {
                         sim.set_faults(plan);
                     }
-                    sim.try_replay(traces, &mut NoopTracer)
+                    sim.try_replay(traces(), &mut NoopTracer)
                 }
             })
             .collect(),
@@ -240,7 +242,8 @@ pub fn sweep_points<'d>(
 /// A world of rank traces that compilation reads in place: a recording
 /// ([`TraceDag::compile`]), or a per-rank view of a world-only program
 /// ([`TraceDag::compile_world`]; benchmark-facing, retire it with the
-/// next benchmark PR, ROADMAP item 7). Compile reads every op once,
+/// next benchmark PR, ROADMAP: "One benchmark record that covers paper
+/// scale, and no dead code"). Compile reads every op once,
 /// counting each rank's request slots and compressing repeated compute
 /// blocks in that same pass, so a view compiles without first being
 /// converted into a recording.
@@ -629,7 +632,8 @@ impl TraceDag {
 
     /// [`TraceDag::compile`] of a per-rank view of a world-only
     /// program, read in place. Benchmark-facing; retire with the next
-    /// benchmark PR (ROADMAP item 7).
+    /// benchmark PR (ROADMAP: "One benchmark record that covers paper
+    /// scale, and no dead code").
     pub fn compile_world(traces: &[Vec<Op>]) -> TraceDag {
         Self::compile_from(traces)
     }
@@ -1913,6 +1917,32 @@ mod tests {
             let fast = dag.evaluate(&cfg);
             assert_eq!(replay.finish, fast.finish, "mapping {mapping:?}");
             assert_eq!(replay.busy, fast.busy);
+        }
+    }
+
+    /// With every point exact and a DAG in hand, `sweep_points` never
+    /// asks for the recording, on the scalar and the batched path alike.
+    #[test]
+    fn exact_points_with_a_dag_never_read_the_recording() {
+        let prog = FnProgram(|mpi: &mut Mpi| {
+            let next = (mpi.rank() + 1) % mpi.size();
+            let prev = (mpi.rank() + mpi.size() - 1) % mpi.size();
+            mpi.sendrecv(next, 0, 65_536, prev, 0, 65_536);
+            mpi.allreduce(crate::ops::CommId::WORLD, 8, DType::F64);
+        });
+        let machine = bluegene_p().with_flat_contention();
+        let traces = TraceSim::trace_program(&prog, 16, 1);
+        let dag = TraceDag::compile(&traces);
+        let points: Vec<SimConfig> = [ExecMode::Vn, ExecMode::Smp]
+            .map(|mode| SimConfig::new(machine.clone(), 16, mode))
+            .to_vec();
+        let unread = || -> &'static Traces { panic!("the recording was read") };
+        for n in [1, 2] {
+            let got = sweep_points(&points[..n], &unread, Some(&|| &dag), None).unwrap();
+            let want = sweep_points(&points[..n], &|| &traces, None, None).unwrap();
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!((&g.finish, &g.busy), (&w.finish, &w.busy));
+            }
         }
     }
 

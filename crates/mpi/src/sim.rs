@@ -489,7 +489,8 @@ impl TraceSim {
 
     /// [`TraceSim::replay`] of a per-rank view of a world-only program,
     /// recorded into a [`Traces`] first. Benchmark-facing; retire with
-    /// the next benchmark PR (ROADMAP item 7).
+    /// the next benchmark PR (ROADMAP: "One benchmark record that covers
+    /// paper scale, and no dead code").
     pub fn replay_traces(&mut self, traces: &[Vec<Op>]) -> SimResult {
         self.replay(&Traces::from_rank_vecs(traces))
     }

@@ -1,9 +1,9 @@
 //! The compact recording of a whole program: every rank's ops in one
 //! flat arena of 16-byte packed ops.
 //!
-//! A recording is the asset a sweep keeps: it is replayed, DAG-compiled,
-//! written to the tier-2 cache and embedded in fuzz scenarios. So it is
-//! stored once, densely, and decoded on read:
+//! A recording is what a sweep prices: it is replayed, DAG-compiled and
+//! embedded in fuzz scenarios. So it is stored once, densely, and
+//! decoded on read:
 //!
 //! * **one arena** of `Packed` ops (16 bytes each, a third of a
 //!   decoded [`Op`]) with per-rank offsets, so a rank's ops are one
@@ -162,7 +162,8 @@ impl Traces {
 
     /// Every rank's ops as its own vector: the per-rank view the
     /// benchmark harness reads. Benchmark-facing; retire with the next
-    /// benchmark PR (ROADMAP item 7).
+    /// benchmark PR (ROADMAP: "One benchmark record that covers paper
+    /// scale, and no dead code").
     pub fn to_rank_vecs(&self) -> Vec<Vec<Op>> {
         (0..self.ranks()).map(|r| self.rank_ops(r).collect()).collect()
     }

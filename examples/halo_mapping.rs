@@ -5,16 +5,19 @@
 //! large halo size. The mapping is irrelevant while exchanges are
 //! latency-dominated, and worth real money once they are bandwidth-bound.
 //!
-//! Every (mapping, size) point is a [`ScenarioSpec`] evaluated through
-//! the scenario cache: the sixteen queries share just two recorded
-//! traces (the exchange pattern depends on the grid and halo size, not
-//! the mapping), and asking any of them again is a tier-1 lookup.
+//! Every (mapping, size) point is a scenario priced through the
+//! scenario cache, one [`evaluate_on`] call per halo size: each call
+//! records its program once (the exchange pattern depends on the grid
+//! and halo size, not the mapping) and replays that recording under all
+//! eight mappings, and asking any point again is a tier-1 lookup. BG/P's
+//! torus is contended, so no point is priced on a compiled DAG and tier
+//! 2 stays empty.
 //!
 //! ```text
 //! cargo run --release --example halo_mapping
 //! ```
 
-use bgp_eval::cache::{evaluate, ScenarioSpec};
+use bgp_eval::cache::{evaluate_on, ProgramSpec, Setup};
 use bgp_eval::hpcc::{HaloConfig, HaloProtocol};
 use bgp_eval::machine::registry::bluegene_p;
 use bgp_eval::machine::ExecMode;
@@ -30,33 +33,36 @@ fn main() {
     );
     println!("{:>8} {:>14} {:>14}", "mapping", "8 words (us)", "32768 words (us)");
 
-    let mut results: Vec<(String, f64, f64)> = Vec::new();
-    for (name, mapping) in Mapping::fig2_set() {
-        let run = |words: u64| {
-            let cfg = HaloConfig { grid, words, protocol: HaloProtocol::IrecvIsend, reps: 2 };
-            let spec = ScenarioSpec::halo(&machine, ExecMode::Vn, mapping, cfg);
-            evaluate(&spec).expect("pristine halo scenarios evaluate")[0] * 1e6
-        };
-        results.push((name, run(8), run(32_768)));
-    }
-    for (name, small, large) in &results {
+    let mappings = Mapping::fig2_set();
+    let setups: Vec<Setup> = mappings
+        .iter()
+        .map(|&(_, mapping)| Setup { mapping, ..Setup::new(&machine, ExecMode::Vn) })
+        .collect();
+    let run = |words: u64| -> Vec<f64> {
+        let cfg = HaloConfig { grid, words, protocol: HaloProtocol::IrecvIsend, reps: 2 };
+        let priced = evaluate_on(&ProgramSpec::Halo(cfg), &setups);
+        priced.into_iter().map(|v| v.expect("pristine halo scenarios evaluate")[0] * 1e6).collect()
+    };
+    let (small, large) = (run(8), run(32_768));
+    for ((name, _), (small, large)) in mappings.iter().zip(small.iter().zip(&large)) {
         println!("{name:>8} {small:>14.1} {large:>14.1}");
     }
 
-    let spread = |sel: &dyn Fn(&(String, f64, f64)) -> f64| {
-        let min = results.iter().map(sel).fold(f64::INFINITY, f64::min);
-        let max = results.iter().map(sel).fold(0.0f64, f64::max);
+    let spread = |us: &[f64]| {
+        let min = us.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = us.iter().copied().fold(0.0f64, f64::max);
         max / min
     };
     println!(
         "\nworst/best ratio: {:.2}x at 8 words, {:.2}x at 32768 words",
-        spread(&|r| r.1),
-        spread(&|r| r.2)
+        spread(&small),
+        spread(&large)
     );
     let s = bgp_eval::cache::global().stats();
     println!(
-        "scenario cache: {} evaluations from {} trace recordings ({} trace hits)",
-        s.result_misses, s.trace_misses, s.trace_hits
+        "scenario cache: {} evaluations in 2 calls, {} compiled-DAG lookups",
+        s.result_misses,
+        s.trace_hits + s.trace_misses
     );
     println!(
         "-> \"optimizing with respect to process/processor mapping is likely \

@@ -6,11 +6,15 @@
 //! `sweep_points` with itself, because on a flat machine it is the DAG.
 //! The cases reach every consumer of the DAG's cost tables:
 //! single-point evaluation, the mixed-machine batch, the 8- and 32-wide
-//! mapping lanes, and an identity perturbed sample. All of them share
+//! mapping lanes, an identity perturbed sample, and every program kind
+//! priced through the scenario cache's compiled DAGs. All of them share
 //! one per-thread scratch context, which the last cases check leaks
 //! nothing between DAGs.
 
-use bgp_eval::apps::{md_traces, pop_traces, MdConfig, MdResult, PopConfig};
+use bgp_eval::apps::{
+    md_traces, pop_traces, CamConfig, GyroConfig, MdConfig, MdResult, PopConfig, S3dConfig,
+};
+use bgp_eval::cache::{evaluate_in, CacheConfig, ProgramSpec, ScenarioCache, ScenarioSpec, Setup};
 use bgp_eval::engine::SimTime;
 use bgp_eval::hpcc::{
     halo_eval_traces, halo_recording, halo_run, halo_traces, hpl_traces, HaloConfig, HaloProtocol,
@@ -21,7 +25,8 @@ use bgp_eval::machine::{ExecMode, PerturbSpec, Perturbation, PerturbationSampler
 use bgp_eval::mpi::{
     sweep_points, FnProgram, Mpi, RankLayout, SimConfig, SimResult, TraceDag, TraceSim, Traces,
 };
-use bgp_eval::topo::{Grid2D, Mapping};
+use bgp_eval::net::DType;
+use bgp_eval::topo::{Grid2D, Mapping, Placement};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Demand that two results of one point agree bit for bit.
@@ -38,7 +43,7 @@ fn assert_same(r: &SimResult, d: &SimResult, what: &str) {
 fn assert_engines_agree(points: &[SimConfig], traces: &Traces, what: &str) -> Vec<SimResult> {
     let replay: Vec<SimResult> =
         points.iter().map(|p| TraceSim::new(p.clone()).replay(traces)).collect();
-    let swept = sweep_points(points, traces, None, None).unwrap();
+    let swept = sweep_points(points, &|| traces, None, None).unwrap();
     assert_eq!(swept.len(), points.len());
     let dag = TraceDag::compile(traces);
     for (i, (p, r)) in points.iter().zip(&replay).enumerate() {
@@ -170,6 +175,55 @@ fn md_point_is_engine_invariant() {
     let res = assert_engines_agree(&points, &traces, "md pmemd 64r");
     assert!(res.iter().all(|r| MdResult::of(r, &cfg).ns_per_day > 0.0));
     assert_engines_agree(&points[..1], &traces, "md pmemd 64r bgp alone");
+}
+
+/// Every program kind of the scenario cache, plus CAM hybrid in SMP
+/// mode, at one small point on contention-flat BG/P: the recording
+/// replayed directly equals every DAG path, and the cached evaluation
+/// (priced on tier 2's compiled DAG) equals the reduced replay.
+#[test]
+fn every_program_kind_is_engine_invariant_on_flat_bgp() {
+    use ExecMode::{Smp, Vn};
+    let flat = bluegene_p().with_flat_contention();
+    let hpl = HplConfig { n: 4096, nb: 128, grid: Grid2D::new(4, 4), samples: 2 };
+    let halo = HaloConfig {
+        grid: Grid2D::new(4, 4),
+        words: 64,
+        protocol: HaloProtocol::IrecvIsend,
+        reps: 2,
+    };
+    let placement = Placement::Fragmented { spread: 1.5, seed: 3 };
+    let cases = [
+        (ProgramSpec::Halo(halo), Vn),
+        (ProgramSpec::Md { ranks: 16, cfg: MdConfig::pmemd_rub() }, Vn),
+        (ProgramSpec::Hpl(hpl), Vn),
+        (ProgramSpec::ImbAllreduce { ranks: 16, bytes: 1024, dtype: DType::F64 }, Vn),
+        (ProgramSpec::Pop { ranks: 16, threads: 1, cfg: PopConfig::default() }, Vn),
+        (ProgramSpec::S3d { ranks: 8, cfg: S3dConfig::default() }, Vn),
+        (ProgramSpec::Gyro { ranks: 16, cfg: GyroConfig::b1_std() }, Vn),
+        (ProgramSpec::Cam { ranks: 16, threads: 1, cfg: CamConfig::t42() }, Vn),
+        (ProgramSpec::Cam { ranks: 8, threads: 4, cfg: CamConfig::fv_2deg() }, Smp),
+        (ProgramSpec::Fft { ranks: 16, n: 1 << 16 }, Vn),
+        (ProgramSpec::Ptrans { ranks: 16, n: 4096, placement }, Vn),
+        (ProgramSpec::RandomAccess { ranks: 16, table_bytes: 1 << 20, updates: 1 << 10 }, Vn),
+        (ProgramSpec::ImbBcast { ranks: 16, bytes: 1024 }, Vn),
+        (ProgramSpec::Pingpong { bytes: 8, reps: 8 }, Smp),
+        (ProgramSpec::RandomRing { ranks: 16, bytes: 8, seed: 1 }, Vn),
+    ];
+    let cache = ScenarioCache::new(CacheConfig::default());
+    for (program, mode) in cases {
+        let spec = ScenarioSpec::new(program, Setup::new(&flat, mode));
+        let point = spec.program.sim_config(&spec.setup);
+        let what = spec.to_canon().lines().nth(1).unwrap().to_string();
+        let replay =
+            assert_engines_agree(std::slice::from_ref(&point), &spec.program.record(), &what);
+        let cached = evaluate_in(&cache, &spec).unwrap();
+        let want = spec.program.reduce(&point, &replay[0]);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&cached), bits(&want), "{what}: cached evaluation");
+    }
+    let s = cache.stats();
+    assert_eq!((s.trace_misses, s.trace_hits), (15, 0), "one compiled DAG per program");
 }
 
 /// Every evaluation on a thread runs on one shared scratch context. A

@@ -52,7 +52,7 @@ fn engine_selection_counts_every_point_once() {
     let sweep = |machine| {
         let points: Vec<SimConfig> =
             mappings.iter().map(|&m| cfg.sim_config(machine, Vn, m)).collect();
-        let _ = sweep_points(&points, &traces, None, None);
+        let _ = sweep_points(&points, &|| &traces, None, None);
     };
     let (dag, view) = (TraceDag::compile(&traces), traces.to_rank_vecs());
     let txyz = Mapping::txyz();
@@ -63,7 +63,7 @@ fn engine_selection_counts_every_point_once() {
     let faulty = || {
         let plan = FaultPlan::new(5, FaultProfile::Mixed);
         let point = cfg.sim_config(&flat, Vn, txyz);
-        let _ = sweep_points(&[point], &traces, None, Some(&plan));
+        let _ = sweep_points(&[point], &|| &traces, None, Some(&plan));
     };
     assert_eq!(delta(faulty), [0, 1, 0, 1]);
     // a pre-compiled DAG offered on a contended machine falls back

@@ -141,8 +141,8 @@ fn one_recording_prices_every_machine_like_each_run() {
         for (pi, program) in proxy.programs.iter().enumerate() {
             let points: Vec<SimConfig> =
                 specs.iter().map(|s| s[pi].program.sim_config(&s[pi].setup)).collect();
-            let priced: Vec<SimResult> =
-                sweep_points(&points, &program.record(), None, None).unwrap();
+            let traces = program.record();
+            let priced: Vec<SimResult> = sweep_points(&points, &|| &traces, None, None).unwrap();
             for (mi, res) in priced.iter().enumerate() {
                 values[mi].push(specs[mi][pi].program.reduce(&points[mi], res));
             }
